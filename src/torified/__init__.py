@@ -23,6 +23,7 @@ from .counting import (
     to_delta_basis,
     to_monomial_basis,
     verify_counting,
+    verify_counting_polynomial,
     zeta,
 )
 from .errors import (
@@ -89,6 +90,11 @@ from .torify import (
     Torus,
     check_atlas,
     chevalley_data_sl,
+    delta_affine_space,
+    delta_chevalley,
+    delta_flag,
+    delta_grassmannian,
+    delta_torus,
     delta_vector,
     disjoint_union,
     is_regular_toric,

@@ -4,6 +4,12 @@ Every subcommand prints a JSON envelope (tool, input echo, result, timing) to
 stdout and diagnostics to stderr.  Exit codes: 0 success, 1 when a validation
 or verification check fails, 2 for usage and parse errors.  Identical inputs
 produce byte-identical payloads apart from the timing field.
+
+``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
+built-in family from its cell polynomials, so their cost does not grow with
+the number of tori.  Labeled tori are built only for ``torify`` listings, for
+``gadget --elements`` and for fan-based families, and a listing is checked
+against the enumeration budget before anything is built.
 """
 
 from __future__ import annotations
@@ -12,10 +18,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
-from .counting import counting_polynomial, eval_counting, verify_counting, zeta
-from .errors import TorifiedError
+from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
+from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
@@ -30,6 +38,11 @@ from .torify import (
     Torification,
     Torus,
     chevalley_data_sl,
+    delta_affine_space,
+    delta_chevalley,
+    delta_flag,
+    delta_grassmannian,
+    delta_torus,
     delta_vector,
     torify_affine_space,
     torify_chevalley,
@@ -110,8 +123,23 @@ def _parse_cone(raw: str) -> Cone:
         raise UsageError(f"invalid cone: {exc}") from exc
 
 
-def build_family(family: str, params: list[str]) -> tuple[Torification, str, object]:
-    """Torification plus the oracle (family, params) pair for a family spec."""
+@dataclass(frozen=True)
+class Family:
+    """A resolved family spec or torification file: its delta vector, a
+    builder for its labeled tori, and the oracle (family, params) pair."""
+
+    delta: tuple[int, ...]
+    build: Callable[[], Torification]
+    oracle: tuple[str, object] | None
+
+
+def _built(t: Torification, oracle: tuple[str, object] | None) -> Family:
+    """A family whose tori exist already (fans, files): delta read off them."""
+    return Family(delta_vector(t), lambda: t, oracle)
+
+
+def build_family(family: str, params: list[str]) -> Family:
+    """Delta vector, tori builder and oracle pair for a family spec."""
 
     def want(k: int) -> list[int]:
         if len(params) != k:
@@ -123,16 +151,18 @@ def build_family(family: str, params: list[str]) -> tuple[Torification, str, obj
 
     if family == "affine":
         (n,) = want(1)
-        return torify_affine_space(n), "toric", standard_fan("affine_space", n)
+        return Family(delta_affine_space(n), lambda: torify_affine_space(n), ("affine", n))
     if family == "projective":
         (n,) = want(1)
-        return torify_toric(standard_fan("projective_space", n)), "projective", n
+        return _built(torify_toric(standard_fan("projective_space", n)), ("projective", n))
     if family in ("torus", "gm"):
         (n,) = want(1)
-        return torify_torus(n), "gm", n
+        return Family(delta_torus(n), lambda: torify_torus(n), ("gm", n))
     if family == "grassmannian":
         k, n = want(2)
-        return torify_grassmannian(k, n), "grassmannian", (k, n)
+        return Family(
+            delta_grassmannian(k, n), lambda: torify_grassmannian(k, n), ("grassmannian", (k, n))
+        )
     if family == "flag":
         if not params:
             raise UsageError("family 'flag' needs a composition, e.g. flag 1 1 1")
@@ -140,15 +170,16 @@ def build_family(family: str, params: list[str]) -> tuple[Torification, str, obj
             comp = tuple(int(p) for p in params)
         except ValueError as exc:
             raise UsageError("flag composition must be integers") from exc
-        return torify_flag(comp), "flag", comp
+        return Family(delta_flag(comp), lambda: torify_flag(comp), ("flag", comp))
     if family == "sl":
         (n,) = want(1)
-        return torify_chevalley(chevalley_data_sl(n)), "sl", n
+        data = chevalley_data_sl(n)
+        return Family(delta_chevalley(data), lambda: torify_chevalley(data), ("sl", n))
     if family == "toric":
         if len(params) != 1:
             raise UsageError("family 'toric' takes one parameter: a fan JSON file")
         fan = load_fan(params[0])
-        return torify_toric(fan), "toric", fan
+        return _built(torify_toric(fan), ("toric", fan))
     raise UsageError(
         f"unknown family {family!r}; choose from affine, projective, torus, "
         "grassmannian, flag, sl, toric"
@@ -192,13 +223,20 @@ def load_torification(path: str) -> Torification:
     return torification_from_dict(data)
 
 
-def _resolve_torification(args) -> tuple[Torification, str | None, object]:
+def _resolve_family(args) -> Family:
     if getattr(args, "torification", None):
-        return load_torification(args.torification), None, None
+        return _built(load_torification(args.torification), None)
     if getattr(args, "family", None):
         family, *params = args.family
         return build_family(family, params)
     raise UsageError("give either --family NAME PARAMS... or --torification FILE")
+
+
+def _check_budget(size: int, what: str) -> None:
+    """Refuse a listing of ``size`` items before any of them is built."""
+    budget = enumeration_budget()
+    if size > budget:
+        raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")
 
 
 def _dscheme_payload(ds) -> dict:
@@ -221,13 +259,13 @@ def _dscheme_payload(ds) -> dict:
 
 def cmd_torify(args) -> tuple[dict, int]:
     family, *params = args.family_spec
-    t, _, _ = build_family(family, params)
-    return torification_to_dict(t), 0
+    fam = build_family(family, params)
+    _check_budget(sum(fam.delta), "tori")
+    return torification_to_dict(fam.build()), 0
 
 
 def cmd_count(args) -> tuple[dict, int]:
-    t, _, _ = _resolve_torification(args)
-    n_poly = counting_polynomial(t)
+    n_poly = CountingPolynomial.from_delta(_resolve_family(args).delta)
     payload = {
         "delta": list(n_poly.delta),
         "mono": list(n_poly.mono),
@@ -240,8 +278,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
-    t, _, _ = _resolve_torification(args)
-    z = zeta(counting_polynomial(t))
+    z = zeta(CountingPolynomial.from_delta(_resolve_family(args).delta))
     return {
         "factors": [list(f) for f in z.factors],
         "rendered": z.render(),
@@ -260,21 +297,24 @@ def cmd_dscheme(args) -> tuple[dict, int]:
 
 
 def cmd_gadget(args) -> tuple[dict, int]:
-    t, _, _ = _resolve_torification(args)
+    fam = _resolve_family(args)
     orders = _parse_int_list(args.group, "group")
     group = FiniteAbelianGroup(tuple(orders))
-    n_poly = counting_polynomial(t)
-    expected = eval_counting(n_poly, group.order + 1)
-    pts = cc_points(t, group, mode="counts")
+    # the delta_r tori of rank r contribute |D|^r points each
+    by_grade = {r: d * group.order**r for r, d in enumerate(fam.delta) if d}
+    total = sum(by_grade.values())
+    expected = eval_counting(CountingPolynomial.from_delta(fam.delta), group.order + 1)
     payload = {
         "group": orders,
         "order": group.order,
-        "by_grade": {str(k): v for k, v in sorted(pts.count_by_grade().items())},
-        "total": pts.total,
+        "by_grade": {str(r): v for r, v in by_grade.items()},
+        "total": total,
         "expected": expected,
-        "match": pts.total == expected,
+        "match": total == expected,
     }
     if args.elements:
+        _check_budget(total, "group elements")
+        t = fam.build()
         full = cc_points(t, group, mode="full")
         payload["elements"] = {
             str(i): [[list(x) for x in point] for point in full.points(i)]
@@ -320,11 +360,11 @@ def cmd_soule(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     family, *params = args.family
-    t, oracle_family, oracle_params = build_family(family, params)
+    fam = build_family(family, params)
     qs = _parse_int_list(args.q, "q")
     if not qs:
         raise UsageError("--q needs at least one value")
-    report = verify_counting(t, oracle_family, oracle_params, qs)
+    report = verify_counting_polynomial(CountingPolynomial.from_delta(fam.delta), *fam.oracle, qs)
     payload = {
         "family": args.family,
         "checks": [
@@ -457,7 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except ValidationFailure as exc:
         payload, code = exc.payload, CHECK_FAILED
-    except TorifiedError as exc:
+    except (TorifiedError, ValueError) as exc:
+        # the constructors and oracles reject out-of-range parameters
+        # (k > n, negative ranks, q < 2, cyclic orders < 1) with ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -4,8 +4,10 @@ A torification with delta vector (d_0, ..., d_d) counts points by
 N(q) = sum_l d_l (q-1)^l; the monomial coefficients follow by the binomial
 transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k, and the zeta function is
 the rational expression prod_i (s-i)^(-a_i), kept symbolically as its factor
-list.  The oracle side recomputes the same counts from classical product
-formulas over F_q, with every division checked to be exact.
+list.  The inverse transform, ``to_delta_basis``, lives in ``torify``, where it
+also turns cell dimension polynomials into delta vectors.  The oracle side
+recomputes the same counts from classical product formulas over F_q, with
+every division checked to be exact.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from .errors import UnknownFamily
 from .lattice import Fan, require_valid
-from .torify import Torification, delta_vector
+from .torify import Torification, delta_vector, to_delta_basis  # noqa: F401 (re-exported)
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
@@ -25,14 +27,6 @@ def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         sum((-1) ** (k - l) * comb(k, l) * delta[k] for k in range(l, d + 1))
         for l in range(d + 1)
-    )
-
-
-def to_delta_basis(mono: Sequence[int]) -> tuple[int, ...]:
-    """Inverse transform: delta_k = sum_{l>=k} C(l,k) a_l."""
-    d = len(mono) - 1
-    return tuple(
-        sum(comb(l, k) * mono[l] for l in range(k, d + 1)) for k in range(d + 1)
     )
 
 
@@ -184,9 +178,10 @@ def sl_group_order(n: int, q: int) -> int:
 def oracle_point_count(family: str, params, q: int) -> int:
     """Point count over F_q by the classical formula for each family.
 
-    Families: ``toric`` (params: Fan), ``projective`` (n), ``grassmannian``
-    ((k, n)), ``flag`` (composition), ``sl`` (n), ``gm`` (n).  The formulas
-    are used as polynomials in q; primality of q is the caller's business.
+    Families: ``toric`` (params: Fan), ``affine`` (n), ``projective`` (n),
+    ``grassmannian`` ((k, n)), ``flag`` (composition), ``sl`` (n), ``gm`` (n).
+    The formulas are used as polynomials in q; primality of q is the caller's
+    business.
     """
     q = int(q)
     if q < 2:
@@ -195,6 +190,8 @@ def oracle_point_count(family: str, params, q: int) -> int:
         fan: Fan = params
         require_valid(fan)
         return sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones)
+    if family == "affine":
+        return q ** int(params)
     if family == "projective":
         n = int(params)
         return _exact_div(q ** (n + 1) - 1, q - 1)
@@ -241,7 +238,14 @@ def verify_counting(
     t: Torification, family: str, params, q_list: Sequence[int]
 ) -> CountReport:
     """Compare eval_counting against the family oracle at every listed q."""
-    n_poly = counting_polynomial(t)
+    return verify_counting_polynomial(counting_polynomial(t), family, params, q_list)
+
+
+def verify_counting_polynomial(
+    n_poly: CountingPolynomial, family: str, params, q_list: Sequence[int]
+) -> CountReport:
+    """:func:`verify_counting` for a counting polynomial, e.g. one built from
+    an algebraic delta vector."""
     checks = tuple(
         CountCheck(q, eval_counting(n_poly, q), oracle_point_count(family, params, q))
         for q in q_list

@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     MissingSourceCone,
     ShapeMismatch,
+    TorifiedError,
 )
 from .intlinalg import Vector, dot, hnf_rows, mat_rank
 from .lattice import Cone, Fan, faces, require_valid
@@ -32,14 +33,19 @@ DEFAULT_BUDGET = 10**6
 
 
 def enumeration_budget() -> int:
-    """Default element budget, overridable via TORIFIED_BUDGET."""
+    """Default element budget, overridable via TORIFIED_BUDGET (unset or
+    empty: the default); any value but a positive integer is an error."""
     raw = os.environ.get("TORIFIED_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    invalid = TorifiedError(f"TORIFIED_BUDGET must be a positive integer, got {raw!r}")
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise invalid from None
+    if budget < 1:
+        raise invalid
+    return budget
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,22 @@ Built-ins: toric varieties from fans, affine spaces, products and disjoint
 unions, Grassmannians and flag varieties by Schubert cells (no charts; those
 decompositions are incompatible with the usual atlases), and type-A Chevalley
 groups by Bruhat cells (single chart; the group is affine).
+
+The ``delta_*`` functions give the delta vector of the same decompositions
+without building any torus: a disjoint union of affine cells with cell
+dimension polynomial c(q) has delta polynomial c(x+1), because A^d
+contributes (1+x)^d, and a product of torifications multiplies delta
+polynomials.  Their cost grows with the dimension, not with the number of
+tori; the ``torify_*`` constructors stay as the labeled listing and as the
+enumerative reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+from typing import Sequence
 
 from .errors import (
     InvalidChevalleyData,
@@ -88,12 +98,52 @@ def delta_vector(t: Torification) -> tuple[int, ...]:
     return tuple(delta)
 
 
+def to_delta_basis(mono: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients in the (q-1)-basis of sum_l mono_l q^l:
+    delta_k = sum_{l>=k} C(l,k) mono_l.
+
+    Read with ``mono`` as a cell dimension polynomial (mono_d cells of
+    dimension d), this is the delta vector of that disjoint union of affine
+    cells.
+    """
+    d = len(mono) - 1
+    return tuple(
+        sum(comb(l, k) * mono[l] for l in range(k, d + 1)) for k in range(d + 1)
+    )
+
+
+def _poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of coefficient lists; on delta vectors, the delta of a product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def torify_point() -> Torification:
     return Torification((Torus(0, "point"),), ((0,),))
 
 
 def torify_torus(n: int) -> Torification:
     return Torification((Torus(n, "torus"),), ((0,),))
+
+
+def delta_torus(n: int) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_torus`: one torus of rank n."""
+    if n < 0:
+        raise ValueError("torus rank must be nonnegative")
+    return (0,) * n + (1,)
 
 
 def torify_affine_space(n: int) -> Torification:
@@ -106,6 +156,13 @@ def torify_affine_space(n: int) -> Torification:
             tori.append(Torus(d, "axes:" + ",".join(map(str, axes))))
     tori.sort(key=lambda t: (t.rank, t.label))
     return Torification(tuple(tori), (tuple(range(len(tori))),))
+
+
+def delta_affine_space(n: int) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_affine_space`: C(n, l) tori of rank l."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return tuple(comb(n, l) for l in range(n + 1))
 
 
 def torify_toric(fan: Fan) -> Torification:
@@ -160,14 +217,18 @@ def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Tori
 # Schubert cells
 
 
+def _check_grassmannian(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+
+
 def schubert_cells_grassmannian(k: int, n: int) -> list[tuple[tuple[int, ...], int]]:
     """All increasing multi-indices of length k in 1..n, with cell dimensions.
 
     The cell of (i_1 < ... < i_k) is an affine space of dimension
     sum_t (i_t - t).
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    _check_grassmannian(k, n)
     return [
         (idx, sum(i - t for t, i in enumerate(idx, start=1)))
         for idx in combinations(range(1, n + 1), k)
@@ -189,6 +250,24 @@ def torify_grassmannian(k: int, n: int) -> Torification:
     return Torification(union.tori, None)
 
 
+def _gaussian_polynomial(n: int, k: int) -> list[int]:
+    """Coefficients of the Gaussian binomial [n choose k]_q, by the q-Pascal
+    rule [m choose j]_q = [m-1 choose j-1]_q + q^j [m-1 choose j]_q."""
+    row: list[list[int]] = [[1]] + [[] for _ in range(k)]  # m = 0; [] is zero
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):  # downwards, so row[j - 1] is still m - 1
+            shifted = [0] * j + row[j] if row[j] else []
+            row[j] = _poly_add(row[j - 1], shifted)
+    return row[k]
+
+
+def delta_grassmannian(k: int, n: int) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_grassmannian`: the Schubert cells of
+    Gr(k, n) have the Gaussian binomial as cell dimension polynomial."""
+    _check_grassmannian(k, n)
+    return to_delta_basis(_gaussian_polynomial(n, k))
+
+
 def permutation_length(w: tuple[int, ...]) -> int:
     """Number of inversions of a permutation in one-line notation."""
     return sum(
@@ -205,15 +284,20 @@ def _perm_label(w: tuple[int, ...]) -> str:
     return ",".join(map(str, w))
 
 
+def _check_composition(composition: Sequence[int]) -> tuple[int, ...]:
+    composition = tuple(composition)
+    if any(not isinstance(d, int) or d < 1 for d in composition):
+        raise InvalidComposition(f"composition parts must be positive integers: {composition}")
+    return composition
+
+
 def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """Minimal coset representatives for a flag type, with cell dimensions.
 
     Representatives are the permutations increasing within each block of the
     composition; the cell dimension is the inversion count.
     """
-    composition = tuple(composition)
-    if any(not isinstance(d, int) or d < 1 for d in composition):
-        raise InvalidComposition(f"composition parts must be positive integers: {composition}")
+    composition = _check_composition(composition)
     n = sum(composition)
 
     def assignments(remaining: tuple[int, ...], values: tuple[int, ...]):
@@ -242,6 +326,18 @@ def torify_flag(composition: tuple[int, ...]) -> Torification:
     ]
     union = disjoint_union(parts)
     return Torification(union.tori, None)
+
+
+def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_flag`: the cell dimension polynomial is
+    the q-multinomial, a product of Gaussian binomials."""
+    composition = _check_composition(composition)
+    cells = [1]
+    left = sum(composition)
+    for d in composition:
+        cells = _poly_mul(cells, _gaussian_polynomial(left, d))
+        left -= d
+    return to_delta_basis(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +402,17 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
         parts.append(cell.relabeled(f"bruhat:{label},cell_dim={s_w}"))
     union = disjoint_union(parts)
     return Torification(union.tori, (tuple(range(len(union.tori))),))
+
+
+def delta_chevalley(data: ChevalleyData) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_chevalley`:
+    (sum_w (1+x)^{s_w}) * x^r * (1+x)^N for torus rank r and unipotent
+    dimension N."""
+    cells = [0] * (data.unipotent_dim + 1)
+    for s_w in data.cell_dims:
+        cells[s_w] += 1
+    bruhat = _poly_mul(to_delta_basis(cells), delta_torus(data.torus_rank))
+    return tuple(_poly_mul(bruhat, delta_affine_space(data.unipotent_dim)))
 
 
 # ---------------------------------------------------------------------------

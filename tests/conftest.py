@@ -1,4 +1,4 @@
-"""Shared corpora: cones in dims 1-3 and the built-in fans."""
+"""Shared corpora: cones in dims 1-3, the built-in fans, and flag types."""
 
 import pytest
 
@@ -55,6 +55,16 @@ FAN_CORPUS = {
     "Gm2": standard_fan("torus", 2),
     "singular": singular_fan(),
 }
+
+
+def compositions(n):
+    """Every composition of n (flag types of C^n), in a fixed order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
 
 
 @pytest.fixture(params=sorted(FAN_CORPUS), ids=sorted(FAN_CORPUS))

@@ -3,7 +3,14 @@
 import json
 import os
 
-from torified.cli import main
+import pytest
+
+from conftest import compositions
+
+from torified import cli
+from torified.cli import main, torification_from_dict
+from torified.counting import verify_counting
+from torified.gadgets import FiniteAbelianGroup, cc_points
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -176,3 +183,82 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
     assert data["result"]["enumerated_count"] is None  # over budget: face formula only
     assert data["result"]["face_count"] == 36  # (5+1)^2
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("TORIFIED_BUDGET", bad)
+        code, out, err = run(capsys, "soule", "--m", "5", "--cone", "1,0;0,1")
+        assert code == 2 and out == ""
+        assert "TORIFIED_BUDGET must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "grassmannian", "5", "3"],
+        ["torify", "torus", "-2"],
+        ["count", "--family", "affine", "-1"],
+        ["gadget", "--group", "0", "--family", "affine", "1"],
+        ["verify", "--q", "1", "--family", "affine", "1"],
+    ],
+    ids="_".join,
+)
+def test_bad_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_listings_checked_against_budget_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tori built for an over-budget listing")
+
+    monkeypatch.setattr(cli, "torify_grassmannian", refuse)
+    # N(2) = 109,221,651 tori: exhausted memory when they were built first
+    code, out, err = run(capsys, "torify", "grassmannian", "5", "10")
+    assert code == 2 and out == ""
+    assert "109221651 tori exceed the budget of 1000000" in err
+    code, out, err = run(
+        capsys, "gadget", "--elements", "--group", "12", "--family", "grassmannian", "4", "8"
+    )
+    assert code == 2 and "group elements exceed the budget" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("TORIFIED_BUDGET", "35")  # Gr(2,4) has N(2) = 35 tori
+    assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 0
+    monkeypatch.setenv("TORIFIED_BUDGET", "34")
+    assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 2
+    monkeypatch.setenv("TORIFIED_BUDGET", "4")  # P^1 at |D| = 3: N(4) = 5 elements
+    assert run(capsys, "gadget", "--elements", "--group", "3", "--family", "projective", "1")[0] == 2
+
+
+SMALL_LADDER = (
+    [("grassmannian", k, n) for n in range(1, 6) for k in range(n + 1)]
+    + [("flag", *c) for n in range(1, 5) for c in compositions(n)]
+    + [("sl", n) for n in range(1, 4)]
+    + [(family, n) for family in ("affine", "torus", "projective") for n in range(4)]
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_LADDER, ids=lambda s: "-".join(map(str, s)))
+def test_counting_commands_match_enumerative_torification(spec, tmp_path, capsys):
+    """count/zeta/gadget/verify answer from algebraic deltas; their payloads
+    must equal those computed from the listed tori."""
+    family = [str(x) for x in spec]
+    code, listing, _ = run(capsys, "torify", *family)
+    assert code == 0
+    path = tmp_path / "listing.json"
+    path.write_text(listing)
+    t = torification_from_dict(json.loads(listing)["result"])
+    for argv in (["count", "--q", "2,3,5"], ["zeta"], ["gadget", "--group", "2,3"]):
+        code, direct, _ = run_json(capsys, *argv, "--family", *family)
+        code2, listed, _ = run_json(capsys, *argv, "--torification", str(path))
+        assert code == code2 == 0
+        assert direct["result"] == listed["result"]
+    pts = cc_points(t, FiniteAbelianGroup((2, 3)), mode="counts")
+    assert direct["result"]["by_grade"] == {str(r): c for r, c in pts.count_by_grade().items()}
+    assert direct["result"]["total"] == pts.total
+    qs = [2, 3, 4, 5]
+    code, verified, _ = run_json(capsys, "verify", "--q", "2,3,4,5", "--family", *family)
+    assert code == 0
+    report = verify_counting(t, *cli.build_family(family[0], family[1:]).oracle, qs)
+    assert verified["result"]["checks"] == [
+        {"q": c.q, "counted": c.counted, "oracle": c.oracle, "equal": c.ok} for c in report.checks
+    ]

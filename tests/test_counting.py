@@ -169,6 +169,7 @@ def test_oracle_examples():
     assert q_multinomial((1, 1, 1), 2) == 1 * 3 * 7
     assert oracle_point_count("projective", 2, 2) == 7
     assert oracle_point_count("gm", 3, 4) == 27
+    assert oracle_point_count("affine", 3, 5) == 125
     assert oracle_point_count("toric", singular_fan(), 3) == 9
 
 

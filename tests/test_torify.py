@@ -5,8 +5,10 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FAN_CORPUS
+from conftest import FAN_CORPUS, compositions
 
 from torified.errors import InvalidChevalleyData, InvalidComposition, MissingCharts
 from torified.lattice import standard_fan
@@ -16,6 +18,11 @@ from torified.torify import (
     Torus,
     check_atlas,
     chevalley_data_sl,
+    delta_affine_space,
+    delta_chevalley,
+    delta_flag,
+    delta_grassmannian,
+    delta_torus,
     delta_vector,
     disjoint_union,
     is_regular_toric,
@@ -241,6 +248,79 @@ def test_flag_matches_grassmannian(n):
     for k in range(n + 1):
         comp = tuple(d for d in (k, n - k) if d > 0)
         assert delta_vector(torify_flag(comp)) == delta_vector(torify_grassmannian(k, n))
+
+
+# --- algebraic deltas against the enumerative constructors ---------------------------
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_delta_affine_space_and_torus(n):
+    assert delta_affine_space(n) == delta_vector(torify_affine_space(n))
+    assert delta_torus(n) == delta_vector(torify_torus(n))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_delta_grassmannian(n):
+    for k in range(n + 1):
+        assert delta_grassmannian(k, n) == delta_vector(torify_grassmannian(k, n))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_delta_flag(n):
+    for comp in compositions(n):
+        assert delta_flag(comp) == delta_vector(torify_flag(comp))
+
+
+def test_delta_flag_six_by_enumerated_cells():
+    # building the tori of every composition of 6 takes ~12 s (615,195 for
+    # 1^6 alone), so n = 6 sums the delta of each enumerated Schubert cell
+    cell_delta = [delta_vector(torify_affine_space(d)) for d in range(16)]
+    for comp in compositions(6):
+        delta = [0] * 16
+        for _, d in schubert_cells_flag(comp):
+            for rank, count in enumerate(cell_delta[d]):
+                delta[rank] += count
+        while delta[-1] == 0:
+            delta.pop()
+        assert delta_flag(comp) == tuple(delta)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_delta_chevalley_sl(n):
+    data = chevalley_data_sl(n)
+    assert delta_chevalley(data) == delta_vector(torify_chevalley(data))
+
+
+@st.composite
+def chevalley_data(draw):
+    unipotent = draw(st.integers(min_value=0, max_value=4))
+    middle = draw(st.lists(st.integers(min_value=0, max_value=unipotent), max_size=5))
+    rank = draw(st.integers(min_value=0, max_value=3))
+    return ChevalleyData(rank, unipotent, (0, *middle, unipotent))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chevalley_data())
+def test_delta_chevalley_random_data(data):
+    assert delta_chevalley(data) == delta_vector(torify_chevalley(data))
+
+
+@pytest.mark.parametrize(
+    "delta_fn, torify_fn, args, error",
+    [
+        (delta_affine_space, torify_affine_space, (-1,), ValueError),
+        (delta_torus, torify_torus, (-2,), ValueError),
+        (delta_grassmannian, torify_grassmannian, (5, 3), ValueError),
+        (delta_grassmannian, torify_grassmannian, (-1, 3), ValueError),
+        (delta_flag, torify_flag, ((2, 0),), InvalidComposition),
+        (delta_flag, torify_flag, ((1, "2"),), InvalidComposition),
+    ],
+)
+def test_delta_errors_match_constructors(delta_fn, torify_fn, args, error):
+    with pytest.raises(error):
+        delta_fn(*args)
+    with pytest.raises(error):
+        torify_fn(*args)
 
 
 # --- atlases and regularity ----------------------------------------------------------
