@@ -94,6 +94,8 @@ from .torify import (
     delta_chevalley,
     delta_flag,
     delta_grassmannian,
+    delta_projective,
+    delta_sl,
     delta_torus,
     delta_vector,
     disjoint_union,

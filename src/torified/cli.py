@@ -8,7 +8,7 @@ produce byte-identical payloads apart from the timing field.
 ``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
 built-in family from its cell polynomials, so their cost does not grow with
 the number of tori.  Labeled tori are built only for ``torify`` listings, for
-``gadget --elements`` and for fan-based families, and a listing is checked
+``gadget --elements`` and for ``toric`` fan files, and a listing is checked
 against the enumeration budget before anything is built.
 """
 
@@ -39,9 +39,10 @@ from .torify import (
     Torus,
     chevalley_data_sl,
     delta_affine_space,
-    delta_chevalley,
     delta_flag,
     delta_grassmannian,
+    delta_projective,
+    delta_sl,
     delta_torus,
     delta_vector,
     torify_affine_space,
@@ -64,20 +65,24 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def load_fan(path: str, validate: bool = True) -> Fan:
-    """Read a fan JSON file; parse errors raise UsageError, validity errors
-    raise ValidationFailure via the caller's handling of InvalidFan."""
+def _read_json(path: str):
+    """Decoded JSON of a file; unreadable or malformed files raise UsageError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+
+
+def load_fan(path: str, validate: bool = True) -> Fan:
+    """Read a fan JSON file; parse errors raise UsageError, validity errors
+    raise ValidationFailure via the caller's handling of InvalidFan."""
     try:
-        fan = fan_from_dict(data, on_warning=_warn)
+        fan = fan_from_dict(_read_json(path), on_warning=_warn)
     except (ValueError, TorifiedError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
     if validate:
@@ -154,7 +159,11 @@ def build_family(family: str, params: list[str]) -> Family:
         return Family(delta_affine_space(n), lambda: torify_affine_space(n), ("affine", n))
     if family == "projective":
         (n,) = want(1)
-        return _built(torify_toric(standard_fan("projective_space", n)), ("projective", n))
+        return Family(
+            delta_projective(n),
+            lambda: torify_toric(standard_fan("projective_space", n)),
+            ("projective", n),
+        )
     if family in ("torus", "gm"):
         (n,) = want(1)
         return Family(delta_torus(n), lambda: torify_torus(n), ("gm", n))
@@ -173,8 +182,7 @@ def build_family(family: str, params: list[str]) -> Family:
         return Family(delta_flag(comp), lambda: torify_flag(comp), ("flag", comp))
     if family == "sl":
         (n,) = want(1)
-        data = chevalley_data_sl(n)
-        return Family(delta_chevalley(data), lambda: torify_chevalley(data), ("sl", n))
+        return Family(delta_sl(n), lambda: torify_chevalley(chevalley_data_sl(n)), ("sl", n))
     if family == "toric":
         if len(params) != 1:
             raise UsageError("family 'toric' takes one parameter: a fan JSON file")
@@ -206,15 +214,7 @@ def torification_from_dict(data: dict) -> Torification:
 
 
 def load_torification(path: str) -> Torification:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    data = _read_json(path)
     # accept either a bare payload or a full envelope from `torify`
     if "result" in data and isinstance(data["result"], dict) and "tori" in data["result"]:
         data = data["result"]

@@ -1,14 +1,17 @@
 """Exact integer linear algebra on small matrices.
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
-routine is exact: Fractions are used internally wherever division occurs and
-all returned data is integral.  Sizes here are tiny (ambient dimension <= 5
-or so), so clarity wins over asymptotics throughout.
+routine is exact and works on plain ints: rank, determinant, kernel lines,
+rational solves and unimodular inverses share one fraction-free elimination,
+and only :func:`solve_columns` makes Fractions, for the solution it returns.
+Sizes here are tiny (ambient dimension <= 5 or so), so clarity wins over
+asymptotics throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -30,15 +33,6 @@ def primitive(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-def primitive_direction(v: Sequence[Fraction]) -> Vector:
-    """Primitive integer vector pointing the same way as a rational vector."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive(ints)
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
@@ -55,55 +49,74 @@ def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Vector:
     return tuple(dot(r, x) for r in rows)
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(dot(r, c) for c in bt) for r in a)
-
-
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over Q, by fraction elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Integer-preserving Gauss-Jordan elimination of ``m``, in place, on its
+    first ``ncols`` columns (Bareiss 1968; Edmonds 1967).
+
+    Each step with pivot p replaces every other row by
+    (p * row - row[c] * pivot_row) // prev, prev being the previous pivot.
+    The division is exact because every entry stays a minor of the input.
+    Afterwards the first ``len(pivots)`` rows are the pivot rows: each holds
+    the last pivot d at its own pivot column and 0 at the others, and the
+    remaining rows are zero on the first ``ncols`` columns.  For a square
+    nonsingular matrix, sign * d is the determinant.
+
+    Returns (pivot columns, d, sign of the row permutation).
+    """
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    nrows = len(m)
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        row = m[r]
+        p = row[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i == r or (not f and p == prev):
+                continue
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
+
+
+def mat_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q."""
+    m = [list(r) for r in rows]
+    return len(_eliminate(m, len(m[0]))[0]) if m else 0
+
+
+def kernel_vector(rows: Sequence[Sequence[int]], ncols: int) -> Vector | None:
+    """The primitive vector spanning the kernel of ``rows`` over Q, up to
+    sign, when that kernel is a line; None otherwise."""
+    m = [list(r) for r in rows]
+    pivots, d, _ = _eliminate(m, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    (free,) = set(range(ncols)).difference(pivots)
+    x = [0] * ncols
+    x[free] = d
+    for row, c in zip(m, pivots):
+        x[c] = -row[free]
+    return primitive(x)
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (exact, via Fractions)."""
+    """Determinant of a square integer matrix."""
     n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert result.denominator == 1
-    return int(result)
+    m = [list(r) for r in rows]
+    pivots, d, sign = _eliminate(m, n)
+    return sign * d if len(pivots) == n else 0
 
 
 def _col_addmul(m: list[list[int]], j: int, k: int, q: int) -> None:
@@ -215,22 +228,12 @@ def row_hermite_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]
 def invert_unimodular(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Inverse of a unimodular integer matrix (integral by definition)."""
     n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c])
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = []
-    for i in range(n):
-        row = m[i][n:]
-        assert all(x.denominator == 1 for x in row), "matrix was not unimodular"
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, d, _ = _eliminate(m, n)
+    if len(pivots) != n or abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    # [A | I] is reduced to [d I | d A^-1], and d = 1/d as d is 1 or -1
+    return tuple(tuple(d * x for x in row[n:]) for row in m)
 
 
 def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> list[Vector]:
@@ -239,50 +242,46 @@ def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> list[Vector]:
     return kernel_basis(perp, n)
 
 
+def _solve_scaled(cols: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[list[int], int] | None:
+    """(y, d) with x = y / d solving sum_i x_i * cols[i] = target, free
+    variables set to 0; None if the system is inconsistent."""
+    k = len(cols)
+    m = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    pivots, d, _ = _eliminate(m, k)
+    if any(row[k] for row in m[len(pivots):]):
+        return None
+    y = [0] * k
+    for row, c in zip(m, pivots):
+        y[c] = row[k]
+    return y, d
+
+
 def solve_columns(cols: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Solve sum_i x_i * cols[i] = target over Q; None if inconsistent.
 
-    Columns are assumed linearly independent, so the solution is unique.
+    The solution is unique when the columns are linearly independent;
+    otherwise each column dependent on earlier ones gets the coefficient 0.
     """
-    k = len(cols)
-    n = len(target)
-    m = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    rank = 0
-    pivots = []
-    for c in range(k):
-        piv = next((i for i in range(rank, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(n):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, n):
-        if m[i][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][k]
-    return tuple(sol)
+    scaled = _solve_scaled(cols, target)
+    if scaled is None:
+        return None
+    y, d = scaled
+    return tuple(Fraction(x, d) for x in y)
 
 
 def solve_columns_int(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Vector | None:
     """Integer solution of sum_i x_i * cols[i] = target, or None."""
-    sol = solve_columns(cols, target)
-    if sol is None or any(x.denominator != 1 for x in sol):
+    scaled = _solve_scaled(cols, target)
+    if scaled is None:
         return None
-    return tuple(int(x) for x in sol)
+    y, d = scaled
+    if any(x % d for x in y):
+        return None
+    return tuple(x // d for x in y)
 
 
 def minors_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
     """gcd of all k x k minors of an integer matrix."""
-    from itertools import combinations
-
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     g = 0

@@ -13,7 +13,6 @@ supported only in ambient dimension <= 4.  Simplicial cones work in any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -31,10 +30,10 @@ from .intlinalg import (
     dot,
     hnf_rows,
     kernel_basis,
+    kernel_vector,
     mat_rank,
     minors_gcd,
     primitive,
-    primitive_direction,
     saturation_basis,
     solve_columns,
     solve_columns_int,
@@ -90,9 +89,12 @@ class Cone:
                         "rays must be orthogonal to the lineality basis (canonical form)"
                     )
         rays = tuple(sorted(set(rays)))
-        rays = _drop_non_extremal(rays, lineality, self.ambient_dim)
-        if _contains_line(rays, lineality, self.ambient_dim):
-            raise InvalidCone(f"cone on {rays} is not strictly convex")
+        # rays independent of each other and of the lineality are extremal
+        # and contain no line
+        if mat_rank(rays + lineality) < len(rays) + len(lineality):
+            rays = _drop_non_extremal(rays, lineality, self.ambient_dim)
+            if _contains_line(rays, lineality, self.ambient_dim):
+                raise InvalidCone(f"cone on {rays} is not strictly convex")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lineality", lineality)
 
@@ -163,56 +165,26 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     Returns (rays, lineality): the dual's lineality is generators^perp, and the
     pointed part is taken inside span(generators), making it orthogonal to the
     lineality.  Works whether or not the generated cone is pointed.
+
+    Inside the span, of dimension d, every extremal ray of the dual is tight
+    on d-1 linearly independent generators, so the kernel lines of each
+    (d-1)-subset together with the lineality, filtered by feasibility, are
+    exactly the extremal rays.
     """
     gens = [g for g in generators if any(g)]
-    lineality = hnf_rows(kernel_basis(gens, n), n)
+    perp = kernel_basis(gens, n)
+    lineality = hnf_rows(perp, n)
     if not gens:
         return (), lineality
-    basis = saturation_basis(gens, n)  # columns of the span lattice
-    d = len(basis)
-    coords = []
-    for g in gens:
-        c = solve_columns_int(basis, g)
-        assert c is not None, "generator outside its own span lattice"
-        coords.append(c)
-    dual_rays_d = _rays_of_inequality_cone(coords, d)
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    rays = []
-    for w in dual_rays_d:
-        x = solve_columns(gram, w)
-        assert x is not None
-        u = tuple(sum(Fraction(basis[j][i]) * x[j] for j in range(d)) for i in range(n))
-        rays.append(primitive_direction(u))
-    return tuple(sorted(set(rays))), lineality
-
-
-def _rays_of_inequality_cone(coords: list[Vector], d: int) -> list[Vector]:
-    """Extremal rays of {w in R^d : <w, a> >= 0 for all a}, a spanning R^d.
-
-    Every extremal ray lies on d-1 linearly independent tight constraints, so
-    enumerating kernel vectors of (d-1)-subsets and filtering by feasibility
-    finds exactly the extremal rays.
-    """
-    if d == 0:
-        return []
-    if d == 1:
-        out = []
-        for s in (1, -1):
-            if all(s * a[0] >= 0 for a in coords):
-                out.append((s,))
-        return sorted(out)
-    found = set()
-    for idx in combinations(range(len(coords)), d - 1):
-        sub = [coords[i] for i in idx]
-        if mat_rank(sub) != d - 1:
+    rays = set()
+    for subset in combinations(gens, n - len(perp) - 1):
+        u = kernel_vector(list(subset) + perp, n)
+        if u is None:
             continue
-        ker = kernel_basis(sub, d)
-        assert len(ker) == 1
-        u = primitive(ker[0])
         for cand in (u, vec_neg(u)):
-            if all(dot(cand, a) >= 0 for a in coords):
-                found.add(cand)
-    return sorted(found)
+            if all(dot(cand, g) >= 0 for g in gens):
+                rays.add(cand)
+    return tuple(sorted(rays)), lineality
 
 
 def _guard_enumeration(cone: Cone, op: str) -> None:
@@ -250,11 +222,20 @@ def facet_normals(cone: Cone) -> tuple[Vector, ...]:
 def faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces of a pointed cone, from the zero cone up to the cone itself.
 
-    Every face is the tight set of a subset of facet normals; subsets of the
-    (few) normals are enumerated and deduplicated by their ray sets.
+    The faces of a simplicial cone are the cones on the subsets of its rays.
+    Otherwise every face is the tight set of a subset of facet normals;
+    subsets of the (few) normals are enumerated and deduplicated by their ray
+    sets.
     """
     if not cone.is_pointed:
         raise NotPointed("face enumeration requires a pointed cone")
+    if cone.is_simplicial:
+        # rays are sorted, so this is already the (dim, rays) order
+        return tuple(
+            Cone(cone.ambient_dim, subset)
+            for k in range(len(cone.rays) + 1)
+            for subset in combinations(cone.rays, k)
+        )
     normals = facet_normals(cone)
     seen: dict[tuple[Vector, ...], Cone] = {}
     for k in range(len(normals) + 1):
@@ -295,22 +276,15 @@ def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
     triangulated facets not containing it.  The pieces cover the cone and meet
     in common faces, which is all the Hilbert basis candidates need.
     """
-    d = mat_rank(rays)
-    if len(rays) == d:
+    if len(rays) == mat_rank(rays):
         return [rays]
-    basis = saturation_basis(rays, n)
-    coords = []
-    for r in rays:
-        c = solve_columns_int(basis, r)
-        assert c is not None
-        coords.append(c)
-    normals = _rays_of_inequality_cone(coords, d)
-    apex, apex_c = rays[0], coords[0]
+    normals, _ = _dual_pair(rays, n)
+    apex = rays[0]
     pieces = []
     for u in normals:
-        if dot(u, apex_c) == 0:
+        if dot(u, apex) == 0:
             continue
-        facet_rays = tuple(r for r, c in zip(rays, coords) if dot(u, c) == 0)
+        facet_rays = tuple(r for r in rays if dot(u, r) == 0)
         for sub in _triangulate(facet_rays, n):
             pieces.append(sub + (apex,))
     return pieces
@@ -454,7 +428,12 @@ def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vecto
 
 @lru_cache(maxsize=None)
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check face closure and the pairwise intersection condition."""
+    """Check face closure, and that any two maximal cones meet in a common face.
+
+    Pairs of maximal cones suffice once faces are closed: if A and B meet in
+    a common face F, then for faces a of A and b of B, a ∩ F and b ∩ F are
+    faces of F, so a ∩ b is a face of both a and b.
+    """
     violations: list[str] = []
     cone_set = set(fan.cones)
     if zero_cone(fan.ambient_dim) not in cone_set:
@@ -463,10 +442,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
         for f in faces(c):
             if f not in cone_set:
                 violations.append(f"face {list(f.rays)} of cone {list(c.rays)} is missing")
-    face_sets = {c: set(faces(c)) for c in fan.cones}
-    for a, b in combinations(fan.cones, 2):
-        if a in face_sets[b] or b in face_sets[a]:
-            continue
+    tops = [fan.cones[i] for i in maximal_cones(fan)]
+    for a, b in combinations(tops, 2):
         tight_a, tight_b = _separating_faces(a, b)
         if tight_a != tight_b:
             violations.append(
@@ -474,7 +451,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
             )
             continue
         common = Cone(fan.ambient_dim, tight_a)
-        if common not in face_sets[a] or common not in face_sets[b]:
+        if not (is_face(common, a) and is_face(common, b)):
             violations.append(
                 f"intersection of {list(a.rays)} and {list(b.rays)} is not a face of both"
             )

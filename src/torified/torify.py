@@ -181,6 +181,15 @@ def torify_toric(fan: Fan) -> Torification:
     return Torification(tori, charts)
 
 
+def delta_projective(n: int) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_toric` on the fan of P^n, without the fan:
+    every set of k <= n of its n+1 rays spans a cone, so C(n+1, l+1) tori
+    have rank l = n - k."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return tuple(comb(n + 1, l + 1) for l in range(n + 1))
+
+
 def product(a: Torification, b: Torification) -> Torification:
     """Pairwise products of tori; ranks add.  Charts survive when both have them."""
     tori = tuple(
@@ -370,11 +379,15 @@ class ChevalleyData:
             object.__setattr__(self, "cell_labels", labels)
 
 
+def _check_sl(n: int) -> None:
+    if n < 1:
+        raise InvalidChevalleyData("n must be at least 1")
+
+
 def chevalley_data_sl(n: int) -> ChevalleyData:
     """Cell data of SL(n): torus rank n-1, unipotent dimension n(n-1)/2, and
     one cell of dimension inv(w) per permutation w."""
-    if n < 1:
-        raise InvalidChevalleyData("n must be at least 1")
+    _check_sl(n)
     from itertools import permutations
 
     cells = sorted(
@@ -404,15 +417,30 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
     return Torification(union.tori, (tuple(range(len(union.tori))),))
 
 
+def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> tuple[int, ...]:
+    """(sum_w (1+x)^{s_w}) * x^r * (1+x)^N, from the cell dimension
+    polynomial sum_w q^{s_w}, torus rank r and unipotent dimension N."""
+    bruhat = _poly_mul(to_delta_basis(cells), delta_torus(torus_rank))
+    return tuple(_poly_mul(bruhat, delta_affine_space(unipotent_dim)))
+
+
 def delta_chevalley(data: ChevalleyData) -> tuple[int, ...]:
-    """Delta vector of :func:`torify_chevalley`:
-    (sum_w (1+x)^{s_w}) * x^r * (1+x)^N for torus rank r and unipotent
-    dimension N."""
+    """Delta vector of :func:`torify_chevalley`."""
     cells = [0] * (data.unipotent_dim + 1)
     for s_w in data.cell_dims:
         cells[s_w] += 1
-    bruhat = _poly_mul(to_delta_basis(cells), delta_torus(data.torus_rank))
-    return tuple(_poly_mul(bruhat, delta_affine_space(data.unipotent_dim)))
+    return _delta_bruhat(cells, data.torus_rank, data.unipotent_dim)
+
+
+def delta_sl(n: int) -> tuple[int, ...]:
+    """Delta vector of ``torify_chevalley(chevalley_data_sl(n))`` without the
+    n! permutations: inversions on S_n have the generating polynomial
+    [n]_q! = prod_{i <= n} (1 + q + ... + q^{i-1})."""
+    _check_sl(n)
+    cells = [1]
+    for i in range(1, n + 1):
+        cells = _poly_mul(cells, [1] * i)
+    return _delta_bruhat(cells, n - 1, n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Shared corpora: cones in dims 1-3, the built-in fans, and flag types."""
 
 import pytest
+from hypothesis import settings
 
 from torified.lattice import Cone, Fan, faces, standard_fan
+
+# One profile for every property test: examples are exact computations whose
+# time follows the host's load, so a per-example deadline would test the host.
+settings.register_profile("torified", deadline=None)
+settings.load_profile("torified")
 
 # The singular quadric-cone example: its monoid needs three generators with
 # one binomial relation.

@@ -1,7 +1,9 @@
 """Command line: payloads, exit codes, determinism, and file handling."""
 
+import ast
 import json
 import os
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from torified import cli
 from torified.cli import main, torification_from_dict
 from torified.counting import verify_counting
 from torified.gadgets import FiniteAbelianGroup, cc_points
+from torified.lattice import maximal_cones
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -113,6 +116,18 @@ def test_overlap_fan_fails_validation(capsys):
     assert code == 1
     assert data["result"]["valid"] is False
     assert data["result"]["violations"]
+
+
+def test_overlap_fan_violations_name_maximal_cones(capsys):
+    path = os.path.join(DATA, "overlap_fan.json")
+    code, data, _ = run_json(capsys, "validate-fan", path)
+    assert code == 1 and data["result"]["valid"] is False
+    fan = cli.load_fan(path, validate=False)
+    tops = {fan.cones[i].rays for i in maximal_cones(fan)}
+    assert data["result"]["violations"]
+    for violation in data["result"]["violations"]:
+        named = [tuple(ast.literal_eval(m)) for m in re.findall(r"\[[^\[\]]*\]", violation)]
+        assert len(named) == 2 and all(rays in tops for rays in named), violation
 
 
 def test_overlap_fan_blocks_torify(capsys):
@@ -227,6 +242,21 @@ def test_listings_checked_against_budget_before_building(capsys, monkeypatch):
     assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 2
     monkeypatch.setenv("TORIFIED_BUDGET", "4")  # P^1 at |D| = 3: N(4) = 5 elements
     assert run(capsys, "gadget", "--elements", "--group", "3", "--family", "projective", "1")[0] == 2
+
+
+def test_projective_and_sl_counting_build_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counting built a fan or enumerated permutations")
+
+    for name in ("standard_fan", "torify_toric", "chevalley_data_sl", "torify_chevalley"):
+        monkeypatch.setattr(cli, name, refuse)
+    for family in (["projective", "8"], ["sl", "10"]):
+        for argv in (["count", "--q", "2,3"], ["zeta"], ["gadget", "--group", "2"]):
+            assert run(capsys, *argv, "--family", *family)[0] == 0
+        assert run(capsys, "verify", "--q", "2,3", "--family", *family)[0] == 0
+    # P^30 has 2^31 - 1 tori: refused before its fan is built
+    code, out, err = run(capsys, "torify", "projective", "30")
+    assert code == 2 and "2147483647 tori exceed the budget" in err
 
 
 SMALL_LADDER = (

@@ -70,7 +70,7 @@ def test_transform_against_interpolation():
         assert to_monomial_basis(delta) == mono_by_interpolation(delta)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8))
 def test_transform_round_trip(delta):
     delta = tuple(delta)

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torified.intlinalg import (
     det,
@@ -9,10 +13,10 @@ from torified.intlinalg import (
     hnf_rows,
     invert_unimodular,
     kernel_basis,
+    kernel_vector,
     mat_rank,
     minors_gcd,
     primitive,
-    primitive_direction,
     row_hermite_transform,
     saturation_basis,
     solve_columns,
@@ -25,11 +29,6 @@ def test_primitive():
     assert primitive((0, -5)) == (0, -1)
     with pytest.raises(ValueError):
         primitive((0, 0))
-
-
-def test_primitive_direction_keeps_sign():
-    assert primitive_direction((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
-    assert primitive_direction((Fraction(-1, 3),)) == (-1,)
 
 
 def test_det_and_rank():
@@ -116,3 +115,130 @@ def test_minors_gcd():
     assert minors_gcd([(1, 0), (1, 2)], 2) == 2
     assert minors_gcd([(1, 0), (0, 1)], 2) == 1
     assert minors_gcd([(2, 0), (0, 2)], 2) == 4
+
+
+# --- the elimination kernel against a Fraction reference ------------------------
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q, and its pivot columns (reference)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for w in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= rows[i][w[i]]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=6, square=False):
+    """Small integer matrices, often rank-deficient: a drawn row may be an
+    integer combination of the first two."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(int_matrices())
+def test_mat_rank_against_reference(rows):
+    assert mat_rank(rows) == len(rref(rows, len(rows[0]))[1])
+
+
+@given(int_matrices(square=True))
+def test_det_against_leibniz(rows):
+    assert det(rows) == leibniz_det(rows)
+
+
+@given(int_matrices(max_rows=6, max_cols=5), st.data())
+def test_solve_columns_against_reference(rows, data):
+    """Columns of ``cols`` are the matrix columns; the target is drawn free
+    (mostly inconsistent) or as an integer combination of the columns."""
+    n, k = len(rows), len(rows[0])
+    cols = [tuple(r[j] for r in rows) for j in range(k)]
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        target = tuple(sum(c[i] * xj for c, xj in zip(cols, x)) for i in range(n))
+    else:
+        target = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    m, pivots = rref([list(r) + [t] for r, t in zip(rows, target)], k)
+    if any(row[k] for row in m[len(pivots):]):
+        expected = None
+    else:
+        expected = [Fraction(0)] * k
+        for row, c in zip(m, pivots):
+            expected[c] = row[k]  # free variables are 0
+        expected = tuple(expected)
+    assert solve_columns(cols, target) == expected
+    integral = expected is not None and all(x.denominator == 1 for x in expected)
+    assert solve_columns_int(cols, target) == (tuple(map(int, expected)) if integral else None)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            f = draw(st.integers(-3, 3))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@given(unimodular_matrices())
+def test_invert_unimodular_against_reference(m):
+    n = len(m)
+    reduced, _ = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n)
+    assert invert_unimodular(m) == tuple(tuple(int(x) for x in row[n:]) for row in reduced)
+
+
+@given(int_matrices(square=True))
+def test_invert_unimodular_refuses_other_matrices(rows):
+    if abs(det(rows)) != 1:
+        with pytest.raises(ValueError):
+            invert_unimodular(rows)
+
+
+@given(int_matrices())
+def test_kernel_vector_against_reference(rows):
+    ncols = len(rows[0])
+    m, pivots = rref(rows, ncols)
+    if len(pivots) != ncols - 1:
+        assert kernel_vector(rows, ncols) is None
+        return
+    (free,) = set(range(ncols)) - set(pivots)
+    line = [Fraction(0)] * ncols
+    line[free] = Fraction(1)
+    for row, c in zip(m, pivots):
+        line[c] = -row[free]
+    scale = lcm(*(x.denominator for x in line))
+    expected = primitive([int(x * scale) for x in line])
+    assert kernel_vector(rows, ncols) in (expected, tuple(-x for x in expected))

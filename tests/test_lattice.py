@@ -6,10 +6,16 @@ functionals over an integer box, cone membership by solving for nonnegative
 coordinates directly.
 """
 
+import json
+import math
+import os
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS
 
@@ -19,10 +25,11 @@ from torified.errors import (
     NotPointed,
     UnsupportedDimension,
 )
-from torified.intlinalg import dot
+from torified.intlinalg import dot, mat_vec, primitive
 from torified.lattice import (
     Cone,
     Fan,
+    _dual_pair,
     dual_cone,
     faces,
     fan_from_dict,
@@ -319,6 +326,98 @@ def test_validate_fan_overlap():
     fan = Fan(2, tuple(cones))
     report = validate_fan(fan)
     assert any("common face" in v or "not a face" in v for v in report.violations)
+
+
+def all_pairs_valid(fan):
+    """Fan axioms checked on every pair of cones, not only maximal ones
+    (reference).  The intersection of a and b is computed as the dual of
+    a^v + b^v, not by the separating functional validate_fan uses."""
+    n = fan.ambient_dim
+    cone_set = set(fan.cones)
+    if zero_cone(n) not in cone_set:
+        return False
+    if any(f not in cone_set for c in fan.cones for f in faces(c)):
+        return False
+    for a, b in combinations(fan.cones, 2):
+        rays, lineality = _dual_pair(dual_cone(a).generators() + dual_cone(b).generators(), n)
+        assert not lineality  # a and b are pointed, so is their intersection
+        common = Cone(n, rays)
+        if common not in faces(a) or common not in faces(b):
+            return False
+    return True
+
+
+@st.composite
+def unimodular(draw, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            f = draw(st.integers(-2, 2))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def closed(cones, n):
+    return Fan(n, tuple({f for c in cones for f in faces(c)}))
+
+
+def with_overlap(draw, fan, rays):
+    """The fan, or the fan plus a drawn full-dimensional cone (with its
+    faces) on its rays or new ones, which mostly overlaps the cones there."""
+    n = fan.ambient_dim
+    if not draw(st.booleans()):
+        return fan
+    new_ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    extra = draw(st.lists(st.sampled_from(rays) | new_ray, min_size=n, max_size=n, unique=True))
+    try:
+        cone = Cone(n, tuple(extra))
+    except InvalidCone:
+        return fan
+    if cone.dim < n:
+        return fan
+    return closed(fan.cones + (cone,), n)
+
+
+@st.composite
+def complete_fans_2d(draw):
+    """Complete 2-D fans: the rays of P^2 plus drawn rays, in angular order,
+    moved by a drawn unimodular map; sometimes with an added cone."""
+    vectors = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=6))
+    rays = {(1, 0), (0, 1), (-1, -1)} | {primitive(v) for v in vectors if any(v)}
+    a = draw(unimodular(2))
+    rays = sorted((mat_vec(a, r) for r in rays), key=lambda r: math.atan2(r[1], r[0]))
+    cones = [Cone(2, (r, rays[i - 1])) for i, r in enumerate(rays)]
+    return with_overlap(draw, closed(cones, 2), rays)
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "catalog.json")) as fh:
+    CATALOG_FANS_3D = [f for f in json.load(fh)["fans"] if f["dim"] == 3]
+
+
+@st.composite
+def catalog_fans_3d(draw):
+    """The 3-D fans of the benchmark catalogue (valid and invalid), moved by a
+    drawn unimodular map; sometimes with an added cone."""
+    entry = draw(st.sampled_from(CATALOG_FANS_3D))
+    a = draw(unimodular(3))
+    rays = [mat_vec(a, r) for r in entry["rays"]]
+    cones = [Cone(3, tuple(rays[i] for i in c)) for c in entry["cones"]]
+    return with_overlap(draw, closed(cones, 3), rays)
+
+
+@settings(max_examples=60)
+@given(complete_fans_2d())
+def test_validate_fan_agrees_with_all_pairs_2d(fan):
+    assert validate_fan(fan).ok == all_pairs_valid(fan)
+
+
+@settings(max_examples=25)
+@given(catalog_fans_3d())
+def test_validate_fan_agrees_with_all_pairs_3d(fan):
+    assert validate_fan(fan).ok == all_pairs_valid(fan)
 
 
 def test_fan_corpus_is_valid(corpus_fan):

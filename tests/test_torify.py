@@ -22,6 +22,8 @@ from torified.torify import (
     delta_chevalley,
     delta_flag,
     delta_grassmannian,
+    delta_projective,
+    delta_sl,
     delta_torus,
     delta_vector,
     disjoint_union,
@@ -291,6 +293,16 @@ def test_delta_chevalley_sl(n):
     assert delta_chevalley(data) == delta_vector(torify_chevalley(data))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_delta_sl_from_q_factorial(n):
+    assert delta_sl(n) == delta_chevalley(chevalley_data_sl(n))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_delta_projective_from_binomials(n):
+    assert delta_projective(n) == delta_vector(torify_toric(standard_fan("projective_space", n)))
+
+
 @st.composite
 def chevalley_data(draw):
     unipotent = draw(st.integers(min_value=0, max_value=4))
@@ -299,7 +311,7 @@ def chevalley_data(draw):
     return ChevalleyData(rank, unipotent, (0, *middle, unipotent))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(chevalley_data())
 def test_delta_chevalley_random_data(data):
     assert delta_chevalley(data) == delta_vector(torify_chevalley(data))
@@ -314,6 +326,8 @@ def test_delta_chevalley_random_data(data):
         (delta_grassmannian, torify_grassmannian, (-1, 3), ValueError),
         (delta_flag, torify_flag, ((2, 0),), InvalidComposition),
         (delta_flag, torify_flag, ((1, "2"),), InvalidComposition),
+        (delta_sl, chevalley_data_sl, (0,), InvalidChevalleyData),
+        (delta_projective, lambda n: standard_fan("projective_space", n), (-1,), ValueError),
     ],
 )
 def test_delta_errors_match_constructors(delta_fn, torify_fn, args, error):
