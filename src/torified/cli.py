@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import __version__
@@ -59,6 +60,54 @@ CHECK_FAILED = 1
 
 class UsageError(Exception):
     """Bad parameters or malformed input files; maps to exit code 2."""
+
+
+def _dumps(obj) -> str:
+    """The JSON text of ``obj`` with sorted keys and an indent of 2: the same
+    string as the stdlib's ``json.dumps`` with ``sort_keys=True`` and
+    ``indent=2``, for the values an envelope holds: str-keyed dicts, lists,
+    tuples, str, int, bool, None and float.
+
+    The stdlib encoder leaves its C implementation when an indent is set.
+    Here strings go through the C escaper, and each tuple is rendered once
+    per (object, depth): a point set shared by many tori costs one rendering.
+    Tuples are immutable and stay reachable from ``obj``, so the reuse is exact.
+    """
+    rendered: dict[tuple[int, int], str] = {}
+
+    def render(v, depth: int) -> str:
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if type(v) is int:
+            return int.__repr__(v)
+        if isinstance(v, tuple):
+            key = (id(v), depth)
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = render_items(v, depth)
+            return text
+        if isinstance(v, list):
+            return render_items(v, depth)
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            items = [
+                encode_basestring_ascii(k) + ": " + render(x, depth + 1)
+                for k, x in sorted(v.items())
+            ]
+            return "{" + enclose(items, depth) + "}"
+        return json.dumps(v)
+
+    def render_items(v, depth: int) -> str:
+        if not v:
+            return "[]"
+        return "[" + enclose([render(x, depth + 1) for x in v], depth) + "]"
+
+    def enclose(parts: list[str], depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        return inner + ("," + inner).join(parts) + "\n" + "  " * depth
+
+    return render(obj, 0)
 
 
 def _warn(msg: str) -> None:
@@ -215,6 +264,8 @@ def torification_from_dict(data: dict) -> Torification:
 
 def load_torification(path: str) -> Torification:
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} does not contain a torification payload")
     # accept either a bare payload or a full envelope from `torify`
     if "result" in data and isinstance(data["result"], dict) and "tori" in data["result"]:
         data = data["result"]
@@ -316,10 +367,8 @@ def cmd_gadget(args) -> tuple[dict, int]:
         _check_budget(total, "group elements")
         t = fam.build()
         full = cc_points(t, group, mode="full")
-        payload["elements"] = {
-            str(i): [[list(x) for x in point] for point in full.points(i)]
-            for i in range(len(t.tori))
-        }
+        # shared D^r tuples, rendered as JSON lists once per rank
+        payload["elements"] = {str(i): full.points(i) for i in range(len(t.tori))}
     code = 0 if payload["match"] else CHECK_FAILED
     return payload, code
 
@@ -519,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
             "result": payload,
             "timing_ms": round(elapsed_ms, 3),
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_dumps(envelope))
     return code
 
 

@@ -187,9 +187,10 @@ def cc_points(
         return GradedPointSet(t, group, counts, None)
     if total > budget:
         raise BudgetExceeded(f"{total} elements exceed the budget of {budget}")
-    points = tuple(
-        tuple(iproduct(group.elements(), repeat=torus.rank)) for torus in t.tori
-    )
+    # every torus of rank r lists the same D^r, so tori of equal rank share it
+    elements = tuple(group.elements())
+    powers = {r: tuple(iproduct(elements, repeat=r)) for r in {torus.rank for torus in t.tori}}
+    points = tuple(powers[torus.rank] for torus in t.tori)
     return GradedPointSet(t, group, counts, points)
 
 

@@ -13,7 +13,7 @@ supported only in ambient dimension <= 4.  Simplicial cones work in any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -98,7 +98,7 @@ class Cone:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lineality", lineality)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return mat_rank(self.rays + self.lineality) if (self.rays or self.lineality) else 0
 

@@ -251,10 +251,10 @@ def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
-    parts = [
-        torify_affine_space(d).relabeled(f"schubert:{idx}")
-        for idx, d in schubert_cells_grassmannian(k, n)
-    ]
+    cells = schubert_cells_grassmannian(k, n)
+    # cells of equal dimension share one A^d and differ only in their labels
+    affine = {d: torify_affine_space(d) for d in {d for _, d in cells}}
+    parts = [affine[d].relabeled(f"schubert:{idx}") for idx, d in cells]
     union = disjoint_union(parts)
     return Torification(union.tori, None)
 
@@ -329,10 +329,9 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
-    parts = [
-        torify_affine_space(d).relabeled(f"schubert:w={_perm_label(w)}")
-        for w, d in schubert_cells_flag(composition)
-    ]
+    cells = schubert_cells_flag(composition)
+    affine = {d: torify_affine_space(d) for d in {d for _, d in cells}}
+    parts = [affine[d].relabeled(f"schubert:w={_perm_label(w)}") for w, d in cells]
     union = disjoint_union(parts)
     return Torification(union.tori, None)
 
@@ -406,13 +405,17 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
 
     The whole group is affine, so a single chart covers every torus.
     """
-    parts = []
-    for s_w, label in zip(data.cell_dims, data.cell_labels):
-        cell = product(
-            product(torify_affine_space(s_w), torify_torus(data.torus_rank)),
-            torify_affine_space(data.unipotent_dim),
-        )
-        parts.append(cell.relabeled(f"bruhat:{label},cell_dim={s_w}"))
+    torus = torify_torus(data.torus_rank)
+    unipotent = torify_affine_space(data.unipotent_dim)
+    # one unlabeled cell per cell dimension, relabeled per Weyl element
+    cells = {
+        s_w: product(product(torify_affine_space(s_w), torus), unipotent)
+        for s_w in set(data.cell_dims)
+    }
+    parts = [
+        cells[s_w].relabeled(f"bruhat:{label},cell_dim={s_w}")
+        for s_w, label in zip(data.cell_dims, data.cell_labels)
+    ]
     union = disjoint_union(parts)
     return Torification(union.tori, (tuple(range(len(union.tori))),))
 

@@ -6,11 +6,13 @@ import os
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import compositions
 
 from torified import cli
-from torified.cli import main, torification_from_dict
+from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import verify_counting
 from torified.gadgets import FiniteAbelianGroup, cc_points
 from torified.lattice import maximal_cones
@@ -184,6 +186,53 @@ def test_torification_json_round_trip(tmp_path, capsys):
     code2, g_file, _ = run_json(capsys, "gadget", "--group", "3", "--torification", str(path))
     assert code == code2 == 0
     assert g_direct["result"] == g_file["result"]
+
+
+@pytest.mark.parametrize("content", ["5", '"x"', "null", "[1]"])
+def test_torification_file_must_hold_an_object(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "count", "--torification", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "does not contain a torification payload" in err
+
+
+# keys and strings that need escaping: quote, backslash, control, non-ASCII
+# (BMP, astral, lone surrogate) and the JS line separators
+TRICKY = st.sampled_from(
+    ['"', "\\", "\x00\n\t\x1f", "é", "\u2028\u2029", "\U0001f600", "\ud800", ""]
+)
+KEYS = st.one_of(st.text(), TRICKY)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),  # NaN and +-inf included
+    KEYS,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def with_shared_tuple(draw):
+    """One tuple object twice at one depth and again at a deeper one."""
+    t = draw(st.lists(JSON_VALUES, max_size=3).map(tuple))
+    rest = draw(JSON_VALUES)
+    return {"same_depth": [t, t], "deeper": {"x": [rest, t]}, "rest": rest, "top": t}
+
+
+@given(st.one_of(JSON_VALUES, with_shared_tuple()))
+def test_dumps_matches_stdlib_indented_sorted_json(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_text_format(capsys):

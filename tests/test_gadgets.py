@@ -1,5 +1,7 @@
 """Point-set functors: group-side evaluation, induced maps, and monoid homs."""
 
+from itertools import product as iproduct
+
 import pytest
 
 from conftest import FAN_CORPUS, SINGULAR_CONE
@@ -94,6 +96,30 @@ def test_cc_points_budget():
     assert not pts.is_full and pts.total == 12**8
     with pytest.raises(BudgetExceeded):
         pts.points(0)
+
+
+@pytest.mark.parametrize("group", [TRIVIAL, Z2, FiniteAbelianGroup((2, 3))], ids=repr)
+@pytest.mark.parametrize(
+    "t",
+    [
+        torify_affine_space(3),
+        torify_grassmannian(2, 4),
+        torify_chevalley(chevalley_data_sl(2)),
+        torify_toric(FAN_CORPUS["P2"]),
+    ],
+    ids=["A3", "Gr24", "SL2", "P2"],
+)
+def test_cc_points_share_one_power_per_rank(t, group):
+    pts = cc_points(t, group, mode="full")
+    by_rank = {}
+    for i, torus in enumerate(t.tori):
+        assert pts.points(i) == tuple(iproduct(group.elements(), repeat=torus.rank))
+        assert pts.points(i) is by_rank.setdefault(torus.rank, pts.points(i))
+    assert pts.counts_by_index == tuple(group.order**torus.rank for torus in t.tori)
+    assert pts.total == sum(pts.counts_by_index)
+    assert pts.count_by_grade() == {
+        r: sum(1 for torus in t.tori if torus.rank == r) * group.order**r for r in by_rank
+    }
 
 
 def test_cc_cardinality_examples():

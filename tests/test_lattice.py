@@ -25,7 +25,7 @@ from torified.errors import (
     NotPointed,
     UnsupportedDimension,
 )
-from torified.intlinalg import dot, mat_vec, primitive
+from torified.intlinalg import dot, mat_rank, mat_vec, primitive
 from torified.lattice import (
     Cone,
     Fan,
@@ -99,6 +99,18 @@ def test_drops_redundant_generators():
     c = Cone(2, ((1, 0), (1, 1), (0, 1)))
     assert c.rays == ((0, 1), (1, 0))
     assert c == Cone(2, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
+def test_dim_is_rank_of_generators_computed_once(cone):
+    for c in (cone, dual_cone(cone)):  # the duals of lower-dim cones carry lineality
+        fresh = Cone(c.ambient_dim, c.rays, c.lineality)
+        assert "dim" not in vars(fresh)
+        assert fresh.dim == mat_rank(c.rays + c.lineality)
+        assert vars(fresh)["dim"] == fresh.dim  # cached on the instance
+        # the cached value is not a field: equality and hashing ignore it
+        assert fresh == Cone(c.ambient_dim, c.rays, c.lineality)
+        assert hash(fresh) == hash(Cone(c.ambient_dim, c.rays, c.lineality))
 
 
 def test_zero_cone_properties():
