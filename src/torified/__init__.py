@@ -27,7 +27,6 @@ from .counting import (
     zeta,
 )
 from .errors import (
-    BoundTooSmall,
     BudgetExceeded,
     DimensionMismatch,
     InvalidChevalleyData,

@@ -15,6 +15,7 @@ against the enumeration budget before anything is built.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -471,7 +472,10 @@ def _render_text(sub: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, so in-process callers of :func:`main` share one."""
     parser = argparse.ArgumentParser(
         prog="torified",
         description="Exact torus decompositions, counting polynomials, zeta factors, "

@@ -61,10 +61,6 @@ class ShapeMismatch(TorifiedError):
     """Matrix dimensions do not match the torus ranks they connect."""
 
 
-class BoundTooSmall(TorifiedError):
-    """Bounded kernel search found fewer relations than the kernel rank demands."""
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a structural check: empty ``violations`` means valid."""

@@ -18,13 +18,12 @@ from itertools import product as iproduct
 
 from .counting import counting_polynomial, eval_counting
 from .errors import (
-    BoundTooSmall,
     BudgetExceeded,
     MissingSourceCone,
     ShapeMismatch,
     TorifiedError,
 )
-from .intlinalg import Vector, dot, hnf_rows, mat_rank
+from .intlinalg import Vector, dot, hnf_rows, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, monoid_of_cone
 from .torify import Torification
@@ -387,60 +386,15 @@ class BinomialRelation:
         return f"BinomialRelation({self.render()})"
 
 
-def _box_kernel_vectors(columns: list[Vector], bound: int) -> list[Vector]:
-    """All nonzero kernel vectors with coordinates in [-bound, bound],
-    canonicalized so the first nonzero coordinate is positive."""
-    g = len(columns)
-    n = len(columns[0]) if columns else 0
-    found: list[Vector] = []
-
-    # depth-first over coordinates with a reachability prune per row
-    tail_reach = [[0] * n for _ in range(g + 1)]
-    for j in range(g - 1, -1, -1):
-        for i in range(n):
-            tail_reach[j][i] = tail_reach[j + 1][i] + bound * abs(columns[j][i])
-
-    def rec(j: int, partial: tuple[int, ...], coeffs: list[int]) -> None:
-        if j == g:
-            if any(coeffs) and not any(partial):
-                vec = tuple(coeffs)
-                first = next(c for c in vec if c)
-                if first > 0:
-                    found.append(vec)
-            return
-        for c in range(-bound, bound + 1):
-            nxt = tuple(p + c * columns[j][i] for i, p in enumerate(partial))
-            if any(abs(x) > tail_reach[j + 1][i] for i, x in enumerate(nxt)):
-                continue
-            coeffs.append(c)
-            rec(j + 1, nxt, coeffs)
-            coeffs.pop()
-
-    rec(0, (0,) * n, [])
-    return found
-
-
-def discover_relations(monoid: AffineMonoid, bound: int = 6) -> list[BinomialRelation]:
+def discover_relations(monoid: AffineMonoid) -> list[BinomialRelation]:
     """Generating relations among all generators (pointed ones plus both signs
-    of the units), found as kernel vectors within the coordinate box.
-
-    Raises BoundTooSmall when the vectors found span less than the kernel.
-    """
+    of the units): the canonical (Hermite) basis of the full integer kernel of
+    the matrix whose columns are the generators."""
     gens = monoid.all_generators()
     if not gens:
         return []
-    n = monoid.ambient_rank
-    matrix_rank = mat_rank(gens) if gens else 0
-    expected = len(gens) - matrix_rank
-    if expected == 0:
-        return []
-    found = _box_kernel_vectors(list(gens), bound)
-    found_rank = mat_rank(found) if found else 0
-    if found_rank < expected:
-        raise BoundTooSmall(
-            f"kernel has rank {expected} but bound {bound} only reaches rank {found_rank}"
-        )
-    basis = hnf_rows(found, len(gens))
+    rows = [tuple(g[i] for g in gens) for i in range(monoid.ambient_rank)]
+    basis = hnf_rows(kernel_basis(rows, len(gens)), len(gens))
     return [BinomialRelation(b) for b in basis]
 
 
@@ -488,7 +442,6 @@ def enumerate_monoid_homs(
     monoid: AffineMonoid,
     target: CyclicMonoidWithZero,
     budget: int | None = None,
-    bound: int = 6,
 ) -> tuple[MonoidHom, ...]:
     """Brute-force the semigroup maps into the target.
 
@@ -503,7 +456,7 @@ def enumerate_monoid_homs(
     total = target.order ** len(gens)
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed the budget of {budget}")
-    relations = discover_relations(monoid, bound=bound)
+    relations = discover_relations(monoid)
     homs = []
     for values in iproduct(target.elements(), repeat=len(gens)):
         if all(_relation_satisfied(target, rel, values) for rel in relations):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from itertools import product as iproduct
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .intlinalg import (
     Vector,
-    det,
+    _eliminate,
     dot,
     hnf_rows,
     kernel_basis,
@@ -35,7 +36,6 @@ from .intlinalg import (
     minors_gcd,
     primitive,
     saturation_basis,
-    solve_columns,
     solve_columns_int,
     vec_gcd,
     vec_neg,
@@ -291,29 +291,30 @@ def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
 
 
 def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
-    """Lattice points of the half-open parallelepiped spanned by independent gens."""
+    """Lattice points of the half-open parallelepiped spanned by independent gens.
+
+    There is one per coset of Z^d / L, L being the lattice the gens span.  The
+    Hermite basis of L is triangular, so the box prod_i [0, h_ii) over its
+    diagonal holds one representative a per coset, and the coset's point in
+    the parallelepiped is G frac(G^-1 a), G having the gens as columns.  With
+    D = |det G| and M = D G^-1 (integral, from one elimination), that point is
+    G ((M a) mod D) / D.
+    """
     d = len(gens)
     assert d == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
-    vertices = []
-    for k in range(d + 1):
-        for subset in combinations(range(d), k):
-            vertices.append(tuple(sum(gens[i][j] for i in subset) for j in range(d)))
-    lo = [min(v[j] for v in vertices) for j in range(d)]
-    hi = [max(v[j] for v in vertices) for j in range(d)]
+    # [G | I] reduces to [s I | s G^-1] with s = +-det G
+    m = [[g[i] for g in gens] + [int(i == j) for j in range(d)] for i in range(d)]
+    pivots, s, _ = _eliminate(m, d)
+    assert len(pivots) == d, "parallelepiped generators must be independent"
+    volume = abs(s)
+    # s G^-1 = +-M; with -M, a maps to the point of the coset of -a, which
+    # only permutes the cosets
+    inverse = [row[d:] for row in m]
+    diagonal = [h[i] for i, h in enumerate(hnf_rows(gens, d))]
     points: set[Vector] = set()
-
-    def scan(prefix: list[int], j: int) -> None:
-        if j == d:
-            x = tuple(prefix)
-            lam = solve_columns(gens, x)
-            if lam is not None and all(0 <= l < 1 for l in lam):
-                points.add(x)
-            return
-        for val in range(lo[j], hi[j] + 1):
-            scan(prefix + [val], j + 1)
-
-    scan([], 0)
-    volume = abs(det([[g[i] for g in gens] for i in range(d)]))
+    for a in iproduct(*(range(h) for h in diagonal)):
+        frac = [dot(row, a) % volume for row in inverse]
+        points.add(tuple(dot(col, frac) // volume for col in zip(*gens)))
     assert len(points) == volume, "parallelepiped enumeration lost points"
     return points
 

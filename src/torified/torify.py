@@ -63,10 +63,11 @@ class Torification:
 
     def __post_init__(self):
         if self.charts is not None:
+            n = len(self.tori)
             for chart in self.charts:
-                for i in chart:
-                    if not 0 <= i < len(self.tori):
-                        raise ValueError(f"chart index {i} out of range")
+                if chart and not (0 <= min(chart) and max(chart) < n):
+                    bad = next(i for i in chart if not 0 <= i < n)
+                    raise ValueError(f"chart index {bad} out of range")
 
     @property
     def dim(self) -> int:
@@ -78,14 +79,21 @@ class Torification:
         return self.charts is not None
 
     def relabeled(self, prefix: str) -> "Torification":
-        tori = tuple(Torus(t.rank, f"{prefix}/{t.label}" if t.label else prefix) for t in self.tori)
-        return Torification(tori, self.charts)
+        # as many tori as before, so the charts checked on self stay in range
+        out = object.__new__(Torification)
+        object.__setattr__(out, "tori", _relabel(self.tori, prefix))
+        object.__setattr__(out, "charts", self.charts)
+        return out
 
     def __len__(self) -> int:
         return len(self.tori)
 
     def __repr__(self) -> str:
         return f"Torification(delta={delta_vector(self)}, affine={self.is_affine})"
+
+
+def _relabel(tori: tuple[Torus, ...], prefix: str) -> tuple[Torus, ...]:
+    return tuple(Torus(t.rank, f"{prefix}/{t.label}" if t.label else prefix) for t in tori)
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
@@ -253,10 +261,9 @@ def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
     cells = schubert_cells_grassmannian(k, n)
     # cells of equal dimension share one A^d and differ only in their labels
-    affine = {d: torify_affine_space(d) for d in {d for _, d in cells}}
-    parts = [affine[d].relabeled(f"schubert:{idx}") for idx, d in cells]
-    union = disjoint_union(parts)
-    return Torification(union.tori, None)
+    affine = {d: torify_affine_space(d).tori for d in {d for _, d in cells}}
+    tori = tuple(t for idx, d in cells for t in _relabel(affine[d], f"schubert:{idx}"))
+    return Torification(tori, None)
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
@@ -330,10 +337,11 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
     cells = schubert_cells_flag(composition)
-    affine = {d: torify_affine_space(d) for d in {d for _, d in cells}}
-    parts = [affine[d].relabeled(f"schubert:w={_perm_label(w)}") for w, d in cells]
-    union = disjoint_union(parts)
-    return Torification(union.tori, None)
+    affine = {d: torify_affine_space(d).tori for d in {d for _, d in cells}}
+    tori = tuple(
+        t for w, d in cells for t in _relabel(affine[d], f"schubert:w={_perm_label(w)}")
+    )
+    return Torification(tori, None)
 
 
 def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
@@ -409,15 +417,15 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
     unipotent = torify_affine_space(data.unipotent_dim)
     # one unlabeled cell per cell dimension, relabeled per Weyl element
     cells = {
-        s_w: product(product(torify_affine_space(s_w), torus), unipotent)
+        s_w: product(product(torify_affine_space(s_w), torus), unipotent).tori
         for s_w in set(data.cell_dims)
     }
-    parts = [
-        cells[s_w].relabeled(f"bruhat:{label},cell_dim={s_w}")
+    tori = tuple(
+        t
         for s_w, label in zip(data.cell_dims, data.cell_labels)
-    ]
-    union = disjoint_union(parts)
-    return Torification(union.tori, (tuple(range(len(union.tori))),))
+        for t in _relabel(cells[s_w], f"bruhat:{label},cell_dim={s_w}")
+    )
+    return Torification(tori, (tuple(range(len(tori))),))
 
 
 def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> tuple[int, ...]:

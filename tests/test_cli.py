@@ -88,6 +88,15 @@ def test_soule_singular(capsys):
     assert len(result["homs"]) == 4
 
 
+def test_soule_kernel_needs_coefficients_beyond_one(capsys):
+    # the relation among the Hilbert basis (0,1),(1,0),(7,-1) has coefficient
+    # 7, which a coordinate box search of radius 6 missed (exit 2 before)
+    code, data, err = run_json(capsys, "soule", "--m", "2", "--cone", "1,0;1,7")
+    assert code == 0 and err == ""
+    result = data["result"]
+    assert result["enumerated_count"] == result["face_count"] == 9
+
+
 def test_gadget_counts(capsys):
     code, data, _ = run_json(capsys, "gadget", "--group", "2", "--family", "sl", "2")
     assert code == 0
@@ -160,6 +169,31 @@ def test_bad_cone_is_usage_error(capsys):
     code, _, err = run(capsys, "spec", "--cone", "1,0;3,0")
     assert code == 2  # (3,0) is not primitive
     assert "invalid cone" in err
+
+
+def test_parser_built_once_and_stateless(capsys):
+    calls = [
+        ("count", "--family", "grassmannian", "2", "4", "--q", "2,3"),
+        ("count", "--family"),  # usage error
+        ("--help",),
+        ("spec", "--cone", "1,0;1,2"),
+        ("soule", "--m", "2", "--cone", "1,0;1,2"),
+        ("count", "--bogus"),
+        ("count", "--family", "grassmannian", "2", "4", "--q", "2,3"),
+    ]
+
+    def outcome(argv):
+        code, out, _ = run(capsys, *argv)
+        return code, re.sub(r'\n *"timing_ms": [^\n]*', "", out)
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _ in fresh] == [0, 2, 0, 0, 0, 2, 0]
+    shared = [outcome(argv) for argv in calls]
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_determinism_modulo_timing(capsys):

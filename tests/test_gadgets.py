@@ -3,12 +3,13 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FAN_CORPUS, SINGULAR_CONE
+from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
 
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
 from torified.errors import (
-    BoundTooSmall,
     BudgetExceeded,
     MissingSourceCone,
     ShapeMismatch,
@@ -31,6 +32,7 @@ from torified.gadgets import (
     soule_count_by_faces,
     toric_fq_points_via_homs,
 )
+from torified.intlinalg import hnf_rows, mat_rank, minors_gcd
 from torified.lattice import Cone, standard_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
@@ -234,9 +236,87 @@ def test_discover_relations():
     assert len(rels) == 1 and rels[0].render() == "g1 + g2 = 0"
 
 
-def test_discover_relations_bound_too_small():
-    with pytest.raises(BoundTooSmall):
-        discover_relations(monoid_of_cone(SINGULAR_CONE), bound=1)
+def box_kernel_vectors(columns, bound=6):
+    """All nonzero kernel vectors with coordinates in [-bound, bound], first
+    nonzero coordinate positive, by a depth-first search over coordinates."""
+    n = len(columns[0])
+    found = []
+
+    def rec(partial, coeffs):
+        j = len(coeffs)
+        if j == len(columns):
+            if any(coeffs) and not any(partial) and next(c for c in coeffs if c) > 0:
+                found.append(tuple(coeffs))
+            return
+        reach = [bound * sum(abs(col[i]) for col in columns[j + 1 :]) for i in range(n)]
+        for c in range(-bound, bound + 1):
+            nxt = [p + c * x for p, x in zip(partial, columns[j])]
+            if all(abs(x) <= r for x, r in zip(nxt, reach)):
+                rec(nxt, coeffs + [c])
+
+    rec([0] * n, [])
+    return found
+
+
+def kernel_rank(monoid):
+    gens = monoid.all_generators()
+    return len(gens) - mat_rank(gens) if gens else 0
+
+
+RELATION_CORPUS = [
+    m
+    for m in dict.fromkeys(
+        monoid_of_cone(c)
+        for c in CONE_CORPUS
+        + [
+            zero_cone(1),
+            Cone(2, ((1, 0), (1, 3))),
+            Cone(2, ((1, 0), (1, 6))),
+            Cone(2, ((1, 0), (1, 7))),
+            Cone(2, ((1, 0), (3, 7))),
+            Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 7))),
+        ]
+    )
+    if kernel_rank(m) <= 1
+]
+
+
+@pytest.mark.parametrize("monoid", RELATION_CORPUS, ids=repr)
+def test_relations_match_box_search_at_kernel_rank_at_most_one(monoid):
+    gens = monoid.all_generators()
+    relations = tuple(r.coeffs for r in discover_relations(monoid))
+    found = box_kernel_vectors(gens) if gens else []
+    if found or not relations:
+        assert relations == hnf_rows(found, len(gens))
+    else:
+        # the primitive relation has a coefficient outside the box
+        assert max(abs(c) for c in relations[0]) > 6
+
+
+def test_relation_corpus_reaches_beyond_the_box():
+    gens = monoid_of_cone(Cone(2, ((1, 0), (1, 7)))).all_generators()
+    assert box_kernel_vectors(gens) == []
+    assert sum(kernel_rank(m) == 1 for m in RELATION_CORPUS) >= 5
+
+
+generator_sets = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n).filter(any), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=150)
+@given(generator_sets)
+def test_relations_are_a_saturated_kernel_basis(gens):
+    n, g = len(gens[0]), len(gens)
+    relations = [r.coeffs for r in discover_relations(AffineMonoid(n, tuple(gens), ()))]
+    assert len(relations) == g - mat_rank(gens)
+    for c in relations:
+        assert all(sum(x * v[i] for x, v in zip(c, gens)) == 0 for i in range(n))
+    if relations:
+        assert minors_gcd(relations, len(relations)) == 1
+    assert tuple(relations) == hnf_rows(relations, g)
 
 
 def test_enumerate_homs_n():

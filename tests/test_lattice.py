@@ -14,7 +14,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS
@@ -25,11 +25,12 @@ from torified.errors import (
     NotPointed,
     UnsupportedDimension,
 )
-from torified.intlinalg import dot, mat_rank, mat_vec, primitive
+from torified.intlinalg import det, dot, mat_rank, mat_vec, primitive, solve_columns
 from torified.lattice import (
     Cone,
     Fan,
     _dual_pair,
+    _parallelepiped_points,
     dual_cone,
     faces,
     fan_from_dict,
@@ -299,6 +300,66 @@ def test_hilbert_dual_membership_pairing():
             continue
         for u in hilbert_basis(dual_cone(cone)):
             assert all(dot(u, v) >= 0 for v in cone.rays)
+
+
+def bounding_box_points(gens):
+    """Lattice points of the half-open parallelepiped on independent gens, by
+    scanning the bounding box of its vertices with one rational solve each."""
+    d = len(gens)
+    vertices = [
+        tuple(sum(gens[i][j] for i in subset) for j in range(d))
+        for k in range(d + 1)
+        for subset in combinations(range(d), k)
+    ]
+    box = [range(min(v[j] for v in vertices), max(v[j] for v in vertices) + 1) for j in range(d)]
+    points = set()
+    for x in iproduct(*box):
+        lam = solve_columns(gens, x)
+        if lam is not None and all(0 <= l < 1 for l in lam):
+            points.add(x)
+    return points
+
+
+def box_size(gens):
+    d = len(gens)
+    return math.prod(sum(abs(g[j]) for g in gens) + 1 for j in range(d))
+
+
+@st.composite
+def parallelepiped_generators(draw):
+    """d <= 4 independent generators with |det| <= 60: the rows of a triangular
+    matrix, moved by elementary row operations (a negated row flips the sign
+    of the determinant).  Half of the draws are unimodular."""
+    d = draw(st.integers(1, 4))
+    unimodular = draw(st.booleans())
+    rows, volume = [], 1
+    for i in range(d):
+        h = 1 if unimodular else draw(st.integers(1, 60 // volume))
+        volume *= h
+        rows.append([0] * i + [h] + [draw(st.integers(-2, 2)) for _ in range(d - i - 1)])
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            f = draw(st.sampled_from((-1, 1)))
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    gens = tuple(tuple(r) for r in rows)
+    assume(box_size(gens) <= 4000)
+    return gens
+
+
+@settings(max_examples=150)
+@given(parallelepiped_generators())
+@example(((1,),))
+@example(((-3,),))
+@example(((0, 1), (1, 0)))  # det -1
+@example(((2, 1), (1, -1)))  # det -3
+@example(((1, 0, 0), (0, 1, 0), (1, 1, -7)))  # det -7
+def test_parallelepiped_points_against_bounding_box(gens):
+    points = _parallelepiped_points(gens)
+    assert points == bounding_box_points(gens)
+    assert len(points) == abs(det(gens))
 
 
 def test_hilbert_requires_pointed():

@@ -119,6 +119,64 @@ def test_disjoint_union():
     assert got.is_affine and len(got.charts) == 2
 
 
+def test_chart_indices_are_checked():
+    tori = (Torus(0, "a"), Torus(1, "b"))
+    assert Torification(tori, ((), (1, 0))).charts == ((), (1, 0))
+    for charts, index in ((((0, 2),), 2), (((1,), (0, -1, 3)), -1)):
+        with pytest.raises(ValueError, match=f"chart index {index} out of range"):
+            Torification(tori, charts)
+
+
+def test_relabeled_prefixes_labels_and_keeps_charts():
+    t = torify_affine_space(2)
+    r = t.relabeled("cell")
+    assert [x.label for x in r.tori] == [
+        "cell/axes:", "cell/axes:1", "cell/axes:2", "cell/axes:1,2"
+    ]
+    assert [x.rank for x in r.tori] == [x.rank for x in t.tori]
+    assert r.charts is t.charts
+    assert r == Torification(r.tori, t.charts) and hash(r) == hash(Torification(r.tori, t.charts))
+    assert torify_point().relabeled("p").tori == (Torus(0, "p/point"),)
+    assert Torification((Torus(1),)).relabeled("p").tori == (Torus(1, "p"),)
+
+
+def cells_union(cells, cell_torification, prefix):
+    """A listing as the disjoint union of relabeled cells (the reference)."""
+    union = disjoint_union([cell_torification(d).relabeled(prefix(c)) for c, d in cells])
+    return union.tori
+
+
+@pytest.mark.parametrize("k, n", [(0, 3), (1, 4), (2, 4), (2, 5), (3, 6)])
+def test_grassmannian_listing_is_union_of_relabeled_cells(k, n):
+    want = cells_union(
+        schubert_cells_grassmannian(k, n), torify_affine_space, lambda idx: f"schubert:{idx}"
+    )
+    assert torify_grassmannian(k, n) == Torification(want, None)
+
+
+@pytest.mark.parametrize("composition", [(1,), (1, 1), (1, 2), (2, 1, 1), (1, 1, 1, 1)])
+def test_flag_listing_is_union_of_relabeled_cells(composition):
+    want = cells_union(
+        schubert_cells_flag(composition),
+        torify_affine_space,
+        lambda w: "schubert:w=" + "".join(map(str, w)),
+    )
+    assert torify_flag(composition) == Torification(want, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chevalley_listing_is_union_of_relabeled_cells(n):
+    data = chevalley_data_sl(n)
+    torus, unipotent = torify_torus(n - 1), torify_affine_space(n * (n - 1) // 2)
+    cells = list(zip(zip(data.cell_labels, data.cell_dims), data.cell_dims))
+    want = cells_union(
+        cells,
+        lambda s_w: product(product(torify_affine_space(s_w), torus), unipotent),
+        lambda c: f"bruhat:{c[0]},cell_dim={c[1]}",
+    )
+    assert torify_chevalley(data) == Torification(want, (tuple(range(len(want))),))
+
+
 # --- Schubert cells ---------------------------------------------------------------
 
 
