@@ -7,9 +7,11 @@ produce byte-identical payloads apart from the timing field.
 
 ``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
 built-in family from its cell polynomials, so their cost does not grow with
-the number of tori.  Labeled tori are built only for ``torify`` listings, for
+the number of tori.  Torifications are built only for ``torify`` listings, for
 ``gadget --elements`` and for ``toric`` fan files, and a listing is checked
-against the enumeration budget before anything is built.
+against the enumeration budget before anything is built.  Listings are
+written from one text block per distinct cell and per D^r (``_ToriList``,
+``_Power``), not per torus or point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -29,7 +32,6 @@ from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
-    cc_points,
     enumerate_monoid_homs,
     enumeration_budget,
     soule_count_by_faces,
@@ -63,16 +65,27 @@ class UsageError(Exception):
     """Bad parameters or malformed input files; maps to exit code 2."""
 
 
+def _enclose(parts: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON container at ``depth`` of the given item texts, one per line,
+    indented.  One join over the items and one over the three pieces, so a
+    long listing is copied twice per level, not once per ``+``."""
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + brackets[1]
+    return "".join((brackets[0] + inner, ("," + inner).join(parts), close))
+
+
 def _dumps(obj) -> str:
     """The JSON text of ``obj`` with sorted keys and an indent of 2: the same
     string as the stdlib's ``json.dumps`` with ``sort_keys=True`` and
     ``indent=2``, for the values an envelope holds: str-keyed dicts, lists,
-    tuples, str, int, bool, None and float.
+    tuples, str, int, bool, None and float, and the :class:`_Block` values
+    that stand for a list and write its text themselves.
 
     The stdlib encoder leaves its C implementation when an indent is set.
-    Here strings go through the C escaper, and each tuple is rendered once
-    per (object, depth): a point set shared by many tori costs one rendering.
-    Tuples are immutable and stay reachable from ``obj``, so the reuse is exact.
+    Here strings go through the C escaper, and each tuple and block is
+    rendered once per (object, depth): a point set shared by many tori costs
+    one rendering.  Tuples and blocks are immutable and stay reachable from
+    ``obj``, so the reuse is exact.
     """
     rendered: dict[tuple[int, int], str] = {}
 
@@ -81,11 +94,15 @@ def _dumps(obj) -> str:
             return encode_basestring_ascii(v)
         if type(v) is int:
             return int.__repr__(v)
-        if isinstance(v, tuple):
+        if isinstance(v, (tuple, _Block)):
             key = (id(v), depth)
             text = rendered.get(key)
             if text is None:
-                text = rendered[key] = render_items(v, depth)
+                if isinstance(v, tuple):
+                    text = render_items(v, depth)
+                else:
+                    text = v.json_text(depth, render)
+                rendered[key] = text
             return text
         if isinstance(v, list):
             return render_items(v, depth)
@@ -96,19 +113,99 @@ def _dumps(obj) -> str:
                 encode_basestring_ascii(k) + ": " + render(x, depth + 1)
                 for k, x in sorted(v.items())
             ]
-            return "{" + enclose(items, depth) + "}"
+            return _enclose(items, depth, "{}")
         return json.dumps(v)
 
     def render_items(v, depth: int) -> str:
         if not v:
             return "[]"
-        return "[" + enclose([render(x, depth + 1) for x in v], depth) + "]"
-
-    def enclose(parts: list[str], depth: int) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        return inner + ("," + inner).join(parts) + "\n" + "  " * depth
+        return _enclose([render(x, depth + 1) for x in v], depth)
 
     return render(obj, 0)
+
+
+class _Block:
+    """A list in an envelope that writes its own JSON text, the same text
+    ``json.dumps`` gives its items at ``depth`` (``render`` is the caller's
+    renderer, for nested plain values)."""
+
+    __slots__ = ()
+
+    def json_text(self, depth: int, render: Callable[[object, int], str]) -> str:
+        raise NotImplementedError
+
+
+class _ToriList(_Block):
+    """The ``{"label", "rank"}`` objects of a torification's tori.
+
+    Each distinct cell is rendered once as the text of its tori with an empty
+    slot before every label; a part is then the slots joined by its escaped
+    prefix.  That is exact because the escaper works per character: the
+    escape of ``p + "/" + l`` is the escape of ``p`` and then that of
+    ``"/" + l``, without the quotes between them.
+    """
+
+    __slots__ = ("t",)
+
+    def __init__(self, t: Torification):
+        self.t = t
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def json_text(self, depth: int, render) -> str:
+        if not len(self.t):
+            return "[]"
+        inner1 = "\n" + "  " * (depth + 1)
+        inner2 = "\n" + "  " * (depth + 2)
+        head = "{" + inner2 + '"label": "'
+        sep = "," + inner1 + head
+        # after a label: its rank, the end of its object, and the next head
+        rest = [",%s\"rank\": %d%s}" % (inner2, r, inner1) for r in range(self.t.dim + 1)]
+        slotted: dict[int, list[str]] = {}
+        plain: dict[int, str] = {}
+        blocks = []
+        for prefix, cell in self.t.parts:
+            if prefix is None:
+                text = plain.get(id(cell))
+                if text is None:
+                    text = plain[id(cell)] = head + sep.join(
+                        encode_basestring_ascii(x.label)[1:] + rest[x.rank] for x in cell
+                    )
+            else:
+                slots = slotted.get(id(cell))
+                if slots is None:
+                    slots = slotted[id(cell)] = [head] + [
+                        (encode_basestring_ascii("/" + x.label)[1:] if x.label else '"')
+                        + rest[x.rank]
+                        + sep
+                        for x in cell
+                    ]
+                    slots[-1] = slots[-1][: -len(sep)]
+                text = encode_basestring_ascii(prefix)[1:-1].join(slots)
+            blocks.append(text)
+        return _enclose(blocks, depth)
+
+
+class _Power(_Block):
+    """D^rank as the list of its points, in ``itertools.product`` order over
+    the group's elements: each point's text is one join of the elements'
+    texts, which are rendered once."""
+
+    __slots__ = ("elements", "rank")
+
+    def __init__(self, elements: tuple, rank: int):
+        self.elements = elements
+        self.rank = rank
+
+    def json_text(self, depth: int, render) -> str:
+        if not self.rank:
+            return _enclose(["[]"], depth)
+        texts = [render(e, depth + 2) for e in self.elements]
+        inner2 = "\n" + "  " * (depth + 2)
+        start, sep, end = "[" + inner2, "," + inner2, "\n" + "  " * (depth + 1) + "]"
+        points = [start + sep.join(p) + end for p in iproduct(texts, repeat=self.rank)]
+        return _enclose(points, depth)
 
 
 def _warn(msg: str) -> None:
@@ -247,7 +344,7 @@ def build_family(family: str, params: list[str]) -> Family:
 def torification_to_dict(t: Torification) -> dict:
     return {
         "dim": t.dim,
-        "tori": [{"rank": torus.rank, "label": torus.label} for torus in t.tori],
+        "tori": _ToriList(t),
         "delta": list(delta_vector(t)),
         "charts": [list(c) for c in t.charts] if t.charts is not None else None,
     }
@@ -366,10 +463,11 @@ def cmd_gadget(args) -> tuple[dict, int]:
     }
     if args.elements:
         _check_budget(total, "group elements")
-        t = fam.build()
-        full = cc_points(t, group, mode="full")
-        # shared D^r tuples, rendered as JSON lists once per rank
-        payload["elements"] = {str(i): full.points(i) for i in range(len(t.tori))}
+        # each torus of rank r lists D^r: one block per rank, rendered once
+        ranks = tuple(fam.build().ranks())
+        elements = tuple(group.elements())
+        powers = {r: _Power(elements, r) for r in set(ranks)}
+        payload["elements"] = {str(i): powers[r] for i, r in enumerate(ranks)}
     code = 0 if payload["match"] else CHECK_FAILED
     return payload, code
 

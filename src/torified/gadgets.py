@@ -146,8 +146,8 @@ class GradedPointSet:
 
     def count_by_grade(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for torus, c in zip(self.torification.tori, self.counts_by_index):
-            out[torus.rank] = out.get(torus.rank, 0) + c
+        for rank, c in zip(self.torification.ranks(), self.counts_by_index):
+            out[rank] = out.get(rank, 0) + c
         return out
 
     def points(self, index: int):
@@ -159,8 +159,8 @@ class GradedPointSet:
         """All (torus index, point) pairs of the given grade."""
         if self.points_by_index is None:
             raise BudgetExceeded("point set was computed in counts-only mode")
-        for i, torus in enumerate(self.torification.tori):
-            if torus.rank == rank:
+        for i, r in enumerate(self.torification.ranks()):
+            if r == rank:
                 for p in self.points_by_index[i]:
                     yield (i, p)
 
@@ -180,7 +180,7 @@ def cc_points(
         raise ValueError(f"unknown mode {mode!r}")
     budget = enumeration_budget() if budget is None else budget
     order = group.order
-    counts = tuple(order**torus.rank for torus in t.tori)
+    counts = tuple(order**rank for rank in t.ranks())
     total = sum(counts)
     if mode == "counts" or (mode == "auto" and total > budget):
         return GradedPointSet(t, group, counts, None)
@@ -188,8 +188,8 @@ def cc_points(
         raise BudgetExceeded(f"{total} elements exceed the budget of {budget}")
     # every torus of rank r lists the same D^r, so tori of equal rank share it
     elements = tuple(group.elements())
-    powers = {r: tuple(iproduct(elements, repeat=r)) for r in {torus.rank for torus in t.tori}}
-    points = tuple(powers[torus.rank] for torus in t.tori)
+    powers = {r: tuple(iproduct(elements, repeat=r)) for r in set(t.ranks())}
+    points = tuple(powers[rank] for rank in t.ranks())
     return GradedPointSet(t, group, counts, points)
 
 
@@ -209,7 +209,7 @@ class CardinalityCheck:
 
 def cc_cardinality_check(t: Torification, group: FiniteAbelianGroup) -> CardinalityCheck:
     """Compare sum_i |D|^rank_i with N(|D|+1); equality is the variety condition."""
-    functor_count = sum(group.order**torus.rank for torus in t.tori)
+    functor_count = sum(group.order**rank for rank in t.ranks())
     counting_value = eval_counting(counting_polynomial(t), group.order + 1)
     return CardinalityCheck(group, functor_count, counting_value)
 
@@ -447,7 +447,8 @@ def enumerate_monoid_homs(
 
     Every assignment of target elements to generators is kept iff it satisfies
     all discovered relations (zero absorbing on both sides); each surviving map
-    is reported with its support face.
+    is reported with its support face.  The face depends only on which
+    generators go to zero, so homs with one zero pattern share one face.
     """
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
@@ -457,12 +458,15 @@ def enumerate_monoid_homs(
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed the budget of {budget}")
     relations = discover_relations(monoid)
+    faces_by_nonzero: dict[tuple[bool, ...], Cone] = {}
     homs = []
     for values in iproduct(target.elements(), repeat=len(gens)):
         if all(_relation_satisfied(target, rel, values) for rel in relations):
-            homs.append(
-                MonoidHom(monoid, target, values, _support_face(monoid, values))
-            )
+            nonzero = tuple(v != target.ZERO for v in values)
+            face = faces_by_nonzero.get(nonzero)
+            if face is None:
+                face = faces_by_nonzero[nonzero] = _support_face(monoid, values)
+            homs.append(MonoidHom(monoid, target, values, face))
     return tuple(homs)
 
 

@@ -248,11 +248,6 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
 
 
-def facets(cone: Cone) -> tuple[Cone, ...]:
-    d = cone.dim
-    return tuple(f for f in faces(cone) if f.dim == d - 1)
-
-
 def is_face(face: Cone, cone: Cone) -> bool:
     return face in faces(cone)
 

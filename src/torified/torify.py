@@ -3,7 +3,9 @@
 A torification is a finite multiset of labeled tori; the rank-l multiplicity
 vector (the delta vector) is everything the counting machinery needs, while
 labels record where each torus came from.  Affine families additionally carry
-charts: index sets of tori covered by one affine piece each.
+charts: index sets of tori covered by one affine piece each.  The tori are
+stored as parts, a label prefix over a cell of tori that many parts share, so
+a Schubert or Bruhat listing holds each distinct cell once.
 
 Built-ins: toric varieties from fans, affine spaces, products and disjoint
 unions, Grassmannians and flag varieties by Schubert cells (no charts; those
@@ -21,10 +23,13 @@ enumerative reference.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Sequence
 
 from .errors import (
     InvalidChevalleyData,
@@ -49,61 +54,181 @@ class Torus:
             raise ValueError("torus rank must be nonnegative")
 
 
-@dataclass(frozen=True)
 class Torification:
-    """An ordered multiset of tori, optionally with an affine atlas.
+    """An ordered multiset of labeled tori, optionally with an affine atlas.
+
+    The tori are stored as parts ``(prefix, cell)``: ``cell`` is a tuple of
+    tori that many parts (and torifications) may share, and ``prefix`` is
+    the label written in front of the cell's own labels, or None for none.
+    A torus labeled ``l`` in a part with prefix ``p`` is labeled ``p/l``, or
+    ``p`` when ``l`` is empty.  ``Torification(tori, charts)`` is the flat
+    form: one part without a prefix.  The ``tori`` view makes the labeled
+    Torus objects only when it is indexed or iterated, and two torifications
+    are equal when their tori and charts are, however they are split.
 
     ``charts`` is None when no compatible affine cover is provided (Schubert
     decompositions); an empty tuple is a present-but-empty atlas, which
     :func:`check_atlas` reports as a coverage violation.
     """
 
-    tori: tuple[Torus, ...]
-    charts: Charts | None = None
+    __slots__ = ("parts", "charts", "_starts", "_size", "_delta")
 
-    def __post_init__(self):
-        if self.charts is not None:
-            n = len(self.tori)
-            for chart in self.charts:
-                if chart and not (0 <= min(chart) and max(chart) < n):
-                    bad = next(i for i in chart if not 0 <= i < n)
+    def __init__(self, tori: Sequence[Torus], charts: Charts | None = None):
+        self._set(((None, tuple(tori)),), charts)
+
+    @classmethod
+    def from_parts(
+        cls, parts: Iterable[tuple[str | None, tuple[Torus, ...]]], charts: Charts | None = None
+    ) -> "Torification":
+        out = object.__new__(cls)
+        out._set(parts, charts)
+        return out
+
+    def _set(self, parts, charts) -> None:
+        parts = tuple(part for part in parts if part[1])
+        starts, size = [], 0
+        for _, cell in parts:
+            starts.append(size)
+            size += len(cell)
+        if charts is not None:
+            for chart in charts:
+                if chart and not (0 <= min(chart) and max(chart) < size):
+                    bad = next(i for i in chart if not 0 <= i < size)
                     raise ValueError(f"chart index {bad} out of range")
+        for name, value in (
+            ("parts", parts), ("charts", charts), ("_starts", starts), ("_size", size), ("_delta", None)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Torification is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Torification.from_parts, (self.parts, self.charts)
+
+    @property
+    def tori(self) -> "ToriView":
+        return ToriView(self)
+
+    def ranks(self) -> Iterator[int]:
+        """The rank of each torus in order, without building labels."""
+        for _, cell in self.parts:
+            for torus in cell:
+                yield torus.rank
 
     @property
     def dim(self) -> int:
         """Largest torus rank; -1 for the empty torification."""
-        return max((t.rank for t in self.tori), default=-1)
+        return len(delta_vector(self)) - 1
 
     @property
     def is_affine(self) -> bool:
         return self.charts is not None
 
     def relabeled(self, prefix: str) -> "Torification":
+        """Every label l becomes ``prefix/l`` (``prefix`` when l is empty);
+        the parts keep their cells and take the composed prefix."""
+        parts = []
+        for p, cell in self.parts:
+            if p is None:
+                parts.append((prefix, cell))
+            elif p:
+                parts.append((f"{prefix}/{p}", cell))
+            else:  # the empty prefix does not compose: "q/" + "" is not "q"
+                parts.append((None, tuple(_labeled(prefix, _labeled(p, t)) for t in cell)))
         # as many tori as before, so the charts checked on self stay in range
-        out = object.__new__(Torification)
-        object.__setattr__(out, "tori", _relabel(self.tori, prefix))
-        object.__setattr__(out, "charts", self.charts)
-        return out
+        return Torification.from_parts(parts, self.charts)
 
     def __len__(self) -> int:
-        return len(self.tori)
+        return self._size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Torification):
+            return NotImplemented
+        return (
+            self._size == other._size
+            and self.charts == other.charts
+            and (self.parts == other.parts or self.tori == other.tori)
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.tori), self.charts))
 
     def __repr__(self) -> str:
         return f"Torification(delta={delta_vector(self)}, affine={self.is_affine})"
 
 
-def _relabel(tori: tuple[Torus, ...], prefix: str) -> tuple[Torus, ...]:
-    return tuple(Torus(t.rank, f"{prefix}/{t.label}" if t.label else prefix) for t in tori)
+_rank = operator.attrgetter("rank")
+_label = operator.attrgetter("label")
+
+
+def _labeled(prefix: str | None, torus: Torus) -> Torus:
+    if prefix is None:
+        return torus
+    return Torus(torus.rank, f"{prefix}/{torus.label}" if torus.label else prefix)
+
+
+class ToriView(Sequence):
+    """The labeled tori of a torification, made on access.  Compares equal
+    to a tuple (or view) of the same tori, and hashes like that tuple."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, t: Torification):
+        self._t = t
+
+    def __len__(self) -> int:
+        return self._t._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("torus index out of range")
+        t = self._t
+        j = bisect_right(t._starts, i) - 1
+        prefix, cell = t.parts[j]
+        return _labeled(prefix, cell[i - t._starts[j]])
+
+    def __iter__(self) -> Iterator[Torus]:
+        for prefix, cell in self._t.parts:
+            if prefix is None:
+                yield from cell
+            else:
+                for torus in cell:
+                    yield _labeled(prefix, torus)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, ToriView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ToriView({tuple(self)!r})"
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
-    """Number of tori of each rank, indexed 0 .. dim."""
-    if not t.tori:
-        return ()
-    delta = [0] * (t.dim + 1)
-    for torus in t.tori:
-        delta[torus.rank] += 1
-    return tuple(delta)
+    """Number of tori of each rank, indexed 0 .. dim: the rank counts of each
+    distinct cell, times the number of parts that hold it.  Counted once per
+    torification, which cannot change."""
+    if t._delta is None:
+        cells: dict[int, tuple[tuple[Torus, ...], int]] = {}
+        for _, cell in t.parts:
+            times = cells.get(id(cell), (cell, 0))[1]
+            cells[id(cell)] = (cell, times + 1)
+        counts: Counter[int] = Counter()
+        for cell, times in cells.values():
+            for rank, count in Counter(map(_rank, cell)).items():
+                counts[rank] += count * times
+        delta = tuple(counts[rank] for rank in range(max(counts, default=-1) + 1))
+        object.__setattr__(t, "_delta", delta)
+    return t._delta
 
 
 def to_delta_basis(mono: Sequence[int]) -> tuple[int, ...]:
@@ -158,12 +283,28 @@ def torify_affine_space(n: int) -> Torification:
     """One torus of rank |S| per coordinate subset S, all in a single chart."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tori = []
-    for d in range(n + 1):
-        for axes in combinations(range(1, n + 1), d):
-            tori.append(Torus(d, "axes:" + ",".join(map(str, axes))))
-    tori.sort(key=lambda t: (t.rank, t.label))
-    return Torification(tuple(tori), (tuple(range(len(tori))),))
+    cell = _affine_cells({n})[n]
+    return Torification(cell, (tuple(range(len(cell))),))
+
+
+def _affine_cells(dims: set[int]) -> dict[int, tuple[Torus, ...]]:
+    """The tori of A^d for each d in ``dims``, sorted by rank and label: the
+    cells that the Schubert and Bruhat parts share.  A^(m+1) is A^m plus the
+    tori of S + {m+1} for S in A^m, so each torus is built once for all d."""
+    by_rank: list[list[Torus]] = []  # the tori of A^m, one list per rank
+    cells = {}
+    for m in range(max(dims) + 1):
+        if not m:
+            by_rank.append([Torus(0, "axes:")])
+        else:  # A^(m-1) to A^m
+            by_rank.append([])
+            for r in range(m, 0, -1):  # downwards, so by_rank[r - 1] is still A^(m-1)'s
+                sep = "," if r > 1 else ""
+                grown = [Torus(r, f"{s.label}{sep}{m}") for s in by_rank[r - 1]]
+                by_rank[r] = sorted(by_rank[r] + grown, key=_label)
+        if m in dims:
+            cells[m] = tuple(chain.from_iterable(by_rank))
+    return cells
 
 
 def delta_affine_space(n: int) -> tuple[int, ...]:
@@ -217,17 +358,18 @@ def product(a: Torification, b: Torification) -> Torification:
 
 
 def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Torification:
-    """Concatenation; charts survive only when every part carries them."""
-    tori: list[Torus] = []
+    """Concatenation of the parts' parts; charts survive only when every
+    part carries them."""
     charts: list[tuple[int, ...]] = []
     have_charts = all(p.charts is not None for p in parts)
     offset = 0
     for p in parts:
-        tori.extend(p.tori)
         if have_charts:
             charts.extend(tuple(sorted(i + offset for i in chart)) for chart in p.charts)
-        offset += len(p.tori)
-    return Torification(tuple(tori), tuple(charts) if have_charts else None)
+        offset += len(p)
+    return Torification.from_parts(
+        (part for p in parts for part in p.parts), tuple(charts) if have_charts else None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +402,9 @@ def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
     cells = schubert_cells_grassmannian(k, n)
-    # cells of equal dimension share one A^d and differ only in their labels
-    affine = {d: torify_affine_space(d).tori for d in {d for _, d in cells}}
-    tori = tuple(t for idx, d in cells for t in _relabel(affine[d], f"schubert:{idx}"))
-    return Torification(tori, None)
+    # cells of equal dimension share one A^d and differ only in their prefixes
+    affine = _affine_cells({d for _, d in cells})
+    return Torification.from_parts((f"schubert:{idx}", affine[d]) for idx, d in cells)
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
@@ -337,11 +478,8 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
     cells = schubert_cells_flag(composition)
-    affine = {d: torify_affine_space(d).tori for d in {d for _, d in cells}}
-    tori = tuple(
-        t for w, d in cells for t in _relabel(affine[d], f"schubert:w={_perm_label(w)}")
-    )
-    return Torification(tori, None)
+    affine = _affine_cells({d for _, d in cells})
+    return Torification.from_parts((f"schubert:w={_perm_label(w)}", affine[d]) for w, d in cells)
 
 
 def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
@@ -413,19 +551,20 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
 
     The whole group is affine, so a single chart covers every torus.
     """
+    affine = _affine_cells({*data.cell_dims, data.unipotent_dim})
     torus = torify_torus(data.torus_rank)
-    unipotent = torify_affine_space(data.unipotent_dim)
-    # one unlabeled cell per cell dimension, relabeled per Weyl element
+    unipotent = Torification(affine[data.unipotent_dim])
+    # one unlabeled cell per cell dimension, shared by the Weyl elements' parts
     cells = {
-        s_w: product(product(torify_affine_space(s_w), torus), unipotent).tori
+        s_w: tuple(product(product(Torification(affine[s_w]), torus), unipotent).tori)
         for s_w in set(data.cell_dims)
     }
-    tori = tuple(
-        t
+    parts = tuple(
+        (f"bruhat:{label},cell_dim={s_w}", cells[s_w])
         for s_w, label in zip(data.cell_dims, data.cell_labels)
-        for t in _relabel(cells[s_w], f"bruhat:{label},cell_dim={s_w}")
     )
-    return Torification(tori, (tuple(range(len(tori))),))
+    size = sum(len(cell) for _, cell in parts)
+    return Torification.from_parts(parts, (tuple(range(size)),))
 
 
 def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> tuple[int, ...]:
@@ -466,7 +605,7 @@ def check_atlas(t: Torification) -> ValidationReport:
     covered = set()
     for chart in t.charts:
         covered.update(chart)
-    for i in range(len(t.tori)):
+    for i in range(len(t)):
         if i not in covered:
             violations.append(f"torus {i} ({t.tori[i].label}) is not covered by any chart")
     return ValidationReport(tuple(violations))

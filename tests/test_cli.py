@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import verify_counting
 from torified.gadgets import FiniteAbelianGroup, cc_points
 from torified.lattice import maximal_cones
+from torified.torify import Torification, Torus, delta_vector
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -267,6 +269,119 @@ def with_shared_tuple(draw):
 @given(st.one_of(JSON_VALUES, with_shared_tuple()))
 def test_dumps_matches_stdlib_indented_sorted_json(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# --- self-rendering blocks: torus lists and shared D^r ------------------------------
+
+
+def materialize(v):
+    """The plain JSON value a block stands for, spelled out from its parts."""
+    if isinstance(v, cli._ToriList):
+        return [
+            {"label": x.label if p is None else f"{p}/{x.label}" if x.label else p, "rank": x.rank}
+            for p, cell in v.t.parts
+            for x in cell
+        ]
+    if isinstance(v, cli._Power):
+        return [list(point) for point in iproduct(v.elements, repeat=v.rank)]
+    if isinstance(v, dict):
+        return {k: materialize(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [materialize(x) for x in v]
+    return v
+
+
+LABELS = st.one_of(st.text(max_size=6), TRICKY)
+CELLS = st.lists(st.builds(Torus, st.integers(0, 4), LABELS), max_size=4).map(tuple)
+
+
+@st.composite
+def with_blocks(draw):
+    """Torus lists over shared cells with drawn prefixes, and D^r blocks,
+    each at several depths."""
+    cells = draw(st.lists(CELLS, min_size=1, max_size=3))
+    parts = draw(st.lists(st.tuples(st.one_of(st.none(), LABELS), st.sampled_from(cells)), max_size=5))
+    tori = cli._ToriList(Torification.from_parts(parts))
+    group = FiniteAbelianGroup(draw(st.sampled_from([(), (1,), (2,), (3,), (2, 2), (2, 3)])))
+    power = cli._Power(tuple(group.elements()), draw(st.integers(0, 4)))
+    rest = draw(JSON_VALUES)
+    return {"tori": tori, "power": power, "deeper": [rest, {"p": power, "t": [tori]}], "x": [[power]]}
+
+
+@given(with_blocks())
+def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
+    assert _dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
+
+
+def _ladder():
+    out = [("grassmannian", k, n) for n in range(1, 9) for k in range(n + 1)]
+    out += [("flag", *c) for n in range(1, 7) for c in compositions(n)]
+    out += [("sl", n) for n in range(1, 5)]
+    out += [(family, n) for family in ("affine", "torus", "projective") for n in range(4)]
+    return out
+
+
+def _n_points(delta, q):
+    return sum(d * (q - 1) ** r for r, d in enumerate(delta))
+
+
+# every listing of at most 20,160 tori (SL_4); with the largest group of
+# order <= 6 whose point listing stays at most 20,000 elements
+LISTING_LADDER = [
+    spec
+    for spec in _ladder()
+    if _n_points(cli.build_family(spec[0], [str(x) for x in spec[1:]]).delta, 2) <= 20160
+]
+GROUP_BY_ORDER = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3)}
+
+
+@pytest.mark.parametrize("spec", LISTING_LADDER, ids=lambda s: "-".join(map(str, s)))
+def test_listings_match_stdlib_rendering_of_dict_form(spec, capsys):
+    """stdout of `torify` and `gadget --elements` equals the stdlib encoder's
+    text of the payload with every torus and point spelled out."""
+    family = [str(x) for x in spec]
+    fam = cli.build_family(family[0], family[1:])
+    t = fam.build()
+    code, out, _ = run(capsys, "torify", *family)
+    envelope = json.loads(out)
+    envelope["result"] = {
+        "dim": t.dim,
+        "tori": [{"rank": x.rank, "label": x.label} for x in t.tori],
+        "delta": list(delta_vector(t)),
+        "charts": [list(c) for c in t.charts] if t.charts is not None else None,
+    }
+    assert code == 0 and out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+    order = max(d for d in GROUP_BY_ORDER if d == 1 or _n_points(fam.delta, d + 1) <= 20000)
+    orders = GROUP_BY_ORDER[order]
+    group = ",".join(map(str, orders))
+    code, out, _ = run(capsys, "gadget", "--elements", "--group", group, "--family", *family)
+    envelope = json.loads(out)
+    elements = tuple(FiniteAbelianGroup(orders).elements())
+    envelope["result"]["elements"] = {
+        str(i): [list(p) for p in iproduct(elements, repeat=x.rank)] for i, x in enumerate(t.tori)
+    }
+    assert code == 0 and out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def test_torify_text_format(capsys):
+    code, out, _ = run(capsys, "torify", "grassmannian", "2", "4", "--format", "text")
+    assert code == 0
+    assert out == "dim 4, 35 tori, delta [6, 12, 11, 5, 1]\ncharts: none\n"
+
+
+def test_torification_file_round_trips_the_parts_form(tmp_path, capsys):
+    t = cli.build_family("sl", ["2"]).build()
+    code, out, _ = run(capsys, "torify", "sl", "2")
+    loaded = torification_from_dict(json.loads(out)["result"])
+    assert len(t.parts) == 2 and len(loaded.parts) == 1
+    assert loaded == t and hash(loaded) == hash(t)
+    path = tmp_path / "sl2.json"
+    path.write_text(out)
+    argv = ["gadget", "--elements", "--group", "2,2"]
+    code, direct, _ = run_json(capsys, *argv, "--family", "sl", "2")
+    code2, via_file, _ = run_json(capsys, *argv, "--torification", str(path))
+    assert code == code2 == 0 and direct["result"] == via_file["result"]
 
 
 def test_text_format(capsys):

@@ -19,6 +19,7 @@ from torified.gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
     TorifiedMap,
+    _support_face,
     abelian_group_types,
     cc_cardinality_check,
     cc_points,
@@ -36,6 +37,7 @@ from torified.intlinalg import hnf_rows, mat_rank, minors_gcd
 from torified.lattice import Cone, standard_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
+    Torification,
     chevalley_data_sl,
     torify_affine_space,
     torify_chevalley,
@@ -122,6 +124,19 @@ def test_cc_points_share_one_power_per_rank(t, group):
     assert pts.count_by_grade() == {
         r: sum(1 for torus in t.tori if torus.rank == r) * group.order**r for r in by_rank
     }
+
+
+@pytest.mark.parametrize("group", [TRIVIAL, Z2, FiniteAbelianGroup((2, 3))], ids=repr)
+def test_cc_points_parts_form_matches_flat_form(group):
+    t = torify_chevalley(chevalley_data_sl(2)).relabeled("g")
+    flat = Torification(tuple(t.tori), t.charts)
+    assert len(t.parts) > 1
+    pts, ref = cc_points(t, group, mode="full"), cc_points(flat, group, mode="full")
+    assert pts.counts_by_index == ref.counts_by_index
+    assert pts.points_by_index == ref.points_by_index
+    assert pts.count_by_grade() == ref.count_by_grade()
+    assert all(list(pts.grade(r)) == list(ref.grade(r)) for r in range(t.dim + 1))
+    assert cc_cardinality_check(t, group) == cc_cardinality_check(flat, group)
 
 
 def test_cc_cardinality_examples():
@@ -341,6 +356,17 @@ def test_enumerate_homs_singular_m1():
     assert by_values[(0, 0, 0)] == ()  # nothing dies: dense torus
     assert by_values[(0, -1, -1)] == ((1, 0),)
     assert by_values[(-1, -1, 0)] == ((1, 2),)
+
+
+@pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
+def test_homs_with_one_zero_pattern_share_one_support_face(cone):
+    monoid = monoid_of_cone(cone)
+    target = CyclicMonoidWithZero(2)
+    faces_by_pattern = {}
+    for h in enumerate_monoid_homs(monoid, target):
+        pattern = tuple(v != target.ZERO for v in h.values)
+        assert h.support_face is faces_by_pattern.setdefault(pattern, h.support_face)
+        assert h.support_face == _support_face(monoid, h.values)
 
 
 def test_smooth_monoid_hom_count_formula():

@@ -435,3 +435,100 @@ def test_labels_are_deterministic():
     assert any("bruhat:w=12" in t.label for t in sl.tori)
     toric = torify_toric(FAN_CORPUS["P1"])
     assert [t.label for t in toric.tori] == ["cone:0", "cone:1", "cone:2"]
+
+
+# --- the parts form and its lazy view ----------------------------------------------------
+
+
+def flat_label(prefix, label):
+    """A part's torus label, spelled out: the reference for the view."""
+    if prefix is None:
+        return label
+    return f"{prefix}/{label}" if label else prefix
+
+
+def flat_tori(t: Torification) -> tuple:
+    return tuple(Torus(x.rank, flat_label(p, x.label)) for p, cell in t.parts for x in cell)
+
+
+VIEW_CASES = {
+    "gr24": lambda: torify_grassmannian(2, 4),
+    "gr25": lambda: torify_grassmannian(2, 5),
+    "gr03": lambda: torify_grassmannian(0, 3),
+    "flag1111": lambda: torify_flag((1, 1, 1, 1)),
+    "flag211": lambda: torify_flag((2, 1, 1)),
+    "sl2": lambda: torify_chevalley(chevalley_data_sl(2)),
+    "sl3": lambda: torify_chevalley(chevalley_data_sl(3)),
+    "custom": lambda: torify_chevalley(ChevalleyData(2, 3, (0, 1, 2, 2, 3, 3))),
+    "affine3": lambda: torify_affine_space(3),
+    "p2": lambda: torify_toric(FAN_CORPUS["P2"]),
+    "union": lambda: disjoint_union([torify_grassmannian(1, 3), torify_affine_space(2)]),
+    "relabeled": lambda: torify_grassmannian(2, 4).relabeled("x"),
+    "empty": lambda: disjoint_union([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_CASES))
+def test_view_matches_flat_form(name):
+    t = VIEW_CASES[name]()
+    want = flat_tori(t)
+    flat = Torification(tuple(t.tori), t.charts)
+    n = len(want)
+    assert len(t) == len(t.tori) == len(flat) == n
+    assert tuple(t.tori) == tuple(iter(t.tori)) == want
+    assert [t.tori[i] for i in range(n)] == list(want)
+    assert [t.tori[i - n] for i in range(n)] == list(want)
+    assert t.tori[1:-1:2] == want[1:-1:2] and t.tori[::-1] == want[::-1]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            t.tori[bad]
+    assert t.tori == want and want == t.tori and t.tori == flat.tori
+    assert not t.tori != want and t.tori != want + (Torus(0),)
+    assert hash(t.tori) == hash(want)
+    assert t == flat and flat == t and hash(t) == hash(flat)
+    assert t != Torification(want[::-1], None) or want == want[::-1]
+    assert delta_vector(t) == delta_vector(flat) and t.dim == flat.dim
+    assert list(t.ranks()) == [x.rank for x in want]
+
+
+def test_listings_share_cells_between_parts():
+    g = torify_grassmannian(2, 5)
+    assert len(g.parts) == 10
+    cells = {}
+    for (idx, d), (prefix, cell) in zip(schubert_cells_grassmannian(2, 5), g.parts):
+        assert prefix == f"schubert:{idx}"
+        assert cell is cells.setdefault(d, cell)
+    sl = torify_chevalley(chevalley_data_sl(3))
+    assert len(sl.parts) == 6 and len({id(cell) for _, cell in sl.parts}) == 4
+
+
+def test_relabeled_composes_prefixes():
+    t = torify_grassmannian(1, 3)
+    r = t.relabeled("a").relabeled("b")
+    assert [p for p, _ in r.parts] == [f"b/a/{p}" for p, _ in t.parts]
+    assert all(c is d for (_, c), (_, d) in zip(r.parts, t.parts))
+    assert r.tori == tuple(
+        Torus(x.rank, f"b/a/{x.label}") for x in t.tori
+    )
+    assert r == Torification(tuple(r.tori)) and hash(r) == hash(Torification(tuple(r.tori)))
+    # an empty prefix does not compose with a later one: "q/" + "" would be "q/"
+    e = Torification((Torus(1), Torus(2, "x"))).relabeled("").relabeled("q")
+    assert [x.label for x in e.tori] == ["q", "q//x"]
+
+
+def test_check_atlas_on_parts_form():
+    t = torify_chevalley(chevalley_data_sl(2))
+    assert len(t.parts) == 2 and check_atlas(t).ok
+    holes = Torification.from_parts(t.parts, ((0, 1, 2),))
+    report = check_atlas(holes)
+    assert len(report.violations) == len(t) - 3
+    want = "torus 3 (bruhat:w=21,cell_dim=1/axes:*torus*axes:1) is not covered by any chart"
+    assert report.violations[0] == want
+    with pytest.raises(ValueError, match=f"chart index {len(t)} out of range"):
+        Torification.from_parts(t.parts, ((len(t),),))
+
+
+def test_torification_is_immutable():
+    t = torify_grassmannian(2, 4)
+    with pytest.raises(AttributeError):
+        t.charts = ()
