@@ -5,9 +5,10 @@ disjoint union of D^rank over its tori, graded by rank; torified morphisms
 act per torus through an integer matrix on each factor.  On the monoid side,
 the local functor of a cone counts semigroup maps from the cone's monoid into
 a cyclic group with an absorbing zero adjoined; the count is computed two
-independent ways (face formula vs. brute-force enumeration against a binomial
-presentation) and the extension/restriction maps between the two pictures are
-exposed for round-trip checks.
+ways (the face formula vs. enumeration of the maps face by face, each a
+group hom on the generators orthogonal to its face) and the
+extension/restriction maps between the two pictures are exposed for
+round-trip checks.
 """
 
 from __future__ import annotations
@@ -415,40 +416,21 @@ class MonoidHom:
         return self.values[index]
 
 
-def _relation_satisfied(
-    target: CyclicMonoidWithZero, relation: BinomialRelation, values: tuple[int, ...]
-) -> bool:
-    def side(exps) -> int:
-        acc = 0  # identity exponent
-        for e, v in zip(exps, values):
-            if e:
-                acc = target.mul(acc, target.power(v, e))
-        return acc
-
-    return side(relation.lhs) == side(relation.rhs)
-
-
-def _support_face(monoid: AffineMonoid, values: tuple[int, ...]) -> Cone:
-    cone = monoid.source_cone
-    gens = monoid.all_generators()
-    nonzero = [g for g, v in zip(gens, values) if v != CyclicMonoidWithZero.ZERO]
-    rays = tuple(
-        r for r in cone.rays if all(dot(g, r) == 0 for g in nonzero)
-    )
-    return Cone(cone.ambient_dim, rays)
-
-
 def enumerate_monoid_homs(
     monoid: AffineMonoid,
     target: CyclicMonoidWithZero,
     budget: int | None = None,
 ) -> tuple[MonoidHom, ...]:
-    """Brute-force the semigroup maps into the target.
+    """All semigroup maps into the target, enumerated face by face.
 
-    Every assignment of target elements to generators is kept iff it satisfies
-    all discovered relations (zero absorbing on both sides); each surviving map
-    is reported with its support face.  The face depends only on which
-    generators go to zero, so homs with one zero pattern share one face.
+    A map's nonzero generators are those orthogonal to its support face τ
+    (primes of the monoid correspond to faces of the source cone), and on
+    them it is a group hom into mu_m.  So per face τ, with S_τ the generators
+    orthogonal to τ, the maps are the values v in mu_m^S_τ with <rel, v> = 0
+    mod m for each rel of a lattice basis of the integer relations among
+    S_τ, extended by zero; they share the face object τ.  The result is
+    sorted by values.  The (m+1)^g assignments bound the count from above,
+    and the budget applies to them.
     """
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
@@ -457,16 +439,21 @@ def enumerate_monoid_homs(
     total = target.order ** len(gens)
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed the budget of {budget}")
-    relations = discover_relations(monoid)
-    faces_by_nonzero: dict[tuple[bool, ...], Cone] = {}
+    m, zero = target.m, target.ZERO
     homs = []
-    for values in iproduct(target.elements(), repeat=len(gens)):
-        if all(_relation_satisfied(target, rel, values) for rel in relations):
-            nonzero = tuple(v != target.ZERO for v in values)
-            face = faces_by_nonzero.get(nonzero)
-            if face is None:
-                face = faces_by_nonzero[nonzero] = _support_face(monoid, values)
-            homs.append(MonoidHom(monoid, target, values, face))
+    for face in faces(monoid.source_cone):
+        support = [
+            i for i, g in enumerate(gens) if all(dot(g, r) == 0 for r in face.rays)
+        ]
+        columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
+        relations = kernel_basis(columns, len(support))
+        for vals in iproduct(range(m), repeat=len(support)):
+            if all(dot(rel, vals) % m == 0 for rel in relations):
+                values = [zero] * len(gens)
+                for i, v in zip(support, vals):
+                    values[i] = v
+                homs.append(MonoidHom(monoid, target, tuple(values), face))
+    homs.sort(key=lambda h: h.values)
     return tuple(homs)
 
 
@@ -504,7 +491,7 @@ def hom_extend(
 def toric_fq_points_via_homs(fan: Fan, q: int, budget: int | None = None) -> int:
     """F_q points of the fan's variety from local hom counts.
 
-    Per cone the full hom count (brute-forced when affordable, else the face
+    Per cone the full hom count (enumerated when affordable, else the face
     formula) is peeled down to the orbit contribution by subtracting the
     orbits of the proper faces; orbit sums over the fan avoid any
     inclusion-exclusion between overlapping charts.

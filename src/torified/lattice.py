@@ -39,7 +39,6 @@ from .intlinalg import (
     solve_columns_int,
     vec_gcd,
     vec_neg,
-    vec_sub,
 )
 
 _FACE_ENUM_LIMIT = 4  # ambient dim beyond which non-simplicial cones are refused
@@ -167,18 +166,28 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     lineality.  Works whether or not the generated cone is pointed.
 
     Inside the span, of dimension d, every extremal ray of the dual is tight
-    on d-1 linearly independent generators, so the kernel lines of each
-    (d-1)-subset together with the lineality, filtered by feasibility, are
-    exactly the extremal rays.
+    on d-1 linearly independent generators.  A generator whose negative is
+    also a generator is tight on every dual vector, so those paired
+    generators are fixed rows next to the lineality, and only the others are
+    drawn: the kernel lines of each (d-1-rank(paired))-subset of them,
+    together with the fixed rows and filtered by feasibility, are exactly
+    the extremal rays.
     """
     gens = [g for g in generators if any(g)]
     perp = kernel_basis(gens, n)
     lineality = hnf_rows(perp, n)
     if not gens:
         return (), lineality
+    present = set(gens)
+    paired = [g for g in gens if vec_neg(g) in present]
+    free = [g for g in gens if vec_neg(g) not in present]
+    size = n - len(perp) - mat_rank(paired) - 1
+    if size < 0:  # the generators span a linear space: the dual is lineality only
+        return (), lineality
+    fixed = paired + perp
     rays = set()
-    for subset in combinations(gens, n - len(perp) - 1):
-        u = kernel_vector(list(subset) + perp, n)
+    for subset in combinations(free, size):
+        u = kernel_vector(list(subset) + fixed, n)
         if u is None:
             continue
         for cand in (u, vec_neg(u)):
@@ -218,6 +227,20 @@ def facet_normals(cone: Cone) -> tuple[Vector, ...]:
     return dual_cone(cone).rays
 
 
+def _face(ambient_dim: int, rays: tuple[Vector, ...]) -> Cone:
+    """A face of a pointed cone, from the cone's extremal rays that lie in it.
+
+    Those rays are primitive, distinct, sorted and extremal in the face, so
+    they are exactly what ``Cone(ambient_dim, rays)`` would store; the face
+    is built without running those checks again.
+    """
+    face = object.__new__(Cone)
+    object.__setattr__(face, "ambient_dim", ambient_dim)
+    object.__setattr__(face, "rays", rays)
+    object.__setattr__(face, "lineality", ())
+    return face
+
+
 @lru_cache(maxsize=None)
 def faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces of a pointed cone, from the zero cone up to the cone itself.
@@ -229,10 +252,11 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     """
     if not cone.is_pointed:
         raise NotPointed("face enumeration requires a pointed cone")
+    n = cone.ambient_dim
     if cone.is_simplicial:
         # rays are sorted, so this is already the (dim, rays) order
         return tuple(
-            Cone(cone.ambient_dim, subset)
+            _face(n, subset)
             for k in range(len(cone.rays) + 1)
             for subset in combinations(cone.rays, k)
         )
@@ -244,7 +268,7 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
                 r for r in cone.rays if all(dot(u, r) == 0 for u in subset)
             )
             if face_rays not in seen:
-                seen[face_rays] = Cone(cone.ambient_dim, face_rays)
+                seen[face_rays] = _face(n, face_rays)
     return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
 
 
@@ -319,9 +343,13 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     """The unique minimal generating set of cone ∩ Z^n, for a pointed cone.
 
     Candidates are the rays plus the fundamental-parallelepiped points of each
-    simplicial piece of a triangulation; the basis keeps exactly the elements
-    h with no candidate c != h such that h - c stays in the cone (those h are
-    the irreducibles, and irreducibles always appear among the candidates).
+    simplicial piece of a triangulation; the irreducibles always appear among
+    them.  The reduction is graded (Bruns-Ichim, Normaliz): the sum of the
+    facet normals is positive on the nonzero points of the full-dimensional
+    cone, candidates are visited by (degree, vector), and each is tested only
+    against the irreducibles already accepted of at most half its degree.
+    If h = a + b, one summand has at most half the degree of h, and an
+    irreducible dividing that summand was accepted before h.
     """
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
@@ -350,19 +378,29 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     for piece in _triangulate(cone.rays, n):
         candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * n)
+    # a candidate's values on the facet normals: h - c lies in the cone iff
+    # h's values dominate c's, and the degree is their sum
+    graded = []
+    for h in candidates:
+        values = tuple(dot(u, h) for u in normals)
+        graded.append((sum(values), h, values))
+    graded.sort()
+    accepted: list[tuple[int, tuple[int, ...]]] = []  # irreducibles, by degree
 
-    def in_cone(x: Vector) -> bool:
-        return all(dot(u, x) >= 0 for u in normals)
+    def reducible(degree: int, values: tuple[int, ...]) -> bool:
+        for c_degree, c_values in accepted:
+            if 2 * c_degree > degree:
+                return False
+            if all(x >= y for x, y in zip(values, c_values)):
+                return True
+        return False
 
     basis_out = []
-    for h in sorted(candidates):
-        reducible = any(
-            c != h and any(vec_sub(h, c)) and in_cone(vec_sub(h, c))
-            for c in candidates
-        )
-        if not reducible:
+    for degree, h, values in graded:
+        if not reducible(degree, values):
+            accepted.append((degree, values))
             basis_out.append(h)
-    return tuple(basis_out)
+    return tuple(sorted(basis_out))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,16 @@ def test_soule_kernel_needs_coefficients_beyond_one(capsys):
     assert result["enumerated_count"] == result["face_count"] == 9
 
 
+@pytest.mark.parametrize("cone", ["1,0;2,5", "1,0;3,7"])
+def test_soule_at_kernel_rank_two(capsys, cone):
+    # a lattice basis of all relations over-counted these (15 and 33 homs)
+    code, data, err = run_json(capsys, "soule", "--m", "2", "--cone", cone)
+    assert code == 0 and err == ""
+    result = data["result"]
+    assert result["enumerated_count"] == result["face_count"] == 9
+    assert result["match"] is True
+
+
 def test_gadget_counts(capsys):
     code, data, _ = run_json(capsys, "gadget", "--group", "2", "--family", "sl", "2")
     assert code == 0

@@ -3,14 +3,16 @@
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
+from test_lattice import complete_fans_2d
 
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
 from torified.errors import (
     BudgetExceeded,
+    InvalidCone,
     MissingSourceCone,
     ShapeMismatch,
 )
@@ -19,7 +21,6 @@ from torified.gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
     TorifiedMap,
-    _support_face,
     abelian_group_types,
     cc_cardinality_check,
     cc_points,
@@ -33,8 +34,8 @@ from torified.gadgets import (
     soule_count_by_faces,
     toric_fq_points_via_homs,
 )
-from torified.intlinalg import hnf_rows, mat_rank, minors_gcd
-from torified.lattice import Cone, standard_fan, zero_cone
+from torified.intlinalg import dot, hnf_rows, mat_rank, minors_gcd, primitive
+from torified.lattice import Cone, standard_fan, validate_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
     Torification,
@@ -358,6 +359,16 @@ def test_enumerate_homs_singular_m1():
     assert by_values[(-1, -1, 0)] == ((1, 2),)
 
 
+def _support_face(monoid, values):
+    """The face of the source cone cut out by the nonzero generators: its
+    rays are those orthogonal to all of them (reference)."""
+    cone = monoid.source_cone
+    gens = monoid.all_generators()
+    nonzero = [g for g, v in zip(gens, values) if v != CyclicMonoidWithZero.ZERO]
+    rays = tuple(r for r in cone.rays if all(dot(g, r) == 0 for g in nonzero))
+    return Cone(cone.ambient_dim, rays)
+
+
 @pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
 def test_homs_with_one_zero_pattern_share_one_support_face(cone):
     monoid = monoid_of_cone(cone)
@@ -435,6 +446,104 @@ def test_images_over_distinct_faces_are_disjoint():
             assert not (face_sets[i] & face_sets[j])
 
 
+def _relation_satisfied(target, relation, values):
+    def side(exps):
+        acc = 0  # identity exponent
+        for e, v in zip(exps, values):
+            if e:
+                acc = target.mul(acc, target.power(v, e))
+        return acc
+
+    return side(relation.lhs) == side(relation.rhs)
+
+
+def all_assignment_homs(monoid, target):
+    """Every assignment of target elements to the generators that satisfies a
+    lattice basis of the relations, zero absorbing.  Once the kernel rank is
+    2 or more this over-counts: a lattice basis does not generate the
+    monoid's congruence."""
+    relations = discover_relations(monoid)
+    return [
+        values
+        for values in iproduct(target.elements(), repeat=len(monoid.all_generators()))
+        if all(_relation_satisfied(target, rel, values) for rel in relations)
+    ]
+
+
+def is_face_pattern(monoid, values):
+    """Some u in the source cone vanishes on the nonzero generators and is
+    positive on the rest: the sum of the cone's rays orthogonal to the
+    nonzero generators is such a u whenever one exists."""
+    cone = monoid.source_cone
+    gens = monoid.all_generators()
+    nonzero = [g for g, v in zip(gens, values) if v != CyclicMonoidWithZero.ZERO]
+    rays = [r for r in cone.rays if all(dot(g, r) == 0 for g in nonzero)]
+    u = [sum(r[i] for r in rays) for i in range(cone.ambient_dim)]
+    return all(dot(u, g) > 0 for g, v in zip(gens, values) if v == CyclicMonoidWithZero.ZERO)
+
+
+def is_character_restriction(monoid, target, values):
+    """The nonzero values are <w, g> mod m for some w in (Z/m)^n.  On a face
+    pattern the nonzero generators span a saturated sublattice, a direct
+    summand of Z^n, so every group hom on it is such a restriction."""
+    gens = monoid.all_generators()
+    nonzero = [(g, v) for g, v in zip(gens, values) if v != target.ZERO]
+    return any(
+        all(dot(w, g) % target.m == v for g, v in nonzero)
+        for w in iproduct(range(target.m), repeat=monoid.ambient_rank)
+    )
+
+
+def oracle_homs(monoid, target):
+    """The all-assignments loop, filtered to face patterns whose values are
+    the restriction of a character (reference)."""
+    return [
+        values
+        for values in all_assignment_homs(monoid, target)
+        if is_face_pattern(monoid, values)
+        and is_character_restriction(monoid, target, values)
+    ]
+
+
+@st.composite
+def pointed_cones(draw, dims=(2, 3)):
+    n = draw(st.sampled_from(dims))
+    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    rays = draw(st.lists(ray, min_size=1, max_size=n + 1, unique=True))
+    try:
+        return Cone(n, tuple(rays))
+    except InvalidCone:  # contains a line
+        assume(False)
+
+
+@settings(max_examples=60)
+@given(pointed_cones(), st.sampled_from((1, 2, 3)))
+@example(Cone(2, ((1, 0), (2, 5))), 2)
+@example(Cone(2, ((1, 0), (3, 7))), 2)
+@example(Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 3))), 2)
+@example(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2))), 2)
+def test_homs_match_face_formula_and_oracle(cone, m):
+    monoid = monoid_of_cone(cone)
+    target = CyclicMonoidWithZero(m)
+    assignments = target.order ** len(monoid.all_generators())
+    assume(assignments <= 10**5)
+    homs = enumerate_monoid_homs(monoid, target)
+    assert len(homs) == soule_count_by_faces(monoid, m)
+    assert [h.values for h in homs] == sorted(h.values for h in homs)
+    if assignments <= 3000:
+        assert [h.values for h in homs] == oracle_homs(monoid, target)
+
+
+def test_hom_properties_reach_kernel_rank_two():
+    # the relation-only loop over-counts here, the face-by-face one does not
+    monoid = monoid_of_cone(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2))))
+    target = CyclicMonoidWithZero(2)
+    assert kernel_rank(monoid) >= 2
+    assert len(enumerate_monoid_homs(monoid, target)) == 27
+    assert len(all_assignment_homs(monoid, target)) > 27
+    assert len([v for v in all_assignment_homs(monoid, target) if is_face_pattern(monoid, v)]) > 27
+
+
 # --- toric points via homs ------------------------------------------------------------
 
 
@@ -449,6 +558,13 @@ def test_toric_points_via_homs_matches_oracle(q, corpus_fan):
     assert toric_fq_points_via_homs(corpus_fan, q) == oracle_point_count(
         "toric", corpus_fan, q
     )
+
+
+@settings(max_examples=30)
+@given(complete_fans_2d(), st.sampled_from((2, 3, 4)))
+def test_toric_points_via_homs_on_random_complete_fans(fan, q):
+    assume(validate_fan(fan).ok)
+    assert toric_fq_points_via_homs(fan, q) == oracle_point_count("toric", fan, q)
 
 
 def test_toric_points_counts_only_path():

@@ -25,14 +25,30 @@ from torified.errors import (
     NotPointed,
     UnsupportedDimension,
 )
-from torified.intlinalg import det, dot, mat_rank, mat_vec, primitive, solve_columns
+from torified.intlinalg import (
+    det,
+    dot,
+    hnf_rows,
+    kernel_basis,
+    kernel_vector,
+    mat_rank,
+    mat_vec,
+    primitive,
+    saturation_basis,
+    solve_columns,
+    solve_columns_int,
+    vec_neg,
+    vec_sub,
+)
 from torified.lattice import (
     Cone,
     Fan,
     _dual_pair,
     _parallelepiped_points,
+    _triangulate,
     dual_cone,
     faces,
+    facet_normals,
     fan_from_dict,
     fan_to_dict,
     hilbert_basis,
@@ -173,6 +189,48 @@ def test_double_dual_identity(cone):
     assert all(double.contains(r) for r in cone.rays)
 
 
+def all_subsets_dual_pair(generators, n):
+    """Dual of cone(generators) by kernel lines of every (d-1)-subset of the
+    nonzero generators, d being the dimension of their span (reference)."""
+    gens = [g for g in generators if any(g)]
+    perp = kernel_basis(gens, n)
+    lineality = hnf_rows(perp, n)
+    if not gens:
+        return (), lineality
+    rays = set()
+    for subset in combinations(gens, n - len(perp) - 1):
+        u = kernel_vector(list(subset) + perp, n)
+        if u is None:
+            continue
+        for cand in (u, vec_neg(u)):
+            if all(dot(cand, g) >= 0 for g in gens):
+                rays.add(cand)
+    return tuple(sorted(rays)), lineality
+
+
+@st.composite
+def generators_with_pairs(draw):
+    """Up to six vectors in Z^n (n <= 4), some of them with their negatives."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    gens = draw(st.lists(vector, min_size=1, max_size=6))
+    paired = draw(st.lists(st.sampled_from(gens), max_size=3))
+    gens += [vec_neg(g) for g in paired]
+    return tuple(draw(st.permutations(gens)))
+
+
+@settings(max_examples=200)
+@given(generators_with_pairs())
+@example(())  # the empty set
+@example(((1, 0), (-1, 0)))  # a line
+@example(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))  # a plane
+@example(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1)))  # a half-space
+@example(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, 0)))
+def test_dual_pair_agrees_with_all_subsets(gens):
+    n = len(gens[0]) if gens else 3
+    assert _dual_pair(gens, n) == all_subsets_dual_pair(gens, n)
+
+
 def test_unsupported_dimension_guard():
     rays = (
         (0, 0, 1, 0, 0),
@@ -214,6 +272,16 @@ def test_face_counts_against_box_oracle(cone):
 def test_simplicial_face_count_is_2_to_n(n):
     c = Cone(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     assert len(faces(c)) == 2**n
+
+
+@pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
+def test_faces_store_what_the_constructor_would(cone):
+    for f in faces(cone):
+        again = Cone(cone.ambient_dim, f.rays)
+        assert f == again and hash(f) == hash(again)
+        assert (f.ambient_dim, f.rays, f.lineality, f.dim) == (
+            again.ambient_dim, again.rays, again.lineality, again.dim
+        )
 
 
 def test_faces_require_pointed():
@@ -360,6 +428,67 @@ def test_parallelepiped_points_against_bounding_box(gens):
     points = _parallelepiped_points(gens)
     assert points == bounding_box_points(gens)
     assert len(points) == abs(det(gens))
+
+
+def all_pairs_hilbert_basis(cone):
+    """The same candidates, each kept iff no other candidate c leaves h - c in
+    the cone (reference: the filter before the graded reduction)."""
+    if not cone.rays:
+        return ()
+    n, d = cone.ambient_dim, cone.dim
+    if d < n:
+        basis = saturation_basis(cone.rays, n)
+        coords = tuple(primitive(solve_columns_int(basis, r)) for r in cone.rays)
+        inner = all_pairs_hilbert_basis(Cone(d, coords))
+        return tuple(sorted(
+            tuple(sum(basis[j][i] * h[j] for j in range(d)) for i in range(n)) for h in inner
+        ))
+    normals = facet_normals(cone)
+    candidates = set(cone.rays)
+    for piece in _triangulate(cone.rays, n):
+        candidates |= _parallelepiped_points(piece)
+    candidates.discard((0,) * n)
+
+    def in_cone(x):
+        return all(dot(u, x) >= 0 for u in normals)
+
+    return tuple(
+        h
+        for h in sorted(candidates)
+        if not any(c != h and in_cone(vec_sub(h, c)) for c in candidates)
+    )
+
+
+@st.composite
+def pointed_cones_of_bounded_volume(draw):
+    """Pointed cones in dims 2-4 on up to n+2 rays whose triangulation has
+    total volume <= 150."""
+    n = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    rays = draw(st.lists(ray, min_size=1, max_size=n + 2, unique=True))
+    try:
+        cone = Cone(n, tuple(rays))
+    except InvalidCone:
+        assume(False)
+    if cone.dim == n:
+        assume(sum(abs(det(p)) for p in _triangulate(cone.rays, n)) <= 150)
+    return cone
+
+
+@settings(max_examples=120)
+@given(pointed_cones_of_bounded_volume())
+@example(Cone(2, ((1, 0), (1, 101))))
+@example(Cone(2, ((1, 0), (3, 100))))
+@example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
+def test_hilbert_basis_agrees_with_all_pairs_filter(cone):
+    assert hilbert_basis(cone) == all_pairs_hilbert_basis(cone)
+
+
+def test_hilbert_basis_of_a_long_thin_cone():
+    # 5,002 candidates of one degree: none is compared with another
+    basis = hilbert_basis(Cone(2, ((1, 0), (1, 5001))))
+    assert len(basis) == 5002
+    assert basis == tuple((1, k) for k in range(5002))
 
 
 def test_hilbert_requires_pointed():
