@@ -39,7 +39,6 @@ from .errors import (
     ShapeMismatch,
     TorifiedError,
     UnknownFamily,
-    UnsupportedDimension,
     ValidationReport,
 )
 from .gadgets import (

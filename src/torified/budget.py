@@ -1,0 +1,25 @@
+"""The element budget shared by the enumeration paths."""
+
+from __future__ import annotations
+
+import os
+
+from .errors import TorifiedError
+
+DEFAULT_BUDGET = 10**6
+
+
+def enumeration_budget() -> int:
+    """Default element budget, overridable via TORIFIED_BUDGET (unset or
+    empty: the default); any value but a positive integer is an error."""
+    raw = os.environ.get("TORIFIED_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    invalid = TorifiedError(f"TORIFIED_BUDGET must be a positive integer, got {raw!r}")
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise invalid from None
+    if budget < 1:
+        raise invalid
+    return budget

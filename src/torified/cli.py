@@ -27,13 +27,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import __version__
+from .budget import enumeration_budget
 from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
 from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
     enumerate_monoid_homs,
-    enumeration_budget,
     soule_count_by_faces,
 )
 from .lattice import Cone, Fan, faces, fan_from_dict, standard_fan, validate_fan

@@ -17,10 +17,6 @@ class InvalidCone(TorifiedError):
     """Cone data violates an invariant (non-primitive ray, line through 0, ...)."""
 
 
-class UnsupportedDimension(TorifiedError):
-    """Operation exceeds the documented limit (non-simplicial cones in dim > 4)."""
-
-
 class NotPointed(TorifiedError):
     """Operation requires a pointed cone but the input carries lineality."""
 

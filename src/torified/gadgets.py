@@ -13,39 +13,16 @@ round-trip checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .budget import enumeration_budget
 from .counting import counting_polynomial, eval_counting
-from .errors import (
-    BudgetExceeded,
-    MissingSourceCone,
-    ShapeMismatch,
-    TorifiedError,
-)
+from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch
 from .intlinalg import Vector, dot, hnf_rows, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, monoid_of_cone
 from .torify import Torification
-
-DEFAULT_BUDGET = 10**6
-
-
-def enumeration_budget() -> int:
-    """Default element budget, overridable via TORIFIED_BUDGET (unset or
-    empty: the default); any value but a positive integer is an error."""
-    raw = os.environ.get("TORIFIED_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    invalid = TorifiedError(f"TORIFIED_BUDGET must be a positive integer, got {raw!r}")
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise invalid from None
-    if budget < 1:
-        raise invalid
-    return budget
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact integer linear algebra on small matrices.
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
-routine is exact and works on plain ints: rank, determinant, kernel lines,
-rational solves and unimodular inverses share one fraction-free elimination,
-and only :func:`solve_columns` makes Fractions, for the solution it returns.
+routine is exact and works on plain ints, and two reductions do all the work.
+Rank, determinant, kernel lines, rational solves and unimodular inverses share
+one fraction-free (Bareiss) elimination, and only :func:`solve_columns` makes
+Fractions, for the solution it returns.  Integer kernel bases, Hermite bases
+and Hermite transforms share one Hermite reduction by integer row operations.
 Sizes here are tiny (ambient dimension <= 5 or so), so clarity wins over
 asymptotics throughout.
 """
@@ -47,10 +49,6 @@ def vec_neg(v: Sequence[int]) -> Vector:
 
 def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Vector:
     return tuple(dot(r, x) for r in rows)
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -119,116 +117,82 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivots) == n else 0
 
 
-def _col_addmul(m: list[list[int]], j: int, k: int, q: int) -> None:
-    for row in m:
-        row[j] += q * row[k]
+def _hermite(m: list[list[int]], ncols: int) -> int:
+    """Row Hermite normal form of the first ``ncols`` columns of ``m``, in
+    place, by integer row operations (Euclid on each column).
 
-
-def _col_swap(m: list[list[int]], j: int, k: int) -> None:
-    for row in m:
-        row[j], row[k] = row[k], row[j]
-
-
-def _col_negate(m: list[list[int]], j: int) -> None:
-    for row in m:
-        row[j] = -row[j]
-
-
-def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Basis of the full integer kernel {x in Z^ncols : rows @ x = 0}.
-
-    The result is a lattice basis of the kernel (saturated by construction):
-    integer column operations are tracked on an identity matrix, and the
-    columns that end up annihilated span the kernel over Z.
+    Columns beyond ``ncols``, such as an identity block, undergo the same
+    operations, so [A | I] becomes [H | U] with U @ A = H and U unimodular.
+    Pivots are positive and the entries above each pivot are reduced into
+    [0, pivot).  Returns the rank r: the first r rows are the pivot rows, the
+    others are zero on the first ``ncols`` columns.  The step reducing above
+    a pivot only touches the pivot rows, so rows r onward do not depend on it.
     """
-    m = [list(r) for r in rows]
-    v = identity(ncols)
-    lead = 0
-    for r in range(len(m)):
-        while True:
-            nz = [j for j in range(lead, ncols) if m[r][j] != 0]
-            if len(nz) <= 1:
-                break
-            j1, j2 = sorted(nz, key=lambda j: abs(m[r][j]))[:2]
-            q = m[r][j2] // m[r][j1]
-            _col_addmul(m, j2, j1, -q)
-            _col_addmul(v, j2, j1, -q)
-        nz = [j for j in range(lead, ncols) if m[r][j] != 0]
-        if nz:
-            j = nz[0]
-            if j != lead:
-                _col_swap(m, j, lead)
-                _col_swap(v, j, lead)
-            if m[r][lead] < 0:
-                _col_negate(m, lead)
-                _col_negate(v, lead)
-            lead += 1
-            if lead == ncols:
-                break
-    return [tuple(v[i][j] for i in range(ncols)) for j in range(lead, ncols)]
-
-
-def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
-    """Canonical (row-Hermite) basis of the lattice spanned by the given rows."""
-    rows = [list(v) for v in vectors if any(v)]
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            i1, i2 = sorted(nz, key=lambda i: abs(rows[i][c]))[:2]
-            q = rows[i2][c] // rows[i1][c]
-            rows[i2] = [a - q * b for a, b in zip(rows[i2], rows[i1])]
-        nz = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not nz:
-            continue
-        i = nz[0]
-        rows[r], rows[i] = rows[i], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        piv = rows[r][c]
-        for i in range(r):
-            q = rows[i][c] // piv
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def row_hermite_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row reduction with transform: returns (h, u) with u @ rows = h, u unimodular."""
-    m = [list(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    u = identity(nrows)
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         while True:
-            nz = [i for i in range(r, nrows) if m[i][c] != 0]
+            nz = [i for i in range(r, nrows) if m[i][c]]
             if len(nz) <= 1:
                 break
             i1, i2 = sorted(nz, key=lambda i: abs(m[i][c]))[:2]
             q = m[i2][c] // m[i1][c]
             m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
-            u[i2] = [a - q * b for a, b in zip(u[i2], u[i1])]
-        nz = [i for i in range(r, nrows) if m[i][c] != 0]
         if not nz:
             continue
         i = nz[0]
         m[r], m[i] = m[i], m[r]
-        u[r], u[i] = u[i], u[r]
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
-            u[r] = [-a for a in u[r]]
+        row = m[r]
+        piv = row[c]
+        for i in range(r):
+            q = m[i][c] // piv
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], row)]
         r += 1
-    return m, u
+    return r
+
+
+def _with_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """[A | I] for the matrix A with the given rows."""
+    n = len(rows)
+    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+
+
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """Basis of the full integer kernel {x in Z^ncols : rows @ x = 0}.
+
+    [A^T | I] reduces to [H | U] with U @ A^T = H, and the rows of U below
+    the rank of A are a lattice basis of the kernel (saturated, U being
+    unimodular).
+    """
+    columns = [[row[j] for row in rows] for j in range(ncols)]
+    m = _with_identity(columns)
+    rank = _hermite(m, len(rows))
+    return [tuple(row[len(rows):]) for row in m[rank:]]
+
+
+def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """Canonical (row-Hermite) basis of the lattice spanned by the given rows."""
+    m = [list(v) for v in vectors]
+    return tuple(tuple(row) for row in m[: _hermite(m, ncols)])
+
+
+def row_hermite_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite form with transform: returns (h, u) with u @ rows = h, u unimodular."""
+    ncols = len(rows[0]) if rows else 0
+    m = _with_identity(rows)
+    _hermite(m, ncols)
+    return [row[:ncols] for row in m], [row[ncols:] for row in m]
 
 
 def invert_unimodular(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Inverse of a unimodular integer matrix (integral by definition)."""
     n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    m = _with_identity(rows)
     pivots, d, _ = _eliminate(m, n)
     if len(pivots) != n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")

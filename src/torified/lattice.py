@@ -5,9 +5,12 @@ rays; duals of non-full-dimensional cones additionally carry a lineality
 lattice basis (rays are kept orthogonal to it, which makes the description
 canonical).  Operations that need pointedness refuse lineality.
 
-The documented limit: duals and Hilbert bases of *non-simplicial* cones are
-supported only in ambient dimension <= 4.  Simplicial cones work in any
-(desk-scale) dimension.
+One dual routine, :func:`_dual_pair`, serves construction (strict convexity
+and extremality), duals, faces and triangulations; the lattice work beneath
+it is the one Bareiss elimination and the one Hermite reduction of
+:mod:`torified.intlinalg`.  Hilbert bases refuse, with
+:class:`BudgetExceeded`, a triangulation whose parallelepipeds hold more
+lattice points than the enumeration budget.
 """
 
 from __future__ import annotations
@@ -17,17 +20,20 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
+from .budget import enumeration_budget
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidCone,
     InvalidFan,
     NotPointed,
-    UnsupportedDimension,
     ValidationReport,
 )
 from .intlinalg import (
     Vector,
     _eliminate,
+    _with_identity,
+    det,
     dot,
     hnf_rows,
     kernel_basis,
@@ -40,8 +46,6 @@ from .intlinalg import (
     vec_gcd,
     vec_neg,
 )
-
-_FACE_ENUM_LIMIT = 4  # ambient dim beyond which non-simplicial cones are refused
 
 
 def _check_vectors(ambient_dim: int, vectors, what: str) -> None:
@@ -62,7 +66,8 @@ class Cone:
 
     ``rays`` are primitive, pairwise distinct, extremal, and sorted; redundant
     (non-extremal) generators are dropped on construction, so equal cones
-    compare equal.  ``lineality`` is a canonical (Hermite) lattice basis of the
+    compare equal, and generators whose cone contains a line beyond the
+    lineality raise InvalidCone.  ``lineality`` is a canonical (Hermite) lattice basis of the
     contained linear subspace, and rays are orthogonal to it; a cone occurring
     in a fan always has ``lineality == ()``.
     """
@@ -91,9 +96,7 @@ class Cone:
         # rays independent of each other and of the lineality are extremal
         # and contain no line
         if mat_rank(rays + lineality) < len(rays) + len(lineality):
-            rays = _drop_non_extremal(rays, lineality, self.ambient_dim)
-            if _contains_line(rays, lineality, self.ambient_dim):
-                raise InvalidCone(f"cone on {rays} is not strictly convex")
+            rays = _extremal_rays(rays, lineality, self.ambient_dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lineality", lineality)
 
@@ -129,32 +132,25 @@ def zero_cone(ambient_dim: int) -> Cone:
     return Cone(ambient_dim, ())
 
 
-def _contains_line(rays, lineality, n) -> bool:
-    # Strict convexity applies to the ray part (the declared lineality is the
-    # cone's exact linear subspace, rays being orthogonal to it): cone(rays)
-    # is pointed iff its dual spans R^n.
-    if not rays:
-        return False
-    ray_normals, ray_perp = _dual_pair(tuple(rays), n)
-    return mat_rank(tuple(ray_normals) + tuple(ray_perp)) < n
+def _extremal_rays(rays, lineality, n) -> tuple[Vector, ...]:
+    """The extremal ones of the sorted ``rays``; InvalidCone unless
+    cone(rays) + span(lineality) contains no line beyond that span.
 
-
-def _drop_non_extremal(rays, lineality, n):
-    if len(rays) <= 1:
-        return rays
-    keep = []
-    for i, r in enumerate(rays):
-        others = tuple(rays[:i] + rays[i + 1 :]) + tuple(lineality) + tuple(
-            vec_neg(l) for l in lineality
-        )
-        if not _generators_contain(others, r, n):
-            keep.append(r)
-    return tuple(keep)
-
-
-def _generators_contain(gens, v, n) -> bool:
-    normals, perp = _dual_pair(tuple(gens), n)
-    return all(dot(u, v) >= 0 for u in normals) and all(dot(k, v) == 0 for k in perp)
+    With (normals, perp) the dual of the generators, the cone contains no
+    other line iff its dual has full dimension n - len(lineality), that is
+    iff normals and perp have that rank.  A ray is then extremal iff the
+    normals tight on it, together with perp, have rank one less: they span
+    the dual face of the smallest face containing the ray.
+    """
+    normals, perp = _dual_pair(rays + lineality + tuple(vec_neg(l) for l in lineality), n)
+    rank = n - len(lineality)
+    if mat_rank(normals + perp) < rank:
+        raise InvalidCone(f"cone on {rays} is not strictly convex")
+    return tuple(
+        r
+        for r in rays
+        if mat_rank(tuple(u for u in normals if dot(u, r) == 0) + perp) == rank - 1
+    )
 
 
 @lru_cache(maxsize=None)
@@ -196,15 +192,6 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     return tuple(sorted(rays)), lineality
 
 
-def _guard_enumeration(cone: Cone, op: str) -> None:
-    pointed_rank = mat_rank(cone.rays) if cone.rays else 0
-    if len(cone.rays) > pointed_rank and cone.ambient_dim > _FACE_ENUM_LIMIT:
-        raise UnsupportedDimension(
-            f"{op} of a non-simplicial cone is only supported in ambient dimension "
-            f"<= {_FACE_ENUM_LIMIT} (got {cone.ambient_dim})"
-        )
-
-
 @lru_cache(maxsize=None)
 def dual_cone(cone: Cone) -> Cone:
     """The dual cone {u : <u, v> >= 0 for all v in the cone}.
@@ -214,9 +201,7 @@ def dual_cone(cone: Cone) -> Cone:
     cone's span) and its rays describe the canonical pointed part inside the
     cone's span.
     """
-    _guard_enumeration(cone, "dual_cone")
-    rays, lineality = _dual_pair(cone.generators(), cone.ambient_dim)
-    return Cone(cone.ambient_dim, rays, lineality)
+    return _trusted(cone.ambient_dim, *_dual_pair(cone.generators(), cone.ambient_dim))
 
 
 @lru_cache(maxsize=None)
@@ -227,18 +212,21 @@ def facet_normals(cone: Cone) -> tuple[Vector, ...]:
     return dual_cone(cone).rays
 
 
-def _face(ambient_dim: int, rays: tuple[Vector, ...]) -> Cone:
-    """A face of a pointed cone, from the cone's extremal rays that lie in it.
+def _trusted(
+    ambient_dim: int, rays: tuple[Vector, ...], lineality: tuple[Vector, ...] = ()
+) -> Cone:
+    """A cone from fields that are already what ``Cone`` would store.
 
-    Those rays are primitive, distinct, sorted and extremal in the face, so
-    they are exactly what ``Cone(ambient_dim, rays)`` would store; the face
-    is built without running those checks again.
+    The faces of a cone, from its extremal rays that lie in them, and the
+    output of :func:`_dual_pair` (sorted primitive extremal rays, a Hermite
+    lineality basis orthogonal to them) are such fields; the cone is built
+    without running the constructor's checks again.
     """
-    face = object.__new__(Cone)
-    object.__setattr__(face, "ambient_dim", ambient_dim)
-    object.__setattr__(face, "rays", rays)
-    object.__setattr__(face, "lineality", ())
-    return face
+    cone = object.__new__(Cone)
+    object.__setattr__(cone, "ambient_dim", ambient_dim)
+    object.__setattr__(cone, "rays", rays)
+    object.__setattr__(cone, "lineality", lineality)
+    return cone
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +244,7 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     if cone.is_simplicial:
         # rays are sorted, so this is already the (dim, rays) order
         return tuple(
-            _face(n, subset)
+            _trusted(n, subset)
             for k in range(len(cone.rays) + 1)
             for subset in combinations(cone.rays, k)
         )
@@ -268,12 +256,8 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
                 r for r in cone.rays if all(dot(u, r) == 0 for u in subset)
             )
             if face_rays not in seen:
-                seen[face_rays] = _face(n, face_rays)
+                seen[face_rays] = _trusted(n, face_rays)
     return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
-
-
-def is_face(face: Cone, cone: Cone) -> bool:
-    return face in faces(cone)
 
 
 def is_smooth(cone: Cone) -> bool:
@@ -322,7 +306,7 @@ def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
     d = len(gens)
     assert d == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
     # [G | I] reduces to [s I | s G^-1] with s = +-det G
-    m = [[g[i] for g in gens] + [int(i == j) for j in range(d)] for i in range(d)]
+    m = _with_identity(tuple(zip(*gens)))
     pivots, s, _ = _eliminate(m, d)
     assert len(pivots) == d, "parallelepiped generators must be independent"
     volume = abs(s)
@@ -344,7 +328,9 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
 
     Candidates are the rays plus the fundamental-parallelepiped points of each
     simplicial piece of a triangulation; the irreducibles always appear among
-    them.  The reduction is graded (Bruns-Ichim, Normaliz): the sum of the
+    them.  A piece's parallelepiped holds |det| points, and BudgetExceeded is
+    raised before any is listed when their sum exceeds the enumeration
+    budget.  The reduction is graded (Bruns-Ichim, Normaliz): the sum of the
     facet normals is positive on the nonzero points of the full-dimensional
     cone, candidates are visited by (degree, vector), and each is tested only
     against the irreducibles already accepted of at most half its degree.
@@ -355,7 +341,6 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
         return ()
-    _guard_enumeration(cone, "hilbert_basis")
     if is_smooth(cone):
         return cone.rays
     n = cone.ambient_dim
@@ -373,9 +358,17 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
             for h in inner
         ]
         return tuple(sorted(lifted))
+    pieces = _triangulate(cone.rays, n)
+    # one candidate per lattice point of each piece's parallelepiped
+    volume = sum(abs(det(piece)) for piece in pieces)
+    budget = enumeration_budget()
+    if volume > budget:
+        raise BudgetExceeded(
+            f"Hilbert basis of {cone}: {volume} parallelepiped points exceed the budget of {budget}"
+        )
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
-    for piece in _triangulate(cone.rays, n):
+    for piece in pieces:
         candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * n)
     # a candidate's values on the facet normals: h - c lies in the cone iff
@@ -451,6 +444,8 @@ def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vecto
 
     The pair intersects in a common face iff both tight faces coincide with
     the intersection; this avoids computing cone intersections outright.
+    u* is nonnegative on a and nonpositive on b, so each tight set is the ray
+    set of a face, and equal tight sets are a common face.
     """
     gens = a.rays + tuple(vec_neg(r) for r in b.rays)
     normals, _ = _dual_pair(gens, a.ambient_dim)
@@ -482,12 +477,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if tight_a != tight_b:
             violations.append(
                 f"cones {list(a.rays)} and {list(b.rays)} do not meet in a common face"
-            )
-            continue
-        common = Cone(fan.ambient_dim, tight_a)
-        if not (is_face(common, a) and is_face(common, b)):
-            violations.append(
-                f"intersection of {list(a.rays)} and {list(b.rays)} is not a face of both"
             )
     return ValidationReport(tuple(sorted(set(violations))))
 

@@ -63,7 +63,7 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     if not dual.rays:
         gens: tuple[Vector, ...] = ()
     elif not units:
-        gens = hilbert_basis(Cone(n, dual.rays))
+        gens = hilbert_basis(dual)
     else:
         # Quotient by the unit lattice via a Hermite transform, solve the
         # Hilbert basis there, and lift through the section it defines.

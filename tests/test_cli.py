@@ -16,7 +16,8 @@ from torified import cli
 from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import verify_counting
 from torified.gadgets import FiniteAbelianGroup, cc_points
-from torified.lattice import maximal_cones
+from torified.lattice import hilbert_basis, maximal_cones
+from torified.monoids import monoid_of_cone
 from torified.torify import Torification, Torus, delta_vector
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -181,6 +182,30 @@ def test_bad_cone_is_usage_error(capsys):
     code, _, err = run(capsys, "spec", "--cone", "1,0;3,0")
     assert code == 2  # (3,0) is not primitive
     assert "invalid cone" in err
+
+
+def test_cone_containing_a_line_is_usage_error(capsys):
+    # all of R^2, not the quadrant left after dropping (1,1) and a sign pair
+    code, out, err = run(capsys, "spec", "--cone", "1,0;-1,0;0,1;0,-1;1,1")
+    assert code == 2 and out == ""
+    assert "is not strictly convex" in err
+
+
+def test_spec_of_non_simplicial_cone_in_dimension_5(capsys):
+    cone = "0,0,1,0,0;1,0,1,0,0;0,1,1,0,0;1,1,1,0,0;0,0,0,1,0;0,0,0,0,1"
+    code, data, _ = run_json(capsys, "spec", "--cone", cone)
+    assert code == 0
+    assert len(data["result"]["points"]) == 40
+
+
+def test_spec_refuses_an_over_budget_hilbert_basis(capsys, monkeypatch):
+    # the dual of (1,0),(1,5001) is one parallelepiped of volume 5001
+    hilbert_basis.cache_clear()
+    monoid_of_cone.cache_clear()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    code, out, err = run(capsys, "spec", "--cone", "1,0;1,5001")
+    assert code == 2 and out == ""
+    assert "5001 parallelepiped points exceed the budget of 1000" in err
 
 
 def test_parser_built_once_and_stateless(capsys):

@@ -242,3 +242,90 @@ def test_kernel_vector_against_reference(rows):
     scale = lcm(*(x.denominator for x in line))
     expected = primitive([int(x * scale) for x in line])
     assert kernel_vector(rows, ncols) in (expected, tuple(-x for x in expected))
+
+
+# --- the Hermite reduction against the column-operation kernel -----------------
+
+
+def column_operation_kernel_basis(rows, ncols):
+    """Integer kernel basis by Euclid on the columns of A, the column
+    operations tracked on an identity matrix (reference: the routine before
+    kernels and Hermite forms shared one row reduction)."""
+    m = [list(r) for r in rows]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def addmul(j, k, q):
+        for row in m + v:
+            row[j] += q * row[k]
+
+    def swap(j, k):
+        for row in m + v:
+            row[j], row[k] = row[k], row[j]
+
+    lead = 0
+    for r in range(len(m)):
+        while True:
+            nz = [j for j in range(lead, ncols) if m[r][j] != 0]
+            if len(nz) <= 1:
+                break
+            j1, j2 = sorted(nz, key=lambda j: abs(m[r][j]))[:2]
+            addmul(j2, j1, -(m[r][j2] // m[r][j1]))
+        nz = [j for j in range(lead, ncols) if m[r][j] != 0]
+        if nz:
+            if nz[0] != lead:
+                swap(nz[0], lead)
+            if m[r][lead] < 0:
+                for row in m + v:
+                    row[lead] = -row[lead]
+            lead += 1
+            if lead == ncols:
+                break
+    return [tuple(v[i][j] for i in range(ncols)) for j in range(lead, ncols)]
+
+
+@st.composite
+def int_matrices_with_empty(draw):
+    """Integer matrices with 0-5 rows and 0-6 columns (empty and zero-width
+    ones included), often rank-deficient or with zero rows."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = st.integers(-4, 4) | st.just(0)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+@given(int_matrices_with_empty())
+def test_kernel_basis_against_column_operations(case):
+    rows, ncols = case
+    assert kernel_basis(rows, ncols) == column_operation_kernel_basis(rows, ncols)
+
+
+def assert_hermite(h, rank, ncols):
+    """The first ``rank`` rows of h have positive pivots in increasing
+    columns, with the entries above each pivot in [0, pivot); the rest are
+    zero."""
+    pivots = []
+    for row in h[:rank]:
+        c = next(j for j in range(ncols) if row[j])
+        assert row[c] > 0
+        assert not pivots or c > pivots[-1]
+        pivots.append(c)
+    for i, c in enumerate(pivots):
+        assert all(0 <= h[k][c] < h[i][c] for k in range(i))
+    assert all(not any(row) for row in h[rank:])
+
+
+@given(int_matrices_with_empty())
+def test_row_hermite_transform_is_hermite(case):
+    rows, ncols = case
+    h, u = row_hermite_transform(rows)
+    assert len(h) == len(u) == len(rows)
+    k = len(rows)
+    assert [[sum(ui[i] * rows[i][j] for i in range(k)) for j in range(ncols)] for ui in u] == h
+    assert abs(det(u)) == 1
+    rank = mat_rank(rows)
+    assert_hermite(h, rank, ncols)
+    assert hnf_rows(rows, ncols) == tuple(tuple(row) for row in h[:rank])

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from conftest import CONE_CORPUS
 
 from torified.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidCone,
     NotPointed,
-    UnsupportedDimension,
 )
 from torified.intlinalg import (
     det,
@@ -118,6 +118,76 @@ def test_drops_redundant_generators():
     assert c == Cone(2, ((0, 1), (1, 0)))
 
 
+def test_line_is_found_before_redundant_rays_are_dropped():
+    # all of R^2: dropping the rays inside the cone on the others first
+    # would leave a pointed remainder
+    with pytest.raises(InvalidCone, match=r"\(-1, 0\), \(0, -1\), \(0, 1\), \(1, 0\), \(1, 1\)"):
+        Cone(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
+    # (1,-1) + (-1,1) = 0: a line, though (1,2) is the only extremal candidate
+    with pytest.raises(InvalidCone):
+        Cone(2, ((-2, -1), (-1, -2), (1, 2), (1, -1), (-1, 1), (-1, 0), (-1, -3)))
+
+
+def generators_contain(gens, v, n):
+    normals, perp = _dual_pair(tuple(gens), n)
+    return all(dot(u, v) >= 0 for u in normals) and all(dot(k, v) == 0 for k in perp)
+
+
+def drop_non_extremal(rays, n):
+    """The rays not in the cone on the others (reference: one dual per ray;
+    exact for pointed cones)."""
+    if len(rays) <= 1:
+        return rays
+    return tuple(
+        r for i, r in enumerate(rays) if not generators_contain(rays[:i] + rays[i + 1 :], r, n)
+    )
+
+
+@st.composite
+def rays_with_planted_functional(draw):
+    """Up to n+3 primitive rays in Z^n (n <= 5), all positive on a drawn
+    functional w: the cone on them contains no line."""
+    n = draw(st.integers(1, 5))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    ray = (
+        st.tuples(*[st.integers(-3, 3)] * n)
+        .filter(lambda v: dot(w, v) > 0)
+        .map(primitive)
+    )
+    return n, tuple(draw(st.lists(ray, min_size=1, max_size=n + 3)))
+
+
+@st.composite
+def rays_with_planted_relation(draw):
+    """Primitive rays in Z^n (n <= 5) with a positive relation: the drawn
+    rays and the primitive direction of minus a positive combination of them.
+    The cone on them contains the line through each of them."""
+    n = draw(st.integers(1, 5))
+    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    rays = draw(st.lists(ray, min_size=1, max_size=n + 2))
+    coeffs = draw(st.lists(st.integers(1, 3), min_size=len(rays), max_size=len(rays)))
+    closing = tuple(-sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(n))
+    assume(any(closing))
+    return n, tuple(draw(st.permutations(rays + [primitive(closing)])))
+
+
+@settings(max_examples=150)
+@given(rays_with_planted_functional())
+@example((2, ((1, 0), (1, 1), (0, 1))))
+@example((3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2))))
+def test_cone_keeps_the_extremal_rays_of_a_pointed_cone(case):
+    n, rays = case
+    assert Cone(n, rays).rays == drop_non_extremal(tuple(sorted(set(rays))), n)
+
+
+@settings(max_examples=150)
+@given(rays_with_planted_relation())
+def test_cone_refuses_rays_with_a_positive_relation(case):
+    n, rays = case
+    with pytest.raises(InvalidCone, match="not strictly convex"):
+        Cone(n, rays)
+
+
 @pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
 def test_dim_is_rank_of_generators_computed_once(cone):
     for c in (cone, dual_cone(cone)):  # the duals of lower-dim cones carry lineality
@@ -189,6 +259,27 @@ def test_double_dual_identity(cone):
     assert all(double.contains(r) for r in cone.rays)
 
 
+def assert_constructor_agrees(cone):
+    """``cone`` holds what ``Cone`` stores for its own fields."""
+    again = Cone(cone.ambient_dim, cone.rays, cone.lineality)
+    assert (cone.ambient_dim, cone.rays, cone.lineality, cone.dim) == (
+        again.ambient_dim, again.rays, again.lineality, again.dim
+    )
+    assert cone == again and hash(cone) == hash(again)
+
+
+@pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
+def test_dual_is_what_the_constructor_would_store(cone):
+    assert_constructor_agrees(dual_cone(cone))
+
+
+@settings(max_examples=100)
+@given(rays_with_planted_functional())
+def test_dual_of_random_cone_is_what_the_constructor_would_store(case):
+    n, rays = case
+    assert_constructor_agrees(dual_cone(Cone(n, rays)))
+
+
 def all_subsets_dual_pair(generators, n):
     """Dual of cone(generators) by kernel lines of every (d-1)-subset of the
     nonzero generators, d being the dimension of their span (reference)."""
@@ -231,24 +322,6 @@ def test_dual_pair_agrees_with_all_subsets(gens):
     assert _dual_pair(gens, n) == all_subsets_dual_pair(gens, n)
 
 
-def test_unsupported_dimension_guard():
-    rays = (
-        (0, 0, 1, 0, 0),
-        (1, 0, 1, 0, 0),
-        (0, 1, 1, 0, 0),
-        (1, 1, 1, 0, 0),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 1),
-    )
-    c = Cone(5, rays)
-    with pytest.raises(UnsupportedDimension):
-        dual_cone(c)
-    with pytest.raises(UnsupportedDimension):
-        hilbert_basis(c)
-    # simplicial cones are fine in dimension 5
-    assert is_smooth(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))))
-
-
 # --- faces ---------------------------------------------------------------------
 
 
@@ -277,11 +350,7 @@ def test_simplicial_face_count_is_2_to_n(n):
 @pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
 def test_faces_store_what_the_constructor_would(cone):
     for f in faces(cone):
-        again = Cone(cone.ambient_dim, f.rays)
-        assert f == again and hash(f) == hash(again)
-        assert (f.ambient_dim, f.rays, f.lineality, f.dim) == (
-            again.ambient_dim, again.rays, again.lineality, again.dim
-        )
+        assert_constructor_agrees(f)
 
 
 def test_faces_require_pointed():
@@ -482,6 +551,33 @@ def pointed_cones_of_bounded_volume(draw):
 @example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
 def test_hilbert_basis_agrees_with_all_pairs_filter(cone):
     assert hilbert_basis(cone) == all_pairs_hilbert_basis(cone)
+
+
+def test_non_simplicial_cone_in_dimension_5():
+    # the square pyramid times a 2-D orthant: 6 rays spanning Z^5
+    rays = (
+        (0, 0, 1, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 1, 1, 0, 0),
+        (1, 1, 1, 0, 0),
+        (0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 1),
+    )
+    c = Cone(5, rays)
+    assert not c.is_simplicial
+    assert dual_cone(dual_cone(c)) == c
+    assert len(faces(c)) == 40  # (1 + 4 + 4 + 1) faces of the pyramid times 4
+    assert hilbert_basis(c) == all_pairs_hilbert_basis(c)
+    assert is_smooth(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))))
+
+
+def test_hilbert_basis_refuses_an_over_budget_volume(monkeypatch):
+    cone = Cone(2, ((1, 0), (2, 2001)))  # one piece of volume 2001
+    monkeypatch.setenv("TORIFIED_BUDGET", "2000")
+    with pytest.raises(BudgetExceeded, match="2001 parallelepiped points exceed the budget of 2000"):
+        hilbert_basis(cone)
+    monkeypatch.setenv("TORIFIED_BUDGET", "2001")
+    assert hilbert_basis(cone) == tuple((1, k) for k in range(1001)) + ((2, 2001),)
 
 
 def test_hilbert_basis_of_a_long_thin_cone():
