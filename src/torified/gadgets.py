@@ -419,9 +419,7 @@ def enumerate_monoid_homs(
     m, zero = target.m, target.ZERO
     homs = []
     for face in faces(monoid.source_cone):
-        support = [
-            i for i, g in enumerate(gens) if all(dot(g, r) == 0 for r in face.rays)
-        ]
+        support = _orthogonal(gens, face)
         columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
         relations = kernel_basis(columns, len(support))
         for vals in iproduct(range(m), repeat=len(support)):
@@ -434,17 +432,18 @@ def enumerate_monoid_homs(
     return tuple(homs)
 
 
+def _orthogonal(gens: tuple[Vector, ...], face: Cone) -> list[int]:
+    """Indices of the generators orthogonal to the face: those that stay
+    invertible on its monoid."""
+    return [i for i, g in enumerate(gens) if all(dot(g, r) == 0 for r in face.rays)]
+
+
 def hom_restrict(hom: MonoidHom) -> tuple[Cone, dict[int, int]]:
     """Restriction to the support face: the face plus the values of the
     generators that stay invertible there (the unit character)."""
     face = hom.support_face
     gens = hom.monoid.all_generators()
-    unit_values = {
-        i: v
-        for i, (g, v) in enumerate(zip(gens, hom.values))
-        if all(dot(g, r) == 0 for r in face.rays)
-    }
-    return face, unit_values
+    return face, {i: hom.values[i] for i in _orthogonal(gens, face)}
 
 
 def hom_extend(
@@ -456,12 +455,9 @@ def hom_extend(
     """Extension by zero: generators orthogonal to the face keep their unit
     value, everything else is sent to zero."""
     gens = monoid.all_generators()
-    values = []
-    for i, g in enumerate(gens):
-        if all(dot(g, r) == 0 for r in face.rays):
-            values.append(unit_values[i])
-        else:
-            values.append(CyclicMonoidWithZero.ZERO)
+    values = [CyclicMonoidWithZero.ZERO] * len(gens)
+    for i in _orthogonal(gens, face):
+        values[i] = unit_values[i]
     return MonoidHom(monoid, target, tuple(values), face)
 
 
@@ -479,16 +475,14 @@ def toric_fq_points_via_homs(fan: Fan, q: int, budget: int | None = None) -> int
     budget = enumeration_budget() if budget is None else budget
     m = q - 1
     target = CyclicMonoidWithZero(m)
-    orbit: dict[Cone, int] = {}
-    for cone in fan.cones:  # canonical order is by dimension, so faces come first
+    orbit: list[int] = []
+    # canonical order is by dimension, so a cone's proper faces come first
+    for i, cone in enumerate(fan.cones):
         monoid = monoid_of_cone(cone)
         size = target.order ** len(monoid.all_generators())
         if size <= budget:
             full = len(enumerate_monoid_homs(monoid, target, budget=budget))
         else:
             full = soule_count_by_faces(monoid, m)
-        for f in faces(cone):
-            if f != cone:
-                full -= orbit[f]
-        orbit[cone] = full
-    return sum(orbit.values())
+        orbit.append(full - sum(orbit[j] for j in fan.face_indices[i] if j != i))
+    return sum(orbit)

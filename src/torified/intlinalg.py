@@ -1,19 +1,18 @@
 """Exact integer linear algebra on small matrices.
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
-routine is exact and works on plain ints, and two reductions do all the work.
-Rank, determinant, kernel lines, rational solves and unimodular inverses share
-one fraction-free (Bareiss) elimination, and only :func:`solve_columns` makes
-Fractions, for the solution it returns.  Integer kernel bases, Hermite bases
-and Hermite transforms share one Hermite reduction by integer row operations.
-Sizes here are tiny (ambient dimension <= 5 or so), so clarity wins over
+routine is exact and works on plain ints (no Fractions, no solves), and two
+reductions do all the work.  Rank, determinant, kernel lines and unimodular
+inverses share one fraction-free (Bareiss) elimination.  Integer kernel
+bases, Hermite bases and Hermite transforms share one Hermite reduction by
+integer row operations; a Hermite transform U of a set of vectors, with its
+inverse, is also how the callers change coordinates on a sublattice.  Sizes
+here are tiny (ambient dimension <= 5 or so), so clarity wins over
 asymptotics throughout.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -37,10 +36,6 @@ def primitive(v: Sequence[int]) -> Vector:
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_neg(v: Sequence[int]) -> Vector:
@@ -198,61 +193,3 @@ def invert_unimodular(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
         raise ValueError("matrix is not unimodular")
     # [A | I] is reduced to [d I | d A^-1], and d = 1/d as d is 1 or -1
     return tuple(tuple(d * x for x in row[n:]) for row in m)
-
-
-def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> list[Vector]:
-    """Basis of span(vectors) ∩ Z^n, computed as the double orthogonal kernel."""
-    perp = kernel_basis(vectors, n)
-    return kernel_basis(perp, n)
-
-
-def _solve_scaled(cols: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[list[int], int] | None:
-    """(y, d) with x = y / d solving sum_i x_i * cols[i] = target, free
-    variables set to 0; None if the system is inconsistent."""
-    k = len(cols)
-    m = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
-    pivots, d, _ = _eliminate(m, k)
-    if any(row[k] for row in m[len(pivots):]):
-        return None
-    y = [0] * k
-    for row, c in zip(m, pivots):
-        y[c] = row[k]
-    return y, d
-
-
-def solve_columns(cols: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[Fraction, ...] | None:
-    """Solve sum_i x_i * cols[i] = target over Q; None if inconsistent.
-
-    The solution is unique when the columns are linearly independent;
-    otherwise each column dependent on earlier ones gets the coefficient 0.
-    """
-    scaled = _solve_scaled(cols, target)
-    if scaled is None:
-        return None
-    y, d = scaled
-    return tuple(Fraction(x, d) for x in y)
-
-
-def solve_columns_int(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Vector | None:
-    """Integer solution of sum_i x_i * cols[i] = target, or None."""
-    scaled = _solve_scaled(cols, target)
-    if scaled is None:
-        return None
-    y, d = scaled
-    if any(x % d for x in y):
-        return None
-    return tuple(x // d for x in y)
-
-
-def minors_gcd(rows: Sequence[Sequence[int]], k: int) -> int:
-    """gcd of all k x k minors of an integer matrix."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    g = 0
-    for ri in combinations(range(nrows), k):
-        for ci in combinations(range(ncols), k):
-            sub = [[rows[i][j] for j in ci] for i in ri]
-            g = gcd(g, abs(det(sub)))
-            if g == 1:
-                return 1
-    return g

@@ -8,9 +8,17 @@ canonical).  Operations that need pointedness refuse lineality.
 One dual routine, :func:`_dual_pair`, serves construction (strict convexity
 and extremality), duals, faces and triangulations; the lattice work beneath
 it is the one Bareiss elimination and the one Hermite reduction of
-:mod:`torified.intlinalg`.  Hilbert bases refuse, with
-:class:`BudgetExceeded`, a triangulation whose parallelepipeds hold more
-lattice points than the enumeration budget.
+:mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
+Hermite transform: with U the transform of the spanning vectors as columns,
+U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
+Hilbert bases here, the quotient by the units in :mod:`torified.monoids`);
+smoothness is the Hermite basis of the ray matrix's rows being the identity.
+Hilbert bases refuse, with :class:`BudgetExceeded`, a triangulation whose
+parallelepipeds hold more lattice points than the enumeration budget.
+
+A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
+and read by its maximal cones, its monoid scheme's specialisations, the
+charts and stars of its torification and the orbit sums of its point counts.
 """
 
 from __future__ import annotations
@@ -36,13 +44,13 @@ from .intlinalg import (
     det,
     dot,
     hnf_rows,
+    invert_unimodular,
     kernel_basis,
     kernel_vector,
     mat_rank,
-    minors_gcd,
+    mat_vec,
     primitive,
-    saturation_basis,
-    solve_columns_int,
+    row_hermite_transform,
     vec_gcd,
     vec_neg,
 )
@@ -264,12 +272,11 @@ def is_smooth(cone: Cone) -> bool:
     """True iff the rays extend to a lattice basis of Z^n."""
     if not cone.is_pointed:
         raise NotPointed("smoothness is defined for pointed cones")
-    if not cone.rays:
-        return True
+    # they do iff the rows of the matrix with the rays as columns span Z^k
     k = len(cone.rays)
-    if mat_rank(cone.rays) != k:
-        return False
-    return minors_gcd(cone.rays, k) == 1
+    return hnf_rows(zip(*cone.rays), k) == tuple(
+        tuple(int(i == j) for j in range(k)) for i in range(k)
+    )
 
 
 def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
@@ -346,18 +353,13 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     n = cone.ambient_dim
     d = cone.dim
     if d < n:
-        basis = saturation_basis(cone.rays, n)
-        coords = []
-        for r in cone.rays:
-            c = solve_columns_int(basis, r)
-            assert c is not None
-            coords.append(primitive(c))
-        inner = hilbert_basis(Cone(d, tuple(coords)))
-        lifted = [
-            tuple(sum(basis[j][i] * h[j] for j in range(d)) for i in range(n))
-            for h in inner
-        ]
-        return tuple(sorted(lifted))
+        # the Hermite transform u of the rays maps span ∩ Z^n onto Z^d x 0;
+        # its images of the rays are primitive, distinct and extremal
+        _, u = row_hermite_transform(list(zip(*cone.rays)))
+        coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
+        inner = hilbert_basis(_trusted(d, coords))
+        u_inv = invert_unimodular(u)
+        return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
     pieces = _triangulate(cone.rays, n)
     # one candidate per lattice point of each piece's parallelepiped
     volume = sum(abs(det(piece)) for piece in pieces)
@@ -424,19 +426,24 @@ class Fan:
     def index_of(self, cone: Cone) -> int:
         return self.cones.index(cone)
 
+    @cached_property
+    def face_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per cone, the ascending indices of its faces that are cones of the
+        fan (the cone's own index included): the fan's face relation."""
+        index = {c: i for i, c in enumerate(self.cones)}
+        return tuple(
+            tuple(sorted(index[f] for f in faces(c) if f in index)) for c in self.cones
+        )
+
     def __repr__(self) -> str:
         return f"Fan(dim {self.ambient_dim}, {len(self.cones)} cones)"
 
 
 @lru_cache(maxsize=None)
 def maximal_cones(fan: Fan) -> tuple[int, ...]:
-    """Indices of cones not properly contained in another cone of the fan."""
-    face_sets = [set(faces(c)) for c in fan.cones]
-    out = []
-    for i, c in enumerate(fan.cones):
-        if not any(i != j and c in face_sets[j] for j in range(len(fan.cones))):
-            out.append(i)
-    return tuple(out)
+    """Indices of cones that are not a proper face of another cone of the fan."""
+    proper = {i for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j}
+    return tuple(i for i in range(len(fan.cones)) if i not in proper)
 
 
 def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -509,23 +516,36 @@ def standard_fan(kind: str, n: int) -> Fan:
     raise ValueError(f"unknown standard fan kind: {kind!r}")
 
 
+def _int_list(value, what: str) -> list:
+    """``value`` itself if it is a list of integers; ValueError otherwise."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def fan_from_dict(data: dict, on_warning=None) -> Fan:
     """Build a fan from the JSON interchange form.
 
     ``{"dim": n, "rays": [[int, ...], ...], "cones": [[ray-index, ...], ...],
     "close_faces": bool}``.  Non-primitive rays are normalized (reported via
-    ``on_warning``); with ``close_faces`` every missing face is added.
+    ``on_warning``); with ``close_faces`` every missing face is added.  Any
+    other shape, and a ray index outside [0, len(rays)), raise ValueError.
     """
     try:
-        n = int(data["dim"])
-        raw_rays = data["rays"]
-        raw_cones = data["cones"]
+        n, raw_rays, raw_cones = data["dim"], data["rays"], data["cones"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"fan data must have dim/rays/cones fields: {exc}") from exc
-    close = bool(data.get("close_faces", False))
+    if type(n) is not int or n < 0:
+        raise ValueError(f"dim must be a nonnegative integer, got {n!r}")
+    for name, value in (("rays", raw_rays), ("cones", raw_cones)):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+    close = data.get("close_faces", False)
+    if type(close) is not bool:
+        raise ValueError(f"close_faces must be true or false, got {close!r}")
     rays = []
     for r in raw_rays:
-        v = tuple(int(x) for x in r)
+        v = tuple(_int_list(r, "a ray"))
         if len(v) != n:
             raise ValueError(f"ray {r} does not have length {n}")
         if not any(v):
@@ -538,11 +558,9 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
         rays.append(v)
     cones = []
     for indices in raw_cones:
-        try:
-            members = tuple(rays[int(i)] for i in indices)
-        except IndexError as exc:
-            raise ValueError(f"cone {indices} references a missing ray") from exc
-        cones.append(Cone(n, members))
+        if not all(0 <= i < len(rays) for i in _int_list(indices, "a cone")):
+            raise ValueError(f"cone {indices} references a missing ray")
+        cones.append(Cone(n, tuple(rays[i] for i in indices)))
     if close:
         closed: set[Cone] = set()
         for c in cones:

@@ -5,7 +5,11 @@ lattice points pairing nonnegatively with t.  Its unit group is the lattice
 of dual vectors vanishing on t (rank n - dim t), and the pointed remainder is
 presented by the Hilbert basis of its image in the quotient lattice, lifted
 back along a fixed lattice section so that generators stay in Z^n and the
-monoid splits as units ⊕ pointed part on the nose.
+monoid splits as units ⊕ pointed part on the nose.  Quotient and section
+come from the Hermite transform U of the unit basis, the recipe
+:mod:`torified.lattice` uses for sublattice coordinates: x modulo the units
+is (U x)[r:], and z lifts to U^-1 (0, z).  The specialisation order of a
+fan's monoid scheme is read from :attr:`torified.lattice.Fan.face_indices`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .intlinalg import (
     primitive,
     row_hermite_transform,
 )
-from .lattice import Cone, Fan, dual_cone, faces, hilbert_basis, require_valid
+from .lattice import Cone, Fan, _trusted, dual_cone, faces, hilbert_basis, require_valid
 
 
 @dataclass(frozen=True)
@@ -60,33 +64,21 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     n = cone.ambient_dim
     dual = dual_cone(cone)
     units = dual.lineality
-    if not dual.rays:
-        gens: tuple[Vector, ...] = ()
-    elif not units:
+    if not units:
         gens = hilbert_basis(dual)
     else:
-        # Quotient by the unit lattice via a Hermite transform, solve the
-        # Hilbert basis there, and lift through the section it defines.
+        # The Hermite transform u of the units maps their (saturated) lattice
+        # onto Z^r x 0, so (u x)[r:] is x modulo the units.  The dual's rays,
+        # orthogonal to the units, map injectively; their images, made
+        # primitive and sorted, are the quotient cone's extremal rays.  Its
+        # Hilbert basis lifts through the section z -> u^-1 (0, z).
         r = len(units)
-        columns = [[units[j][i] for j in range(r)] for i in range(n)]
-        h, u = row_hermite_transform(columns)
-        top = [row[:r] for row in h[:r]]
-        piv_prod = 1
-        for i in range(r):
-            piv_prod *= top[i][i]
-        assert abs(piv_prod) == 1, "unit basis must be saturated"
+        h, u = row_hermite_transform(list(zip(*units)))
+        assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+        images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
+        inner = hilbert_basis(_trusted(n - r, images))
         u_inv = invert_unimodular(u)
-
-        def project(x: Vector) -> Vector:
-            return tuple(mat_vec(u, x)[r:])
-
-        def section(z: Vector) -> Vector:
-            y = (0,) * r + tuple(z)
-            return mat_vec(u_inv, y)
-
-        images = tuple(sorted({primitive(project(ray)) for ray in dual.rays}))
-        inner = hilbert_basis(Cone(n - r, images))
-        gens = tuple(sorted(section(h) for h in inner))
+        gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)
 
 
@@ -167,11 +159,7 @@ def dscheme_of_fan(fan: Fan) -> DScheme:
         DSchemePoint(i, c, n - c.dim, monoid_of_cone(c))
         for i, c in enumerate(fan.cones)
     )
-    face_sets = [set(faces(c)) for c in fan.cones]
-    pairs = tuple(
-        (i, j)
-        for j, c in enumerate(fan.cones)
-        for i, f in enumerate(fan.cones)
-        if i != j and f in face_sets[j]
+    pairs = sorted(
+        (i, j) for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j
     )
-    return DScheme(n, points, tuple(sorted(pairs)))
+    return DScheme(n, points, tuple(pairs))

@@ -37,7 +37,7 @@ from .errors import (
     MissingCharts,
     ValidationReport,
 )
-from .lattice import Fan, faces, maximal_cones, require_valid
+from .lattice import Fan, maximal_cones, require_valid
 
 Charts = tuple[tuple[int, ...], ...]
 
@@ -322,11 +322,7 @@ def torify_toric(fan: Fan) -> Torification:
     tori = tuple(
         Torus(n - c.dim, f"cone:{i}") for i, c in enumerate(fan.cones)
     )
-    index = {c: i for i, c in enumerate(fan.cones)}
-    charts = tuple(
-        tuple(sorted(index[f] for f in faces(fan.cones[m])))
-        for m in maximal_cones(fan)
-    )
+    charts = tuple(fan.face_indices[m] for m in maximal_cones(fan))
     return Torification(tori, charts)
 
 
@@ -628,14 +624,9 @@ def is_regular_toric(fan: Fan) -> RegularityWitness:
     the union of the orbits of the cones containing the given cone, and those
     stars are upward closed in the face order."""
     require_valid(fan)
-    face_sets = [set(faces(c)) for c in fan.cones]
-    stars = []
-    regular = True
-    for i, c in enumerate(fan.cones):
-        star = tuple(j for j, d in enumerate(fan.cones) if c in face_sets[j])
-        for j in star:
-            for k, d in enumerate(fan.cones):
-                if fan.cones[j] in face_sets[k] and k not in star:
-                    regular = False
-        stars.append(star)
-    return RegularityWitness(regular, tuple(stars))
+    stars: list[list[int]] = [[] for _ in fan.cones]
+    for j, face_ids in enumerate(fan.face_indices):  # ascending j: sorted stars
+        for i in face_ids:
+            stars[i].append(j)
+    regular = all(set(stars[j]) <= set(star) for star in stars for j in star)
+    return RegularityWitness(regular, tuple(map(tuple, stars)))

@@ -1,0 +1,175 @@
+"""Test-only references: earlier library routines, kept as oracles.
+
+Each one computed in the library what a shorter routine computes now, and
+the tests compare the two.  They use the library's primitives, but none of
+the code paths they stand in for.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+from torified.intlinalg import (
+    _eliminate,
+    det,
+    invert_unimodular,
+    kernel_basis,
+    mat_rank,
+    mat_vec,
+    primitive,
+    row_hermite_transform,
+)
+from torified.lattice import Cone, dual_cone, faces, hilbert_basis
+from torified.monoids import AffineMonoid
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+# --- rational and integral solves ----------------------------------------------
+
+
+def _solve_scaled(cols, target):
+    """(y, d) with x = y / d solving sum_i x_i * cols[i] = target, free
+    variables set to 0; None if the system is inconsistent."""
+    k = len(cols)
+    m = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    pivots, d, _ = _eliminate(m, k)
+    if any(row[k] for row in m[len(pivots):]):
+        return None
+    y = [0] * k
+    for row, c in zip(m, pivots):
+        y[c] = row[k]
+    return y, d
+
+
+def solve_columns(cols, target):
+    """Solve sum_i x_i * cols[i] = target over Q; None if inconsistent.
+
+    The solution is unique when the columns are linearly independent;
+    otherwise each column dependent on earlier ones gets the coefficient 0.
+    """
+    scaled = _solve_scaled(cols, target)
+    if scaled is None:
+        return None
+    y, d = scaled
+    return tuple(Fraction(x, d) for x in y)
+
+
+def solve_columns_int(cols, target):
+    """Integer solution of sum_i x_i * cols[i] = target, or None."""
+    scaled = _solve_scaled(cols, target)
+    if scaled is None:
+        return None
+    y, d = scaled
+    if any(x % d for x in y):
+        return None
+    return tuple(x // d for x in y)
+
+
+def saturation_basis(vectors, n):
+    """Basis of span(vectors) ∩ Z^n, computed as the double orthogonal kernel."""
+    perp = kernel_basis(vectors, n)
+    return kernel_basis(perp, n)
+
+
+# --- smoothness by minors ------------------------------------------------------
+
+
+def minors_gcd(rows, k):
+    """gcd of all k x k minors of an integer matrix."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    g = 0
+    for ri in combinations(range(nrows), k):
+        for ci in combinations(range(ncols), k):
+            sub = [[rows[i][j] for j in ci] for i in ri]
+            g = gcd(g, abs(det(sub)))
+            if g == 1:
+                return 1
+    return g
+
+
+def minors_is_smooth(rays):
+    """True iff the rays extend to a lattice basis: they are independent and
+    the gcd of their maximal minors is 1."""
+    k = len(rays)
+    if not k:
+        return True
+    return mat_rank(rays) == k and minors_gcd(rays, k) == 1
+
+
+# --- the monoid of a cone in three branches --------------------------------------
+
+
+def three_branch_monoid_of_cone(cone):
+    """The monoid of dual lattice points nonnegative on the cone: no rays,
+    no units, or a quotient by the units through a validated ``Cone``."""
+    n = cone.ambient_dim
+    dual = dual_cone(cone)
+    units = dual.lineality
+    if not dual.rays:
+        gens = ()
+    elif not units:
+        gens = hilbert_basis(dual)
+    else:
+        r = len(units)
+        columns = [[units[j][i] for j in range(r)] for i in range(n)]
+        h, u = row_hermite_transform(columns)
+        piv_prod = 1
+        for i in range(r):
+            piv_prod *= h[i][i]
+        assert abs(piv_prod) == 1, "unit basis must be saturated"
+        u_inv = invert_unimodular(u)
+        images = tuple(sorted({primitive(tuple(mat_vec(u, ray)[r:])) for ray in dual.rays}))
+        inner = hilbert_basis(Cone(n - r, images))
+        gens = tuple(sorted(mat_vec(u_inv, (0,) * r + tuple(z)) for z in inner))
+    return AffineMonoid(n, gens, units, cone)
+
+
+# --- the face relation of a fan by scans -----------------------------------------
+
+
+def scanned_face_relation(fan):
+    """(i, j) for every pair of cones with cone i a face of cone j, i != j,
+    by testing each cone against the face set of every other."""
+    face_sets = [set(faces(c)) for c in fan.cones]
+    return sorted(
+        (i, j)
+        for j in range(len(fan.cones))
+        for i, f in enumerate(fan.cones)
+        if i != j and f in face_sets[j]
+    )
+
+
+def scanned_maximal_cones(fan):
+    face_sets = [set(faces(c)) for c in fan.cones]
+    return tuple(
+        i
+        for i, c in enumerate(fan.cones)
+        if not any(i != j and c in face_sets[j] for j in range(len(fan.cones)))
+    )
+
+
+def scanned_charts(fan):
+    index = {c: i for i, c in enumerate(fan.cones)}
+    return tuple(
+        tuple(sorted(index[f] for f in faces(fan.cones[m])))
+        for m in scanned_maximal_cones(fan)
+    )
+
+
+def scanned_regularity(fan):
+    """(regular, stars) of the toric torification by the scans."""
+    face_sets = [set(faces(c)) for c in fan.cones]
+    stars = []
+    regular = True
+    for c in fan.cones:
+        star = tuple(j for j in range(len(fan.cones)) if c in face_sets[j])
+        for j in star:
+            for k in range(len(fan.cones)):
+                if fan.cones[j] in face_sets[k] and k not in star:
+                    regular = False
+        stars.append(star)
+    return regular, tuple(stars)

@@ -162,6 +162,26 @@ def test_overlap_fan_blocks_torify(capsys):
     assert data["result"]["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # index -1 once meant the last ray, and this fan was reported valid
+        {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, -1]], "close_faces": True},
+        {"dim": 2, "rays": 5, "cones": []},
+        {"dim": 2, "rays": [[1, 0]], "cones": [0]},
+        {"dim": 2, "rays": [[1, 0]], "cones": [[0.5]]},
+    ],
+)
+@pytest.mark.parametrize("subcommand", [["validate-fan"], ["dscheme", "--fan"]])
+def test_malformed_fan_file_is_usage_error(capsys, tmp_path, data, subcommand):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *subcommand, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_broken_json_is_usage_error(capsys):
     code, out, err = run(capsys, "dscheme", "--fan", os.path.join(DATA, "broken.json"))
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
+from references import minors_gcd
 from test_lattice import complete_fans_2d
 
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
@@ -34,7 +35,7 @@ from torified.gadgets import (
     soule_count_by_faces,
     toric_fq_points_via_homs,
 )
-from torified.intlinalg import dot, hnf_rows, mat_rank, minors_gcd, primitive
+from torified.intlinalg import dot, hnf_rows, mat_rank, primitive
 from torified.lattice import Cone, standard_fan, validate_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (

@@ -15,13 +15,11 @@ from torified.intlinalg import (
     kernel_basis,
     kernel_vector,
     mat_rank,
-    minors_gcd,
     primitive,
     row_hermite_transform,
-    saturation_basis,
-    solve_columns,
-    solve_columns_int,
 )
+
+from references import minors_gcd, saturation_basis, solve_columns, solve_columns_int
 
 
 def test_primitive():
@@ -94,6 +92,10 @@ def test_invert_unimodular():
     u = [[1, 2], [0, 1]]
     inv = invert_unimodular(u)
     assert inv == ((1, -2), (0, 1))
+
+
+# The three tests below check test-only references (see references.py) that
+# other tests use as oracles.
 
 
 def test_saturation_basis():
@@ -177,8 +179,9 @@ def test_det_against_leibniz(rows):
 
 @given(int_matrices(max_rows=6, max_cols=5), st.data())
 def test_solve_columns_against_reference(rows, data):
-    """Columns of ``cols`` are the matrix columns; the target is drawn free
-    (mostly inconsistent) or as an integer combination of the columns."""
+    """The test-only solves against RREF.  Columns of ``cols`` are the matrix
+    columns; the target is drawn free (mostly inconsistent) or as an integer
+    combination of the columns."""
     n, k = len(rows), len(rows[0])
     cols = [tuple(r[j] for r in rows) for j in range(k)]
     if data.draw(st.booleans()):

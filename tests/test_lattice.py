@@ -18,6 +18,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS
+from references import (
+    minors_is_smooth,
+    saturation_basis,
+    solve_columns,
+    solve_columns_int,
+    vec_sub,
+)
 
 from torified.errors import (
     BudgetExceeded,
@@ -34,11 +41,7 @@ from torified.intlinalg import (
     mat_rank,
     mat_vec,
     primitive,
-    saturation_basis,
-    solve_columns,
-    solve_columns_int,
     vec_neg,
-    vec_sub,
 )
 from torified.lattice import (
     Cone,
@@ -372,6 +375,33 @@ def test_is_smooth_examples():
     assert is_smooth(Cone(3, ((1, 0, 0), (0, 1, 0))))
     assert is_smooth(Cone(3, ((1, 1, 0), (0, 1, 2))))  # minor gcd 1
     assert not is_smooth(Cone(3, ((1, 1, 0), (1, -1, 0))))  # index-2 sublattice
+
+
+@st.composite
+def small_ray_sets(draw):
+    """1-6 primitive rays in Z^n (n <= 5), all positive on a drawn functional:
+    independent or not, spanning Z^n, a sublattice of index > 1, or a
+    lower-dimensional space."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    w = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
+    ray = (
+        st.tuples(*[st.integers(-3, 3)] * n)
+        .filter(lambda v: dot(w, v) > 0)
+        .map(primitive)
+    )
+    return Cone(n, tuple(draw(st.lists(ray, min_size=k, max_size=k))))
+
+
+@settings(max_examples=300)
+@given(small_ray_sets())
+@example(Cone(2, ((1, 0), (1, 2))))  # index 2
+@example(Cone(3, ((1, 1, 0), (1, -1, 0))))  # index 2, lower-dimensional
+@example(Cone(3, ((1, 1, 0), (0, 1, 2))))  # spans a saturated plane
+@example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))  # dependent
+@example(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))))
+def test_is_smooth_agrees_with_minors(cone):
+    assert is_smooth(cone) == minors_is_smooth(cone.rays)
 
 
 # --- Hilbert bases ---------------------------------------------------------------
@@ -726,6 +756,34 @@ def test_fan_dict_round_trip(corpus_fan):
     data = fan_to_dict(corpus_fan)
     again = fan_from_dict(data)
     assert again == corpus_fan
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        # -1 would silently name the last ray
+        ({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, -1]],
+          "close_faces": True}, "references a missing ray"),
+        ({"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 2]]}, "references a missing ray"),
+        ({"dim": 2, "rays": 5, "cones": []}, "rays must be a list"),
+        ({"dim": 2, "rays": [[1, 0]], "cones": {"0": [0]}}, "cones must be a list"),
+        ({"dim": 2, "rays": [[1, 0]], "cones": [0]}, "a cone must be a list of integers"),
+        ({"dim": 2, "rays": [[1, 0]], "cones": [[0.0]]}, "a cone must be a list of integers"),
+        ({"dim": 2, "rays": [[1, 0]], "cones": [[True]]}, "a cone must be a list of integers"),
+        ({"dim": 2, "rays": [[1, "0"]], "cones": []}, "a ray must be a list of integers"),
+        ({"dim": 2, "rays": [7], "cones": []}, "a ray must be a list of integers"),
+        ({"dim": "2", "rays": [], "cones": []}, "dim must be a nonnegative integer"),
+        ({"dim": -1, "rays": [], "cones": []}, "dim must be a nonnegative integer"),
+        # a truthy string once closed the faces of a fan that lacks them
+        ({"dim": 2, "rays": [[1, 0]], "cones": [], "close_faces": "false"},
+         "close_faces must be true or false"),
+        ({"dim": 2, "rays": []}, "dim/rays/cones"),
+        ([1, 2], "dim/rays/cones"),
+    ],
+)
+def test_fan_from_dict_rejects_malformed_data(data, match):
+    with pytest.raises(ValueError, match=match):
+        fan_from_dict(data)
 
 
 def test_fan_from_dict_close_faces_and_normalization():

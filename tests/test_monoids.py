@@ -1,12 +1,19 @@
 """Monoids of cones, spectra, and fan monoid schemes."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import FAN_CORPUS, SINGULAR_CONE
+from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
+from references import solve_columns_int, three_branch_monoid_of_cone
+from test_lattice import assert_constructor_agrees
 
+from torified import monoids
 from torified.errors import MissingSourceCone
-from torified.intlinalg import dot, solve_columns_int
-from torified.lattice import Cone, faces, standard_fan, zero_cone
+from torified.intlinalg import dot, primitive
+from torified.lattice import Cone, faces, hilbert_basis, standard_fan, zero_cone
 from torified.monoids import (
     AffineMonoid,
     dscheme_of_fan,
@@ -65,6 +72,42 @@ def test_monoid_splits_as_direct_sum():
             # no generator is an integer combination of units alone
             for g in m.generators:
                 assert solve_columns_int(list(m.unit_basis), g) is None or not m.unit_basis
+
+
+@st.composite
+def pointed_cones(draw):
+    """Pointed cones on 1 to n+2 rays in Z^n (n <= 4), all positive on a
+    drawn functional; many of them lower-dimensional."""
+    n = draw(st.integers(1, 4))
+    w = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
+    ray = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: dot(w, v) > 0).map(primitive)
+    return Cone(n, tuple(draw(st.lists(ray, min_size=1, max_size=n + 2))))
+
+
+def assert_monoid_agrees_with_three_branches(cone):
+    """Same generators and units as the three-branch construction; every cone
+    whose Hilbert basis it takes (the dual, or the quotient of the dual by
+    the units) holds what ``Cone`` would store."""
+    with mock.patch.object(monoids, "hilbert_basis", wraps=hilbert_basis) as spy:
+        m = monoid_of_cone.__wrapped__(cone)
+    ref = three_branch_monoid_of_cone(cone)
+    assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
+    assert spy.call_count == 1
+    assert_constructor_agrees(spy.call_args.args[0])
+
+
+@pytest.mark.parametrize("cone", CONE_CORPUS + [zero_cone(0), zero_cone(3)], ids=str)
+def test_monoid_of_cone_agrees_with_three_branches_on_the_corpus(cone):
+    assert_monoid_agrees_with_three_branches(cone)
+
+
+@settings(max_examples=80)
+@given(pointed_cones())
+@example(Cone(3, ((1, 1, 0),)))  # the dual's ray (1, 1, 0) maps to 2 modulo the units
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0))))
+def test_monoid_of_cone_agrees_with_three_branches_on_all_faces(cone):
+    for face in faces(cone):
+        assert_monoid_agrees_with_three_branches(face)
 
 
 def test_spec_counts():

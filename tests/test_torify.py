@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_CORPUS, compositions
+from references import (
+    scanned_charts,
+    scanned_face_relation,
+    scanned_maximal_cones,
+    scanned_regularity,
+)
+from test_lattice import complete_fans_2d
 
 from torified.errors import InvalidChevalleyData, InvalidComposition, MissingCharts
-from torified.lattice import standard_fan
+from torified.lattice import maximal_cones, standard_fan, validate_fan
+from torified.monoids import dscheme_of_fan
 from torified.torify import (
     ChevalleyData,
     Torification,
@@ -422,6 +430,39 @@ def test_regular_toric_torus():
 
 def test_regular_toric_corpus(corpus_fan):
     assert bool(is_regular_toric(corpus_fan))
+
+
+# --- one face relation per fan against the scans ---------------------------------------
+
+
+def assert_face_relation_agrees(fan):
+    """``Fan.face_indices`` and its readers give what the scans of every
+    cone against the face set of every other gave."""
+    relation = scanned_face_relation(fan)
+    assert all(list(ids) == sorted(ids) and i in ids for i, ids in enumerate(fan.face_indices))
+    assert sorted((i, j) for j, ids in enumerate(fan.face_indices) for i in ids if i != j) == relation
+    assert maximal_cones(fan) == scanned_maximal_cones(fan)
+    if validate_fan(fan).ok:
+        assert list(dscheme_of_fan(fan).specialization) == relation
+        assert torify_toric(fan).charts == scanned_charts(fan)
+        w = is_regular_toric(fan)
+        assert (w.regular, w.closures) == scanned_regularity(fan)
+
+
+def test_face_relation_against_scans_on_the_corpus(corpus_fan):
+    assert_face_relation_agrees(corpus_fan)
+
+
+@pytest.mark.parametrize("kind", ["affine_space", "projective_space", "torus"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_face_relation_against_scans_on_standard_fans(kind, n):
+    assert_face_relation_agrees(standard_fan(kind, n))
+
+
+@settings(max_examples=60)
+@given(complete_fans_2d())
+def test_face_relation_against_scans_on_random_complete_fans(fan):
+    assert_face_relation_agrees(fan)
 
 
 # --- labels and determinism ------------------------------------------------------------
