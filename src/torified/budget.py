@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import TorifiedError
+from .errors import BudgetExceeded, TorifiedError
 
 DEFAULT_BUDGET = 10**6
 
@@ -23,3 +23,10 @@ def enumeration_budget() -> int:
     if budget < 1:
         raise invalid
     return budget
+
+
+def check_budget(size: int, what: str) -> None:
+    """Refuse a listing of ``size`` items before any of them is built."""
+    budget = enumeration_budget()
+    if size > budget:
+        raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")

@@ -27,9 +27,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import __version__
-from .budget import enumeration_budget
+from .budget import check_budget, enumeration_budget
 from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
-from .errors import BudgetExceeded, TorifiedError
+from .errors import TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
@@ -381,13 +381,6 @@ def _resolve_family(args) -> Family:
     raise UsageError("give either --family NAME PARAMS... or --torification FILE")
 
 
-def _check_budget(size: int, what: str) -> None:
-    """Refuse a listing of ``size`` items before any of them is built."""
-    budget = enumeration_budget()
-    if size > budget:
-        raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")
-
-
 def _dscheme_payload(ds) -> dict:
     return {
         "points": [
@@ -409,7 +402,7 @@ def _dscheme_payload(ds) -> dict:
 def cmd_torify(args) -> tuple[dict, int]:
     family, *params = args.family_spec
     fam = build_family(family, params)
-    _check_budget(sum(fam.delta), "tori")
+    check_budget(sum(fam.delta), "tori")
     return torification_to_dict(fam.build()), 0
 
 
@@ -462,7 +455,7 @@ def cmd_gadget(args) -> tuple[dict, int]:
         "match": total == expected,
     }
     if args.elements:
-        _check_budget(total, "group elements")
+        check_budget(total, "group elements")
         # each torus of rank r lists D^r: one block per rank, rendered once
         ranks = tuple(fam.build().ranks())
         elements = tuple(group.elements())

@@ -389,9 +389,6 @@ class MonoidHom:
     values: tuple[int, ...]
     support_face: Cone
 
-    def value(self, index: int) -> int:
-        return self.values[index]
-
 
 def enumerate_monoid_homs(
     monoid: AffineMonoid,

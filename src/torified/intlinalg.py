@@ -2,13 +2,12 @@
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
 routine is exact and works on plain ints (no Fractions, no solves), and two
-reductions do all the work.  Rank, determinant, kernel lines and unimodular
-inverses share one fraction-free (Bareiss) elimination.  Integer kernel
-bases, Hermite bases and Hermite transforms share one Hermite reduction by
-integer row operations; a Hermite transform U of a set of vectors, with its
-inverse, is also how the callers change coordinates on a sublattice.  Sizes
-here are tiny (ambient dimension <= 5 or so), so clarity wins over
-asymptotics throughout.
+reductions do all the work.  Rank, determinant and unimodular inverses
+share one fraction-free (Bareiss) elimination.  Integer kernel bases, Hermite
+bases and Hermite transforms share one Hermite reduction by integer row
+operations; a Hermite transform U of a set of vectors, with its inverse, is
+also how the callers change coordinates on a sublattice.  Sizes here are tiny
+(ambient dimension <= 5 or so), so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -87,21 +86,6 @@ def mat_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over Q."""
     m = [list(r) for r in rows]
     return len(_eliminate(m, len(m[0]))[0]) if m else 0
-
-
-def kernel_vector(rows: Sequence[Sequence[int]], ncols: int) -> Vector | None:
-    """The primitive vector spanning the kernel of ``rows`` over Q, up to
-    sign, when that kernel is a line; None otherwise."""
-    m = [list(r) for r in rows]
-    pivots, d, _ = _eliminate(m, ncols)
-    if len(pivots) != ncols - 1:
-        return None
-    (free,) = set(range(ncols)).difference(pivots)
-    x = [0] * ncols
-    x[free] = d
-    for row, c in zip(m, pivots):
-        x[c] = -row[free]
-    return primitive(x)
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

@@ -5,9 +5,11 @@ rays; duals of non-full-dimensional cones additionally carry a lineality
 lattice basis (rays are kept orthogonal to it, which makes the description
 canonical).  Operations that need pointedness refuse lineality.
 
-One dual routine, :func:`_dual_pair`, serves construction (strict convexity
-and extremality), duals, faces and triangulations; the lattice work beneath
-it is the one Bareiss elimination and the one Hermite reduction of
+One dual routine, :func:`_dual_pair`, a double description, serves
+construction (strict convexity and extremality), duals, faces and
+triangulations; faces are the closure of the cone under intersection with
+its facets, so neither enumerates subsets.  The lattice work beneath is the
+one Bareiss elimination and the one Hermite reduction of
 :mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
 Hermite transform: with U the transform of the spanning vectors as columns,
 U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iproduct
+from operator import mul
 
 from .budget import enumeration_budget
 from .errors import (
@@ -46,7 +49,6 @@ from .intlinalg import (
     hnf_rows,
     invert_unimodular,
     kernel_basis,
-    kernel_vector,
     mat_rank,
     mat_vec,
     primitive,
@@ -169,35 +171,44 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     pointed part is taken inside span(generators), making it orthogonal to the
     lineality.  Works whether or not the generated cone is pointed.
 
-    Inside the span, of dimension d, every extremal ray of the dual is tight
-    on d-1 linearly independent generators.  A generator whose negative is
-    also a generator is tight on every dual vector, so those paired
-    generators are fixed rows next to the lineality, and only the others are
-    drawn: the kernel lines of each (d-1-rank(paired))-subset of them,
-    together with the fixed rows and filtered by feasibility, are exactly
-    the extremal rays.
+    Double description (Fukuda-Prodon): the dual of a basis B among the
+    generators is cut by each other generator g in turn.  Rays nonnegative
+    on g stay; a pair with <g,p> > 0 > <g,q> gives a new ray iff the
+    processed generators vanishing on it (g and those of both p and q, kept
+    as bit masks) have rank n - 1 together with perp.
     """
     gens = [g for g in generators if any(g)]
     perp = kernel_basis(gens, n)
     lineality = hnf_rows(perp, n)
     if not gens:
         return (), lineality
-    present = set(gens)
-    paired = [g for g in gens if vec_neg(g) in present]
-    free = [g for g in gens if vec_neg(g) not in present]
-    size = n - len(perp) - mat_rank(paired) - 1
-    if size < 0:  # the generators span a linear space: the dual is lineality only
-        return (), lineality
-    fixed = paired + perp
-    rays = set()
-    for subset in combinations(free, size):
-        u = kernel_vector(list(subset) + fixed, n)
-        if u is None:
+    pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
+    processed = [gens[j] for j in pivots]
+    d = len(processed)
+    # [M | I] reduces to [s I | s M^-1]; s times column j of s M^-1 pairs to
+    # s^2 with the j-th basis vector and to 0 with the others and with perp
+    m = _with_identity(processed + perp)
+    _, s, _ = _eliminate(m, n)
+    rays = [(primitive([s * row[n + j] for row in m]), (1 << d) - 1 - (1 << j)) for j in range(d)]
+    for g in (g for j, g in enumerate(gens) if j not in pivots):  # B cuts nothing
+        values = [sum(map(mul, g, r)) for r, _ in rays]  # dot, without its length check
+        if all(v >= 0 for v in values):
             continue
-        for cand in (u, vec_neg(u)):
-            if all(dot(cand, g) >= 0 for g in gens):
-                rays.add(cand)
-    return tuple(sorted(rays)), lineality
+        bit = 1 << len(processed)
+        processed.append(g)
+        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, values) if v >= 0]
+        for (p, zp), vp in zip(rays, values):
+            if vp <= 0:
+                continue
+            for (q, zq), vq in zip(rays, values):
+                z = zp & zq
+                if vq >= 0 or z.bit_count() < d - 2:
+                    continue
+                # perp, orthogonal to the generators, adds n - d to their rank
+                if mat_rank([h for i, h in enumerate(processed) if z >> i & 1] + [g]) == d - 1:
+                    kept.append((primitive([vp * y - vq * x for x, y in zip(p, q)]), z | bit))
+        rays = kept
+    return tuple(sorted(r for r, _ in rays)), lineality
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +253,9 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces of a pointed cone, from the zero cone up to the cone itself.
 
     The faces of a simplicial cone are the cones on the subsets of its rays.
-    Otherwise every face is the tight set of a subset of facet normals;
-    subsets of the (few) normals are enumerated and deduplicated by their ray
-    sets.
+    Otherwise every face is an intersection of facets, and the ray sets of
+    the faces are the closure of the cone's own under intersection with the
+    facets' (Kaibel-Pfetsch); the work follows the number of faces.
     """
     if not cone.is_pointed:
         raise NotPointed("face enumeration requires a pointed cone")
@@ -256,16 +267,12 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
             for k in range(len(cone.rays) + 1)
             for subset in combinations(cone.rays, k)
         )
-    normals = facet_normals(cone)
-    seen: dict[tuple[Vector, ...], Cone] = {}
-    for k in range(len(normals) + 1):
-        for subset in combinations(normals, k):
-            face_rays = tuple(
-                r for r in cone.rays if all(dot(u, r) == 0 for u in subset)
-            )
-            if face_rays not in seen:
-                seen[face_rays] = _trusted(n, face_rays)
-    return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
+    facets = [{r for r in cone.rays if dot(u, r) == 0} for u in facet_normals(cone)]
+    found, frontier = {cone.rays}, {cone.rays}
+    while frontier:
+        frontier = {tuple(r for r in f if r in facet) for f in frontier for facet in facets} - found
+        found |= frontier
+    return tuple(sorted((_trusted(n, rays) for rays in found), key=lambda c: (c.dim, c.rays)))
 
 
 def is_smooth(cone: Cone) -> bool:
@@ -344,6 +351,11 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     If h = a + b, one summand has at most half the degree of h, and an
     irreducible dividing that summand was accepted before h.
     """
+    return _hilbert_basis(cone, cone)
+
+
+def _hilbert_basis(cone: Cone, named: object) -> tuple[Vector, ...]:
+    """:func:`hilbert_basis`, with a budget error naming what the caller asked about."""
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
@@ -357,7 +369,7 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         # its images of the rays are primitive, distinct and extremal
         _, u = row_hermite_transform(list(zip(*cone.rays)))
         coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
-        inner = hilbert_basis(_trusted(d, coords))
+        inner = _hilbert_basis(_trusted(d, coords), named)
         u_inv = invert_unimodular(u)
         return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
     pieces = _triangulate(cone.rays, n)
@@ -366,7 +378,7 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     budget = enumeration_budget()
     if volume > budget:
         raise BudgetExceeded(
-            f"Hilbert basis of {cone}: {volume} parallelepiped points exceed the budget of {budget}"
+            f"Hilbert basis of {named}: {volume} parallelepiped points exceed the budget of {budget}"
         )
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
@@ -422,9 +434,6 @@ class Fan:
 
     def __len__(self) -> int:
         return len(self.cones)
-
-    def index_of(self, cone: Cone) -> int:
-        return self.cones.index(cone)
 
     @cached_property
     def face_indices(self) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,7 @@ from .intlinalg import (
     primitive,
     row_hermite_transform,
 )
-from .lattice import Cone, Fan, _trusted, dual_cone, faces, hilbert_basis, require_valid
+from .lattice import Cone, Fan, _hilbert_basis, _trusted, dual_cone, faces, require_valid
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     n = cone.ambient_dim
     dual = dual_cone(cone)
     units = dual.lineality
+    named = f"the monoid of {cone}"
     if not units:
-        gens = hilbert_basis(dual)
+        gens = _hilbert_basis(dual, named)
     else:
         # The Hermite transform u of the units maps their (saturated) lattice
         # onto Z^r x 0, so (u x)[r:] is x modulo the units.  The dual's rays,
@@ -76,7 +77,7 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
         h, u = row_hermite_transform(list(zip(*units)))
         assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
         images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
-        inner = hilbert_basis(_trusted(n - r, images))
+        inner = _hilbert_basis(_trusted(n - r, images), named)
         u_inv = invert_unimodular(u)
         gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)

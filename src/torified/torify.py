@@ -18,7 +18,8 @@ dimension polynomial c(q) has delta polynomial c(x+1), because A^d
 contributes (1+x)^d, and a product of torifications multiplies delta
 polynomials.  Their cost grows with the dimension, not with the number of
 tori; the ``torify_*`` constructors stay as the labeled listing and as the
-enumerative reference.
+enumerative reference, and refuse before building anything a listing whose
+delta vector sums past the enumeration budget.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import comb, factorial
 
+from .budget import check_budget
 from .errors import (
     InvalidChevalleyData,
     InvalidComposition,
@@ -281,8 +283,7 @@ def delta_torus(n: int) -> tuple[int, ...]:
 
 def torify_affine_space(n: int) -> Torification:
     """One torus of rank |S| per coordinate subset S, all in a single chart."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_budget(sum(delta_affine_space(n)), "tori")
     cell = _affine_cells({n})[n]
     return Torification(cell, (tuple(range(len(cell))),))
 
@@ -397,6 +398,7 @@ def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
+    check_budget(sum(delta_grassmannian(k, n)), "tori")
     cells = schubert_cells_grassmannian(k, n)
     # cells of equal dimension share one A^d and differ only in their prefixes
     affine = _affine_cells({d for _, d in cells})
@@ -473,6 +475,7 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
+    check_budget(sum(delta_flag(composition)), "tori")
     cells = schubert_cells_flag(composition)
     affine = _affine_cells({d for _, d in cells})
     return Torification.from_parts((f"schubert:w={_perm_label(w)}", affine[d]) for w, d in cells)
@@ -529,6 +532,7 @@ def chevalley_data_sl(n: int) -> ChevalleyData:
     """Cell data of SL(n): torus rank n-1, unipotent dimension n(n-1)/2, and
     one cell of dimension inv(w) per permutation w."""
     _check_sl(n)
+    check_budget(factorial(n), "permutations")
     from itertools import permutations
 
     cells = sorted(
@@ -547,6 +551,7 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
 
     The whole group is affine, so a single chart covers every torus.
     """
+    check_budget(sum(delta_chevalley(data)), "tori")
     affine = _affine_cells({*data.cell_dims, data.unipotent_dim})
     torus = torify_torus(data.torus_rank)
     unipotent = Torification(affine[data.unipotent_dim])

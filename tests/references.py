@@ -12,14 +12,17 @@ from math import gcd
 from torified.intlinalg import (
     _eliminate,
     det,
+    dot,
+    hnf_rows,
     invert_unimodular,
     kernel_basis,
     mat_rank,
     mat_vec,
     primitive,
     row_hermite_transform,
+    vec_neg,
 )
-from torified.lattice import Cone, dual_cone, faces, hilbert_basis
+from torified.lattice import Cone, dual_cone, faces, facet_normals, hilbert_basis
 from torified.monoids import AffineMonoid
 
 
@@ -72,6 +75,42 @@ def saturation_basis(vectors, n):
     """Basis of span(vectors) ∩ Z^n, computed as the double orthogonal kernel."""
     perp = kernel_basis(vectors, n)
     return kernel_basis(perp, n)
+
+
+# --- duals and faces by subset enumeration --------------------------------------
+
+
+def all_subsets_dual_pair(generators, n):
+    """Dual of cone(generators) by the kernel line of every (d-1)-subset of
+    the nonzero generators, d being the dimension of their span, kept when
+    it or its negative is nonnegative on all of them."""
+    gens = [g for g in generators if any(g)]
+    perp = kernel_basis(gens, n)
+    lineality = hnf_rows(perp, n)
+    if not gens:
+        return (), lineality
+    rays = set()
+    for subset in combinations(gens, n - len(perp) - 1):
+        kernel = kernel_basis(list(subset) + perp, n)
+        if len(kernel) != 1:
+            continue
+        for cand in (kernel[0], vec_neg(kernel[0])):
+            if all(dot(cand, g) >= 0 for g in gens):
+                rays.add(cand)
+    return tuple(sorted(rays)), lineality
+
+
+def facet_subsets_faces(cone):
+    """Faces of a pointed cone as the tight sets of all 2^k subsets of its k
+    facet normals, deduplicated, in (dim, rays) order."""
+    normals = facet_normals(cone)
+    seen = {}
+    for k in range(len(normals) + 1):
+        for subset in combinations(normals, k):
+            rays = tuple(r for r in cone.rays if all(dot(u, r) == 0 for u in subset))
+            if rays not in seen:
+                seen[rays] = Cone(cone.ambient_dim, rays)
+    return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
 
 
 # --- smoothness by minors ------------------------------------------------------

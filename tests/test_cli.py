@@ -228,6 +228,19 @@ def test_spec_refuses_an_over_budget_hilbert_basis(capsys, monkeypatch):
     assert "5001 parallelepiped points exceed the budget of 1000" in err
 
 
+def test_spec_budget_error_names_the_given_cone(capsys, monkeypatch):
+    # the basis is computed modulo the units, on a 2-D cone the user never gave
+    monoid_of_cone.cache_clear()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    code, out, err = run(capsys, "spec", "--cone", "1,0,0;1,5001,0")
+    assert code == 2 and out == ""
+    assert (
+        "Hilbert basis of the monoid of Cone(dim 3, rays=[(1, 0, 0), (1, 5001, 0)]): "
+        "5001 parallelepiped points exceed the budget of 1000"
+    ) in err
+    assert "Cone(dim 2" not in err
+
+
 def test_parser_built_once_and_stateless(capsys):
     calls = [
         ("count", "--family", "grassmannian", "2", "4", "--q", "2,3"),

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 import pytest
 from hypothesis import given
@@ -13,7 +12,6 @@ from torified.intlinalg import (
     hnf_rows,
     invert_unimodular,
     kernel_basis,
-    kernel_vector,
     mat_rank,
     primitive,
     row_hermite_transform,
@@ -228,23 +226,6 @@ def test_invert_unimodular_refuses_other_matrices(rows):
     if abs(det(rows)) != 1:
         with pytest.raises(ValueError):
             invert_unimodular(rows)
-
-
-@given(int_matrices())
-def test_kernel_vector_against_reference(rows):
-    ncols = len(rows[0])
-    m, pivots = rref(rows, ncols)
-    if len(pivots) != ncols - 1:
-        assert kernel_vector(rows, ncols) is None
-        return
-    (free,) = set(range(ncols)) - set(pivots)
-    line = [Fraction(0)] * ncols
-    line[free] = Fraction(1)
-    for row, c in zip(m, pivots):
-        line[c] = -row[free]
-    scale = lcm(*(x.denominator for x in line))
-    expected = primitive([int(x * scale) for x in line])
-    assert kernel_vector(rows, ncols) in (expected, tuple(-x for x in expected))
 
 
 # --- the Hermite reduction against the column-operation kernel -----------------

@@ -9,6 +9,8 @@ coordinates directly.
 import json
 import math
 import os
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS
 from references import (
+    all_subsets_dual_pair,
+    facet_subsets_faces,
     minors_is_smooth,
     saturation_basis,
     solve_columns,
@@ -35,9 +39,6 @@ from torified.errors import (
 from torified.intlinalg import (
     det,
     dot,
-    hnf_rows,
-    kernel_basis,
-    kernel_vector,
     mat_rank,
     mat_vec,
     primitive,
@@ -147,10 +148,10 @@ def drop_non_extremal(rays, n):
 
 
 @st.composite
-def rays_with_planted_functional(draw):
-    """Up to n+3 primitive rays in Z^n (n <= 5), all positive on a drawn
-    functional w: the cone on them contains no line."""
-    n = draw(st.integers(1, 5))
+def rays_with_planted_functional(draw, min_dim=1, max_dim=5):
+    """Up to n+3 primitive rays in Z^n (min_dim <= n <= max_dim), all
+    positive on a drawn functional w: the cone on them contains no line."""
+    n = draw(st.integers(min_dim, max_dim))
     w = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
     ray = (
         st.tuples(*[st.integers(-3, 3)] * n)
@@ -283,31 +284,12 @@ def test_dual_of_random_cone_is_what_the_constructor_would_store(case):
     assert_constructor_agrees(dual_cone(Cone(n, rays)))
 
 
-def all_subsets_dual_pair(generators, n):
-    """Dual of cone(generators) by kernel lines of every (d-1)-subset of the
-    nonzero generators, d being the dimension of their span (reference)."""
-    gens = [g for g in generators if any(g)]
-    perp = kernel_basis(gens, n)
-    lineality = hnf_rows(perp, n)
-    if not gens:
-        return (), lineality
-    rays = set()
-    for subset in combinations(gens, n - len(perp) - 1):
-        u = kernel_vector(list(subset) + perp, n)
-        if u is None:
-            continue
-        for cand in (u, vec_neg(u)):
-            if all(dot(cand, g) >= 0 for g in gens):
-                rays.add(cand)
-    return tuple(sorted(rays)), lineality
-
-
 @st.composite
 def generators_with_pairs(draw):
-    """Up to six vectors in Z^n (n <= 4), some of them with their negatives."""
-    n = draw(st.integers(1, 4))
+    """Up to eight vectors in Z^n (n <= 6), some of them with their negatives."""
+    n = draw(st.integers(1, 6))
     vector = st.tuples(*[st.integers(-3, 3)] * n)
-    gens = draw(st.lists(vector, min_size=1, max_size=6))
+    gens = draw(st.lists(vector, min_size=1, max_size=8))
     paired = draw(st.lists(st.sampled_from(gens), max_size=3))
     gens += [vec_neg(g) for g in paired]
     return tuple(draw(st.permutations(gens)))
@@ -320,6 +302,9 @@ def generators_with_pairs(draw):
 @example(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))  # a plane
 @example(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1)))  # a half-space
 @example(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, 0)))
+@example(tuple((1, i, i * i, i**3, i**4) for i in range(7)))  # a cyclic 4-polytope
+@example(((1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0),
+          (0, 1, 0, 0, 1, 0), (0, 1, 1, 1, 1, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1)))
 def test_dual_pair_agrees_with_all_subsets(gens):
     n = len(gens[0]) if gens else 3
     assert _dual_pair(gens, n) == all_subsets_dual_pair(gens, n)
@@ -337,6 +322,70 @@ def test_faces_examples():
     oct3 = Cone(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert len(faces(oct3)) == 8
     assert brute_face_count(oct3) == 8
+
+
+@settings(max_examples=200)
+@given(rays_with_planted_functional(2, 6))
+@example((3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
+@example((6, tuple((1, i, i * i, i**3, i**4, 0) for i in range(7))))  # lower-dimensional
+def test_faces_of_random_pointed_cones(case):
+    cone = Cone(*case)
+    fs = faces(cone)
+    # the subset reference is 2^k in the k facets: compare where it runs
+    if len(facet_normals(cone)) <= 12:
+        assert fs == facet_subsets_faces(cone)
+    assert fs[0] == zero_cone(cone.ambient_dim) and fs[-1] == cone
+    # Euler: sum over the faces of (-1)^dim vanishes for a pointed cone of dim >= 1
+    assert sum((-1) ** f.dim for f in fs) == 0
+    assert dual_cone(dual_cone(cone)) == cone
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError once it has run ``seconds`` seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "n, k, expected",
+    [
+        (3, 18, 2 * 18 + 2),  # the cone over an 18-gon: k rays, k 2-faces
+        (4, 12, 6 * 12 - 8),  # the cone over a cyclic 3-polytope: k, 3k-6, 2k-4
+    ],
+)
+def test_faces_of_cones_with_many_rays(n, k, expected):
+    # rays (1, i, ..., i^(n-1)) on the moment curve: every one is extremal.
+    # Each took seconds to a minute when faces and duals enumerated subsets.
+    with time_limit(5):
+        cone = Cone(n, tuple(tuple(i**e for e in range(n)) for i in range(k)))
+        fs = faces(cone)
+    assert len(cone.rays) == k
+    assert len(fs) == expected
+    assert sum((-1) ** f.dim for f in fs) == 0
+
+
+def test_dual_of_a_cone_with_many_rays():
+    # the cone over the cyclic 5-polytope on 28 points of the moment curve:
+    # 2 C(k-3, 2) facets.  Kernel lines of its 5-subsets took over 7 s.
+    k = 28
+    with time_limit(5):
+        cone = Cone(6, tuple(tuple(i**e for e in range(6)) for i in range(k)))
+        normals = facet_normals(cone)
+    assert len(cone.rays) == k
+    assert len(normals) == 2 * math.comb(k - 3, 2)
+    # each facet normal is tight on five rays and positive on the others
+    assert all(sum(dot(u, r) == 0 for r in cone.rays) == 5 for u in normals)
+    assert all(dot(u, r) >= 0 for u in normals for r in cone.rays)
 
 
 @pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
@@ -608,6 +657,18 @@ def test_hilbert_basis_refuses_an_over_budget_volume(monkeypatch):
         hilbert_basis(cone)
     monkeypatch.setenv("TORIFIED_BUDGET", "2001")
     assert hilbert_basis(cone) == tuple((1, k) for k in range(1001)) + ((2, 2001),)
+
+
+def test_budget_error_names_the_cone_it_was_called_with(monkeypatch):
+    # the lower-dimensional branch computes on the plane's cone (1,0),(1,5001)
+    cone = Cone(3, ((1, 0, 0), (1, 5001, 0)))
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded) as caught:
+        hilbert_basis(cone)
+    assert str(caught.value) == (
+        "Hilbert basis of Cone(dim 3, rays=[(1, 0, 0), (1, 5001, 0)]): "
+        "5001 parallelepiped points exceed the budget of 1000"
+    )
 
 
 def test_hilbert_basis_of_a_long_thin_cone():

@@ -11,9 +11,9 @@ from references import solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
 from torified import monoids
-from torified.errors import MissingSourceCone
+from torified.errors import BudgetExceeded, MissingSourceCone
 from torified.intlinalg import dot, primitive
-from torified.lattice import Cone, faces, hilbert_basis, standard_fan, zero_cone
+from torified.lattice import Cone, _hilbert_basis, faces, standard_fan, zero_cone
 from torified.monoids import (
     AffineMonoid,
     dscheme_of_fan,
@@ -88,12 +88,13 @@ def assert_monoid_agrees_with_three_branches(cone):
     """Same generators and units as the three-branch construction; every cone
     whose Hilbert basis it takes (the dual, or the quotient of the dual by
     the units) holds what ``Cone`` would store."""
-    with mock.patch.object(monoids, "hilbert_basis", wraps=hilbert_basis) as spy:
+    with mock.patch.object(monoids, "_hilbert_basis", wraps=_hilbert_basis) as spy:
         m = monoid_of_cone.__wrapped__(cone)
     ref = three_branch_monoid_of_cone(cone)
     assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
     assert spy.call_count == 1
     assert_constructor_agrees(spy.call_args.args[0])
+    assert spy.call_args.args[1] == f"the monoid of {cone}"
 
 
 @pytest.mark.parametrize("cone", CONE_CORPUS + [zero_cone(0), zero_cone(3)], ids=str)
@@ -108,6 +109,26 @@ def test_monoid_of_cone_agrees_with_three_branches_on_the_corpus(cone):
 def test_monoid_of_cone_agrees_with_three_branches_on_all_faces(cone):
     for face in faces(cone):
         assert_monoid_agrees_with_three_branches(face)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        Cone(2, ((1, 0), (1, 5001))),  # the dual is pointed: no units
+        Cone(3, ((1, 0, 0), (1, 5001, 0))),  # computed modulo the units (0, 0, 1)
+    ],
+    ids=str,
+)
+def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
+    # either way the basis is of a 2-D cone of volume 5001
+    monoid_of_cone.cache_clear()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded) as caught:
+        monoid_of_cone(cone)
+    assert str(caught.value) == (
+        f"Hilbert basis of the monoid of {cone}: "
+        "5001 parallelepiped points exceed the budget of 1000"
+    )
 
 
 def test_spec_counts():

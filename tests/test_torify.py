@@ -17,7 +17,13 @@ from references import (
 )
 from test_lattice import complete_fans_2d
 
-from torified.errors import InvalidChevalleyData, InvalidComposition, MissingCharts
+from torified import torify
+from torified.errors import (
+    BudgetExceeded,
+    InvalidChevalleyData,
+    InvalidComposition,
+    MissingCharts,
+)
 from torified.lattice import maximal_cones, standard_fan, validate_fan
 from torified.monoids import dscheme_of_fan
 from torified.torify import (
@@ -293,6 +299,38 @@ def test_chevalley_custom_data():
     t = torify_chevalley(data)
     assert t.dim == 3 + 2 + 3
     assert t.is_affine
+
+
+def test_listing_constructors_refuse_an_over_budget_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the budget was checked")
+
+    sl4 = chevalley_data_sl(4)  # 24 cells, 20,160 tori
+    monkeypatch.setattr(torify, "_affine_cells", refuse)
+    monkeypatch.setattr(torify, "permutation_length", refuse)
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    for build, delta in (
+        (lambda: torify_affine_space(12), delta_affine_space(12)),
+        (lambda: torify_grassmannian(3, 6), delta_grassmannian(3, 6)),
+        (lambda: torify_flag((2, 2, 2)), delta_flag((2, 2, 2))),
+        (lambda: torify_chevalley(sl4), delta_chevalley(sl4)),
+    ):
+        with pytest.raises(BudgetExceeded, match=f"^{sum(delta)} tori exceed the budget of 1000$"):
+            build()
+    assert sum(delta_affine_space(12)) == 4096
+    with pytest.raises(BudgetExceeded, match="^5040 permutations exceed the budget of 1000$"):
+        chevalley_data_sl(7)
+    monkeypatch.undo()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1024")  # A^10 has exactly 2^10 tori
+    assert len(torify_affine_space(10)) == 1024
+    monkeypatch.setenv("TORIFIED_BUDGET", "1023")
+    with pytest.raises(BudgetExceeded):
+        torify_affine_space(10)
+    monkeypatch.setenv("TORIFIED_BUDGET", "120")  # S_5 has 5! = 120 permutations
+    assert len(chevalley_data_sl(5).cell_dims) == 120
+    monkeypatch.setenv("TORIFIED_BUDGET", "119")
+    with pytest.raises(BudgetExceeded):
+        chevalley_data_sl(5)
 
 
 def test_permutation_length():
