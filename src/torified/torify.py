@@ -19,7 +19,8 @@ contributes (1+x)^d, and a product of torifications multiplies delta
 polynomials.  Their cost grows with the dimension, not with the number of
 tori; the ``torify_*`` constructors stay as the labeled listing and as the
 enumerative reference, and refuse before building anything a listing whose
-delta vector sums past the enumeration budget.
+delta vector sums past the enumeration budget.  That sum is N(2), the cell
+dimension polynomial at q = 2, so the gate reads it without the delta vector.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .budget import check_budget
 from .errors import (
@@ -283,7 +284,8 @@ def delta_torus(n: int) -> tuple[int, ...]:
 
 def torify_affine_space(n: int) -> Torification:
     """One torus of rank |S| per coordinate subset S, all in a single chart."""
-    check_budget(sum(delta_affine_space(n)), "tori")
+    _check_affine(n)
+    check_budget(2**n, "tori")
     cell = _affine_cells({n})[n]
     return Torification(cell, (tuple(range(len(cell))),))
 
@@ -308,10 +310,14 @@ def _affine_cells(dims: set[int]) -> dict[int, tuple[Torus, ...]]:
     return cells
 
 
-def delta_affine_space(n: int) -> tuple[int, ...]:
-    """Delta vector of :func:`torify_affine_space`: C(n, l) tori of rank l."""
+def _check_affine(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def delta_affine_space(n: int) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_affine_space`: C(n, l) tori of rank l."""
+    _check_affine(n)
     return tuple(comb(n, l) for l in range(n + 1))
 
 
@@ -398,7 +404,8 @@ def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
-    check_budget(sum(delta_grassmannian(k, n)), "tori")
+    _check_grassmannian(k, n)
+    check_budget(_q2_multinomial((k, n - k)), "tori")
     cells = schubert_cells_grassmannian(k, n)
     # cells of equal dimension share one A^d and differ only in their prefixes
     affine = _affine_cells({d for _, d in cells})
@@ -475,10 +482,21 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
-    check_budget(sum(delta_flag(composition)), "tori")
+    check_budget(_q2_multinomial(_check_composition(composition)), "tori")
     cells = schubert_cells_flag(composition)
     affine = _affine_cells({d for _, d in cells})
     return Torification.from_parts((f"schubert:w={_perm_label(w)}", affine[d]) for w, d in cells)
+
+
+def _q2_multinomial(parts: Sequence[int]) -> int:
+    """The q-multinomial [n; parts]_q at q = 2, n = sum(parts): N(2), the
+    number of tori of that flag type's Schubert listing, as
+    [n]_2! / prod [d]_2! with [m]_2! = prod_{i <= m} (2^i - 1)."""
+
+    def factorial2(m: int) -> int:
+        return prod((1 << i) - 1 for i in range(1, m + 1))
+
+    return factorial2(sum(parts)) // prod(factorial2(d) for d in parts)
 
 
 def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
@@ -551,7 +569,8 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
 
     The whole group is affine, so a single chart covers every torus.
     """
-    check_budget(sum(delta_chevalley(data)), "tori")
+    # N(2): A^(s_w) x T^r x A^N has 2^(s_w) * 1 * 2^N tori
+    check_budget(sum(1 << s_w for s_w in data.cell_dims) << data.unipotent_dim, "tori")
     affine = _affine_cells({*data.cell_dims, data.unipotent_dim})
     torus = torify_torus(data.torus_rank)
     unipotent = Torification(affine[data.unipotent_dim])

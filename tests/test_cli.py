@@ -1,10 +1,14 @@
 """Command line: payloads, exit codes, determinism, and file handling."""
 
 import ast
+import functools
 import json
 import os
 import re
+import subprocess
+import sys
 from itertools import product as iproduct
+from typing import Callable
 
 import pytest
 from hypothesis import given
@@ -21,6 +25,7 @@ from torified.monoids import monoid_of_cone
 from torified.torify import Torification, Torus, delta_vector
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -403,6 +408,53 @@ LISTING_LADDER = [
 GROUP_BY_ORDER = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3)}
 
 
+HOLE = "<listing>"
+
+
+def _spelled_out(out: str, result: Callable[[dict], dict], listing: str) -> str:
+    """The stdlib's text of the envelope printed as ``out``, with its result
+    replaced by ``result(the printed result)``, which holds the string HOLE
+    where ``listing`` goes: the stdlib renders the envelope around the hole.
+    The envelope is read from ``out`` with the listing cut out, which saves
+    parsing it; if ``out`` does not hold the listing, nothing is cut."""
+    envelope = json.loads(out.replace(listing, json.dumps(HOLE), 1))
+    envelope["result"] = result(envelope["result"])
+    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return text.replace(json.dumps(HOLE), listing)
+
+
+def torify_reference(out: str, t: Torification) -> str:
+    """The text of a `torify` envelope with its tori spelled out, one
+    template per torus."""
+    item = '{\n        "label": %s,\n        "rank": %d\n      }'  # at depth 3
+    tori = ",\n      ".join(item % (json.dumps(x.label), x.rank) for x in t.tori)
+    result = {
+        "dim": t.dim,
+        "tori": HOLE,
+        "delta": list(delta_vector(t)),
+        "charts": [list(c) for c in t.charts] if t.charts is not None else None,
+    }
+    return _spelled_out(out, lambda _: result, "[\n      " + tori + "\n    ]")
+
+
+@functools.cache
+def _power_text(orders: tuple[int, ...], rank: int) -> str:
+    """The stdlib's text of D^rank at depth 3, for the group of ``orders``."""
+    elements = FiniteAbelianGroup(orders).elements()
+    text = json.dumps([list(p) for p in iproduct(elements, repeat=rank)], indent=2)
+    return text.replace("\n", "\n      ")  # JSON strings hold no raw newline
+
+
+def gadget_reference(out: str, t: Torification, orders: tuple[int, ...]) -> str:
+    """The text of a `gadget --elements` envelope with every point spelled
+    out: one template per torus, holding the stdlib's text of its D^r."""
+    ranks = list(t.ranks())
+    items = ",\n      ".join(
+        '"%d": %s' % (i, _power_text(orders, ranks[i])) for i in sorted(range(len(ranks)), key=str)
+    )
+    return _spelled_out(out, lambda r: dict(r, elements=HOLE), "{\n      " + items + "\n    }")
+
+
 @pytest.mark.parametrize("spec", LISTING_LADDER, ids=lambda s: "-".join(map(str, s)))
 def test_listings_match_stdlib_rendering_of_dict_form(spec, capsys):
     """stdout of `torify` and `gadget --elements` equals the stdlib encoder's
@@ -411,25 +463,103 @@ def test_listings_match_stdlib_rendering_of_dict_form(spec, capsys):
     fam = cli.build_family(family[0], family[1:])
     t = fam.build()
     code, out, _ = run(capsys, "torify", *family)
-    envelope = json.loads(out)
-    envelope["result"] = {
-        "dim": t.dim,
-        "tori": [{"rank": x.rank, "label": x.label} for x in t.tori],
-        "delta": list(delta_vector(t)),
-        "charts": [list(c) for c in t.charts] if t.charts is not None else None,
-    }
-    assert code == 0 and out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert code == 0 and out == torify_reference(out, t)
 
     order = max(d for d in GROUP_BY_ORDER if d == 1 or _n_points(fam.delta, d + 1) <= 20000)
     orders = GROUP_BY_ORDER[order]
     group = ",".join(map(str, orders))
     code, out, _ = run(capsys, "gadget", "--elements", "--group", group, "--family", *family)
+    assert code == 0 and out == gadget_reference(out, t, orders)
+
+
+@pytest.mark.parametrize(
+    "spec", [("grassmannian", 2, 4), ("flag", 1, 2), ("sl", 2), ("affine", 0), ("projective", 2)]
+)
+def test_listing_references_equal_the_whole_stdlib_text(spec, capsys):
+    # the payload spelled out as plain values and dumped whole
+    family = [str(x) for x in spec]
+    t = cli.build_family(family[0], family[1:]).build()
+    out = run(capsys, "torify", *family)[1]
     envelope = json.loads(out)
-    elements = tuple(FiniteAbelianGroup(orders).elements())
+    envelope["result"]["tori"] = [{"label": x.label, "rank": x.rank} for x in t.tori]
+    whole = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert torify_reference(out, t) == whole
+    out = run(capsys, "gadget", "--elements", "--group", "2,3", "--family", *family)[1]
+    envelope = json.loads(out)
+    elements = tuple(FiniteAbelianGroup((2, 3)).elements())
     envelope["result"]["elements"] = {
         str(i): [list(p) for p in iproduct(elements, repeat=x.rank)] for i, x in enumerate(t.tori)
     }
-    assert code == 0 and out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    whole = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert gadget_reference(out, t, (2, 3)) == whole
+
+
+class RecordingStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv, orders",
+    [
+        (["torify", "flag", "1", "1", "1", "1", "1"], None),
+        (["gadget", "--elements", "--group", "2", "--family", "sl", "3"], (2,)),
+    ],
+    ids=["torify", "gadget"],
+)
+def test_envelope_is_written_in_pieces(monkeypatch, argv, orders):
+    fake = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    out = "".join(fake.writes)
+    family = argv[1:] if orders is None else argv[5:]
+    t = cli.build_family(family[0], family[1:]).build()
+    assert out == (torify_reference(out, t) if orders is None else gadget_reference(out, t, orders))
+    # the largest piece is one part: for flag 1^5, the top cell's 1,024 of 9,765 tori
+    assert max(map(len, fake.writes)) < len(out) / 8
+
+
+def _run_child(argv: list[str], **kwargs) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+def test_largest_listing_streams_in_bounded_memory():
+    # 615,195 tori in 56 MB of JSON; built as one string it peaked at 238 MB
+    script = (
+        "import resource, sys\n"
+        "from torified.cli import main\n"
+        "code = main(['torify', 'flag', '1', '1', '1', '1', '1', '1'])\n"
+        "sys.stdout.flush()\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    proc = _run_child(["-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    code, max_rss_kb = map(int, err.split())  # ru_maxrss is in kilobytes on Linux
+    assert code == 0
+    assert max_rss_kb < 100 * 1024
+
+
+def test_closed_pipe_ends_without_a_traceback(tmp_path):
+    # the listing is far longer than a pipe buffer, so writes go on after the reader left
+    with open(tmp_path / "stderr", "w+") as err:
+        argv = ["-m", "torified.cli", "torify", "flag", "1", "1", "1", "1", "1"]
+        proc = _run_child(argv, stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.read(50).startswith(b"{")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == cli.PIPE_CLOSED
+        err.seek(0)
+        assert err.read() == ""
 
 
 def test_torify_text_format(capsys):

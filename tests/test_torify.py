@@ -333,6 +333,33 @@ def test_listing_constructors_refuse_an_over_budget_listing(monkeypatch):
         chevalley_data_sl(5)
 
 
+GATED_LISTINGS = (
+    [(torify_affine_space, n) for n in range(6)]
+    + [(torify_grassmannian, k, n) for n in range(7) for k in range(n + 1)]
+    + [(torify_flag, c) for n in range(1, 6) for c in compositions(n)]
+    + [(torify_chevalley, chevalley_data_sl(n)) for n in range(1, 5)]
+    + [(torify_chevalley, ChevalleyData(2, 3, (0, 1, 2, 2, 3, 3)))]
+)
+
+
+@pytest.mark.parametrize("case", GATED_LISTINGS, ids=lambda c: f"{c[0].__name__}{c[1:]}")
+def test_listing_gate_counts_the_tori_without_a_delta_vector(monkeypatch, case):
+    # the gate reads N(2) = sum(delta); a delta vector would go through to_delta_basis
+    build, *params = case
+    size = len(build(*params))
+
+    def refuse(*args):
+        raise AssertionError("the budget gate computed a delta vector")
+
+    monkeypatch.setattr(torify, "to_delta_basis", refuse)
+    monkeypatch.setenv("TORIFIED_BUDGET", str(size))
+    assert len(build(*params)) == size
+    if size > 1:  # a budget is positive
+        monkeypatch.setenv("TORIFIED_BUDGET", str(size - 1))
+        with pytest.raises(BudgetExceeded, match=f"^{size} tori exceed the budget of {size - 1}$"):
+            build(*params)
+
+
 def test_permutation_length():
     assert permutation_length((1, 2, 3)) == 0
     assert permutation_length((3, 2, 1)) == 3
