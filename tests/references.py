@@ -22,7 +22,17 @@ from torified.intlinalg import (
     row_hermite_transform,
     vec_neg,
 )
-from torified.lattice import Cone, dual_cone, faces, facet_normals, hilbert_basis
+from torified.errors import ValidationReport
+from torified.lattice import (
+    Cone,
+    _separating_faces,
+    dual_cone,
+    faces,
+    facet_normals,
+    hilbert_basis,
+    maximal_cones,
+    zero_cone,
+)
 from torified.monoids import AffineMonoid
 
 
@@ -111,6 +121,30 @@ def facet_subsets_faces(cone):
             if rays not in seen:
                 seen[rays] = Cone(cone.ambient_dim, rays)
     return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
+
+
+# --- fan validation by a double description per pair -----------------------------
+
+
+def all_maximal_pairs_validate_fan(fan):
+    """The fan's ValidationReport with every pair of maximal cones decided
+    by its own double description (:func:`_separating_faces`)."""
+    violations = []
+    cone_set = set(fan.cones)
+    if zero_cone(fan.ambient_dim) not in cone_set:
+        violations.append("fan does not contain the zero cone")
+    for c in fan.cones:
+        for f in faces(c):
+            if f not in cone_set:
+                violations.append(f"face {list(f.rays)} of cone {list(c.rays)} is missing")
+    tops = [fan.cones[i] for i in maximal_cones(fan)]
+    for a, b in combinations(tops, 2):
+        tight_a, tight_b = _separating_faces(a, b)
+        if tight_a != tight_b:
+            violations.append(
+                f"cones {list(a.rays)} and {list(b.rays)} do not meet in a common face"
+            )
+    return ValidationReport(tuple(sorted(set(violations))))
 
 
 # --- smoothness by minors ------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS
 from references import (
+    all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
     facet_subsets_faces,
     minors_is_smooth,
@@ -30,6 +31,7 @@ from references import (
     vec_sub,
 )
 
+from torified import lattice
 from torified.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -48,7 +50,9 @@ from torified.lattice import (
     Cone,
     Fan,
     _dual_pair,
+    _open_pairs,
     _parallelepiped_points,
+    _separating_faces,
     _triangulate,
     dual_cone,
     faces,
@@ -57,6 +61,7 @@ from torified.lattice import (
     fan_to_dict,
     hilbert_basis,
     is_smooth,
+    maximal_cones,
     standard_fan,
     validate_fan,
     zero_cone,
@@ -801,12 +806,111 @@ def catalog_fans_3d(draw):
 @given(complete_fans_2d())
 def test_validate_fan_agrees_with_all_pairs_2d(fan):
     assert validate_fan(fan).ok == all_pairs_valid(fan)
+    assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
 
 
 @settings(max_examples=25)
 @given(catalog_fans_3d())
 def test_validate_fan_agrees_with_all_pairs_3d(fan):
     assert validate_fan(fan).ok == all_pairs_valid(fan)
+    assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
+
+
+def p1_power_fan(n):
+    """(P^1)^n: one maximal cone per choice of signs, on the rays ±e_i."""
+    tops = [
+        Cone(n, tuple(tuple(s * (j == i) for j in range(n)) for i, s in enumerate(signs)))
+        for signs in iproduct((1, -1), repeat=n)
+    ]
+    return closed(tops, n)
+
+
+@st.composite
+def transformed_fans_4d(draw):
+    """P^4 and (P^1)^4 moved by a drawn unimodular map; sometimes with an
+    added cone."""
+    fan = standard_fan("projective_space", 4) if draw(st.booleans()) else p1_power_fan(4)
+    a = draw(unimodular(4))
+    tops = [Cone(4, tuple(mat_vec(a, r) for r in fan.cones[i].rays)) for i in maximal_cones(fan)]
+    rays = sorted({r for c in tops for r in c.rays})
+    return with_overlap(draw, closed(tops, 4), rays)
+
+
+@settings(max_examples=25, deadline=None)
+@given(transformed_fans_4d())
+def test_validate_fan_report_equals_the_all_maximal_pairs_reference_4d(fan):
+    assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
+
+
+@st.composite
+def full_dimensional_cone_pairs(draw):
+    """Pointed full-dimensional cones a, b in dims 2-4.  Often they are
+    planted on either side of the last coordinate hyperplane, sharing some
+    rays on it, before a drawn unimodular map: then many meet in a common
+    face."""
+    n = draw(st.integers(2, 4))
+    planted = draw(st.booleans())
+
+    def rays(last, min_size, max_size):
+        head = [st.integers(-3, 3)] * (n - 1)
+        tail = last if planted else st.integers(-3, 3)
+        vec = st.tuples(*head, tail).filter(any).map(primitive)
+        return draw(st.lists(vec, min_size=min_size, max_size=max_size, unique=True))
+
+    shared = rays(st.just(0), 0, n - 1)
+    own = max(1, n - len(shared))  # fewer rays cannot span R^n
+    a_rays = shared + rays(st.integers(0, 3), own, own + 1)
+    b_rays = shared + rays(st.integers(-3, 0), own, own + 1)
+    m = draw(unimodular(n))
+    cones = []
+    for generators in (a_rays, b_rays):
+        try:
+            cone = Cone(n, tuple(mat_vec(m, r) for r in generators))
+        except InvalidCone:
+            assume(False)
+        assume(cone.dim == n)
+        cones.append(cone)
+    return tuple(cones)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_dimensional_cone_pairs())
+def test_sign_masks_accept_only_pairs_that_meet_in_a_common_face(pair):
+    a, b = pair
+    if not list(_open_pairs([a, b])):
+        tight_a, tight_b = _separating_faces(a, b)
+        assert tight_a == tight_b
+
+
+def count_separating_faces(monkeypatch):
+    calls = []
+    separating_faces = lattice._separating_faces
+
+    def counted(a, b):
+        calls.append((a, b))
+        return separating_faces(a, b)
+
+    monkeypatch.setattr(lattice, "_separating_faces", counted)
+    return calls
+
+
+def test_a_valid_pair_the_masks_leave_open_goes_to_the_double_description(monkeypatch):
+    a = Cone(3, ((-1, 2, 2), (0, -2, 1), (2, -3, 0), (3, 2, 1)))
+    b = Cone(3, ((-3, 2, -1), (-2, -2, -3), (-1, -3, 3)))
+    assert a.dim == b.dim == 3 and len(a.rays) == 4
+    calls = count_separating_faces(monkeypatch)
+    # the uncached function: an earlier test may have validated this fan
+    assert validate_fan.__wrapped__(closed((a, b), 3)).ok
+    assert calls == [(b, a)]  # in the fan's (dim, rays) order
+
+
+@pytest.mark.parametrize(
+    "fan", [standard_fan("projective_space", 4), p1_power_fan(3)], ids=["P4", "P1^3"]
+)
+def test_sign_masks_settle_every_pair_of_a_smooth_complete_fan(fan, monkeypatch):
+    calls = count_separating_faces(monkeypatch)
+    assert validate_fan.__wrapped__(fan).ok
+    assert calls == []
 
 
 def test_fan_corpus_is_valid(corpus_fan):
