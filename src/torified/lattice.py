@@ -36,7 +36,7 @@ from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
 
-from .budget import enumeration_budget
+from .budget import check_budget, enumeration_budget
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -237,19 +237,25 @@ def facet_normals(cone: Cone) -> tuple[Vector, ...]:
 
 
 def _trusted(
-    ambient_dim: int, rays: tuple[Vector, ...], lineality: tuple[Vector, ...] = ()
+    ambient_dim: int,
+    rays: tuple[Vector, ...],
+    lineality: tuple[Vector, ...] = (),
+    dim: int | None = None,
 ) -> Cone:
     """A cone from fields that are already what ``Cone`` would store.
 
     The faces of a cone, from its extremal rays that lie in them, and the
     output of :func:`_dual_pair` (sorted primitive extremal rays, a Hermite
     lineality basis orthogonal to them) are such fields; the cone is built
-    without running the constructor's checks again.
+    without running the constructor's checks again.  A known ``dim`` is
+    stored where :attr:`Cone.dim` caches it, so no rank is computed for it.
     """
     cone = object.__new__(Cone)
     object.__setattr__(cone, "ambient_dim", ambient_dim)
     object.__setattr__(cone, "rays", rays)
     object.__setattr__(cone, "lineality", lineality)
+    if dim is not None:
+        object.__setattr__(cone, "dim", dim)
     return cone
 
 
@@ -266,9 +272,10 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
         raise NotPointed("face enumeration requires a pointed cone")
     n = cone.ambient_dim
     if cone.is_simplicial:
-        # rays are sorted, so this is already the (dim, rays) order
+        # rays are sorted, so this is already the (dim, rays) order; the rays
+        # of a simplicial cone are independent, so a face's dim is its size
         return tuple(
-            _trusted(n, subset)
+            _trusted(n, subset, dim=k)
             for k in range(len(cone.rays) + 1)
             for subset in combinations(cone.rays, k)
         )
@@ -552,16 +559,22 @@ def require_valid(fan: Fan) -> None:
 
 
 def standard_fan(kind: str, n: int) -> Fan:
-    """Built-in fans: ``affine_space``, ``projective_space``, ``torus`` on Z^n."""
+    """Built-in fans: ``affine_space``, ``projective_space``, ``torus`` on Z^n.
+
+    A^n has 2^n cones and P^n 2^(n+1) - 1; more than the enumeration budget
+    raise :class:`BudgetExceeded` before any is built.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if kind == "torus":
         return Fan(n, (zero_cone(n),))
     if kind == "affine_space":
+        check_budget(1 << n, "cones")
         top = Cone(n, tuple(e))
         return Fan(n, faces(top))
     if kind == "projective_space":
+        check_budget((1 << (n + 1)) - 1, "cones")
         if n == 0:
             return Fan(0, (zero_cone(0),))
         rays = e + [tuple(-1 for _ in range(n))]

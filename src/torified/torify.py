@@ -12,15 +12,15 @@ unions, Grassmannians and flag varieties by Schubert cells (no charts; those
 decompositions are incompatible with the usual atlases), and type-A Chevalley
 groups by Bruhat cells (single chart; the group is affine).
 
-The ``delta_*`` functions give the delta vector of the same decompositions
-without building any torus: a disjoint union of affine cells with cell
-dimension polynomial c(q) has delta polynomial c(x+1), because A^d
-contributes (1+x)^d, and a product of torifications multiplies delta
-polynomials.  Their cost grows with the dimension, not with the number of
-tori; the ``torify_*`` constructors stay as the labeled listing and as the
-enumerative reference, and refuse before building anything a listing whose
-delta vector sums past the enumeration budget.  That sum is N(2), the cell
-dimension polynomial at q = 2, so the gate reads it without the delta vector.
+Schubert and Bruhat listings are one construction: cells A^(s_w), times
+T^r x A^N for a group G (r = N = 0 for G/P), with the cell dimension
+polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
+vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
+contributes (1+x)^d; their cost grows with the dimension, not with the
+number of tori.  Their ``torify_*`` constructors, the labeled listing and
+the enumerative reference, share one listing routine, which counts the
+2^N * c(2) tori and refuses a listing past the enumeration budget before
+building anything.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations
-from math import comb, factorial, prod
+from itertools import chain, combinations, permutations
+from math import comb, factorial
 
 from .budget import check_budget
 from .errors import (
@@ -375,6 +375,31 @@ def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Tori
     )
 
 
+def _cell_listing(
+    poly: Sequence[int],
+    cells: Callable[[], Iterable[tuple[str, int]]],
+    data: ChevalleyData | None = None,
+) -> Torification:
+    """One part per cell ``(label, s_w)`` that ``cells()`` yields, over the
+    tori of A^(s_w); for a group with Bruhat data ``data``, of A^(s_w) x T^r
+    x A^N under a single chart.  ``poly`` is the cell dimension polynomial
+    sum_w q^(s_w), so 2^N * poly(2) tori are checked against the budget
+    before ``cells`` is called.  Each cell dimension's tori are built once."""
+    unipotent_dim = data.unipotent_dim if data is not None else 0
+    check_budget(sum(c << s for s, c in enumerate(poly)) << unipotent_dim, "tori")
+    cells = tuple(cells())
+    shared = _affine_cells({s_w for _, s_w in cells} | {unipotent_dim})
+    if data is not None:  # N is the largest cell dimension, so every key is a cell dimension
+        torus, unipotent = torify_torus(data.torus_rank), Torification(shared[unipotent_dim])
+        shared = {
+            s_w: tuple(product(product(Torification(cell), torus), unipotent).tori)
+            for s_w, cell in shared.items()
+        }
+    parts = tuple((label, shared[s_w]) for label, s_w in cells)
+    charts = None if data is None else (tuple(range(sum(len(cell) for _, cell in parts))),)
+    return Torification.from_parts(parts, charts)
+
+
 # ---------------------------------------------------------------------------
 # Schubert cells
 
@@ -405,11 +430,10 @@ def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
     _check_grassmannian(k, n)
-    check_budget(_q2_multinomial((k, n - k)), "tori")
-    cells = schubert_cells_grassmannian(k, n)
-    # cells of equal dimension share one A^d and differ only in their prefixes
-    affine = _affine_cells({d for _, d in cells})
-    return Torification.from_parts((f"schubert:{idx}", affine[d]) for idx, d in cells)
+    return _cell_listing(
+        _gaussian_polynomial(n, k),
+        lambda: ((f"schubert:{idx}", d) for idx, d in schubert_cells_grassmannian(k, n)),
+    )
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
@@ -432,12 +456,7 @@ def delta_grassmannian(k: int, n: int) -> tuple[int, ...]:
 
 def permutation_length(w: tuple[int, ...]) -> int:
     """Number of inversions of a permutation in one-line notation."""
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
+    return sum(1 for i, a in enumerate(w) for b in w[i + 1 :] if a > b)
 
 
 def _perm_label(w: tuple[int, ...]) -> str:
@@ -460,55 +479,38 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
     composition; the cell dimension is the inversion count.
     """
     composition = _check_composition(composition)
-    n = sum(composition)
-
-    def assignments(remaining: tuple[int, ...], values: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        d, rest = remaining[0], remaining[1:]
-        for block in combinations(values, d):
-            left = tuple(v for v in values if v not in block)
-            for tail in assignments(rest, left):
-                yield block + tail
-
-    cells = [
-        (w, permutation_length(w))
-        for w in assignments(composition, tuple(range(1, n + 1)))
-    ]
-    cells.sort(key=lambda c: (c[1], c[0]))
-    return cells
+    words = [((), tuple(range(1, sum(composition) + 1)))]  # (blocks so far, values left)
+    for d in composition:
+        words = [
+            (w + block, tuple(v for v in left if v not in block))
+            for w, left in words
+            for block in combinations(left, d)
+        ]
+    return sorted(((w, permutation_length(w)) for w, _ in words), key=lambda c: (c[1], c[0]))
 
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
-    check_budget(_q2_multinomial(_check_composition(composition)), "tori")
-    cells = schubert_cells_flag(composition)
-    affine = _affine_cells({d for _, d in cells})
-    return Torification.from_parts((f"schubert:w={_perm_label(w)}", affine[d]) for w, d in cells)
+    return _cell_listing(
+        _flag_polynomial(composition),
+        lambda: ((f"schubert:w={_perm_label(w)}", d) for w, d in schubert_cells_flag(composition)),
+    )
 
 
-def _q2_multinomial(parts: Sequence[int]) -> int:
-    """The q-multinomial [n; parts]_q at q = 2, n = sum(parts): N(2), the
-    number of tori of that flag type's Schubert listing, as
-    [n]_2! / prod [d]_2! with [m]_2! = prod_{i <= m} (2^i - 1)."""
-
-    def factorial2(m: int) -> int:
-        return prod((1 << i) - 1 for i in range(1, m + 1))
-
-    return factorial2(sum(parts)) // prod(factorial2(d) for d in parts)
-
-
-def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
-    """Delta vector of :func:`torify_flag`: the cell dimension polynomial is
-    the q-multinomial, a product of Gaussian binomials."""
+def _flag_polynomial(composition: Sequence[int]) -> list[int]:
+    """The cell dimension polynomial of a flag type: the q-multinomial, a
+    product of Gaussian binomials."""
     composition = _check_composition(composition)
-    cells = [1]
-    left = sum(composition)
+    cells, left = [1], sum(composition)
     for d in composition:
         cells = _poly_mul(cells, _gaussian_polynomial(left, d))
         left -= d
-    return to_delta_basis(cells)
+    return cells
+
+
+def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
+    """Delta vector of :func:`torify_flag`."""
+    return to_delta_basis(_flag_polynomial(composition))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +528,9 @@ class ChevalleyData:
     cell_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.torus_rank < 0 or self.unipotent_dim < 0:
-            raise InvalidChevalleyData("ranks must be nonnegative")
+        numbers = (self.torus_rank, self.unipotent_dim, *self.cell_dims)
+        if not all(isinstance(x, int) and x >= 0 for x in numbers):
+            raise InvalidChevalleyData("ranks and cell dimensions must be nonnegative integers")
         if not self.cell_dims:
             raise InvalidChevalleyData("at least one cell is required")
         if min(self.cell_dims) != 0 or max(self.cell_dims) != self.unipotent_dim:
@@ -551,8 +554,6 @@ def chevalley_data_sl(n: int) -> ChevalleyData:
     one cell of dimension inv(w) per permutation w."""
     _check_sl(n)
     check_budget(factorial(n), "permutations")
-    from itertools import permutations
-
     cells = sorted(
         (permutation_length(w), w) for w in permutations(range(1, n + 1))
     )
@@ -565,26 +566,19 @@ def chevalley_data_sl(n: int) -> ChevalleyData:
 
 
 def torify_chevalley(data: ChevalleyData) -> Torification:
-    """Bruhat torification: each cell contributes affine x torus x affine.
-
-    The whole group is affine, so a single chart covers every torus.
-    """
-    # N(2): A^(s_w) x T^r x A^N has 2^(s_w) * 1 * 2^N tori
-    check_budget(sum(1 << s_w for s_w in data.cell_dims) << data.unipotent_dim, "tori")
-    affine = _affine_cells({*data.cell_dims, data.unipotent_dim})
-    torus = torify_torus(data.torus_rank)
-    unipotent = Torification(affine[data.unipotent_dim])
-    # one unlabeled cell per cell dimension, shared by the Weyl elements' parts
-    cells = {
-        s_w: tuple(product(product(Torification(affine[s_w]), torus), unipotent).tori)
-        for s_w in set(data.cell_dims)
-    }
-    parts = tuple(
-        (f"bruhat:{label},cell_dim={s_w}", cells[s_w])
-        for s_w, label in zip(data.cell_dims, data.cell_labels)
+    """Bruhat torification: each cell contributes affine x torus x affine, all
+    in a single chart, since the whole group is affine."""
+    return _cell_listing(
+        _bruhat_polynomial(data),
+        lambda: ((f"bruhat:{w},cell_dim={s}", s) for s, w in zip(data.cell_dims, data.cell_labels)),
+        data,
     )
-    size = sum(len(cell) for _, cell in parts)
-    return Torification.from_parts(parts, (tuple(range(size)),))
+
+
+def _bruhat_polynomial(data: ChevalleyData) -> list[int]:
+    """The cell dimension polynomial sum_w q^{s_w} of the Bruhat cells."""
+    counts = Counter(data.cell_dims)
+    return [counts[s_w] for s_w in range(data.unipotent_dim + 1)]
 
 
 def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> tuple[int, ...]:
@@ -596,10 +590,7 @@ def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> 
 
 def delta_chevalley(data: ChevalleyData) -> tuple[int, ...]:
     """Delta vector of :func:`torify_chevalley`."""
-    cells = [0] * (data.unipotent_dim + 1)
-    for s_w in data.cell_dims:
-        cells[s_w] += 1
-    return _delta_bruhat(cells, data.torus_rank, data.unipotent_dim)
+    return _delta_bruhat(_bruhat_polynomial(data), data.torus_rank, data.unipotent_dim)
 
 
 def delta_sl(n: int) -> tuple[int, ...]:

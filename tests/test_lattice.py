@@ -704,6 +704,42 @@ def test_standard_fans():
     assert len(standard_fan("affine_space", 0).cones) == 1
 
 
+def test_standard_fan_refuses_more_cones_than_the_budget(monkeypatch):
+    # P^3 has 2^4 - 1 = 15 cones and A^4 has 2^4 = 16: each passes at its count
+    monkeypatch.setenv("TORIFIED_BUDGET", "15")
+    assert len(standard_fan("projective_space", 3).cones) == 15
+    monkeypatch.setenv("TORIFIED_BUDGET", "16")
+    assert len(standard_fan("affine_space", 4).cones) == 16
+
+    def refuse(cone):
+        raise AssertionError("built faces over the budget")
+
+    monkeypatch.setattr(lattice, "faces", refuse)
+    for budget, kind, n, count in (
+        (14, "projective_space", 3, 15),
+        (15, "affine_space", 4, 16),
+        (100, "projective_space", 9, 1023),
+        (10**6, "projective_space", 25, 2**26 - 1),
+    ):
+        monkeypatch.setenv("TORIFIED_BUDGET", str(budget))
+        with pytest.raises(BudgetExceeded, match=f"^{count} cones exceed the budget of {budget}$"):
+            standard_fan(kind, n)
+    assert len(standard_fan("torus", 30).cones) == 1
+
+
+def test_simplicial_faces_carry_their_dimension(monkeypatch):
+    rays = ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 1, 1, 0), (3, 1, 4, 1, 5))
+    top = Cone(5, rays)
+    assert top.is_simplicial  # the top cone's rank, computed once
+
+    def refuse(*args):
+        raise AssertionError("a face's dimension was computed by a rank")
+
+    monkeypatch.setattr(lattice, "mat_rank", refuse)
+    fan = Fan(5, faces(top))  # ordering the fan reads every face's dim
+    assert len(fan.cones) == 32
+    assert [c.dim for c in fan.cones] == sorted(len(c.rays) for c in fan.cones)
+
 def test_validate_fan_missing_faces():
     fan = Fan(2, (Cone(2, ((1, 0), (0, 1))), zero_cone(2)))
     report = validate_fan(fan)

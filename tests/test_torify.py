@@ -18,6 +18,7 @@ from references import (
 from test_lattice import complete_fans_2d
 
 from torified import torify
+from torified.counting import verify_counting
 from torified.errors import (
     BudgetExceeded,
     InvalidChevalleyData,
@@ -291,6 +292,9 @@ def test_chevalley_data_validation():
         ChevalleyData(1, 1, (1, 1))  # needs a zero-dimensional cell
     with pytest.raises(InvalidChevalleyData):
         chevalley_data_sl(0)
+    for bad in ((1, 1, (0, 0.5, 1)), (1.0, 1, (0, 1)), (1, "1", (0, 1)), (-1, 1, (0, 1))):
+        with pytest.raises(InvalidChevalleyData, match="nonnegative integers"):
+            ChevalleyData(*bad)
 
 
 def test_chevalley_custom_data():
@@ -392,36 +396,28 @@ def test_delta_affine_space_and_torus(n):
     assert delta_torus(n) == delta_vector(torify_torus(n))
 
 
-@pytest.mark.parametrize("n", range(0, 8))
-def test_delta_grassmannian(n):
-    for k in range(n + 1):
-        assert delta_grassmannian(k, n) == delta_vector(torify_grassmannian(k, n))
+# every Gr(k, n) with n <= 7, every flag type with n <= 6, and SL_1 to SL_4:
+# (delta, listing constructor, their parameters, oracle family and parameters)
+CELL_FAMILIES = (
+    [
+        (delta_grassmannian, torify_grassmannian, (k, n), ("grassmannian", (k, n)))
+        for n in range(8)
+        for k in range(n + 1)
+    ]
+    + [(delta_flag, torify_flag, (c,), ("flag", c)) for n in range(7) for c in compositions(n)]
+    + [
+        (delta_chevalley, torify_chevalley, (chevalley_data_sl(n),), ("sl", n))
+        for n in range(1, 5)
+    ]
+)
 
 
-@pytest.mark.parametrize("n", range(0, 6))
-def test_delta_flag(n):
-    for comp in compositions(n):
-        assert delta_flag(comp) == delta_vector(torify_flag(comp))
-
-
-def test_delta_flag_six_by_enumerated_cells():
-    # building the tori of every composition of 6 takes ~12 s (615,195 for
-    # 1^6 alone), so n = 6 sums the delta of each enumerated Schubert cell
-    cell_delta = [delta_vector(torify_affine_space(d)) for d in range(16)]
-    for comp in compositions(6):
-        delta = [0] * 16
-        for _, d in schubert_cells_flag(comp):
-            for rank, count in enumerate(cell_delta[d]):
-                delta[rank] += count
-        while delta[-1] == 0:
-            delta.pop()
-        assert delta_flag(comp) == tuple(delta)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_delta_chevalley_sl(n):
-    data = chevalley_data_sl(n)
-    assert delta_chevalley(data) == delta_vector(torify_chevalley(data))
+@pytest.mark.parametrize("case", CELL_FAMILIES, ids=lambda c: f"{c[3][0]}{c[3][1]}")
+def test_cell_family_delta_and_point_count(case):
+    delta, build, params, oracle = case
+    t = build(*params)
+    assert delta(*params) == delta_vector(t)
+    assert verify_counting(t, *oracle, (2, 3, 4, 5, 7, 8, 9)).ok
 
 
 @pytest.mark.parametrize("n", range(1, 7))
