@@ -35,9 +35,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import __version__
-from .budget import check_budget, enumeration_budget
+from .budget import check_budget
 from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
-from .errors import TorifiedError
+from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
@@ -94,24 +94,15 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     is rendered whole, so the longest text held is one part, one D^r or one
     plain value, never the envelope.  The stdlib encoder leaves its C
     implementation when an indent is set; here strings go through the C
-    escaper, and each tuple is rendered once per (object, depth): a point set
-    shared by many tori costs one rendering.  Tuples are immutable and stay
-    reachable from ``obj``, so the reuse is exact.
+    escaper.
     """
-    rendered: dict[tuple[int, int], str] = {}
 
     def render(v, depth: int) -> str:
         if isinstance(v, str):
             return encode_basestring_ascii(v)
         if type(v) is int:
             return int.__repr__(v)
-        if isinstance(v, tuple):
-            key = (id(v), depth)
-            text = rendered.get(key)
-            if text is None:
-                text = rendered[key] = render_items(v, depth)
-            return text
-        if isinstance(v, list):
+        if isinstance(v, (list, tuple)):
             return render_items(v, depth)
         if isinstance(v, (dict, _Block)):
             pieces: list[str] = []
@@ -445,14 +436,14 @@ def cmd_torify(args) -> tuple[dict, int]:
 
 
 def cmd_count(args) -> tuple[dict, int]:
+    qs = _parse_int_list(args.q, "q") if args.q else None
     n_poly = CountingPolynomial.from_delta(_resolve_family(args).delta)
     payload = {
         "delta": list(n_poly.delta),
         "mono": list(n_poly.mono),
         "polynomial": n_poly.poly_string(),
     }
-    if args.q:
-        qs = _parse_int_list(args.q, "q")
+    if qs is not None:
         payload["values"] = {str(q): eval_counting(n_poly, q) for q in qs}
     return payload, 0
 
@@ -477,9 +468,9 @@ def cmd_dscheme(args) -> tuple[dict, int]:
 
 
 def cmd_gadget(args) -> tuple[dict, int]:
-    fam = _resolve_family(args)
     orders = _parse_int_list(args.group, "group")
     group = FiniteAbelianGroup(tuple(orders))
+    fam = _resolve_family(args)
     # the delta_r tori of rank r contribute |D|^r points each
     by_grade = {r: d * group.order**r for r, d in enumerate(fam.delta) if d}
     total = sum(by_grade.values())
@@ -504,22 +495,23 @@ def cmd_gadget(args) -> tuple[dict, int]:
 
 
 def cmd_soule(args) -> tuple[dict, int]:
-    cone = _parse_cone(args.cone)
-    monoid = monoid_of_cone(cone)
     m = args.m
     if m < 1:
         raise UsageError("--m must be >= 1")
+    monoid = monoid_of_cone(_parse_cone(args.cone))
     face_count = soule_count_by_faces(monoid, m)
-    target = CyclicMonoidWithZero(m)
-    total = target.order ** len(monoid.all_generators())
     payload: dict = {
         "m": m,
         "generators": [list(g) for g in monoid.generators],
         "unit_rank": monoid.unit_rank,
         "face_count": face_count,
     }
-    if total <= enumeration_budget():
-        homs = enumerate_monoid_homs(monoid, target)
+    try:
+        homs = enumerate_monoid_homs(monoid, CyclicMonoidWithZero(m))
+    except BudgetExceeded:
+        payload["enumerated_count"] = None
+        payload["match"] = None
+    else:
         payload["enumerated_count"] = len(homs)
         payload["match"] = len(homs) == face_count
         if args.elements:
@@ -530,19 +522,16 @@ def cmd_soule(args) -> tuple[dict, int]:
                 }
                 for h in homs
             ]
-    else:
-        payload["enumerated_count"] = None
-        payload["match"] = None
     code = CHECK_FAILED if payload["match"] is False else 0
     return payload, code
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    family, *params = args.family
-    fam = build_family(family, params)
     qs = _parse_int_list(args.q, "q")
     if not qs:
         raise UsageError("--q needs at least one value")
+    family, *params = args.family
+    fam = build_family(family, params)
     report = verify_counting_polynomial(CountingPolynomial.from_delta(fam.delta), *fam.oracle, qs)
     payload = {
         "family": args.family,

@@ -1,11 +1,13 @@
 """Counting polynomials, their zeta-factor form, and finite-field oracles.
 
 A torification with delta vector (d_0, ..., d_d) counts points by
-N(q) = sum_l d_l (q-1)^l; the monomial coefficients follow by the binomial
-transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k, and the zeta function is
-the rational expression prod_i (s-i)^(-a_i), kept symbolically as its factor
-list.  The inverse transform, ``to_delta_basis``, lives in ``torify``, where it
-also turns cell dimension polynomials into delta vectors.  The oracle side
+N(q) = sum_l d_l (q-1)^l.  The monomial coefficients are the binomial
+transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k: the coefficients of
+D(q - 1) for D(x) = sum_k d_k x^k, found by a Taylor shift by -1 in O(d^2)
+additions.  The inverse transform, ``to_delta_basis``, is the shift by +1; it
+lives in ``torify``, where it also turns cell dimension polynomials into
+delta vectors.  The zeta function is the rational expression
+prod_i (s-i)^(-a_i), kept symbolically as its factor list.  The oracle side
 recomputes the same counts from classical product formulas over F_q, with
 every division checked to be exact.
 """
@@ -13,21 +15,17 @@ every division checked to be exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .errors import UnknownFamily
 from .lattice import Fan, require_valid
-from .torify import Torification, delta_vector, to_delta_basis  # noqa: F401 (re-exported)
+from .torify import Torification, _taylor_shift, delta_vector
+from .torify import to_delta_basis  # noqa: F401 (re-exported)
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
     """Coefficients a_l of N(q) = sum a_l q^l from the (q-1)-basis."""
-    d = len(delta) - 1
-    return tuple(
-        sum((-1) ** (k - l) * comb(k, l) * delta[k] for k in range(l, d + 1))
-        for l in range(d + 1)
-    )
+    return _taylor_shift(delta, -1)
 
 
 @dataclass(frozen=True)

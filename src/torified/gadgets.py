@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .budget import enumeration_budget
+from .budget import check_budget
 from .counting import counting_polynomial, eval_counting
 from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch
 from .intlinalg import Vector, dot, hnf_rows, kernel_basis
@@ -143,27 +143,19 @@ class GradedPointSet:
                     yield (i, p)
 
 
-def cc_points(
-    t: Torification,
-    group: FiniteAbelianGroup,
-    budget: int | None = None,
-    mode: str = "auto",
-) -> GradedPointSet:
+def cc_points(t: Torification, group: FiniteAbelianGroup) -> GradedPointSet:
     """Evaluate the group-side functor: one copy of D^rank per torus.
 
-    ``mode`` is ``auto`` (fall back to counts-only over budget), ``full``
-    (raise BudgetExceeded over budget) or ``counts``.
+    Over the enumeration budget no point is listed: the result holds the
+    exact counts only (``is_full`` is false), and asking it for points
+    raises BudgetExceeded.
     """
-    if mode not in ("auto", "full", "counts"):
-        raise ValueError(f"unknown mode {mode!r}")
-    budget = enumeration_budget() if budget is None else budget
     order = group.order
     counts = tuple(order**rank for rank in t.ranks())
-    total = sum(counts)
-    if mode == "counts" or (mode == "auto" and total > budget):
+    try:
+        check_budget(sum(counts), "elements")
+    except BudgetExceeded:
         return GradedPointSet(t, group, counts, None)
-    if total > budget:
-        raise BudgetExceeded(f"{total} elements exceed the budget of {budget}")
     # every torus of rank r lists the same D^r, so tori of equal rank share it
     elements = tuple(group.elements())
     powers = {r: tuple(iproduct(elements, repeat=r)) for r in set(t.ranks())}
@@ -270,11 +262,14 @@ def apply_map_to_point(f: TorifiedMap, group: FiniteAbelianGroup, index: int, po
     return (f.index_map[index], tuple(out))
 
 
-def induced_map(
-    f: TorifiedMap, group: FiniteAbelianGroup, budget: int | None = None
-) -> dict:
-    """The functor's action on points: {(i, x): (index_map[i], M_i x)}."""
-    pts = cc_points(f.source, group, budget=budget, mode="full")
+def induced_map(f: TorifiedMap, group: FiniteAbelianGroup) -> dict:
+    """The functor's action on points: {(i, x): (index_map[i], M_i x)}.
+
+    The map is listed point by point, so a source with more points than the
+    enumeration budget is refused with BudgetExceeded.
+    """
+    pts = cc_points(f.source, group)
+    check_budget(pts.total, "elements")
     out = {}
     for i in range(len(f.source.tori)):
         for x in pts.points(i):
@@ -391,9 +386,7 @@ class MonoidHom:
 
 
 def enumerate_monoid_homs(
-    monoid: AffineMonoid,
-    target: CyclicMonoidWithZero,
-    budget: int | None = None,
+    monoid: AffineMonoid, target: CyclicMonoidWithZero
 ) -> tuple[MonoidHom, ...]:
     """All semigroup maps into the target, enumerated face by face.
 
@@ -408,11 +401,8 @@ def enumerate_monoid_homs(
     """
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
-    budget = enumeration_budget() if budget is None else budget
     gens = monoid.all_generators()
-    total = target.order ** len(gens)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget of {budget}")
+    check_budget(target.order ** len(gens), "assignments")
     m, zero = target.m, target.ZERO
     homs = []
     for face in faces(monoid.source_cone):
@@ -458,7 +448,7 @@ def hom_extend(
     return MonoidHom(monoid, target, tuple(values), face)
 
 
-def toric_fq_points_via_homs(fan: Fan, q: int, budget: int | None = None) -> int:
+def toric_fq_points_via_homs(fan: Fan, q: int) -> int:
     """F_q points of the fan's variety from local hom counts.
 
     Per cone the full hom count (enumerated when affordable, else the face
@@ -469,17 +459,15 @@ def toric_fq_points_via_homs(fan: Fan, q: int, budget: int | None = None) -> int
     if q < 2:
         raise ValueError("need q >= 2")
     require_valid(fan)
-    budget = enumeration_budget() if budget is None else budget
     m = q - 1
     target = CyclicMonoidWithZero(m)
     orbit: list[int] = []
     # canonical order is by dimension, so a cone's proper faces come first
     for i, cone in enumerate(fan.cones):
         monoid = monoid_of_cone(cone)
-        size = target.order ** len(monoid.all_generators())
-        if size <= budget:
-            full = len(enumerate_monoid_homs(monoid, target, budget=budget))
-        else:
+        try:
+            full = len(enumerate_monoid_homs(monoid, target))
+        except BudgetExceeded:
             full = soule_count_by_faces(monoid, m)
         orbit.append(full - sum(orbit[j] for j in fan.face_indices[i] if j != i))
     return sum(orbit)

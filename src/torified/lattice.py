@@ -36,7 +36,7 @@ from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
 
-from .budget import check_budget, enumeration_budget
+from .budget import check_budget
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -387,11 +387,10 @@ def _hilbert_basis(cone: Cone, named: object) -> tuple[Vector, ...]:
     pieces = _triangulate(cone.rays, n)
     # one candidate per lattice point of each piece's parallelepiped
     volume = sum(abs(det(piece)) for piece in pieces)
-    budget = enumeration_budget()
-    if volume > budget:
-        raise BudgetExceeded(
-            f"Hilbert basis of {named}: {volume} parallelepiped points exceed the budget of {budget}"
-        )
+    try:
+        check_budget(volume, "parallelepiped points")
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"Hilbert basis of {named}: {exc}") from None
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
     for piece in pieces:

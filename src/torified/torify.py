@@ -242,10 +242,19 @@ def to_delta_basis(mono: Sequence[int]) -> tuple[int, ...]:
     dimension d), this is the delta vector of that disjoint union of affine
     cells.
     """
-    d = len(mono) - 1
-    return tuple(
-        sum(comb(l, k) * mono[l] for l in range(k, d + 1)) for k in range(d + 1)
-    )
+    return _taylor_shift(mono, 1)
+
+
+def _taylor_shift(coeffs: Sequence[int], step: int) -> tuple[int, ...]:
+    """Coefficients of p(x + step) from those of p(x): d rounds of synthetic
+    division by x - step, d(d+1)/2 additions in all and no binomial.  Step 1
+    takes the monomial basis to the (q-1)-basis, step -1 back."""
+    a = list(coeffs)
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += step * a[j + 1]
+    return tuple(a)
 
 
 def _poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -7,7 +7,7 @@ the code paths they stand in for.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from torified.intlinalg import (
     _eliminate,
@@ -246,3 +246,19 @@ def scanned_regularity(fan):
                     regular = False
         stars.append(star)
     return regular, tuple(stars)
+
+
+def binomial_to_delta_basis(mono):
+    """to_delta_basis as the binomial sums delta_k = sum_{l>=k} C(l,k) mono_l."""
+    d = len(mono) - 1
+    return tuple(sum(comb(l, k) * mono[l] for l in range(k, d + 1)) for k in range(d + 1))
+
+
+def binomial_to_monomial_basis(delta):
+    """to_monomial_basis as the binomial sums
+    a_l = sum_{k>=l} (-1)^(k-l) C(k,l) delta_k."""
+    d = len(delta) - 1
+    return tuple(
+        sum((-1) ** (k - l) * comb(k, l) * delta[k] for k in range(l, d + 1))
+        for l in range(d + 1)
+    )

@@ -1,25 +1,36 @@
 """Command line: payloads, exit codes, determinism, and file handling."""
 
 import ast
+import contextlib
 import functools
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from itertools import product as iproduct
+from math import comb
 from typing import Callable
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
+from test_gadgets import pointed_cones
+from test_lattice import time_limit
 
 from torified import cli
 from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import verify_counting
-from torified.gadgets import FiniteAbelianGroup, cc_points
+from torified.errors import BudgetExceeded
+from torified.gadgets import (
+    CyclicMonoidWithZero,
+    FiniteAbelianGroup,
+    cc_points,
+    enumerate_monoid_homs,
+)
 from torified.lattice import hilbert_basis, maximal_cones
 from torified.monoids import monoid_of_cone
 from torified.torify import Torification, Torus, delta_vector
@@ -601,6 +612,81 @@ def test_budget_env_override(capsys, monkeypatch):
         assert "TORIFIED_BUDGET must be a positive integer" in err
 
 
+def test_only_the_budget_module_reads_the_budget():
+    package = os.path.join(SRC, "torified")
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                text = fh.read()
+            if "enumeration_budget(" in text or "TORIFIED_BUDGET" in text:
+                readers.add(name)
+    assert readers == {"budget.py"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(pointed_cones(), st.sampled_from((1, 2, 3, 4)), st.integers(-2, 2))
+def test_soule_enumerates_exactly_when_the_homs_fit_the_budget(cone, m, slack):
+    # monoid_of_cone caches the monoid built here under the default budget,
+    # so the budget set below gates only the enumeration, at its boundary
+    monoid = monoid_of_cone(cone)
+    assignments = (m + 1) ** len(monoid.all_generators())
+    assume(assignments <= 10**5)
+    target = CyclicMonoidWithZero(m)
+    rays = ";".join(",".join(map(str, r)) for r in cone.rays)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TORIFIED_BUDGET", str(max(1, assignments + slack)))
+        try:
+            enumerate_monoid_homs(monoid, target)
+        except BudgetExceeded:
+            refused = True
+        else:
+            refused = False
+        with contextlib.redirect_stdout(out):
+            code = main(["soule", "--m", str(m), f"--cone={rays}"])
+    result = json.loads(out.getvalue())["result"]
+    assert code == 0
+    assert (result["enumerated_count"] is None) == refused == (result["match"] is None)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--q", "x", "--family", "grassmannian", "40", "80"], "cannot parse q list"),
+        (["verify", "--q", "x", "--family", "grassmannian", "40", "80"], "cannot parse q list"),
+        (["verify", "--q", ",", "--family", "grassmannian", "40", "80"], "--q needs at least"),
+        (["gadget", "--group", "x", "--family", "grassmannian", "40", "80"], "cannot parse group"),
+        (["gadget", "--group", "0", "--family", "grassmannian", "40", "80"], "cyclic orders"),
+        (["soule", "--m", "0", "--cone", "1,0;1,300000"], "--m must be >= 1"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else x,
+)
+def test_cheap_arguments_are_checked_before_the_family_or_monoid(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("built a family or monoid before checking the arguments")
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    monkeypatch.setattr(cli, "monoid_of_cone", refuse)
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_count_of_a_degree_1600_grassmannian_is_quick(capsys):
+    # both basis changes are Taylor shifts: O(d^2) additions, no binomials
+    with time_limit(10):
+        code, data, _ = run_json(capsys, "count", "--family", "grassmannian", "40", "80")
+    assert code == 0
+    delta, mono = data["result"]["delta"], data["result"]["mono"]
+    assert len(delta) == len(mono) == 1601 and delta[-1] == mono[-1] == 1
+    # N(1) is the number of Schubert cells
+    assert delta[0] == sum(mono) == comb(80, 40)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -678,7 +764,7 @@ def test_counting_commands_match_enumerative_torification(spec, tmp_path, capsys
         code2, listed, _ = run_json(capsys, *argv, "--torification", str(path))
         assert code == code2 == 0
         assert direct["result"] == listed["result"]
-    pts = cc_points(t, FiniteAbelianGroup((2, 3)), mode="counts")
+    pts = cc_points(t, FiniteAbelianGroup((2, 3)))
     assert direct["result"]["by_grade"] == {str(r): c for r, c in pts.count_by_grade().items()}
     assert direct["result"]["total"] == pts.total
     qs = [2, 3, 4, 5]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_CORPUS, singular_fan
+from references import binomial_to_delta_basis, binomial_to_monomial_basis
 
 from torified.counting import (
     CountingPolynomial,
@@ -68,6 +69,14 @@ def test_transform_examples():
 def test_transform_against_interpolation():
     for delta in [(2, 1), (6, 12, 11, 5, 1), (0, 2, 3, 1), (1, 4, 6, 4, 1)]:
         assert to_monomial_basis(delta) == mono_by_interpolation(delta)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=40))
+def test_taylor_shifts_match_the_binomial_sums(coeffs):
+    coeffs = tuple(coeffs)
+    assert to_delta_basis(coeffs) == binomial_to_delta_basis(coeffs)
+    assert to_monomial_basis(coeffs) == binomial_to_monomial_basis(coeffs)
 
 
 @settings(max_examples=120)
