@@ -113,6 +113,8 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     def render_items(v, depth: int) -> str:
         if not v:
             return "[]"
+        if all(type(x) is int for x in v):  # exact ints: a bool renders as true/false
+            return _enclose(list(map(int.__repr__, v)), depth)
         return _enclose([render(x, depth + 1) for x in v], depth)
 
     def put(v, depth: int, write) -> None:

@@ -15,8 +15,11 @@ Hermite transform: with U the transform of the spanning vectors as columns,
 U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
 Hilbert bases here, the quotient by the units in :mod:`torified.monoids`);
 smoothness is the Hermite basis of the ray matrix's rows being the identity.
-Hilbert bases refuse, with :class:`BudgetExceeded`, a triangulation whose
-parallelepipeds hold more lattice points than the enumeration budget.
+A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
+fraction, at one step per run of elements, and is refused with
+:class:`BudgetExceeded` when it has more elements than the enumeration
+budget; in dimension 3 and up it comes from the parallelepipeds of a
+triangulation, refused when they hold more lattice points than the budget.
 
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
@@ -352,45 +355,104 @@ def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
 def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     """The unique minimal generating set of cone ∩ Z^n, for a pointed cone.
 
-    Candidates are the rays plus the fundamental-parallelepiped points of each
-    simplicial piece of a triangulation; the irreducibles always appear among
-    them.  A piece's parallelepiped holds |det| points, and BudgetExceeded is
-    raised before any is listed when their sum exceeds the enumeration
-    budget.  The reduction is graded (Bruns-Ichim, Normaliz): the sum of the
-    facet normals is positive on the nonzero points of the full-dimensional
-    cone, candidates are visited by (degree, vector), and each is tested only
-    against the irreducibles already accepted of at most half its degree.
-    If h = a + b, one summand has at most half the degree of h, and an
-    irreducible dividing that summand was accepted before h.
+    A cone of dimension 2 takes its basis from the Hirzebruch-Jung continued
+    fraction (:func:`_plane_basis`), at one step per run of basis elements;
+    the budget counts the basis elements.  In dimension 3 and up the
+    candidates are the rays plus the fundamental-parallelepiped points of a
+    triangulation (:func:`_triangulated_basis`), and the budget counts those
+    points.  Either way BudgetExceeded is raised before anything is listed.
+    A cone of dimension d < n is mapped onto Z^d first.
     """
     return _hilbert_basis(cone, cone)
 
 
 def _hilbert_basis(cone: Cone, named: object) -> tuple[Vector, ...]:
     """:func:`hilbert_basis`, with a budget error naming what the caller asked about."""
+    try:
+        return _basis(cone)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"Hilbert basis of {named}: {exc}") from None
+
+
+def _basis(cone: Cone) -> tuple[Vector, ...]:
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
         return ()
+    n = cone.ambient_dim
+    if n == 2 == len(cone.rays):  # two rays of a pointed cone in Z^2 span it
+        return _plane_basis(*cone.rays)
     if is_smooth(cone):
         return cone.rays
-    n = cone.ambient_dim
     d = cone.dim
     if d < n:
         # the Hermite transform u of the rays maps span ∩ Z^n onto Z^d x 0;
         # its images of the rays are primitive, distinct and extremal
         _, u = row_hermite_transform(list(zip(*cone.rays)))
         coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
-        inner = _hilbert_basis(_trusted(d, coords), named)
+        inner = _basis(_trusted(d, coords))
         u_inv = invert_unimodular(u)
         return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
+    return _triangulated_basis(cone)
+
+
+def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
+    """Hilbert basis of the cone on independent primitive a, b in Z^2, by the
+    Hirzebruch-Jung continued fraction (Fulton, *Introduction to Toric
+    Varieties* §2.6; Oda, *Convex Bodies and Algebraic Geometry* §1.6).
+
+    With a, b ordered so that D = det(a, b) > 0, let u be the lattice point
+    with det(a, u) = 1 and 0 <= det(u, b) < D.  The basis is w_0 = a,
+    w_1 = u, ..., b, where w_{i+1} = c_i w_i - w_{i-1} with c_i the ceiling
+    of r_{i-1} / r_i, r_i = det(w_i, b): consecutive elements span Z^2, and
+    r falls strictly to 0 at w = b.  While c_i = 2 both w and r are
+    arithmetic progressions, so such a run is taken in one step; the runs
+    number O(log D), and the budget counts the elements before any is listed.
+    """
+    size = a[0] * b[1] - a[1] * b[0]
+    if size < 0:
+        a, b, size = b, a, -size
+    _, ((p, q), _) = row_hermite_transform([[a[0]], [a[1]]])  # p a_0 + q a_1 = 1
+    # v = (-q, p) has det(a, v) = 1, and so has u = v - t a, with
+    # det(u, b) = det(v, b) - t D: the remainder r of det(v, b) by D
+    t, r = divmod(-p * b[0] - q * b[1], size)
+    u = (-q - t * a[0], p - t * a[1])
+    prev, cur, r_prev = a, u, size
+    runs = []  # (w, step, m): the elements w + j step for 1 <= j <= m
+    while r:
+        c = -(-r_prev // r)
+        step = ((c - 1) * cur[0] - prev[0], (c - 1) * cur[1] - prev[1])
+        drop = r_prev - (c - 1) * r  # r_i - r_{i+1}, constant along a run of c = 2
+        m = r // drop if c == 2 else 1
+        runs.append((cur, step, m))
+        prev = (cur[0] + (m - 1) * step[0], cur[1] + (m - 1) * step[1])
+        cur = (cur[0] + m * step[0], cur[1] + m * step[1])
+        r_prev, r = r - (m - 1) * drop, r - m * drop
+    check_budget(2 + sum(m for _, _, m in runs), "elements")
+    basis = [a, u]
+    for (x, y), (dx, dy), m in runs:
+        basis.extend((x + j * dx, y + j * dy) for j in range(1, m + 1))
+    return tuple(sorted(basis))
+
+
+def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
+    """Hilbert basis of a full-dimensional pointed cone from a triangulation.
+
+    Candidates are the rays plus the fundamental-parallelepiped points of
+    each simplicial piece; the irreducibles always appear among them.  A
+    piece's parallelepiped holds |det| points, and BudgetExceeded is raised
+    before any is listed when their sum exceeds the enumeration budget.  The
+    reduction is graded (Bruns-Ichim, Normaliz): the sum of the facet
+    normals is positive on the nonzero points of the cone, candidates are
+    visited by (degree, vector), and each is tested only against the
+    irreducibles already accepted of at most half its degree.  If h = a + b,
+    one summand has at most half the degree of h, and an irreducible
+    dividing that summand was accepted before h.
+    """
+    n = cone.ambient_dim
     pieces = _triangulate(cone.rays, n)
     # one candidate per lattice point of each piece's parallelepiped
-    volume = sum(abs(det(piece)) for piece in pieces)
-    try:
-        check_budget(volume, "parallelepiped points")
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"Hilbert basis of {named}: {exc}") from None
+    check_budget(sum(abs(det(piece)) for piece in pieces), "parallelepiped points")
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
     for piece in pieces:

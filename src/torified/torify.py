@@ -18,9 +18,10 @@ polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
 vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
 number of tori.  Their ``torify_*`` constructors, the labeled listing and
-the enumerative reference, share one listing routine, which counts the
-2^N * c(2) tori and refuses a listing past the enumeration budget before
-building anything.
+the enumerative reference, share one listing routine, which refuses a
+listing of more than the enumeration budget's 2^N * c(2) tori before
+building anything; for G/P, c(2) comes from a closed form, so not even c is
+built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .budget import check_budget
 from .errors import (
@@ -385,17 +386,17 @@ def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Tori
 
 
 def _cell_listing(
-    poly: Sequence[int],
+    tori: int,
     cells: Callable[[], Iterable[tuple[str, int]]],
     data: ChevalleyData | None = None,
 ) -> Torification:
     """One part per cell ``(label, s_w)`` that ``cells()`` yields, over the
     tori of A^(s_w); for a group with Bruhat data ``data``, of A^(s_w) x T^r
-    x A^N under a single chart.  ``poly`` is the cell dimension polynomial
-    sum_w q^(s_w), so 2^N * poly(2) tori are checked against the budget
-    before ``cells`` is called.  Each cell dimension's tori are built once."""
+    x A^N under a single chart.  ``tori`` is their number, 2^N * sum_w
+    2^(s_w), and is checked against the budget before ``cells`` is called.
+    Each cell dimension's tori are built once."""
+    check_budget(tori, "tori")
     unipotent_dim = data.unipotent_dim if data is not None else 0
-    check_budget(sum(c << s for s, c in enumerate(poly)) << unipotent_dim, "tori")
     cells = tuple(cells())
     shared = _affine_cells({s_w for _, s_w in cells} | {unipotent_dim})
     if data is not None:  # N is the largest cell dimension, so every key is a cell dimension
@@ -440,9 +441,20 @@ def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
     _check_grassmannian(k, n)
     return _cell_listing(
-        _gaussian_polynomial(n, k),
+        _schubert_tori((k, n - k)),
         lambda: ((f"schubert:{idx}", d) for idx, d in schubert_cells_grassmannian(k, n)),
     )
+
+
+def _schubert_tori(composition: Sequence[int]) -> int:
+    """sum_w 2^(s_w) over the Schubert cells of a flag type: the q-multinomial
+    at q = 2, [n]_2! / prod_i [d_i]_2! with [m]_2! = prod_{i <= m} (2^i - 1),
+    n = sum_i d_i.  A product of n factors, so no cell polynomial is built."""
+
+    def factorial_2(m: int) -> int:
+        return prod((1 << i) - 1 for i in range(1, m + 1))
+
+    return factorial_2(sum(composition)) // prod(map(factorial_2, composition))
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
@@ -500,8 +512,9 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
+    composition = _check_composition(composition)
     return _cell_listing(
-        _flag_polynomial(composition),
+        _schubert_tori(composition),
         lambda: ((f"schubert:w={_perm_label(w)}", d) for w, d in schubert_cells_flag(composition)),
     )
 
@@ -578,7 +591,7 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
     """Bruhat torification: each cell contributes affine x torus x affine, all
     in a single chart, since the whole group is affine."""
     return _cell_listing(
-        _bruhat_polynomial(data),
+        sum(1 << s_w for s_w in data.cell_dims) << data.unipotent_dim,
         lambda: ((f"bruhat:{w},cell_dim={s}", s) for s, w in zip(data.cell_dims, data.cell_labels)),
         data,
     )

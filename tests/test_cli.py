@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
@@ -235,26 +235,45 @@ def test_spec_of_non_simplicial_cone_in_dimension_5(capsys):
 
 
 def test_spec_refuses_an_over_budget_hilbert_basis(capsys, monkeypatch):
-    # the dual of (1,0),(1,5001) is one parallelepiped of volume 5001
+    # the dual of (0,1),(5001,-1) is (1,0),(1,5001): 5,002 basis elements
     hilbert_basis.cache_clear()
     monoid_of_cone.cache_clear()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
-    code, out, err = run(capsys, "spec", "--cone", "1,0;1,5001")
+    code, out, err = run(capsys, "spec", "--cone", "0,1;5001,-1")
     assert code == 2 and out == ""
-    assert "5001 parallelepiped points exceed the budget of 1000" in err
+    assert "5002 elements exceed the budget of 1000" in err
 
 
 def test_spec_budget_error_names_the_given_cone(capsys, monkeypatch):
     # the basis is computed modulo the units, on a 2-D cone the user never gave
     monoid_of_cone.cache_clear()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
-    code, out, err = run(capsys, "spec", "--cone", "1,0,0;1,5001,0")
+    code, out, err = run(capsys, "spec", "--cone", "0,1,0;5001,-1,0")
     assert code == 2 and out == ""
     assert (
-        "Hilbert basis of the monoid of Cone(dim 3, rays=[(1, 0, 0), (1, 5001, 0)]): "
-        "5001 parallelepiped points exceed the budget of 1000"
+        "Hilbert basis of the monoid of Cone(dim 3, rays=[(0, 1, 0), (5001, -1, 0)]): "
+        "5002 elements exceed the budget of 1000"
     ) in err
     assert "Cone(dim 2" not in err
+
+
+@pytest.mark.parametrize("cone", ["1,0;1,5001", "1,0,0;1,5001,0"])
+def test_spec_of_a_thin_cone_with_a_small_basis_fits_a_small_budget(capsys, monkeypatch, cone):
+    # the dual has volume 5001 but 3 generators; the 2-D budget counts those
+    monoid_of_cone.cache_clear()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    code, data, _ = run_json(capsys, "spec", "--cone", cone)
+    assert code == 0
+    assert len(data["result"]["points"][-1]["generators"]) == 3
+
+
+def test_spec_of_a_cone_of_volume_200000_is_quick(capsys):
+    # the parallelepiped of its dual held 200,000 candidates: 3.3 s and 88 MB
+    monoid_of_cone.cache_clear()
+    with time_limit(2):
+        code, data, _ = run_json(capsys, "spec", "--cone", "1,0;1,200000")
+    assert code == 0
+    assert data["result"]["points"][-1]["generators"] == [[0, 1], [1, 0], [200000, -1]]
 
 
 def test_parser_built_once_and_stateless(capsys):
@@ -351,6 +370,10 @@ def with_shared_tuple(draw):
 
 
 @given(st.one_of(JSON_VALUES, with_shared_tuple()))
+@example([1, True, False, 0])  # bools among ints render as true/false
+@example([True, False])
+@example([[1, 2], [3, -4], [], [5]])  # nested plain int lists
+@example({"chart": (0, 1, 2**100, -3), "ranks": [[0], [1, 1.5]]})
 def test_dumps_matches_stdlib_indented_sorted_json(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 

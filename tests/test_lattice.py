@@ -52,8 +52,10 @@ from torified.lattice import (
     _dual_pair,
     _open_pairs,
     _parallelepiped_points,
+    _plane_basis,
     _separating_faces,
     _triangulate,
+    _triangulated_basis,
     dual_cone,
     faces,
     facet_normals,
@@ -637,6 +639,48 @@ def test_hilbert_basis_agrees_with_all_pairs_filter(cone):
     assert hilbert_basis(cone) == all_pairs_hilbert_basis(cone)
 
 
+@st.composite
+def plane_cones(draw):
+    """Pointed 2-D cones in Z^2: on two rays with entries in [-30, 30], or thin
+    ones, (1,0) and (-k,D) with D <= 10^4, moved by a drawn unimodular map."""
+    if draw(st.booleans()):
+        ray = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(any).map(primitive)
+        a, b = draw(ray), draw(ray)
+    else:
+        volume = draw(st.integers(1, 10**4))
+        k = draw(st.integers(0, volume - 1).filter(lambda k: math.gcd(k, volume) == 1))
+        m = draw(unimodular(2))
+        a, b = mat_vec(m, (1, 0)), mat_vec(m, (-k, volume))
+    assume(det((a, b)) != 0)
+    return Cone(2, (a, b))
+
+
+@settings(max_examples=150)
+@given(plane_cones())
+@example(Cone(2, ((1, 0), (0, 1))))  # smooth: the basis is the rays
+@example(Cone(2, ((1, 0), (1, 5001))))  # one run of 5,000 c_i = 2
+@example(Cone(2, ((0, 1), (5001, -1))))  # one c_i = 5001
+@example(Cone(2, ((-1, 0), (7, -10**4))))
+def test_plane_basis_agrees_with_the_triangulation(cone):
+    a, b = cone.rays
+    basis = _triangulated_basis(cone)
+    assert _plane_basis(a, b) == _plane_basis(b, a) == basis
+    assert hilbert_basis(cone) == basis
+
+
+@settings(max_examples=80)
+@given(plane_cones(), st.integers(3, 4), st.data())
+def test_plane_basis_of_a_cone_embedded_in_higher_dimension(cone, n, data):
+    # the lower-dimensional branch maps the plane onto Z^2 and back
+    m = data.draw(unimodular(n))
+
+    def lift(v):
+        return mat_vec(m, v + (0,) * (n - 2))
+
+    embedded = Cone(n, tuple(map(lift, cone.rays)))
+    assert hilbert_basis(embedded) == tuple(sorted(map(lift, _triangulated_basis(cone))))
+
+
 def test_non_simplicial_cone_in_dimension_5():
     # the square pyramid times a 2-D orthant: 6 rays spanning Z^5
     rays = (
@@ -656,11 +700,20 @@ def test_non_simplicial_cone_in_dimension_5():
 
 
 def test_hilbert_basis_refuses_an_over_budget_volume(monkeypatch):
-    cone = Cone(2, ((1, 0), (2, 2001)))  # one piece of volume 2001
+    # dimension >= 3: the budget counts parallelepiped points, here one piece
+    # of volume 2001 (and 2,003 basis elements)
+    cone = Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 2001)))
     monkeypatch.setenv("TORIFIED_BUDGET", "2000")
     with pytest.raises(BudgetExceeded, match="2001 parallelepiped points exceed the budget of 2000"):
         hilbert_basis(cone)
     monkeypatch.setenv("TORIFIED_BUDGET", "2001")
+    assert hilbert_basis(cone) == ((0, 1, 0), (1, 0, 0)) + tuple((1, 1, k) for k in range(1, 2002))
+    # dimension 2: the budget counts basis elements, 1,002 at volume 2001
+    cone = Cone(2, ((1, 0), (2, 2001)))
+    monkeypatch.setenv("TORIFIED_BUDGET", "1001")
+    with pytest.raises(BudgetExceeded, match="1002 elements exceed the budget of 1001"):
+        hilbert_basis(cone)
+    monkeypatch.setenv("TORIFIED_BUDGET", "1002")
     assert hilbert_basis(cone) == tuple((1, k) for k in range(1001)) + ((2, 2001),)
 
 
@@ -672,7 +725,19 @@ def test_budget_error_names_the_cone_it_was_called_with(monkeypatch):
         hilbert_basis(cone)
     assert str(caught.value) == (
         "Hilbert basis of Cone(dim 3, rays=[(1, 0, 0), (1, 5001, 0)]): "
-        "5001 parallelepiped points exceed the budget of 1000"
+        "5002 elements exceed the budget of 1000"
+    )
+
+
+def test_plane_basis_of_a_huge_volume_is_refused_at_once(monkeypatch):
+    # 10^9 + 1 elements, counted from O(log) runs: none of them is listed
+    cone = Cone(2, ((1, 0), (1, 10**9)))
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    with time_limit(1):
+        with pytest.raises(BudgetExceeded) as caught:
+            hilbert_basis(cone)
+    assert str(caught.value) == (
+        f"Hilbert basis of {cone}: 1000000001 elements exceed the budget of 1000"
     )
 
 

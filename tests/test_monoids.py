@@ -114,20 +114,20 @@ def test_monoid_of_cone_agrees_with_three_branches_on_all_faces(cone):
 @pytest.mark.parametrize(
     "cone",
     [
-        Cone(2, ((1, 0), (1, 5001))),  # the dual is pointed: no units
-        Cone(3, ((1, 0, 0), (1, 5001, 0))),  # computed modulo the units (0, 0, 1)
+        Cone(2, ((0, 1), (5001, -1))),  # the dual is pointed: no units
+        Cone(3, ((0, 1, 0), (5001, -1, 0))),  # computed modulo the units (0, 0, 1)
     ],
     ids=str,
 )
 def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
-    # either way the basis is of a 2-D cone of volume 5001
+    # either way the basis is of the 2-D cone (1,0),(1,5001): 5,002 elements
     monoid_of_cone.cache_clear()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
     with pytest.raises(BudgetExceeded) as caught:
         monoid_of_cone(cone)
     assert str(caught.value) == (
         f"Hilbert basis of the monoid of {cone}: "
-        "5001 parallelepiped points exceed the budget of 1000"
+        "5002 elements exceed the budget of 1000"
     )
 
 

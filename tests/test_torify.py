@@ -15,7 +15,7 @@ from references import (
     scanned_maximal_cones,
     scanned_regularity,
 )
-from test_lattice import complete_fans_2d
+from test_lattice import complete_fans_2d, time_limit
 
 from torified import torify
 from torified.counting import verify_counting
@@ -335,6 +335,31 @@ def test_listing_constructors_refuse_an_over_budget_listing(monkeypatch):
     monkeypatch.setenv("TORIFIED_BUDGET", "119")
     with pytest.raises(BudgetExceeded):
         chevalley_data_sl(5)
+
+
+def test_schubert_listings_are_refused_before_their_cell_polynomial(monkeypatch):
+    # the gate is the q-multinomial at 2, [n]_2!/prod [d_i]_2!; building the
+    # q-Pascal polynomial first took seconds to refuse Gr(100, 200)
+    for n in range(1, 8):
+        for c in compositions(n):
+            tori = sum(a << s for s, a in enumerate(torify._flag_polynomial(c)))
+            assert torify._schubert_tori(c) == tori
+
+    def refuse(*args):
+        raise AssertionError("built a cell polynomial before the budget was checked")
+
+    monkeypatch.setattr(torify, "_gaussian_polynomial", refuse)
+    monkeypatch.setattr(torify, "_flag_polynomial", refuse)
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    with time_limit(2):
+        for build, arg in (
+            (torify_grassmannian, (100, 200)),
+            (torify_grassmannian, (3, 6)),
+            (torify_flag, ((1,) * 40,)),
+            (torify_flag, ((2, 2, 2),)),
+        ):
+            with pytest.raises(BudgetExceeded, match=" tori exceed the budget of 1000$"):
+                build(*arg)
 
 
 GATED_LISTINGS = (
