@@ -9,16 +9,18 @@ produce byte-identical payloads apart from the timing field.
 
 ``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
 built-in family from its cell polynomials, so their cost does not grow with
-the number of tori.  Torifications are built only for ``torify`` listings, for
-``gadget --elements`` and for ``toric`` fan files, and a listing is checked
-against the enumeration budget before anything is built.  Listings are
-rendered from one text block per distinct cell and per D^r (``_ToriList``,
+the number of tori.  The families are one table, ``FAMILIES``, and a delta
+vector is computed only when a command reads it.  ``torify`` counts the tori
+as N(2), the points over F_2 by the finite-field formula (one per torus), and
+refuses a listing over the enumeration budget before it builds a torus or a
+delta vector.  Torifications are built only for ``torify`` listings, for
+``gadget --elements`` and for ``toric`` fan files.  Listings are rendered
+from one text block per distinct cell and per D^r (``_ToriList``,
 ``_Power``), not per torus or point.  The envelope is streamed to stdout:
 dicts key by key, a torus listing one ``(prefix, cell)`` part at a time, and
 each torus's D^r as its shared text, so peak memory is bounded by the largest
 block, not by the output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to
-/dev/null in 0.16 s and peaks at 38 MB RSS (0.57 s and 238 MB when the text
-was built whole; Python 3.11, 2 vCPUs).
+/dev/null in 0.16 s and peaks at 38 MB RSS (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -37,6 +38,7 @@ from typing import Callable
 from . import __version__
 from .budget import check_budget
 from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
+from .counting import oracle_point_count
 from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
@@ -64,6 +66,7 @@ from .torify import (
     torify_toric,
     torify_torus,
 )
+from .torify import _check_affine, _check_composition, _check_grassmannian, _check_sl
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -306,70 +309,68 @@ def _parse_cone(raw: str) -> Cone:
         raise UsageError(f"invalid cone: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class Family:
-    """A resolved family spec or torification file: its delta vector, a
-    builder for its labeled tori, and the oracle (family, params) pair."""
+    """A resolved family spec or torification file: its delta vector, computed
+    when first read, a builder for its tori, and the oracle (family, params)."""
 
-    delta: tuple[int, ...]
-    build: Callable[[], Torification]
-    oracle: tuple[str, object] | None
+    def __init__(self, compute_delta: Callable[[], tuple[int, ...]],
+                 build: Callable[[], Torification], oracle: tuple[str, object] | None):
+        self.compute_delta, self.build, self.oracle = compute_delta, build, oracle
+
+    @functools.cached_property
+    def delta(self) -> tuple[int, ...]:
+        return self.compute_delta()
 
 
-def _built(t: Torification, oracle: tuple[str, object] | None) -> Family:
-    """A family whose tori exist already (fans, files): delta read off them."""
-    return Family(delta_vector(t), lambda: t, oracle)
+def _parser(count: int, convert: Callable[[str], object], check=None) -> Callable:
+    """A parser of ``count`` parameters (one or more if 0), each converted by
+    ``convert``, to the value if ``count`` is 1 and else the tuple, vetted by ``check``."""
+
+    def parse(family: str, params: list[str]) -> object:
+        if len(params) != count if count else not params:
+            got = f"{count or 'one or more'} parameter(s), got {len(params)}"
+            raise UsageError(f"family {family!r} takes {got}")
+        try:
+            values = tuple(map(convert, params))
+        except ValueError as exc:
+            raise UsageError(f"family {family!r} needs integer parameters") from exc
+        value = values[0] if count == 1 else values
+        if check:
+            check(value)
+        return value
+
+    return parse
+
+
+# name: (parser to the oracle's params, the oracle's name, delta, builder).  The lambdas look
+# the library's functions up when called, so a test can replace one; Torus(n) checks n.
+_TORUS = (_parser(1, int, Torus), "gm", lambda n: delta_torus(n), lambda n: torify_torus(n))
+FAMILIES = {
+    "affine": (_parser(1, int, _check_affine), "affine",
+               lambda n: delta_affine_space(n), lambda n: torify_affine_space(n)),
+    "projective": (_parser(1, int, _check_affine), "projective", lambda n: delta_projective(n),
+                   lambda n: torify_toric(standard_fan("projective_space", n))),
+    "torus": _TORUS,
+    "gm": _TORUS,
+    "grassmannian": (_parser(2, int, lambda kn: _check_grassmannian(*kn)), "grassmannian",
+                     lambda kn: delta_grassmannian(*kn), lambda kn: torify_grassmannian(*kn)),
+    "flag": (_parser(0, int, _check_composition), "flag",
+             lambda c: delta_flag(c), lambda c: torify_flag(c)),
+    "sl": (_parser(1, int, _check_sl), "sl",
+           lambda n: delta_sl(n), lambda n: torify_chevalley(chevalley_data_sl(n))),
+    "toric": (_parser(1, load_fan), "toric",
+              lambda fan: delta_vector(torify_toric(fan)), lambda fan: torify_toric(fan)),
+}
 
 
 def build_family(family: str, params: list[str]) -> Family:
-    """Delta vector, tori builder and oracle pair for a family spec."""
-
-    def want(k: int) -> list[int]:
-        if len(params) != k:
-            raise UsageError(f"family {family!r} takes {k} parameter(s), got {len(params)}")
-        try:
-            return [int(p) for p in params]
-        except ValueError as exc:
-            raise UsageError(f"family {family!r} needs integer parameters") from exc
-
-    if family == "affine":
-        (n,) = want(1)
-        return Family(delta_affine_space(n), lambda: torify_affine_space(n), ("affine", n))
-    if family == "projective":
-        (n,) = want(1)
-        return Family(
-            delta_projective(n),
-            lambda: torify_toric(standard_fan("projective_space", n)),
-            ("projective", n),
-        )
-    if family in ("torus", "gm"):
-        (n,) = want(1)
-        return Family(delta_torus(n), lambda: torify_torus(n), ("gm", n))
-    if family == "grassmannian":
-        k, n = want(2)
-        return Family(
-            delta_grassmannian(k, n), lambda: torify_grassmannian(k, n), ("grassmannian", (k, n))
-        )
-    if family == "flag":
-        if not params:
-            raise UsageError("family 'flag' needs a composition, e.g. flag 1 1 1")
-        try:
-            comp = tuple(int(p) for p in params)
-        except ValueError as exc:
-            raise UsageError("flag composition must be integers") from exc
-        return Family(delta_flag(comp), lambda: torify_flag(comp), ("flag", comp))
-    if family == "sl":
-        (n,) = want(1)
-        return Family(delta_sl(n), lambda: torify_chevalley(chevalley_data_sl(n)), ("sl", n))
-    if family == "toric":
-        if len(params) != 1:
-            raise UsageError("family 'toric' takes one parameter: a fan JSON file")
-        fan = load_fan(params[0])
-        return _built(torify_toric(fan), ("toric", fan))
-    raise UsageError(
-        f"unknown family {family!r}; choose from affine, projective, torus, "
-        "grassmannian, flag, sl, toric"
-    )
+    """Delta vector, tori builder and oracle pair for a family spec; only the
+    parameters are parsed and checked here."""
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    parse, oracle, delta, build = FAMILIES[family]
+    p = parse(family, params)
+    return Family(lambda: delta(p), lambda: build(p), (oracle, p))
 
 
 def torification_to_dict(t: Torification) -> dict:
@@ -405,10 +406,10 @@ def load_torification(path: str) -> Torification:
 
 def _resolve_family(args) -> Family:
     if getattr(args, "torification", None):
-        return _built(load_torification(args.torification), None)
+        t = load_torification(args.torification)
+        return Family(lambda: delta_vector(t), lambda: t, None)
     if getattr(args, "family", None):
-        family, *params = args.family
-        return build_family(family, params)
+        return build_family(args.family[0], args.family[1:])
     raise UsageError("give either --family NAME PARAMS... or --torification FILE")
 
 
@@ -431,9 +432,8 @@ def _dscheme_payload(ds) -> dict:
 
 
 def cmd_torify(args) -> tuple[dict, int]:
-    family, *params = args.family_spec
-    fam = build_family(family, params)
-    check_budget(sum(fam.delta), "tori")
+    fam = build_family(args.family_spec[0], args.family_spec[1:])
+    check_budget(oracle_point_count(*fam.oracle, 2), "tori")
     return torification_to_dict(fam.build()), 0
 
 
@@ -532,8 +532,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     qs = _parse_int_list(args.q, "q")
     if not qs:
         raise UsageError("--q needs at least one value")
-    family, *params = args.family
-    fam = build_family(family, params)
+    fam = _resolve_family(args)
     report = verify_counting_polynomial(CountingPolynomial.from_delta(fam.delta), *fam.oracle, qs)
     payload = {
         "family": args.family,
@@ -606,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        return sub.add_parser(name, help=help_text, description=help_text, parents=[common])
 
-    p = add_parser("torify", "build a torification of a built-in family")
+    p = add_parser("torify", "build a torification of one of " + ", ".join(FAMILIES))
     p.add_argument("family_spec", nargs="+", metavar="FAMILY [PARAMS...]")
     p.set_defaults(handler=cmd_torify)
 

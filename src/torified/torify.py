@@ -347,8 +347,7 @@ def delta_projective(n: int) -> tuple[int, ...]:
     """Delta vector of :func:`torify_toric` on the fan of P^n, without the fan:
     every set of k <= n of its n+1 rays spans a cone, so C(n+1, l+1) tori
     have rank l = n - k."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_affine(n)
     return tuple(comb(n + 1, l + 1) for l in range(n + 1))
 
 

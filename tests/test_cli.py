@@ -23,7 +23,7 @@ from test_lattice import time_limit
 
 from torified import cli
 from torified.cli import _dumps, main, torification_from_dict
-from torified.counting import verify_counting
+from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
 from torified.gadgets import (
     CyclicMonoidWithZero,
@@ -33,7 +33,7 @@ from torified.gadgets import (
 )
 from torified.lattice import hilbert_basis, maximal_cones
 from torified.monoids import monoid_of_cone
-from torified.torify import Torification, Torus, delta_vector
+from torified.torify import Torification, Torus, delta_grassmannian, delta_vector
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -570,18 +570,22 @@ def _run_child(argv: list[str], **kwargs) -> subprocess.Popen:
 
 def test_largest_listing_streams_in_bounded_memory():
     # 615,195 tori in 56 MB of JSON; built as one string it peaked at 238 MB
+    # the child's own peak: VmHWM belongs to its address space, while
+    # ru_maxrss on Linux starts from the forking pytest process's peak
     script = (
-        "import resource, sys\n"
+        "import sys\n"
         "from torified.cli import main\n"
         "code = main(['torify', 'flag', '1', '1', '1', '1', '1', '1'])\n"
         "sys.stdout.flush()\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(code, hwm, file=sys.stderr)\n"
     )
     proc = _run_child(["-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     _, err = proc.communicate(timeout=120)
-    code, max_rss_kb = map(int, err.split())  # ru_maxrss is in kilobytes on Linux
+    code, peak_kb = map(int, err.split())  # VmHWM is in kB
     assert code == 0
-    assert max_rss_kb < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 def test_closed_pipe_ends_without_a_traceback(tmp_path):
@@ -715,6 +719,8 @@ def test_count_of_a_degree_1600_grassmannian_is_quick(capsys):
     [
         ["count", "--family", "grassmannian", "5", "3"],
         ["torify", "torus", "-2"],
+        ["torify", "projective", "-3"],  # checked before N(2), whose formula needs n >= -1
+        ["torify", "flag", "-1", "2"],
         ["count", "--family", "affine", "-1"],
         ["gadget", "--group", "0", "--family", "affine", "1"],
         ["verify", "--q", "1", "--family", "affine", "1"],
@@ -729,13 +735,20 @@ def test_bad_parameters_are_usage_errors(capsys, argv):
 
 def test_listings_checked_against_budget_before_building(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("tori built for an over-budget listing")
+        raise AssertionError("tori or a delta vector computed for an over-budget listing")
 
     monkeypatch.setattr(cli, "torify_grassmannian", refuse)
-    # N(2) = 109,221,651 tori: exhausted memory when they were built first
-    code, out, err = run(capsys, "torify", "grassmannian", "5", "10")
-    assert code == 2 and out == ""
-    assert "109221651 tori exceed the budget of 1000000" in err
+    monkeypatch.setattr(cli, "delta_grassmannian", refuse)
+    # N(2) = 109,221,651 tori: exhausted memory when they were built first.
+    # Gr(100, 200) took about 50 s to refuse when its delta vector came first;
+    # N(2) of Gr(150, 300) has 6,774 digits, more than str() converts.
+    for k, n, size in (("5", "10", "109221651"), ("100", "200", "10^3010 or more"),
+                       ("150", "300", "10^6773 or more")):
+        with time_limit(1):
+            code, out, err = run(capsys, "torify", "grassmannian", k, n)
+        assert code == 2 and out == ""
+        assert err == f"error: {size} tori exceed the budget of 1000000\n"
+    monkeypatch.setattr(cli, "delta_grassmannian", delta_grassmannian)  # gadget reads the delta
     code, out, err = run(
         capsys, "gadget", "--elements", "--group", "12", "--family", "grassmannian", "4", "8"
     )
@@ -770,6 +783,20 @@ SMALL_LADDER = (
     + [("sl", n) for n in range(1, 4)]
     + [(family, n) for family in ("affine", "torus", "projective") for n in range(4)]
 )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SMALL_LADDER
+    + [(family, n) for family in ("affine", "projective") for n in (4, 5)]
+    + [("toric", os.path.join(DATA, "p2_fan.json"))],
+    ids=lambda s: "-".join(os.path.basename(str(x)) for x in s),
+)
+def test_torify_gate_delta_and_listing_agree(spec):
+    # `torify` gates on the oracle's N(2), counting reads the delta vector:
+    # over F_2 each torus has one point, so both count the tori listed
+    fam = cli.build_family(spec[0], [str(x) for x in spec[1:]])
+    assert oracle_point_count(*fam.oracle, 2) == sum(fam.delta) == len(fam.build())
 
 
 @pytest.mark.parametrize("spec", SMALL_LADDER, ids=lambda s: "-".join(map(str, s)))

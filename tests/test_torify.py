@@ -5,7 +5,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_CORPUS, compositions
@@ -18,6 +18,7 @@ from references import (
 from test_lattice import complete_fans_2d, time_limit
 
 from torified import torify
+from torified.budget import check_budget
 from torified.counting import verify_counting
 from torified.errors import (
     BudgetExceeded,
@@ -354,12 +355,35 @@ def test_schubert_listings_are_refused_before_their_cell_polynomial(monkeypatch)
     with time_limit(2):
         for build, arg in (
             (torify_grassmannian, (100, 200)),
+            (torify_grassmannian, (150, 300)),  # N(2) has 6,774 digits, too many for str()
             (torify_grassmannian, (3, 6)),
             (torify_flag, ((1,) * 40,)),
             (torify_flag, ((2, 2, 2),)),
         ):
             with pytest.raises(BudgetExceeded, match=" tori exceed the budget of 1000$"):
                 build(*arg)
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1000, 9000).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(10**k, 10 ** (k + 1) - 1))
+    )
+)
+@example((1000, 10**1000))
+@example((1000, 9999 * 10**997))
+@example((6773, 10**6774 - 1))
+def test_budget_message_of_a_huge_size_gives_its_power_of_ten(k_size):
+    # k + 1 digits: printed as 10^k, without converting the int to text;
+    # the examples sit next to a power of ten, where log10 alone may round across it
+    k, size = k_size
+    with pytest.raises(BudgetExceeded, match=f"^10\\^{k} or more tori exceed the budget of 1000000$"):
+        check_budget(size, "tori")
+
+
+def test_budget_message_prints_a_size_below_10_to_the_1000_in_full():
+    with pytest.raises(BudgetExceeded, match=f"^{'9' * 1000} tori exceed the budget of 1000000$"):
+        check_budget(10**1000 - 1, "tori")
 
 
 GATED_LISTINGS = (
