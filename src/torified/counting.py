@@ -15,6 +15,7 @@ every division checked to be exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .errors import UnknownFamily
@@ -165,12 +166,19 @@ def q_multinomial(composition: Sequence[int], q: int) -> int:
     return _exact_div(num, den)
 
 
+def _tree_product(factors: Sequence[int]) -> int:
+    """prod(factors) over a balanced tree: each product is of two ints of
+    about the same size, where multiplication is subquadratic, rather than
+    of one growing int and a small factor at a time."""
+    if len(factors) <= 2:
+        return prod(factors)
+    mid = len(factors) // 2
+    return _tree_product(factors[:mid]) * _tree_product(factors[mid:])
+
+
 def sl_group_order(n: int, q: int) -> int:
     """|SL_n(F_q)| = q^(n(n-1)/2) * prod_{i=2..n} (q^i - 1)."""
-    total = q ** (n * (n - 1) // 2)
-    for i in range(2, n + 1):
-        total *= q**i - 1
-    return total
+    return q ** (n * (n - 1) // 2) * _tree_product([q**i - 1 for i in range(2, n + 1)])
 
 
 def oracle_point_count(family: str, params, q: int) -> int:

@@ -5,7 +5,9 @@ vector (the delta vector) is everything the counting machinery needs, while
 labels record where each torus came from.  Affine families additionally carry
 charts: index sets of tori covered by one affine piece each.  The tori are
 stored as parts, a label prefix over a cell of tori that many parts share, so
-a Schubert or Bruhat listing holds each distinct cell once.
+a Schubert or Bruhat listing holds each distinct cell once.  A cell is a run
+table: its maximal runs of tori of one rank, as label strings, so a listing
+builds no Torus object; one is made when the tori are indexed or iterated.
 
 Built-ins: toric varieties from fans, affine spaces, products and disjoint
 unions, Grassmannians and flag varieties by Schubert cells (no charts; those
@@ -18,10 +20,11 @@ polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
 vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
 number of tori.  Their ``torify_*`` constructors, the labeled listing and
-the enumerative reference, share one listing routine, which refuses a
-listing of more than the enumeration budget's 2^N * c(2) tori before
-building anything; for G/P, c(2) comes from a closed form, so not even c is
-built.
+the enumerative reference, share one listing routine.  It writes the runs of
+each A^(s_w) x T^r x A^N straight from those of the affine cells, and it
+refuses a listing of more than the enumeration budget's 2^N * c(2) tori
+before building anything; for G/P, c(2) comes from a closed form, so not
+even c is built.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import accumulate, combinations, groupby, permutations, repeat
 from math import comb, factorial, prod
 
 from .budget import check_budget
@@ -61,12 +64,13 @@ class Torus:
 class Torification:
     """An ordered multiset of labeled tori, optionally with an affine atlas.
 
-    The tori are stored as parts ``(prefix, cell)``: ``cell`` is a tuple of
-    tori that many parts (and torifications) may share, and ``prefix`` is
+    The tori are stored as parts ``(prefix, cell)``: ``cell`` is a run table
+    of tori that many parts (and torifications) may share, and ``prefix`` is
     the label written in front of the cell's own labels, or None for none.
     A torus labeled ``l`` in a part with prefix ``p`` is labeled ``p/l``, or
     ``p`` when ``l`` is empty.  ``Torification(tori, charts)`` is the flat
-    form: one part without a prefix.  The ``tori`` view makes the labeled
+    form: one part without a prefix.  ``from_parts`` takes each cell as a run
+    table or as a sequence of tori.  The ``tori`` view makes the labeled
     Torus objects only when it is indexed or iterated, and two torifications
     are equal when their tori and charts are, however they are split.
 
@@ -78,18 +82,19 @@ class Torification:
     __slots__ = ("parts", "charts", "_starts", "_size", "_delta")
 
     def __init__(self, tori: Sequence[Torus], charts: Charts | None = None):
-        self._set(((None, tuple(tori)),), charts)
+        self._set(((None, tori),), charts)
 
     @classmethod
     def from_parts(
-        cls, parts: Iterable[tuple[str | None, tuple[Torus, ...]]], charts: Charts | None = None
+        cls, parts: Iterable[tuple[str | None, Iterable[Torus]]], charts: Charts | None = None
     ) -> "Torification":
         out = object.__new__(cls)
         out._set(parts, charts)
         return out
 
     def _set(self, parts, charts) -> None:
-        parts = tuple(part for part in parts if part[1])
+        cells = ((p, cell if isinstance(cell, _Cell) else _Cell.of(cell)) for p, cell in parts)
+        parts = tuple(part for part in cells if len(part[1]))
         starts, size = [], 0
         for _, cell in parts:
             starts.append(size)
@@ -115,10 +120,10 @@ class Torification:
         return ToriView(self)
 
     def ranks(self) -> Iterator[int]:
-        """The rank of each torus in order, without building labels."""
+        """The rank of each torus in order, read from the run lengths."""
         for _, cell in self.parts:
-            for torus in cell:
-                yield torus.rank
+            for rank, labels in cell.runs:
+                yield from repeat(rank, len(labels))
 
     @property
     def dim(self) -> int:
@@ -139,7 +144,8 @@ class Torification:
             elif p:
                 parts.append((f"{prefix}/{p}", cell))
             else:  # the empty prefix does not compose: "q/" + "" is not "q"
-                parts.append((None, tuple(_labeled(prefix, _labeled(p, t)) for t in cell)))
+                labeled = ((r, [_join(prefix, _join(p, l)) for l in ls]) for r, ls in cell.runs)
+                parts.append((None, _Cell(labeled)))
         # as many tori as before, so the charts checked on self stay in range
         return Torification.from_parts(parts, self.charts)
 
@@ -163,13 +169,60 @@ class Torification:
 
 
 _rank = operator.attrgetter("rank")
-_label = operator.attrgetter("label")
 
 
-def _labeled(prefix: str | None, torus: Torus) -> Torus:
+def _join(prefix: str | None, label: str) -> str:
+    """The label of a torus labeled ``label`` in a part with this prefix."""
     if prefix is None:
-        return torus
-    return Torus(torus.rank, f"{prefix}/{torus.label}" if torus.label else prefix)
+        return label
+    return f"{prefix}/{label}" if label else prefix
+
+
+class _Cell:
+    """The tori of a cell as a run table: a tuple of maximal runs ``(rank,
+    labels)``, each the labels of consecutive tori of one rank.  A Schubert or
+    Bruhat cell has a few runs per torus of A^(s_w), so the labels are kept as
+    strings and a Torus is made only when the cell is iterated or indexed."""
+
+    __slots__ = ("runs", "_starts", "_size")
+
+    def __init__(self, pieces: Iterable[tuple[int, Iterable[str]]]):
+        """The run table of ``(rank, labels)`` pieces in order; adjacent
+        pieces of one rank join into one run and empty pieces drop out."""
+        runs: list[tuple[int, list[str]]] = []
+        for rank, labels in pieces:
+            if runs and runs[-1][0] == rank:
+                runs[-1][1].extend(labels)
+            elif labels:
+                runs.append((rank, list(labels)))
+        starts = tuple(accumulate((len(labels) for _, labels in runs), initial=0))
+        object.__setattr__(self, "runs", tuple((rank, tuple(labels)) for rank, labels in runs))
+        object.__setattr__(self, "_starts", starts[:-1])
+        object.__setattr__(self, "_size", starts[-1])
+
+    @classmethod
+    def of(cls, tori: Iterable[Torus]) -> "_Cell":
+        return cls((rank, [t.label for t in run]) for rank, run in groupby(tori, _rank))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a cell is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _Cell, (self.runs,)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def at(self, i: int) -> tuple[int, str]:
+        """Rank and label of torus ``i``, for 0 <= i < len(self)."""
+        j = bisect_right(self._starts, i) - 1
+        rank, labels = self.runs[j]
+        return rank, labels[i - self._starts[j]]
+
+    def __iter__(self) -> Iterator[Torus]:
+        for rank, labels in self.runs:
+            for label in labels:
+                yield Torus(rank, label)
 
 
 class ToriView(Sequence):
@@ -195,15 +248,14 @@ class ToriView(Sequence):
         t = self._t
         j = bisect_right(t._starts, i) - 1
         prefix, cell = t.parts[j]
-        return _labeled(prefix, cell[i - t._starts[j]])
+        rank, label = cell.at(i - t._starts[j])
+        return Torus(rank, _join(prefix, label))
 
     def __iter__(self) -> Iterator[Torus]:
         for prefix, cell in self._t.parts:
-            if prefix is None:
-                yield from cell
-            else:
-                for torus in cell:
-                    yield _labeled(prefix, torus)
+            for rank, labels in cell.runs:
+                for label in labels:
+                    yield Torus(rank, _join(prefix, label))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, ToriView)):
@@ -218,18 +270,14 @@ class ToriView(Sequence):
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
-    """Number of tori of each rank, indexed 0 .. dim: the rank counts of each
-    distinct cell, times the number of parts that hold it.  Counted once per
-    torification, which cannot change."""
+    """Number of tori of each rank, indexed 0 .. dim: the run lengths of the
+    parts' cells, summed by rank.  Counted once per torification, which
+    cannot change."""
     if t._delta is None:
-        cells: dict[int, tuple[tuple[Torus, ...], int]] = {}
-        for _, cell in t.parts:
-            times = cells.get(id(cell), (cell, 0))[1]
-            cells[id(cell)] = (cell, times + 1)
         counts: Counter[int] = Counter()
-        for cell, times in cells.values():
-            for rank, count in Counter(map(_rank, cell)).items():
-                counts[rank] += count * times
+        for _, cell in t.parts:
+            for rank, labels in cell.runs:
+                counts[rank] += len(labels)
         delta = tuple(counts[rank] for rank in range(max(counts, default=-1) + 1))
         object.__setattr__(t, "_delta", delta)
     return t._delta
@@ -300,23 +348,20 @@ def torify_affine_space(n: int) -> Torification:
     return Torification(cell, (tuple(range(len(cell))),))
 
 
-def _affine_cells(dims: set[int]) -> dict[int, tuple[Torus, ...]]:
-    """The tori of A^d for each d in ``dims``, sorted by rank and label: the
-    cells that the Schubert and Bruhat parts share.  A^(m+1) is A^m plus the
-    tori of S + {m+1} for S in A^m, so each torus is built once for all d."""
-    by_rank: list[list[Torus]] = []  # the tori of A^m, one list per rank
+def _affine_cells(dims: set[int]) -> dict[int, _Cell]:
+    """The tori of A^d for each d in ``dims``, sorted by rank and label, as
+    run tables: the cells that the Schubert and Bruhat parts share.  The
+    labels of rank r in A^m are those of A^(m-1) merged with S + {m} for S of
+    rank r - 1 in A^(m-1), so each label is written once for all d."""
+    by_rank: list[list[str]] = []  # the labels of A^m, one list per rank
     cells = {}
     for m in range(max(dims) + 1):
-        if not m:
-            by_rank.append([Torus(0, "axes:")])
-        else:  # A^(m-1) to A^m
-            by_rank.append([])
-            for r in range(m, 0, -1):  # downwards, so by_rank[r - 1] is still A^(m-1)'s
-                sep = "," if r > 1 else ""
-                grown = [Torus(r, f"{s.label}{sep}{m}") for s in by_rank[r - 1]]
-                by_rank[r] = sorted(by_rank[r] + grown, key=_label)
+        by_rank.append([] if m else ["axes:"])
+        for r in range(m, 0, -1):  # downwards, so by_rank[r - 1] is still A^(m-1)'s
+            sep = "," if r > 1 else ""
+            by_rank[r] = sorted(by_rank[r] + [f"{s}{sep}{m}" for s in by_rank[r - 1]])
         if m in dims:
-            cells[m] = tuple(chain.from_iterable(by_rank))
+            cells[m] = _Cell(enumerate(by_rank))
     return cells
 
 
@@ -336,9 +381,7 @@ def torify_toric(fan: Fan) -> Torification:
     maximal cones (each affine piece collects the faces of one maximal cone)."""
     require_valid(fan)
     n = fan.ambient_dim
-    tori = tuple(
-        Torus(n - c.dim, f"cone:{i}") for i, c in enumerate(fan.cones)
-    )
+    tori = _Cell((n - c.dim, (f"cone:{i}",)) for i, c in enumerate(fan.cones))
     charts = tuple(fan.face_indices[m] for m in maximal_cones(fan))
     return Torification(tori, charts)
 
@@ -393,15 +436,21 @@ def _cell_listing(
     tori of A^(s_w); for a group with Bruhat data ``data``, of A^(s_w) x T^r
     x A^N under a single chart.  ``tori`` is their number, 2^N * sum_w
     2^(s_w), and is checked against the budget before ``cells`` is called.
-    Each cell dimension's tori are built once."""
+    Each cell dimension's run table is built once."""
     check_budget(tori, "tori")
     unipotent_dim = data.unipotent_dim if data is not None else 0
     cells = tuple(cells())
     shared = _affine_cells({s_w for _, s_w in cells} | {unipotent_dim})
     if data is not None:  # N is the largest cell dimension, so every key is a cell dimension
-        torus, unipotent = torify_torus(data.torus_rank), Torification(shared[unipotent_dim])
+        r, unipotent = data.torus_rank, shared[unipotent_dim].runs
+        # labeled as product(product(A^s, torus), A^N) labels its tori: a*torus*u
         shared = {
-            s_w: tuple(product(product(Torification(cell), torus), unipotent).tori)
+            s_w: _Cell(
+                (a_rank + r + u_rank, [f"{a}*torus*{u}" for u in u_labels])
+                for a_rank, a_labels in cell.runs
+                for a in a_labels
+                for u_rank, u_labels in unipotent
+            )
             for s_w, cell in shared.items()
         }
     parts = tuple((label, shared[s_w]) for label, s_w in cells)

@@ -33,7 +33,7 @@ from torified.gadgets import (
 )
 from torified.lattice import hilbert_basis, maximal_cones
 from torified.monoids import monoid_of_cone
-from torified.torify import Torification, Torus, delta_grassmannian, delta_vector
+from torified.torify import Torification, Torus, delta_grassmannian, delta_vector, torify_toric
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -775,6 +775,66 @@ def test_projective_and_sl_counting_build_nothing(capsys, monkeypatch):
     # P^30 has 2^31 - 1 tori: refused before its fan is built
     code, out, err = run(capsys, "torify", "projective", "30")
     assert code == 2 and "2147483647 tori exceed the budget" in err
+
+
+def test_sl_listing_gate_is_quick(capsys):
+    # N(2) = |SL_2000(F_2)| has about 1.2 million digits: 10 s as a running product
+    with time_limit(3):
+        code, out, err = run(capsys, "torify", "sl", "2000")
+    assert code == 2 and out == ""
+    assert err == "error: 10^1204119 or more tori exceed the budget of 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "--elements", "--group", "2"],
+        ["gadget", "--group", "2"],
+        ["count"],
+        ["verify", "--q", "2,3"],
+    ],
+    ids=lambda argv: "_".join(a.strip("-") for a in argv),
+)
+def test_toric_torification_is_built_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def spy(fan):
+        calls.append(fan)
+        return torify_toric(fan)
+
+    monkeypatch.setattr(cli, "torify_toric", spy)
+    assert run(capsys, *argv, "--family", "toric", os.path.join(DATA, "p2_fan.json"))[0] == 0
+    assert len(calls) == 1
+    assert run(capsys, "torify", "toric", os.path.join(DATA, "p2_fan.json"))[0] == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torify", "flag", "1", "2", "1", "2"],
+        ["torify", "sl", "4"],
+        ["torify", "grassmannian", "4", "8"],
+        ["torify", "projective", "4"],
+        ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "2"],
+    ],
+    ids="_".join,
+)
+def test_listings_make_no_torus(capsys, monkeypatch, argv):
+    # a listing is written from the run tables of its cells: labels, never Torus objects
+    made = []
+    post_init = Torus.__post_init__
+
+    def counted(self):
+        made.append(self.rank)
+        post_init(self)
+
+    monkeypatch.setattr(Torus, "__post_init__", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert made == []
+    family = argv[1:] if argv[0] == "torify" else argv[5:]
+    tori = tuple(cli.build_family(family[0], family[1:]).build().tori)  # the count sees these
+    assert len(made) == len(tori) > 30
 
 
 SMALL_LADDER = (

@@ -182,6 +182,14 @@ def test_oracle_examples():
     assert oracle_point_count("toric", singular_fan(), 3) == 9
 
 
+@given(st.integers(0, 60), st.integers(2, 9))
+def test_sl_group_order_tree_equals_the_running_product(n, q):
+    running = q ** (n * (n - 1) // 2)
+    for i in range(2, n + 1):
+        running *= q**i - 1
+    assert sl_group_order(n, q) == running
+
+
 def test_oracle_unknown_family():
     with pytest.raises(UnknownFamily):
         oracle_point_count("elliptic", 1, 5)

@@ -1,5 +1,6 @@
 """Torification constructors and their delta vectors."""
 
+import pickle
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_CORPUS, compositions
+from test_cli import TRICKY
 from references import (
     scanned_charts,
     scanned_face_relation,
@@ -615,7 +617,20 @@ VIEW_CASES = {
     "p2": lambda: torify_toric(FAN_CORPUS["P2"]),
     "union": lambda: disjoint_union([torify_grassmannian(1, 3), torify_affine_space(2)]),
     "relabeled": lambda: torify_grassmannian(2, 4).relabeled("x"),
+    # the empty prefix of the affine part does not compose, so "q" relabels its run table
+    "relabeled_empty": lambda: disjoint_union(
+        [torify_affine_space(2), torify_chevalley(chevalley_data_sl(2))]
+    ).relabeled("").relabeled("q"),
     "empty": lambda: disjoint_union([]),
+    "sl1": lambda: torify_chevalley(chevalley_data_sl(1)),  # N = 0: one run per Bruhat cell
+    "sl4": lambda: torify_chevalley(chevalley_data_sl(4)),
+    "affine0": lambda: torify_affine_space(0),
+    # a fan lists its cones by dimension, so toric ranks fall; across parts they rise again
+    "toric_a3": lambda: torify_toric(FAN_CORPUS["A3"]),
+    "toric_union": lambda: disjoint_union(
+        [torify_toric(FAN_CORPUS["P1"]), torify_toric(FAN_CORPUS["A2"])]
+    ),
+    "product": lambda: product(torify_toric(FAN_CORPUS["P1"]), torify_grassmannian(1, 3)),
 }
 
 
@@ -640,6 +655,36 @@ def test_view_matches_flat_form(name):
     assert t != Torification(want[::-1], None) or want == want[::-1]
     assert delta_vector(t) == delta_vector(flat) and t.dim == flat.dim
     assert list(t.ranks()) == [x.rank for x in want]
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and tuple(back.tori) == want and back.charts == t.charts
+    for _, cell in t.parts:  # maximal runs: none empty, and neighbours differ in rank
+        assert all(labels for _, labels in cell.runs)
+        assert all(a[0] != b[0] for a, b in zip(cell.runs, cell.runs[1:]))
+
+
+LABELS = st.one_of(st.text(max_size=4), TRICKY)
+
+
+@given(st.lists(st.builds(Torus, st.integers(0, 4), LABELS), max_size=12).map(tuple))
+@example((Torus(1, "a"), Torus(1, "b"), Torus(0), Torus(1, "c")))
+def test_flat_torification_matches_its_tuple(tori):
+    t = Torification(tori)
+    n = len(tori)
+    assert len(t) == len(t.tori) == n and tuple(t.tori) == tori
+    assert [t.tori[i] for i in range(n)] == list(tori)
+    assert [t.tori[-i] for i in range(1, n + 1)] == [tori[-i] for i in range(1, n + 1)]
+    assert t.tori[1::2] == tori[1::2] and t.tori[::-1] == tori[::-1] and t.tori[2:-1] == tori[2:-1]
+    assert t.tori == tori and hash(t.tori) == hash(tori)
+    assert t == Torification(list(tori)) and hash(t) == hash(Torification(list(tori)))
+    assert list(t.ranks()) == [x.rank for x in tori]
+    assert delta_vector(t) == tuple(
+        sum(x.rank == r for x in tori) for r in range(max((x.rank for x in tori), default=-1) + 1)
+    )
+    charted = Torification(tori, (tuple(range(n)),))
+    for u in (t, charted):
+        back = pickle.loads(pickle.dumps(u))
+        assert back == u and hash(back) == hash(u) and back.charts == u.charts
+        assert tuple(back.tori) == tori and delta_vector(back) == delta_vector(u)
 
 
 def test_listings_share_cells_between_parts():
