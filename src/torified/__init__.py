@@ -51,7 +51,6 @@ from .gadgets import (
     cc_cardinality_check,
     cc_points,
     compose_maps,
-    discover_relations,
     enumerate_monoid_homs,
     hom_extend,
     hom_restrict,

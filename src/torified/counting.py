@@ -144,25 +144,15 @@ def _exact_div(num: int, den: int) -> int:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-subspaces of an n-space over F_q, by exact division."""
-    num = 1
-    for i in range(n - k + 1, n + 1):
-        num *= q**i - 1
-    den = 1
-    for i in range(1, k + 1):
-        den *= q**i - 1
+    num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
+    den = _tree_product([q**i - 1 for i in range(1, k + 1)])
     return _exact_div(num, den)
 
 
 def q_multinomial(composition: Sequence[int], q: int) -> int:
     """Number of flags of the given type over F_q."""
-    n = sum(composition)
-    num = 1
-    for i in range(1, n + 1):
-        num *= q**i - 1
-    den = 1
-    for d in composition:
-        for i in range(1, d + 1):
-            den *= q**i - 1
+    num = _tree_product([q**i - 1 for i in range(1, sum(composition) + 1)])
+    den = _tree_product([q**i - 1 for d in composition for i in range(1, d + 1)])
     return _exact_div(num, den)
 
 

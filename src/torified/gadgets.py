@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from .budget import check_budget
 from .counting import counting_polynomial, eval_counting
 from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch
-from .intlinalg import Vector, dot, hnf_rows, kernel_basis
+from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, monoid_of_cone
 from .torify import Torification
@@ -327,48 +327,6 @@ def soule_count_by_faces(monoid: AffineMonoid, m: int) -> int:
     cone = monoid.source_cone
     n = monoid.ambient_rank
     return sum(m ** (n - f.dim) for f in faces(cone))
-
-
-@dataclass(frozen=True)
-class BinomialRelation:
-    """A lattice relation among generators, split by sign: the assignments we
-    accept are those with equal evaluations of both sides (zero absorbing)."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def lhs(self) -> tuple[int, ...]:
-        return tuple(max(c, 0) for c in self.coeffs)
-
-    @property
-    def rhs(self) -> tuple[int, ...]:
-        return tuple(max(-c, 0) for c in self.coeffs)
-
-    def render(self, names: list[str] | None = None) -> str:
-        def side(exps):
-            terms = [
-                (f"{e}*" if e > 1 else "") + (names[i] if names else f"g{i + 1}")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            return " + ".join(terms) if terms else "0"
-
-        return f"{side(self.lhs)} = {side(self.rhs)}"
-
-    def __repr__(self) -> str:
-        return f"BinomialRelation({self.render()})"
-
-
-def discover_relations(monoid: AffineMonoid) -> list[BinomialRelation]:
-    """Generating relations among all generators (pointed ones plus both signs
-    of the units): the canonical (Hermite) basis of the full integer kernel of
-    the matrix whose columns are the generators."""
-    gens = monoid.all_generators()
-    if not gens:
-        return []
-    rows = [tuple(g[i] for g in gens) for i in range(monoid.ambient_rank)]
-    basis = hnf_rows(kernel_basis(rows, len(gens)), len(gens))
-    return [BinomialRelation(b) for b in basis]
 
 
 @dataclass(frozen=True)

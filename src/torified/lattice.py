@@ -8,9 +8,10 @@ canonical).  Operations that need pointedness refuse lineality.
 One dual routine, :func:`_dual_pair`, a double description, serves
 construction (strict convexity and extremality), duals, faces and
 triangulations; faces are the closure of the cone under intersection with
-its facets, so neither enumerates subsets.  The lattice work beneath is the
-one Bareiss elimination and the one Hermite reduction of
-:mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
+its facets, so neither enumerates subsets.  n independent generators in
+Z^n skip the double description: they cost one elimination.  The lattice
+work beneath is the one Bareiss elimination and the one Hermite reduction
+of :mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
 Hermite transform: with U the transform of the spanning vectors as columns,
 U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
 Hilbert bases here, the quotient by the units in :mod:`torified.monoids`);
@@ -24,15 +25,18 @@ triangulation, refused when they hold more lattice points than the budget.
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
-Fan validation settles pairs of maximal cones by sign masks over the rays,
-from one dual per maximal cone (the cached :func:`facet_normals`); a double
-description of the pair decides only the pairs the masks leave open, and
-every violating pair is among those.
+It is read from ray bitmasks: the faces in the fan of a simplicial cone are
+the submasks of its ray mask that index a cone, so only non-simplicial cones
+list their faces.  Face closure is then a count per cone.  Fan validation
+settles pairs of maximal cones by sign masks over the rays, from one dual
+per maximal cone (the cached :func:`facet_normals`); a double description of
+the pair decides only the pairs the masks leave open, and every violating
+pair is among those.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -184,19 +188,30 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     on g stay; a pair with <g,p> > 0 > <g,q> gives a new ray iff the
     processed generators vanishing on it (g and those of both p and q, kept
     as bit masks) have rank n - 1 together with perp.
+
+    n independent generators in Z^n are their own basis B, cut nothing and
+    have perp 0, so they are tried first: when the elimination of [B | I]
+    below finds n pivots, no kernel, Hermite basis or pivot search is run.
     """
     gens = [g for g in generators if any(g)]
-    perp = kernel_basis(gens, n)
-    lineality = hnf_rows(perp, n)
-    if not gens:
-        return (), lineality
-    pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
-    processed = [gens[j] for j in pivots]
-    d = len(processed)
     # [M | I] reduces to [s I | s M^-1]; s times column j of s M^-1 pairs to
     # s^2 with the j-th basis vector and to 0 with the others and with perp
-    m = _with_identity(processed + perp)
-    _, s, _ = _eliminate(m, n)
+    pivots: list[int] = []
+    if len(gens) == n:
+        m = _with_identity(gens)
+        pivots, s, _ = _eliminate(m, n)
+    if len(pivots) == n:
+        perp, lineality = [], ()
+    else:
+        perp = kernel_basis(gens, n)
+        lineality = hnf_rows(perp, n)
+        if not gens:
+            return (), lineality
+        pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
+        m = _with_identity([gens[j] for j in pivots] + perp)
+        _, s, _ = _eliminate(m, n)
+    processed = [gens[j] for j in pivots]
+    d = len(processed)
     rays = [(primitive([s * row[n + j] for row in m]), (1 << d) - 1 - (1 << j)) for j in range(d)]
     for g in (g for j, g in enumerate(gens) if j not in pivots):  # B cuts nothing
         values = [sum(map(mul, g, r)) for r, _ in rays]  # dot, without its length check
@@ -511,11 +526,26 @@ class Fan:
     @cached_property
     def face_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per cone, the ascending indices of its faces that are cones of the
-        fan (the cone's own index included): the fan's face relation."""
-        index = {c: i for i, c in enumerate(self.cones)}
-        return tuple(
-            tuple(sorted(index[f] for f in faces(c) if f in index)) for c in self.cones
-        )
+        fan (the cone's own index included): the fan's face relation.
+
+        Each ray gets a bit and each cone is indexed by its ray mask.  The
+        faces of a simplicial cone are the cones on the subsets of its rays,
+        so those in the fan are the submasks of its mask in the index; only
+        other cones list their faces.
+        """
+        bits, masks = _ray_masks(self.cones)
+        index = {mask: i for i, mask in enumerate(masks)}
+        relation = []
+        for c, mask in zip(self.cones, masks):
+            if c.is_simplicial:
+                subs, sub = [0], mask
+                while sub:  # the nonzero submasks, from mask down
+                    subs.append(sub)
+                    sub = (sub - 1) & mask
+            else:
+                _, subs = _ray_masks(faces(c), bits)
+            relation.append(tuple(sorted(index[m] for m in subs if m in index)))
+        return tuple(relation)
 
     def __repr__(self) -> str:
         return f"Fan(dim {self.ambient_dim}, {len(self.cones)} cones)"
@@ -544,6 +574,16 @@ def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vecto
     return tight_a, tight_b
 
 
+def _ray_masks(
+    cones: Sequence[Cone], bits: dict[Vector, int] | None = None
+) -> tuple[dict[Vector, int], list[int]]:
+    """The bits, one per ray of ``cones`` unless ``bits`` is given, and per
+    cone the mask of its rays."""
+    if bits is None:
+        bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
+    return bits, [sum(bits[r] for r in c.rays) for c in cones]
+
+
 def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
     """The pairs of ``tops`` that sign masks do not show to meet in a common face.
 
@@ -559,9 +599,9 @@ def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
     """
     if len(tops) < 2:  # no pair, so no dual: a cone's face fan pays nothing
         return
-    bits = {r: 1 << i for i, r in enumerate({r for c in tops for r in c.rays})}
+    bits, masks = _ray_masks(tops)
     signs = []
-    for c in tops:
+    for c, mask in zip(tops, masks):
         normals = []
         for u in facet_normals(c):
             positive = zero = 0
@@ -572,7 +612,7 @@ def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
                 elif value == 0:
                     zero |= bit
             normals.append((positive, zero))
-        signs.append((sum(bits[r] for r in c.rays), normals))
+        signs.append((mask, normals))
     for (a, (mask_a, normals_a)), (b, (mask_b, normals_b)) in combinations(zip(tops, signs), 2):
         z = -1  # all bits
         for positive, zero in normals_a:
@@ -589,6 +629,10 @@ def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check face closure, and that any two maximal cones meet in a common face.
 
+    A cone's faces are closed iff its face relation holds all of them: 2^k
+    for a simplicial cone on k rays.  Only a cone short of that count has
+    its faces scanned, to name the missing ones.
+
     Pairs of maximal cones suffice once faces are closed: if A and B meet in
     a common face F, then for faces a of A and b of B, a ∩ F and b ∩ F are
     faces of F, so a ∩ b is a face of both a and b.  Sign masks from one
@@ -599,7 +643,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
     cone_set = set(fan.cones)
     if zero_cone(fan.ambient_dim) not in cone_set:
         violations.append("fan does not contain the zero cone")
-    for c in fan.cones:
+    for c, face_ids in zip(fan.cones, fan.face_indices):
+        if len(face_ids) == (1 << len(c.rays) if c.is_simplicial else len(faces(c))):
+            continue
         for f in faces(c):
             if f not in cone_set:
                 violations.append(f"face {list(f.rays)} of cone {list(c.rays)} is missing")

@@ -5,6 +5,7 @@ the tests compare the two.  They use the library's primitives, but none of
 the code paths they stand in for.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -145,6 +146,52 @@ def all_maximal_pairs_validate_fan(fan):
                 f"cones {list(a.rays)} and {list(b.rays)} do not meet in a common face"
             )
     return ValidationReport(tuple(sorted(set(violations))))
+
+
+# --- binomial relations among a monoid's generators ---------------------------
+# (no library code reads them; the tests check hom enumeration against them)
+
+
+@dataclass(frozen=True)
+class BinomialRelation:
+    """A lattice relation among generators, split by sign: the assignments we
+    accept are those with equal evaluations of both sides (zero absorbing)."""
+
+    coeffs: tuple[int, ...]
+
+    @property
+    def lhs(self) -> tuple[int, ...]:
+        return tuple(max(c, 0) for c in self.coeffs)
+
+    @property
+    def rhs(self) -> tuple[int, ...]:
+        return tuple(max(-c, 0) for c in self.coeffs)
+
+    def render(self, names: list[str] | None = None) -> str:
+        def side(exps):
+            terms = [
+                (f"{e}*" if e > 1 else "") + (names[i] if names else f"g{i + 1}")
+                for i, e in enumerate(exps)
+                if e
+            ]
+            return " + ".join(terms) if terms else "0"
+
+        return f"{side(self.lhs)} = {side(self.rhs)}"
+
+    def __repr__(self) -> str:
+        return f"BinomialRelation({self.render()})"
+
+
+def discover_relations(monoid: AffineMonoid) -> list[BinomialRelation]:
+    """Generating relations among all generators (pointed ones plus both signs
+    of the units): the canonical (Hermite) basis of the full integer kernel of
+    the matrix whose columns are the generators."""
+    gens = monoid.all_generators()
+    if not gens:
+        return []
+    rows = [tuple(g[i] for g in gens) for i in range(monoid.ambient_rank)]
+    basis = hnf_rows(kernel_basis(rows, len(gens)), len(gens))
+    return [BinomialRelation(b) for b in basis]
 
 
 # --- smoothness by minors ------------------------------------------------------

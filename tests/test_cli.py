@@ -21,7 +21,7 @@ from conftest import compositions
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
-from torified import cli
+from torified import cli, lattice
 from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
@@ -835,6 +835,53 @@ def test_listings_make_no_torus(capsys, monkeypatch, argv):
     family = argv[1:] if argv[0] == "torify" else argv[5:]
     tori = tuple(cli.build_family(family[0], family[1:]).build().tori)  # the count sees these
     assert len(made) == len(tori) > 30
+
+
+def projective_fan_file(n):
+    """P^n as a fan file: its maximal cones only, closed on reading."""
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    cones = [[i for i in range(n + 1) if i != k] for k in range(n + 1)]
+    return {"dim": n, "rays": rays, "cones": cones, "close_faces": True}
+
+
+def p1_power_fan_file(n):
+    """(P^1)^n as a fan file: one maximal cone per choice of signs."""
+    rays = [[s * int(i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + side for i, side in enumerate(sides)] for sides in iproduct((0, 1), repeat=n)]
+    return {"dim": n, "rays": rays, "cones": cones, "close_faces": True}
+
+
+@pytest.mark.parametrize(
+    "data", [projective_fan_file(3), p1_power_fan_file(4)], ids=["P3", "P1^4"]
+)
+def test_validating_a_simplicial_fan_runs_no_kernel_and_lists_no_face(
+    capsys, monkeypatch, tmp_path, data
+):
+    # the duals of simplicial cones come from one elimination, their faces in
+    # the fan from ray masks; only reading the file lists the listed cones' faces
+    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+                   lattice.faces, lattice.maximal_cones, lattice.validate_fan):
+        cached.cache_clear()  # so that earlier tests' answers are not read
+    kernels, listed = [], []
+    kernel_basis, faces = lattice.kernel_basis, lattice.faces
+
+    def counted_kernel(*args):
+        kernels.append(args)
+        return kernel_basis(*args)
+
+    def counted_faces(cone):
+        listed.append(cone.rays)
+        return faces(cone)
+
+    monkeypatch.setattr(lattice, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(lattice, "faces", counted_faces)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, payload, _ = run_json(capsys, "validate-fan", str(path))
+    assert code == 0 and payload["result"]["valid"]
+    assert kernels == []
+    rays = [tuple(r) for r in data["rays"]]
+    assert sorted(listed) == sorted(tuple(sorted(rays[i] for i in c)) for c in data["cones"])
 
 
 SMALL_LADDER = (

@@ -190,6 +190,32 @@ def test_sl_group_order_tree_equals_the_running_product(n, q):
     assert sl_group_order(n, q) == running
 
 
+def running_quotient(tops, bottoms, q):
+    """prod(q^i - 1 for i in tops) / prod(q^i - 1 for i in bottoms), one
+    factor at a time."""
+    num = den = 1
+    for i in tops:
+        num *= q**i - 1
+    for i in bottoms:
+        den *= q**i - 1
+    assert num % den == 0
+    return num // den
+
+
+@given(st.integers(0, 60), st.data(), st.integers(2, 9))
+def test_gaussian_binomial_tree_equals_the_running_product(n, data, q):
+    k = data.draw(st.integers(0, n))
+    expected = running_quotient(range(n - k + 1, n + 1), range(1, k + 1), q)
+    assert gaussian_binomial(n, k, q) == expected
+
+
+@given(st.lists(st.integers(0, 12), max_size=6), st.integers(2, 9))
+def test_q_multinomial_tree_equals_the_running_product(composition, q):
+    bottoms = [i for d in composition for i in range(1, d + 1)]
+    expected = running_quotient(range(1, sum(composition) + 1), bottoms, q)
+    assert q_multinomial(composition, q) == expected
+
+
 def test_oracle_unknown_family():
     with pytest.raises(UnknownFamily):
         oracle_point_count("elliptic", 1, 5)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
-from references import minors_gcd
+from references import discover_relations, minors_gcd
 from test_lattice import complete_fans_2d
 
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
@@ -26,7 +26,6 @@ from torified.gadgets import (
     cc_cardinality_check,
     cc_points,
     compose_maps,
-    discover_relations,
     enumerate_monoid_homs,
     hom_extend,
     hom_restrict,

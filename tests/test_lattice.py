@@ -312,6 +312,10 @@ def generators_with_pairs(draw):
 @example(tuple((1, i, i * i, i**3, i**4) for i in range(7)))  # a cyclic 4-polytope
 @example(((1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0),
           (0, 1, 0, 0, 1, 0), (0, 1, 1, 1, 1, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1)))
+@example(((1, 2, 0), (0, 1, 0), (3, 1, 1)))  # a unimodular basis
+@example(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, -3, 5, 7)))  # a basis of determinant 7
+@example(((1, 2, 0, -1), (0, 3, 1, 1)))  # two independent vectors in Z^4
+@example(((1, 0, 1), (0, 1, 1), (1, -1, 0)))  # n vectors of rank n - 1
 def test_dual_pair_agrees_with_all_subsets(gens):
     n = len(gens[0]) if gens else 3
     assert _dual_pair(gens, n) == all_subsets_dual_pair(gens, n)
@@ -940,6 +944,51 @@ def transformed_fans_4d(draw):
 @settings(max_examples=25, deadline=None)
 @given(transformed_fans_4d())
 def test_validate_fan_report_equals_the_all_maximal_pairs_reference_4d(fan):
+    assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
+
+
+SQUARE_PYRAMID = Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+
+
+def non_simplicial_cone(draw, n):
+    """A drawn pointed cone in Z^n (n >= 3) with more extremal rays than its
+    dimension, or None: n + 1 to n + 3 small rays on the side x_n > 0."""
+    ray = st.tuples(*[st.integers(-1, 1)] * (n - 1), st.integers(1, 2)).map(primitive)
+    cone = Cone(n, tuple(draw(st.lists(ray, min_size=n + 1, max_size=n + 3, unique=True))))
+    return None if cone.is_simplicial else cone
+
+
+@st.composite
+def fans_with_defects(draw):
+    """What the drawn fans above never hold: a non-simplicial cone, and a
+    face missing.  A 2-D or 3-D drawn fan, or the face fan of a drawn
+    non-simplicial cone in dims 3-4; sometimes with a non-simplicial cone
+    (and its faces) added; sometimes with one cone dropped, as a fan file
+    read with ``close_faces`` false leaves it when the file omits a face."""
+    kind = draw(st.sampled_from(["2d", "3d", "cone"]))
+    if kind == "cone":
+        n = draw(st.integers(3, 4))
+        cone = non_simplicial_cone(draw, n)
+        fan = closed([cone] if cone else [], n)
+    else:
+        fan = draw(complete_fans_2d() if kind == "2d" else catalog_fans_3d())
+        n = fan.ambient_dim
+    if n >= 3 and draw(st.booleans()):
+        extra = non_simplicial_cone(draw, n)
+        if extra is not None:
+            fan = closed(fan.cones + (extra,), n)
+    if fan.cones and draw(st.booleans()):
+        dropped = draw(st.sampled_from(fan.cones))
+        fan = Fan(n, tuple(c for c in fan.cones if c != dropped))
+    return fan
+
+
+@settings(max_examples=60, deadline=None)
+@given(fans_with_defects())
+@example(Fan(2, (zero_cone(2), Cone(2, ((1, 0),)), Cone(2, ((1, 0), (0, 1))))))  # a ray missing
+@example(Fan(3, faces(SQUARE_PYRAMID)[1:]))  # no zero cone below a non-simplicial cone
+def test_validate_fan_report_equals_the_references_with_defects(fan):
+    assert validate_fan(fan).ok == all_pairs_valid(fan)
     assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
 
 

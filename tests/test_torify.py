@@ -17,7 +17,7 @@ from references import (
     scanned_maximal_cones,
     scanned_regularity,
 )
-from test_lattice import complete_fans_2d, time_limit
+from test_lattice import complete_fans_2d, fans_with_defects, time_limit
 
 from torified import torify
 from torified.budget import check_budget
@@ -574,6 +574,12 @@ def test_face_relation_against_scans_on_standard_fans(kind, n):
 @settings(max_examples=60)
 @given(complete_fans_2d())
 def test_face_relation_against_scans_on_random_complete_fans(fan):
+    assert_face_relation_agrees(fan)
+
+
+@settings(max_examples=60)
+@given(fans_with_defects())
+def test_face_relation_against_scans_on_fans_with_defects(fan):
     assert_face_relation_agrees(fan)
 
 

@@ -1,0 +1,101 @@
+"""Check that two source trees print the same bytes on every benchmark op.
+
+Usage, from the root of a checkout (stdlib only)::
+
+    python3 tools/same_bytes.py PARENT_TREE [--seeds 1 2 3]
+
+PARENT_TREE is another checkout of the repository, for example one made with
+``git archive``.  For each seed and each workload of
+``perfbench/workloads.py``, this checkout's plan, sized by ``run_seconds``
+in ``BENCHMARK.json`` as ``perfbench/run.py`` sizes it, is replayed
+in-process on each tree: one fresh process per tree, workload and seed, as ``perfbench``
+runs it, so that caches carry from op to op.  Each op's stdout without its
+``timing_ms`` line, its stderr and its exit code are compared between the
+trees.  Every op that differs is printed, and the exit code is 1 if any
+does, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, make_plan  # noqa: E402
+
+# the envelope's keys are sorted, so timing_ms sits between result and tool
+TIMING_LINE = re.compile(r'^  "timing_ms": [0-9.e+-]+,\n', re.MULTILINE)
+
+
+def replay(tree: str, workload: str, seed: int) -> None:
+    """Run the plan on ``tree`` in this process; print one JSON record per op."""
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    from torified import cli
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = float(json.load(fh)["run_seconds"])
+    ops = make_plan(workload, seed, seconds)
+    with tempfile.TemporaryDirectory() as workdir:
+        for op in ops:
+            for rel, data in op.files.items():
+                with open(os.path.join(workdir, rel), "w") as fh:
+                    json.dump(data, fh)
+        os.chdir(workdir)
+        for op in ops:
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(op.argv)
+            except Exception as exc:  # a raising op is compared by its exception
+                code = f"raised {type(exc).__name__}: {exc}"
+            stdout = TIMING_LINE.sub("", out.getvalue())
+            digest = hashlib.sha256(stdout.encode()).hexdigest()
+            print(json.dumps([op.index, op.argv, digest, err.getvalue(), code]))
+
+
+def records(tree: str, workload: str, seed: int) -> list:
+    argv = [sys.executable, os.path.abspath(__file__), tree, "--replay", workload, str(seed)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("tree", help="the other checkout, compared with this one")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    # the child process that replays one tree, workload and seed
+    p.add_argument("--replay", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.replay:
+        replay(args.tree, args.replay[0], int(args.replay[1]))
+        return 0
+    differing = total = 0
+    for seed in args.seeds:
+        for workload in WORKLOADS:
+            theirs = records(args.tree, workload, seed)
+            ours = records(ROOT, workload, seed)
+            for a, b in zip(theirs, ours, strict=True):
+                total += 1
+                if a != b:
+                    differing += 1
+                    parts = zip(("stdout", "stderr", "exit"), a[2:], b[2:])
+                    what = [name for name, x, y in parts if x != y]
+                    print(f"{workload} seed {seed} op {a[0]} {' '.join(a[1])}: "
+                          f"{', '.join(what)} differ", flush=True)
+            print(f"{workload} seed {seed}: {len(ours)} ops compared", flush=True)
+    print(f"{differing} of {total} ops differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
