@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch
 from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, monoid_of_cone
-from .torify import Torification
+from .torify import Torification, delta_vector
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +178,8 @@ class CardinalityCheck:
 
 
 def cc_cardinality_check(t: Torification, group: FiniteAbelianGroup) -> CardinalityCheck:
-    """Compare sum_i |D|^rank_i with N(|D|+1); equality is the variety condition."""
-    functor_count = sum(group.order**rank for rank in t.ranks())
+    """Compare sum_r delta_r |D|^r with N(|D|+1); equality is the variety condition."""
+    functor_count = sum(d * group.order**r for r, d in enumerate(delta_vector(t)))
     counting_value = eval_counting(counting_polynomial(t), group.order + 1)
     return CardinalityCheck(group, functor_count, counting_value)
 

@@ -20,11 +20,11 @@ polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
 vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
 number of tori.  Their ``torify_*`` constructors, the labeled listing and
-the enumerative reference, share one listing routine.  It writes the runs of
-each A^(s_w) x T^r x A^N straight from those of the affine cells, and it
-refuses a listing of more than the enumeration budget's 2^N * c(2) tori
-before building anything; for G/P, c(2) comes from a closed form, so not
-even c is built.
+the enumerative reference, share one listing routine for the cells of G/P,
+which refuses more than the budget's c(2) tori before building anything;
+c(2) comes from a closed form, so not even c is built.  A group is its G/B
+listing times T^r x A^N by :func:`product`, which is gated on its size too
+and multiplies each distinct cell of its left factor once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby, permutations, repeat
+from itertools import accumulate, combinations, groupby, repeat, starmap
 from math import comb, factorial, prod
 
 from .budget import check_budget
@@ -57,8 +57,7 @@ class Torus:
     label: str = ""
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("torus rank must be nonnegative")
+        _check_rank(self.rank)
 
 
 class Torification:
@@ -330,13 +329,18 @@ def torify_point() -> Torification:
 
 
 def torify_torus(n: int) -> Torification:
-    return Torification((Torus(n, "torus"),), ((0,),))
+    _check_rank(n)
+    return Torification(_Cell([(n, ["torus"])]), ((0,),))
+
+
+def _check_rank(n: int) -> None:
+    if n < 0:
+        raise ValueError("torus rank must be nonnegative")
 
 
 def delta_torus(n: int) -> tuple[int, ...]:
     """Delta vector of :func:`torify_torus`: one torus of rank n."""
-    if n < 0:
-        raise ValueError("torus rank must be nonnegative")
+    _check_rank(n)
     return (0,) * n + (1,)
 
 
@@ -395,21 +399,35 @@ def delta_projective(n: int) -> tuple[int, ...]:
 
 
 def product(a: Torification, b: Torification) -> Torification:
-    """Pairwise products of tori; ranks add.  Charts survive when both have them."""
-    tori = tuple(
-        Torus(s.rank + t.rank, f"{s.label}*{t.label}")
-        for s in a.tori
-        for t in b.tori
-    )
+    """Pairwise products of tori, a's major; ranks add and labels join as
+    ``s*t``.  Charts survive when both have them.  The len(a) * len(b) tori
+    are checked against the budget first; then a's parts keep their prefixes,
+    and each distinct cell of a is multiplied by b's runs once."""
+    check_budget(len(a) * len(b), "tori")
+    b_runs = _Cell((r, [_join(q, l) for l in ls]) for q, cell in b.parts for r, ls in cell.runs).runs
+
+    def times(runs) -> _Cell:
+        return _Cell((r + s, [f"{x}*{y}" for y in ys]) for r, xs in runs for x in xs for s, ys in b_runs)
+
+    shared: dict[_Cell, _Cell] = {}
+    parts = []
+    for p, cell in a.parts:
+        if p is not None and any("" in labels for _, labels in cell.runs):
+            # "p/" + "*t" is not "p*t": the part's labels are written out, as in relabeled
+            parts.append((None, times((r, [_join(p, l) for l in ls]) for r, ls in cell.runs)))
+        else:
+            if cell not in shared:
+                shared[cell] = times(cell.runs)
+            parts.append((p, shared[cell]))
     charts: Charts | None = None
     if a.charts is not None and b.charts is not None:
-        nb = len(b.tori)
+        nb = len(b)
         charts = tuple(
             tuple(sorted(i * nb + j for i in ca for j in cb))
             for ca in a.charts
             for cb in b.charts
         )
-    return Torification(tori, charts)
+    return Torification.from_parts(parts, charts)
 
 
 def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Torification:
@@ -427,35 +445,15 @@ def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Tori
     )
 
 
-def _cell_listing(
-    tori: int,
-    cells: Callable[[], Iterable[tuple[str, int]]],
-    data: ChevalleyData | None = None,
-) -> Torification:
+def _cell_listing(tori: int, cells: Callable[[], Iterable[tuple[str, int]]]) -> Torification:
     """One part per cell ``(label, s_w)`` that ``cells()`` yields, over the
-    tori of A^(s_w); for a group with Bruhat data ``data``, of A^(s_w) x T^r
-    x A^N under a single chart.  ``tori`` is their number, 2^N * sum_w
-    2^(s_w), and is checked against the budget before ``cells`` is called.
-    Each cell dimension's run table is built once."""
+    tori of A^(s_w), without charts.  ``tori``, the number of tori to be built
+    (sum_w 2^(s_w), times 2^N for a group), is checked against the budget
+    before ``cells`` is called.  Each cell dimension's run table is built once."""
     check_budget(tori, "tori")
-    unipotent_dim = data.unipotent_dim if data is not None else 0
     cells = tuple(cells())
-    shared = _affine_cells({s_w for _, s_w in cells} | {unipotent_dim})
-    if data is not None:  # N is the largest cell dimension, so every key is a cell dimension
-        r, unipotent = data.torus_rank, shared[unipotent_dim].runs
-        # labeled as product(product(A^s, torus), A^N) labels its tori: a*torus*u
-        shared = {
-            s_w: _Cell(
-                (a_rank + r + u_rank, [f"{a}*torus*{u}" for u in u_labels])
-                for a_rank, a_labels in cell.runs
-                for a in a_labels
-                for u_rank, u_labels in unipotent
-            )
-            for s_w, cell in shared.items()
-        }
-    parts = tuple((label, shared[s_w]) for label, s_w in cells)
-    charts = None if data is None else (tuple(range(sum(len(cell) for _, cell in parts))),)
-    return Torification.from_parts(parts, charts)
+    shared = _affine_cells({s_w for _, s_w in cells})
+    return Torification.from_parts((label, shared[s_w]) for label, s_w in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,7 @@ def delta_grassmannian(k: int, n: int) -> tuple[int, ...]:
 
 def permutation_length(w: tuple[int, ...]) -> int:
     """Number of inversions of a permutation in one-line notation."""
-    return sum(1 for i, a in enumerate(w) for b in w[i + 1 :] if a > b)
+    return sum(starmap(operator.gt, combinations(w, 2)))
 
 
 def _perm_label(w: tuple[int, ...]) -> str:
@@ -549,13 +547,14 @@ def schubert_cells_flag(composition: tuple[int, ...]) -> list[tuple[tuple[int, .
     """
     composition = _check_composition(composition)
     words = [((), tuple(range(1, sum(composition) + 1)))]  # (blocks so far, values left)
-    for d in composition:
+    for d in composition[:-1]:
         words = [
-            (w + block, tuple(v for v in left if v not in block))
+            (w + block, tuple([v for v in left if v not in block]))
             for w, left in words
             for block in combinations(left, d)
         ]
-    return sorted(((w, permutation_length(w)) for w, _ in words), key=lambda c: (c[1], c[0]))
+    perms = (w + left for w, left in words)  # the last block takes the values left
+    return sorted(((w, permutation_length(w)) for w in perms), key=lambda c: (c[1], c[0]))
 
 
 def torify_flag(composition: tuple[int, ...]) -> Torification:
@@ -624,25 +623,26 @@ def chevalley_data_sl(n: int) -> ChevalleyData:
     one cell of dimension inv(w) per permutation w."""
     _check_sl(n)
     check_budget(factorial(n), "permutations")
-    cells = sorted(
-        (permutation_length(w), w) for w in permutations(range(1, n + 1))
-    )
+    cells = schubert_cells_flag((1,) * n)  # G/B of type (1, ..., 1): every permutation
     return ChevalleyData(
         torus_rank=n - 1,
         unipotent_dim=n * (n - 1) // 2,
-        cell_dims=tuple(l for l, _ in cells),
-        cell_labels=tuple(f"w={_perm_label(w)}" for _, w in cells),
+        cell_dims=tuple(l for _, l in cells),
+        cell_labels=tuple(f"w={_perm_label(w)}" for w, _ in cells),
     )
 
 
 def torify_chevalley(data: ChevalleyData) -> Torification:
-    """Bruhat torification: each cell contributes affine x torus x affine, all
-    in a single chart, since the whole group is affine."""
-    return _cell_listing(
+    """Bruhat torification: the cells A^(s_w) of G/B, times T^r, times A^N,
+    all in a single chart, since the whole group is affine."""
+    cells = _cell_listing(
         sum(1 << s_w for s_w in data.cell_dims) << data.unipotent_dim,
         lambda: ((f"bruhat:{w},cell_dim={s}", s) for s, w in zip(data.cell_dims, data.cell_labels)),
-        data,
     )
+    # N is the largest cell dimension, so A^N is the listing's largest cell
+    unipotent = Torification(max((cell for _, cell in cells.parts), key=len))
+    t = product(cells, product(torify_torus(data.torus_rank), unipotent))
+    return Torification.from_parts(t.parts, (tuple(range(len(t))),))
 
 
 def _bruhat_polynomial(data: ChevalleyData) -> list[int]:
@@ -666,12 +666,9 @@ def delta_chevalley(data: ChevalleyData) -> tuple[int, ...]:
 def delta_sl(n: int) -> tuple[int, ...]:
     """Delta vector of ``torify_chevalley(chevalley_data_sl(n))`` without the
     n! permutations: inversions on S_n have the generating polynomial
-    [n]_q! = prod_{i <= n} (1 + q + ... + q^{i-1})."""
+    [n]_q!, the cell polynomial of the full flag type (1, ..., 1)."""
     _check_sl(n)
-    cells = [1]
-    for i in range(1, n + 1):
-        cells = _poly_mul(cells, [1] * i)
-    return _delta_bruhat(cells, n - 1, n * (n - 1) // 2)
+    return _delta_bruhat(_flag_polynomial((1,) * n), n - 1, n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

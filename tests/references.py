@@ -35,6 +35,7 @@ from torified.lattice import (
     zero_cone,
 )
 from torified.monoids import AffineMonoid
+from torified.torify import Torification, Torus
 
 
 def vec_sub(u, v):
@@ -309,3 +310,19 @@ def binomial_to_monomial_basis(delta):
         sum((-1) ** (k - l) * comb(k, l) * delta[k] for k in range(l, d + 1))
         for l in range(d + 1)
     )
+
+
+# --- products of torifications, torus by torus -------------------------------------
+
+
+def flat_product(a, b):
+    """Pairwise products of tori, a's major, as one Torus per pair: ranks
+    add and labels join as ``s*t``.  Charts survive when both have them."""
+    tori = tuple(Torus(s.rank + t.rank, f"{s.label}*{t.label}") for s in a.tori for t in b.tori)
+    charts = None
+    if a.charts is not None and b.charts is not None:
+        nb = len(b.tori)
+        charts = tuple(
+            tuple(sorted(i * nb + j for i in ca for j in cb)) for ca in a.charts for cb in b.charts
+        )
+    return Torification(tori, charts)

@@ -33,7 +33,15 @@ from torified.gadgets import (
 )
 from torified.lattice import hilbert_basis, maximal_cones
 from torified.monoids import monoid_of_cone
-from torified.torify import Torification, Torus, delta_grassmannian, delta_vector, torify_toric
+from torified.torify import (
+    Torification,
+    Torus,
+    delta_grassmannian,
+    delta_vector,
+    product,
+    torify_grassmannian,
+    torify_toric,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -817,8 +825,9 @@ def test_toric_torification_is_built_once(capsys, monkeypatch, argv):
         ["torify", "grassmannian", "4", "8"],
         ["torify", "projective", "4"],
         ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "2"],
+        None,  # product(Gr(2, 5), P^1) in the library
     ],
-    ids="_".join,
+    ids=lambda argv: "_".join(argv) if argv else "product",
 )
 def test_listings_make_no_torus(capsys, monkeypatch, argv):
     # a listing is written from the run tables of its cells: labels, never Torus objects
@@ -830,10 +839,14 @@ def test_listings_make_no_torus(capsys, monkeypatch, argv):
         post_init(self)
 
     monkeypatch.setattr(Torus, "__post_init__", counted)
-    assert run(capsys, *argv)[0] == 0
+    if argv is None:
+        t = product(torify_grassmannian(2, 5), torify_toric(lattice.standard_fan("projective_space", 1)))
+    else:
+        assert run(capsys, *argv)[0] == 0
+        family = argv[1:] if argv[0] == "torify" else argv[5:]
+        t = cli.build_family(family[0], family[1:]).build()
     assert made == []
-    family = argv[1:] if argv[0] == "torify" else argv[5:]
-    tori = tuple(cli.build_family(family[0], family[1:]).build().tori)  # the count sees these
+    tori = tuple(t.tori)  # the count sees these
     assert len(made) == len(tori) > 30
 
 

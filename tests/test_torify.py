@@ -2,7 +2,7 @@
 
 import pickle
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import FAN_CORPUS, compositions
 from test_cli import TRICKY
 from references import (
+    flat_product,
     scanned_charts,
     scanned_face_relation,
     scanned_maximal_cones,
@@ -34,6 +35,7 @@ from torified.torify import (
     ChevalleyData,
     Torification,
     Torus,
+    _Cell,
     check_atlas,
     chevalley_data_sl,
     delta_affine_space,
@@ -129,6 +131,55 @@ def test_product_delta_is_convolution():
     assert delta_vector(product(product(a, b), c)) == delta_vector(product(a, product(b, c)))
 
 
+PREFIXES = st.sampled_from([None, "", "p", "p/q"])
+PRODUCT_LABELS = st.one_of(st.sampled_from(["", "a", "b*c", "x/"]), st.text(max_size=3))
+
+
+@st.composite
+def parted_torifications(draw):
+    """Torifications over shared cells with empty labels and prefixes, with
+    charts or without."""
+    tori = st.lists(st.builds(Torus, st.integers(0, 3), PRODUCT_LABELS), max_size=4)
+    cells = [_Cell.of(c) for c in draw(st.lists(tori, min_size=1, max_size=3))]
+    t = Torification.from_parts(draw(st.lists(st.tuples(PREFIXES, st.sampled_from(cells)), max_size=4)))
+    chart = st.lists(st.integers(0, len(t) - 1), max_size=3) if len(t) else st.just([])
+    charts = st.lists(chart.map(tuple), max_size=3).map(tuple)
+    return Torification.from_parts(t.parts, draw(st.one_of(st.none(), charts)))
+
+
+def _shared_example(prefixes, charts):
+    """One cell, with an empty label, under each of the prefixes."""
+    cell = _Cell.of((Torus(1), Torus(1, "x"), Torus(0, "y")))
+    return Torification.from_parts([(p, cell) for p in prefixes], charts)
+
+
+@given(parted_torifications(), parted_torifications())
+@example(_shared_example(["p", None, ""], ((0, 4), (8,))), _shared_example(["q"], None))
+@example(_shared_example([None, "p"], None), _shared_example(["", "q"], ((1, 2),)))
+@example(_shared_example(["p", "p"], ((0,),)), _shared_example([None], ((2, 0), ())))
+def test_product_matches_the_flat_product(a, b):
+    got, want = product(a, b), flat_product(a, b)
+    assert len(got) == len(a) * len(b)
+    assert tuple(got.tori) == tuple(want.tori) and got.charts == want.charts
+    assert got == want and want == got and hash(got) == hash(want)
+    assert delta_vector(got) == delta_vector(want)
+
+
+def test_product_is_refused_over_the_budget_before_building(monkeypatch):
+    a, b = torify_grassmannian(2, 4), torify_toric(FAN_CORPUS["P1"])
+    n = len(a) * len(b)
+    monkeypatch.setenv("TORIFIED_BUDGET", str(n))
+    assert product(a, b) == flat_product(a, b)
+
+    def refuse(*args):
+        raise AssertionError("built before the budget was checked")
+
+    monkeypatch.setattr(torify, "_Cell", refuse)
+    monkeypatch.setenv("TORIFIED_BUDGET", str(n - 1))
+    with pytest.raises(BudgetExceeded, match=f"^{n} tori exceed the budget of {n - 1}$"):
+        product(a, b)
+
+
 def test_disjoint_union():
     assert delta_vector(disjoint_union([torify_point(), torify_torus(1)])) == (1, 1)
     assert delta_vector(disjoint_union([])) == ()
@@ -189,7 +240,7 @@ def test_chevalley_listing_is_union_of_relabeled_cells(n):
     cells = list(zip(zip(data.cell_labels, data.cell_dims), data.cell_dims))
     want = cells_union(
         cells,
-        lambda s_w: product(product(torify_affine_space(s_w), torus), unipotent),
+        lambda s_w: flat_product(flat_product(torify_affine_space(s_w), torus), unipotent),
         lambda c: f"bruhat:{c[0]},cell_dim={c[1]}",
     )
     assert torify_chevalley(data) == Torification(want, (tuple(range(len(want))),))
@@ -232,6 +283,18 @@ def test_flag_cells_s3_by_brute_inversions():
         for w in permutations((1, 2, 3))
     )
     assert sorted(d for _, d in cells) == brute == [0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("composition", [c for n in range(7) for c in compositions(n)], ids=str)
+def test_flag_cells_are_the_block_increasing_permutations(composition):
+    # every permutation, kept when it increases within each block; inversions by pairs
+    bounds = list(accumulate(composition, initial=0))
+    want = sorted(
+        (sum(a > b for i, a in enumerate(w) for b in w[i + 1 :]), w)
+        for w in permutations(range(1, sum(composition) + 1))
+        if all(list(w[s:e]) == sorted(w[s:e]) for s, e in zip(bounds, bounds[1:]))
+    )
+    assert schubert_cells_flag(composition) == [(w, l) for l, w in want]
 
 
 def test_flag_22_matches_grassmannian_24():
@@ -702,6 +765,10 @@ def test_listings_share_cells_between_parts():
         assert cell is cells.setdefault(d, cell)
     sl = torify_chevalley(chevalley_data_sl(3))
     assert len(sl.parts) == 6 and len({id(cell) for _, cell in sl.parts}) == 4
+    # a product multiplies each distinct cell of its left factor once
+    p = product(g, torify_toric(FAN_CORPUS["P1"]))
+    assert [prefix for prefix, _ in p.parts] == [prefix for prefix, _ in g.parts]
+    assert len({id(cell) for _, cell in p.parts}) == len({id(cell) for _, cell in g.parts}) == 7
 
 
 def test_relabeled_composes_prefixes():
