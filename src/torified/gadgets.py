@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import mul
 
 from .budget import check_budget
 from .counting import counting_polynomial, eval_counting
@@ -367,9 +368,10 @@ def enumerate_monoid_homs(
         support = _orthogonal(gens, face)
         columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
         relations = kernel_basis(columns, len(support))
+        zeros = [zero] * len(gens)
         for vals in iproduct(range(m), repeat=len(support)):
-            if all(dot(rel, vals) % m == 0 for rel in relations):
-                values = [zero] * len(gens)
+            if not relations or all(not sum(map(mul, rel, vals)) % m for rel in relations):
+                values = zeros.copy()
                 for i, v in zip(support, vals):
                     values[i] = v
                 homs.append(MonoidHom(monoid, target, tuple(values), face))

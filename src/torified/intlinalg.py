@@ -13,6 +13,7 @@ also how the callers change coordinates on a sublattice.  Sizes here are tiny
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -34,7 +35,9 @@ def primitive(v: Sequence[int]) -> Vector:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def vec_neg(v: Sequence[int]) -> Vector:
@@ -42,7 +45,7 @@ def vec_neg(v: Sequence[int]) -> Vector:
 
 
 def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Vector:
-    return tuple(dot(r, x) for r in rows)
+    return tuple([dot(r, x) for r in rows])
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:

@@ -14,8 +14,10 @@ work beneath is the one Bareiss elimination and the one Hermite reduction
 of :mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
 Hermite transform: with U the transform of the spanning vectors as columns,
 U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
-Hilbert bases here, the quotient by the units in :mod:`torified.monoids`);
-smoothness is the Hermite basis of the ray matrix's rows being the identity.
+Hilbert bases here, the quotient by the units in :mod:`torified.monoids`,
+whose cone is the dual of the generators' section coordinates, taken by
+:func:`_dual_pair` in the cone's own dimension); smoothness is the Hermite
+basis of the ray matrix's rows being the identity.
 A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
 fraction, at one step per run of elements, and is refused with
 :class:`BudgetExceeded` when it has more elements than the enumeration

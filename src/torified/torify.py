@@ -653,9 +653,9 @@ def _bruhat_polynomial(data: ChevalleyData) -> list[int]:
 
 def _delta_bruhat(cells: Sequence[int], torus_rank: int, unipotent_dim: int) -> tuple[int, ...]:
     """(sum_w (1+x)^{s_w}) * x^r * (1+x)^N, from the cell dimension
-    polynomial sum_w q^{s_w}, torus rank r and unipotent dimension N."""
-    bruhat = _poly_mul(to_delta_basis(cells), delta_torus(torus_rank))
-    return tuple(_poly_mul(bruhat, delta_affine_space(unipotent_dim)))
+    polynomial c(q) = sum_w q^{s_w}, torus rank r and unipotent dimension N.
+    As c(1+x) (1+x)^N is (c(q) q^N) at q = 1+x, it is one Taylor shift."""
+    return (0,) * torus_rank + _taylor_shift([0] * unipotent_dim + list(cells), 1)
 
 
 def delta_chevalley(data: ChevalleyData) -> tuple[int, ...]:

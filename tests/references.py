@@ -26,7 +26,9 @@ from torified.intlinalg import (
 from torified.errors import ValidationReport
 from torified.lattice import (
     Cone,
+    _hilbert_basis,
     _separating_faces,
+    _trusted,
     dual_cone,
     faces,
     facet_normals,
@@ -246,6 +248,28 @@ def three_branch_monoid_of_cone(cone):
         images = tuple(sorted({primitive(tuple(mat_vec(u, ray)[r:])) for ray in dual.rays}))
         inner = hilbert_basis(Cone(n - r, images))
         gens = tuple(sorted(mat_vec(u_inv, (0,) * r + tuple(z)) for z in inner))
+    return AffineMonoid(n, gens, units, cone)
+
+
+def monoid_via_dual(cone):
+    """The monoid of dual lattice points nonnegative on the cone, from the
+    dual cone in Z^n: its pointed part's Hilbert basis when it has no
+    lineality, else the Hilbert basis of its rays' primitive images modulo
+    the units, lifted through the section of their Hermite transform."""
+    n = cone.ambient_dim
+    dual = dual_cone(cone)
+    units = dual.lineality
+    named = f"the monoid of {cone}"
+    if not units:
+        gens = _hilbert_basis(dual, named)
+    else:
+        r = len(units)
+        h, u = row_hermite_transform(list(zip(*units)))
+        assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+        images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
+        inner = _hilbert_basis(_trusted(n - r, images), named)
+        u_inv = invert_unimodular(u)
+        gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)
 
 

@@ -21,7 +21,7 @@ from conftest import compositions
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
-from torified import cli, lattice
+from torified import cli, lattice, monoids
 from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
@@ -282,6 +282,29 @@ def test_spec_of_a_cone_of_volume_200000_is_quick(capsys):
         code, data, _ = run_json(capsys, "spec", "--cone", "1,0;1,200000")
     assert code == 0
     assert data["result"]["points"][-1]["generators"] == [[0, 1], [1, 0], [200000, -1]]
+
+
+def test_spec_dualises_only_the_cone_and_its_dual_in_the_ambient_lattice(capsys, monkeypatch):
+    # each proper face's monoid is the dual of its generators' coordinates in
+    # the quotient by the units, of dimension dim(face) < 4; in Z^4 only the
+    # cone (for its monoid) and its dual (for the dual's Hilbert basis) are
+    # dualised
+    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+                   lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
+                   lattice.validate_fan, monoid_of_cone):
+        cached.cache_clear()
+    dimensions = []
+    dual_pair = lattice._dual_pair
+
+    def counted_dual_pair(generators, n):
+        dimensions.append(n)
+        return dual_pair(generators, n)
+
+    monkeypatch.setattr(lattice, "_dual_pair", counted_dual_pair)
+    monkeypatch.setattr(monoids, "_dual_pair", counted_dual_pair)
+    code, data, _ = run_json(capsys, "spec", "--cone=1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5")
+    assert code == 0 and len(data["result"]["points"]) == 16
+    assert dimensions.count(4) <= 2
 
 
 def test_parser_built_once_and_stateless(capsys):

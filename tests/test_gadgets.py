@@ -525,6 +525,10 @@ def pointed_cones(draw, dims=(2, 3)):
 @example(Cone(2, ((1, 0), (3, 7))), 2)
 @example(Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 3))), 2)
 @example(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2))), 2)
+# one relation among the 5 generators, with a coefficient -2 that is 1 mod 3
+@example(Cone(4, ((0, 1, 1, -1), (1, 0, 1, 0), (0, -1, -1, 0), (0, 1, -1, 1))), 3)
+# no relation among the generators on any face
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 3)
 def test_homs_match_face_formula_and_oracle(cone, m):
     monoid = monoid_of_cone(cone)
     target = CyclicMonoidWithZero(m)

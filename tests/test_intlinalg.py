@@ -27,6 +27,12 @@ def test_primitive():
         primitive((0, 0))
 
 
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))])
+def test_dot_refuses_vectors_of_different_lengths(u, v):
+    with pytest.raises(ValueError):
+        dot(u, v)
+
+
 def test_det_and_rank():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[2, 0], [0, 3]]) == 6

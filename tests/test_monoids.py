@@ -1,5 +1,6 @@
 """Monoids of cones, spectra, and fan monoid schemes."""
 
+import os
 from unittest import mock
 
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
-from references import solve_columns_int, three_branch_monoid_of_cone
+from references import monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
 from torified import monoids
-from torified.errors import BudgetExceeded, MissingSourceCone
-from torified.intlinalg import dot, primitive
+from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
+from torified.intlinalg import dot, kernel_basis, mat_rank, mat_vec, primitive
 from torified.lattice import Cone, _hilbert_basis, faces, standard_fan, zero_cone
 from torified.monoids import (
     AffineMonoid,
@@ -109,6 +110,46 @@ def test_monoid_of_cone_agrees_with_three_branches_on_the_corpus(cone):
 def test_monoid_of_cone_agrees_with_three_branches_on_all_faces(cone):
     for face in faces(cone):
         assert_monoid_agrees_with_three_branches(face)
+
+
+@st.composite
+def cones_with_lineality(draw):
+    """Cones in Z^n (n <= 4) with 0 to 2 lineality vectors of 0s and 1s and 0
+    to n+1 rays in their orthogonal complement, positive on a functional
+    drawn there: zero, lower-dimensional and full-dimensional cones."""
+    n = draw(st.integers(1, 4))
+    bits = st.tuples(*[st.integers(0, 1)] * n).filter(any)
+    lineality = draw(
+        st.lists(bits, max_size=2, unique=True).filter(lambda ls: mat_rank(ls) == len(ls))
+    )
+    complement = kernel_basis(lineality, n)  # a basis of lineality^perp ∩ Z^n
+    k = len(complement)
+    if not k:
+        return Cone(n, (), tuple(lineality))
+    w = draw(st.tuples(*[st.integers(-1, 1)] * k).filter(any))
+    coeffs = st.tuples(*[st.integers(-2, 2)] * k).filter(lambda c: dot(w, c) > 0)
+    columns = list(zip(*complement))
+    rays = [primitive(mat_vec(columns, c)) for c in draw(st.lists(coeffs, max_size=n + 1))]
+    return Cone(n, tuple(rays), tuple(lineality))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_with_lineality(), st.integers(1, 30))
+@example(zero_cone(3), 1)
+@example(Cone(3, ((1, 1, 0),)), 30)  # the dual's ray (1, 1, 0) maps to 2 modulo the units
+@example(Cone(3, ((1, -1, 0), (1, 1, -2)), ((1, 1, 1),)), 30)
+@example(Cone(2, ((0, 1), (5, -1))), 5)  # the dual (1, 0), (1, 5) has 6 basis elements
+def test_monoid_of_cone_matches_the_dual_cone_in_the_ambient_lattice(cone, budget):
+    with mock.patch.dict(os.environ, {"TORIFIED_BUDGET": str(budget)}):
+        outcomes = []
+        for build in (monoid_of_cone.__wrapped__, monoid_via_dual):
+            try:
+                m = build(cone)
+            except TorifiedError as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((m.generators, m.unit_basis))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
