@@ -2,11 +2,13 @@
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
 routine is exact and works on plain ints (no Fractions, no solves), and two
-reductions do all the work.  Rank, determinant and unimodular inverses
-share one fraction-free (Bareiss) elimination.  Integer kernel bases, Hermite
-bases and Hermite transforms share one Hermite reduction by integer row
-operations; a Hermite transform U of a set of vectors, with its inverse, is
-also how the callers change coordinates on a sublattice.  Sizes here are tiny
+reductions do all the work.  Rank and determinant come from one
+fraction-free (Bareiss) elimination, which :mod:`torified.lattice` also runs
+for the scaled inverses of its duals and parallelepipeds.  Integer kernel
+bases, Hermite bases and Hermite transforms share one Hermite reduction by
+integer row operations; kernels come back in Hermite form, and a transform
+comes with its inverse, carried through the same row operations, which is
+how the callers change coordinates on a sublattice.  Sizes here are tiny
 (ambient dimension <= 5 or so), so clarity wins over asymptotics throughout.
 """
 
@@ -99,7 +101,7 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivots) == n else 0
 
 
-def _hermite(m: list[list[int]], ncols: int) -> int:
+def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None) -> int:
     """Row Hermite normal form of the first ``ncols`` columns of ``m``, in
     place, by integer row operations (Euclid on each column).
 
@@ -109,6 +111,10 @@ def _hermite(m: list[list[int]], ncols: int) -> int:
     [0, pivot).  Returns the rank r: the first r rows are the pivot rows, the
     others are zero on the first ``ncols`` columns.  The step reducing above
     a pivot only touches the pivot rows, so rows r onward do not depend on it.
+
+    ``inv``, when given, holds the columns of a matrix V as its rows, and
+    each row operation E is matched by the column operation V <- V E^-1, so
+    V = I ends as U^-1.
     """
     nrows = len(m)
     r = 0
@@ -122,18 +128,26 @@ def _hermite(m: list[list[int]], ncols: int) -> int:
             i1, i2 = sorted(nz, key=lambda i: abs(m[i][c]))[:2]
             q = m[i2][c] // m[i1][c]
             m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
+            if inv is not None:
+                inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
         if not nz:
             continue
         i = nz[0]
         m[r], m[i] = m[i], m[r]
+        if inv is not None:
+            inv[r], inv[i] = inv[i], inv[r]
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
+            if inv is not None:
+                inv[r] = [-a for a in inv[r]]
         row = m[r]
         piv = row[c]
         for i in range(r):
             q = m[i][c] // piv
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], row)]
+                if inv is not None:
+                    inv[r] = [a + q * b for a, b in zip(inv[r], inv[i])]
         r += 1
     return r
 
@@ -145,16 +159,17 @@ def _with_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Basis of the full integer kernel {x in Z^ncols : rows @ x = 0}.
+    """Hermite basis of the full integer kernel {x in Z^ncols : rows @ x = 0}.
 
-    [A^T | I] reduces to [H | U] with U @ A^T = H, and the rows of U below
-    the rank of A are a lattice basis of the kernel (saturated, U being
-    unimodular).
+    [A^T | I] reduces to its Hermite form [H | U], with U @ A^T = H.  The
+    rows of U where H is zero are a lattice basis of the kernel (saturated,
+    U being unimodular), and they are in Hermite form, being the rows of a
+    Hermite form whose pivots lie in the U columns.
     """
-    columns = [[row[j] for row in rows] for j in range(ncols)]
-    m = _with_identity(columns)
-    rank = _hermite(m, len(rows))
-    return [tuple(row[len(rows):]) for row in m[rank:]]
+    k = len(rows)
+    m = _with_identity([[row[j] for row in rows] for j in range(ncols)])
+    _hermite(m, k + ncols)
+    return [tuple(row[k:]) for row in m if not any(row[:k])]
 
 
 def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
@@ -163,20 +178,13 @@ def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]
     return tuple(tuple(row) for row in m[: _hermite(m, ncols)])
 
 
-def row_hermite_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite form with transform: returns (h, u) with u @ rows = h, u unimodular."""
+def row_hermite_transform(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Row Hermite form with transform: returns (h, u, u_inv) with
+    u @ rows = h, u unimodular and u_inv its inverse, from one reduction."""
     ncols = len(rows[0]) if rows else 0
     m = _with_identity(rows)
-    _hermite(m, ncols)
-    return [row[:ncols] for row in m], [row[ncols:] for row in m]
-
-
-def invert_unimodular(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Inverse of a unimodular integer matrix (integral by definition)."""
-    n = len(rows)
-    m = _with_identity(rows)
-    pivots, d, _ = _eliminate(m, n)
-    if len(pivots) != n or abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    # [A | I] is reduced to [d I | d A^-1], and d = 1/d as d is 1 or -1
-    return tuple(tuple(d * x for x in row[n:]) for row in m)
+    inv = [row[ncols:] for row in m]
+    _hermite(m, ncols, inv)
+    return [row[:ncols] for row in m], [row[ncols:] for row in m], [list(c) for c in zip(*inv)]

@@ -11,11 +11,13 @@ triangulations; faces are the closure of the cone under intersection with
 its facets, so neither enumerates subsets.  n independent generators in
 Z^n skip the double description: they cost one elimination.  The lattice
 work beneath is the one Bareiss elimination and the one Hermite reduction
-of :mod:`torified.intlinalg`.  Coordinates on a sublattice come from one
-Hermite transform: with U the transform of the spanning vectors as columns,
-U maps span ∩ Z^n onto Z^r x 0 and U^-1 lifts back (lower-dimensional
-Hilbert bases here, the quotient by the units in :mod:`torified.monoids`,
-whose cone is the dual of the generators' section coordinates, taken by
+of :mod:`torified.intlinalg`; a dual's lineality is the generators' kernel,
+which that reduction returns in Hermite form.  Coordinates on a sublattice
+come from one Hermite reduction: with U the transform of the spanning
+vectors as columns, U maps span ∩ Z^n onto Z^r x 0, and U^-1, carried
+through the same row operations, lifts back (lower-dimensional Hilbert
+bases here, the quotient by the units in :mod:`torified.monoids`, whose
+cone is the dual of the generators' section coordinates, taken by
 :func:`_dual_pair` in the cone's own dimension); smoothness is the Hermite
 basis of the ray matrix's rows being the identity.
 A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
@@ -61,7 +63,6 @@ from .intlinalg import (
     det,
     dot,
     hnf_rows,
-    invert_unimodular,
     kernel_basis,
     mat_rank,
     mat_vec,
@@ -181,9 +182,10 @@ def _extremal_rays(rays, lineality, n) -> tuple[Vector, ...]:
 def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """Dual of the cone generated by arbitrary vectors in Z^n.
 
-    Returns (rays, lineality): the dual's lineality is generators^perp, and the
-    pointed part is taken inside span(generators), making it orthogonal to the
-    lineality.  Works whether or not the generated cone is pointed.
+    Returns (rays, lineality): the dual's lineality is generators^perp, in
+    Hermite form, and the pointed part is taken inside span(generators),
+    making it orthogonal to the lineality.  Works whether or not the
+    generated cone is pointed.  The rays do not depend on the basis of perp.
 
     Double description (Fukuda-Prodon): the dual of a basis B among the
     generators is cut by each other generator g in turn.  Rays nonnegative
@@ -193,7 +195,7 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
 
     n independent generators in Z^n are their own basis B, cut nothing and
     have perp 0, so they are tried first: when the elimination of [B | I]
-    below finds n pivots, no kernel, Hermite basis or pivot search is run.
+    below finds n pivots, no kernel or pivot search is run.
     """
     gens = [g for g in generators if any(g)]
     # [M | I] reduces to [s I | s M^-1]; s times column j of s M^-1 pairs to
@@ -203,12 +205,11 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
         m = _with_identity(gens)
         pivots, s, _ = _eliminate(m, n)
     if len(pivots) == n:
-        perp, lineality = [], ()
+        perp = []
     else:
         perp = kernel_basis(gens, n)
-        lineality = hnf_rows(perp, n)
         if not gens:
-            return (), lineality
+            return (), tuple(perp)
         pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
         m = _with_identity([gens[j] for j in pivots] + perp)
         _, s, _ = _eliminate(m, n)
@@ -233,7 +234,7 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
                 if mat_rank([h for i, h in enumerate(processed) if z >> i & 1] + [g]) == d - 1:
                     kept.append((primitive([vp * y - vq * x for x, y in zip(p, q)]), z | bit))
         rays = kept
-    return tuple(sorted(r for r, _ in rays)), lineality
+    return tuple(sorted(r for r, _ in rays)), tuple(perp)
 
 
 @lru_cache(maxsize=None)
@@ -405,10 +406,9 @@ def _basis(cone: Cone) -> tuple[Vector, ...]:
     if d < n:
         # the Hermite transform u of the rays maps span ∩ Z^n onto Z^d x 0;
         # its images of the rays are primitive, distinct and extremal
-        _, u = row_hermite_transform(list(zip(*cone.rays)))
+        _, u, u_inv = row_hermite_transform(list(zip(*cone.rays)))
         coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
         inner = _basis(_trusted(d, coords))
-        u_inv = invert_unimodular(u)
         return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
     return _triangulated_basis(cone)
 
@@ -429,7 +429,7 @@ def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
     size = a[0] * b[1] - a[1] * b[0]
     if size < 0:
         a, b, size = b, a, -size
-    _, ((p, q), _) = row_hermite_transform([[a[0]], [a[1]]])  # p a_0 + q a_1 = 1
+    _, ((p, q), _), _ = row_hermite_transform([[a[0]], [a[1]]])  # p a_0 + q a_1 = 1
     # v = (-q, p) has det(a, v) = 1, and so has u = v - t a, with
     # det(u, b) = det(v, b) - t D: the remainder r of det(v, b) by D
     t, r = divmod(-p * b[0] - q * b[1], size)

@@ -5,15 +5,15 @@ lattice points pairing nonnegatively with t.  Its unit group is the lattice
 of dual vectors vanishing on t (rank r = n - dim t), and the pointed
 remainder is presented by the Hilbert basis of its image in the quotient
 lattice, lifted back along a fixed lattice section so that generators stay
-in Z^n and the monoid splits as units ⊕ pointed part on the nose.  Quotient
-and section come from the Hermite transform U of the unit basis, the recipe
-:mod:`torified.lattice` uses for sublattice coordinates: x modulo the units
-is (U x)[r:], and z lifts to U^-1 (0, z).  The quotient cone is computed in
-the quotient itself, as the dual of the generators' section coordinates in
-Z^(dim t), so no dual is taken in Z^n unless t is full-dimensional, and a
-simplicial t costs one elimination of size dim t.  The specialisation order
-of a fan's monoid scheme is read from
-:attr:`torified.lattice.Fan.face_indices`.
+in Z^n and the monoid splits as units ⊕ pointed part on the nose.  The
+units are the generators' integer kernel, in Hermite form.  The section is
+the recipe :mod:`torified.lattice` uses for sublattice coordinates: the
+Hermite transform U of the units carries U^-1 through its one reduction,
+and z in the quotient lifts to U^-1 (0, z).  The quotient cone is the dual
+of the generators' section coordinates in Z^(dim t), so no dual is taken
+in Z^n unless t is full-dimensional, and a simplicial t costs one
+elimination of size dim t.  The specialisation order of a fan's monoid
+scheme is read from :attr:`torified.lattice.Fan.face_indices`.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import MissingSourceCone
-from .intlinalg import (
-    Vector,
-    hnf_rows,
-    invert_unimodular,
-    kernel_basis,
-    mat_vec,
-    row_hermite_transform,
-)
+from .intlinalg import Vector, kernel_basis, mat_vec, row_hermite_transform
 from .lattice import Cone, Fan, _dual_pair, _hilbert_basis, _trusted, faces, require_valid
 
 
@@ -68,7 +61,7 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     """The monoid of dual lattice points nonnegative on the cone."""
     n = cone.ambient_dim
     generators = cone.generators()
-    units = () if cone.dim == n else hnf_rows(kernel_basis(generators, n), n)
+    units = () if cone.dim == n else tuple(kernel_basis(generators, n))
     # The Hermite transform u of the units (as columns) maps their saturated
     # lattice onto Z^r x 0: the first r columns of u^-1 are the units and the
     # others a section.  A dual vector u^-1 (0, z) pairs with a generator g
@@ -76,9 +69,8 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     # the dual of the c_g in Z^(n-r), and its Hilbert basis lifts through
     # z -> u^-1 (0, z).
     r = len(units)
-    h, u = row_hermite_transform([[v[i] for v in units] for i in range(n)])
+    h, _, u_inv = row_hermite_transform([[v[i] for v in units] for i in range(n)])
     assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
-    u_inv = invert_unimodular(u)
     section = list(zip(*u_inv))[r:]
     rays, _ = _dual_pair(tuple(mat_vec(section, g) for g in generators), n - r)
     inner = _hilbert_basis(_trusted(n - r, rays), f"the monoid of {cone}")

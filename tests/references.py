@@ -12,10 +12,10 @@ from math import comb, gcd
 
 from torified.intlinalg import (
     _eliminate,
+    _with_identity,
     det,
     dot,
     hnf_rows,
-    invert_unimodular,
     kernel_basis,
     mat_rank,
     mat_vec,
@@ -89,6 +89,21 @@ def saturation_basis(vectors, n):
     """Basis of span(vectors) ∩ Z^n, computed as the double orthogonal kernel."""
     perp = kernel_basis(vectors, n)
     return kernel_basis(perp, n)
+
+
+# --- unimodular inverses by elimination -----------------------------------------
+
+
+def invert_unimodular(rows):
+    """Inverse of a unimodular integer matrix (integral by definition), by
+    one Bareiss elimination of [A | I]."""
+    n = len(rows)
+    m = _with_identity(rows)
+    pivots, d, _ = _eliminate(m, n)
+    if len(pivots) != n or abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    # [A | I] is reduced to [d I | d A^-1], and d = 1/d as d is 1 or -1
+    return tuple(tuple(d * x for x in row[n:]) for row in m)
 
 
 # --- duals and faces by subset enumeration --------------------------------------
@@ -239,7 +254,7 @@ def three_branch_monoid_of_cone(cone):
     else:
         r = len(units)
         columns = [[units[j][i] for j in range(r)] for i in range(n)]
-        h, u = row_hermite_transform(columns)
+        h, u, _ = row_hermite_transform(columns)
         piv_prod = 1
         for i in range(r):
             piv_prod *= h[i][i]
@@ -264,7 +279,7 @@ def monoid_via_dual(cone):
         gens = _hilbert_basis(dual, named)
     else:
         r = len(units)
-        h, u = row_hermite_transform(list(zip(*units)))
+        h, u, _ = row_hermite_transform(list(zip(*units)))
         assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
         images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
         inner = _hilbert_basis(_trusted(n - r, images), named)

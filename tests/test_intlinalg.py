@@ -3,21 +3,26 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torified.intlinalg import (
     det,
     dot,
     hnf_rows,
-    invert_unimodular,
     kernel_basis,
     mat_rank,
     primitive,
     row_hermite_transform,
 )
 
-from references import minors_gcd, saturation_basis, solve_columns, solve_columns_int
+from references import (
+    invert_unimodular,
+    minors_gcd,
+    saturation_basis,
+    solve_columns,
+    solve_columns_int,
+)
 
 
 def test_primitive():
@@ -64,6 +69,7 @@ def test_kernel_basis_random_is_saturated():
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
         ker = kernel_basis(rows, n)
         assert len(ker) == n - mat_rank(rows)
+        assert ker == list(hnf_rows(ker, n))
         for v in ker:
             assert all(dot(r, v) == 0 for r in rows)
         # saturated: a rational kernel vector with integer entries must be an
@@ -82,7 +88,7 @@ def test_hnf_rows_canonical():
 
 def test_row_hermite_transform_unimodular():
     rows = [[2], [3], [5]]
-    h, u = row_hermite_transform(rows)
+    h, u, _ = row_hermite_transform(rows)
     prod = [
         [sum(u[i][k] * rows[k][j] for k in range(3)) for j in range(1)]
         for i in range(3)
@@ -92,14 +98,14 @@ def test_row_hermite_transform_unimodular():
     assert h[0] == [1]  # gcd(2,3,5)
 
 
+# The four tests below check test-only references (see references.py) that
+# other tests use as oracles.
+
+
 def test_invert_unimodular():
     u = [[1, 2], [0, 1]]
     inv = invert_unimodular(u)
     assert inv == ((1, -2), (0, 1))
-
-
-# The three tests below check test-only references (see references.py) that
-# other tests use as oracles.
 
 
 def test_saturation_basis():
@@ -289,8 +295,10 @@ def int_matrices_with_empty(draw):
 
 @given(int_matrices_with_empty())
 def test_kernel_basis_against_column_operations(case):
+    # the same lattice, in the Hermite form kernel_basis returns
     rows, ncols = case
-    assert kernel_basis(rows, ncols) == column_operation_kernel_basis(rows, ncols)
+    expected = hnf_rows(column_operation_kernel_basis(rows, ncols), ncols)
+    assert kernel_basis(rows, ncols) == list(expected)
 
 
 def assert_hermite(h, rank, ncols):
@@ -309,13 +317,20 @@ def assert_hermite(h, rank, ncols):
 
 
 @given(int_matrices_with_empty())
+@example(([[-2, 1], [0, 3]], 2))  # a negative pivot already in its row, r = 0
+@example(([[1, 0], [0, -1]], 2))  # the same in a later row, r = 1
+@example(([[], [], []], 0))  # zero width: u and u_inv are the identity
+@example(([], 0))
 def test_row_hermite_transform_is_hermite(case):
     rows, ncols = case
-    h, u = row_hermite_transform(rows)
+    h, u, u_inv = row_hermite_transform(rows)
     assert len(h) == len(u) == len(rows)
     k = len(rows)
     assert [[sum(ui[i] * rows[i][j] for i in range(k)) for j in range(ncols)] for ui in u] == h
     assert abs(det(u)) == 1
+    assert u_inv == [list(row) for row in invert_unimodular(u)]
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    assert [[sum(ui[i] * vi[i] for i in range(k)) for vi in zip(*u_inv)] for ui in u] == identity
     rank = mat_rank(rows)
     assert_hermite(h, rank, ncols)
     assert hnf_rows(rows, ncols) == tuple(tuple(row) for row in h[:rank])

@@ -11,7 +11,7 @@ from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
 from references import monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
-from torified import monoids
+from torified import intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
 from torified.intlinalg import dot, kernel_basis, mat_rank, mat_vec, primitive
 from torified.lattice import Cone, _hilbert_basis, faces, standard_fan, zero_cone
@@ -170,6 +170,47 @@ def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
         f"Hilbert basis of the monoid of {cone}: "
         "5002 elements exceed the budget of 1000"
     )
+
+
+def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
+    # the units come back from kernel_basis in Hermite form, and the section
+    # from the inverse that row_hermite_transform carries: one call of each
+    # per face with units, no kernel for a full-dimensional face, and no
+    # Bareiss elimination of a transform (a unimodular inverse) for any face
+    cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
+    calls, transforms, eliminated = [], [], []
+    kernel_basis, row_hermite_transform = monoids.kernel_basis, monoids.row_hermite_transform
+
+    def counted_kernel(*args):
+        calls.append("kernel_basis")
+        return kernel_basis(*args)
+
+    def counted_transform(rows):
+        calls.append("row_hermite_transform")
+        result = row_hermite_transform(rows)
+        transforms.append(result[1])
+        return result
+
+    def recorded(eliminate):
+        def recorded_eliminate(m, ncols):
+            eliminated.append([row[:ncols] for row in m])
+            return eliminate(m, ncols)
+        return recorded_eliminate
+
+    monkeypatch.setattr(monoids, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(monoids, "row_hermite_transform", counted_transform)
+    monkeypatch.setattr(intlinalg, "_eliminate", recorded(intlinalg._eliminate))
+    monkeypatch.setattr(lattice, "_eliminate", recorded(lattice._eliminate))
+    for face in faces(cone):
+        for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+                       lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
+                       lattice.validate_fan, monoid_of_cone):
+            cached.cache_clear()
+        calls.clear(), transforms.clear(), eliminated.clear()
+        monoid_of_cone(face)
+        units = [] if face.dim == 4 else ["kernel_basis"]
+        assert calls == units + ["row_hermite_transform"], face
+        assert not any(m in transforms for m in eliminated), face
 
 
 def test_spec_counts():
