@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from itertools import product as iproduct
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable
 
@@ -367,10 +368,11 @@ def test_torification_file_must_hold_an_object(content, tmp_path, capsys):
     assert err.startswith("error: ") and "does not contain a torification payload" in err
 
 
-# keys and strings that need escaping: quote, backslash, control, non-ASCII
-# (BMP, astral, lone surrogate) and the JS line separators
+# keys and strings that need escaping: quote, backslash, control, DEL,
+# non-ASCII (BMP, astral, lone surrogate) and the JS line separators; and the
+# ends of the printable ASCII that needs none
 TRICKY = st.sampled_from(
-    ['"', "\\", "\x00\n\t\x1f", "é", "\u2028\u2029", "\U0001f600", "\ud800", ""]
+    ['"', "\\", "\x00\n\t\x1f", "\x7f", "é", "\u2028\u2029", "\U0001f600", "\ud800", "", " ~"]
 )
 KEYS = st.one_of(st.text(), TRICKY)
 SCALARS = st.one_of(
@@ -446,7 +448,29 @@ def with_blocks(draw):
     return {"tori": tori, "power": power, "deeper": [rest, {"p": power, "t": [tori]}], "x": [[power]]}
 
 
+def tori_block(*parts) -> dict:
+    """A torus list of the parts ``(prefix, [(rank, label), ...])``."""
+    return {"tori": cli._ToriList(Torification.from_parts(
+        (p, [Torus(rank, label) for rank, label in tori]) for p, tori in parts
+    ))}
+
+
+SAFE = [(1, "axes:1"), (1, "axes:2"), (0, "cone:3"), (2, "axes:*torus*axes:1")]
+
+
 @given(with_blocks())
+# runs that need no escape: after a prefix, after a prefix with an empty
+# label in the run (which takes no slash), without a prefix and an empty
+# label, and after the empty prefix
+@example(tori_block(("schubert:w=21", SAFE), (None, SAFE)))
+@example(tori_block(("p", [(1, "a"), (1, ""), (1, "b")] + SAFE)))
+@example(tori_block((None, [(1, "a"), (1, ""), (1, "b")] + SAFE)))
+@example(tori_block(("", SAFE), ("", [(0, ""), (0, "a")])))
+# one label among safe ones holds a character that needs an escape
+@example(tori_block((None, [(1, "a"), (1, "b\x7f"), (1, "c")]), ("p", [(1, "a"), (1, "\x7f")])))
+@example(tori_block((None, [(1, "a"), (1, "bé"), (1, "c")]), ("p", [(1, "a"), (1, "é"), (1, "")])))
+@example(tori_block((None, [(1, "a"), (1, 'b"'), (1, "c")]), ("p", [(1, "a"), (1, '"')])))
+@example(tori_block((None, [(1, "a"), (1, "b\\"), (1, "c")]), ("p\\", [(1, "a"), (1, "\\")])))
 def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
     assert _dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
 
@@ -592,6 +616,25 @@ def test_envelope_is_written_in_pieces(monkeypatch, argv, orders):
     assert out == (torify_reference(out, t) if orders is None else gadget_reference(out, t, orders))
     # the largest piece is one part: for flag 1^5, the top cell's 1,024 of 9,765 tori
     assert max(map(len, fake.writes)) < len(out) / 8
+
+
+@pytest.mark.parametrize("family", [("flag", "1", "2", "1"), ("sl", "3")], ids="-".join)
+def test_torus_labels_are_not_escaped_one_by_one(capsys, monkeypatch, family):
+    # every label a family builds is printable ASCII without a quote or a
+    # backslash, so each run is joined as it is: the escaper sees the part
+    # prefixes (schubert:..., bruhat:...) and the envelope's own strings only
+    escaped = []
+
+    def recorded(s):
+        escaped.append(s)
+        return encode_basestring_ascii(s)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", recorded)
+    code, out, _ = run(capsys, "torify", *family)
+    t = cli.build_family(family[0], list(family[1:])).build()
+    assert code == 0 and out == torify_reference(out, t)
+    assert any(s.startswith(("schubert:", "bruhat:")) for s in escaped)
+    assert not [s for s in escaped if "axes:" in s]
 
 
 def _run_child(argv: list[str], **kwargs) -> subprocess.Popen:
