@@ -50,11 +50,9 @@ from .gadgets import (
     abelian_group_types,
     cc_cardinality_check,
     cc_points,
-    compose_maps,
     enumerate_monoid_homs,
     hom_extend,
     hom_restrict,
-    identity_map,
     induced_map,
     soule_count_by_faces,
     toric_fq_points_via_homs,
@@ -65,7 +63,6 @@ from .lattice import (
     dual_cone,
     faces,
     fan_from_dict,
-    fan_to_dict,
     hilbert_basis,
     is_smooth,
     standard_fan,
@@ -95,13 +92,11 @@ from .torify import (
     delta_sl,
     delta_torus,
     delta_vector,
-    disjoint_union,
     is_regular_toric,
     permutation_length,
     product,
     schubert_cells_flag,
     schubert_cells_grassmannian,
-    schubert_leq,
     torify_affine_space,
     torify_chevalley,
     torify_flag,

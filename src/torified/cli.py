@@ -34,9 +34,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable, Sequence
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
 
 from . import __version__
 from .budget import check_budget

@@ -14,11 +14,10 @@ every division checked to be exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
 
-from .errors import UnknownFamily
+from .errors import UnknownFamily, Value
 from .lattice import Fan, require_valid
 from .torify import Torification, _taylor_shift, delta_vector
 from .torify import to_delta_basis  # noqa: F401 (re-exported)
@@ -29,12 +28,13 @@ def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
     return _taylor_shift(delta, -1)
 
 
-@dataclass(frozen=True)
-class CountingPolynomial:
+class CountingPolynomial(Value):
     """N(q) in both the (q-1)-basis (delta) and the monomial basis (mono)."""
 
-    delta: tuple[int, ...]
-    mono: tuple[int, ...]
+    __slots__ = ("delta", "mono")
+
+    def __init__(self, delta: tuple[int, ...], mono: tuple[int, ...]):
+        self._set(delta, mono)
 
     @classmethod
     def from_delta(cls, delta: Sequence[int]) -> "CountingPolynomial":
@@ -86,18 +86,18 @@ def eval_counting(n_poly: CountingPolynomial, q: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ZetaFunction:
+class ZetaFunction(Value):
     """The factor list of prod_i (s - root_i)^exponent_i, exponents nonzero."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        roots = [r for r, _ in self.factors]
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
+        roots = [r for r, _ in factors]
         if roots != sorted(set(roots)):
             raise ValueError("factor roots must be strictly increasing")
-        if any(e == 0 for _, e in self.factors):
+        if any(e == 0 for _, e in factors):
             raise ValueError("factor exponents must be nonzero")
+        self._set(factors)
 
     def render(self) -> str:
         """Human form, e.g. ``1/(s(s-1))`` or ``s/(s-1)``."""
@@ -203,20 +203,22 @@ def oracle_point_count(family: str, params, q: int) -> int:
     raise UnknownFamily(f"no oracle for family {family!r}")
 
 
-@dataclass(frozen=True)
-class CountCheck:
-    q: int
-    counted: int
-    oracle: int
+class CountCheck(Value):
+    __slots__ = ("q", "counted", "oracle")
+
+    def __init__(self, q: int, counted: int, oracle: int):
+        self._set(q, counted, oracle)
 
     @property
     def ok(self) -> bool:
         return self.counted == self.oracle
 
 
-@dataclass(frozen=True)
-class CountReport:
-    checks: tuple[CountCheck, ...]
+class CountReport(Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CountCheck, ...]):
+        self._set(checks)
 
     @property
     def ok(self) -> bool:

@@ -13,13 +13,12 @@ round-trip checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import mul
 
 from .budget import check_budget
 from .counting import counting_polynomial, eval_counting
-from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch
+from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
 from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, monoid_of_cone
@@ -30,15 +29,15 @@ from .torify import Torification, delta_vector
 # Finite abelian groups
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Product of cyclic groups; elements are mixed-radix tuples."""
 
-    cyclic_orders: tuple[int, ...]
+    __slots__ = ("cyclic_orders",)
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.cyclic_orders):
+    def __init__(self, cyclic_orders: tuple[int, ...]):
+        if any(m < 1 for m in cyclic_orders):
             raise ValueError("cyclic orders must be positive")
+        self._set(cyclic_orders)
 
     @property
     def order(self) -> int:
@@ -102,18 +101,17 @@ def abelian_group_types(max_order: int = 12) -> tuple[FiniteAbelianGroup, ...]:
 # Graded point sets of the group-side functor
 
 
-@dataclass(frozen=True)
-class GradedPointSet:
+class GradedPointSet(Value):
     """Per-torus point lists (or exact counts) of a torification at a group D.
 
     A point of the torus of rank d is a d-tuple of elements of D.  In
     counts-only mode the cardinalities are exact but no elements are stored.
     """
 
-    torification: Torification
-    group: FiniteAbelianGroup
-    counts_by_index: tuple[int, ...]
-    points_by_index: tuple[tuple, ...] | None = None
+    __slots__ = ("torification", "group", "counts_by_index", "points_by_index")
+
+    def __init__(self, torification: Torification, group, counts_by_index, points_by_index=None):
+        self._set(torification, group, counts_by_index, points_by_index)
 
     @property
     def is_full(self) -> bool:
@@ -164,11 +162,11 @@ def cc_points(t: Torification, group: FiniteAbelianGroup) -> GradedPointSet:
     return GradedPointSet(t, group, counts, points)
 
 
-@dataclass(frozen=True)
-class CardinalityCheck:
-    group: FiniteAbelianGroup
-    functor_count: int
-    counting_value: int
+class CardinalityCheck(Value):
+    __slots__ = ("group", "functor_count", "counting_value")
+
+    def __init__(self, group: FiniteAbelianGroup, functor_count: int, counting_value: int):
+        self._set(group, functor_count, counting_value)
 
     @property
     def ok(self) -> bool:
@@ -189,66 +187,32 @@ def cc_cardinality_check(t: Torification, group: FiniteAbelianGroup) -> Cardinal
 # Torified maps and their induced point maps
 
 
-@dataclass(frozen=True)
-class TorifiedMap:
+class TorifiedMap(Value):
     """A map of torifications: an index map plus one integer matrix per torus.
 
     ``matrices[i]`` has shape (rank of target torus) x (rank of source torus)
     and acts on points by matrix multiplication in D.
     """
 
-    source: Torification
-    target: Torification
-    index_map: tuple[int, ...]
-    matrices: tuple[tuple[Vector, ...], ...]
+    __slots__ = ("source", "target", "index_map", "matrices")
 
-    def __post_init__(self):
-        if len(self.index_map) != len(self.source.tori):
+    def __init__(self, source: Torification, target: Torification, index_map, matrices):
+        if len(index_map) != len(source.tori):
             raise ShapeMismatch("index_map must cover every source torus")
-        if len(self.matrices) != len(self.source.tori):
+        if len(matrices) != len(source.tori):
             raise ShapeMismatch("one matrix per source torus")
-        for i, j in enumerate(self.index_map):
-            if not 0 <= j < len(self.target.tori):
+        for i, j in enumerate(index_map):
+            if not 0 <= j < len(target.tori):
                 raise ShapeMismatch(f"target index {j} out of range")
-            m = self.matrices[i]
+            m = matrices[i]
             rows, cols = len(m), len(m[0]) if m else 0
-            want_rows = self.target.tori[j].rank
-            want_cols = self.source.tori[i].rank
+            want_rows = target.tori[j].rank
+            want_cols = source.tori[i].rank
             if rows != want_rows or (rows and cols != want_cols):
                 raise ShapeMismatch(
                     f"matrix {i} is {rows}x{cols}, expected {want_rows}x{want_cols}"
                 )
-
-
-def identity_map(t: Torification) -> TorifiedMap:
-    mats = tuple(
-        tuple(
-            tuple(1 if i == j else 0 for j in range(torus.rank))
-            for i in range(torus.rank)
-        )
-        for torus in t.tori
-    )
-    return TorifiedMap(t, t, tuple(range(len(t.tori))), mats)
-
-
-def compose_maps(g: TorifiedMap, f: TorifiedMap) -> TorifiedMap:
-    """g after f; matrices multiply torus by torus."""
-    if f.target != g.source:
-        raise ShapeMismatch("compose_maps needs f.target == g.source")
-    index_map = tuple(g.index_map[j] for j in f.index_map)
-    matrices = []
-    for i in range(len(f.index_map)):
-        a = g.matrices[f.index_map[i]]  # target_rank x mid_rank
-        b = f.matrices[i]  # mid_rank x source_rank
-        tgt_rank = g.target.tori[index_map[i]].rank
-        src_rank = f.source.tori[i].rank
-        matrices.append(
-            tuple(
-                tuple(sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(src_rank))
-                for r in range(tgt_rank)
-            )
-        )
-    return TorifiedMap(f.source, g.target, index_map, tuple(matrices))
+        self._set(source, target, index_map, matrices)
 
 
 def apply_map_to_point(f: TorifiedMap, group: FiniteAbelianGroup, index: int, point):
@@ -282,18 +246,18 @@ def induced_map(f: TorifiedMap, group: FiniteAbelianGroup) -> dict:
 # Monoid-side functor: cyclic group with absorbing zero
 
 
-@dataclass(frozen=True)
-class CyclicMonoidWithZero:
+class CyclicMonoidWithZero(Value):
     """{0} adjoined to a cyclic group of order m; elements are -1 (the zero)
     and exponents 0..m-1 (the identity being exponent 0)."""
 
-    m: int
+    __slots__ = ("m",)
 
     ZERO = -1
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int):
+        if m < 1:
             raise ValueError("the cyclic part must have order >= 1")
+        self._set(m)
 
     def elements(self) -> tuple[int, ...]:
         return (self.ZERO,) + tuple(range(self.m))
@@ -330,18 +294,17 @@ def soule_count_by_faces(monoid: AffineMonoid, m: int) -> int:
     return sum(m ** (n - f.dim) for f in faces(cone))
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(Value):
     """A semigroup map determined by generator values (-1 encodes zero).
 
     ``support_face`` is the smallest face of the source cone on whose monoid
     the map extends; the nonzero generators are exactly those orthogonal to it.
     """
 
-    monoid: AffineMonoid
-    target: CyclicMonoidWithZero
-    values: tuple[int, ...]
-    support_face: Cone
+    __slots__ = ("monoid", "target", "values", "support_face")
+
+    def __init__(self, monoid: AffineMonoid, target, values: tuple[int, ...], support_face: Cone):
+        self._set(monoid, target, values, support_face)
 
 
 def enumerate_monoid_homs(

@@ -14,9 +14,9 @@ how the callers change coordinates on a sublattice.  Sizes here are tiny
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 

@@ -41,8 +41,7 @@ pair is among those.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
@@ -55,6 +54,7 @@ from .errors import (
     InvalidFan,
     NotPointed,
     ValidationReport,
+    Value,
 )
 from .intlinalg import (
     Vector,
@@ -85,8 +85,7 @@ def _check_vectors(ambient_dim: int, vectors, what: str) -> None:
             raise InvalidCone(f"{what} {v} is not primitive")
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A strictly convex rational cone, plus optional lineality for duals.
 
     ``rays`` are primitive, pairwise distinct, extremal, and sorted; redundant
@@ -94,22 +93,27 @@ class Cone:
     compare equal, and generators whose cone contains a line beyond the
     lineality raise InvalidCone.  ``lineality`` is a canonical (Hermite) lattice basis of the
     contained linear subspace, and rays are orthogonal to it; a cone occurring
-    in a fan always has ``lineality == ()``.
+    in a fan always has ``lineality == ()``.  ``dim`` is the rank of the
+    generators, which the constructor computes anyway; it is not a field.
     """
 
-    ambient_dim: int
-    rays: tuple[Vector, ...] = ()
-    lineality: tuple[Vector, ...] = ()
+    __slots__ = ("ambient_dim", "rays", "lineality", "_dim")
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, rays=(), lineality=()):
+        self.__post_init__(ambient_dim, rays, lineality)
+
+    def __post_init__(self, ambient_dim, rays, lineality):
+        """The constructor's checks and canonical form, under the method name
+        that ``perfbench/tracer.py`` wraps to count cone construction."""
+        if ambient_dim < 0:
             raise InvalidCone("ambient dimension must be nonnegative")
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        lineality = tuple(tuple(int(x) for x in l) for l in self.lineality)
-        _check_vectors(self.ambient_dim, rays, "ray")
-        _check_vectors(self.ambient_dim, lineality, "lineality vector")
-        lineality = hnf_rows(lineality, self.ambient_dim)
-        if len(lineality) != len(self.lineality):
+        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        lineality = tuple(tuple(int(x) for x in l) for l in lineality)
+        given = len(lineality)
+        _check_vectors(ambient_dim, rays, "ray")
+        _check_vectors(ambient_dim, lineality, "lineality vector")
+        lineality = hnf_rows(lineality, ambient_dim)
+        if len(lineality) != given:
             raise InvalidCone("lineality vectors must be linearly independent")
         for r in rays:
             for l in lineality:
@@ -119,15 +123,20 @@ class Cone:
                     )
         rays = tuple(sorted(set(rays)))
         # rays independent of each other and of the lineality are extremal
-        # and contain no line
-        if mat_rank(rays + lineality) < len(rays) + len(lineality):
-            rays = _extremal_rays(rays, lineality, self.ambient_dim)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "lineality", lineality)
+        # and contain no line; pruning the others keeps their span, so the
+        # rank is the cone's dimension either way
+        rank = mat_rank(rays + lineality)
+        if rank < len(rays) + len(lineality):
+            rays = _extremal_rays(rays, lineality, ambient_dim)
+        self._set(ambient_dim, rays, lineality, rank)
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return mat_rank(self.rays + self.lineality) if (self.rays or self.lineality) else 0
+        """Dimension of the span; computed on first read for a cone made by
+        :func:`_trusted` without it."""
+        if self._dim is None:
+            object.__setattr__(self, "_dim", mat_rank(self.rays + self.lineality))
+        return self._dim
 
     @property
     def is_pointed(self) -> bool:
@@ -272,11 +281,7 @@ def _trusted(
     stored where :attr:`Cone.dim` caches it, so no rank is computed for it.
     """
     cone = object.__new__(Cone)
-    object.__setattr__(cone, "ambient_dim", ambient_dim)
-    object.__setattr__(cone, "rays", rays)
-    object.__setattr__(cone, "lineality", lineality)
-    if dim is not None:
-        object.__setattr__(cone, "dim", dim)
+    cone._set(ambient_dim, rays, lineality, dim)
     return cone
 
 
@@ -500,41 +505,46 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     return tuple(sorted(basis_out))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """A finite collection of pointed cones, stored in canonical order.
 
     Construction does not validate the fan axioms; run :func:`validate_fan`
     (operations that need a valid fan do so and raise :class:`InvalidFan`).
     """
 
-    ambient_dim: int
-    cones: tuple[Cone, ...] = ()
+    __slots__ = ("ambient_dim", "cones", "_face_indices")
 
-    def __post_init__(self):
-        for c in self.cones:
-            if c.ambient_dim != self.ambient_dim:
+    def __init__(self, ambient_dim: int, cones: tuple[Cone, ...] = ()):
+        self.__post_init__(ambient_dim, cones)
+
+    def __post_init__(self, ambient_dim, cones):
+        """The constructor's checks and canonical order, under the method
+        name that ``perfbench/tracer.py`` wraps to count fan construction."""
+        for c in cones:
+            if c.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
-                    f"cone of ambient dimension {c.ambient_dim} in a fan of dimension {self.ambient_dim}"
+                    f"cone of ambient dimension {c.ambient_dim} in a fan of dimension {ambient_dim}"
                 )
             if not c.is_pointed:
                 raise InvalidCone("fans contain only strictly convex cones")
-        ordered = tuple(sorted(set(self.cones), key=lambda c: (c.dim, c.rays)))
-        object.__setattr__(self, "cones", ordered)
+        self._set(ambient_dim, tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays))), None)
 
     def __len__(self) -> int:
         return len(self.cones)
 
-    @cached_property
+    @property
     def face_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per cone, the ascending indices of its faces that are cones of the
-        fan (the cone's own index included): the fan's face relation.
+        fan (the cone's own index included): the fan's face relation,
+        computed on first read.
 
         Each ray gets a bit and each cone is indexed by its ray mask.  The
         faces of a simplicial cone are the cones on the subsets of its rays,
         so those in the fan are the submasks of its mask in the index; only
         other cones list their faces.
         """
+        if self._face_indices is not None:
+            return self._face_indices
         bits, masks = _ray_masks(self.cones)
         index = {mask: i for i, mask in enumerate(masks)}
         relation = []
@@ -547,7 +557,8 @@ class Fan:
             else:
                 _, subs = _ray_masks(faces(c), bits)
             relation.append(tuple(sorted(index[m] for m in subs if m in index)))
-        return tuple(relation)
+        object.__setattr__(self, "_face_indices", tuple(relation))
+        return self._face_indices
 
     def __repr__(self) -> str:
         return f"Fan(dim {self.ambient_dim}, {len(self.cones)} cones)"
@@ -744,18 +755,3 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
         cones = {f for c in cones for f in faces(c)}
     return Fan(n, tuple(cones))
 
-
-def fan_to_dict(fan: Fan) -> dict:
-    ray_index: dict[Vector, int] = {}
-    rays: list[list[int]] = []
-    for c in fan.cones:
-        for r in c.rays:
-            if r not in ray_index:
-                ray_index[r] = len(rays)
-                rays.append(list(r))
-    return {
-        "dim": fan.ambient_dim,
-        "rays": rays,
-        "cones": [[ray_index[r] for r in c.rays] for c in fan.cones],
-        "close_faces": False,
-    }

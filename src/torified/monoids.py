@@ -18,16 +18,14 @@ scheme is read from :attr:`torified.lattice.Fan.face_indices`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import MissingSourceCone
+from .errors import MissingSourceCone, Value
 from .intlinalg import Vector, kernel_basis, mat_vec, row_hermite_transform
 from .lattice import Cone, Fan, _dual_pair, _hilbert_basis, _trusted, faces, require_valid
 
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(Value):
     """A finitely generated submonoid of Z^n, split into units and pointed part.
 
     ``generators`` is the Hilbert basis of the pointed part, ``unit_basis`` a
@@ -35,10 +33,10 @@ class AffineMonoid:
     direct sum.  ``source_cone`` records the cone it came from, when any.
     """
 
-    ambient_rank: int
-    generators: tuple[Vector, ...]
-    unit_basis: tuple[Vector, ...]
-    source_cone: Cone | None = None
+    __slots__ = ("ambient_rank", "generators", "unit_basis", "source_cone")
+
+    def __init__(self, ambient_rank: int, generators, unit_basis, source_cone: Cone | None = None):
+        self._set(ambient_rank, generators, unit_basis, source_cone)
 
     @property
     def unit_rank(self) -> int:
@@ -83,8 +81,7 @@ def unit_group(monoid: AffineMonoid) -> tuple[int, tuple[Vector, ...]]:
     return monoid.unit_rank, monoid.unit_basis
 
 
-@dataclass(frozen=True)
-class MonoidPrime:
+class MonoidPrime(Value):
     """A prime of the monoid, indexed by a face of the source cone.
 
     Faces of the source cone correspond one-to-one (order-reversingly) to
@@ -93,9 +90,10 @@ class MonoidPrime:
     ideal is the prime of the face equal to the source cone itself.
     """
 
-    face_index: int
-    face: Cone
-    complement_rank: int
+    __slots__ = ("face_index", "face", "complement_rank")
+
+    def __init__(self, face_index: int, face: Cone, complement_rank: int):
+        self._set(face_index, face, complement_rank)
 
 
 def spec(monoid: AffineMonoid) -> tuple[MonoidPrime, ...]:
@@ -111,16 +109,14 @@ def spec(monoid: AffineMonoid) -> tuple[MonoidPrime, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DSchemePoint:
-    index: int
-    cone: Cone
-    rank: int
-    local_monoid: AffineMonoid
+class DSchemePoint(Value):
+    __slots__ = ("index", "cone", "rank", "local_monoid")
+
+    def __init__(self, index: int, cone: Cone, rank: int, local_monoid: AffineMonoid):
+        self._set(index, cone, rank, local_monoid)
 
 
-@dataclass(frozen=True)
-class DScheme:
+class DScheme(Value):
     """The finite point set of a fan's monoid scheme.
 
     ``specialization`` holds pairs (i, j) with cone_i contained in cone_j,
@@ -128,9 +124,10 @@ class DScheme:
     cone contains the zero cone) and integral (local monoids embed in Z^n).
     """
 
-    ambient_dim: int
-    points: tuple[DSchemePoint, ...]
-    specialization: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    __slots__ = ("ambient_dim", "points", "specialization")
+
+    def __init__(self, ambient_dim: int, points: tuple[DSchemePoint, ...], specialization=()):
+        self._set(ambient_dim, points, specialization)
 
     @property
     def connected(self) -> bool:

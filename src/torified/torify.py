@@ -9,10 +9,10 @@ a Schubert or Bruhat listing holds each distinct cell once.  A cell is a run
 table: its maximal runs of tori of one rank, as label strings, so a listing
 builds no Torus object; one is made when the tori are indexed or iterated.
 
-Built-ins: toric varieties from fans, affine spaces, products and disjoint
-unions, Grassmannians and flag varieties by Schubert cells (no charts; those
-decompositions are incompatible with the usual atlases), and type-A Chevalley
-groups by Bruhat cells (single chart; the group is affine).
+Built-ins: toric varieties from fans, affine spaces, products, Grassmannians
+and flag varieties by Schubert cells (no charts; those decompositions are
+incompatible with the usual atlases), and type-A Chevalley groups by Bruhat
+cells (single chart; the group is affine).
 
 Schubert and Bruhat listings are one construction: cells A^(s_w), times
 T^r x A^N for a group G (r = N = 0 for G/P), with the cell dimension
@@ -33,7 +33,6 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby, repeat, starmap
 from math import comb, factorial, prod
 
@@ -43,21 +42,21 @@ from .errors import (
     InvalidComposition,
     MissingCharts,
     ValidationReport,
+    Value,
 )
 from .lattice import Fan, maximal_cones, require_valid
 
 Charts = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Value):
     """A split torus of the given rank; the label records provenance."""
 
-    rank: int
-    label: str = ""
+    __slots__ = ("rank", "label")
 
-    def __post_init__(self):
-        _check_rank(self.rank)
+    def __init__(self, rank: int, label: str = ""):
+        _check_rank(rank)
+        self._set(rank, label)
 
 
 class Torification:
@@ -430,21 +429,6 @@ def product(a: Torification, b: Torification) -> Torification:
     return Torification.from_parts(parts, charts)
 
 
-def disjoint_union(parts: list[Torification] | tuple[Torification, ...]) -> Torification:
-    """Concatenation of the parts' parts; charts survive only when every
-    part carries them."""
-    charts: list[tuple[int, ...]] = []
-    have_charts = all(p.charts is not None for p in parts)
-    offset = 0
-    for p in parts:
-        if have_charts:
-            charts.extend(tuple(sorted(i + offset for i in chart)) for chart in p.charts)
-        offset += len(p)
-    return Torification.from_parts(
-        (part for p in parts for part in p.parts), tuple(charts) if have_charts else None
-    )
-
-
 def _cell_listing(tori: int, cells: Callable[[], Iterable[tuple[str, int]]]) -> Torification:
     """One part per cell ``(label, s_w)`` that ``cells()`` yields, over the
     tori of A^(s_w), without charts.  ``tori``, the number of tori to be built
@@ -476,11 +460,6 @@ def schubert_cells_grassmannian(k: int, n: int) -> list[tuple[tuple[int, ...], i
         (idx, sum(i - t for t, i in enumerate(idx, start=1)))
         for idx in combinations(range(1, n + 1), k)
     ]
-
-
-def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Componentwise partial order on multi-indices."""
-    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
 
 
 def torify_grassmannian(k: int, n: int) -> Torification:
@@ -586,31 +565,27 @@ def delta_flag(composition: tuple[int, ...]) -> tuple[int, ...]:
 # Chevalley groups
 
 
-@dataclass(frozen=True)
-class ChevalleyData:
+class ChevalleyData(Value):
     """Bruhat-cell data of a split group: torus rank, unipotent dimension and
     the multiset of cell dimensions (one per Weyl element)."""
 
-    torus_rank: int
-    unipotent_dim: int
-    cell_dims: tuple[int, ...]
-    cell_labels: tuple[str, ...] = ()
+    __slots__ = ("torus_rank", "unipotent_dim", "cell_dims", "cell_labels")
 
-    def __post_init__(self):
-        numbers = (self.torus_rank, self.unipotent_dim, *self.cell_dims)
+    def __init__(self, torus_rank: int, unipotent_dim: int, cell_dims, cell_labels=()):
+        numbers = (torus_rank, unipotent_dim, *cell_dims)
         if not all(isinstance(x, int) and x >= 0 for x in numbers):
             raise InvalidChevalleyData("ranks and cell dimensions must be nonnegative integers")
-        if not self.cell_dims:
+        if not cell_dims:
             raise InvalidChevalleyData("at least one cell is required")
-        if min(self.cell_dims) != 0 or max(self.cell_dims) != self.unipotent_dim:
+        if min(cell_dims) != 0 or max(cell_dims) != unipotent_dim:
             raise InvalidChevalleyData(
                 "cell dimensions must range from 0 to the unipotent dimension"
             )
-        if self.cell_labels and len(self.cell_labels) != len(self.cell_dims):
+        if cell_labels and len(cell_labels) != len(cell_dims):
             raise InvalidChevalleyData("one label per cell, or none")
-        if not self.cell_labels:
-            labels = tuple(f"cell{i}" for i in range(len(self.cell_dims)))
-            object.__setattr__(self, "cell_labels", labels)
+        if not cell_labels:
+            cell_labels = tuple(f"cell{i}" for i in range(len(cell_dims)))
+        self._set(torus_rank, unipotent_dim, cell_dims, cell_labels)
 
 
 def _check_sl(n: int) -> None:
@@ -689,13 +664,14 @@ def check_atlas(t: Torification) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(Value):
     """Closure decomposition per orbit: for each cone index, the indices of
     the cones whose tori make up the orbit closure (the star of the cone)."""
 
-    regular: bool
-    closures: tuple[tuple[int, ...], ...]
+    __slots__ = ("regular", "closures")
+
+    def __init__(self, regular: bool, closures: tuple[tuple[int, ...], ...]):
+        self._set(regular, closures)
 
     def __bool__(self) -> bool:
         return self.regular

@@ -1,8 +1,12 @@
-"""Test-only references: earlier library routines, kept as oracles.
+"""Test-only references: earlier library routines, kept as oracles, and
+former library helpers that only the tests call.
 
-Each one computed in the library what a shorter routine computes now, and
+Each oracle computed in the library what a shorter routine computes now, and
 the tests compare the two.  They use the library's primitives, but none of
-the code paths they stand in for.
+the code paths they stand in for.  The helpers at the end (a fan's JSON
+form, disjoint unions, the Schubert order, identity and composed torified
+maps) left the library because no command, demo or library routine used
+them.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,8 @@ from torified.intlinalg import (
     row_hermite_transform,
     vec_neg,
 )
-from torified.errors import ValidationReport
+from torified.errors import ShapeMismatch, ValidationReport
+from torified.gadgets import TorifiedMap
 from torified.lattice import (
     Cone,
     _hilbert_basis,
@@ -38,6 +43,7 @@ from torified.lattice import (
 )
 from torified.monoids import AffineMonoid
 from torified.torify import Torification, Torus
+from torified.lattice import Fan
 
 
 def vec_sub(u, v):
@@ -365,3 +371,74 @@ def flat_product(a, b):
             tuple(sorted(i * nb + j for i in ca for j in cb)) for ca in a.charts for cb in b.charts
         )
     return Torification(tori, charts)
+
+
+# --- helpers that only the tests call ------------------------------------------
+
+
+def fan_to_dict(fan: Fan) -> dict:
+    """The JSON interchange form that ``fan_from_dict`` reads."""
+    ray_index: dict = {}
+    rays: list[list[int]] = []
+    for c in fan.cones:
+        for r in c.rays:
+            if r not in ray_index:
+                ray_index[r] = len(rays)
+                rays.append(list(r))
+    return {
+        "dim": fan.ambient_dim,
+        "rays": rays,
+        "cones": [[ray_index[r] for r in c.rays] for c in fan.cones],
+        "close_faces": False,
+    }
+
+
+def disjoint_union(parts) -> Torification:
+    """Concatenation of the parts' parts; charts survive only when every
+    part carries them."""
+    charts: list[tuple[int, ...]] = []
+    have_charts = all(p.charts is not None for p in parts)
+    offset = 0
+    for p in parts:
+        if have_charts:
+            charts.extend(tuple(sorted(i + offset for i in chart)) for chart in p.charts)
+        offset += len(p)
+    return Torification.from_parts(
+        (part for p in parts for part in p.parts), tuple(charts) if have_charts else None
+    )
+
+
+def schubert_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Componentwise partial order on multi-indices."""
+    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+
+
+def identity_map(t: Torification) -> TorifiedMap:
+    mats = tuple(
+        tuple(
+            tuple(1 if i == j else 0 for j in range(torus.rank))
+            for i in range(torus.rank)
+        )
+        for torus in t.tori
+    )
+    return TorifiedMap(t, t, tuple(range(len(t.tori))), mats)
+
+
+def compose_maps(g: TorifiedMap, f: TorifiedMap) -> TorifiedMap:
+    """g after f; matrices multiply torus by torus."""
+    if f.target != g.source:
+        raise ShapeMismatch("compose_maps needs f.target == g.source")
+    index_map = tuple(g.index_map[j] for j in f.index_map)
+    matrices = []
+    for i in range(len(f.index_map)):
+        a = g.matrices[f.index_map[i]]  # target_rank x mid_rank
+        b = f.matrices[i]  # mid_rank x source_rank
+        tgt_rank = g.target.tori[index_map[i]].rank
+        src_rank = f.source.tori[i].rank
+        matrices.append(
+            tuple(
+                tuple(sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(src_rank))
+                for r in range(tgt_rank)
+            )
+        )
+    return TorifiedMap(f.source, g.target, index_map, tuple(matrices))

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
-from references import discover_relations, minors_gcd
+from references import compose_maps, discover_relations, identity_map, minors_gcd
 from test_lattice import complete_fans_2d
 
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
@@ -25,11 +25,9 @@ from torified.gadgets import (
     abelian_group_types,
     cc_cardinality_check,
     cc_points,
-    compose_maps,
     enumerate_monoid_homs,
     hom_extend,
     hom_restrict,
-    identity_map,
     induced_map,
     soule_count_by_faces,
     toric_fq_points_via_homs,

@@ -24,6 +24,7 @@ from references import (
     all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
     facet_subsets_faces,
+    fan_to_dict,
     minors_is_smooth,
     saturation_basis,
     solve_columns,
@@ -60,7 +61,6 @@ from torified.lattice import (
     faces,
     facet_normals,
     fan_from_dict,
-    fan_to_dict,
     hilbert_basis,
     is_smooth,
     maximal_cones,
@@ -200,15 +200,22 @@ def test_cone_refuses_rays_with_a_positive_relation(case):
 
 
 @pytest.mark.parametrize("cone", CONE_CORPUS, ids=str)
-def test_dim_is_rank_of_generators_computed_once(cone):
+def test_dim_is_rank_of_generators_computed_once(cone, monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "mat_rank", lambda rows: calls.append(rows) or mat_rank(rows))
     for c in (cone, dual_cone(cone)):  # the duals of lower-dim cones carry lineality
         fresh = Cone(c.ambient_dim, c.rays, c.lineality)
-        assert "dim" not in vars(fresh)
-        assert fresh.dim == mat_rank(c.rays + c.lineality)
-        assert vars(fresh)["dim"] == fresh.dim  # cached on the instance
-        # the cached value is not a field: equality and hashing ignore it
-        assert fresh == Cone(c.ambient_dim, c.rays, c.lineality)
-        assert hash(fresh) == hash(Cone(c.ambient_dim, c.rays, c.lineality))
+        trusted = lattice._trusted(c.ambient_dim, c.rays, c.lineality)
+        calls.clear()
+        # the constructor keeps the rank it computed; a cone made without
+        # its dim computes it on the first read, and only then
+        assert fresh.dim == fresh.dim == mat_rank(c.rays + c.lineality)
+        assert calls == []
+        assert trusted.dim == trusted.dim == fresh.dim
+        assert len(calls) == 1
+        # the dim is not a field: equality and hashing ignore it
+        assert fresh == trusted == Cone(c.ambient_dim, c.rays, c.lineality)
+        assert hash(fresh) == hash(trusted) == hash(Cone(c.ambient_dim, c.rays, c.lineality))
 
 
 def test_zero_cone_properties():

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import FAN_CORPUS, compositions
 from test_cli import TRICKY
 from references import (
+    disjoint_union,
     flat_product,
     scanned_charts,
     scanned_face_relation,
     scanned_maximal_cones,
     scanned_regularity,
+    schubert_leq,
 )
 from test_lattice import complete_fans_2d, fans_with_defects, time_limit
 
@@ -46,13 +48,11 @@ from torified.torify import (
     delta_sl,
     delta_torus,
     delta_vector,
-    disjoint_union,
     is_regular_toric,
     permutation_length,
     product,
     schubert_cells_flag,
     schubert_cells_grassmannian,
-    schubert_leq,
     torify_affine_space,
     torify_chevalley,
     torify_flag,
