@@ -24,11 +24,20 @@ dicts key by key, a torus listing one run at a time, and each torus's D^r as
 its shared text, so peak memory is bounded by the largest block, not by the
 output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to /dev/null in
 0.07 s and peaks at 21 MB RSS (Python 3.11, 2 vCPUs).
+
+The grammar of the command line is one table, ``_COMMANDS``.  :func:`_parse`
+reads an argv in its canonical forms (``--opt value``, ``--opt=value``, the
+values of a "+" option up to the next option, flags, and negative ints such
+as ``torify torus -2``) into the namespace argparse would give, in a few
+microseconds.  Anything else (``--help``, abbreviations, unknown or repeated
+options, ``--``, a missing argument, a dash-led value such as ``--cone
+-1,0;0,1``) goes to :func:`build_parser`, which imports argparse and builds
+its parser from the same table, so help texts, usage errors and exit codes
+are argparse's own.  A well-formed command never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -37,6 +46,8 @@ import time
 from collections.abc import Callable, Sequence
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
+from math import isfinite
+from types import SimpleNamespace
 
 from . import __version__
 from .budget import check_budget
@@ -114,7 +125,13 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
             pieces: list[str] = []
             put(v, depth, pieces.append)
             return "".join(pieces)
-        return json.dumps(v)
+        if v is None:
+            return "null"
+        if v is True or v is False:
+            return "true" if v else "false"
+        if type(v) is float and isfinite(v):
+            return float.__repr__(v)
+        return json.dumps(v)  # NaN and the infinities
 
     def render_items(v, depth: int) -> str:
         if not v:
@@ -612,79 +629,142 @@ def _render_text(sub: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
+# The command-line grammar, read by _parse for every well-formed argv and by build_parser for the
+# rest.  Per subcommand: its help and its arguments (name, arity, required, help).  The arity is
+# "+" for one or more values, "1" for one, "int" for one int and "" for a flag; a name without
+# "--" is the positional, and its help is its metavar.  Every subcommand also takes --format, and
+# its handler is the module's cmd_<name>, with "_" for "-", looked up when it is called.
+_FORMATS = ("json", "text")
+_FAMILY = ("--family", "+", False, None)
+_COMMANDS = {
+    "torify": ("build a torification of one of " + ", ".join(FAMILIES),
+               (("family_spec", "+", True, "FAMILY [PARAMS...]"),)),
+    "count": ("counting polynomial of a torification",
+              (_FAMILY, ("--torification", "1", False, "torification JSON file (from `torify`)"),
+               ("--q", "1", False, "comma-separated values to evaluate at"))),
+    "zeta": ("zeta factors of a torification", (_FAMILY, ("--torification", "1", False, None))),
+    "spec": ("prime spectrum of the monoid of a cone", (("--cone", "1", True, "rays like '1,0;1,2'"),)),
+    "dscheme": ("monoid scheme of a fan", (("--fan", "1", True, "fan JSON file"),)),
+    "gadget": ("evaluate the group-side functor",
+               (("--group", "1", True, "cyclic orders, e.g. 2,3"), _FAMILY,
+                ("--torification", "1", False, None),
+                ("--elements", "", False, "list the points themselves"))),
+    "soule": ("monoid maps of a cone into mu_m with zero",
+              (("--m", "int", True, None), ("--cone", "1", True, "rays like '1,0;1,2'"),
+               ("--elements", "", False, None))),
+    "verify": ("counting polynomial vs. finite-field oracle",
+               (("--family", "+", True, None), ("--q", "1", True, "comma-separated prime powers"))),
+    "validate-fan": ("check fan axioms and report violations", (("fan", "1", True, None),)),
+}
+
+
+def _is_value(token: str) -> bool:
+    """Whether ``token`` is a value, as argparse reads it: it does not start
+    with a dash, or it is a dash and ASCII digits (a negative int).  Argparse
+    takes a few more dash-led strings as values (``-``, ``-1.5``, ``-1 0``);
+    :func:`_parse` leaves those to it."""
+    return token[:1] != "-" or token[1:].isdigit() and token.isascii()
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
+    in a canonical form; None for any other.
+
+    Canonical: the subcommand, then each of its arguments once: an option by
+    its exact name, as ``--opt value`` or (for one value) ``--opt=value``,
+    and the positional as one run of values.  A "+" argument takes the values
+    up to the next option.  Anything else is left to argparse: ``-h``,
+    abbreviations, ``--``, unknown or repeated options, a missing argument,
+    a bad ``--format`` or ``--m``, a dash-led value other than a negative int.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    arities, positional = {"--format": "1"}, None
+    for name, arity, _, _ in command[1]:
+        arities[name] = arity
+        if name[0] != "-":
+            positional = name
+    values: dict[str, object] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        if _is_value(argv[i]):  # the positional's run starts here
+            name, eq = positional, ""
+        else:
+            name, eq, value = argv[i].partition("=")
+            i += 1
+        arity = arities.get(name)
+        if arity is None or name in values:
+            return None
+        if eq:
+            if arity in ("", "+") or value == "--":  # argparse drops a "--" value
+                return None
+        elif arity == "":
+            value = True
+        else:
+            start = i
+            while i < n and _is_value(argv[i]) and (arity == "+" or i == start):
+                i += 1
+            if i == start:
+                return None
+            value = list(argv[start:i]) if arity == "+" else argv[start]
+        if arity == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[name] = value
+    args = {"subcommand": argv[0], "format": values.pop("--format", "json")}
+    if args["format"] not in _FORMATS:
+        return None
+    for name, arity, required, _ in command[1]:
+        if required and name not in values:
+            return None
+        args[name.lstrip("-")] = values.get(name, None if arity else False)
+    return SimpleNamespace(**args)
+
+
 @functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing does not change
-    it, so in-process callers of :func:`main` share one."""
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, built once per process and only
+    when :func:`_parse` declines an argv: for ``--help`` and usage errors,
+    whose texts and exit codes are argparse's own."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="torified",
         description="Exact torus decompositions, counting polynomials, zeta factors, "
         "monoid spectra, and point-set functors.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--format", choices=_FORMATS, default="json")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
-
-    def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, description=help_text, parents=[common])
-
-    p = add_parser("torify", "build a torification of one of " + ", ".join(FAMILIES))
-    p.add_argument("family_spec", nargs="+", metavar="FAMILY [PARAMS...]")
-    p.set_defaults(handler=cmd_torify)
-
-    p = add_parser("count", "counting polynomial of a torification")
-    p.add_argument("--family", nargs="+")
-    p.add_argument("--torification", help="torification JSON file (from `torify`)")
-    p.add_argument("--q", help="comma-separated values to evaluate at")
-    p.set_defaults(handler=cmd_count)
-
-    p = add_parser("zeta", "zeta factors of a torification")
-    p.add_argument("--family", nargs="+")
-    p.add_argument("--torification")
-    p.set_defaults(handler=cmd_zeta)
-
-    p = add_parser("spec", "prime spectrum of the monoid of a cone")
-    p.add_argument("--cone", required=True, help="rays like '1,0;1,2'")
-    p.set_defaults(handler=cmd_spec)
-
-    p = add_parser("dscheme", "monoid scheme of a fan")
-    p.add_argument("--fan", required=True, help="fan JSON file")
-    p.set_defaults(handler=cmd_dscheme)
-
-    p = add_parser("gadget", "evaluate the group-side functor")
-    p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,3")
-    p.add_argument("--family", nargs="+")
-    p.add_argument("--torification")
-    p.add_argument("--elements", action="store_true", help="list the points themselves")
-    p.set_defaults(handler=cmd_gadget)
-
-    p = add_parser("soule", "monoid maps of a cone into mu_m with zero")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cone", required=True, help="rays like '1,0;1,2'")
-    p.add_argument("--elements", action="store_true")
-    p.set_defaults(handler=cmd_soule)
-
-    p = add_parser("verify", "counting polynomial vs. finite-field oracle")
-    p.add_argument("--family", nargs="+", required=True)
-    p.add_argument("--q", required=True, help="comma-separated prime powers")
-    p.set_defaults(handler=cmd_verify)
-
-    p = add_parser("validate-fan", "check fan axioms and report violations")
-    p.add_argument("fan")
-    p.set_defaults(handler=cmd_validate_fan)
-
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, description=help_text, parents=[common])
+        for name, arity, required, text in arguments:
+            nargs = "+" if arity == "+" else None
+            if name[0] != "-":
+                p.add_argument(name, nargs=nargs, metavar=text)
+            elif arity:
+                p.add_argument(name, nargs=nargs, type=int if arity == "int" else None,
+                               required=required, help=text)
+            else:
+                p.add_argument(name, action="store_true", help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
-        payload, code = args.handler(args)
+        payload, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -707,7 +787,7 @@ def main(argv: list[str] | None = None) -> int:
                     "args": {
                         k: v
                         for k, v in sorted(vars(args).items())
-                        if k not in ("handler", "subcommand") and v is not None
+                        if k != "subcommand" and v is not None
                     },
                 },
                 "result": payload,

@@ -333,6 +333,172 @@ def test_parser_built_once_and_stateless(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+P2 = os.path.join(DATA, "p2_fan.json")
+WELL_FORMED = [
+    # the README examples
+    ("torify", "grassmannian", "2", "4"),
+    ("torify", "toric", P2),
+    ("count", "--family", "sl", "2", "--q", "2,3,5"),
+    ("zeta", "--family", "gm", "1"),
+    ("spec", "--cone", "1,0;1,2"),
+    ("dscheme", "--fan", P2),
+    ("gadget", "--group", "2,3", "--family", "sl", "2"),
+    ("soule", "--m", "4", "--cone", "1,0;1,2"),
+    ("verify", "--family", "sl", "2", "--q", "2,3,5,7"),
+    ("validate-fan", P2),
+    # the forms of the benchmark plans
+    ("count", "--family", "grassmannian", "2", "4"),
+    ("verify", "--q", "2,3", "--family", "flag", "1", "2"),
+    ("gadget", "--elements", "--group", "2", "--family", "affine", "1"),
+    ("torify", "flag", "1", "1", "1"),
+    ("spec", "--cone=1,0,0;0,1,0;1,1,3"),
+    ("soule", "--m", "3", "--cone=1,0;1,2"),
+    ("verify", "--q", "2,3", "--family", "toric", P2),
+    # a negative int as a value, an explicit --format, a cone with a negative first coordinate
+    ("torify", "torus", "-2"),
+    ("count", "--format", "text", "--family", "affine", "1"),
+    ("zeta", "--family", "gm", "1", "--format=json"),
+    ("spec", "--cone=-1,0;0,1"),
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_well_formed_commands_do_not_build_the_parser(capsys, argv):
+    cli.build_parser.cache_clear()
+    code, _, err = run(capsys, *argv)
+    # the negative rank reaches the library, which refuses it
+    refused = (2, "error: torus rank must be nonnegative\n")
+    assert (code, err) == (refused if "-2" in argv else (0, ""))
+    assert cli.build_parser.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("count", "--bogus"), 2)],
+                         ids=["--help", "count --bogus"])
+def test_help_and_usage_errors_build_the_parser(capsys, argv, code):
+    cli.build_parser.cache_clear()
+    assert run(capsys, *argv)[0] == code
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_negative_cone_needs_the_equals_form(capsys):
+    """``--cone -1,0;0,1`` reads as an unknown option (argparse's rule for a
+    dash-led value that is not a number), so the cone goes after ``=``."""
+    code, data, _ = run_json(capsys, "spec", "--cone=-1,0;0,1")
+    assert code == 0 and data["input"]["args"]["cone"] == "-1,0;0,1"
+    code, out, err = run(capsys, "spec", "--cone", "-1,0;0,1")
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
+def _argparse_vars(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+VALUES = st.sampled_from(
+    ["affine", "1", "2", "2,3", "1,0;1,2", "json", "text", "x", "-2", "-0", "-1,0", "-1,0;0,1",
+     "-1.5", "-1 0", "1_0", " 2", "+3", "\u0663", "-\u0663", "-\u00b2", "", "-", "--", "-h",
+     "--help"]
+) | st.text(max_size=3)
+OPTIONS = sorted({a[0] for _, args in cli._COMMANDS.values() for a in args if a[0][0] == "-"}
+                 | {"--format"})
+# each option exact, as --opt=value, abbreviated; and the tokens argparse reads specially
+TOKENS = (
+    VALUES
+    | st.sampled_from(OPTIONS)
+    | st.builds("{}={}".format, st.sampled_from(OPTIONS), VALUES)
+    | st.builds(lambda o, k: o[:k], st.sampled_from(OPTIONS), st.integers(1, 4))
+)
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv of a subcommand, drawn from the grammar table,
+    then perhaps bent: tokens inserted, replaced or dropped."""
+    command = draw(st.sampled_from(list(cli._COMMANDS) + ["", "bogus", "-h"]))
+    pieces = []
+    for name, arity, required, _ in cli._COMMANDS.get(command, ("", ()))[1] + (("--format", "1", False, None),):
+        if draw(st.integers(0, 9)) < (1 if required else 5):  # left out 1 in 10, or 1 in 2
+            continue
+        count = draw(st.integers(1, 3)) if arity == "+" else 1
+        values = draw(st.lists(VALUES, min_size=count, max_size=count))
+        if arity == "int":
+            values = [draw(st.sampled_from(["2", "-1", "1_0", " 2", "x"]))]
+        if name == "--format":
+            values = [draw(st.sampled_from(["json", "text", "xml"]))]
+        if name[0] != "-":
+            pieces.append(values)
+        elif arity == "":
+            pieces.append([name])
+        elif arity != "+" and draw(st.booleans()):
+            pieces.append([name + "=" + values[0]])
+        else:
+            pieces.append([name, *values])
+    pieces = draw(st.permutations(pieces))
+    argv = [command] + [token for piece in pieces for token in piece]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if edit == "insert":
+            argv.insert(i, draw(TOKENS))
+        elif i < len(argv):
+            argv[i:i + 1] = [draw(TOKENS)] if edit == "replace" else []
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["torify", "torus", "-2"])
+@example(["torify", "torus", "--format", "text", "2"])
+@example(["validate-fan", "a", "b"])
+@example(["validate-fan", "--format", "text"])
+@example(["soule", "--cone=1,0"])
+@example(["spec", "--cone=--"])
+@example(["spec", "--cone="])
+@example(["soule", "--m", "1_0", "--cone", "1,0"])
+@example(["soule", "--m", " 2", "--cone", "1,0"])
+@example(["soule", "--m", "x", "--cone", "1,0"])
+@example(["soule", "--m", "-2", "--cone", "1,0", "--elements"])
+@example(["count", "--family=affine", "1"])
+@example(["count", "--family", "affine", "-1", "--q", "-3"])
+@example(["count", "--family", "affine", "-\u00b2"])
+@example(["count", "--fam", "affine", "1"])
+@example(["count", "--q", "2", "--q", "3"])
+@example(["count", "--q", "2", "3"])
+@example(["count", "--", "--q", "2"])
+@example(["count", "-h"])
+@example(["gadget", "--group", "2", "--elements=1"])
+@example(["zeta", "--family", "gm", "1", "--format", "xml"])
+def test_fast_parse_agrees_with_argparse(argv):
+    """``_parse`` declines, or gives argparse's namespace; it never accepts
+    an argv that argparse rejects."""
+    parsed = cli._parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == _argparse_vars(argv)
+
+
+def test_fast_parse_accepts_every_canonical_form():
+    """Each argument of each subcommand, in each canonical form, before or
+    after the required ones, reaches ``_parse``'s namespace, not argparse."""
+    for command, (_, arguments) in cli._COMMANDS.items():
+        required = [command]
+        forms = [["--format", "text"], ["--format=text"]]
+        for name, arity, is_required, _ in arguments:
+            if is_required:
+                required += ["2"] if name[0] != "-" else [name, "2"]
+            elif arity == "":
+                forms.append([name])
+            else:
+                forms += [[name, "a", "-1"]] if arity == "+" else [[name, "-1"], [name + "=-1,0"]]
+        for form in forms:
+            for argv in (required + form, required[:1] + form + required[1:]):
+                parsed = cli._parse(argv)
+                assert parsed is not None and vars(parsed) == _argparse_vars(argv), argv
+
+
 def test_determinism_modulo_timing(capsys):
     def payload():
         code, data, _ = run_json(capsys, "torify", "flag", "1", "1", "1")

@@ -1,4 +1,4 @@
-"""Start-up cost of ``import torified.cli``, per source tree.
+"""Start-up cost of ``import torified.cli`` and of one command, per source tree.
 
 Usage, from anywhere (stdlib only, Linux)::
 
@@ -12,10 +12,17 @@ directories, so a ``__pycache__`` the tree already holds plays no part:
   ``PYTHONDONTWRITEBYTECODE=1`` (as ``perfbench`` runs on hosts that set it);
 - ``cached``: one import writes the bytecode first, and the runs load it.
 
-Each run is a fresh interpreter that imports ``torified.cli`` and reports the
-process CPU time the import took and its ``VmHWM`` (peak resident memory of
-the whole process) afterwards.  The runs alternate between the trees, and
-the median over ``--runs`` runs is printed per tree and case.
+Each run is a fresh interpreter that reports the process CPU time its probe
+took and its ``VmHWM`` (peak resident memory of the whole process) afterwards.
+There are two probes:
+
+- ``import``: ``import torified.cli``;
+- ``count``: the import, then ``main(["count", "--family", "affine", "1"])``
+  with stdout sent to the null device, which is what one ``torified``
+  invocation pays for its front end (parsing its argv included).
+
+The runs alternate between the trees, and the median over ``--runs`` runs is
+printed per tree, case and probe.
 """
 
 from __future__ import annotations
@@ -30,15 +37,19 @@ import sys
 import tempfile
 
 PROBE = """\
-import time
+import os, sys, time
 start = time.process_time()
 import torified.cli
+if {count}:
+    sys.stdout = open(os.devnull, "w")
+    torified.cli.main(["count", "--family", "affine", "1"])
 cpu = time.process_time() - start
 with open("/proc/self/status") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(cpu, hwm)
+print(cpu, hwm, file=sys.__stdout__)
 """
 CASES = ("source", "cached")
+PROBES = ("import", "count")
 
 
 def copy_package(tree: str, dest: str) -> str:
@@ -54,14 +65,15 @@ def copy_package(tree: str, dest: str) -> str:
     return dest
 
 
-def probe(path: str, case: str) -> tuple[float, float]:
-    """CPU seconds of the import and VmHWM in MB, in a fresh interpreter."""
+def probe(path: str, case: str, what: str = "import") -> tuple[float, float]:
+    """CPU seconds of the probe ``what`` and VmHWM in MB, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     if case == "source":
         env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = PROBE.format(count=what == "count")
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, cwd=path, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, cwd=path, capture_output=True, text=True, check=True
     ).stdout.split()
     return float(out[0]), int(out[1]) / 1024
 
@@ -79,16 +91,16 @@ def main(argv=None) -> int:
             for case in CASES:
                 paths[i, case] = copy_package(tree, os.path.join(tmp, f"{i}-{case}"))
             probe(paths[i, "cached"], "cached")  # writes the bytecode
-        samples = {key: [] for key in paths}
+        samples = {(key, what): [] for key in paths for what in PROBES}
         for _ in range(args.runs):
-            for key, path in paths.items():
-                samples[key].append(probe(path, key[1]))
-    print(f"import torified.cli, median of {args.runs} fresh interpreters")
-    print(f"{'case':<8} {'cpu_ms':>8} {'VmHWM_MB':>9}  tree")
-    for (i, case), rows in samples.items():
+            for (key, what), rows in samples.items():
+                rows.append(probe(paths[key], key[1], what))
+    print(f"median of {args.runs} fresh interpreters")
+    print(f"{'case':<8} {'probe':<7} {'cpu_ms':>8} {'VmHWM_MB':>9}  tree")
+    for ((i, case), what), rows in samples.items():
         cpu = 1000 * statistics.median(c for c, _ in rows)
         hwm = statistics.median(m for _, m in rows)
-        print(f"{case:<8} {cpu:8.1f} {hwm:9.2f}  {args.trees[i]}")
+        print(f"{case:<8} {what:<7} {cpu:8.1f} {hwm:9.2f}  {args.trees[i]}")
     return 0
 
 
