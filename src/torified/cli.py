@@ -33,7 +33,9 @@ microseconds.  Anything else (``--help``, abbreviations, unknown or repeated
 options, ``--``, a missing argument, a dash-led value such as ``--cone
 -1,0;0,1``) goes to :func:`build_parser`, which imports argparse and builds
 its parser from the same table, so help texts, usage errors and exit codes
-are argparse's own.  A well-formed command never imports argparse.
+are argparse's own; a one-value option whose value argparse drops, as in
+``--q=--``, is a usage error too.  A well-formed command never imports
+argparse.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
+    count_monoid_homs,
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
@@ -546,14 +549,20 @@ def cmd_soule(args) -> tuple[dict, int]:
         "unit_rank": monoid.unit_rank,
         "face_count": face_count,
     }
+    target = CyclicMonoidWithZero(m)
     try:
-        homs = enumerate_monoid_homs(monoid, CyclicMonoidWithZero(m))
+        # the maps are built only to be listed
+        if args.elements:
+            homs = enumerate_monoid_homs(monoid, target)
+            count = len(homs)
+        else:
+            count = count_monoid_homs(monoid, target)
     except BudgetExceeded:
         payload["enumerated_count"] = None
         payload["match"] = None
     else:
-        payload["enumerated_count"] = len(homs)
-        payload["match"] = len(homs) == face_count
+        payload["enumerated_count"] = count
+        payload["match"] = count == face_count
         if args.elements:
             payload["homs"] = [
                 {
@@ -762,6 +771,11 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return USAGE_ERROR if exc.code not in (0, None) else 0
+        # argparse drops a "--" value: `--q=--` leaves [] where one value belongs
+        for name, arity, _, _ in _COMMANDS[args.subcommand][1] + (("--format", "1", False, None),):
+            if arity in ("1", "int") and isinstance(getattr(args, name.lstrip("-")), list):
+                print(f"error: argument {name}: expected one argument", file=sys.stderr)
+                return USAGE_ERROR
     started = time.perf_counter()
     try:
         payload, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)

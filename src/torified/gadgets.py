@@ -8,11 +8,13 @@ a cyclic group with an absorbing zero adjoined; the count is computed two
 ways (the face formula vs. enumeration of the maps face by face, each a
 group hom on the generators orthogonal to its face) and the
 extension/restriction maps between the two pictures are exposed for
-round-trip checks.
+round-trip checks.  :func:`count_monoid_homs` counts the maps that
+:func:`enumerate_monoid_homs` builds, without building them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product as iproduct
 from operator import mul
 
@@ -307,39 +309,52 @@ class MonoidHom(Value):
         self._set(monoid, target, values, support_face)
 
 
-def enumerate_monoid_homs(
+def _unit_characters(
     monoid: AffineMonoid, target: CyclicMonoidWithZero
-) -> tuple[MonoidHom, ...]:
-    """All semigroup maps into the target, enumerated face by face.
+) -> Iterator[tuple[list[int], tuple[int, ...], Cone]]:
+    """The semigroup maps into the target as (S_τ, values on S_τ, τ).
 
     A map's nonzero generators are those orthogonal to its support face τ
     (primes of the monoid correspond to faces of the source cone), and on
     them it is a group hom into mu_m.  So per face τ, with S_τ the generators
     orthogonal to τ, the maps are the values v in mu_m^S_τ with <rel, v> = 0
     mod m for each rel of a lattice basis of the integer relations among
-    S_τ, extended by zero; they share the face object τ.  The result is
-    sorted by values.  The (m+1)^g assignments bound the count from above,
-    and the budget applies to them.
+    S_τ, extended by zero.  The (m+1)^g assignments bound the count from
+    above, and the budget applies to them before the first map.
     """
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
     gens = monoid.all_generators()
     check_budget(target.order ** len(gens), "assignments")
-    m, zero = target.m, target.ZERO
-    homs = []
+    m = target.m
     for face in faces(monoid.source_cone):
         support = _orthogonal(gens, face)
         columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
         relations = kernel_basis(columns, len(support))
-        zeros = [zero] * len(gens)
         for vals in iproduct(range(m), repeat=len(support)):
             if not relations or all(not sum(map(mul, rel, vals)) % m for rel in relations):
-                values = zeros.copy()
-                for i, v in zip(support, vals):
-                    values[i] = v
-                homs.append(MonoidHom(monoid, target, tuple(values), face))
+                yield support, vals, face
+
+
+def enumerate_monoid_homs(
+    monoid: AffineMonoid, target: CyclicMonoidWithZero
+) -> tuple[MonoidHom, ...]:
+    """All semigroup maps into the target, sorted by values; maps with one
+    support face share the face object."""
+    zeros = [target.ZERO] * len(monoid.all_generators())
+    homs = []
+    for support, vals, face in _unit_characters(monoid, target):
+        values = zeros.copy()
+        for i, v in zip(support, vals):
+            values[i] = v
+        homs.append(MonoidHom(monoid, target, tuple(values), face))
     homs.sort(key=lambda h: h.values)
     return tuple(homs)
+
+
+def count_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> int:
+    """``len(enumerate_monoid_homs(monoid, target))``, under the same budget."""
+    return sum(1 for _ in _unit_characters(monoid, target))
 
 
 def _orthogonal(gens: tuple[Vector, ...], face: Cone) -> list[int]:
@@ -389,7 +404,7 @@ def toric_fq_points_via_homs(fan: Fan, q: int) -> int:
     for i, cone in enumerate(fan.cones):
         monoid = monoid_of_cone(cone)
         try:
-            full = len(enumerate_monoid_homs(monoid, target))
+            full = count_monoid_homs(monoid, target)
         except BudgetExceeded:
             full = soule_count_by_faces(monoid, m)
         orbit.append(full - sum(orbit[j] for j in fan.face_indices[i] if j != i))

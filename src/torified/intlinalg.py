@@ -4,17 +4,21 @@ Vectors are tuples of ints, matrices are sequences of row tuples.  Every
 routine is exact and works on plain ints (no Fractions, no solves), and two
 reductions do all the work.  Rank and determinant come from one
 fraction-free (Bareiss) elimination, which :mod:`torified.lattice` also runs
-for the scaled inverses of its duals and parallelepipeds.  Integer kernel
+for the scaled inverses of its duals and simplicial cones.  Integer kernel
 bases, Hermite bases and Hermite transforms share one Hermite reduction by
 integer row operations; kernels come back in Hermite form, and a transform
 comes with its inverse, carried through the same row operations, which is
-how the callers change coordinates on a sublattice.  Sizes here are tiny
-(ambient dimension <= 5 or so), so clarity wins over asymptotics throughout.
+how the callers change coordinates on a sublattice.  The reduction runs
+Euclid on each column until a +-1 pivot appears, which clears the rest of
+its column in one pass (the inputs here, rays and identity blocks, are
+mostly 0 and +-1).  Sizes here are tiny (ambient dimension <= 5 or so), so
+clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -112,6 +116,13 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
     others are zero on the first ``ncols`` columns.  The step reducing above
     a pivot only touches the pivot rows, so rows r onward do not depend on it.
 
+    Each Euclid step reduces the second smallest nonzero entry of the column
+    (by absolute value, then by row) by the smallest.  Once the smallest is
+    +-1 its row clears every other row in one pass: those are the steps the
+    loop would take one at a time, none of them changes the pivot row, and
+    their column operations on ``inv`` all add to the pivot's row of it, so
+    the order does not matter.
+
     ``inv``, when given, holds the columns of a matrix V as its rows, and
     each row operation E is matched by the column operation V <- V E^-1, so
     V = I ends as U^-1.
@@ -125,11 +136,14 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
             nz = [i for i in range(r, nrows) if m[i][c]]
             if len(nz) <= 1:
                 break
-            i1, i2 = sorted(nz, key=lambda i: abs(m[i][c]))[:2]
-            q = m[i2][c] // m[i1][c]
-            m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
-            if inv is not None:
-                inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
+            i1 = min(nz, key=lambda i: abs(m[i][c]))
+            p = m[i1][c]
+            rest = [i for i in nz if i != i1]
+            for i2 in rest if abs(p) == 1 else [min(rest, key=lambda i: abs(m[i][c]))]:
+                q = m[i2][c] // p
+                m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
+                if inv is not None:
+                    inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
         if not nz:
             continue
         i = nz[0]
@@ -152,10 +166,15 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
     return r
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[Vector, ...]:
+    """The rows of the n x n identity matrix."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _with_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """[A | I] for the matrix A with the given rows."""
-    n = len(rows)
-    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    return [[*row, *e] for row, e in zip(rows, _identity(len(rows)))]
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:

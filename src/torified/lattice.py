@@ -23,8 +23,12 @@ basis of the ray matrix's rows being the identity.
 A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
 fraction, at one step per run of elements, and is refused with
 :class:`BudgetExceeded` when it has more elements than the enumeration
-budget; in dimension 3 and up it comes from the parallelepipeds of a
-triangulation, refused when they hold more lattice points than the budget.
+budget.  In dimension 3 and up it comes from the parallelepipeds of a
+triangulation, refused when they hold more lattice points than the budget;
+a full-dimensional simplicial cone is its own triangulation, and one
+elimination of its rays gives its volume (smooth at 1), its facet normals
+and each parallelepiped point's values on them, so beyond it only the
+Hermite basis of the rays runs, to index the points.
 
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
@@ -59,6 +63,7 @@ from .errors import (
 from .intlinalg import (
     Vector,
     _eliminate,
+    _identity,
     _with_identity,
     det,
     dot,
@@ -163,7 +168,9 @@ class Cone(Value):
 
 
 def zero_cone(ambient_dim: int) -> Cone:
-    return Cone(ambient_dim, ())
+    if ambient_dim < 0:
+        raise InvalidCone("ambient dimension must be nonnegative")
+    return _trusted(ambient_dim, (), (), 0)
 
 
 def _extremal_rays(rays, lineality, n) -> tuple[Vector, ...]:
@@ -319,9 +326,7 @@ def is_smooth(cone: Cone) -> bool:
         raise NotPointed("smoothness is defined for pointed cones")
     # they do iff the rows of the matrix with the rays as columns span Z^k
     k = len(cone.rays)
-    return hnf_rows(zip(*cone.rays), k) == tuple(
-        tuple(int(i == j) for j in range(k)) for i in range(k)
-    )
+    return hnf_rows(zip(*cone.rays), k) == _identity(k)
 
 
 def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
@@ -345,31 +350,43 @@ def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
     return pieces
 
 
+def _simplex(gens: Sequence[Vector]) -> tuple[int, list[list[int]]] | None:
+    """(s, s G^-1) for d gens in Z^d, G having them as columns and s = +-det G,
+    from one elimination of [G | I], which reduces it to [s I | s G^-1]; None
+    if the gens are dependent."""
+    d = len(gens)
+    m = _with_identity(tuple(zip(*gens)))
+    pivots, s, _ = _eliminate(m, d)
+    return (s, [row[d:] for row in m]) if len(pivots) == d else None
+
+
+def _cosets(gens: Sequence[Vector], inverse: list[list[int]], volume: int) -> list[Vector]:
+    """(M a) mod D for one a per coset of Z^d / L, L being the lattice the
+    independent gens span, D = |det G| = ``volume`` and ``inverse`` = s G^-1
+    = +-M = +-D G^-1 (from :func:`_simplex`).
+
+    The Hermite basis of L is triangular, so the box prod_i [0, h_ii) over
+    its diagonal holds one a per coset, the first being 0.  With -M, a stands
+    for the coset of -a, which only permutes the cosets.
+    """
+    diagonal = [h[i] for i, h in enumerate(hnf_rows(gens, len(gens)))]
+    box = iproduct(*map(range, diagonal))
+    return [tuple([dot(row, a) % volume for row in inverse]) for a in box]
+
+
 def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
     """Lattice points of the half-open parallelepiped spanned by independent gens.
 
-    There is one per coset of Z^d / L, L being the lattice the gens span.  The
-    Hermite basis of L is triangular, so the box prod_i [0, h_ii) over its
-    diagonal holds one representative a per coset, and the coset's point in
-    the parallelepiped is G frac(G^-1 a), G having the gens as columns.  With
-    D = |det G| and M = D G^-1 (integral, from one elimination), that point is
-    G ((M a) mod D) / D.
+    There is one per coset of Z^d / L, L being the lattice the gens span: the
+    coset of a has its point at G frac(G^-1 a), G having the gens as columns,
+    and with D = |det G| and M = D G^-1 that is G f / D, f = (M a) mod D
+    (:func:`_cosets`).
     """
-    d = len(gens)
-    assert d == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
-    # [G | I] reduces to [s I | s G^-1] with s = +-det G
-    m = _with_identity(tuple(zip(*gens)))
-    pivots, s, _ = _eliminate(m, d)
-    assert len(pivots) == d, "parallelepiped generators must be independent"
-    volume = abs(s)
-    # s G^-1 = +-M; with -M, a maps to the point of the coset of -a, which
-    # only permutes the cosets
-    inverse = [row[d:] for row in m]
-    diagonal = [h[i] for i, h in enumerate(hnf_rows(gens, d))]
-    points: set[Vector] = set()
-    for a in iproduct(*(range(h) for h in diagonal)):
-        frac = [dot(row, a) % volume for row in inverse]
-        points.add(tuple(dot(col, frac) // volume for col in zip(*gens)))
+    assert len(gens) == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
+    simplex = _simplex(gens)
+    assert simplex is not None, "parallelepiped generators must be independent"
+    volume, rows = abs(simplex[0]), tuple(zip(*gens))
+    points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, simplex[1], volume)}
     assert len(points) == volume, "parallelepiped enumeration lost points"
     return points
 
@@ -405,8 +422,10 @@ def _basis(cone: Cone) -> tuple[Vector, ...]:
     n = cone.ambient_dim
     if n == 2 == len(cone.rays):  # two rays of a pointed cone in Z^2 span it
         return _plane_basis(*cone.rays)
-    if is_smooth(cone):
-        return cone.rays
+    if len(cone.rays) == n:
+        simplex = _simplex(cone.rays)
+        if simplex is not None:
+            return _simplicial_basis(cone.rays, *simplex)
     d = cone.dim
     if d < n:
         # the Hermite transform u of the rays maps span ∩ Z^n onto Z^d x 0;
@@ -457,6 +476,31 @@ def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
     return tuple(sorted(basis))
 
 
+def _simplicial_basis(
+    rays: tuple[Vector, ...], s: int, inverse: list[list[int]]
+) -> tuple[Vector, ...]:
+    """Hilbert basis of the cone on n independent ``rays`` in Z^n, from
+    (s, s G^-1) = :func:`_simplex` of them.
+
+    D = |s| = 1 means the rays are a lattice basis.  Otherwise the candidates
+    are the rays and the nonzero points G f / D of the parallelepiped, and
+    the budget counts its D points.  A point G f / D has the coordinates
+    f / D on the rays, ray i being G (D e_i) / D, and the facet normal
+    opposite ray i is a positive multiple of row i of s G^-1 = +-M, so f
+    serves as the values on the normals and needs no products; only the
+    irreducibles are mapped back to Z^n.
+    """
+    volume = abs(s)
+    if volume == 1:
+        return rays
+    check_budget(volume, "parallelepiped points")
+    scaled_rays = [tuple(volume * x for x in e) for e in _identity(len(rays))]
+    graded = [(sum(f), f, f) for f in scaled_rays + _cosets(rays, inverse, volume)[1:]]
+    rows = tuple(zip(*rays))
+    basis = (tuple(dot(row, f) // volume for row in rows) for f in _irreducibles(graded))
+    return tuple(sorted(basis))
+
+
 def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     """Hilbert basis of a full-dimensional pointed cone from a triangulation.
 
@@ -464,12 +508,7 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     each simplicial piece; the irreducibles always appear among them.  A
     piece's parallelepiped holds |det| points, and BudgetExceeded is raised
     before any is listed when their sum exceeds the enumeration budget.  The
-    reduction is graded (Bruns-Ichim, Normaliz): the sum of the facet
-    normals is positive on the nonzero points of the cone, candidates are
-    visited by (degree, vector), and each is tested only against the
-    irreducibles already accepted of at most half its degree.  If h = a + b,
-    one summand has at most half the degree of h, and an irreducible
-    dividing that summand was accepted before h.
+    candidates are graded by their values on the facet normals.
     """
     n = cone.ambient_dim
     pieces = _triangulate(cone.rays, n)
@@ -480,12 +519,26 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     for piece in pieces:
         candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * n)
-    # a candidate's values on the facet normals: h - c lies in the cone iff
-    # h's values dominate c's, and the degree is their sum
     graded = []
     for h in candidates:
         values = tuple(dot(u, h) for u in normals)
         graded.append((sum(values), h, values))
+    return tuple(sorted(_irreducibles(graded)))
+
+
+def _irreducibles(graded: list[tuple[int, Vector, tuple[int, ...]]]) -> list[Vector]:
+    """The irreducible candidates, from (degree, candidate, values) triples:
+    a candidate's values on the facet normals of the cone, each scaled by a
+    positive constant, and their sum, its degree.  h - c lies in the cone iff
+    h's values dominate c's.
+
+    The reduction is graded (Bruns-Ichim, Normaliz): the degree is linear
+    and positive on the nonzero points of the cone, candidates are
+    visited by degree, and each is tested only against the irreducibles
+    already accepted of at most half its degree.  If h = a + b, one summand
+    has at most half the degree of h, and an irreducible dividing that
+    summand was accepted before h.
+    """
     graded.sort()
     accepted: list[tuple[int, tuple[int, ...]]] = []  # irreducibles, by degree
 
@@ -497,12 +550,12 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
                 return True
         return False
 
-    basis_out = []
+    out = []
     for degree, h, values in graded:
         if not reducible(degree, values):
             accepted.append((degree, values))
-            basis_out.append(h)
-    return tuple(sorted(basis_out))
+            out.append(h)
+    return out
 
 
 class Fan(Value):

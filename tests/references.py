@@ -97,6 +97,49 @@ def saturation_basis(vectors, n):
     return kernel_basis(perp, n)
 
 
+# --- the Hermite reduction by one Euclid step at a time --------------------------
+
+
+def euclid_hermite(m, ncols, inv=None):
+    """``intlinalg._hermite`` before unit pivots cleared a column in one pass:
+    every step re-scans the column and reduces its second smallest nonzero
+    entry by the smallest (by absolute value, then by row)."""
+    nrows = len(m)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            nz = [i for i in range(r, nrows) if m[i][c]]
+            if len(nz) <= 1:
+                break
+            i1, i2 = sorted(nz, key=lambda i: abs(m[i][c]))[:2]
+            q = m[i2][c] // m[i1][c]
+            m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
+            if inv is not None:
+                inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
+        if not nz:
+            continue
+        i = nz[0]
+        m[r], m[i] = m[i], m[r]
+        if inv is not None:
+            inv[r], inv[i] = inv[i], inv[r]
+        if m[r][c] < 0:
+            m[r] = [-a for a in m[r]]
+            if inv is not None:
+                inv[r] = [-a for a in inv[r]]
+        row = m[r]
+        piv = row[c]
+        for i in range(r):
+            q = m[i][c] // piv
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], row)]
+                if inv is not None:
+                    inv[r] = [a + q * b for a, b in zip(inv[r], inv[i])]
+        r += 1
+    return r
+
+
 # --- unimodular inverses by elimination -----------------------------------------
 
 

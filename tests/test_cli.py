@@ -29,6 +29,7 @@ from torified.errors import BudgetExceeded
 from torified.gadgets import (
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
+    MonoidHom,
     cc_points,
     enumerate_monoid_homs,
 )
@@ -306,6 +307,63 @@ def test_spec_dualises_only_the_cone_and_its_dual_in_the_ambient_lattice(capsys,
     code, data, _ = run_json(capsys, "spec", "--cone=1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5")
     assert code == 0 and len(data["result"]["points"]) == 16
     assert dimensions.count(4) <= 2
+
+
+@pytest.mark.parametrize("cone", ["1,0,0;0,1,0;1,1,5", "1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5"])
+def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch, cone):
+    # a simplicial cone's Hilbert basis comes from its one elimination: no
+    # determinant, no smoothness test and no dual for the facet normals
+    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+                   lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
+                   lattice.validate_fan, monoid_of_cone):
+        cached.cache_clear()
+    called = []
+
+    def recorded(name):
+        return lambda *args: called.append(name)
+
+    for name in ("det", "is_smooth", "facet_normals"):
+        monkeypatch.setattr(lattice, name, recorded(name))
+    code, data, _ = run_json(capsys, "spec", f"--cone={cone}")
+    assert code == 0 and called == []
+    assert len(data["result"]["points"]) == 2 ** len(cone.split(";"))
+
+
+@pytest.mark.parametrize("elements", [False, True])
+def test_soule_builds_homs_only_to_list_them(capsys, monkeypatch, elements):
+    made = []
+    init = MonoidHom.__init__
+
+    def counted(self, *args):
+        made.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(MonoidHom, "__init__", counted)
+    argv = ["soule", "--m", "3", "--cone", "1,0,0;0,1,0;1,1,5"] + ["--elements"] * elements
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0 and data["result"]["match"] is True
+    assert data["result"]["enumerated_count"] == 64
+    assert len(made) == (64 if elements else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--q=--", "--family", "affine", "1"],
+        ["spec", "--cone=--"],
+        ["count", "--family", "affine", "1", "--torification=--"],
+        ["soule", "--m=--", "--cone", "1,0"],
+        ["count", "--family", "affine", "1", "--format=--"],
+    ],
+    ids=lambda argv: next(a for a in argv if a.endswith("=--")),
+)
+def test_a_dropped_value_is_a_usage_error(capsys, argv):
+    # argparse reads `--opt=--` as no value and returns []: a usage error,
+    # with no traceback and nothing echoed
+    code, out, err = run(capsys, *argv)
+    name = next(a for a in argv if a.endswith("=--")).partition("=")[0]
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {name}: expected one argument\n"
 
 
 def test_parser_built_once_and_stateless(capsys):

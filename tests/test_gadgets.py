@@ -25,6 +25,7 @@ from torified.gadgets import (
     abelian_group_types,
     cc_cardinality_check,
     cc_points,
+    count_monoid_homs,
     enumerate_monoid_homs,
     hom_extend,
     hom_restrict,
@@ -537,6 +538,31 @@ def test_homs_match_face_formula_and_oracle(cone, m):
     assert [h.values for h in homs] == sorted(h.values for h in homs)
     if assignments <= 3000:
         assert [h.values for h in homs] == oracle_homs(monoid, target)
+
+
+@settings(max_examples=60)
+@given(pointed_cones(dims=(1, 2, 3)), st.sampled_from((1, 2, 3)))
+@example(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2))), 2)  # kernel rank two
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))), 2)
+@example(zero_cone(2), 3)
+@example(Cone(1, ((1,),)), 1)
+def test_count_is_the_number_of_enumerated_homs(cone, m):
+    monoid = monoid_of_cone(cone)
+    target = CyclicMonoidWithZero(m)
+    assignments = target.order ** len(monoid.all_generators())
+    assume(assignments <= 10**4)
+    assert count_monoid_homs(monoid, target) == len(enumerate_monoid_homs(monoid, target))
+    # both are refused at the same boundary, the number of assignments
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TORIFIED_BUDGET", str(assignments))
+        assert count_monoid_homs(monoid, target) == len(enumerate_monoid_homs(monoid, target))
+        mp.setenv("TORIFIED_BUDGET", str(assignments - 1))
+        errors = []
+        for f in (count_monoid_homs, enumerate_monoid_homs):
+            with pytest.raises(BudgetExceeded) as info:
+                f(monoid, target)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 def test_hom_properties_reach_kernel_rank_two():

@@ -7,6 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torified.intlinalg import (
+    _hermite,
+    _with_identity,
     det,
     dot,
     hnf_rows,
@@ -17,6 +19,7 @@ from torified.intlinalg import (
 )
 
 from references import (
+    euclid_hermite,
     invert_unimodular,
     minors_gcd,
     saturation_basis,
@@ -334,3 +337,44 @@ def test_row_hermite_transform_is_hermite(case):
     rank = mat_rank(rows)
     assert_hermite(h, rank, ncols)
     assert hnf_rows(rows, ncols) == tuple(tuple(row) for row in h[:rank])
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Integer matrices with 0-6 rows and 0-6 columns whose entries are mostly
+    0 and +-1 (or, for one in four, 0 and larger entries, so that Euclid
+    steps come first), with whole zero columns and repeated rows; half of
+    them carry an identity block beyond ``ncols``."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)):
+        entry = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5, 7))
+    else:
+        entry = st.sampled_from((0, 0, 2, -2, 3, -3, 4, 5, -6, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if ncols:
+        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+    if nrows >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return (_with_identity(rows) if draw(st.booleans()) else rows), ncols
+
+
+@given(unit_rich_matrices(), st.booleans())
+@example(([[1, 0], [-1, 2], [1, 1], [0, 3]], 2), True)  # a unit pivot clears three rows
+@example(([[2], [3], [-1], [1]], 1), True)  # ties at 1: the first row is the pivot
+@example(([[6, 1], [4, 0], [9, 1]], 2), True)  # Euclid reaches a unit pivot
+@example((_with_identity([[2], [3], [5]]), 1), True)  # a pivot of 2 reduces one row only
+@example(([[0, 1], [0, -1]], 2), False)  # a zero column
+def test_unit_pivots_give_the_euclid_steps_result(case, with_inverse):
+    # the one-pass clearing under a +-1 pivot is the sequence of single
+    # Euclid steps: the same Hermite form, transform and inverse
+    rows, ncols = case
+    width = len(rows)
+    got, expected = [list(r) for r in rows], [list(r) for r in rows]
+    inv = [[int(i == j) for j in range(width)] for i in range(width)] if with_inverse else None
+    inv_expected = [list(r) for r in inv] if with_inverse else None
+    assert _hermite(got, ncols, inv) == euclid_hermite(expected, ncols, inv_expected)
+    assert got == expected
+    assert inv == inv_expected

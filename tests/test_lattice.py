@@ -692,6 +692,34 @@ def test_plane_basis_of_a_cone_embedded_in_higher_dimension(cone, n, data):
     assert hilbert_basis(embedded) == tuple(sorted(map(lift, _triangulated_basis(cone))))
 
 
+@st.composite
+def simplicial_cones(draw):
+    """Full-dimensional simplicial cones in Z^3 and Z^4: the rows of a
+    triangular matrix with determinant <= 300, moved by a drawn unimodular
+    map and made primitive (which can only lower the volume)."""
+    n = draw(st.integers(3, 4))
+    m = draw(unimodular(n))
+    rows, volume = [], 1
+    for i in range(n):
+        h = draw(st.integers(1, 300 // volume))
+        volume *= h
+        rows.append((0,) * i + (h,) + tuple(draw(st.integers(-3, 3)) for _ in range(n - i - 1)))
+    return Cone(n, tuple(primitive(mat_vec(m, r)) for r in rows))
+
+
+@settings(max_examples=100)
+@given(simplicial_cones())
+@example(Cone(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))  # smooth: the rays
+@example(Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 300))))
+@example(Cone(3, ((1, 0, 0), (0, 1, 0), (-1, -1, -300))))  # a negative determinant
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))))
+@example(Cone(4, ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))))  # Z^4 / L = (Z/2)^2
+def test_simplicial_basis_agrees_with_the_triangulation(cone):
+    # one elimination of the rays against the parallelepiped and facet
+    # normals of the triangulation of a single piece
+    assert lattice._basis(cone) == _triangulated_basis(cone)
+
+
 def test_non_simplicial_cone_in_dimension_5():
     # the square pyramid times a 2-D orthant: 6 rays spanning Z^5
     rays = (
