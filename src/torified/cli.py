@@ -110,23 +110,38 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     :class:`_Block` values that stand for a list and write their parts
     themselves.
 
-    Dicts are written key by key and blocks part by part; every other value
-    is rendered whole, so the longest text held is one part, one D^r or one
-    plain value, never the envelope.  The stdlib encoder leaves its C
-    implementation when an indent is set; here strings go through the C
-    escaper.
+    The outer dicts are written key by key and blocks part by part; every
+    other value is rendered whole, so the longest text held is one part, one
+    D^r or one plain value, never the envelope.  A plain dict, list or tuple
+    is rendered in one join of its items' texts; a list of ints, of strs or
+    of lists is told by the set of its items' exact types, and the texts that
+    open, separate and close a container are made once per depth that the
+    value reaches.  The stdlib encoder leaves its C implementation when an
+    indent is set; here strings go through the C escaper.
     """
+    # by depth: the texts that open a list, separate its items and close it,
+    # and the same for a dict
+    lists: list[tuple[str, str, str]] = []
+    dicts: list[tuple[str, str, str]] = []
+
+    def reach(depth: int) -> None:
+        while len(lists) <= depth:
+            inner, outer = "\n" + "  " * (len(lists) + 1), "\n" + "  " * len(lists)
+            lists.append(("[" + inner, "," + inner, outer + "]"))
+            dicts.append(("{" + inner, "," + inner, outer + "}"))
 
     def render(v, depth: int) -> str:
+        if type(v) is int:  # not a bool, which renders as true/false
+            return int.__repr__(v)
         if isinstance(v, str):
             return encode_basestring_ascii(v)
-        if type(v) is int:
-            return int.__repr__(v)
         if isinstance(v, (list, tuple)):
             return render_items(v, depth)
-        if isinstance(v, (dict, _Block)):
+        if isinstance(v, dict):
+            return render_dict(v, depth)
+        if isinstance(v, _Block):
             pieces: list[str] = []
-            put(v, depth, pieces.append)
+            v.write_json(depth, render, pieces.append)
             return "".join(pieces)
         if v is None:
             return "null"
@@ -134,14 +149,35 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
             return "true" if v else "false"
         if type(v) is float and isfinite(v):
             return float.__repr__(v)
-        return json.dumps(v)  # NaN and the infinities
+        return json.dumps(v)  # int and float subclasses, NaN and the infinities
 
     def render_items(v, depth: int) -> str:
         if not v:
             return "[]"
-        if all(type(x) is int for x in v):  # exact ints: a bool renders as true/false
-            return _enclose(list(map(int.__repr__, v)), depth)
-        return _enclose([render(x, depth + 1) for x in v], depth)
+        if depth >= len(lists):
+            reach(depth)
+        start, sep, end = lists[depth]
+        kinds = set(map(type, v))  # exact types: a bool renders as true/false
+        if kinds == _INT:
+            texts = map(int.__repr__, v)
+        elif kinds == _STR:
+            texts = map(encode_basestring_ascii, v)
+        elif kinds <= _SEQUENCES:
+            texts = [render_items(x, depth + 1) for x in v]
+        else:
+            texts = [render(x, depth + 1) for x in v]
+        return "".join((start, sep.join(texts), end))
+
+    def render_dict(v, depth: int) -> str:
+        if not v:
+            return "{}"
+        if depth >= len(dicts):
+            reach(depth)
+        start, sep, end = dicts[depth]
+        texts = [
+            encode_basestring_ascii(k) + ": " + render(x, depth + 1) for k, x in sorted(v.items())
+        ]
+        return "".join((start, sep.join(texts), end))
 
     def put(v, depth: int, write) -> None:
         if isinstance(v, _Block):
@@ -160,6 +196,9 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
             write("\n" + "  " * depth + "}")
 
     put(obj, 0, write)
+
+
+_INT, _STR, _SEQUENCES = {int}, {str}, {list, tuple}
 
 
 def _dumps(obj) -> str:

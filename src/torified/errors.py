@@ -4,10 +4,14 @@ across the package.
 :class:`Value` is the base of the value types (tori, cones, fans, monoids,
 counting reports, groups, homs).  A subclass names its fields in
 ``__slots__``, where a slot with a leading underscore holds a derived value
-and is not a field, and sets them once in its own ``__init__`` by ``_set``.
-Values of one class are equal when their fields are, hash as the field
-tuple, refuse assignment and deletion, pickle through the constructor and
-print as ``Name(field=value, ...)``.  No code is generated for a subclass.
+and is not a field, and sets them once in its own ``__init__`` by ``_set``,
+which writes each slot through its member descriptor; the descriptors' setters
+are collected once per class.  Values of one class are equal when their
+fields are, hash as the field tuple, refuse assignment and deletion, pickle
+through the constructor and print as ``Name(field=value, ...)``.  A derived
+slot may keep what the fields determine: a cone or a fan, which key caches
+and sets, keeps its hash, the same hash of its field tuple, in ``_hash``.
+No code is generated for a subclass.
 """
 
 from __future__ import annotations
@@ -75,14 +79,16 @@ class Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the slots' member descriptors set them without a lookup by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         get = attrgetter(*cls._fields)
         # the field tuple, also for one field, so hashes are those of the tuple
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
 
     def _set(self, *values) -> None:
         """Set the slots, in ``__slots__`` order; for ``__init__`` only."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(self._setters, values, strict=True):
+            set_slot(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -91,6 +97,13 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    def _kept_hash(self) -> int:
+        """``__hash__`` of a subclass with a ``_hash`` slot, which its
+        constructor sets to None: the same hash, kept from its first use."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._values(self)))
+        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")

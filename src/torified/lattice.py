@@ -8,8 +8,11 @@ canonical).  Operations that need pointedness refuse lineality.
 One dual routine, :func:`_dual_pair`, a double description, serves
 construction (strict convexity and extremality), duals, faces and
 triangulations; faces are the closure of the cone under intersection with
-its facets, so neither enumerates subsets.  n independent generators in
-Z^n skip the double description: they cost one elimination.  The lattice
+its facets, so neither enumerates subsets, and each face carries its
+dimension from the closure.  n independent generators in Z^n skip the
+double description: they cost one elimination.  A cone on at least n rays
+and without lineality reads its dimension from that cached dual, so a
+maximal cone is eliminated once, for its rank and its facets.  The lattice
 work beneath is the one Bareiss elimination and the one Hermite reduction
 of :mod:`torified.intlinalg`; a dual's lineality is the generators' kernel,
 which that reduction returns in Hermite form.  Coordinates on a sublattice
@@ -35,8 +38,10 @@ and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
 It is read from ray bitmasks: the faces in the fan of a simplicial cone are
 the submasks of its ray mask that index a cone, so only non-simplicial cones
-list their faces.  Face closure is then a count per cone.  Fan validation
-settles pairs of maximal cones by sign masks over the rays, from one dual
+list their faces, and :func:`fan_from_dict` closes a simplicial cone's
+faces by its distinct ray subsets.  Face closure is then a count per cone.
+Cones and fans keep their hashes.  Fan validation settles pairs of maximal
+cones by sign masks over the rays, from one dual
 per maximal cone (the cached :func:`facet_normals`); a double description of
 the pair decides only the pairs the masks leave open, and every violating
 pair is among those.
@@ -99,10 +104,13 @@ class Cone(Value):
     lineality raise InvalidCone.  ``lineality`` is a canonical (Hermite) lattice basis of the
     contained linear subspace, and rays are orthogonal to it; a cone occurring
     in a fan always has ``lineality == ()``.  ``dim`` is the rank of the
-    generators, which the constructor computes anyway; it is not a field.
+    generators, which the constructor computes anyway; it is not a field, and
+    neither is ``_hash``, the hash of the field tuple, kept from its first use
+    because cones key the caches of this module and the sets of fans.
     """
 
-    __slots__ = ("ambient_dim", "rays", "lineality", "_dim")
+    __slots__ = ("ambient_dim", "rays", "lineality", "_dim", "_hash")
+    __hash__ = Value._kept_hash
 
     def __init__(self, ambient_dim: int, rays=(), lineality=()):
         self.__post_init__(ambient_dim, rays, lineality)
@@ -117,9 +125,10 @@ class Cone(Value):
         given = len(lineality)
         _check_vectors(ambient_dim, rays, "ray")
         _check_vectors(ambient_dim, lineality, "lineality vector")
-        lineality = hnf_rows(lineality, ambient_dim)
-        if len(lineality) != given:
-            raise InvalidCone("lineality vectors must be linearly independent")
+        if lineality:
+            lineality = hnf_rows(lineality, ambient_dim)
+            if len(lineality) != given:
+                raise InvalidCone("lineality vectors must be linearly independent")
         for r in rays:
             for l in lineality:
                 if dot(r, l) != 0:
@@ -129,11 +138,16 @@ class Cone(Value):
         rays = tuple(sorted(set(rays)))
         # rays independent of each other and of the lineality are extremal
         # and contain no line; pruning the others keeps their span, so the
-        # rank is the cone's dimension either way
-        rank = mat_rank(rays + lineality)
+        # rank is the cone's dimension either way.  On at least n rays it is
+        # n less the rank of the dual's perp: the cached dual that the facets,
+        # the faces, the extremal rays and a full-dimensional monoid read
+        if not lineality and len(rays) >= ambient_dim:
+            rank = ambient_dim - len(_dual_pair(rays, ambient_dim)[1])
+        else:
+            rank = mat_rank(rays + lineality)
         if rank < len(rays) + len(lineality):
             rays = _extremal_rays(rays, lineality, ambient_dim)
-        self._set(ambient_dim, rays, lineality, rank)
+        self._set(ambient_dim, rays, lineality, rank, None)
 
     @property
     def dim(self) -> int:
@@ -288,7 +302,7 @@ def _trusted(
     stored where :attr:`Cone.dim` caches it, so no rank is computed for it.
     """
     cone = object.__new__(Cone)
-    cone._set(ambient_dim, rays, lineality, dim)
+    cone._set(ambient_dim, rays, lineality, dim, None)
     return cone
 
 
@@ -313,11 +327,17 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
             for subset in combinations(cone.rays, k)
         )
     facets = [{r for r in cone.rays if dot(u, r) == 0} for u in facet_normals(cone)]
-    found, frontier = {cone.rays}, {cone.rays}
+    # each face is built with its dim: the facets, the first intersections,
+    # have dim(cone) - 1, and a face on k <= 3 rays has dim k, as a pointed
+    # cone of dim 1 or 2 has that many rays; only larger faces take a rank
+    frontier = {tuple(r for r in cone.rays if r in facet) for facet in facets}
+    dims = {cone.rays: cone.dim} | dict.fromkeys(frontier, cone.dim - 1)
     while frontier:
-        frontier = {tuple(r for r in f if r in facet) for f in frontier for facet in facets} - found
-        found |= frontier
-    return tuple(sorted((_trusted(n, rays) for rays in found), key=lambda c: (c.dim, c.rays)))
+        frontier = {tuple(r for r in f if r in facet) for f in frontier for facet in facets}
+        frontier.difference_update(dims)
+        dims.update((rays, len(rays) if len(rays) <= 3 else mat_rank(rays)) for rays in frontier)
+    order = sorted(dims.items(), key=lambda item: (item[1], item[0]))
+    return tuple(_trusted(n, rays, dim=k) for rays, k in order)
 
 
 def is_smooth(cone: Cone) -> bool:
@@ -563,9 +583,11 @@ class Fan(Value):
 
     Construction does not validate the fan axioms; run :func:`validate_fan`
     (operations that need a valid fan do so and raise :class:`InvalidFan`).
+    Like a cone, a fan keeps its hash, in ``_hash``, from its first use.
     """
 
-    __slots__ = ("ambient_dim", "cones", "_face_indices")
+    __slots__ = ("ambient_dim", "cones", "_face_indices", "_hash")
+    __hash__ = Value._kept_hash
 
     def __init__(self, ambient_dim: int, cones: tuple[Cone, ...] = ()):
         self.__post_init__(ambient_dim, cones)
@@ -580,7 +602,7 @@ class Fan(Value):
                 )
             if not c.is_pointed:
                 raise InvalidCone("fans contain only strictly convex cones")
-        self._set(ambient_dim, tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays))), None)
+        self._set(ambient_dim, tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays))), None, None)
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -773,6 +795,12 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
     "close_faces": bool}``.  Non-primitive rays are normalized (reported via
     ``on_warning``); with ``close_faces`` every missing face is added.  Any
     other shape, and a ray index outside [0, len(rays)), raise ValueError.
+
+    Each listed cone is built once, and a maximal one of full dimension is
+    eliminated once, for the dual its facets are later read from.  Closing
+    builds each face once, by its ray set: a simplicial cone's faces are the
+    cones on the subsets of its rays, so only a non-simplicial cone lists
+    its :func:`faces`.
     """
     try:
         n, raw_rays, raw_cones = data["dim"], data["rays"], data["cones"]
@@ -805,6 +833,23 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
             raise ValueError(f"cone {indices} references a missing ray")
         cones.append(Cone(n, tuple(rays[i] for i in indices)))
     if close:
-        cones = {f for c in cones for f in faces(c)}
+        cones = _closure(n, cones)
     return Fan(n, tuple(cones))
+
+
+def _closure(n: int, cones: Sequence[Cone]) -> list[Cone]:
+    """The faces of ``cones`` in Z^n, each once: the cones on the subsets of
+    a simplicial cone's rays, built once per distinct subset, and the
+    :func:`faces` of the other cones."""
+    closed: dict[tuple[Vector, ...], Cone] = {}
+    for c in cones:
+        if c.is_simplicial:
+            for k in range(len(c.rays) + 1):
+                for subset in combinations(c.rays, k):
+                    if subset not in closed:
+                        closed[subset] = _trusted(n, subset, dim=k)
+        else:
+            for f in faces(c):
+                closed.setdefault(f.rays, f)
+    return list(closed.values())
 

@@ -31,6 +31,7 @@ from torified.errors import ShapeMismatch, ValidationReport
 from torified.gadgets import TorifiedMap
 from torified.lattice import (
     Cone,
+    _extremal_rays,
     _hilbert_basis,
     _separating_faces,
     _trusted,
@@ -189,6 +190,24 @@ def facet_subsets_faces(cone):
             if rays not in seen:
                 seen[rays] = Cone(cone.ambient_dim, rays)
     return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.rays)))
+
+
+def faces_closure(cones):
+    """The faces of ``cones``, each once: the union of their :func:`faces`,
+    which is how ``fan_from_dict`` closed a fan before it built the faces of
+    simplicial cones by ray subsets."""
+    return {f for c in cones for f in faces(c)}
+
+
+def rank_first_cone(n, rays):
+    """The rays and dim that ``Cone(n, rays)`` stores, with the rank of the
+    rays taken by ``mat_rank``, as the constructor takes it for fewer than n
+    rays; InvalidCone where the constructor raises it (primitive rays only)."""
+    rays = tuple(sorted(set(rays)))
+    rank = mat_rank(rays)
+    if rank < len(rays):
+        rays = _extremal_rays(rays, (), n)
+    return rays, rank
 
 
 # --- fan validation by a double description per pair -----------------------------

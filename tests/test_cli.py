@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -22,7 +23,7 @@ from conftest import compositions
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
-from torified import cli, lattice, monoids
+from torified import cli, intlinalg, lattice, monoids
 from torified.cli import _dumps, main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
@@ -635,6 +636,50 @@ def test_dumps_matches_stdlib_indented_sorted_json(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_Point = namedtuple("_Point", "x y")
+
+
+def _nested(depth):
+    value = [1, "a"]
+    for _ in range(depth):
+        value = [value, {"k": value}]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # subclasses leave the exact-type paths for the isinstance ones
+        [_Str("é"), "b", _Str("c")],
+        [_Int(3), 1, _Int(-2)],
+        _List([1, _List([2]), (3,), _List()]),
+        _Dict(b=[_Str("x")], a=_Dict(z=(_Int(1), _List([True])))),
+        {"point": _Point(1, [2, "q"])},
+        [[1, 2], ("a", "b"), [[3]], [], [[]], [1.5, None, False]],
+        _nested(12),  # deeper than any envelope
+    ],
+    ids=["str", "int", "list", "dict", "namedtuple", "lists", "nested"],
+)
+def test_dumps_renders_every_container_as_the_stdlib(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 # --- self-rendering blocks: torus lists and shared D^r ------------------------------
 
 
@@ -1161,7 +1206,7 @@ def test_validating_a_simplicial_fan_runs_no_kernel_and_lists_no_face(
     capsys, monkeypatch, tmp_path, data
 ):
     # the duals of simplicial cones come from one elimination, their faces in
-    # the fan from ray masks; only reading the file lists the listed cones' faces
+    # the fan from ray masks, and reading the file closes them by ray subsets
     for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
                    lattice.faces, lattice.maximal_cones, lattice.validate_fan):
         cached.cache_clear()  # so that earlier tests' answers are not read
@@ -1182,9 +1227,32 @@ def test_validating_a_simplicial_fan_runs_no_kernel_and_lists_no_face(
     path.write_text(json.dumps(data))
     code, payload, _ = run_json(capsys, "validate-fan", str(path))
     assert code == 0 and payload["result"]["valid"]
-    assert kernels == []
-    rays = [tuple(r) for r in data["rays"]]
-    assert sorted(listed) == sorted(tuple(sorted(rays[i] for i in c)) for c in data["cones"])
+    assert kernels == [] and listed == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_validating_projective_space_eliminates_each_maximal_cone_once(
+    capsys, monkeypatch, tmp_path, n
+):
+    # the constructor reads a maximal cone's rank from the dual that its
+    # facets come from, so P^n takes one elimination per maximal cone
+    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+                   lattice.faces, lattice.maximal_cones, lattice.validate_fan):
+        cached.cache_clear()
+    eliminations = []
+    eliminate = intlinalg._eliminate
+
+    def counted_eliminate(*args):
+        eliminations.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(intlinalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(lattice, "_eliminate", counted_eliminate)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(projective_fan_file(n)))
+    code, payload, _ = run_json(capsys, "validate-fan", str(path))
+    assert code == 0 and payload["result"]["valid"]
+    assert len(eliminations) == n + 1
 
 
 SMALL_LADDER = (

@@ -9,6 +9,7 @@ coordinates directly.
 import json
 import math
 import os
+import pickle
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -24,8 +25,10 @@ from references import (
     all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
     facet_subsets_faces,
+    faces_closure,
     fan_to_dict,
     minors_is_smooth,
+    rank_first_cone,
     saturation_basis,
     solve_columns,
     solve_columns_int,
@@ -216,6 +219,68 @@ def test_dim_is_rank_of_generators_computed_once(cone, monkeypatch):
         # the dim is not a field: equality and hashing ignore it
         assert fresh == trusted == Cone(c.ambient_dim, c.rays, c.lineality)
         assert hash(fresh) == hash(trusted) == hash(Cone(c.ambient_dim, c.rays, c.lineality))
+
+
+@st.composite
+def at_least_n_rays(draw):
+    """n to n + 3 distinct primitive rays in Z^n (1 <= n <= 5), moved by a
+    drawn unimodular map: positive on a planted functional, or in a
+    hyperplane (dependent, so pruned or refused), or closed by a positive
+    relation (not pointed)."""
+    kind = draw(st.sampled_from(["pointed", "hyperplane", "line"]))
+    n = draw(st.integers(2 if kind == "hyperplane" else 1, 5))
+    d = n - 1 if kind == "hyperplane" else n
+    w = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+    vector = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    if kind != "line":
+        vector = vector.filter(lambda v: dot(w, v) > 0)
+    rays = draw(st.lists(vector.map(primitive), min_size=n, max_size=n + 3, unique=True))
+    if kind == "line":
+        coeffs = draw(st.lists(st.integers(1, 3), min_size=len(rays), max_size=len(rays)))
+        closing = tuple(-sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(n))
+        assume(any(closing) and primitive(closing) not in rays)
+        rays.append(primitive(closing))
+    a = draw(unimodular(n))
+    return n, tuple(mat_vec(a, r + (0,) * (n - d)) for r in rays)
+
+
+@settings(max_examples=200)
+@given(at_least_n_rays())
+@example((3, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))  # dependent: (1, 1, 0) is pruned
+@example((3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0))))  # a plane: not strictly convex
+@example((2, ((1, 0), (-1, 0))))  # a line and no more
+@example((1, ((1,), (-1,))))
+def test_the_rank_from_the_dual_is_the_rank_of_the_rays(case):
+    # with at least n rays and no lineality the constructor reads the rank
+    # from the dual; by mat_rank it keeps the same rays and dim, and both
+    # refuse the same ray sets
+    n, rays = case
+    assert len(set(rays)) >= n
+    try:
+        expected = rank_first_cone(n, rays)
+    except InvalidCone:
+        with pytest.raises(InvalidCone, match="not strictly convex"):
+            Cone(n, rays)
+        return
+    cone = Cone(n, rays)
+    assert (cone.rays, cone.dim) == expected
+    # the hash, kept from its first use, is that of the field tuple, for a
+    # cone from each constructor
+    made = [cone, lattice._trusted(n, cone.rays, dim=cone.dim), dual_cone(cone)]
+    made += [*faces(cone), pickle.loads(pickle.dumps(cone))]
+    for c in made:
+        assert hash(c) == hash(c) == c._hash == hash((c.ambient_dim, c.rays, c.lineality))
+    assert lattice._trusted(n, cone.rays)._hash is None
+
+
+@pytest.mark.parametrize("cone", [c for c in CONE_CORPUS if len(c.rays) < c.ambient_dim], ids=str)
+def test_a_cone_on_fewer_than_n_rays_takes_its_rank_without_a_dual(cone, monkeypatch):
+    # its dual would cost a kernel that nothing reads
+    def refuse(*args):
+        raise AssertionError("the constructor took a dual")
+
+    monkeypatch.setattr(lattice, "_dual_pair", refuse)
+    assert Cone(cone.ambient_dim, cone.rays).dim == len(cone.rays)
 
 
 def test_zero_cone_properties():
@@ -421,6 +486,18 @@ def test_simplicial_face_count_is_2_to_n(n):
 def test_faces_store_what_the_constructor_would(cone):
     for f in faces(cone):
         assert_constructor_agrees(f)
+
+
+@settings(max_examples=100)
+@given(rays_with_planted_functional(2, 6))
+@example((3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
+@example((5, tuple((1, *v) for v in iproduct((0, 1), repeat=4))))  # squares: 4 rays, dim 3
+@example((6, tuple((1, i, i * i, i**3, i**4, 0) for i in range(7))))  # lower-dimensional
+def test_faces_are_built_with_their_dim(case):
+    # the facets take the cone's dim less one, faces on up to 3 rays their
+    # number of rays, and only the others a rank
+    for f in faces(Cone(*case)):
+        assert f._dim == mat_rank(f.rays)
 
 
 def test_faces_require_pointed():
@@ -1150,3 +1227,53 @@ def test_fan_from_dict_close_faces_and_normalization():
     assert len(fan.cones) == 7  # the P2 fan
     assert validate_fan(fan).ok
     assert warnings and "[2, 0]" in warnings[0]
+
+
+@st.composite
+def fan_files(draw):
+    """Fan files read with ``close_faces``: P^n or (P^1)^n (1 <= n <= 4), or
+    the face fan of the cube (non-simplicial), moved by a drawn unimodular
+    map, whose listed cones overlap: faces of listed cones, repeats, and
+    cones on drawn rays, which may overlap the others or be non-simplicial."""
+    kind = draw(st.sampled_from(["projective", "p1_power", "cube"]))
+    if kind == "cube":
+        n = 3
+        rays = list(iproduct((-1, 1), repeat=3))
+        cones = [[i for i, r in enumerate(rays) if r[axis] == side] for axis in range(3) for side in (-1, 1)]
+    elif kind == "projective":
+        n = draw(st.integers(1, 4))
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        cones = [[i for i in range(n + 1) if i != k] for k in range(n + 1)]
+    else:
+        n = draw(st.integers(1, 4))
+        rays = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+        cones = [[2 * i + side for i, side in enumerate(sides)] for sides in iproduct((0, 1), repeat=n)]
+    a = draw(unimodular(n))
+    rays = [list(mat_vec(a, r)) for r in rays]
+    for cone in draw(st.lists(st.sampled_from(cones), max_size=4)):
+        cones.append(draw(st.lists(st.sampled_from(cone), unique=True)))  # a face, or a repeat
+    for _ in range(draw(st.integers(0, 2))):
+        drawn = draw(st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=n + 1, unique=True))
+        try:
+            Cone(n, tuple(tuple(rays[i]) for i in drawn))
+        except InvalidCone:
+            continue
+        cones.append(drawn)
+    order = draw(st.permutations(range(len(cones))))
+    return {"dim": n, "rays": rays, "cones": [cones[i] for i in order], "close_faces": True}
+
+
+@settings(max_examples=100)
+@given(fan_files())
+def test_closing_a_fan_file_gives_the_faces_of_its_cones(data):
+    # the cones on the distinct ray subsets of simplicial cones and the faces
+    # of the others: the same cones, in the same order, with the same dims
+    # and face relation as the union of the faces of the listed cones
+    fan = fan_from_dict(data)
+    n, rays = data["dim"], [tuple(r) for r in data["rays"]]
+    listed = [Cone(n, tuple(rays[i] for i in c)) for c in data["cones"]]
+    oracle = Fan(n, tuple(faces_closure(listed)))
+    assert fan.cones == oracle.cones
+    assert [c._dim for c in fan.cones] == [mat_rank(c.rays) for c in fan.cones]
+    assert fan.face_indices == oracle.face_indices
+    assert hash(fan) == hash(fan) == fan._hash == hash((n, fan.cones)) == hash(oracle)
