@@ -114,10 +114,12 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     other value is rendered whole, so the longest text held is one part, one
     D^r or one plain value, never the envelope.  A plain dict, list or tuple
     is rendered in one join of its items' texts; a list of ints, of strs or
-    of lists is told by the set of its items' exact types, and the texts that
-    open, separate and close a container are made once per depth that the
-    value reaches.  The stdlib encoder leaves its C implementation when an
-    indent is set; here strings go through the C escaper.
+    of lists is told by the set of its items' exact types, each int list in
+    a list of lists (generators, specialization pairs) is one join of its
+    ints' texts, and the texts that open, separate and close a container are
+    made once per depth that the value reaches.  The stdlib encoder leaves
+    its C implementation when an indent is set; here strings go through the
+    C escaper.
     """
     # by depth: the texts that open a list, separate its items and close it,
     # and the same for a dict
@@ -163,7 +165,15 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
         elif kinds == _STR:
             texts = map(encode_basestring_ascii, v)
         elif kinds <= _SEQUENCES:
-            texts = [render_items(x, depth + 1) for x in v]
+            if depth + 1 >= len(lists):
+                reach(depth + 1)
+            row_start, row_sep, row_end = lists[depth + 1]
+            texts = [
+                row_start + row_sep.join(map(int.__repr__, x)) + row_end
+                if x and set(map(type, x)) == _INT
+                else render_items(x, depth + 1)
+                for x in v
+            ]
         else:
             texts = [render(x, depth + 1) for x in v]
         return "".join((start, sep.join(texts), end))
@@ -199,13 +209,6 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
 
 
 _INT, _STR, _SEQUENCES = {int}, {str}, {list, tuple}
-
-
-def _dumps(obj) -> str:
-    """The text :func:`_write_json` writes for ``obj``, joined."""
-    pieces: list[str] = []
-    _write_json(obj, pieces.append)
-    return "".join(pieces)
 
 
 class _Block:

@@ -9,7 +9,9 @@ ways (the face formula vs. enumeration of the maps face by face, each a
 group hom on the generators orthogonal to its face) and the
 extension/restriction maps between the two pictures are exposed for
 round-trip checks.  :func:`count_monoid_homs` counts the maps that
-:func:`enumerate_monoid_homs` builds, without building them.
+:func:`enumerate_monoid_homs` builds, by residues and without building them;
+both read a face's orthogonal generators from one table of the generators'
+values on the source cone's rays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .counting import counting_polynomial, eval_counting
 from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
 from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
-from .monoids import AffineMonoid, monoid_of_cone
+from .monoids import AffineMonoid, _ray_values, monoid_of_cone
 from .torify import Torification, delta_vector
 
 
@@ -309,6 +311,28 @@ class MonoidHom(Value):
         self._set(monoid, target, values, support_face)
 
 
+def _supports(
+    monoid: AffineMonoid, target: CyclicMonoidWithZero
+) -> Iterator[tuple[list[int], list[Vector], Cone]]:
+    """Per face τ of the source cone, (S_τ, relations, τ): the indices of the
+    generators orthogonal to τ, those whose values on τ's rays are all 0 (the
+    values are taken once, on the source cone's rays), and a lattice basis
+    of the integer relations among them.  The (m+1)^g assignments bound the
+    number of maps from above, and the budget applies to them first."""
+    if monoid.source_cone is None:
+        raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
+    gens = monoid.all_generators()
+    check_budget(target.order ** len(gens), "assignments")
+    rays = monoid.source_cone.rays
+    values = _ray_values(gens, rays)
+    for face in faces(monoid.source_cone):
+        on = set(face.rays)
+        at = [k for k, ray in enumerate(rays) if ray in on]
+        support = [i for i, v in enumerate(values) if not any([v[k] for k in at])]
+        columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
+        yield support, kernel_basis(columns, len(support)), face
+
+
 def _unit_characters(
     monoid: AffineMonoid, target: CyclicMonoidWithZero
 ) -> Iterator[tuple[list[int], tuple[int, ...], Cone]]:
@@ -319,18 +343,10 @@ def _unit_characters(
     them it is a group hom into mu_m.  So per face τ, with S_τ the generators
     orthogonal to τ, the maps are the values v in mu_m^S_τ with <rel, v> = 0
     mod m for each rel of a lattice basis of the integer relations among
-    S_τ, extended by zero.  The (m+1)^g assignments bound the count from
-    above, and the budget applies to them before the first map.
+    S_τ (:func:`_supports`), extended by zero.
     """
-    if monoid.source_cone is None:
-        raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
-    gens = monoid.all_generators()
-    check_budget(target.order ** len(gens), "assignments")
     m = target.m
-    for face in faces(monoid.source_cone):
-        support = _orthogonal(gens, face)
-        columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
-        relations = kernel_basis(columns, len(support))
+    for support, relations, face in _supports(monoid, target):
         for vals in iproduct(range(m), repeat=len(support)):
             if not relations or all(not sum(map(mul, rel, vals)) % m for rel in relations):
                 yield support, vals, face
@@ -340,7 +356,7 @@ def enumerate_monoid_homs(
     monoid: AffineMonoid, target: CyclicMonoidWithZero
 ) -> tuple[MonoidHom, ...]:
     """All semigroup maps into the target, sorted by values; maps with one
-    support face share the face object."""
+    support face share the face object.  ``soule --elements`` lists these."""
     zeros = [target.ZERO] * len(monoid.all_generators())
     homs = []
     for support, vals, face in _unit_characters(monoid, target):
@@ -353,8 +369,32 @@ def enumerate_monoid_homs(
 
 
 def count_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> int:
-    """``len(enumerate_monoid_homs(monoid, target))``, under the same budget."""
-    return sum(1 for _ in _unit_characters(monoid, target))
+    """``len(enumerate_monoid_homs(monoid, target))``, under the same budget,
+    counted by residues without listing a map.
+
+    Per face τ the maps are the v in (Z/m)^S_τ with <rel, v> = 0 mod m for
+    each relation (:func:`_unit_characters`).  One pass over the coordinates
+    carries, per vector of the relations' residues so far, the number of
+    partial v reaching it; the count is that of the zero vector at the end,
+    and m^|S_τ| when there is no relation.
+    """
+    m = target.m
+    total = 0
+    for support, relations, _ in _supports(monoid, target):
+        if not relations:
+            total += m ** len(support)
+            continue
+        counts = {(0,) * len(relations): 1}
+        for column in zip(*relations):
+            steps = [tuple([a * x % m for a in column]) for x in range(m)]
+            reached: dict[tuple[int, ...], int] = {}
+            for residues, c in counts.items():
+                for step in steps:
+                    key = tuple([(a + b) % m for a, b in zip(residues, step)])
+                    reached[key] = reached.get(key, 0) + c
+            counts = reached
+        total += counts.get((0,) * len(relations), 0)
+    return total
 
 
 def _orthogonal(gens: tuple[Vector, ...], face: Cone) -> list[int]:

@@ -117,11 +117,12 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
     a pivot only touches the pivot rows, so rows r onward do not depend on it.
 
     Each Euclid step reduces the second smallest nonzero entry of the column
-    (by absolute value, then by row) by the smallest.  Once the smallest is
-    +-1 its row clears every other row in one pass: those are the steps the
-    loop would take one at a time, none of them changes the pivot row, and
-    their column operations on ``inv`` all add to the pivot's row of it, so
-    the order does not matter.
+    (by absolute value, then by row) by the smallest; one scan of the rows
+    still nonzero there finds both, and a row that a step brings to 0 leaves
+    that list.  Once the smallest is +-1 its row clears every other row in
+    one pass: those are the steps the loop would take one at a time, none of
+    them changes the pivot row, and their column operations on ``inv`` all
+    add to the pivot's row of it, so the order does not matter.
 
     ``inv``, when given, holds the columns of a matrix V as its rows, and
     each row operation E is matched by the column operation V <- V E^-1, so
@@ -132,20 +133,28 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
     for c in range(ncols):
         if r == nrows:
             break
-        while True:
-            nz = [i for i in range(r, nrows) if m[i][c]]
-            if len(nz) <= 1:
-                break
-            i1 = min(nz, key=lambda i: abs(m[i][c]))
-            p = m[i1][c]
-            rest = [i for i in nz if i != i1]
-            for i2 in rest if abs(p) == 1 else [min(rest, key=lambda i: abs(m[i][c]))]:
-                q = m[i2][c] // p
-                m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
-                if inv is not None:
-                    inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
+        nz = [i for i in range(r, nrows) if m[i][c]]
         if not nz:
             continue
+        while len(nz) > 1:
+            # the smallest |entry| (a1, in row i1) and the next (a2, in row
+            # i2), the first row winning ties; 0 stands for none yet
+            a1 = a2 = 0
+            i1 = i2 = -1
+            for i in nz:
+                a = abs(m[i][c])
+                if not a1 or a < a1:
+                    a1, i1, a2, i2 = a, i, a1, i1
+                elif not a2 or a < a2:
+                    a2, i2 = a, i
+            p, pivot_row = m[i1][c], m[i1]
+            for i2 in [i for i in nz if i != i1] if a1 == 1 else [i2]:
+                q = m[i2][c] // p
+                row = m[i2] = [a - q * b for a, b in zip(m[i2], pivot_row)]
+                if inv is not None:
+                    inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
+                if not row[c]:
+                    nz.remove(i2)
         i = nz[0]
         m[r], m[i] = m[i], m[r]
         if inv is not None:

@@ -473,7 +473,7 @@ def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
     size = a[0] * b[1] - a[1] * b[0]
     if size < 0:
         a, b, size = b, a, -size
-    _, ((p, q), _), _ = row_hermite_transform([[a[0]], [a[1]]])  # p a_0 + q a_1 = 1
+    p, q = _bezout(*a)  # p a_0 + q a_1 = 1
     # v = (-q, p) has det(a, v) = 1, and so has u = v - t a, with
     # det(u, b) = det(v, b) - t D: the remainder r of det(v, b) by D
     t, r = divmod(-p * b[0] - q * b[1], size)
@@ -494,6 +494,15 @@ def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
     for (x, y), (dx, dy), m in runs:
         basis.extend((x + j * dx, y + j * dy) for j in range(1, m + 1))
     return tuple(sorted(basis))
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(p, q) with p x + q y = gcd(x, y), by the extended Euclid algorithm."""
+    p0, q0, r0, p1, q1, r1 = 1, 0, x, 0, 1, y
+    while r1:
+        t = r0 // r1
+        p0, q0, r0, p1, q1, r1 = p1, q1, r1, p0 - t * p1, q0 - t * q1, r0 - t * r1
+    return (p0, q0) if r0 >= 0 else (-p0, -q0)
 
 
 def _simplicial_basis(

@@ -12,17 +12,40 @@ Hermite transform U of the units carries U^-1 through its one reduction,
 and z in the quotient lifts to U^-1 (0, z).  The quotient cone is the dual
 of the generators' section coordinates in Z^(dim t), so no dual is taken
 in Z^n unless t is full-dimensional, and a simplicial t costs one
-elimination of size dim t.  The specialisation order of a fan's monoid
-scheme is read from :attr:`torified.lattice.Fan.face_indices`.
+elimination of size dim t.  A full-dimensional t has no units and no
+section: its generators are the Hilbert basis of its dual.
+
+A fan's monoid scheme reads each cone's monoid from that of a maximal cone
+s containing it, as a localization (Fulton, *Introduction to Toric
+Varieties*, ch. 1): for a face t = s ∩ u^⊥ with u in s^∨ ∩ M, t^∨ ∩ M =
+s^∨ ∩ M + Z≥0 (-u).  So the units of t are generated by the generators of
+s that vanish on t (they generate the dual face s^∨ ∩ t^⊥, which spans
+t^⊥), and the images of the others generate the pointed quotient, whose
+Hilbert basis is its irreducible images.  An image is fixed by its values on t's rays, which
+grade the reduction; the values of s's generators on s's rays are taken
+once per cone, and no dual or Hilbert basis is computed for a proper face.
+A lone :func:`monoid_of_cone` of a face takes the path above, and gives the
+same monoid.  The specialisation order of a fan's monoid scheme is read
+from :attr:`torified.lattice.Fan.face_indices`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import MissingSourceCone, Value
-from .intlinalg import Vector, kernel_basis, mat_vec, row_hermite_transform
-from .lattice import Cone, Fan, _dual_pair, _hilbert_basis, _trusted, faces, require_valid
+from .intlinalg import Vector, hnf_rows, kernel_basis, mat_vec, row_hermite_transform
+from .lattice import (
+    Cone,
+    Fan,
+    _dual_pair,
+    _hilbert_basis,
+    _irreducibles,
+    _trusted,
+    faces,
+    require_valid,
+)
 
 
 class AffineMonoid(Value):
@@ -59,7 +82,11 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     """The monoid of dual lattice points nonnegative on the cone."""
     n = cone.ambient_dim
     generators = cone.generators()
-    units = () if cone.dim == n else tuple(kernel_basis(generators, n))
+    if cone.dim == n:  # no units: the generators are the dual's Hilbert basis
+        rays, _ = _dual_pair(generators, n)
+        basis = _hilbert_basis(_trusted(n, rays), f"the monoid of {cone}")
+        return AffineMonoid(n, tuple(sorted(basis)), (), cone)
+    units = tuple(kernel_basis(generators, n))
     # The Hermite transform u of the units (as columns) maps their saturated
     # lattice onto Z^r x 0: the first r columns of u^-1 are the units and the
     # others a section.  A dual vector u^-1 (0, z) pairs with a generator g
@@ -74,6 +101,48 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     inner = _hilbert_basis(_trusted(n - r, rays), f"the monoid of {cone}")
     gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)
+
+
+def _ray_values(generators: tuple[Vector, ...], rays: tuple[Vector, ...]) -> list[tuple[int, ...]]:
+    """Per generator, its values on the rays, in their order."""
+    return [tuple([sum(map(mul, g, ray)) for ray in rays]) for g in generators]
+
+
+def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Cone) -> AffineMonoid:
+    """The monoid of a face of the monoid's source cone, read from the
+    monoid's generators (:meth:`AffineMonoid.all_generators`) and their
+    ``values`` on the source cone's rays (:func:`_ray_values`); the result is
+    :func:`monoid_of_cone` of the face.
+
+    The generators zero on the face's rays generate its units, and a Hermite
+    basis of them is the unit basis.  Another generator's values on the
+    face's rays fix its image in the quotient by the units, and the
+    quotient's Hilbert basis is the irreducible images, graded by those
+    values (one generator per value vector).  An irreducible g lifts through
+    its quotient coordinates z = (u g)[r:] to u^-1 (0, z).
+    """
+    cone = monoid.source_cone
+    n = monoid.ambient_rank
+    if face == cone:
+        return monoid
+    on = set(face.rays)
+    at = [k for k, ray in enumerate(cone.rays) if ray in on]
+    units, candidates = [], {}
+    for g, vals in zip(monoid.all_generators(), values):
+        v = tuple([vals[k] for k in at])
+        if any(v):
+            candidates.setdefault(v, g)
+        else:
+            units.append(g)
+    units = hnf_rows(units, n)
+    if not candidates:  # the zero face: every dual vector is a unit
+        return AffineMonoid(n, (), units, face)
+    r = len(units)
+    h, u, u_inv = row_hermite_transform([[v[i] for v in units] for i in range(n)])
+    assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+    graded = [(sum(v), g, v) for v, g in candidates.items()]
+    lifts = (mat_vec(u_inv, (0,) * r + mat_vec(u[r:], g)) for g in _irreducibles(graded))
+    return AffineMonoid(n, tuple(sorted(lifts)), units, face)
 
 
 def unit_group(monoid: AffineMonoid) -> tuple[int, tuple[Vector, ...]]:
@@ -148,11 +217,19 @@ def dscheme_of_fan(fan: Fan) -> DScheme:
     """Points in bijection with the fan's cones, ordered by cone inclusion."""
     require_valid(fan)
     n = fan.ambient_dim
-    points = tuple(
-        DSchemePoint(i, c, n - c.dim, monoid_of_cone(c))
-        for i, c in enumerate(fan.cones)
-    )
+    # each cone is read from the last cone listing it as a face, a maximal
+    # one (a cone containing it would come later and list the face too),
+    # whose monoid and ray values are taken once
+    owner = {i: j for j, face_ids in enumerate(fan.face_indices) for i in face_ids}
+    tables: dict[int, tuple[AffineMonoid, list[tuple[int, ...]]]] = {}
+    points = []
+    for i, c in enumerate(fan.cones):
+        j = owner[i]
+        if j not in tables:
+            monoid = monoid_of_cone(fan.cones[j])
+            tables[j] = monoid, _ray_values(monoid.all_generators(), fan.cones[j].rays)
+        points.append(DSchemePoint(i, c, n - c.dim, _localization(*tables[j], c)))
     pairs = sorted(
         (i, j) for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j
     )
-    return DScheme(n, points, tuple(pairs))
+    return DScheme(n, tuple(points), tuple(pairs))

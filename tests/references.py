@@ -3,10 +3,10 @@ former library helpers that only the tests call.
 
 Each oracle computed in the library what a shorter routine computes now, and
 the tests compare the two.  They use the library's primitives, but none of
-the code paths they stand in for.  The helpers at the end (a fan's JSON
-form, disjoint unions, the Schubert order, identity and composed torified
-maps) left the library because no command, demo or library routine used
-them.
+the code paths they stand in for.  The helpers at the end (the envelope
+writer's text joined, a fan's JSON form, disjoint unions, the Schubert
+order, identity and composed torified maps) left the library because no
+command, demo or library routine used them.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ from torified.intlinalg import (
     row_hermite_transform,
     vec_neg,
 )
+from torified.cli import _write_json
 from torified.errors import ShapeMismatch, ValidationReport
 from torified.gadgets import TorifiedMap
 from torified.lattice import (
@@ -119,6 +120,49 @@ def euclid_hermite(m, ncols, inv=None):
             m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
             if inv is not None:
                 inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
+        if not nz:
+            continue
+        i = nz[0]
+        m[r], m[i] = m[i], m[r]
+        if inv is not None:
+            inv[r], inv[i] = inv[i], inv[r]
+        if m[r][c] < 0:
+            m[r] = [-a for a in m[r]]
+            if inv is not None:
+                inv[r] = [-a for a in inv[r]]
+        row = m[r]
+        piv = row[c]
+        for i in range(r):
+            q = m[i][c] // piv
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], row)]
+                if inv is not None:
+                    inv[r] = [a + q * b for a, b in zip(inv[r], inv[i])]
+        r += 1
+    return r
+
+
+def unit_pivot_hermite(m, ncols, inv=None):
+    """``intlinalg._hermite`` before each pivot was found in one scan: every
+    Euclid step re-lists the column's nonzero rows and takes the smallest
+    entry and the next by ``min``; a +-1 pivot clears its column in one pass."""
+    nrows = len(m)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            nz = [i for i in range(r, nrows) if m[i][c]]
+            if len(nz) <= 1:
+                break
+            i1 = min(nz, key=lambda i: abs(m[i][c]))
+            p = m[i1][c]
+            rest = [i for i in nz if i != i1]
+            for i2 in rest if abs(p) == 1 else [min(rest, key=lambda i: abs(m[i][c]))]:
+                q = m[i2][c] // p
+                m[i2] = [a - q * b for a, b in zip(m[i2], m[i1])]
+                if inv is not None:
+                    inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
         if not nz:
             continue
         i = nz[0]
@@ -436,6 +480,13 @@ def flat_product(a, b):
 
 
 # --- helpers that only the tests call ------------------------------------------
+
+
+def dumps(obj) -> str:
+    """The text ``cli._write_json`` writes for ``obj``, joined."""
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
 
 
 def fan_to_dict(fan: Fan) -> dict:

@@ -20,11 +20,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compositions
+from references import dumps
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
 from torified import cli, intlinalg, lattice, monoids
-from torified.cli import _dumps, main, torification_from_dict
+from torified.cli import main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
 from torified.gadgets import (
@@ -34,7 +35,7 @@ from torified.gadgets import (
     cc_points,
     enumerate_monoid_homs,
 )
-from torified.lattice import hilbert_basis, maximal_cones
+from torified.lattice import Cone, faces, hilbert_basis, maximal_cones
 from torified.monoids import monoid_of_cone
 from torified.torify import (
     Torification,
@@ -106,6 +107,40 @@ def test_spec_singular_cone(capsys):
     assert len(points) == 4
     gens = {tuple(map(tuple, p["generators"])) for p in points}
     assert ((0, 1), (1, 0), (2, -1)) in gens
+
+
+def test_spec_takes_one_hilbert_basis_for_all_faces(capsys, monkeypatch):
+    # on a non-simplicial 4-D cone the basis of the cone's own monoid is the
+    # only one computed, and no face's units come from a kernel
+    rays = ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))
+    cone = Cone(4, rays)
+    assert not cone.is_simplicial and cone.dim == 4
+    monoid_of_cone.cache_clear()
+    named, computed, kernels = [], [], []
+
+    def counted_hilbert_basis(c, name):
+        named.append(name)
+        return lattice._hilbert_basis(c, name)
+
+    def counted_basis(basis):
+        def recorded(c):
+            computed.append(c)
+            return basis(c)
+        return recorded
+
+    def counted_kernel(*args):
+        kernels.append(args)
+        return intlinalg.kernel_basis(*args)
+
+    monkeypatch.setattr(monoids, "_hilbert_basis", counted_hilbert_basis)
+    monkeypatch.setattr(lattice, "_basis", counted_basis(lattice._basis))
+    monkeypatch.setattr(monoids, "kernel_basis", counted_kernel)
+    code, data, _ = run_json(capsys, "spec", "--cone", ";".join(",".join(map(str, r)) for r in rays))
+    assert code == 0
+    assert len(data["result"]["points"]) == len(faces(cone))
+    assert named == [f"the monoid of {cone}"]
+    assert len(computed) == 1
+    assert kernels == []
 
 
 def test_soule_singular(capsys):
@@ -633,7 +668,7 @@ def with_shared_tuple(draw):
 @example([[1, 2], [3, -4], [], [5]])  # nested plain int lists
 @example({"chart": (0, 1, 2**100, -3), "ranks": [[0], [1, 1.5]]})
 def test_dumps_matches_stdlib_indented_sorted_json(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class _Str(str):
@@ -677,7 +712,7 @@ def _nested(depth):
     ids=["str", "int", "list", "dict", "namedtuple", "lists", "nested"],
 )
 def test_dumps_renders_every_container_as_the_stdlib(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 # --- self-rendering blocks: torus lists and shared D^r ------------------------------
@@ -741,7 +776,7 @@ SAFE = [(1, "axes:1"), (1, "axes:2"), (0, "cone:3"), (2, "axes:*torus*axes:1")]
 @example(tori_block((None, [(1, "a"), (1, 'b"'), (1, "c")]), ("p", [(1, "a"), (1, '"')])))
 @example(tori_block((None, [(1, "a"), (1, "b\\"), (1, "c")]), ("p\\", [(1, "a"), (1, "\\")])))
 def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
-    assert _dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
+    assert dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
 
 
 def _ladder():

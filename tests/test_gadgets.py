@@ -1,5 +1,6 @@
 """Point-set functors: group-side evaluation, induced maps, and monoid homs."""
 
+import math
 from itertools import product as iproduct
 
 import pytest
@@ -563,6 +564,33 @@ def test_count_is_the_number_of_enumerated_homs(cone, m):
                 f(monoid, target)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+@st.composite
+def relation_rich_cones(draw):
+    """Cones whose monoids have many relations: the plane cone on (0, 1) and
+    (b, -c), whose dual has up to b + 1 basis elements, placed in Z^2 or,
+    with a unit (0, 0, +-1), in Z^3."""
+    b = draw(st.integers(1, 7))
+    c = draw(st.integers(1, b).filter(lambda c: math.gcd(b, c) == 1))
+    if draw(st.booleans()):
+        return Cone(2, ((0, 1), (b, -c)))
+    return Cone(3, ((0, 1, 0), (b, -c, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones(dims=(1, 2, 3)) | relation_rich_cones(), st.integers(1, 4))
+@example(Cone(2, ((0, 1), (5, -1))), 4)  # 6 generators, kernel rank 4
+@example(Cone(2, ((0, 1), (7, -1))), 3)  # 8 generators, kernel rank 6
+@example(Cone(3, ((0, 1, 0), (5, -1, 0))), 2)  # 6 generators and 2 units: rank 5
+@example(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2))), 4)
+def test_counting_by_residues_gives_the_number_of_listed_homs(cone, m):
+    # several relations meet mod m on the faces whose support is large
+    monoid = monoid_of_cone(cone)
+    g = len(monoid.all_generators())
+    assume(m**g <= 5000 and (m + 1) ** g <= 10**6)  # listable, and within the budget
+    target = CyclicMonoidWithZero(m)
+    assert count_monoid_homs(monoid, target) == len(enumerate_monoid_homs(monoid, target))
 
 
 def test_hom_properties_reach_kernel_rank_two():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torified.intlinalg import (
@@ -25,6 +25,7 @@ from references import (
     saturation_basis,
     solve_columns,
     solve_columns_int,
+    unit_pivot_hermite,
 )
 
 
@@ -376,5 +377,35 @@ def test_unit_pivots_give_the_euclid_steps_result(case, with_inverse):
     inv = [[int(i == j) for j in range(width)] for i in range(width)] if with_inverse else None
     inv_expected = [list(r) for r in inv] if with_inverse else None
     assert _hermite(got, ncols, inv) == euclid_hermite(expected, ncols, inv_expected)
+    assert got == expected
+    assert inv == inv_expected
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices with 0-6 rows and 0-6 columns, entries in [-9, 9]
+    (ties, repeated rows and zero columns come up often), some of them
+    carrying an identity block beyond ``ncols``."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-9, 9) | st.sampled_from((0, 1, -1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return (_with_identity(rows) if draw(st.booleans()) else rows), ncols
+
+
+@settings(max_examples=300)
+@given(small_matrices() | unit_rich_matrices(), st.booleans())
+@example(([[4, 1], [6, 0], [-4, 1], [9, 1]], 2), True)  # a tie at 4 in the first scan
+@example(([[6], [4], [-4], [2]], 1), True)  # a row reaches 0 and leaves the scan
+@example(([[3], [5], [7]], 1), False)
+def test_hermite_takes_the_steps_of_the_min_search(case, with_inverse):
+    # one scan finds each step's two smallest entries, and rows that reach 0
+    # leave it: the same row operations, so the same form, inverse and rank
+    rows, ncols = case
+    width = len(rows)
+    got, expected = [list(r) for r in rows], [list(r) for r in rows]
+    inv = [[int(i == j) for j in range(width)] for i in range(width)] if with_inverse else None
+    inv_expected = [list(r) for r in inv] if with_inverse else None
+    assert _hermite(got, ncols, inv) == unit_pivot_hermite(expected, ncols, inv_expected)
     assert got == expected
     assert inv == inv_expected

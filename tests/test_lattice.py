@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -48,6 +49,7 @@ from torified.intlinalg import (
     mat_rank,
     mat_vec,
     primitive,
+    row_hermite_transform,
     vec_neg,
 )
 from torified.lattice import (
@@ -754,6 +756,30 @@ def test_plane_basis_agrees_with_the_triangulation(cone):
     basis = _triangulated_basis(cone)
     assert _plane_basis(a, b) == _plane_basis(b, a) == basis
     assert hilbert_basis(cone) == basis
+
+
+def hermite_bezout(x, y):
+    """The Bezout pair the plane basis took before the extended Euclid
+    algorithm: the first row of the transform of the column (x, y)."""
+    _, ((p, q), _), _ = row_hermite_transform([[x], [y]])
+    return p, q
+
+
+@settings(max_examples=150)
+@given(plane_cones())
+@example(Cone(2, ((1, 0), (0, 1))))
+@example(Cone(2, ((0, -1), (1, 0))))  # a_0 = 0: the pair is (0, -1)
+@example(Cone(2, ((-7, 3), (2, 5))))
+def test_plane_basis_takes_any_bezout_pair(cone):
+    # u is fixed by det(a, u) = 1 and 0 <= det(u, b) < D, so the extended
+    # Euclid pair gives the basis that the Hermite transform's pair gave
+    a, b = cone.rays
+    for x, y in (a, b):
+        p, q = lattice._bezout(x, y)
+        assert p * x + q * y == 1
+    basis = _plane_basis(a, b), _plane_basis(b, a)
+    with mock.patch.object(lattice, "_bezout", hermite_bezout):
+        assert (_plane_basis(a, b), _plane_basis(b, a)) == basis
 
 
 @settings(max_examples=80)

@@ -14,7 +14,7 @@ from test_lattice import assert_constructor_agrees
 from torified import intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
 from torified.intlinalg import dot, kernel_basis, mat_rank, mat_vec, primitive
-from torified.lattice import Cone, _hilbert_basis, faces, standard_fan, zero_cone
+from torified.lattice import Cone, Fan, _hilbert_basis, faces, standard_fan, zero_cone
 from torified.monoids import (
     AffineMonoid,
     dscheme_of_fan,
@@ -76,10 +76,10 @@ def test_monoid_splits_as_direct_sum():
 
 
 @st.composite
-def pointed_cones(draw):
-    """Pointed cones on 1 to n+2 rays in Z^n (n <= 4), all positive on a
-    drawn functional; many of them lower-dimensional."""
-    n = draw(st.integers(1, 4))
+def pointed_cones(draw, min_dim=1):
+    """Pointed cones on 1 to n+2 rays in Z^n (min_dim <= n <= 4), all
+    positive on a drawn functional; many of them lower-dimensional."""
+    n = draw(st.integers(min_dim, 4))
     w = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
     ray = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: dot(w, v) > 0).map(primitive)
     return Cone(n, tuple(draw(st.lists(ray, min_size=1, max_size=n + 2))))
@@ -175,8 +175,9 @@ def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
 def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
     # the units come back from kernel_basis in Hermite form, and the section
     # from the inverse that row_hermite_transform carries: one call of each
-    # per face with units, no kernel for a full-dimensional face, and no
-    # Bareiss elimination of a transform (a unimodular inverse) for any face
+    # per face with units, no reduction at all for the full-dimensional face
+    # (no units, no section), and no Bareiss elimination of a transform (a
+    # unimodular inverse) for any face
     cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
     calls, transforms, eliminated = [], [], []
     kernel_basis, row_hermite_transform = monoids.kernel_basis, monoids.row_hermite_transform
@@ -208,9 +209,40 @@ def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
             cached.cache_clear()
         calls.clear(), transforms.clear(), eliminated.clear()
         monoid_of_cone(face)
-        units = [] if face.dim == 4 else ["kernel_basis"]
-        assert calls == units + ["row_hermite_transform"], face
+        reductions = [] if face.dim == 4 else ["kernel_basis", "row_hermite_transform"]
+        assert calls == reductions, face
         assert not any(m in transforms for m in eliminated), face
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones(min_dim=2))
+@example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0))))  # units in every face
+@example(Cone(3, ((1, 0, 0), (1, 2, 0), (1, 1, 5))))
+@example(Cone(2, ((0, 1), (5, -1))))
+def test_the_monoid_of_each_face_is_localized_from_the_cone(cone):
+    # dscheme_of_fan reads every face from the cone's monoid and the values
+    # of its generators on the cone's rays, the zero face included; each
+    # local monoid is the one monoid_of_cone builds for the face alone
+    fan = Fan(cone.ambient_dim, faces(cone))
+    with mock.patch.object(monoids, "monoid_of_cone", wraps=monoid_of_cone) as spy:
+        ds = dscheme_of_fan(fan)
+    assert [call.args for call in spy.call_args_list] == [(cone,)]
+    for point, face in zip(ds.points, fan.cones):
+        expected = monoid_of_cone.__wrapped__(face)
+        assert point.local_monoid == expected
+        assert (point.local_monoid.generators, point.local_monoid.unit_basis) == (
+            expected.generators, expected.unit_basis)
+
+
+def test_a_fan_reads_each_cone_from_one_maximal_cone(corpus_fan):
+    with mock.patch.object(monoids, "monoid_of_cone", wraps=monoid_of_cone) as spy:
+        ds = dscheme_of_fan(corpus_fan)
+    read = [call.args[0] for call in spy.call_args_list]
+    tops = [corpus_fan.cones[j] for j in lattice.maximal_cones(corpus_fan)]
+    assert len(read) == len(tops) and set(read) == set(tops)
+    for point, cone in zip(ds.points, corpus_fan.cones):
+        assert point.local_monoid == monoid_of_cone.__wrapped__(cone)
 
 
 def test_spec_counts():
