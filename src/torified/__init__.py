@@ -18,10 +18,7 @@ from .counting import (
     eval_counting,
     gaussian_binomial,
     oracle_point_count,
-    q_multinomial,
     sl_group_order,
-    to_delta_basis,
-    to_monomial_basis,
     verify_counting,
     verify_counting_polynomial,
     zeta,
@@ -64,7 +61,6 @@ from .lattice import (
     faces,
     fan_from_dict,
     hilbert_basis,
-    is_smooth,
     standard_fan,
     validate_fan,
     zero_cone,
@@ -93,7 +89,6 @@ from .torify import (
     delta_torus,
     delta_vector,
     is_regular_toric,
-    permutation_length,
     product,
     schubert_cells_flag,
     schubert_cells_grassmannian,

@@ -63,7 +63,7 @@ from .gadgets import (
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
-from .lattice import Cone, Fan, faces, fan_from_dict, standard_fan, validate_fan
+from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, standard_fan, validate_fan
 from .monoids import dscheme_of_fan, monoid_of_cone
 from .torify import (
     Torification,
@@ -466,13 +466,23 @@ def torification_to_dict(t: Torification) -> dict:
 
 
 def torification_from_dict(data: dict) -> Torification:
+    """The torification of a ``torify`` payload: int ranks and chart indices
+    and str labels, as written; any other value is a usage error."""
     try:
-        tori = tuple(Torus(int(x["rank"]), str(x.get("label", ""))) for x in data["tori"])
+        tori = tuple(map(_torus_from_dict, data["tori"]))
         charts = data.get("charts")
-        charts_t = tuple(tuple(int(i) for i in c) for c in charts) if charts is not None else None
-        return Torification(tori, charts_t)
+        if charts is not None:
+            charts = tuple(tuple(_int_list(c, "a chart")) for c in charts)
+        return Torification(tori, charts)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad torification data: {exc}") from exc
+
+
+def _torus_from_dict(x: dict) -> Torus:
+    rank, label = x["rank"], x.get("label", "")
+    if type(rank) is not int or type(label) is not str:
+        raise ValueError(f"a torus needs an integer rank and a string label, got {x!r}")
+    return Torus(rank, label)
 
 
 def load_torification(path: str) -> Torification:

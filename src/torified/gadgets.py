@@ -201,17 +201,16 @@ class TorifiedMap(Value):
     __slots__ = ("source", "target", "index_map", "matrices")
 
     def __init__(self, source: Torification, target: Torification, index_map, matrices):
-        if len(index_map) != len(source.tori):
+        if len(index_map) != len(source):
             raise ShapeMismatch("index_map must cover every source torus")
-        if len(matrices) != len(source.tori):
+        if len(matrices) != len(source):
             raise ShapeMismatch("one matrix per source torus")
-        for i, j in enumerate(index_map):
-            if not 0 <= j < len(target.tori):
+        target_ranks = tuple(target.ranks())
+        for i, (j, want_cols, m) in enumerate(zip(index_map, source.ranks(), matrices)):
+            if not 0 <= j < len(target_ranks):
                 raise ShapeMismatch(f"target index {j} out of range")
-            m = matrices[i]
             rows, cols = len(m), len(m[0]) if m else 0
-            want_rows = target.tori[j].rank
-            want_cols = source.tori[i].rank
+            want_rows = target_ranks[j]
             if rows != want_rows or (rows and cols != want_cols):
                 raise ShapeMismatch(
                     f"matrix {i} is {rows}x{cols}, expected {want_rows}x{want_cols}"
@@ -240,7 +239,7 @@ def induced_map(f: TorifiedMap, group: FiniteAbelianGroup) -> dict:
     pts = cc_points(f.source, group)
     check_budget(pts.total, "elements")
     out = {}
-    for i in range(len(f.source.tori)):
+    for i in range(len(f.source)):
         for x in pts.points(i):
             out[(i, x)] = apply_map_to_point(f, group, i, x)
     return out

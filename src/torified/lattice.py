@@ -423,15 +423,10 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     points.  Either way BudgetExceeded is raised before anything is listed.
     A cone of dimension d < n is mapped onto Z^d first.
     """
-    return _hilbert_basis(cone, cone)
-
-
-def _hilbert_basis(cone: Cone, named: object) -> tuple[Vector, ...]:
-    """:func:`hilbert_basis`, with a budget error naming what the caller asked about."""
     try:
         return _basis(cone)
     except BudgetExceeded as exc:
-        raise BudgetExceeded(f"Hilbert basis of {named}: {exc}") from None
+        raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}") from None
 
 
 def _basis(cone: Cone) -> tuple[Vector, ...]:

@@ -34,13 +34,13 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .errors import MissingSourceCone, Value
+from .errors import BudgetExceeded, MissingSourceCone, Value
 from .intlinalg import Vector, hnf_rows, kernel_basis, mat_vec, row_hermite_transform
 from .lattice import (
     Cone,
     Fan,
     _dual_pair,
-    _hilbert_basis,
+    _basis,
     _irreducibles,
     _trusted,
     faces,
@@ -84,7 +84,7 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     generators = cone.generators()
     if cone.dim == n:  # no units: the generators are the dual's Hilbert basis
         rays, _ = _dual_pair(generators, n)
-        basis = _hilbert_basis(_trusted(n, rays), f"the monoid of {cone}")
+        basis = _monoid_basis(_trusted(n, rays), cone)
         return AffineMonoid(n, tuple(sorted(basis)), (), cone)
     units = tuple(kernel_basis(generators, n))
     # The Hermite transform u of the units (as columns) maps their saturated
@@ -98,9 +98,18 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
     section = list(zip(*u_inv))[r:]
     rays, _ = _dual_pair(tuple(mat_vec(section, g) for g in generators), n - r)
-    inner = _hilbert_basis(_trusted(n - r, rays), f"the monoid of {cone}")
+    inner = _monoid_basis(_trusted(n - r, rays), cone)
     gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)
+
+
+def _monoid_basis(pointed: Cone, cone: Cone) -> tuple[Vector, ...]:
+    """The Hilbert basis of ``pointed``, the dual of ``cone`` or its quotient
+    by the units; a budget error names the monoid of ``cone``."""
+    try:
+        return _basis(pointed)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}") from None
 
 
 def _ray_values(generators: tuple[Vector, ...], rays: tuple[Vector, ...]) -> list[tuple[int, ...]]:

@@ -7,7 +7,8 @@ charts: index sets of tori covered by one affine piece each.  The tori are
 stored as parts, a label prefix over a cell of tori that many parts share, so
 a Schubert or Bruhat listing holds each distinct cell once.  A cell is a run
 table: its maximal runs of tori of one rank, as label strings, so a listing
-builds no Torus object; one is made when the tori are indexed or iterated.
+builds no Torus object.  Ranks, counts and charts are read from the runs; the
+labeled tori are built only when ``tori`` is first read, all at once.
 
 Built-ins: toric varieties from fans, affine spaces, products, Grassmannians
 and flag varieties by Schubert cells (no charts; those decompositions are
@@ -30,10 +31,9 @@ and multiplies each distinct cell of its left factor once.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, combinations, groupby, repeat, starmap
+from itertools import combinations, groupby, repeat, starmap
 from math import comb, factorial, prod
 
 from .budget import check_budget
@@ -68,16 +68,16 @@ class Torification:
     A torus labeled ``l`` in a part with prefix ``p`` is labeled ``p/l``, or
     ``p`` when ``l`` is empty.  ``Torification(tori, charts)`` is the flat
     form: one part without a prefix.  ``from_parts`` takes each cell as a run
-    table or as a sequence of tori.  The ``tori`` view makes the labeled
-    Torus objects only when it is indexed or iterated, and two torifications
-    are equal when their tori and charts are, however they are split.
+    table or as a sequence of tori.  ``tori`` is the tuple of labeled Torus
+    objects, built on its first read and kept, and two torifications are
+    equal when their tori and charts are, however they are split.
 
     ``charts`` is None when no compatible affine cover is provided (Schubert
     decompositions); an empty tuple is a present-but-empty atlas, which
     :func:`check_atlas` reports as a coverage violation.
     """
 
-    __slots__ = ("parts", "charts", "_starts", "_size", "_delta")
+    __slots__ = ("parts", "charts", "_size", "_delta", "_tori")
 
     def __init__(self, tori: Sequence[Torus], charts: Charts | None = None):
         self._set(((None, tori),), charts)
@@ -93,17 +93,14 @@ class Torification:
     def _set(self, parts, charts) -> None:
         cells = ((p, cell if isinstance(cell, _Cell) else _Cell.of(cell)) for p, cell in parts)
         parts = tuple(part for part in cells if len(part[1]))
-        starts, size = [], 0
-        for _, cell in parts:
-            starts.append(size)
-            size += len(cell)
+        size = sum(len(cell) for _, cell in parts)
         if charts is not None:
             for chart in charts:
                 if chart and not (0 <= min(chart) and max(chart) < size):
                     bad = next(i for i in chart if not 0 <= i < size)
                     raise ValueError(f"chart index {bad} out of range")
         for name, value in (
-            ("parts", parts), ("charts", charts), ("_starts", starts), ("_size", size), ("_delta", None)
+            ("parts", parts), ("charts", charts), ("_size", size), ("_delta", None), ("_tori", None)
         ):
             object.__setattr__(self, name, value)
 
@@ -114,8 +111,17 @@ class Torification:
         return Torification.from_parts, (self.parts, self.charts)
 
     @property
-    def tori(self) -> "ToriView":
-        return ToriView(self)
+    def tori(self) -> tuple[Torus, ...]:
+        """The labeled tori in order, built once, on the first read."""
+        if self._tori is None:
+            tori = tuple(
+                Torus(rank, _join(prefix, label))
+                for prefix, cell in self.parts
+                for rank, labels in cell.runs
+                for label in labels
+            )
+            object.__setattr__(self, "_tori", tori)
+        return self._tori
 
     def ranks(self) -> Iterator[int]:
         """The rank of each torus in order, read from the run lengths."""
@@ -160,7 +166,7 @@ class Torification:
         )
 
     def __hash__(self) -> int:
-        return hash((tuple(self.tori), self.charts))
+        return hash((self.tori, self.charts))
 
     def __repr__(self) -> str:
         return f"Torification(delta={delta_vector(self)}, affine={self.is_affine})"
@@ -180,9 +186,9 @@ class _Cell:
     """The tori of a cell as a run table: a tuple of maximal runs ``(rank,
     labels)``, each the labels of consecutive tori of one rank.  A Schubert or
     Bruhat cell has a few runs per torus of A^(s_w), so the labels are kept as
-    strings and a Torus is made only when the cell is iterated or indexed."""
+    strings and a Torus is made only when the cell is iterated."""
 
-    __slots__ = ("runs", "_starts", "_size")
+    __slots__ = ("runs", "_size")
 
     def __init__(self, pieces: Iterable[tuple[int, Iterable[str]]]):
         """The run table of ``(rank, labels)`` pieces in order; adjacent
@@ -193,10 +199,8 @@ class _Cell:
                 runs[-1][1].extend(labels)
             elif labels:
                 runs.append((rank, list(labels)))
-        starts = tuple(accumulate((len(labels) for _, labels in runs), initial=0))
         object.__setattr__(self, "runs", tuple((rank, tuple(labels)) for rank, labels in runs))
-        object.__setattr__(self, "_starts", starts[:-1])
-        object.__setattr__(self, "_size", starts[-1])
+        object.__setattr__(self, "_size", sum(len(labels) for _, labels in runs))
 
     @classmethod
     def of(cls, tori: Iterable[Torus]) -> "_Cell":
@@ -211,60 +215,10 @@ class _Cell:
     def __len__(self) -> int:
         return self._size
 
-    def at(self, i: int) -> tuple[int, str]:
-        """Rank and label of torus ``i``, for 0 <= i < len(self)."""
-        j = bisect_right(self._starts, i) - 1
-        rank, labels = self.runs[j]
-        return rank, labels[i - self._starts[j]]
-
     def __iter__(self) -> Iterator[Torus]:
         for rank, labels in self.runs:
             for label in labels:
                 yield Torus(rank, label)
-
-
-class ToriView(Sequence):
-    """The labeled tori of a torification, made on access.  Compares equal
-    to a tuple (or view) of the same tori, and hashes like that tuple."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, t: Torification):
-        self._t = t
-
-    def __len__(self) -> int:
-        return self._t._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("torus index out of range")
-        t = self._t
-        j = bisect_right(t._starts, i) - 1
-        prefix, cell = t.parts[j]
-        rank, label = cell.at(i - t._starts[j])
-        return Torus(rank, _join(prefix, label))
-
-    def __iter__(self) -> Iterator[Torus]:
-        for prefix, cell in self._t.parts:
-            for rank, labels in cell.runs:
-                for label in labels:
-                    yield Torus(rank, _join(prefix, label))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, ToriView)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"ToriView({tuple(self)!r})"
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
@@ -654,14 +608,12 @@ def check_atlas(t: Torification) -> ValidationReport:
     """Every torus must lie in some chart; every chart index must be valid."""
     if t.charts is None:
         raise MissingCharts("torification carries no atlas")
-    violations = []
-    covered = set()
-    for chart in t.charts:
-        covered.update(chart)
-    for i in range(len(t)):
-        if i not in covered:
-            violations.append(f"torus {i} ({t.tori[i].label}) is not covered by any chart")
-    return ValidationReport(tuple(violations))
+    covered = set().union(*t.charts)
+    return ValidationReport(tuple(
+        f"torus {i} ({t.tori[i].label}) is not covered by any chart"
+        for i in range(len(t))
+        if i not in covered
+    ))
 
 
 class RegularityWitness(Value):

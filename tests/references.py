@@ -33,7 +33,6 @@ from torified.gadgets import TorifiedMap
 from torified.lattice import (
     Cone,
     _extremal_rays,
-    _hilbert_basis,
     _separating_faces,
     _trusted,
     dual_cone,
@@ -43,7 +42,7 @@ from torified.lattice import (
     maximal_cones,
     zero_cone,
 )
-from torified.monoids import AffineMonoid
+from torified.monoids import AffineMonoid, _monoid_basis
 from torified.torify import Torification, Torus
 from torified.lattice import Fan
 
@@ -386,15 +385,14 @@ def monoid_via_dual(cone):
     n = cone.ambient_dim
     dual = dual_cone(cone)
     units = dual.lineality
-    named = f"the monoid of {cone}"
     if not units:
-        gens = _hilbert_basis(dual, named)
+        gens = _monoid_basis(dual, cone)
     else:
         r = len(units)
         h, u, _ = row_hermite_transform(list(zip(*units)))
         assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
         images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
-        inner = _hilbert_basis(_trusted(n - r, images), named)
+        inner = _monoid_basis(_trusted(n - r, images), cone)
         u_inv = invert_unimodular(u)
         gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)

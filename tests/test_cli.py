@@ -118,9 +118,9 @@ def test_spec_takes_one_hilbert_basis_for_all_faces(capsys, monkeypatch):
     monoid_of_cone.cache_clear()
     named, computed, kernels = [], [], []
 
-    def counted_hilbert_basis(c, name):
-        named.append(name)
-        return lattice._hilbert_basis(c, name)
+    def counted_hilbert_basis(c, of, monoid_basis=monoids._monoid_basis):
+        named.append(of)
+        return monoid_basis(c, of)
 
     def counted_basis(basis):
         def recorded(c):
@@ -132,13 +132,13 @@ def test_spec_takes_one_hilbert_basis_for_all_faces(capsys, monkeypatch):
         kernels.append(args)
         return intlinalg.kernel_basis(*args)
 
-    monkeypatch.setattr(monoids, "_hilbert_basis", counted_hilbert_basis)
-    monkeypatch.setattr(lattice, "_basis", counted_basis(lattice._basis))
+    monkeypatch.setattr(monoids, "_monoid_basis", counted_hilbert_basis)
+    monkeypatch.setattr(monoids, "_basis", counted_basis(monoids._basis))
     monkeypatch.setattr(monoids, "kernel_basis", counted_kernel)
     code, data, _ = run_json(capsys, "spec", "--cone", ";".join(",".join(map(str, r)) for r in rays))
     assert code == 0
     assert len(data["result"]["points"]) == len(faces(cone))
-    assert named == [f"the monoid of {cone}"]
+    assert named == [cone]
     assert len(computed) == 1
     assert kernels == []
 
@@ -626,6 +626,31 @@ def test_torification_file_must_hold_an_object(content, tmp_path, capsys):
     code, out, err = run(capsys, "count", "--torification", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "does not contain a torification payload" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"tori": [{"rank": True}]},
+        {"tori": [{"rank": 1.7}]},
+        {"tori": [{"rank": "2", "label": 5}]},
+        {"tori": [{"rank": 2, "label": 5}]},
+        {"tori": [{"rank": 1, "label": None}]},
+        {"tori": [{"rank": 1}], "charts": [[0.9]]},
+        {"tori": [{"rank": 1}], "charts": [[False]]},
+        {"tori": [{"rank": 1}], "charts": [0]},
+    ],
+)
+def test_torification_file_is_read_strictly(payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "count", "--torification", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad torification data: ")
+    # the same torus with an int rank, a str label or none, and int chart indices is read
+    good = {"tori": [{"rank": 1}, {"rank": 0, "label": "x"}], "charts": [[0, 1]]}
+    path.write_text(json.dumps(good))
+    assert run(capsys, "count", "--torification", str(path))[0] == 0
 
 
 # keys and strings that need escaping: quote, backslash, control, DEL,

@@ -11,6 +11,7 @@ from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
 from references import compose_maps, discover_relations, identity_map, minors_gcd
 from test_lattice import complete_fans_2d
 
+from torified import torify
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
 from torified.errors import (
     BudgetExceeded,
@@ -39,7 +40,10 @@ from torified.lattice import Cone, standard_fan, validate_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
     Torification,
+    Torus,
+    check_atlas,
     chevalley_data_sl,
+    product,
     torify_affine_space,
     torify_chevalley,
     torify_grassmannian,
@@ -231,6 +235,69 @@ def test_reduction_commutes_with_induced_map():
     m2 = induced_map(f, d2)
     for (i, x), (j, y) in m4.items():
         assert m2[(i, reduce_point(x))] == (j, reduce_point(y))
+
+
+READ_BY_RANK = {
+    "sl3": lambda: torify_chevalley(chevalley_data_sl(3)),
+    "product": lambda: product(torify_toric(FAN_CORPUS["P1"]), torify_affine_space(2)),
+}
+
+
+def refuse_tori(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Torus was built")
+
+    monkeypatch.setattr(torify, "Torus", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(READ_BY_RANK))
+def test_maps_points_and_atlases_read_ranks(name, monkeypatch):
+    # none of them builds a torus: shapes, points and coverage are read from
+    # the ranks and the charts
+    t = READ_BY_RANK[name]()
+    refuse_tori(monkeypatch)
+    identity = tuple(
+        tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) for r in t.ranks()
+    )
+    f = TorifiedMap(t, t, tuple(range(len(t))), identity)
+    pts = cc_points(t, Z2)
+    mapping = induced_map(f, Z2)
+    assert len(mapping) == pts.total and all(k == v for k, v in mapping.items())
+    assert check_atlas(t).ok
+    monkeypatch.undo()
+    assert f == identity_map(t)
+
+
+def test_tori_are_built_once_and_kept():
+    t = torify_chevalley(chevalley_data_sl(3))
+    assert type(t.tori) is tuple and t.tori is t.tori
+    assert t.tori == Torification(t.tori, t.charts).tori
+    assert [x.rank for x in t.tori] == list(t.ranks())
+
+
+SHAPE_SOURCE = Torification((Torus(1, "a"), Torus(0, "b"), Torus(2, "c")))
+SHAPE_TARGET = Torification((Torus(1, "x"), Torus(2, "y")))
+SHAPE_OK = ((0, 1, 1), (((1,),), ((), ()), ((1, 0), (0, 1))))
+
+
+@pytest.mark.parametrize(
+    "index_map, matrices, message",
+    [
+        ((0, 1), SHAPE_OK[1], "index_map must cover every source torus"),
+        (SHAPE_OK[0], SHAPE_OK[1][:2], "one matrix per source torus"),
+        ((0, 2, 1), SHAPE_OK[1], "target index 2 out of range"),
+        ((-1, 1, 1), SHAPE_OK[1], "target index -1 out of range"),
+        ((0, 1, 0), SHAPE_OK[1], "matrix 2 is 2x2, expected 1x2"),
+        (SHAPE_OK[0], (((1, 0),), (), ((1, 0), (0, 1))), "matrix 0 is 1x2, expected 1x1"),
+        (SHAPE_OK[0], (((1,),), ((7,), (8,)), ((1, 0), (0, 1))), "matrix 1 is 2x1, expected 2x0"),
+    ],
+)
+def test_shape_mismatches_keep_their_messages(index_map, matrices, message, monkeypatch):
+    refuse_tori(monkeypatch)
+    with pytest.raises(ShapeMismatch) as exc:
+        TorifiedMap(SHAPE_SOURCE, SHAPE_TARGET, index_map, matrices)
+    assert str(exc.value) == message
+    assert TorifiedMap(SHAPE_SOURCE, SHAPE_TARGET, *SHAPE_OK).index_map == SHAPE_OK[0]
 
 
 # --- monoid homs --------------------------------------------------------------------

@@ -659,11 +659,11 @@ def test_labels_are_deterministic():
     assert [t.label for t in toric.tori] == ["cone:0", "cone:1", "cone:2"]
 
 
-# --- the parts form and its lazy view ----------------------------------------------------
+# --- the parts form and its tori -------------------------------------------------------
 
 
 def flat_label(prefix, label):
-    """A part's torus label, spelled out: the reference for the view."""
+    """A part's torus label, spelled out: the reference for ``tori``."""
     if prefix is None:
         return label
     return f"{prefix}/{label}" if label else prefix
