@@ -26,10 +26,8 @@ Vector = tuple[int, ...]
 
 
 def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    """The gcd of the entries, 0 for an empty or zero vector."""
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vector:

@@ -40,7 +40,6 @@ from torified.monoids import monoid_of_cone
 from torified.torify import (
     Torification,
     Torus,
-    delta_grassmannian,
     delta_vector,
     product,
     torify_grassmannian,
@@ -804,6 +803,25 @@ def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
     assert dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize(
+    "orders, rank",
+    # every branch of the block build (ranks 0, 1, 2 and the rounds of 3 and up)
+    # over groups of orders 1, 2 and 6; order 6 stops at 6^5 points
+    [(o, r) for o in [(), (1,), (2,)] for r in range(8)]
+    + [(o, r) for o in [(2, 3), (6,)] for r in range(6)],
+)
+def test_power_blocks_match_stdlib_on_materialized(orders, rank):
+    power = cli._Power(tuple(FiniteAbelianGroup(orders).elements()), rank)
+    value, points = power, [list(point) for point in iproduct(power.elements, repeat=rank)]
+    for depth in range(4):
+        # compared by lines, which pytest reports by the first index that differs
+        got = dumps(value).split("\n")
+        assert got == json.dumps(points, sort_keys=True, indent=2).split("\n")
+        # one text, or one block per element and the closing text
+        assert len(power.texts[depth]) == (1 if rank < 2 else len(power.elements) + 1)
+        value, points = [value], [points]
+
+
 def _ladder():
     out = [("grassmannian", k, n) for n in range(1, 9) for k in range(n + 1)]
     out += [("flag", *c) for n in range(1, 7) for c in compositions(n)]
@@ -971,14 +989,15 @@ def _run_child(argv: list[str], **kwargs) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
 
 
-def test_largest_listing_streams_in_bounded_memory():
-    # 615,195 tori in 56 MB of JSON; built as one string it peaked at 238 MB
-    # the child's own peak: VmHWM belongs to its address space, while
-    # ru_maxrss on Linux starts from the forking pytest process's peak
+def _peak_of_child(argv: list[str]) -> tuple[int, int]:
+    """The exit code of ``main(argv)`` in a child process with stdout sent to
+    the null device, and the child's own peak RSS in kB: VmHWM belongs to its
+    address space, while ru_maxrss on Linux starts from the forking pytest
+    process's peak."""
     script = (
         "import sys\n"
         "from torified.cli import main\n"
-        "code = main(['torify', 'flag', '1', '1', '1', '1', '1', '1'])\n"
+        f"code = main({argv!r})\n"
         "sys.stdout.flush()\n"
         "with open('/proc/self/status') as fh:\n"
         "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
@@ -987,8 +1006,22 @@ def test_largest_listing_streams_in_bounded_memory():
     proc = _run_child(["-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     _, err = proc.communicate(timeout=120)
     code, peak_kb = map(int, err.split())  # VmHWM is in kB
+    return code, peak_kb
+
+
+def test_largest_listing_streams_in_bounded_memory():
+    # 615,195 tori in 56 MB of JSON; built as one string it peaked at 238 MB
+    code, peak_kb = _peak_of_child(["torify", "flag", "1", "1", "1", "1", "1", "1"])
     assert code == 0
     assert peak_kb < 100 * 1024
+
+
+def test_large_gadget_listing_holds_no_second_copy():
+    # 823,543 elements, 6^7 of them in D^7: one text per point, joined whole,
+    # peaked at 288 MB; the blocks of every D^r take about 123 MB
+    code, peak_kb = _peak_of_child(["gadget", "--elements", "--group", "6", "--family", "affine", "7"])
+    assert code == 0
+    assert peak_kb < 200 * 1024
 
 
 def test_closed_pipe_ends_without_a_traceback(tmp_path):
@@ -1136,7 +1169,7 @@ def test_bad_parameters_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_listings_checked_against_budget_before_building(capsys, monkeypatch):
+def test_listings_checked_against_budget_before_building(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("tori or a delta vector computed for an over-budget listing")
 
@@ -1151,18 +1184,34 @@ def test_listings_checked_against_budget_before_building(capsys, monkeypatch):
             code, out, err = run(capsys, "torify", "grassmannian", k, n)
         assert code == 2 and out == ""
         assert err == f"error: {size} tori exceed the budget of 1000000\n"
-    monkeypatch.setattr(cli, "delta_grassmannian", delta_grassmannian)  # gadget reads the delta
-    code, out, err = run(
-        capsys, "gadget", "--elements", "--group", "12", "--family", "grassmannian", "4", "8"
-    )
-    assert code == 2 and "group elements exceed the budget" in err
+    # a gadget listing is counted as N(|D| + 1): Gr(100, 200) took 60 s to
+    # refuse when its delta vector came first
+    for group, k, n, size in (("12", "4", "8", "725512377757846342"),
+                              ("2", "100", "200", "10^4771 or more")):
+        with time_limit(1):
+            code, out, err = run(
+                capsys, "gadget", "--elements", "--group", group, "--family", "grassmannian", k, n
+            )
+        assert code == 2 and out == ""
+        assert err == f"error: {size} group elements exceed the budget of 1000000\n"
     monkeypatch.undo()
     monkeypatch.setenv("TORIFIED_BUDGET", "35")  # Gr(2,4) has N(2) = 35 tori
     assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 0
     monkeypatch.setenv("TORIFIED_BUDGET", "34")
     assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 2
-    monkeypatch.setenv("TORIFIED_BUDGET", "4")  # P^1 at |D| = 3: N(4) = 5 elements
+    monkeypatch.setenv("TORIFIED_BUDGET", "5")  # P^1 at |D| = 3: N(4) = 5 elements
+    assert run(capsys, "gadget", "--elements", "--group", "3", "--family", "projective", "1")[0] == 0
+    monkeypatch.setenv("TORIFIED_BUDGET", "4")
     assert run(capsys, "gadget", "--elements", "--group", "3", "--family", "projective", "1")[0] == 2
+    # a torification file has no oracle: its elements are counted from its tori
+    path = tmp_path / "p1.json"
+    path.write_text(run(capsys, "torify", "projective", "1")[1])
+    for budget, expected in (("5", 0), ("4", 2)):
+        monkeypatch.setenv("TORIFIED_BUDGET", budget)
+        argv = ["gadget", "--elements", "--group", "3", "--torification", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+    assert err == "error: 5 group elements exceed the budget of 4\n"
 
 
 def test_projective_and_sl_counting_build_nothing(capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 Usage, from anywhere (stdlib only, Linux)::
 
-    python3 tools/import_cost.py TREE [TREE ...] [--runs 15]
+    python3 tools/import_cost.py TREE [TREE ...] [--runs 15] [--argv "count --family affine 1"]
 
 Each TREE is a checkout of the repository, for example one made with ``git
 archive``.  Its ``src/torified/*.py`` files are copied into two temporary
@@ -17,9 +17,12 @@ took and its ``VmHWM`` (peak resident memory of the whole process) afterwards.
 There are two probes:
 
 - ``import``: ``import torified.cli``;
-- ``count``: the import, then ``main(["count", "--family", "affine", "1"])``
-  with stdout sent to the null device, which is what one ``torified``
-  invocation pays for its front end (parsing its argv included).
+- ``count``: the import, then ``main(ARGV)`` with stdout sent to the null
+  device.  ARGV is ``--argv`` split as a shell would split it, by default
+  ``count --family affine 1``, which is what one ``torified`` invocation pays
+  for its front end (parsing its argv included); any other command line gives
+  that command's CPU time and peak memory, for example ``--argv "gadget
+  --elements --group 6 --family affine 7"``.
 
 The runs alternate between the trees, and the median over ``--runs`` runs is
 printed per tree, case and probe.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -42,7 +46,7 @@ start = time.process_time()
 import torified.cli
 if {count}:
     sys.stdout = open(os.devnull, "w")
-    torified.cli.main(["count", "--family", "affine", "1"])
+    torified.cli.main({argv!r})
 cpu = time.process_time() - start
 with open("/proc/self/status") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
@@ -65,13 +69,14 @@ def copy_package(tree: str, dest: str) -> str:
     return dest
 
 
-def probe(path: str, case: str, what: str = "import") -> tuple[float, float]:
-    """CPU seconds of the probe ``what`` and VmHWM in MB, in a fresh interpreter."""
+def probe(path: str, case: str, what: str = "import", argv=None) -> tuple[float, float]:
+    """CPU seconds of the probe ``what`` and VmHWM in MB, in a fresh
+    interpreter; the ``count`` probe runs ``argv``."""
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     if case == "source":
         env["PYTHONDONTWRITEBYTECODE"] = "1"
-    code = PROBE.format(count=what == "count")
+    code = PROBE.format(count=what == "count", argv=argv)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, cwd=path, capture_output=True, text=True, check=True
     ).stdout.split()
@@ -82,6 +87,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("trees", nargs="+", metavar="TREE")
     p.add_argument("--runs", type=int, default=15, help="fresh interpreters per tree and case")
+    p.add_argument("--argv", default="count --family affine 1", type=shlex.split,
+                   help="the command line of the count probe (default: %(default)s)")
     args = p.parse_args(argv)
     if args.runs < 1:
         p.error("--runs must be at least 1")
@@ -94,7 +101,7 @@ def main(argv=None) -> int:
         samples = {(key, what): [] for key in paths for what in PROBES}
         for _ in range(args.runs):
             for (key, what), rows in samples.items():
-                rows.append(probe(paths[key], key[1], what))
+                rows.append(probe(paths[key], key[1], what, args.argv))
     print(f"median of {args.runs} fresh interpreters")
     print(f"{'case':<8} {'probe':<7} {'cpu_ms':>8} {'VmHWM_MB':>9}  tree")
     for ((i, case), what), rows in samples.items():
