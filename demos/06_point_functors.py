@@ -9,12 +9,12 @@ from torified import (
     FiniteAbelianGroup,
     TorifiedMap,
     abelian_group_types,
-    cc_cardinality_check,
     cc_points,
     chevalley_data_sl,
     enumerate_monoid_homs,
     induced_map,
     monoid_of_cone,
+    oracle_point_count,
     soule_count_by_faces,
     torify_affine_space,
     torify_chevalley,
@@ -26,11 +26,13 @@ a1 = torify_affine_space(1)
 pts = cc_points(a1, FiniteAbelianGroup((2,)))
 print("A^1 at Z/2:", pts.total, "points, by grade:", pts.count_by_grade())
 
-# The cardinality law: |X(D)| = N(|D| + 1), for every abelian group.
+# The cardinality law: |X(D)| = N(|D| + 1), for every abelian group, with
+# N(q) = |SL_2(F_q)| by the classical formula.
 sl2 = torify_chevalley(chevalley_data_sl(2))
 for group in abelian_group_types(8):
-    check = cc_cardinality_check(sl2, group)
-    print(f"SL(2) at {group}: {check.functor_count} == N({group.order + 1}) -> {check.ok}")
+    total = cc_points(sl2, group).total
+    ok = total == oracle_point_count("sl", 2, group.order + 1)
+    print(f"SL(2) at {group}: {total} == N({group.order + 1}) -> {ok}")
 
 # Maps act through integer matrices on each torus.
 gm = torify_torus(1)

@@ -5,8 +5,15 @@ type-A Chevalley groups into split tori, derives their counting polynomials
 and zeta-factor forms, computes monoid spectra of cones and fans, and
 evaluates the point-set functors attached to the decompositions on finite
 abelian groups and on cyclic monoids with zero.  Everything is exact integer
-arithmetic, and every count is cross-checkable against an independent
-finite-field formula.
+arithmetic.
+
+``verify_counting`` compares N(q) = sum_l delta_l (q-1)^l of a delta vector
+with the family's classical formula over F_q (q-binomials, q-multinomials,
+group orders), and the CLI's ``gadget`` compares |X(D)| = sum_r delta_r |D|^r
+with it at q = |D| + 1.  The toric formula is not independent: it sums
+(q-1)^(n - dim c) over the fan's cones c, and ``torify_toric`` lists one torus
+of rank n - dim c per cone.  ``soule_count_by_faces`` and ``count_monoid_homs`` count maps
+into mu_m with zero by the face formula and by the generators' relations.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +52,6 @@ from .gadgets import (
     MonoidHom,
     TorifiedMap,
     abelian_group_types,
-    cc_cardinality_check,
     cc_points,
     enumerate_monoid_homs,
     hom_extend,

@@ -5,7 +5,9 @@ stdout and diagnostics to stderr.  Exit codes: 0 success, 1 when a validation
 or verification check fails, 2 for usage and parse errors, and 141 when the
 reader of stdout closed it before the envelope was written (as a shell reports
 a process ended by SIGPIPE; nothing goes to stderr then).  Identical inputs
-produce byte-identical payloads apart from the timing field.
+produce byte-identical payloads apart from the timing field.  ``gadget``
+checks |X(D)| against N(|D| + 1) by the family's finite-field formula; a
+torification file has no formula, and its ``expected`` and ``match`` are null.
 
 ``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
 built-in family from its cell polynomials, so their cost does not grow with
@@ -579,30 +581,31 @@ def cmd_gadget(args) -> tuple[dict, int]:
     orders = _parse_int_list(args.group, "group")
     group = FiniteAbelianGroup(tuple(orders))
     fam = _resolve_family(args)
-    if args.elements and fam.oracle:
-        # N(|D| + 1) is the sum of delta_r |D|^r: refused before the delta vector is read
-        check_budget(oracle_point_count(*fam.oracle, group.order + 1), "group elements")
+    # N(|D| + 1) by the family's finite-field formula; a torification file has none
+    expected = oracle_point_count(*fam.oracle, group.order + 1) if fam.oracle else None
+    if args.elements and expected is not None:
+        # gated on N(|D| + 1), so a refusal reads no delta vector
+        check_budget(expected, "group elements")
     # the delta_r tori of rank r contribute |D|^r points each
     by_grade = {r: d * group.order**r for r, d in enumerate(fam.delta) if d}
     total = sum(by_grade.values())
-    expected = eval_counting(CountingPolynomial.from_delta(fam.delta), group.order + 1)
     payload = {
         "group": orders,
         "order": group.order,
         "by_grade": {str(r): v for r, v in by_grade.items()},
         "total": total,
         "expected": expected,
-        "match": total == expected,
+        "match": None if expected is None else total == expected,
     }
     if args.elements:
-        if not fam.oracle:  # a torification file
+        if expected is None:
             check_budget(total, "group elements")
         # each torus of rank r lists D^r: one block per rank, rendered once
         ranks = tuple(fam.torification.ranks())
         elements = tuple(group.elements())
         powers = {r: _Power(elements, r) for r in set(ranks)}
         payload["elements"] = {str(i): powers[r] for i, r in enumerate(ranks)}
-    code = 0 if payload["match"] else CHECK_FAILED
+    code = CHECK_FAILED if payload["match"] is False else 0
     return payload, code
 
 
@@ -686,10 +689,8 @@ def _render_text(sub: str, payload: dict) -> str:
             lines.append(f"point {p['cone']}: rank {p['rank']}, generators {p['generators']}")
         lines.append(f"specialization {payload['specialization']}")
     elif sub == "gadget":
-        lines.append(
-            f"|X(D)| = {payload['total']} (expected {payload['expected']}): "
-            + ("ok" if payload["match"] else "MISMATCH")
-        )
+        status = {True: "ok", False: "MISMATCH", None: "no oracle"}[payload["match"]]
+        lines.append(f"|X(D)| = {payload['total']} (expected {payload['expected']}): {status}")
         lines.append(f"by grade: {payload['by_grade']}")
     elif sub == "soule":
         lines.append(f"face formula: {payload['face_count']}")

@@ -20,7 +20,6 @@ from math import prod
 from .errors import UnknownFamily, Value
 from .lattice import Fan, require_valid
 from .torify import Torification, _taylor_shift, delta_vector
-from .torify import to_delta_basis  # noqa: F401 (re-exported)
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
@@ -40,13 +39,6 @@ class CountingPolynomial(Value):
     def from_delta(cls, delta: Sequence[int]) -> "CountingPolynomial":
         delta = tuple(int(x) for x in delta)
         return cls(delta, to_monomial_basis(delta))
-
-    @property
-    def degree(self) -> int:
-        return len(self.delta) - 1
-
-    def __call__(self, q: int) -> int:
-        return eval_counting(self, q)
 
     def poly_string(self, var: str = "q") -> str:
         if not any(self.mono):
@@ -223,10 +215,6 @@ class CountReport(Value):
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def mismatches(self) -> tuple[CountCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
     def __bool__(self) -> bool:
         return self.ok

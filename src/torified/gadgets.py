@@ -21,12 +21,11 @@ from itertools import product as iproduct
 from operator import mul
 
 from .budget import check_budget
-from .counting import counting_polynomial, eval_counting
 from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
 from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, _ray_values, monoid_of_cone
-from .torify import Torification, delta_vector
+from .torify import Torification
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +135,6 @@ class GradedPointSet(Value):
             raise BudgetExceeded("point set was computed in counts-only mode")
         return self.points_by_index[index]
 
-    def grade(self, rank: int):
-        """All (torus index, point) pairs of the given grade."""
-        if self.points_by_index is None:
-            raise BudgetExceeded("point set was computed in counts-only mode")
-        for i, r in enumerate(self.torification.ranks()):
-            if r == rank:
-                for p in self.points_by_index[i]:
-                    yield (i, p)
-
 
 def cc_points(t: Torification, group: FiniteAbelianGroup) -> GradedPointSet:
     """Evaluate the group-side functor: one copy of D^rank per torus.
@@ -164,27 +154,6 @@ def cc_points(t: Torification, group: FiniteAbelianGroup) -> GradedPointSet:
     powers = {r: tuple(iproduct(elements, repeat=r)) for r in set(t.ranks())}
     points = tuple(powers[rank] for rank in t.ranks())
     return GradedPointSet(t, group, counts, points)
-
-
-class CardinalityCheck(Value):
-    __slots__ = ("group", "functor_count", "counting_value")
-
-    def __init__(self, group: FiniteAbelianGroup, functor_count: int, counting_value: int):
-        self._set(group, functor_count, counting_value)
-
-    @property
-    def ok(self) -> bool:
-        return self.functor_count == self.counting_value
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def cc_cardinality_check(t: Torification, group: FiniteAbelianGroup) -> CardinalityCheck:
-    """Compare sum_r delta_r |D|^r with N(|D|+1); equality is the variety condition."""
-    functor_count = sum(d * group.order**r for r, d in enumerate(delta_vector(t)))
-    counting_value = eval_counting(counting_polynomial(t), group.order + 1)
-    return CardinalityCheck(group, functor_count, counting_value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +237,6 @@ class CyclicMonoidWithZero(Value):
     @property
     def order(self) -> int:
         return self.m + 1
-
-    def mul(self, a: int, b: int) -> int:
-        if a == self.ZERO or b == self.ZERO:
-            return self.ZERO
-        return (a + b) % self.m
-
-    def power(self, a: int, k: int) -> int:
-        if k == 0:
-            return 0  # multiplicative identity
-        if a == self.ZERO:
-            return self.ZERO
-        return (a * k) % self.m
 
     def __repr__(self) -> str:
         return f"mu_{self.m} + 0"

@@ -340,15 +340,6 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     return tuple(_trusted(n, rays, dim=k) for rays, k in order)
 
 
-def is_smooth(cone: Cone) -> bool:
-    """True iff the rays extend to a lattice basis of Z^n."""
-    if not cone.is_pointed:
-        raise NotPointed("smoothness is defined for pointed cones")
-    # they do iff the rows of the matrix with the rays as columns span Z^k
-    k = len(cone.rays)
-    return hnf_rows(zip(*cone.rays), k) == _identity(k)
-
-
 def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
     """Split a pointed cone into simplicial subcones on subsets of its rays.
 

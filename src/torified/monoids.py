@@ -207,14 +207,6 @@ class DScheme(Value):
     def __init__(self, ambient_dim: int, points: tuple[DSchemePoint, ...], specialization=()):
         self._set(ambient_dim, points, specialization)
 
-    @property
-    def connected(self) -> bool:
-        return True
-
-    @property
-    def integral(self) -> bool:
-        return True
-
     def generic_points(self) -> tuple[DSchemePoint, ...]:
         return tuple(p for p in self.points if p.rank == self.ambient_dim)
 

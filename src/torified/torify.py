@@ -215,11 +215,6 @@ class _Cell:
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self) -> Iterator[Torus]:
-        for rank, labels in self.runs:
-            for label in labels:
-                yield Torus(rank, label)
-
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
     """Number of tori of each rank, indexed 0 .. dim: the run lengths of the

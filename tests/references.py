@@ -323,6 +323,26 @@ def discover_relations(monoid: AffineMonoid) -> list[BinomialRelation]:
     return [BinomialRelation(b) for b in basis]
 
 
+# --- arithmetic of mu_m with zero ----------------------------------------------
+# (elements -1 for the zero and exponents 0..m-1, as CyclicMonoidWithZero lists them)
+
+
+def mu_zero_mul(m, a, b):
+    """Product in mu_m with zero: exponents add mod m, and the zero absorbs."""
+    if a == -1 or b == -1:
+        return -1
+    return (a + b) % m
+
+
+def mu_zero_power(m, a, k):
+    """a^k in mu_m with zero; a^0 is the identity, exponent 0."""
+    if k == 0:
+        return 0
+    if a == -1:
+        return -1
+    return (a * k) % m
+
+
 # --- smoothness by minors ------------------------------------------------------
 
 

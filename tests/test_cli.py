@@ -24,7 +24,7 @@ from references import dumps
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
-from torified import cli, intlinalg, lattice, monoids
+from torified import cli, gadgets, intlinalg, lattice, monoids
 from torified.cli import main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
@@ -40,6 +40,7 @@ from torified.monoids import monoid_of_cone
 from torified.torify import (
     Torification,
     Torus,
+    delta_sl,
     delta_vector,
     product,
     torify_grassmannian,
@@ -185,6 +186,108 @@ def test_gadget_elements_round_trip(capsys):
     )
     assert code == 0
     assert data["result"]["total"] == 6 + 1 + 1  # N(7) = 8
+
+
+def assert_file_gadget_matches(direct: dict, via_file: dict) -> None:
+    """A `gadget --torification FILE` payload is the family's, except that a
+    file has no finite-field formula: its `expected` and `match` are null."""
+    assert direct["match"] is True
+    assert via_file["expected"] is None and via_file["match"] is None
+    unchecked = ("expected", "match")
+    assert {k: v for k, v in direct.items() if k not in unchecked} == {
+        k: v for k, v in via_file.items() if k not in unchecked
+    }
+
+
+def test_gadget_text_format_names_a_missing_oracle(tmp_path, capsys):
+    code, out, _ = run(capsys, "torify", "projective", "1")
+    path = tmp_path / "p1.json"
+    path.write_text(out)
+    argv = ["gadget", "--group", "2", "--format", "text"]
+    code, out, _ = run(capsys, *argv, "--family", "projective", "1")
+    assert code == 0 and out == "|X(D)| = 4 (expected 4): ok\nby grade: {'0': 2, '1': 2}\n"
+    code, out, _ = run(capsys, *argv, "--torification", str(path))
+    assert code == 0 and out == "|X(D)| = 4 (expected None): no oracle\nby grade: {'0': 2, '1': 2}\n"
+
+
+# --- checks that can fail: each field that sets exit 1, flipped by perturbing one side
+
+
+def _bump_delta_1(monkeypatch):
+    """sl 2 counted with one more torus of rank 1 than it has: the delta
+    side moves, the finite-field formula does not."""
+
+    def bumped(n):
+        delta = delta_sl(n)
+        return (delta[0], delta[1] + 1) + delta[2:]
+
+    monkeypatch.setattr(cli, "delta_sl", bumped)
+
+
+def _drop_one_relation(monkeypatch):
+    """The enumerated side counts without one relation; the face formula is untouched."""
+    supports = gadgets._supports
+
+    def dropped(monoid, target):
+        for support, relations, face in supports(monoid, target):
+            yield support, relations[1:], face
+
+    monkeypatch.setattr(gadgets, "_supports", dropped)
+
+
+def _drop_the_zero_cone(monkeypatch):
+    """The fan of a file without its zero cone, a face of every cone."""
+    read = cli.fan_from_dict
+
+    def without_zero_cone(*args, **kwargs):
+        fan = read(*args, **kwargs)
+        return lattice.Fan(fan.ambient_dim, fan.cones[1:])
+
+    monkeypatch.setattr(cli, "fan_from_dict", without_zero_cone)
+
+
+P2_FAN = os.path.join(DATA, "p2_fan.json")
+
+#: (the function in cli.py that sets exit 1, the payload field that says why):
+#: a command that passes the check, and a perturbation of one side that fails it
+FLIPS = {
+    ("cmd_gadget", "match"): (["gadget", "--group", "2", "--family", "sl", "2"], _bump_delta_1),
+    ("cmd_soule", "match"): (["soule", "--m", "3", "--cone", "1,0;1,2"], _drop_one_relation),
+    ("cmd_verify", "ok"): (["verify", "--q", "2,3", "--family", "sl", "2"], _bump_delta_1),
+    ("cmd_validate_fan", "valid"): (["validate-fan", P2_FAN], _drop_the_zero_cone),
+    ("load_fan", "valid"): (["dscheme", "--fan", P2_FAN], _drop_the_zero_cone),
+}
+
+
+@pytest.mark.parametrize("check", list(FLIPS), ids=lambda c: ".".join(c))
+def test_a_check_with_one_side_perturbed_fails(check, monkeypatch, capsys):
+    argv, perturb = FLIPS[check]
+    code, data, _ = run_json(capsys, *argv)
+    # a dscheme payload has a `valid` field only when its fan fails
+    assert data["result"].get(check[1], True) is True and code == 0
+    perturb(monkeypatch)
+    code, data, _ = run_json(capsys, *argv)
+    assert data["result"][check[1]] is False and code == 1
+    if check[0] == "cmd_verify":
+        assert [c["equal"] for c in data["result"]["checks"]] == [False, False]
+
+
+def test_every_check_has_a_flip():
+    """Every function of cli.py that sets exit 1 (``CHECK_FAILED``, or a
+    ``ValidationFailure`` raised) is in FLIPS, with a field that it writes."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    setters = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name != "main":
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if names & {"CHECK_FAILED", "ValidationFailure"}:
+                setters[node.name] = {
+                    n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
+                }
+    assert set(setters) == {name for name, _ in FLIPS}
+    for name, field in FLIPS:
+        assert field in setters[name]
 
 
 def test_non_primitive_ray_normalized_with_warning(capsys):
@@ -347,7 +450,7 @@ def test_spec_dualises_only_the_cone_and_its_dual_in_the_ambient_lattice(capsys,
 @pytest.mark.parametrize("cone", ["1,0,0;0,1,0;1,1,5", "1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5"])
 def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch, cone):
     # a simplicial cone's Hilbert basis comes from its one elimination: no
-    # determinant, no smoothness test and no dual for the facet normals
+    # determinant and no dual for the facet normals
     for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
                    lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
                    lattice.validate_fan, monoid_of_cone):
@@ -357,7 +460,7 @@ def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch,
     def recorded(name):
         return lambda *args: called.append(name)
 
-    for name in ("det", "is_smooth", "facet_normals"):
+    for name in ("det", "facet_normals"):
         monkeypatch.setattr(lattice, name, recorded(name))
     code, data, _ = run_json(capsys, "spec", f"--cone={cone}")
     assert code == 0 and called == []
@@ -615,7 +718,7 @@ def test_torification_json_round_trip(tmp_path, capsys):
     code, g_direct, _ = run_json(capsys, "gadget", "--group", "3", "--family", "grassmannian", "2", "4")
     code2, g_file, _ = run_json(capsys, "gadget", "--group", "3", "--torification", str(path))
     assert code == code2 == 0
-    assert g_direct["result"] == g_file["result"]
+    assert_file_gadget_matches(g_direct["result"], g_file["result"])
 
 
 @pytest.mark.parametrize("content", ["5", '"x"', "null", "[1]"])
@@ -746,9 +849,10 @@ def materialize(v):
     """The plain JSON value a block stands for, spelled out from its parts."""
     if isinstance(v, cli._ToriList):
         return [
-            {"label": x.label if p is None else f"{p}/{x.label}" if x.label else p, "rank": x.rank}
+            {"label": label if p is None else f"{p}/{label}" if label else p, "rank": rank}
             for p, cell in v.t.parts
-            for x in cell
+            for rank, labels in cell.runs
+            for label in labels
         ]
     if isinstance(v, cli._Power):
         return [list(point) for point in iproduct(v.elements, repeat=v.rank)]
@@ -1053,7 +1157,8 @@ def test_torification_file_round_trips_the_parts_form(tmp_path, capsys):
     argv = ["gadget", "--elements", "--group", "2,2"]
     code, direct, _ = run_json(capsys, *argv, "--family", "sl", "2")
     code2, via_file, _ = run_json(capsys, *argv, "--torification", str(path))
-    assert code == code2 == 0 and direct["result"] == via_file["result"]
+    assert code == code2 == 0
+    assert_file_gadget_matches(direct["result"], via_file["result"])
 
 
 def test_text_format(capsys):
@@ -1400,7 +1505,10 @@ def test_counting_commands_match_enumerative_torification(spec, tmp_path, capsys
         code, direct, _ = run_json(capsys, *argv, "--family", *family)
         code2, listed, _ = run_json(capsys, *argv, "--torification", str(path))
         assert code == code2 == 0
-        assert direct["result"] == listed["result"]
+        if argv[0] == "gadget":
+            assert_file_gadget_matches(direct["result"], listed["result"])
+        else:
+            assert direct["result"] == listed["result"]
     pts = cc_points(t, FiniteAbelianGroup((2, 3)))
     assert direct["result"]["by_grade"] == {str(r): c for r, c in pts.count_by_grade().items()}
     assert direct["result"]["total"] == pts.total

@@ -8,7 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
-from references import compose_maps, discover_relations, identity_map, minors_gcd
+from references import (
+    compose_maps,
+    discover_relations,
+    identity_map,
+    minors_gcd,
+    mu_zero_mul,
+    mu_zero_power,
+)
 from test_lattice import complete_fans_2d
 
 from torified import torify
@@ -25,7 +32,6 @@ from torified.gadgets import (
     FiniteAbelianGroup,
     TorifiedMap,
     abelian_group_types,
-    cc_cardinality_check,
     cc_points,
     count_monoid_homs,
     enumerate_monoid_homs,
@@ -84,7 +90,7 @@ def test_cc_points_affine_line():
     assert pts.total == 3
     assert pts.count_by_grade() == {0: 1, 1: 2}
     assert pts.is_full
-    assert list(pts.grade(1)) == [(1, ((0,),)), (1, ((1,),))]
+    assert pts.points_by_index == (((),), (((0,),), ((1,),)))
 
 
 def test_cc_points_trivial_group_counts_tori():
@@ -144,32 +150,6 @@ def test_cc_points_parts_form_matches_flat_form(group):
     assert pts.counts_by_index == ref.counts_by_index
     assert pts.points_by_index == ref.points_by_index
     assert pts.count_by_grade() == ref.count_by_grade()
-    assert all(list(pts.grade(r)) == list(ref.grade(r)) for r in range(t.dim + 1))
-    assert cc_cardinality_check(t, group) == cc_cardinality_check(flat, group)
-
-
-def test_cc_cardinality_examples():
-    t = torify_chevalley(chevalley_data_sl(2))
-    check = cc_cardinality_check(t, Z2)
-    assert check.ok and check.functor_count == 24  # 2*2 + 3*4 + 8 = N(3)
-    p1 = torify_toric(FAN_CORPUS["P1"])
-    check = cc_cardinality_check(p1, FiniteAbelianGroup((6,)))
-    assert check.ok and check.functor_count == 8  # 6 + 2 = N(7)
-    g = torify_grassmannian(2, 4)
-    check = cc_cardinality_check(g, TRIVIAL)
-    assert check.ok and check.functor_count == sum(1 for _ in g.tori)
-
-
-def test_cc_cardinality_all_groups_all_builtins():
-    builtins = [
-        torify_toric(FAN_CORPUS["P2"]),
-        torify_toric(FAN_CORPUS["singular"]),
-        torify_grassmannian(2, 4),
-        torify_chevalley(chevalley_data_sl(3)),
-    ]
-    for t in builtins:
-        for group in abelian_group_types(12):
-            assert cc_cardinality_check(t, group).ok
 
 
 # --- induced maps ------------------------------------------------------------------
@@ -521,7 +501,7 @@ def _relation_satisfied(target, relation, values):
         acc = 0  # identity exponent
         for e, v in zip(exps, values):
             if e:
-                acc = target.mul(acc, target.power(v, e))
+                acc = mu_zero_mul(target.m, acc, mu_zero_power(target.m, v, e))
         return acc
 
     return side(relation.lhs) == side(relation.rhs)

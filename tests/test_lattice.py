@@ -67,7 +67,6 @@ from torified.lattice import (
     facet_normals,
     fan_from_dict,
     hilbert_basis,
-    is_smooth,
     maximal_cones,
     standard_fan,
     validate_fan,
@@ -289,7 +288,7 @@ def test_zero_cone_properties():
     z = zero_cone(2)
     assert z.dim == 0 and z.is_pointed
     assert faces(z) == (z,)
-    assert is_smooth(z)
+    assert minors_is_smooth(z.rays)
     d = dual_cone(z)
     assert d.rays == () and d.lineality == ((1, 0), (0, 1))
 
@@ -505,49 +504,6 @@ def test_faces_are_built_with_their_dim(case):
 def test_faces_require_pointed():
     with pytest.raises(NotPointed):
         faces(dual_cone(Cone(2, ((1, 1),))))
-
-
-# --- smoothness ------------------------------------------------------------------
-
-
-def test_is_smooth_examples():
-    assert is_smooth(Cone(2, ((1, 0), (0, 1))))
-    c = Cone(2, ((1, 0), (1, 2)))
-    assert not is_smooth(c)
-    # determinant oracle
-    assert abs(1 * 2 - 0 * 1) == 2
-    assert is_smooth(zero_cone(2))
-    assert not is_smooth(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
-    assert is_smooth(Cone(3, ((1, 0, 0), (0, 1, 0))))
-    assert is_smooth(Cone(3, ((1, 1, 0), (0, 1, 2))))  # minor gcd 1
-    assert not is_smooth(Cone(3, ((1, 1, 0), (1, -1, 0))))  # index-2 sublattice
-
-
-@st.composite
-def small_ray_sets(draw):
-    """1-6 primitive rays in Z^n (n <= 5), all positive on a drawn functional:
-    independent or not, spanning Z^n, a sublattice of index > 1, or a
-    lower-dimensional space."""
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 6))
-    w = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
-    ray = (
-        st.tuples(*[st.integers(-3, 3)] * n)
-        .filter(lambda v: dot(w, v) > 0)
-        .map(primitive)
-    )
-    return Cone(n, tuple(draw(st.lists(ray, min_size=k, max_size=k))))
-
-
-@settings(max_examples=300)
-@given(small_ray_sets())
-@example(Cone(2, ((1, 0), (1, 2))))  # index 2
-@example(Cone(3, ((1, 1, 0), (1, -1, 0))))  # index 2, lower-dimensional
-@example(Cone(3, ((1, 1, 0), (0, 1, 2))))  # spans a saturated plane
-@example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))  # dependent
-@example(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))))
-def test_is_smooth_agrees_with_minors(cone):
-    assert is_smooth(cone) == minors_is_smooth(cone.rays)
 
 
 # --- Hilbert bases ---------------------------------------------------------------
@@ -838,7 +794,7 @@ def test_non_simplicial_cone_in_dimension_5():
     assert dual_cone(dual_cone(c)) == c
     assert len(faces(c)) == 40  # (1 + 4 + 4 + 1) faces of the pyramid times 4
     assert hilbert_basis(c) == all_pairs_hilbert_basis(c)
-    assert is_smooth(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))))
+    assert minors_is_smooth(Cone(5, tuple(tuple(int(i == j) for j in range(5)) for i in range(5))).rays)
 
 
 def test_hilbert_basis_refuses_an_over_budget_volume(monkeypatch):

@@ -274,7 +274,6 @@ def test_dscheme_p1():
     assert [p.rank for p in ds.points] == [1, 0, 0]
     assert len(ds.generic_points()) == 1
     assert ds.specialization == ((0, 1), (0, 2))
-    assert ds.connected and ds.integral
 
 
 def test_dscheme_torus():

@@ -670,7 +670,12 @@ def flat_label(prefix, label):
 
 
 def flat_tori(t: Torification) -> tuple:
-    return tuple(Torus(x.rank, flat_label(p, x.label)) for p, cell in t.parts for x in cell)
+    return tuple(
+        Torus(rank, flat_label(p, label))
+        for p, cell in t.parts
+        for rank, labels in cell.runs
+        for label in labels
+    )
 
 
 VIEW_CASES = {

@@ -11,7 +11,9 @@ in ``BENCHMARK.json`` as ``perfbench/run.py`` sizes it, is replayed
 in-process on each tree: one fresh process per tree, workload and seed, as ``perfbench``
 runs it, so that caches carry from op to op.  Each op's stdout without its
 ``timing_ms`` line, its stderr and its exit code are compared between the
-trees.  Every op that differs is printed, and the exit code is 1 if any
+trees.  Then each demo of ``demos/`` is run on each tree, the tree's own
+script against its own ``src``, and their stdout and exit codes are compared.
+Every op and demo that differs is printed, and the exit code is 1 if any
 does, 0 otherwise.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -69,6 +72,15 @@ def records(tree: str, workload: str, seed: int) -> list:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
+def demo_output(tree: str, name: str) -> tuple[str, int]:
+    """stdout and exit code of ``demos/NAME`` of ``tree``, run on its ``src``."""
+    tree = os.path.abspath(tree)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run([sys.executable, os.path.join(tree, "demos", name)], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    return done.stdout, done.returncode
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tree", help="the other checkout, compared with this one")
@@ -94,7 +106,12 @@ def main(argv=None) -> int:
                           f"{', '.join(what)} differ", flush=True)
             print(f"{workload} seed {seed}: {len(ours)} ops compared", flush=True)
     print(f"{differing} of {total} ops differ")
-    return 1 if differing else 0
+    demos = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    differing_demos = [name for name in demos if demo_output(args.tree, name) != demo_output(ROOT, name)]
+    for name in differing_demos:
+        print(f"demo {name}: stdout or exit differ", flush=True)
+    print(f"{len(differing_demos)} of {len(demos)} demos differ")
+    return 1 if differing or differing_demos else 0
 
 
 if __name__ == "__main__":
