@@ -68,7 +68,7 @@ from .gadgets import (
     soule_count_by_faces,
 )
 from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, standard_fan, validate_fan
-from .monoids import dscheme_of_fan, monoid_of_cone
+from .monoids import _dscheme, dscheme_of_fan, monoid_of_cone
 from .torify import (
     Torification,
     Torus,
@@ -568,8 +568,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
 
 def cmd_spec(args) -> tuple[dict, int]:
     cone = _parse_cone(args.cone)
-    affine_fan = Fan(cone.ambient_dim, faces(cone))
-    return _dscheme_payload(dscheme_of_fan(affine_fan)), 0
+    return _dscheme_payload(_dscheme(Fan(cone.ambient_dim, faces(cone)))), 0
 
 
 def cmd_dscheme(args) -> tuple[dict, int]:

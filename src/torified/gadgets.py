@@ -273,20 +273,27 @@ def _supports(
     """Per face τ of the source cone, (S_τ, relations, τ): the indices of the
     generators orthogonal to τ, those whose values on τ's rays are all 0 (the
     values are taken once, on the source cone's rays), and a lattice basis
-    of the integer relations among them.  The (m+1)^g assignments bound the
-    number of maps from above, and the budget applies to them first."""
+    of the integer relations among them, with no kernel taken when S_τ of a
+    cone's own monoid, which spans τ^⊥, has n - dim τ elements.  The (m+1)^g
+    assignments bound the number of maps from above, and the budget applies
+    to them first."""
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
     gens = monoid.all_generators()
     check_budget(target.order ** len(gens), "assignments")
-    rays = monoid.source_cone.rays
+    n, rays = monoid.ambient_rank, monoid.source_cone.rays
     values = _ray_values(gens, rays)
+    try:  # a hand-built monoid is compared with its cone's, which may be over budget
+        spanning = monoid == monoid_of_cone(monoid.source_cone)
+    except BudgetExceeded:
+        spanning = False
     for face in faces(monoid.source_cone):
         on = set(face.rays)
         at = [k for k, ray in enumerate(rays) if ray in on]
         support = [i for i, v in enumerate(values) if not any([v[k] for k in at])]
-        columns = [tuple(gens[i][k] for i in support) for k in range(monoid.ambient_rank)]
-        yield support, kernel_basis(columns, len(support)), face
+        relations = [] if spanning and len(support) == n - face.dim else kernel_basis(
+            [tuple(gens[i][k] for i in support) for k in range(n)], len(support))
+        yield support, relations, face
 
 
 def _unit_characters(

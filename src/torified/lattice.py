@@ -10,19 +10,17 @@ construction (strict convexity and extremality), duals, faces and
 triangulations; faces are the closure of the cone under intersection with
 its facets, so neither enumerates subsets, and each face carries its
 dimension from the closure.  n independent generators in Z^n skip the
-double description: they cost one elimination.  A cone on at least n rays
-and without lineality reads its dimension from that cached dual, so a
-maximal cone is eliminated once, for its rank and its facets.  The lattice
+double description: they cost one elimination, which :func:`_simplex` keeps
+for the dual's parallelepiped (:func:`_dual_simplex`).  A cone on at least
+n rays and without lineality reads its dimension from that cached dual, so
+a maximal cone is eliminated once, for its rank and its facets.  The lattice
 work beneath is the one Bareiss elimination and the one Hermite reduction
 of :mod:`torified.intlinalg`; a dual's lineality is the generators' kernel,
 which that reduction returns in Hermite form.  Coordinates on a sublattice
 come from one Hermite reduction: with U the transform of the spanning
 vectors as columns, U maps span ∩ Z^n onto Z^r x 0, and U^-1, carried
 through the same row operations, lifts back (lower-dimensional Hilbert
-bases here, the quotient by the units in :mod:`torified.monoids`, whose
-cone is the dual of the generators' section coordinates, taken by
-:func:`_dual_pair` in the cone's own dimension); smoothness is the Hermite
-basis of the ray matrix's rows being the identity.
+bases here, the quotient by the units in :mod:`torified.monoids`).
 A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
 fraction, at one step per run of elements, and is refused with
 :class:`BudgetExceeded` when it has more elements than the enumeration
@@ -50,7 +48,7 @@ pair is among those.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
@@ -70,7 +68,6 @@ from .intlinalg import (
     _eliminate,
     _identity,
     _with_identity,
-    det,
     dot,
     hnf_rows,
     kernel_basis,
@@ -225,27 +222,23 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
 
     n independent generators in Z^n are their own basis B, cut nothing and
     have perp 0, so they are tried first: when the elimination of [B | I]
-    below finds n pivots, no kernel or pivot search is run.
+    (:func:`_simplex`) finds n pivots, no kernel or pivot search is run.
     """
     gens = [g for g in generators if any(g)]
     # [M | I] reduces to [s I | s M^-1]; s times column j of s M^-1 pairs to
     # s^2 with the j-th basis vector and to 0 with the others and with perp
-    pivots: list[int] = []
-    if len(gens) == n:
-        m = _with_identity(gens)
-        pivots, s, _ = _eliminate(m, n)
-    if len(pivots) == n:
-        perp = []
-    else:
+    simplex = _simplex(tuple(gens)) if len(gens) == n else None
+    pivots, perp = range(n), []
+    if simplex is None:
         perp = kernel_basis(gens, n)
         if not gens:
             return (), tuple(perp)
         pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
-        m = _with_identity([gens[j] for j in pivots] + perp)
-        _, s, _ = _eliminate(m, n)
+        simplex = _simplex((*[gens[j] for j in pivots], *perp))
+    s, inverse = simplex
     processed = [gens[j] for j in pivots]
     d = len(processed)
-    rays = [(primitive([s * row[n + j] for row in m]), (1 << d) - 1 - (1 << j)) for j in range(d)]
+    rays = [(primitive([s * row[j] for row in inverse]), (1 << d) - 1 - (1 << j)) for j in range(d)]
     for g in (g for j, g in enumerate(gens) if j not in pivots):  # B cuts nothing
         values = [sum(map(mul, g, r)) for r, _ in rays]  # dot, without its length check
         if all(v >= 0 for v in values):
@@ -361,14 +354,24 @@ def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
     return pieces
 
 
-def _simplex(gens: Sequence[Vector]) -> tuple[int, list[list[int]]] | None:
-    """(s, s G^-1) for d gens in Z^d, G having them as columns and s = +-det G,
+@lru_cache(maxsize=8)  # the last few: a cone's dual is soon followed by its monoid
+def _simplex(rows: tuple[Vector, ...]) -> tuple[int, list[list[int]]] | None:
+    """(s, s G^-1) for the d x d matrix G with the given rows, s = +-det G,
     from one elimination of [G | I], which reduces it to [s I | s G^-1]; None
-    if the gens are dependent."""
-    d = len(gens)
-    m = _with_identity(tuple(zip(*gens)))
+    if G is singular."""
+    d = len(rows)
+    m = _with_identity(rows)
     pivots, s, _ = _eliminate(m, d)
     return (s, [row[d:] for row in m]) if len(pivots) == d else None
+
+
+def _dual_simplex(rays: tuple[Vector, ...], dual: tuple[Vector, ...]) -> tuple[int, list[list[int]]]:
+    """:func:`_simplex` of G, the ``dual`` rays of n independent ``rays`` in Z^n as
+    columns, up to sign, from that of the rays: a dual ray g is p > 0 on one ray
+    r and 0 on the others, so r / p is its row of G^-1, and |det G| = prod p / |det R|."""
+    pairs = [next((r, p) for r in rays if (p := dot(r, g))) for g in dual]
+    volume = reduce(mul, (p for _, p in pairs), 1) // abs(_simplex(rays)[0])
+    return volume, [[volume // p * x for x in r] for r, p in pairs]
 
 
 def _cosets(gens: Sequence[Vector], inverse: list[list[int]], volume: int) -> list[Vector]:
@@ -394,9 +397,9 @@ def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
     (:func:`_cosets`).
     """
     assert len(gens) == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
-    simplex = _simplex(gens)
+    simplex = _simplex(rows := tuple(zip(*gens)))
     assert simplex is not None, "parallelepiped generators must be independent"
-    volume, rows = abs(simplex[0]), tuple(zip(*gens))
+    volume = abs(simplex[0])
     points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, simplex[1], volume)}
     assert len(points) == volume, "parallelepiped enumeration lost points"
     return points
@@ -420,7 +423,7 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}") from None
 
 
-def _basis(cone: Cone) -> tuple[Vector, ...]:
+def _basis(cone: Cone, simplex: tuple[int, list[list[int]]] | None = None) -> tuple[Vector, ...]:
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
@@ -429,7 +432,7 @@ def _basis(cone: Cone) -> tuple[Vector, ...]:
     if n == 2 == len(cone.rays):  # two rays of a pointed cone in Z^2 span it
         return _plane_basis(*cone.rays)
     if len(cone.rays) == n:
-        simplex = _simplex(cone.rays)
+        simplex = simplex or _simplex(tuple(zip(*cone.rays)))
         if simplex is not None:
             return _simplicial_basis(cone.rays, *simplex)
     d = cone.dim
@@ -495,7 +498,7 @@ def _simplicial_basis(
     rays: tuple[Vector, ...], s: int, inverse: list[list[int]]
 ) -> tuple[Vector, ...]:
     """Hilbert basis of the cone on n independent ``rays`` in Z^n, from
-    (s, s G^-1) = :func:`_simplex` of them.
+    (s, s G^-1) = :func:`_simplex` of G, which has them as columns.
 
     D = |s| = 1 means the rays are a lattice basis.  Otherwise the candidates
     are the rays and the nonzero points G f / D of the parallelepiped, and
@@ -528,7 +531,7 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     n = cone.ambient_dim
     pieces = _triangulate(cone.rays, n)
     # one candidate per lattice point of each piece's parallelepiped
-    check_budget(sum(abs(det(piece)) for piece in pieces), "parallelepiped points")
+    check_budget(sum(abs(_simplex(tuple(zip(*piece)))[0]) for piece in pieces), "parallelepiped points")
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
     for piece in pieces:

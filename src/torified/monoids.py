@@ -2,18 +2,17 @@
 
 For a cone t in Z^n the attached monoid lives in the dual lattice: all dual
 lattice points pairing nonnegatively with t.  Its unit group is the lattice
-of dual vectors vanishing on t (rank r = n - dim t), and the pointed
-remainder is presented by the Hilbert basis of its image in the quotient
-lattice, lifted back along a fixed lattice section so that generators stay
-in Z^n and the monoid splits as units ⊕ pointed part on the nose.  The
-units are the generators' integer kernel, in Hermite form.  The section is
-the recipe :mod:`torified.lattice` uses for sublattice coordinates: the
-Hermite transform U of the units carries U^-1 through its one reduction,
-and z in the quotient lifts to U^-1 (0, z).  The quotient cone is the dual
-of the generators' section coordinates in Z^(dim t), so no dual is taken
-in Z^n unless t is full-dimensional, and a simplicial t costs one
-elimination of size dim t.  A full-dimensional t has no units and no
-section: its generators are the Hilbert basis of its dual.
+of dual vectors vanishing on t (rank r = n - dim t), with a Hermite basis B,
+and the pointed remainder is presented by the Hilbert basis of its image in
+the quotient lattice, lifted back along a fixed lattice section, so that the
+monoid splits as units ⊕ pointed part on the nose.  The Hermite transform U
+of the saturated B^T has U B^T = (I_r; 0), so U^-1 = [B^T | S]: z in the
+quotient lifts to S z, and a dual vector g to S (U[r:] g) = g - B^T (U[:r] g).
+A lone :func:`monoid_of_cone` takes the quotient cone as the dual of the
+generators' section coordinates S^T g in Z^(dim t), so no dual is taken in
+Z^n unless t is full-dimensional.  A full-dimensional t has no units: its
+generators are the Hilbert basis of its dual, and for a simplicial t the one
+elimination of its rays gives both the dual and the dual's parallelepiped.
 
 A fan's monoid scheme reads each cone's monoid from that of a maximal cone
 s containing it, as a localization (Fulton, *Introduction to Toric
@@ -21,25 +20,25 @@ Varieties*, ch. 1): for a face t = s ∩ u^⊥ with u in s^∨ ∩ M, t^∨ ∩ 
 s^∨ ∩ M + Z≥0 (-u).  So the units of t are generated by the generators of
 s that vanish on t (they generate the dual face s^∨ ∩ t^⊥, which spans
 t^⊥), and the images of the others generate the pointed quotient, whose
-Hilbert basis is its irreducible images.  An image is fixed by its values on t's rays, which
-grade the reduction; the values of s's generators on s's rays are taken
-once per cone, and no dual or Hilbert basis is computed for a proper face.
-A lone :func:`monoid_of_cone` of a face takes the path above, and gives the
-same monoid.  The specialisation order of a fan's monoid scheme is read
-from :attr:`torified.lattice.Fan.face_indices`.
+Hilbert basis is its irreducible images, graded by their values on t's rays
+(taken once per cone).  An irreducible g lifts to g - B^T (U[:r] g), so a
+proper face takes no dual, Hilbert basis or inverse.  The specialisation
+order is read from :attr:`torified.lattice.Fan.face_indices`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .errors import BudgetExceeded, MissingSourceCone, Value
-from .intlinalg import Vector, hnf_rows, kernel_basis, mat_vec, row_hermite_transform
+from .intlinalg import Vector, _hermite, _identity, _with_identity, hnf_rows, kernel_basis
+from .intlinalg import mat_vec, row_hermite_transform
 from .lattice import (
     Cone,
     Fan,
     _dual_pair,
+    _dual_simplex,
     _basis,
     _irreducibles,
     _trusted,
@@ -84,15 +83,11 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     generators = cone.generators()
     if cone.dim == n:  # no units: the generators are the dual's Hilbert basis
         rays, _ = _dual_pair(generators, n)
-        basis = _monoid_basis(_trusted(n, rays), cone)
+        simplex = _dual_simplex(generators, rays) if cone.is_simplicial and n != 2 else None
+        basis = _monoid_basis(_trusted(n, rays), cone, simplex)
         return AffineMonoid(n, tuple(sorted(basis)), (), cone)
     units = tuple(kernel_basis(generators, n))
-    # The Hermite transform u of the units (as columns) maps their saturated
-    # lattice onto Z^r x 0: the first r columns of u^-1 are the units and the
-    # others a section.  A dual vector u^-1 (0, z) pairs with a generator g
-    # as c_g . z, c_g being g's section coordinates, so the quotient cone is
-    # the dual of the c_g in Z^(n-r), and its Hilbert basis lifts through
-    # z -> u^-1 (0, z).
+    # u^-1 = [B^T | S]: the quotient cone is the dual of the S^T g in Z^(n-r)
     r = len(units)
     h, _, u_inv = row_hermite_transform([[v[i] for v in units] for i in range(n)])
     assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
@@ -103,11 +98,11 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     return AffineMonoid(n, gens, units, cone)
 
 
-def _monoid_basis(pointed: Cone, cone: Cone) -> tuple[Vector, ...]:
-    """The Hilbert basis of ``pointed``, the dual of ``cone`` or its quotient
-    by the units; a budget error names the monoid of ``cone``."""
+def _monoid_basis(pointed: Cone, cone: Cone, simplex=None) -> tuple[Vector, ...]:
+    """The Hilbert basis of ``pointed``, the dual of ``cone`` (with its known
+    ``simplex``) or its quotient by the units; a budget error names the monoid of ``cone``."""
     try:
-        return _basis(pointed)
+        return _basis(pointed, simplex)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}") from None
 
@@ -124,11 +119,11 @@ def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Con
     :func:`monoid_of_cone` of the face.
 
     The generators zero on the face's rays generate its units, and a Hermite
-    basis of them is the unit basis.  Another generator's values on the
+    basis B of them is the unit basis.  Another generator's values on the
     face's rays fix its image in the quotient by the units, and the
     quotient's Hilbert basis is the irreducible images, graded by those
-    values (one generator per value vector).  An irreducible g lifts through
-    its quotient coordinates z = (u g)[r:] to u^-1 (0, z).
+    values (one generator per value vector).  An irreducible g lifts to
+    g - B^T (U[:r] g) (the module docstring): only U[:r] of U is kept.
     """
     cone = monoid.source_cone
     n = monoid.ambient_rank
@@ -143,14 +138,15 @@ def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Con
             candidates.setdefault(v, g)
         else:
             units.append(g)
+    if not candidates:  # the zero face: the generators span Z^n, all units
+        return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
-    if not candidates:  # the zero face: every dual vector is a unit
-        return AffineMonoid(n, (), units, face)
     r = len(units)
-    h, u, u_inv = row_hermite_transform([[v[i] for v in units] for i in range(n)])
-    assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+    m = _with_identity(columns := [[v[i] for v in units] for i in range(n)])  # [B^T | I]
+    left = [row[r:] for row in m[: _hermite(m, r)]]  # U[:r], U B^T being (I_r; 0)
+    assert all(m[i][i] == 1 for i in range(r)), "unit basis must be saturated"
     graded = [(sum(v), g, v) for v, g in candidates.items()]
-    lifts = (mat_vec(u_inv, (0,) * r + mat_vec(u[r:], g)) for g in _irreducibles(graded))
+    lifts = (tuple(map(sub, g, mat_vec(columns, mat_vec(left, g)))) for g in _irreducibles(graded))
     return AffineMonoid(n, tuple(sorted(lifts)), units, face)
 
 
@@ -217,6 +213,11 @@ class DScheme(Value):
 def dscheme_of_fan(fan: Fan) -> DScheme:
     """Points in bijection with the fan's cones, ordered by cone inclusion."""
     require_valid(fan)
+    return _dscheme(fan)
+
+
+def _dscheme(fan: Fan) -> DScheme:
+    """:func:`dscheme_of_fan` of a valid fan, such as the faces of one cone."""
     n = fan.ambient_dim
     # each cone is read from the last cone listing it as a face, a maximal
     # one (a cone containing it would come later and list the face too),

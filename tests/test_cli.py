@@ -118,14 +118,14 @@ def test_spec_takes_one_hilbert_basis_for_all_faces(capsys, monkeypatch):
     monoid_of_cone.cache_clear()
     named, computed, kernels = [], [], []
 
-    def counted_hilbert_basis(c, of, monoid_basis=monoids._monoid_basis):
+    def counted_hilbert_basis(c, of, *known, monoid_basis=monoids._monoid_basis):
         named.append(of)
-        return monoid_basis(c, of)
+        return monoid_basis(c, of, *known)
 
     def counted_basis(basis):
-        def recorded(c):
+        def recorded(c, *known):
             computed.append(c)
-            return basis(c)
+            return basis(c, *known)
         return recorded
 
     def counted_kernel(*args):
@@ -447,10 +447,29 @@ def test_spec_dualises_only_the_cone_and_its_dual_in_the_ambient_lattice(capsys,
     assert dimensions.count(4) <= 2
 
 
+def test_spec_validates_no_fan_and_dscheme_validates_its_file(capsys, monkeypatch):
+    # the faces of one cone are a fan by construction; a fan file is checked
+    checked = []
+    validate = lattice.validate_fan
+
+    def counted(fan):
+        checked.append(fan)
+        return validate(fan)
+
+    monkeypatch.setattr(lattice, "validate_fan", counted)
+    code, data, _ = run_json(capsys, "spec", "--cone", "1,0,0;1,2,0;1,1,5")
+    assert code == 0 and len(data["result"]["points"]) == 8
+    assert checked == []
+    code, data, _ = run_json(capsys, "dscheme", "--fan", P2_FAN)
+    assert code == 0 and len(data["result"]["points"]) == 7
+    assert checked
+
+
 @pytest.mark.parametrize("cone", ["1,0,0;0,1,0;1,1,5", "1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5"])
 def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch, cone):
     # a simplicial cone's Hilbert basis comes from its one elimination: no
-    # determinant and no dual for the facet normals
+    # triangulation (whose pieces' determinants the budget reads) and no
+    # dual for the facet normals
     for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
                    lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
                    lattice.validate_fan, monoid_of_cone):
@@ -460,7 +479,7 @@ def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch,
     def recorded(name):
         return lambda *args: called.append(name)
 
-    for name in ("det", "facet_normals"):
+    for name in ("_triangulated_basis", "facet_normals"):
         monkeypatch.setattr(lattice, name, recorded(name))
     code, data, _ = run_json(capsys, "spec", f"--cone={cone}")
     assert code == 0 and called == []
@@ -1450,7 +1469,7 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
 ):
     # the constructor reads a maximal cone's rank from the dual that its
     # facets come from, so P^n takes one elimination per maximal cone
-    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
+    for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone, lattice.facet_normals,
                    lattice.faces, lattice.maximal_cones, lattice.validate_fan):
         cached.cache_clear()
     eliminations = []

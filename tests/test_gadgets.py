@@ -17,8 +17,9 @@ from references import (
     mu_zero_power,
 )
 from test_lattice import complete_fans_2d
+from test_monoids import pointed_cones as positive_cones
 
-from torified import torify
+from torified import gadgets, torify
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
 from torified.errors import (
     BudgetExceeded,
@@ -41,7 +42,7 @@ from torified.gadgets import (
     soule_count_by_faces,
     toric_fq_points_via_homs,
 )
-from torified.intlinalg import dot, hnf_rows, mat_rank, primitive
+from torified.intlinalg import dot, hnf_rows, kernel_basis, mat_rank, primitive
 from torified.lattice import Cone, standard_fan, validate_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
@@ -586,6 +587,70 @@ def test_homs_match_face_formula_and_oracle(cone, m):
     assert [h.values for h in homs] == sorted(h.values for h in homs)
     if assignments <= 3000:
         assert [h.values for h in homs] == oracle_homs(monoid, target)
+
+
+def test_a_hand_built_monoid_keeps_the_relations_of_its_faces():
+    # (0, 2) = 2 (0, 1): on the zero face S_τ has n - dim τ = 2 elements and
+    # still the relation 2a - b, which leaves 3 maps of 9 there; skipping the
+    # kernel would count 12.  Only a cone's own monoid has S_τ spanning τ^⊥
+    monoid = AffineMonoid(2, ((0, 1), (0, 2)), (), Cone(2, ((1, 0),)))
+    target = CyclicMonoidWithZero(3)
+    assert count_monoid_homs(monoid, target) == 6
+    assert len(enumerate_monoid_homs(monoid, target)) == 6
+
+
+def test_a_hand_built_monoid_of_a_cone_over_the_budget_is_still_counted(monkeypatch):
+    # the cone's own monoid has 5,002 generators, over a budget of 1,000; the
+    # hand-built one is not it, and its 3^2 assignments are within the budget
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    monoid_of_cone.cache_clear()
+    monoid = AffineMonoid(2, ((0, 1), (1, 0)), (), Cone(2, ((0, 1), (5001, -1))))
+    assert count_monoid_homs(monoid, CyclicMonoidWithZero(2)) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_cones())
+@example(Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 3))))
+@example(Cone(4, ((0, 1, 1, -1), (1, 0, 1, 0), (0, -1, -1, 0), (0, 1, -1, 1))))
+def test_a_cone_monoid_skips_exactly_the_faces_whose_kernel_is_empty(cone):
+    # for monoid_of_cone, S_τ spans τ^⊥, so it has no relation iff it has
+    # n - dim τ elements; _supports takes a kernel on exactly the other faces
+    monoid = monoid_of_cone(cone)
+    gens = monoid.all_generators()
+    assume(len(gens) <= 16)
+    n = cone.ambient_dim
+    skipped = kernels = 0
+    for support, relations, face in gadgets._supports(monoid, CyclicMonoidWithZero(1)):
+        kernel = kernel_basis([[gens[i][k] for i in support] for k in range(n)], len(support))
+        assert relations == kernel
+        skipped += len(support) == n - face.dim
+        kernels += not kernel
+    assert skipped == kernels
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [SINGULAR_CONE, Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 5))),
+     Cone(4, ((0, 1, 1, -1), (1, 0, 1, 0), (0, -1, -1, 0), (0, 1, -1, 1)))],
+    ids=str,
+)
+def test_soule_takes_a_kernel_only_where_there_is_a_relation(monkeypatch, cone):
+    monoid = monoid_of_cone(cone)
+    gens, n = monoid.all_generators(), cone.ambient_dim
+    faces_with_relations = sum(
+        bool(kernel_basis([[gens[i][k] for i in support] for k in range(n)], len(support)))
+        for support, _, _ in gadgets._supports(monoid, CyclicMonoidWithZero(1))
+    )
+    found = []
+    kernel = gadgets.kernel_basis
+
+    def counted(*args):
+        found.append(kernel(*args))
+        return found[-1]
+
+    monkeypatch.setattr(gadgets, "kernel_basis", counted)
+    assert count_monoid_homs(monoid, CyclicMonoidWithZero(3)) == soule_count_by_faces(monoid, 3)
+    assert all(found) and len(found) == faces_with_relations
 
 
 @settings(max_examples=60)

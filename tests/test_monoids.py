@@ -1,6 +1,7 @@
 """Monoids of cones, spectra, and fan monoid schemes."""
 
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
 from references import monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
-from torified import intlinalg, lattice, monoids
+from torified import cli, intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
 from torified.intlinalg import dot, kernel_basis, mat_rank, mat_vec, primitive
 from torified.lattice import Cone, Fan, faces, standard_fan, zero_cone
@@ -203,9 +204,9 @@ def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
     monkeypatch.setattr(intlinalg, "_eliminate", recorded(intlinalg._eliminate))
     monkeypatch.setattr(lattice, "_eliminate", recorded(lattice._eliminate))
     for face in faces(cone):
-        for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
-                       lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
-                       lattice.validate_fan, monoid_of_cone):
+        for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone,
+                       lattice.facet_normals, lattice.faces, lattice.hilbert_basis,
+                       lattice.maximal_cones, lattice.validate_fan, monoid_of_cone):
             cached.cache_clear()
         calls.clear(), transforms.clear(), eliminated.clear()
         monoid_of_cone(face)
@@ -233,6 +234,105 @@ def test_the_monoid_of_each_face_is_localized_from_the_cone(cone):
         assert point.local_monoid == expected
         assert (point.local_monoid.generators, point.local_monoid.unit_basis) == (
             expected.generators, expected.unit_basis)
+
+
+def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatch):
+    # a face with units and a pointed part reduces [B^T | I] once, carrying
+    # no inverse (inv=None), and no row_hermite_transform runs; the full
+    # face is the cone's own monoid, and the zero face is all units
+    cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
+    monoid = monoid_of_cone(cone)
+    values = monoids._ray_values(monoid.all_generators(), cone.rays)
+    expected = {face: monoid_of_cone.__wrapped__(face) for face in faces(cone)}
+    inverses = []
+    hermite = monoids._hermite
+
+    def counted_hermite(m, ncols, inv=None):
+        inverses.append(inv)
+        return hermite(m, ncols, inv)
+
+    def forbidden(*args):
+        raise AssertionError("row_hermite_transform called")
+
+    monkeypatch.setattr(monoids, "_hermite", counted_hermite)
+    monkeypatch.setattr(monoids, "row_hermite_transform", forbidden)
+    monkeypatch.setattr(intlinalg, "row_hermite_transform", forbidden)
+    for face in faces(cone):
+        inverses.clear()
+        local = monoids._localization(monoid, values, face)
+        assert (local.generators, local.unit_basis) == (
+            expected[face].generators, expected[face].unit_basis)
+        assert inverses == ([] if face.dim in (0, 4) else [None]), face
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 5)),
+        ((1, 0, 0), (1, 2, 0), (1, 1, 5)),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)),
+        ((1,),),
+    ],
+    ids=str,
+)
+def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays):
+    # _dual_pair's elimination of the rays gives the dual, and the dual's
+    # parallelepiped is read from it (_dual_simplex): no second elimination
+    cone = Cone(len(rays), rays)
+    ref = three_branch_monoid_of_cone(cone)
+    for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone,
+                   lattice.facet_normals, lattice.faces, lattice.hilbert_basis, monoid_of_cone):
+        cached.cache_clear()
+    eliminated = []
+    eliminate = intlinalg._eliminate
+
+    def counted(m, ncols):
+        eliminated.append(ncols)
+        return eliminate(m, ncols)
+
+    monkeypatch.setattr(intlinalg, "_eliminate", counted)
+    monkeypatch.setattr(lattice, "_eliminate", counted)
+    m = monoid_of_cone(cone)
+    assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
+    assert len(eliminated) == 1
+
+
+@st.composite
+def full_simplicial_cones(draw):
+    """Cones on n independent rays in Z^n, 1 <= n <= 4."""
+    n = draw(st.integers(1, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
+    rays = draw(st.lists(ray, min_size=n, max_size=n).filter(lambda rs: mat_rank(rs) == n))
+    return Cone(n, tuple(rays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_simplicial_cones())
+@example(Cone(3, ((1, 0, 0), (1, 2, 0), (1, 1, 5))))
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))))
+def test_the_dual_simplex_is_the_simplex_of_the_dual_up_to_sign(cone):
+    n = cone.ambient_dim
+    dual, _ = lattice._dual_pair(cone.rays, n)
+    volume, inverse = lattice._dual_simplex(cone.rays, dual)
+    s, scaled = lattice._simplex.__wrapped__(tuple(zip(*dual)))
+    sign = 1 if s > 0 else -1
+    assert (volume, inverse) == (abs(s), [[sign * x for x in row] for row in scaled])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+@example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
+@example(Cone(3, ((1, 0, 0),)))
+def test_spec_reads_the_valid_face_fan_of_its_cone_as_dscheme_does(cone):
+    # spec does not validate the faces of its cone: they are a valid fan, and
+    # the payload is that of dscheme_of_fan, which validates
+    fan = Fan(cone.ambient_dim, faces(cone))
+    assert lattice.validate_fan(fan).ok
+    arg = ";".join(",".join(map(str, r)) for r in cone.rays)
+    payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
+    assert code == 0
+    assert payload == cli._dscheme_payload(dscheme_of_fan(fan))
 
 
 def test_a_fan_reads_each_cone_from_one_maximal_cone(corpus_fan):
