@@ -40,7 +40,7 @@ class CountingPolynomial(Value):
         delta = tuple(int(x) for x in delta)
         return cls(delta, to_monomial_basis(delta))
 
-    def poly_string(self, var: str = "q") -> str:
+    def poly_string(self) -> str:
         if not any(self.mono):
             return "0"
         terms = []
@@ -52,7 +52,7 @@ class CountingPolynomial(Value):
                 body = str(abs(a))
             else:
                 head = "" if abs(a) == 1 else f"{abs(a)}*"
-                body = f"{head}{var}" + (f"^{l}" if l > 1 else "")
+                body = f"{head}q" + (f"^{l}" if l > 1 else "")
             if not terms:
                 terms.append(("-" if a < 0 else "") + body)
             else:

@@ -2,15 +2,15 @@
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
 routine is exact and works on plain ints (no Fractions, no solves), and two
-reductions do all the work.  Rank and determinant come from one
-fraction-free (Bareiss) elimination, which :mod:`torified.lattice` also runs
-for the scaled inverses of its duals and simplicial cones.  Integer kernel
+reductions do all the work.  Rank comes from one fraction-free (Bareiss)
+elimination, which :mod:`torified.lattice` also runs for the determinants
+and scaled inverses of its duals and simplicial cones.  Integer kernel
 bases, Hermite bases and Hermite transforms share one Hermite reduction by
 integer row operations; kernels come back in Hermite form, and a transform
-comes with its inverse, carried through the same row operations, which is
-how the callers change coordinates on a sublattice.  The reduction runs
-Euclid on each column until a +-1 pivot appears, which clears the rest of
-its column in one pass (the inputs here, rays and identity blocks, are
+can carry its inverse through the same row operations, which only a
+lower-dimensional Hilbert basis or lone monoid asks for.  The reduction
+runs Euclid on each column until a +-1 pivot appears, which clears the rest
+of its column in one pass (the inputs here, rays and identity blocks, are
 mostly 0 and +-1).  Sizes here are tiny (ambient dimension <= 5 or so), so
 clarity wins over asymptotics throughout.
 """
@@ -93,14 +93,6 @@ def mat_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over Q."""
     m = [list(r) for r in rows]
     return len(_eliminate(m, len(m[0]))[0]) if m else 0
-
-
-def det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    pivots, d, sign = _eliminate(m, n)
-    return sign * d if len(pivots) == n else 0
 
 
 def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None) -> int:

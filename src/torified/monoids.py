@@ -7,12 +7,15 @@ and the pointed remainder is presented by the Hilbert basis of its image in
 the quotient lattice, lifted back along a fixed lattice section, so that the
 monoid splits as units ⊕ pointed part on the nose.  The Hermite transform U
 of the saturated B^T has U B^T = (I_r; 0), so U^-1 = [B^T | S]: z in the
-quotient lifts to S z, and a dual vector g to S (U[r:] g) = g - B^T (U[:r] g).
-A lone :func:`monoid_of_cone` takes the quotient cone as the dual of the
-generators' section coordinates S^T g in Z^(dim t), so no dual is taken in
-Z^n unless t is full-dimensional.  A full-dimensional t has no units: its
-generators are the Hilbert basis of its dual, and for a simplicial t the one
-elimination of its rays gives both the dual and the dual's parallelepiped.
+quotient lifts to S z, and a dual vector g to S (U[r:] g) = g - B^T (U[:r] g),
+both from one reduction of [B^T | I] (:func:`_unit_transform`).  A lone
+:func:`monoid_of_cone` has one construction: a cone of dimension d < n is
+read in its generators' section coordinates S^T g, where it is
+full-dimensional, and every cone's monoid is the Hilbert basis of its dual
+(for a simplicial cone the one elimination of its rays gives both the dual
+and the dual's parallelepiped), lifted by S.  So no dual is taken in Z^n
+unless t is full-dimensional.  A triangulation's budget counts in these
+coordinates: its count follows them, and those of t's span change it.
 
 A fan's monoid scheme reads each cone's monoid from that of a maximal cone
 s containing it, as a localization (Fulton, *Introduction to Toric
@@ -32,8 +35,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .errors import BudgetExceeded, MissingSourceCone, Value
-from .intlinalg import Vector, _hermite, _identity, _with_identity, hnf_rows, kernel_basis
-from .intlinalg import mat_vec, row_hermite_transform
+from .intlinalg import Vector, _hermite, _identity, _with_identity, hnf_rows, kernel_basis, mat_vec
 from .lattice import (
     Cone,
     Fan,
@@ -79,23 +81,20 @@ class AffineMonoid(Value):
 @lru_cache(maxsize=None)
 def monoid_of_cone(cone: Cone) -> AffineMonoid:
     """The monoid of dual lattice points nonnegative on the cone."""
-    n = cone.ambient_dim
-    generators = cone.generators()
-    if cone.dim == n:  # no units: the generators are the dual's Hilbert basis
-        rays, _ = _dual_pair(generators, n)
-        simplex = _dual_simplex(generators, rays) if cone.is_simplicial and n != 2 else None
-        basis = _monoid_basis(_trusted(n, rays), cone, simplex)
-        return AffineMonoid(n, tuple(sorted(basis)), (), cone)
-    units = tuple(kernel_basis(generators, n))
-    # u^-1 = [B^T | S]: the quotient cone is the dual of the S^T g in Z^(n-r)
-    r = len(units)
-    h, _, u_inv = row_hermite_transform([[v[i] for v in units] for i in range(n)])
-    assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
-    section = list(zip(*u_inv))[r:]
-    rays, _ = _dual_pair(tuple(mat_vec(section, g) for g in generators), n - r)
-    inner = _monoid_basis(_trusted(n - r, rays), cone)
-    gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
-    return AffineMonoid(n, gens, units, cone)
+    n, d = cone.ambient_dim, cone.dim
+    generators, units = cone.generators(), ()
+    if d < n:  # read the cone in Z^d, through the section S of its units
+        units = tuple(kernel_basis(generators, n))
+        inv = [list(e) for e in _identity(n)]
+        _unit_transform(units, n, inv)  # inv ends as the columns of U^-1 = [B^T | S]
+        section, lift = inv[n - d :], tuple(zip(*inv[n - d :]))  # S^T and S
+        generators = tuple(mat_vec(section, g) for g in generators)
+    rays, _ = _dual_pair(generators, d)
+    simplex = _dual_simplex(generators, rays) if cone.is_simplicial and d != 2 else None
+    basis = _monoid_basis(_trusted(d, rays), cone, simplex)
+    if d < n:
+        basis = (mat_vec(lift, z) for z in basis)
+    return AffineMonoid(n, tuple(sorted(basis)), units, cone)
 
 
 def _monoid_basis(pointed: Cone, cone: Cone, simplex=None) -> tuple[Vector, ...]:
@@ -141,13 +140,21 @@ def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Con
     if not candidates:  # the zero face: the generators span Z^n, all units
         return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
-    r = len(units)
-    m = _with_identity(columns := [[v[i] for v in units] for i in range(n)])  # [B^T | I]
-    left = [row[r:] for row in m[: _hermite(m, r)]]  # U[:r], U B^T being (I_r; 0)
-    assert all(m[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+    columns, left = _unit_transform(units, n)
     graded = [(sum(v), g, v) for v, g in candidates.items()]
     lifts = (tuple(map(sub, g, mat_vec(columns, mat_vec(left, g)))) for g in _irreducibles(graded))
     return AffineMonoid(n, tuple(sorted(lifts)), units, face)
+
+
+def _unit_transform(units: tuple[Vector, ...], n: int, inv=None) -> tuple[list, list]:
+    """(B^T, U[:r]) for the saturated Hermite basis B = ``units`` of rank r,
+    U being the Hermite transform of B^T, with U B^T = (I_r; 0).  ``inv``,
+    the rows of I_n when given, ends as the columns of U^-1 = [B^T | S]."""
+    r = len(units)
+    m = _with_identity(columns := [[v[i] for v in units] for i in range(n)])  # [B^T | I]
+    left = [row[r:] for row in m[: _hermite(m, r, inv)]]  # U[:r]
+    assert all(m[i][i] == 1 for i in range(r)), "unit basis must be saturated"
+    return columns, left
 
 
 def unit_group(monoid: AffineMonoid) -> tuple[int, tuple[Vector, ...]]:

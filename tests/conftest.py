@@ -1,4 +1,7 @@
-"""Shared corpora: cones in dims 1-3, the built-in fans, and flag types."""
+"""Shared corpora: cones in dims 1-3, the built-in fans, and flag types,
+and the one way for a test to empty the library's caches."""
+
+import sys
 
 import pytest
 from hypothesis import settings
@@ -9,6 +12,18 @@ from torified.lattice import Cone, Fan, faces, standard_fan
 # time follows the host's load, so a per-example deadline would test the host.
 settings.register_profile("torified", deadline=None)
 settings.load_profile("torified")
+
+
+def clear_caches() -> None:
+    """Call every ``cache_clear`` found in a loaded ``torified`` module, so a
+    test that counts work reads no earlier test's answers, whatever caches
+    the library keeps."""
+    for name, module in list(sys.modules.items()):
+        if name == "torified" or name.startswith("torified."):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
 
 # The singular quadric-cone example: its monoid needs three generators with
 # one binomial relation.

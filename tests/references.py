@@ -3,10 +3,10 @@ former library helpers that only the tests call.
 
 Each oracle computed in the library what a shorter routine computes now, and
 the tests compare the two.  They use the library's primitives, but none of
-the code paths they stand in for.  The helpers at the end (the envelope
-writer's text joined, a fan's JSON form, disjoint unions, the Schubert
-order, identity and composed torified maps) left the library because no
-command, demo or library routine used them.
+the code paths they stand in for.  The determinant and the helpers at the
+end (the envelope writer's text joined, a fan's JSON form, disjoint unions,
+the Schubert order, identity and composed torified maps) left the library
+because no command, demo or library routine used them.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from math import comb, gcd
 from torified.intlinalg import (
     _eliminate,
     _with_identity,
-    det,
     dot,
     hnf_rows,
     kernel_basis,
@@ -184,7 +183,15 @@ def unit_pivot_hermite(m, ncols, inv=None):
     return r
 
 
-# --- unimodular inverses by elimination -----------------------------------------
+# --- determinants and unimodular inverses ----------------------------------------
+
+
+def det(rows):
+    """Determinant of a square integer matrix, by one Bareiss elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    pivots, d, sign = _eliminate(m, n)
+    return sign * d if len(pivots) == n else 0
 
 
 def invert_unimodular(rows):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compositions
+from conftest import clear_caches, compositions
 from references import dumps
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
@@ -35,7 +35,7 @@ from torified.gadgets import (
     cc_points,
     enumerate_monoid_homs,
 )
-from torified.lattice import Cone, faces, hilbert_basis, maximal_cones
+from torified.lattice import Cone, faces, maximal_cones
 from torified.monoids import monoid_of_cone
 from torified.torify import (
     Torification,
@@ -115,7 +115,7 @@ def test_spec_takes_one_hilbert_basis_for_all_faces(capsys, monkeypatch):
     rays = ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))
     cone = Cone(4, rays)
     assert not cone.is_simplicial and cone.dim == 4
-    monoid_of_cone.cache_clear()
+    clear_caches()
     named, computed, kernels = [], [], []
 
     def counted_hilbert_basis(c, of, *known, monoid_basis=monoids._monoid_basis):
@@ -384,8 +384,7 @@ def test_spec_of_non_simplicial_cone_in_dimension_5(capsys):
 
 def test_spec_refuses_an_over_budget_hilbert_basis(capsys, monkeypatch):
     # the dual of (0,1),(5001,-1) is (1,0),(1,5001): 5,002 basis elements
-    hilbert_basis.cache_clear()
-    monoid_of_cone.cache_clear()
+    clear_caches()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
     code, out, err = run(capsys, "spec", "--cone", "0,1;5001,-1")
     assert code == 2 and out == ""
@@ -394,7 +393,7 @@ def test_spec_refuses_an_over_budget_hilbert_basis(capsys, monkeypatch):
 
 def test_spec_budget_error_names_the_given_cone(capsys, monkeypatch):
     # the basis is computed modulo the units, on a 2-D cone the user never gave
-    monoid_of_cone.cache_clear()
+    clear_caches()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
     code, out, err = run(capsys, "spec", "--cone", "0,1,0;5001,-1,0")
     assert code == 2 and out == ""
@@ -408,7 +407,7 @@ def test_spec_budget_error_names_the_given_cone(capsys, monkeypatch):
 @pytest.mark.parametrize("cone", ["1,0;1,5001", "1,0,0;1,5001,0"])
 def test_spec_of_a_thin_cone_with_a_small_basis_fits_a_small_budget(capsys, monkeypatch, cone):
     # the dual has volume 5001 but 3 generators; the 2-D budget counts those
-    monoid_of_cone.cache_clear()
+    clear_caches()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
     code, data, _ = run_json(capsys, "spec", "--cone", cone)
     assert code == 0
@@ -417,7 +416,7 @@ def test_spec_of_a_thin_cone_with_a_small_basis_fits_a_small_budget(capsys, monk
 
 def test_spec_of_a_cone_of_volume_200000_is_quick(capsys):
     # the parallelepiped of its dual held 200,000 candidates: 3.3 s and 88 MB
-    monoid_of_cone.cache_clear()
+    clear_caches()
     with time_limit(2):
         code, data, _ = run_json(capsys, "spec", "--cone", "1,0;1,200000")
     assert code == 0
@@ -425,14 +424,11 @@ def test_spec_of_a_cone_of_volume_200000_is_quick(capsys):
 
 
 def test_spec_dualises_only_the_cone_and_its_dual_in_the_ambient_lattice(capsys, monkeypatch):
-    # each proper face's monoid is the dual of its generators' coordinates in
-    # the quotient by the units, of dimension dim(face) < 4; in Z^4 only the
-    # cone (for its monoid) and its dual (for the dual's Hilbert basis) are
-    # dualised
-    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
-                   lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
-                   lattice.validate_fan, monoid_of_cone):
-        cached.cache_clear()
+    # a proper face's monoid is localized from the cone's, and a lone monoid
+    # of a lower-dimensional cone would be dualised in the section
+    # coordinates of its generators; in Z^4 only the cone (for its monoid) and its dual (for the
+    # dual's Hilbert basis) are dualised
+    clear_caches()
     dimensions = []
     dual_pair = lattice._dual_pair
 
@@ -470,10 +466,7 @@ def test_spec_of_a_simplicial_cone_reduces_each_monoid_once(capsys, monkeypatch,
     # a simplicial cone's Hilbert basis comes from its one elimination: no
     # triangulation (whose pieces' determinants the budget reads) and no
     # dual for the facet normals
-    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
-                   lattice.faces, lattice.hilbert_basis, lattice.maximal_cones,
-                   lattice.validate_fan, monoid_of_cone):
-        cached.cache_clear()
+    clear_caches()
     called = []
 
     def recorded(name):
@@ -1440,9 +1433,7 @@ def test_validating_a_simplicial_fan_runs_no_kernel_and_lists_no_face(
 ):
     # the duals of simplicial cones come from one elimination, their faces in
     # the fan from ray masks, and reading the file closes them by ray subsets
-    for cached in (lattice._dual_pair, lattice.dual_cone, lattice.facet_normals,
-                   lattice.faces, lattice.maximal_cones, lattice.validate_fan):
-        cached.cache_clear()  # so that earlier tests' answers are not read
+    clear_caches()
     kernels, listed = [], []
     kernel_basis, faces = lattice.kernel_basis, lattice.faces
 
@@ -1469,9 +1460,7 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
 ):
     # the constructor reads a maximal cone's rank from the dual that its
     # facets come from, so P^n takes one elimination per maximal cone
-    for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone, lattice.facet_normals,
-                   lattice.faces, lattice.maximal_cones, lattice.validate_fan):
-        cached.cache_clear()
+    clear_caches()
     eliminations = []
     eliminate = intlinalg._eliminate
 

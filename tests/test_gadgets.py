@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
+from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE, clear_caches
 from references import (
     compose_maps,
     discover_relations,
@@ -603,7 +603,7 @@ def test_a_hand_built_monoid_of_a_cone_over_the_budget_is_still_counted(monkeypa
     # the cone's own monoid has 5,002 generators, over a budget of 1,000; the
     # hand-built one is not it, and its 3^2 assignments are within the budget
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
-    monoid_of_cone.cache_clear()
+    clear_caches()
     monoid = AffineMonoid(2, ((0, 1), (1, 0)), (), Cone(2, ((0, 1), (5001, -1))))
     assert count_monoid_homs(monoid, CyclicMonoidWithZero(2)) == 8
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from torified.intlinalg import (
     _hermite,
     _with_identity,
-    det,
     dot,
     hnf_rows,
     kernel_basis,
@@ -19,6 +18,7 @@ from torified.intlinalg import (
 )
 
 from references import (
+    det,
     euclid_hermite,
     invert_unimodular,
     minors_gcd,

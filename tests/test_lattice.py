@@ -25,6 +25,7 @@ from conftest import CONE_CORPUS
 from references import (
     all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
+    det,
     facet_subsets_faces,
     faces_closure,
     fan_to_dict,
@@ -44,7 +45,6 @@ from torified.errors import (
     NotPointed,
 )
 from torified.intlinalg import (
-    det,
     dot,
     mat_rank,
     mat_vec,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE
+from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE, clear_caches
 from references import monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
@@ -163,7 +163,7 @@ def test_monoid_of_cone_matches_the_dual_cone_in_the_ambient_lattice(cone, budge
 )
 def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
     # either way the basis is of the 2-D cone (1,0),(1,5001): 5,002 elements
-    monoid_of_cone.cache_clear()
+    clear_caches()
     monkeypatch.setenv("TORIFIED_BUDGET", "1000")
     with pytest.raises(BudgetExceeded) as caught:
         monoid_of_cone(cone)
@@ -173,25 +173,36 @@ def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
     )
 
 
+def test_a_lower_dimensional_cone_that_is_not_simplicial_has_the_reference_monoid():
+    # its quotient's dual is triangulated, on a count that follows the
+    # coordinates the dual is read in; the basis does not
+    cone = Cone(4, ((1, 2, 1, -1), (1, 4, 1, -3), (-4, -1, -4, -1), (-3, 0, -3, 2)))
+    assert cone.dim == 3 and not cone.is_simplicial
+    ref = three_branch_monoid_of_cone(cone)
+    clear_caches()
+    m = monoid_of_cone(cone)
+    assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
+
+
 def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
     # the units come back from kernel_basis in Hermite form, and the section
-    # from the inverse that row_hermite_transform carries: one call of each
-    # per face with units, no reduction at all for the full-dimensional face
-    # (no units, no section), and no Bareiss elimination of a transform (a
-    # unimodular inverse) for any face
+    # from the inverse that one reduction of [B^T | I] carries: one call of
+    # each per face with units, no reduction at all for the full-dimensional
+    # face (no units, no section), and no Bareiss elimination of a transform
+    # or its inverse (unimodular matrices) for any face
     cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
     calls, transforms, eliminated = [], [], []
-    kernel_basis, row_hermite_transform = monoids.kernel_basis, monoids.row_hermite_transform
+    kernel_basis, hermite = monoids.kernel_basis, monoids._hermite
 
     def counted_kernel(*args):
         calls.append("kernel_basis")
         return kernel_basis(*args)
 
-    def counted_transform(rows):
-        calls.append("row_hermite_transform")
-        result = row_hermite_transform(rows)
-        transforms.append(result[1])
-        return result
+    def counted_hermite(m, ncols, inv=None):
+        calls.append("_hermite")
+        rank = hermite(m, ncols, inv)
+        transforms.extend(([row[ncols:] for row in m], inv))
+        return rank
 
     def recorded(eliminate):
         def recorded_eliminate(m, ncols):
@@ -200,17 +211,14 @@ def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
         return recorded_eliminate
 
     monkeypatch.setattr(monoids, "kernel_basis", counted_kernel)
-    monkeypatch.setattr(monoids, "row_hermite_transform", counted_transform)
+    monkeypatch.setattr(monoids, "_hermite", counted_hermite)
     monkeypatch.setattr(intlinalg, "_eliminate", recorded(intlinalg._eliminate))
     monkeypatch.setattr(lattice, "_eliminate", recorded(lattice._eliminate))
     for face in faces(cone):
-        for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone,
-                       lattice.facet_normals, lattice.faces, lattice.hilbert_basis,
-                       lattice.maximal_cones, lattice.validate_fan, monoid_of_cone):
-            cached.cache_clear()
+        clear_caches()
         calls.clear(), transforms.clear(), eliminated.clear()
         monoid_of_cone(face)
-        reductions = [] if face.dim == 4 else ["kernel_basis", "row_hermite_transform"]
+        reductions = [] if face.dim == 4 else ["kernel_basis", "_hermite"]
         assert calls == reductions, face
         assert not any(m in transforms for m in eliminated), face
 
@@ -255,7 +263,7 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
         raise AssertionError("row_hermite_transform called")
 
     monkeypatch.setattr(monoids, "_hermite", counted_hermite)
-    monkeypatch.setattr(monoids, "row_hermite_transform", forbidden)
+    monkeypatch.setattr(lattice, "row_hermite_transform", forbidden)
     monkeypatch.setattr(intlinalg, "row_hermite_transform", forbidden)
     for face in faces(cone):
         inverses.clear()
@@ -273,17 +281,18 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
         ((1, 0, 0), (1, 2, 0), (1, 1, 5)),
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)),
         ((1,),),
+        ((1, 0, 0, 0), (1, 2, 0, 0), (1, 1, 5, 0)),  # read through the unit section
+        ((1, 0, 0), (1, 2, 0)),  # the same to a plane, whose basis takes no simplex
     ],
     ids=str,
 )
 def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays):
-    # _dual_pair's elimination of the rays gives the dual, and the dual's
+    # _dual_pair's elimination of the rays (or of their section coordinates
+    # in Z^d, for a cone of dimension d < n) gives the dual, and the dual's
     # parallelepiped is read from it (_dual_simplex): no second elimination
-    cone = Cone(len(rays), rays)
+    cone = Cone(len(rays[0]), rays)
     ref = three_branch_monoid_of_cone(cone)
-    for cached in (lattice._dual_pair, lattice._simplex, lattice.dual_cone,
-                   lattice.facet_normals, lattice.faces, lattice.hilbert_basis, monoid_of_cone):
-        cached.cache_clear()
+    clear_caches()
     eliminated = []
     eliminate = intlinalg._eliminate
 

@@ -11,10 +11,13 @@ in ``BENCHMARK.json`` as ``perfbench/run.py`` sizes it, is replayed
 in-process on each tree: one fresh process per tree, workload and seed, as ``perfbench``
 runs it, so that caches carry from op to op.  Each op's stdout without its
 ``timing_ms`` line, its stderr and its exit code are compared between the
-trees.  Then each demo of ``demos/`` is run on each tree, the tree's own
-script against its own ``src``, and their stdout and exit codes are compared.
-Every op and demo that differs is printed, and the exit code is 1 if any
-does, 0 otherwise.
+trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
+``LOWER_DIMENSIONAL``, whose monoids no benchmark op builds alone, are
+replayed and compared the same way, under ``TORIFIED_BUDGET=1000``.  Then
+each demo of ``demos/`` is run on each tree, the tree's own script against
+its own ``src``, and their stdout and exit codes are compared.  Every op and
+demo that differs is printed, and the exit code is 1 if any does, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,10 +37,35 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import WORKLOADS, make_plan  # noqa: E402
+from workloads import WORKLOADS, Op, make_plan  # noqa: E402
 
 # the envelope's keys are sorted, so timing_ms sits between result and tool
 TIMING_LINE = re.compile(r'^  "timing_ms": [0-9.e+-]+,\n', re.MULTILINE)
+
+# cones of lower dimension than their lattice, replayed after the plans
+LOWER_DIMENSIONAL = (
+    "1,1,0;1,-1,0",
+    "1,0,0,0;1,2,0,0;1,1,5,0",
+    "0,1,0;5001,-1,0",  # refused: the quotient's basis has 5,002 elements
+    "1,2,3",
+    "1,1,1,0;1,-1,0,1;1,0,0,0",
+    "1,0,1,0;0,1,1,0;-1,0,1,0;0,-1,1,0",  # not simplicial
+    # refused: the budget counts the parallelepiped points of a triangulation
+    # of the quotient's dual (1,193), and that count follows the coordinates
+    # the dual is read in, so a change of chart shows here
+    "1,2,1,-1;1,4,1,-3;-4,-1,-4,-1;-3,0,-3,2",
+)
+LOWER_DIMENSIONAL_BUDGET = "1000"
+
+
+def lower_dimensional_ops() -> list:
+    """``spec`` and ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
+    argvs = [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
+             for command in (["spec"], ["soule", "--m", "3"])]
+    ops = [Op("lower-dimensional", argv, None, 0.0) for argv in argvs]
+    for index, op in enumerate(ops):
+        op.index = index
+    return ops
 
 
 def replay(tree: str, workload: str, seed: int) -> None:
@@ -47,7 +75,11 @@ def replay(tree: str, workload: str, seed: int) -> None:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         seconds = float(json.load(fh)["run_seconds"])
-    ops = make_plan(workload, seed, seconds)
+    if workload == "lower-dimensional":
+        os.environ["TORIFIED_BUDGET"] = LOWER_DIMENSIONAL_BUDGET
+        ops = lower_dimensional_ops()
+    else:
+        ops = make_plan(workload, seed, seconds)
     with tempfile.TemporaryDirectory() as workdir:
         for op in ops:
             for rel, data in op.files.items():
@@ -81,6 +113,21 @@ def demo_output(tree: str, name: str) -> tuple[str, int]:
     return done.stdout, done.returncode
 
 
+def compare(tree: str, workload: str, seed: int) -> tuple[int, int]:
+    """(ops that differ, ops compared) for one workload and seed, printing each
+    op that differs."""
+    theirs, ours = records(tree, workload, seed), records(ROOT, workload, seed)
+    differing = 0
+    for a, b in zip(theirs, ours, strict=True):
+        if a != b:
+            differing += 1
+            parts = zip(("stdout", "stderr", "exit"), a[2:], b[2:])
+            what = [name for name, x, y in parts if x != y]
+            print(f"{workload} seed {seed} op {a[0]} {' '.join(a[1])}: "
+                  f"{', '.join(what)} differ", flush=True)
+    return differing, len(ours)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tree", help="the other checkout, compared with this one")
@@ -94,24 +141,18 @@ def main(argv=None) -> int:
     differing = total = 0
     for seed in args.seeds:
         for workload in WORKLOADS:
-            theirs = records(args.tree, workload, seed)
-            ours = records(ROOT, workload, seed)
-            for a, b in zip(theirs, ours, strict=True):
-                total += 1
-                if a != b:
-                    differing += 1
-                    parts = zip(("stdout", "stderr", "exit"), a[2:], b[2:])
-                    what = [name for name, x, y in parts if x != y]
-                    print(f"{workload} seed {seed} op {a[0]} {' '.join(a[1])}: "
-                          f"{', '.join(what)} differ", flush=True)
-            print(f"{workload} seed {seed}: {len(ours)} ops compared", flush=True)
+            d, t = compare(args.tree, workload, seed)
+            differing, total = differing + d, total + t
+            print(f"{workload} seed {seed}: {t} ops compared", flush=True)
     print(f"{differing} of {total} ops differ")
+    lower, argvs = compare(args.tree, "lower-dimensional", 0)
+    print(f"{lower} of {argvs} lower-dimensional argv differ")
     demos = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
     differing_demos = [name for name in demos if demo_output(args.tree, name) != demo_output(ROOT, name)]
     for name in differing_demos:
         print(f"demo {name}: stdout or exit differ", flush=True)
     print(f"{len(differing_demos)} of {len(demos)} demos differ")
-    return 1 if differing or differing_demos else 0
+    return 1 if differing or lower or differing_demos else 0
 
 
 if __name__ == "__main__":
