@@ -8,6 +8,8 @@ a process ended by SIGPIPE; nothing goes to stderr then).  Identical inputs
 produce byte-identical payloads apart from the timing field.  ``gadget``
 checks |X(D)| against N(|D| + 1) by the family's finite-field formula; a
 torification file has no formula, and its ``expected`` and ``match`` are null.
+``verify`` and ``gadget`` read only the delta vector, by one sum over it;
+``count`` and ``zeta`` shift it to the monomial basis once.
 
 ``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
 built-in family from its cell polynomials, so their cost does not grow with
@@ -87,7 +89,7 @@ from .torify import (
     torify_toric,
     torify_torus,
 )
-from .torify import _check_affine, _check_composition, _check_grassmannian, _check_sl
+from .torify import _check_affine, _check_composition, _check_grassmannian, _check_sl, _graded_terms
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -547,7 +549,7 @@ def cmd_torify(args) -> tuple[dict, int]:
 
 def cmd_count(args) -> tuple[dict, int]:
     qs = _parse_int_list(args.q, "q") if args.q else None
-    n_poly = CountingPolynomial.from_delta(_resolve_family(args).delta)
+    n_poly = CountingPolynomial(_resolve_family(args).delta)
     payload = {
         "delta": list(n_poly.delta),
         "mono": list(n_poly.mono),
@@ -559,7 +561,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
-    z = zeta(CountingPolynomial.from_delta(_resolve_family(args).delta))
+    z = zeta(CountingPolynomial(_resolve_family(args).delta))
     return {
         "factors": [list(f) for f in z.factors],
         "rendered": z.render(),
@@ -586,7 +588,7 @@ def cmd_gadget(args) -> tuple[dict, int]:
         # gated on N(|D| + 1), so a refusal reads no delta vector
         check_budget(expected, "group elements")
     # the delta_r tori of rank r contribute |D|^r points each
-    by_grade = {r: d * group.order**r for r, d in enumerate(fam.delta) if d}
+    by_grade = _graded_terms(fam.delta, group.order)
     total = sum(by_grade.values())
     payload = {
         "group": orders,
@@ -651,7 +653,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if not qs:
         raise UsageError("--q needs at least one value")
     fam = _resolve_family(args)
-    report = verify_counting_polynomial(CountingPolynomial.from_delta(fam.delta), *fam.oracle, qs)
+    report = verify_counting_polynomial(CountingPolynomial(fam.delta), *fam.oracle, qs)
     payload = {
         "family": args.family,
         "checks": [
@@ -702,8 +704,6 @@ def _render_text(sub: str, payload: dict) -> str:
     elif sub == "validate-fan":
         lines.append("valid" if payload["valid"] else "invalid")
         lines.extend(payload["violations"])
-    else:
-        lines.append(json.dumps(payload, sort_keys=True))
     return "\n".join(lines)
 
 
@@ -859,7 +859,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from Python 3.10.7
     try:
+        if limit:  # an int is written in full, however many digits it has
+            sys.set_int_max_str_digits(0)
         if args.format == "text":
             print(_render_text(args.subcommand, payload))
         else:
@@ -883,6 +886,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return PIPE_CLOSED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -1,15 +1,16 @@
 """Counting polynomials, their zeta-factor form, and finite-field oracles.
 
 A torification with delta vector (d_0, ..., d_d) counts points by
-N(q) = sum_l d_l (q-1)^l.  The monomial coefficients are the binomial
-transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k: the coefficients of
-D(q - 1) for D(x) = sum_k d_k x^k, found by a Taylor shift by -1 in O(d^2)
-additions.  The inverse transform, ``to_delta_basis``, is the shift by +1; it
-lives in ``torify``, where it also turns cell dimension polynomials into
-delta vectors.  The zeta function is the rational expression
-prod_i (s-i)^(-a_i), kept symbolically as its factor list.  The oracle side
-recomputes the same counts from classical product formulas over F_q, with
-every division checked to be exact.
+N(q) = sum_l d_l (q-1)^l, and the gadget by |X(D)| = N(|D| + 1): one sum over
+delta, ``torify._graded_terms``, at x = q - 1 and at x = |D|.  The monomial
+coefficients are the binomial transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k
+of the stored delta: the coefficients of D(q - 1) for D(x) = sum_k d_k x^k,
+one Taylor shift by -1 in O(d^2) additions, on the first read.  The inverse,
+``to_delta_basis``, is the shift by +1; it lives in ``torify``, where it also
+turns cell dimension polynomials into delta vectors.  The zeta function is
+the rational expression prod_i (s-i)^(-a_i), kept symbolically as its factor
+list.  The oracle side recomputes the same counts from classical product
+formulas over F_q, with every division checked to be exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import prod
 
 from .errors import UnknownFamily, Value
 from .lattice import Fan, require_valid
-from .torify import Torification, _taylor_shift, delta_vector
+from .torify import Torification, _graded_terms, _taylor_shift, delta_vector
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
@@ -28,54 +29,42 @@ def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
 
 
 class CountingPolynomial(Value):
-    """N(q) in both the (q-1)-basis (delta) and the monomial basis (mono)."""
+    """N(q) by its delta vector, the coefficients in the (q-1)-basis; the
+    monomial coefficients ``mono`` are derived on their first read."""
 
-    __slots__ = ("delta", "mono")
+    __slots__ = ("delta", "_mono")
 
-    def __init__(self, delta: tuple[int, ...], mono: tuple[int, ...]):
-        self._set(delta, mono)
+    def __init__(self, delta: Sequence[int]):
+        self._set(tuple(int(x) for x in delta), None)
 
-    @classmethod
-    def from_delta(cls, delta: Sequence[int]) -> "CountingPolynomial":
-        delta = tuple(int(x) for x in delta)
-        return cls(delta, to_monomial_basis(delta))
+    @property
+    def mono(self) -> tuple[int, ...]:
+        if self._mono is None:
+            object.__setattr__(self, "_mono", to_monomial_basis(self.delta))
+        return self._mono
 
     def poly_string(self) -> str:
-        if not any(self.mono):
-            return "0"
-        terms = []
-        for l in range(len(self.mono) - 1, -1, -1):
-            a = self.mono[l]
-            if a == 0:
-                continue
-            if l == 0:
-                body = str(abs(a))
-            else:
-                head = "" if abs(a) == 1 else f"{abs(a)}*"
-                body = f"{head}q" + (f"^{l}" if l > 1 else "")
-            if not terms:
-                terms.append(("-" if a < 0 else "") + body)
-            else:
-                terms.append(("- " if a < 0 else "+ ") + body)
-        return " ".join(terms)
+        terms, mono = [], self.mono
+        for l in range(len(mono) - 1, -1, -1):
+            a = mono[l]
+            if a:
+                coeff = "" if l and abs(a) == 1 else str(abs(a)) + ("*" if l else "")
+                power = "" if l == 0 else "q" if l == 1 else f"q^{l}"
+                sign = ("- " if a < 0 else "+ ") if terms else ("-" if a < 0 else "")
+                terms.append(sign + coeff + power)
+        return " ".join(terms) or "0"
 
     def __repr__(self) -> str:
         return f"CountingPolynomial({self.poly_string()})"
 
 
 def counting_polynomial(t: Torification) -> CountingPolynomial:
-    return CountingPolynomial.from_delta(delta_vector(t))
+    return CountingPolynomial(delta_vector(t))
 
 
 def eval_counting(n_poly: CountingPolynomial, q: int) -> int:
     """Exact value of N(q), from the (q-1)-basis."""
-    q = int(q)
-    total = 0
-    power = 1
-    for d_l in n_poly.delta:
-        total += d_l * power
-        power *= q - 1
-    return total
+    return sum(_graded_terms(n_poly.delta, int(q) - 1).values())
 
 
 class ZetaFunction(Value):

@@ -1,12 +1,13 @@
 """Underlying point-set functors of the two gadget constructions.
 
 On the group side, a torification sends a finite abelian group D to the
-disjoint union of D^rank over its tori, graded by rank; torified morphisms
-act per torus through an integer matrix on each factor.  On the monoid side,
-the local functor of a cone counts semigroup maps from the cone's monoid into
-a cyclic group with an absorbing zero adjoined; the count is computed two
-ways (the face formula vs. enumeration of the maps face by face, each a
-group hom on the generators orthogonal to its face) and the
+disjoint union of D^rank over its tori, graded by rank, so |X(D)| is
+sum_r delta_r |D|^r = N(|D| + 1), one sum over the delta vector; torified
+morphisms act per torus through an integer matrix on each factor.  On the
+monoid side, the local functor of a cone counts semigroup maps from the
+cone's monoid into a cyclic group with an absorbing zero adjoined; the count
+is computed two ways (the face formula vs. enumeration of the maps face by
+face, each a group hom on the generators orthogonal to its face) and the
 extension/restriction maps between the two pictures are exposed for
 round-trip checks.  :func:`count_monoid_homs` counts the maps that
 :func:`enumerate_monoid_homs` builds, by residues and without building them;
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import product as iproduct
+from math import prod
 from operator import mul
 
 from .budget import check_budget
@@ -25,7 +27,7 @@ from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
 from .intlinalg import Vector, dot, kernel_basis
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, _ray_values, monoid_of_cone
-from .torify import Torification
+from .torify import Torification, _graded_terms, delta_vector
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +46,7 @@ class FiniteAbelianGroup(Value):
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.cyclic_orders:
-            n *= m
-        return n
+        return prod(self.cyclic_orders)
 
     def elements(self):
         return iproduct(*(range(m) for m in self.cyclic_orders))
@@ -93,11 +92,7 @@ def abelian_group_types(max_order: int = 12) -> tuple[FiniteAbelianGroup, ...]:
     """One group per isomorphism type of order <= max_order (max 12)."""
     if max_order > 12:
         raise ValueError("isomorphism types are tabulated up to order 12")
-    return tuple(
-        FiniteAbelianGroup(t)
-        for t in ABELIAN_TYPES_UP_TO_12
-        if FiniteAbelianGroup(t).order <= max_order
-    )
+    return tuple(g for g in map(FiniteAbelianGroup, ABELIAN_TYPES_UP_TO_12) if g.order <= max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +100,16 @@ def abelian_group_types(max_order: int = 12) -> tuple[FiniteAbelianGroup, ...]:
 
 
 class GradedPointSet(Value):
-    """Per-torus point lists (or exact counts) of a torification at a group D.
+    """Per-torus point lists of a torification at a group D, or none.
 
-    A point of the torus of rank d is a d-tuple of elements of D.  In
-    counts-only mode the cardinalities are exact but no elements are stored.
+    A point of the torus of rank d is a d-tuple of elements of D.  The counts
+    are read from the delta vector, exact also when no point is stored.
     """
 
-    __slots__ = ("torification", "group", "counts_by_index", "points_by_index")
+    __slots__ = ("torification", "group", "points_by_index")
 
-    def __init__(self, torification: Torification, group, counts_by_index, points_by_index=None):
-        self._set(torification, group, counts_by_index, points_by_index)
+    def __init__(self, torification: Torification, group, points_by_index=None):
+        self._set(torification, group, points_by_index)
 
     @property
     def is_full(self) -> bool:
@@ -122,13 +117,10 @@ class GradedPointSet(Value):
 
     @property
     def total(self) -> int:
-        return sum(self.counts_by_index)
+        return sum(self.count_by_grade().values())
 
     def count_by_grade(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for rank, c in zip(self.torification.ranks(), self.counts_by_index):
-            out[rank] = out.get(rank, 0) + c
-        return out
+        return _graded_terms(delta_vector(self.torification), self.group.order)
 
     def points(self, index: int):
         if self.points_by_index is None:
@@ -143,17 +135,15 @@ def cc_points(t: Torification, group: FiniteAbelianGroup) -> GradedPointSet:
     exact counts only (``is_full`` is false), and asking it for points
     raises BudgetExceeded.
     """
-    order = group.order
-    counts = tuple(order**rank for rank in t.ranks())
+    counts = GradedPointSet(t, group)
     try:
-        check_budget(sum(counts), "elements")
+        check_budget(counts.total, "elements")
     except BudgetExceeded:
-        return GradedPointSet(t, group, counts, None)
+        return counts
     # every torus of rank r lists the same D^r, so tori of equal rank share it
     elements = tuple(group.elements())
     powers = {r: tuple(iproduct(elements, repeat=r)) for r in set(t.ranks())}
-    points = tuple(powers[rank] for rank in t.ranks())
-    return GradedPointSet(t, group, counts, points)
+    return GradedPointSet(t, group, tuple(powers[rank] for rank in t.ranks()))
 
 
 # ---------------------------------------------------------------------------

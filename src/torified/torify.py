@@ -33,8 +33,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import combinations, groupby, repeat, starmap
-from math import comb, factorial, prod
+from itertools import accumulate, combinations, groupby, repeat, starmap
+from math import factorial, prod
 
 from .budget import check_budget
 from .errors import (
@@ -230,6 +230,17 @@ def delta_vector(t: Torification) -> tuple[int, ...]:
     return t._delta
 
 
+def _graded_terms(delta: Sequence[int], x: int) -> dict[int, int]:
+    """{r: delta_r x^r} by ascending r with delta_r nonzero; the values sum
+    to N(q) at x = q - 1 and to |X(D)| at x = |D|.  One power per such r."""
+    terms, power, last = {}, 1, 0
+    for r, d in enumerate(delta):
+        if d:
+            power *= x ** (r - last)
+            terms[r], last = d * power, r
+    return terms
+
+
 def to_delta_basis(mono: Sequence[int]) -> tuple[int, ...]:
     """Coefficients in the (q-1)-basis of sum_l mono_l q^l:
     delta_k = sum_{l>=k} C(l,k) mono_l.
@@ -323,9 +334,10 @@ def _check_affine(n: int) -> None:
 
 
 def delta_affine_space(n: int) -> tuple[int, ...]:
-    """Delta vector of :func:`torify_affine_space`: C(n, l) tori of rank l."""
+    """Delta vector of :func:`torify_affine_space`: C(n, l) tori of rank l,
+    each binomial from the one before, C(n, l + 1) = C(n, l) (n - l) / (l + 1)."""
     _check_affine(n)
-    return tuple(comb(n, l) for l in range(n + 1))
+    return tuple(accumulate(range(n), lambda c, l: c * (n - l) // (l + 1), initial=1))
 
 
 def torify_toric(fan: Fan) -> Torification:
@@ -343,7 +355,7 @@ def delta_projective(n: int) -> tuple[int, ...]:
     every set of k <= n of its n+1 rays spans a cone, so C(n+1, l+1) tori
     have rank l = n - k."""
     _check_affine(n)
-    return tuple(comb(n + 1, l + 1) for l in range(n + 1))
+    return delta_affine_space(n + 1)[1:]
 
 
 def product(a: Torification, b: Torification) -> Torification:

@@ -504,6 +504,13 @@ def flat_product(a, b):
     return Torification(tori, charts)
 
 
+def counts_by_index(t, group):
+    """|D|^rank for each torus in order: the points of the group-side
+    functor torus by torus, which the library sums by rank from the delta
+    vector instead."""
+    return tuple(group.order**rank for rank in t.ranks())
+
+
 # --- helpers that only the tests call ------------------------------------------
 
 

@@ -13,6 +13,7 @@ from collections import namedtuple
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
 from math import comb
+from types import SimpleNamespace
 from typing import Callable
 
 import pytest
@@ -20,11 +21,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_caches, compositions
-from references import dumps
+from references import counts_by_index, dumps
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
-from torified import cli, gadgets, intlinalg, lattice, monoids
+from torified import cli, counting, gadgets, intlinalg, lattice, monoids, torify
 from torified.cli import main, torification_from_dict
 from torified.counting import oracle_point_count, verify_counting
 from torified.errors import BudgetExceeded
@@ -186,6 +187,112 @@ def test_gadget_elements_round_trip(capsys):
     )
     assert code == 0
     assert data["result"]["total"] == 6 + 1 + 1  # N(7) = 8
+
+
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's limit on the digits of an int's text (3.10.7 on) for the
+    block, as ``main`` does while it writes an envelope."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "--group", "2", "--family", "torus", "20000"],
+        ["verify", "--family", "affine", "15000", "--q", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ints_past_the_digit_limit_are_written_in_full(capsys, argv):
+    """2^20000 and 2^15000 have more than the 4,300 digits that str() gives
+    an int by default; the limit is back in place once ``main`` returns."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    with _unlimited_int_text():
+        result = json.loads(out)["result"]
+    if argv[0] == "gadget":
+        assert result["expected"] == result["total"] == 2**20000 and result["match"]
+    else:
+        assert result["checks"] == [{"q": 2, "counted": 2**15000, "oracle": 2**15000, "equal": True}]
+
+
+def _minus_one_shifts(monkeypatch) -> list[int]:
+    """The degrees of the Taylor shifts by -1 that run from now on, the
+    change from the (q-1)-basis to the monomial one."""
+    shifts, shift = [], torify._taylor_shift
+
+    def spy(coeffs, step):
+        if step == -1:
+            shifts.append(len(coeffs) - 1)
+        return shift(coeffs, step)
+
+    monkeypatch.setattr(torify, "_taylor_shift", spy)
+    monkeypatch.setattr(counting, "_taylor_shift", spy)
+    return shifts
+
+
+@pytest.mark.parametrize("family", [["grassmannian", "6", "12"], ["flag", "2", "2", "2"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv, shifts",
+    [
+        (["verify", "--q", "2,3,5"], 0),
+        (["gadget", "--group", "2,3"], 0),
+        (["count", "--q", "2,3,5"], 1),
+        (["zeta"], 1),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else None,
+)
+def test_only_count_and_zeta_change_the_basis(capsys, monkeypatch, family, argv, shifts):
+    """``verify`` and ``gadget`` read only the delta vector; ``count`` and
+    ``zeta`` print the monomial coefficients, one shift each."""
+    seen = _minus_one_shifts(monkeypatch)
+    code, _, _ = run(capsys, argv[0], "--family", *family, *argv[1:])
+    assert code == 0 and len(seen) == shifts
+
+
+FLAT_TORIFICATIONS = st.lists(st.builds(Torus, st.integers(0, 3)), max_size=5).map(Torification)
+
+
+@st.composite
+def built_torifications(draw):
+    """Flat torifications, and products and relabelings of them."""
+    t = draw(FLAT_TORIFICATIONS)
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            t = product(t, draw(FLAT_TORIFICATIONS))
+        else:
+            t = t.relabeled(draw(st.sampled_from(["", "p", "p/q"])))
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_torifications(), st.lists(st.integers(1, 4), max_size=2))
+def test_point_counts_by_grade_are_the_per_torus_sums(t, orders):
+    group = FiniteAbelianGroup(tuple(orders))
+    per_torus = counts_by_index(t, group)
+    by_grade: dict[int, int] = {}
+    for rank, c in zip(t.ranks(), per_torus):
+        by_grade[rank] = by_grade.get(rank, 0) + c
+    pts = cc_points(t, group)
+    assert pts.total == sum(per_torus)
+    assert pts.count_by_grade() == by_grade and list(pts.count_by_grade()) == sorted(by_grade)
+    args = SimpleNamespace(group=",".join(map(str, orders)), family=None, torification="t.json",
+                           elements=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_torification", lambda path: t)
+        payload, code = cli.cmd_gadget(args)
+    assert code == 0 and payload["total"] == sum(per_torus)
+    assert payload["by_grade"] == {str(r): c for r, c in by_grade.items()}
 
 
 def assert_file_gadget_matches(direct: dict, via_file: dict) -> None:

@@ -85,7 +85,7 @@ def test_transform_round_trip(delta):
     delta = tuple(delta)
     mono = to_monomial_basis(delta)
     assert to_delta_basis(mono) == delta
-    n_poly = CountingPolynomial.from_delta(delta)
+    n_poly = CountingPolynomial(delta)
     for q in range(-3, 11):
         direct = sum(c * (q - 1) ** l for l, c in enumerate(delta))
         by_mono = sum(a * q**l for l, a in enumerate(mono))
@@ -113,6 +113,15 @@ def test_counting_gr24():
     n_poly = counting_polynomial(torify_grassmannian(2, 4))
     assert n_poly.mono == (1, 1, 2, 1, 1)
     assert eval_counting(n_poly, 2) == 35
+
+
+def test_a_counting_polynomial_stores_its_delta_vector_only():
+    with pytest.raises(TypeError):
+        CountingPolynomial((1,), (5,))  # a second basis could disagree with delta
+    n_poly = CountingPolynomial([2, 3, 1])  # 2 + 3(q-1) + (q-1)^2
+    assert n_poly == CountingPolynomial((2, 3, 1)) and n_poly.delta == (2, 3, 1)
+    assert n_poly.mono == (0, 1, 1) and n_poly.mono is n_poly.mono  # shifted once
+    assert n_poly.poly_string() == "q^2 + q" and eval_counting(n_poly, 3) == 12
 
 
 def test_n_at_one_is_delta0():

@@ -13,8 +13,9 @@ runs it, so that caches carry from op to op.  Each op's stdout without its
 ``timing_ms`` line, its stderr and its exit code are compared between the
 trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
 ``LOWER_DIMENSIONAL``, whose monoids no benchmark op builds alone, are
-replayed and compared the same way, under ``TORIFIED_BUDGET=1000``.  Then
-each demo of ``demos/`` is run on each tree, the tree's own script against
+replayed and compared the same way, under ``TORIFIED_BUDGET=1000``, and so
+are the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of ``COUNTING``,
+at degrees beyond the benchmark's ladders.  Then each demo of ``demos/`` is run on each tree, the tree's own script against
 its own ``src``, and their stdout and exit codes are compared.  Every op and
 demo that differs is printed, and the exit code is 1 if any does, 0
 otherwise.
@@ -57,12 +58,33 @@ LOWER_DIMENSIONAL = (
 )
 LOWER_DIMENSIONAL_BUDGET = "1000"
 
+# the argv after the first read the torification that the first one writes;
+# ``verify`` takes a family only, so it does not read the file
+TORIFICATION_FILE = "flag_1_2_2_1.json"
+COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
+    [*command, *source]
+    for source in (
+        ["--family", "grassmannian", "8", "16"],
+        ["--family", "flag", "2", "2", "2", "2"],
+        ["--family", "sl", "7"],
+        ["--family", "projective", "40"],
+        ["--family", "torus", "60"],
+        ["--torification", TORIFICATION_FILE],
+    )
+    for command in (["count"], ["zeta"], ["verify", "--q", "2,3,5,7"], ["gadget", "--group", "2,3"])
+    if command[0] != "verify" or source[0] == "--family"
+]
 
-def lower_dimensional_ops() -> list:
-    """``spec`` and ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
-    argvs = [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
-             for command in (["spec"], ["soule", "--m", "3"])]
-    ops = [Op("lower-dimensional", argv, None, 0.0) for argv in argvs]
+
+def fixed_ops(kind: str) -> list:
+    """The argv of ``COUNTING``, or ``spec`` and ``soule --m 3`` of each cone
+    of ``LOWER_DIMENSIONAL``, as plan ops."""
+    if kind == "counting":
+        argvs = COUNTING
+    else:
+        argvs = [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
+                 for command in (["spec"], ["soule", "--m", "3"])]
+    ops = [Op(kind, argv, None, 0.0) for argv in argvs]
     for index, op in enumerate(ops):
         op.index = index
     return ops
@@ -77,7 +99,8 @@ def replay(tree: str, workload: str, seed: int) -> None:
         seconds = float(json.load(fh)["run_seconds"])
     if workload == "lower-dimensional":
         os.environ["TORIFIED_BUDGET"] = LOWER_DIMENSIONAL_BUDGET
-        ops = lower_dimensional_ops()
+    if workload in ("lower-dimensional", "counting"):
+        ops = fixed_ops(workload)
     else:
         ops = make_plan(workload, seed, seconds)
     with tempfile.TemporaryDirectory() as workdir:
@@ -93,6 +116,9 @@ def replay(tree: str, workload: str, seed: int) -> None:
                     code = cli.main(op.argv)
             except Exception as exc:  # a raising op is compared by its exception
                 code = f"raised {type(exc).__name__}: {exc}"
+            if op.argv == COUNTING[0]:
+                with open(TORIFICATION_FILE, "w") as fh:
+                    fh.write(out.getvalue())
             stdout = TIMING_LINE.sub("", out.getvalue())
             digest = hashlib.sha256(stdout.encode()).hexdigest()
             print(json.dumps([op.index, op.argv, digest, err.getvalue(), code]))
@@ -147,12 +173,14 @@ def main(argv=None) -> int:
     print(f"{differing} of {total} ops differ")
     lower, argvs = compare(args.tree, "lower-dimensional", 0)
     print(f"{lower} of {argvs} lower-dimensional argv differ")
+    counting, argvs = compare(args.tree, "counting", 0)
+    print(f"{counting} of {argvs} counting argv differ")
     demos = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
     differing_demos = [name for name in demos if demo_output(args.tree, name) != demo_output(ROOT, name)]
     for name in differing_demos:
         print(f"demo {name}: stdout or exit differ", flush=True)
     print(f"{len(differing_demos)} of {len(demos)} demos differ")
-    return 1 if differing or lower or differing_demos else 0
+    return 1 if differing or lower or counting or differing_demos else 0
 
 
 if __name__ == "__main__":
