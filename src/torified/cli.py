@@ -28,9 +28,9 @@ Torus object is made.  The envelope is streamed to stdout: dicts key by key,
 a torus listing one run at a time, and each torus's D^r as its shared
 blocks, so peak memory is bounded by the largest block and the kept D^r
 texts, not by the output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON
-to /dev/null in 0.07 s and peaks at 21 MB RSS, and ``gadget --elements
+to /dev/null in 0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements
 --group 6 --family affine 7`` (823,543 elements, 209 MB of JSON) takes
-0.14-0.19 s and peaks at 123 MB (Python 3.11, 2 vCPUs).
+0.12-0.16 s and peaks at 123 MB (Python 3.11, 2 vCPUs).
 
 The grammar of the command line is one table, ``_COMMANDS``.  :func:`_parse`
 reads an argv in its canonical forms (``--opt value``, ``--opt=value``, the

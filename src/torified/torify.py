@@ -2,13 +2,13 @@
 
 A torification is a finite multiset of labeled tori; the rank-l multiplicity
 vector (the delta vector) is everything the counting machinery needs, while
-labels record where each torus came from.  Affine families additionally carry
-charts: index sets of tori covered by one affine piece each.  The tori are
-stored as parts, a label prefix over a cell of tori that many parts share, so
-a Schubert or Bruhat listing holds each distinct cell once.  A cell is a run
-table: its maximal runs of tori of one rank, as label strings, so a listing
-builds no Torus object.  Ranks, counts and charts are read from the runs; the
-labeled tori are built only when ``tori`` is first read, all at once.
+labels record where each torus came from.  Affine families also carry charts:
+index sets of tori covered by one affine piece each.  The tori are stored as
+parts, a label prefix over a cell of tori that many parts share, so a Schubert
+or Bruhat listing holds each distinct cell once.  A cell is a run table: its
+maximal runs of tori of one rank, as label strings; no Torus is built until
+``tori`` is first read.  Ranks and charts are read from the runs, and the
+delta vector from each distinct cell's runs once, weighted by its parts.
 
 Built-ins: toric varieties from fans, affine spaces, products, Grassmannians
 and flag varieties by Schubert cells (no charts; those decompositions are
@@ -20,12 +20,12 @@ T^r x A^N for a group G (r = N = 0 for G/P), with the cell dimension
 polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
 vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
-number of tori.  Their ``torify_*`` constructors, the labeled listing and
-the enumerative reference, share one listing routine for the cells of G/P,
-which refuses more than the budget's c(2) tori before building anything;
-c(2) comes from a closed form, so not even c is built.  A group is its G/B
-listing times T^r x A^N by :func:`product`, which is gated on its size too
-and multiplies each distinct cell of its left factor once.
+number of tori.  The ``torify_*`` listings share one routine for the cells of
+G/P, which refuses more than the budget's c(2) tori (a closed form) before it
+builds the label tables of A^d; they grow in place, one concatenation per label.
+A group is its G/B listing times T^r x A^N by :func:`product`, gated on its
+size too, which multiplies each distinct cell of its left factor once and
+makes each label as ``x*`` + y, with ``x*`` made once per left label x.
 """
 
 from __future__ import annotations
@@ -172,9 +172,6 @@ class Torification:
         return f"Torification(delta={delta_vector(self)}, affine={self.is_affine})"
 
 
-_rank = operator.attrgetter("rank")
-
-
 def _join(prefix: str | None, label: str) -> str:
     """The label of a torus labeled ``label`` in a part with this prefix."""
     if prefix is None:
@@ -204,7 +201,8 @@ class _Cell:
 
     @classmethod
     def of(cls, tori: Iterable[Torus]) -> "_Cell":
-        return cls((rank, [t.label for t in run]) for rank, run in groupby(tori, _rank))
+        runs = groupby(tori, operator.attrgetter("rank"))
+        return cls((rank, [t.label for t in run]) for rank, run in runs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a cell is immutable; cannot set {name!r}")
@@ -217,14 +215,14 @@ class _Cell:
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
-    """Number of tori of each rank, indexed 0 .. dim: the run lengths of the
-    parts' cells, summed by rank.  Counted once per torification, which
-    cannot change."""
+    """Number of tori of each rank, indexed 0 .. dim: the run lengths of each
+    distinct cell (cells hash by identity), read once and weighted by its parts,
+    summed by rank; counted once per torification, which cannot change."""
     if t._delta is None:
         counts: Counter[int] = Counter()
-        for _, cell in t.parts:
+        for cell, parts in Counter(cell for _, cell in t.parts).items():
             for rank, labels in cell.runs:
-                counts[rank] += len(labels)
+                counts[rank] += parts * len(labels)
         delta = tuple(counts[rank] for rank in range(max(counts, default=-1) + 1))
         object.__setattr__(t, "_delta", delta)
     return t._delta
@@ -313,18 +311,19 @@ def torify_affine_space(n: int) -> Torification:
 
 def _affine_cells(dims: set[int]) -> dict[int, _Cell]:
     """The tori of A^d for each d in ``dims``, sorted by rank and label, as
-    run tables: the cells that the Schubert and Bruhat parts share.  The
-    labels of rank r in A^m are those of A^(m-1) merged with S + {m} for S of
-    rank r - 1 in A^(m-1), so each label is written once for all d."""
+    run tables: the cells that the Schubert and Bruhat parts share.  Rank r of
+    A^m is rank r of A^(m-1) extended in place by S + ",m" for S of rank r - 1
+    and sorted in place, so each label is one concatenation, made once for all d."""
     by_rank: list[list[str]] = []  # the labels of A^m, one list per rank
     cells = {}
     for m in range(max(dims) + 1):
         by_rank.append([] if m else ["axes:"])
         for r in range(m, 0, -1):  # downwards, so by_rank[r - 1] is still A^(m-1)'s
-            sep = "," if r > 1 else ""
-            by_rank[r] = sorted(by_rank[r] + [f"{s}{sep}{m}" for s in by_rank[r - 1]])
+            suffix = f",{m}" if r > 1 else str(m)
+            by_rank[r] += [s + suffix for s in by_rank[r - 1]]
+            by_rank[r].sort()  # two sorted runs: one merge
         if m in dims:
-            cells[m] = _Cell(enumerate(by_rank))
+            cells[m] = _Cell(enumerate(by_rank))  # copies the lists, which keep growing
     return cells
 
 
@@ -367,7 +366,8 @@ def product(a: Torification, b: Torification) -> Torification:
     b_runs = _Cell((r, [_join(q, l) for l in ls]) for q, cell in b.parts for r, ls in cell.runs).runs
 
     def times(runs) -> _Cell:
-        return _Cell((r + s, [f"{x}*{y}" for y in ys]) for r, xs in runs for x in xs for s, ys in b_runs)
+        heads = ((r, x + "*") for r, xs in runs for x in xs)  # one "x*" per left label x
+        return _Cell((r + s, [head + y for y in ys]) for r, head in heads for s, ys in b_runs)
 
     shared: dict[_Cell, _Cell] = {}
     parts = []

@@ -504,6 +504,17 @@ def flat_product(a, b):
     return Torification(tori, charts)
 
 
+def affine_cell_runs(m):
+    """The run table of the tori of A^m, written from the coordinate subsets:
+    for each rank r, the labels ``axes:i,j,...`` of the r-subsets of 1..m,
+    sorted as strings (from m = 10 on, ``axes:1,10`` sorts before
+    ``axes:1,2``)."""
+    return tuple(
+        (r, tuple(sorted("axes:" + ",".join(map(str, c)) for c in combinations(range(1, m + 1), r))))
+        for r in range(m + 1)
+    )
+
+
 def counts_by_index(t, group):
     """|D|^rank for each torus in order: the points of the group-side
     functor torus by torus, which the library sums by rank from the delta

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_caches, compositions
-from references import counts_by_index, dumps
+from references import affine_cell_runs, counts_by_index, dumps
 from test_gadgets import pointed_cones
 from test_lattice import time_limit
 
@@ -1151,6 +1151,24 @@ def test_listing_references_equal_the_whole_stdlib_text(spec, capsys):
     }
     whole = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     assert gadget_reference(out, t, (2, 3)) == whole
+
+
+def test_affine_listing_past_numeric_order_equals_the_reference(capsys):
+    # A^11: from A^10 on, the labels' string order is not their numeric order
+    code, out, _ = run(capsys, "torify", "affine", "11")
+    runs = affine_cell_runs(11)
+    envelope = {
+        "input": {"args": {"family_spec": ["affine", "11"], "format": "json"}, "subcommand": "torify"},
+        "result": {
+            "charts": [list(range(2**11))],
+            "delta": [len(labels) for _, labels in runs],
+            "dim": 11,
+            "tori": [{"label": label, "rank": r} for r, labels in runs for label in labels],
+        },
+        "timing_ms": json.loads(out)["timing_ms"],
+        "tool": {"name": "torified", "version": cli.__version__},
+    }
+    assert code == 0 and out == dumps(envelope) + "\n"
 
 
 class RecordingStdout:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import FAN_CORPUS, compositions
 from test_cli import TRICKY
 from references import (
+    affine_cell_runs,
     disjoint_union,
     flat_product,
     scanned_charts,
@@ -105,6 +106,18 @@ def test_affine_space_deltas():
     assert delta_vector(torify_affine_space(3)) == (1, 3, 3, 1)
 
 
+def test_affine_cell_tables_match_the_coordinate_subsets():
+    # the tables grow in place, so every dimension of one call is checked, and
+    # a few dimensions alone; from A^10 on, string order is not numeric order
+    cells = torify._affine_cells(set(range(15)))
+    assert sorted(cells) == list(range(15))
+    for m, cell in cells.items():
+        assert cell.runs == affine_cell_runs(m)
+    for m in (0, 1, 9, 10, 14):
+        alone = torify._affine_cells({m})
+        assert list(alone) == [m] and alone[m].runs == affine_cell_runs(m)
+
+
 def test_product_rules():
     gm2 = product(torify_torus(1), torify_torus(1))
     assert delta_vector(gm2) == (0, 0, 1)
@@ -163,6 +176,28 @@ def test_product_matches_the_flat_product(a, b):
     assert tuple(got.tori) == tuple(want.tori) and got.charts == want.charts
     assert got == want and want == got and hash(got) == hash(want)
     assert delta_vector(got) == delta_vector(want)
+
+
+@given(parted_torifications(), parted_torifications(), PREFIXES.filter(lambda p: p is not None))
+def test_delta_vector_counts_the_ranks(a, b, prefix):
+    for t in (a, product(a, b), a.relabeled(prefix)):
+        counts = Counter(t.ranks())
+        assert delta_vector(t) == tuple(counts[r] for r in range(t.dim + 1))
+        assert t.dim == max(counts, default=-1)
+
+
+def test_delta_vector_reads_each_distinct_cell_once(monkeypatch):
+    t = torify_flag((1, 1, 2, 2))  # 180 Schubert cells of 14 dimensions
+    assert len(t.parts) == 180
+    reads, runs = [], _Cell.runs  # the slot's descriptor
+
+    def spy(cell):
+        reads.append(cell)
+        return runs.__get__(cell, _Cell)
+
+    monkeypatch.setattr(_Cell, "runs", property(spy))
+    assert sum(delta_vector(t)) == len(t)
+    assert len(reads) == len({id(cell) for cell in reads}) == 14
 
 
 def test_product_is_refused_over_the_budget_before_building(monkeypatch):

@@ -15,10 +15,11 @@ trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
 ``LOWER_DIMENSIONAL``, whose monoids no benchmark op builds alone, are
 replayed and compared the same way, under ``TORIFIED_BUDGET=1000``, and so
 are the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of ``COUNTING``,
-at degrees beyond the benchmark's ladders.  Then each demo of ``demos/`` is run on each tree, the tree's own script against
-its own ``src``, and their stdout and exit codes are compared.  Every op and
-demo that differs is printed, and the exit code is 1 if any does, 0
-otherwise.
+at degrees beyond the benchmark's ladders, and the listings of ``LISTINGS``,
+larger than any benchmark op.  Then each demo of ``demos/`` is run on each
+tree, the tree's own script against its own ``src``, and their stdout and
+exit codes are compared.  Every op and demo that differs is printed, and the
+exit code is 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -75,12 +76,24 @@ COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
     if command[0] != "verify" or source[0] == "--family"
 ]
 
+# listings past the benchmark's ladders: the one flag listing it leaves out
+# (615,195 tori), cells up to A^18 (788,035 tori, 78 MB), labels of A^16 past
+# numeric order, and a gadget point listing over Schubert cells
+LISTINGS = [
+    ["torify", "flag", "1", "1", "1", "1", "1", "1"],
+    ["torify", "grassmannian", "3", "9"],
+    ["torify", "affine", "16"],
+    ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "1", "1", "1"],
+]
+
 
 def fixed_ops(kind: str) -> list:
-    """The argv of ``COUNTING``, or ``spec`` and ``soule --m 3`` of each cone
-    of ``LOWER_DIMENSIONAL``, as plan ops."""
+    """The argv of ``COUNTING`` or ``LISTINGS``, or ``spec`` and ``soule --m
+    3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
     if kind == "counting":
         argvs = COUNTING
+    elif kind == "large-listings":
+        argvs = LISTINGS
     else:
         argvs = [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
                  for command in (["spec"], ["soule", "--m", "3"])]
@@ -99,7 +112,7 @@ def replay(tree: str, workload: str, seed: int) -> None:
         seconds = float(json.load(fh)["run_seconds"])
     if workload == "lower-dimensional":
         os.environ["TORIFIED_BUDGET"] = LOWER_DIMENSIONAL_BUDGET
-    if workload in ("lower-dimensional", "counting"):
+    if workload in ("lower-dimensional", "counting", "large-listings"):
         ops = fixed_ops(workload)
     else:
         ops = make_plan(workload, seed, seconds)
@@ -175,12 +188,14 @@ def main(argv=None) -> int:
     print(f"{lower} of {argvs} lower-dimensional argv differ")
     counting, argvs = compare(args.tree, "counting", 0)
     print(f"{counting} of {argvs} counting argv differ")
+    listings, argvs = compare(args.tree, "large-listings", 0)
+    print(f"{listings} of {argvs} listing argv differ")
     demos = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
     differing_demos = [name for name in demos if demo_output(args.tree, name) != demo_output(ROOT, name)]
     for name in differing_demos:
         print(f"demo {name}: stdout or exit differ", flush=True)
     print(f"{len(differing_demos)} of {len(demos)} demos differ")
-    return 1 if differing or lower or counting or differing_demos else 0
+    return 1 if differing or lower or counting or listings or differing_demos else 0
 
 
 if __name__ == "__main__":
