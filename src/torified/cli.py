@@ -8,29 +8,31 @@ a process ended by SIGPIPE; nothing goes to stderr then).  Identical inputs
 produce byte-identical payloads apart from the timing field.  ``gadget``
 checks |X(D)| against N(|D| + 1) by the family's finite-field formula; a
 torification file has no formula, and its ``expected`` and ``match`` are null.
-``verify`` and ``gadget`` read only the delta vector, by one sum over it;
-``count`` and ``zeta`` shift it to the monomial basis once.
+``verify`` and ``gadget`` read only the delta vector, by one sum over it.
 
-``count``, ``zeta``, ``verify`` and ``gadget`` read the delta vector of a
-built-in family from its cell polynomials, so their cost does not grow with
-the number of tori.  The families are one table, ``FAMILIES``, and a delta
-vector is computed only when a command reads it.  ``torify`` counts the tori
-as N(2), the points over F_2 by the finite-field formula (one per torus), and
-refuses a listing over the enumeration budget before it builds a torus or a
-delta vector.  Torifications are built only for ``torify`` listings, for
-``gadget --elements`` and for ``toric`` fan files, and each is built at most
-once per command.  A torus listing writes each run of a part as one join
+A built-in family is its record in the library's table, ``counting._FAMILIES``
+(check, rows, formula, listing); ``FAMILIES`` adds the arity and conversion of
+its parameters.  Each row is computed when first read, and kept: ``zeta``
+prints the monomial row and runs no Taylor shift on a built-in family,
+``count`` prints both rows and runs one on ``grassmannian``, ``flag`` and
+``sl``, none on the others; both run one on a fan or a torification file,
+whose delta vector is read from its tori.  ``torify`` counts the tori as N(2),
+the points over F_2 by the finite-field formula (one per torus), and refuses a
+listing over the enumeration budget before it builds a torus or a delta
+vector.  Torifications are built only for ``torify`` listings, for ``gadget
+--elements`` and for ``toric`` fan files, and each is built at most once per
+command.  A torus listing writes each run of a part as one join
 (``_ToriList``): one scan per run of a distinct cell decides whether any of
 its labels needs an escape, only such a run is escaped label by label, and the
 part's "/" rides in the join's glue.  A D^r is rendered once per rank
 (``_Power``), as one join per group element over the points of D^(r-1); no
-Torus object is made.  The envelope is streamed to stdout: dicts key by key,
-a torus listing one run at a time, and each torus's D^r as its shared
-blocks, so peak memory is bounded by the largest block and the kept D^r
-texts, not by the output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON
-to /dev/null in 0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements
---group 6 --family affine 7`` (823,543 elements, 209 MB of JSON) takes
-0.12-0.16 s and peaks at 123 MB (Python 3.11, 2 vCPUs).
+Torus object is made.  The envelope is streamed to stdout: dicts key by key, a
+torus listing one run at a time, and each torus's D^r as its shared blocks, so
+peak memory is bounded by the largest block and the kept D^r texts, not by the
+output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to /dev/null in
+0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements --group 6 --family
+affine 7`` (823,543 elements, 209 MB of JSON) takes 0.12-0.16 s and peaks at
+123 MB (Python 3.11, 2 vCPUs).
 
 The grammar of the command line is one table, ``_COMMANDS``.  :func:`_parse`
 reads an argv in its canonical forms (``--opt value``, ``--opt=value``, the
@@ -59,8 +61,8 @@ from types import SimpleNamespace
 
 from . import __version__
 from .budget import check_budget
-from .counting import CountingPolynomial, eval_counting, verify_counting_polynomial, zeta
-from .counting import oracle_point_count
+from .counting import _FAMILIES, CountingPolynomial, _zeta, eval_counting, oracle_point_count
+from .counting import to_monomial_basis, verify_counting_polynomial
 from .errors import BudgetExceeded, TorifiedError
 from .gadgets import (
     CyclicMonoidWithZero,
@@ -69,27 +71,9 @@ from .gadgets import (
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
-from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, standard_fan, validate_fan
+from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, validate_fan
 from .monoids import _dscheme, dscheme_of_fan, monoid_of_cone
-from .torify import (
-    Torification,
-    Torus,
-    chevalley_data_sl,
-    delta_affine_space,
-    delta_flag,
-    delta_grassmannian,
-    delta_projective,
-    delta_sl,
-    delta_torus,
-    delta_vector,
-    torify_affine_space,
-    torify_chevalley,
-    torify_flag,
-    torify_grassmannian,
-    torify_toric,
-    torify_torus,
-)
-from .torify import _check_affine, _check_composition, _check_grassmannian, _check_sl, _graded_terms
+from .torify import Torification, Torus, _graded_terms, delta_vector, to_delta_basis
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -402,75 +386,49 @@ def _parse_cone(raw: str) -> Cone:
 
 
 class Family:
-    """A resolved family spec or torification file: its delta vector and its
-    torification, each computed when first read, and the oracle (family,
-    params).  Without ``compute_delta`` the delta is read from the built
-    torification, so it is built once."""
+    """A family spec or file: its oracle (family, params), None for a file, and
+    its rows and torification, each computed when first read and kept."""
 
-    def __init__(self, compute_delta: Callable[[], tuple[int, ...]] | None,
-                 build: Callable[[], Torification], oracle: tuple[str, object] | None):
-        self.compute_delta, self.build, self.oracle = compute_delta, build, oracle
+    def __init__(self, oracle: tuple[str, object] | None, build: Callable[[], Torification]):
+        self.oracle, self.build = oracle, build
+        self._record = _FAMILIES[oracle[0] if oracle else "toric"]  # a file has only its tori too
 
     @functools.cached_property
     def delta(self) -> tuple[int, ...]:
-        if self.compute_delta is None:
-            return delta_vector(self.torification)
-        return self.compute_delta()
+        if self._record.delta:
+            return self._record.delta(self.oracle[1])
+        return to_delta_basis(self.mono) if self._record.mono else delta_vector(self.torification)
+
+    @functools.cached_property
+    def mono(self) -> Sequence[int]:
+        record = self._record
+        return record.mono(self.oracle[1]) if record.mono else to_monomial_basis(self.delta)
 
     @functools.cached_property
     def torification(self) -> Torification:
         return self.build()
 
 
-def _parser(count: int, convert: Callable[[str], object], check=None) -> Callable:
-    """A parser of ``count`` parameters (one or more if 0), each converted by
-    ``convert``, to the value if ``count`` is 1 and else the tuple, vetted by ``check``."""
-
-    def parse(family: str, params: list[str]) -> object:
-        if len(params) != count if count else not params:
-            got = f"{count or 'one or more'} parameter(s), got {len(params)}"
-            raise UsageError(f"family {family!r} takes {got}")
-        try:
-            values = tuple(map(convert, params))
-        except ValueError as exc:
-            raise UsageError(f"family {family!r} needs integer parameters") from exc
-        value = values[0] if count == 1 else values
-        if check:
-            check(value)
-        return value
-
-    return parse
-
-
-# name: (parser to the oracle's params, the oracle's name, delta or None to read it from the
-# torification, builder).  The lambdas look the library's functions up when called, so a test
-# can replace one; Torus(n) checks n.
-_TORUS = (_parser(1, int, Torus), "gm", lambda n: delta_torus(n), lambda n: torify_torus(n))
-FAMILIES = {
-    "affine": (_parser(1, int, _check_affine), "affine",
-               lambda n: delta_affine_space(n), lambda n: torify_affine_space(n)),
-    "projective": (_parser(1, int, _check_affine), "projective", lambda n: delta_projective(n),
-                   lambda n: torify_toric(standard_fan("projective_space", n))),
-    "torus": _TORUS,
-    "gm": _TORUS,
-    "grassmannian": (_parser(2, int, lambda kn: _check_grassmannian(*kn)), "grassmannian",
-                     lambda kn: delta_grassmannian(*kn), lambda kn: torify_grassmannian(*kn)),
-    "flag": (_parser(0, int, _check_composition), "flag",
-             lambda c: delta_flag(c), lambda c: torify_flag(c)),
-    "sl": (_parser(1, int, _check_sl), "sl",
-           lambda n: delta_sl(n), lambda n: torify_chevalley(chevalley_data_sl(n))),
-    "toric": (_parser(1, load_fan), "toric", None, lambda fan: torify_toric(fan)),
-}
+# name: (number of parameters, 0 for one or more; the conversion of each); the rest is its record
+FAMILIES = {"affine": (1, int), "projective": (1, int), "torus": (1, int), "gm": (1, int),
+            "grassmannian": (2, int), "flag": (0, int), "sl": (1, int), "toric": (1, load_fan)}
 
 
 def build_family(family: str, params: list[str]) -> Family:
-    """Delta vector, tori builder and oracle pair for a family spec; only the
-    parameters are parsed and checked here."""
+    """A family spec's record at its parameters, which are parsed and checked."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    parse, oracle, delta, build = FAMILIES[family]
-    p = parse(family, params)
-    return Family(None if delta is None else lambda: delta(p), lambda: build(p), (oracle, p))
+    count, convert = FAMILIES[family]
+    if len(params) != count if count else not params:
+        got = f"{count or 'one or more'} parameter(s), got {len(params)}"
+        raise UsageError(f"family {family!r} takes {got}")
+    try:
+        values = tuple(map(convert, params))
+    except ValueError as exc:
+        raise UsageError(f"family {family!r} needs integer parameters") from exc
+    p = values[0] if count == 1 else values
+    _FAMILIES[family].check(p)
+    return Family((family, p), lambda: _FAMILIES[family].build(p))
 
 
 def torification_to_dict(t: Torification) -> dict:
@@ -517,7 +475,7 @@ def load_torification(path: str) -> Torification:
 def _resolve_family(args) -> Family:
     if getattr(args, "torification", None):
         t = load_torification(args.torification)
-        return Family(None, lambda: t, None)
+        return Family(None, lambda: t)
     if getattr(args, "family", None):
         return build_family(args.family[0], args.family[1:])
     raise UsageError("give either --family NAME PARAMS... or --torification FILE")
@@ -549,7 +507,8 @@ def cmd_torify(args) -> tuple[dict, int]:
 
 def cmd_count(args) -> tuple[dict, int]:
     qs = _parse_int_list(args.q, "q") if args.q else None
-    n_poly = CountingPolynomial(_resolve_family(args).delta)
+    fam = _resolve_family(args)
+    n_poly = CountingPolynomial._of_rows(fam.delta, fam.mono)
     payload = {
         "delta": list(n_poly.delta),
         "mono": list(n_poly.mono),
@@ -561,7 +520,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
-    z = zeta(CountingPolynomial(_resolve_family(args).delta))
+    z = _zeta(_resolve_family(args).mono)
     return {
         "factors": [list(f) for f in z.factors],
         "rendered": z.render(),

@@ -1,26 +1,36 @@
-"""Counting polynomials, their zeta-factor form, and finite-field oracles.
+"""Counting polynomials, their zeta-factor form, finite-field oracles, and
+the table of built-in families.
 
 A torification with delta vector (d_0, ..., d_d) counts points by
 N(q) = sum_l d_l (q-1)^l, and the gadget by |X(D)| = N(|D| + 1): one sum over
 delta, ``torify._graded_terms``, at x = q - 1 and at x = |D|.  The monomial
-coefficients are the binomial transform a_l = sum_{k>=l} (-1)^(k-l) C(k,l) d_k
-of the stored delta: the coefficients of D(q - 1) for D(x) = sum_k d_k x^k,
-one Taylor shift by -1 in O(d^2) additions, on the first read.  The inverse,
-``to_delta_basis``, is the shift by +1; it lives in ``torify``, where it also
-turns cell dimension polynomials into delta vectors.  The zeta function is
-the rational expression prod_i (s-i)^(-a_i), kept symbolically as its factor
-list.  The oracle side recomputes the same counts from classical product
-formulas over F_q, with every division checked to be exact.
+coefficients ``mono`` are those of D(q - 1) for D(x) = sum_k d_k x^k, one
+Taylor shift by -1 in O(d^2) additions, on the first read; ``to_delta_basis``
+in ``torify`` is the shift by +1.  The zeta function is prod_i (s-i)^(-a_i),
+kept as its factor list.  The oracles count the same points by classical
+product formulas over F_q, with every division checked to be exact.
+
+``_FAMILIES`` holds one record per built-in family: check, delta, mono (each
+from cells or binomials, not the formula), formula and listing.  A row given
+as None is one Taylor shift of the other: ``affine``, ``projective``, ``gm``
+(or ``torus``) and ``sl`` give both rows, ``grassmannian`` and ``flag`` their
+cell polynomial as mono, and ``toric`` neither, its delta read from the listing.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
+from itertools import accumulate
 from math import prod
 
 from .errors import UnknownFamily, Value
-from .lattice import Fan, require_valid
-from .torify import Torification, _graded_terms, _taylor_shift, delta_vector
+from .lattice import require_valid, standard_fan
+from .torify import Torification, _check_affine, _check_composition, _check_grassmannian
+from .torify import _check_rank, _check_sl, _flag_polynomial, _gaussian_polynomial, _graded_terms
+from .torify import _poly_mul, _taylor_shift, chevalley_data_sl, delta_affine_space
+from .torify import delta_projective, delta_sl, delta_torus, delta_vector, torify_affine_space
+from .torify import torify_chevalley, torify_flag, torify_grassmannian, torify_toric, torify_torus
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
@@ -36,6 +46,13 @@ class CountingPolynomial(Value):
 
     def __init__(self, delta: Sequence[int]):
         self._set(tuple(int(x) for x in delta), None)
+
+    @classmethod
+    def _of_rows(cls, delta: Sequence[int], mono: Sequence[int]) -> CountingPolynomial:
+        """N(q) with its monomial coefficients given too: a family record's rows."""
+        out = object.__new__(cls)
+        out._set(tuple(delta), tuple(mono))
+        return out
 
     @property
     def mono(self) -> tuple[int, ...]:
@@ -107,9 +124,12 @@ class ZetaFunction(Value):
 
 def zeta(n_poly: CountingPolynomial) -> ZetaFunction:
     """Factor (i, -a_i) for every nonzero monomial coefficient a_i."""
-    return ZetaFunction(
-        tuple((i, -a) for i, a in enumerate(n_poly.mono) if a != 0)
-    )
+    return _zeta(n_poly.mono)
+
+
+def _zeta(mono: Sequence[int]) -> ZetaFunction:
+    """:func:`zeta` of the monomial coefficients alone, as a family record gives them."""
+    return ZetaFunction(tuple((i, -a) for i, a in enumerate(mono) if a != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,36 +172,56 @@ def sl_group_order(n: int, q: int) -> int:
     return q ** (n * (n - 1) // 2) * _tree_product([q**i - 1 for i in range(2, n + 1)])
 
 
+def _signed_row(n: int) -> tuple[int, ...]:
+    """Monomial coefficients of (q-1)^n, (-1)^(n-l) C(n, l), each from the one before."""
+    return tuple(accumulate(range(n), lambda c, l: -c * (n - l) // (l + 1), initial=(-1) ** n))
+
+
+#: Each entry looks the library's functions up when called, so tests can patch them.
+_Family = namedtuple("_Family", "check delta mono formula build")
+_FAMILIES = {
+    "toric": _Family(require_valid, None, None,
+                     lambda fan, q: sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones),
+                     lambda fan: torify_toric(fan)),
+    "affine": _Family(_check_affine, lambda n: delta_affine_space(n), lambda n: (0,) * n + (1,),
+                      lambda n, q: q**n, lambda n: torify_affine_space(n)),
+    "projective": _Family(_check_affine, lambda n: delta_projective(n), lambda n: (1,) * (n + 1),
+                          lambda n, q: _exact_div(q ** (n + 1) - 1, q - 1),
+                          lambda n: torify_toric(standard_fan("projective_space", n))),
+    "gm": _Family(_check_rank, lambda n: delta_torus(n), lambda n: _signed_row(n),
+                  lambda n, q: (q - 1) ** n, lambda n: torify_torus(n)),
+    "grassmannian": _Family(lambda kn: _check_grassmannian(*kn), None,
+                            lambda kn: _gaussian_polynomial(kn[1], kn[0]),
+                            lambda kn, q: gaussian_binomial(kn[1], kn[0], q),
+                            lambda kn: torify_grassmannian(*kn)),
+    "flag": _Family(_check_composition, None, lambda c: _flag_polynomial(c),
+                    lambda c, q: q_multinomial(tuple(c), q), lambda c: torify_flag(c)),
+    # each Bruhat cell A^(s_w) x T^(n-1) x A^N counts q^(s_w) (q-1)^(n-1) q^N
+    "sl": _Family(_check_sl, lambda n: delta_sl(n),
+                  lambda n: _poly_mul([0] * (n * (n - 1) // 2) + _flag_polynomial((1,) * n),
+                                      _signed_row(n - 1)),
+                  lambda n, q: sl_group_order(n, q),
+                  lambda n: torify_chevalley(chevalley_data_sl(n))),
+}
+_FAMILIES["torus"] = _FAMILIES["gm"]
+
+
 def oracle_point_count(family: str, params, q: int) -> int:
     """Point count over F_q by the classical formula for each family.
 
     Families: ``toric`` (params: Fan), ``affine`` (n), ``projective`` (n),
-    ``grassmannian`` ((k, n)), ``flag`` (composition), ``sl`` (n), ``gm`` (n).
-    The formulas are used as polynomials in q; primality of q is the caller's
-    business.
+    ``grassmannian`` ((k, n)), ``flag`` (composition), ``sl`` (n), ``gm`` or
+    ``torus`` (n), checked as the listing checks them.  The formulas are used
+    as polynomials in q; primality of q is the caller's business.
     """
     q = int(q)
     if q < 2:
         raise ValueError("oracle formulas require q >= 2")
-    if family == "toric":
-        fan: Fan = params
-        require_valid(fan)
-        return sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones)
-    if family == "affine":
-        return q ** int(params)
-    if family == "projective":
-        n = int(params)
-        return _exact_div(q ** (n + 1) - 1, q - 1)
-    if family == "grassmannian":
-        k, n = params
-        return gaussian_binomial(n, k, q)
-    if family == "flag":
-        return q_multinomial(tuple(params), q)
-    if family == "sl":
-        return sl_group_order(int(params), q)
-    if family == "gm":
-        return (q - 1) ** int(params)
-    raise UnknownFamily(f"no oracle for family {family!r}")
+    record = _FAMILIES.get(family)
+    if record is None:
+        raise UnknownFamily(f"no oracle for family {family!r}")
+    record.check(params)
+    return record.formula(params, q)
 
 
 class CountCheck(Value):

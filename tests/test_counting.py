@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAN_CORPUS, singular_fan
+from conftest import FAN_CORPUS, compositions, singular_fan
 from references import binomial_to_delta_basis, binomial_to_monomial_basis
 
+from torified import counting
 from torified.counting import (
     CountingPolynomial,
     counting_polynomial,
@@ -24,6 +25,7 @@ from torified.counting import (
 from torified.errors import UnknownFamily
 from torified.torify import (
     chevalley_data_sl,
+    delta_vector,
     product,
     to_delta_basis,
     torify_affine_space,
@@ -233,6 +235,43 @@ def test_oracle_unknown_family():
 def test_oracle_requires_q_at_least_two():
     with pytest.raises(ValueError):
         oracle_point_count("gm", 1, 1)
+
+
+def test_torus_and_gm_name_one_family():
+    # `verify --family torus` and the oracle read one record under both names
+    assert counting._FAMILIES["torus"] is counting._FAMILIES["gm"]
+    assert oracle_point_count("torus", 3, 4) == oracle_point_count("gm", 3, 4) == 27
+    assert verify_counting(torify_torus(3), "torus", 3, (2, 5)).ok
+
+
+# every built-in family in the documented scope of its rows, by record name
+RECORD_PARAMS = {
+    "affine": range(41),
+    "projective": range(41),
+    "gm": range(41),
+    "grassmannian": [(k, n) for n in range(13) for k in range(n + 1)],
+    "flag": [c for n in range(8) for c in compositions(n)],
+    "sl": range(1, 9),
+}
+
+
+@pytest.mark.parametrize("family", list(RECORD_PARAMS))
+def test_family_records_give_one_polynomial_in_two_bases(family):
+    """A record's rows, from cells or binomials, are one polynomial: each is
+    the other's Taylor shift, and the monomial row sums to the formula; where
+    the listing has at most 20,160 tori, delta counts them."""
+    record = counting._FAMILIES[family]
+    for params in RECORD_PARAMS[family]:
+        record.check(params)
+        mono = tuple(record.mono(params))
+        delta = record.delta(params) if record.delta else to_delta_basis(mono)
+        assert to_delta_basis(mono) == delta and to_monomial_basis(delta) == mono, params
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            n_q = oracle_point_count(family, params, q)
+            assert sum(a * q**l for l, a in enumerate(mono)) == n_q == record.formula(params, q)
+        if sum(delta) <= 20160:
+            t = record.build(params)
+            assert sum(delta) == len(t) and delta == delta_vector(t), params
 
 
 # --- verification -----------------------------------------------------------------

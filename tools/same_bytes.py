@@ -68,12 +68,19 @@ COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
         ["--family", "grassmannian", "8", "16"],
         ["--family", "flag", "2", "2", "2", "2"],
         ["--family", "sl", "7"],
+        ["--family", "affine", "40"],
         ["--family", "projective", "40"],
         ["--family", "torus", "60"],
         ["--torification", TORIFICATION_FILE],
     )
     for command in (["count"], ["zeta"], ["verify", "--q", "2,3,5,7"], ["gadget", "--group", "2,3"])
     if command[0] != "verify" or source[0] == "--family"
+] + [
+    # the monomial rows of the signed binomial row and of q^N [n]_q! (q-1)^(n-1),
+    # at degrees 1,500 and 399, past the benchmark's ladders
+    [command, "--family", *family]
+    for family in (["torus", "1500"], ["sl", "20"])
+    for command in ("count", "zeta")
 ]
 
 # listings past the benchmark's ladders: the one flag listing it leaves out
