@@ -19,20 +19,23 @@ prints the monomial row and runs no Taylor shift on a built-in family,
 whose delta vector is read from its tori.  ``torify`` counts the tori as N(2),
 the points over F_2 by the finite-field formula (one per torus), and refuses a
 listing over the enumeration budget before it builds a torus or a delta
-vector.  Torifications are built only for ``torify`` listings, for ``gadget
---elements`` and for ``toric`` fan files, and each is built at most once per
-command.  A torus listing writes each run of a part as one join
-(``_ToriList``): one scan per run of a distinct cell decides whether any of
-its labels needs an escape, only such a run is escaped label by label, and the
-part's "/" rides in the join's glue.  A D^r is rendered once per rank
-(``_Power``), as one join per group element over the points of D^(r-1); no
-Torus object is made.  The envelope is streamed to stdout: dicts key by key, a
-torus listing one run at a time, and each torus's D^r as its shared blocks, so
-peak memory is bounded by the largest block and the kept D^r texts, not by the
-output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to /dev/null in
-0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements --group 6 --family
-affine 7`` (823,543 elements, 209 MB of JSON) takes 0.12-0.16 s and peaks at
-123 MB (Python 3.11, 2 vCPUs).
+vector.  Torifications are built only for ``torify`` listings and for
+``toric`` fan files, and each is built at most once per command: ``gadget
+--elements`` reads a built-in family's torus ranks from its record, which
+lists them from the cells with no label made, and reads a file's from its
+tori.  A torus listing writes each run of a part as one join (``_ToriList``):
+one scan per run of a distinct cell decides whether any of its labels needs an
+escape, only such a run is escaped label by label, and the part's "/" rides
+in the join's glue.  A D^r is rendered once per rank (``_Power``), as one join
+per group element over the points of D^(r-1), and ``elements`` is one block
+(``_Elements``) that writes each torus's key and then its rank's shared
+blocks; no Torus object is made.  The envelope is streamed to stdout: dicts
+key by key, a torus listing one run at a time, and each torus's D^r as its
+shared blocks, so peak memory is bounded by the largest block and the kept D^r
+texts, not by the output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to
+/dev/null in 0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements
+--group 6 --family affine 7`` (823,543 elements, 209 MB of JSON) takes
+0.12-0.14 s and peaks at 122-124 MB (Python 3.11, 2 vCPUs).
 
 The grammar of the command line is one table, ``_COMMANDS``.  :func:`_parse`
 reads an argv in its canonical forms (``--opt value``, ``--opt=value``, the
@@ -194,8 +197,8 @@ _INT, _STR, _SEQUENCES = {int}, {str}, {list, tuple}
 
 
 class _Block:
-    """A list in an envelope that writes its own JSON text, the same text
-    ``json.dumps`` gives its items at ``depth``, through ``write`` (``render``
+    """A list or dict in an envelope that writes its own JSON text, the same
+    text ``json.dumps`` gives it at ``depth``, through ``write`` (``render``
     is the writer's renderer, for nested plain values)."""
 
     __slots__ = ()
@@ -291,11 +294,15 @@ class _Power(_Block):
         self.texts: dict[int, tuple[str, ...]] = {}
 
     def write_json(self, depth: int, render, write) -> None:
+        for text in self.blocks(depth, render):
+            write(text)
+
+    def blocks(self, depth: int, render) -> tuple[str, ...]:
+        """The texts of D^rank at ``depth``, rendered on the first call and kept."""
         texts = self.texts.get(depth)
         if texts is None:
             texts = self.texts[depth] = self._blocks(depth, render)
-        for text in texts:
-            write(text)
+        return texts
 
     def _blocks(self, depth: int, render) -> tuple[str, ...]:
         inner1, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
@@ -316,6 +323,35 @@ class _Power(_Block):
             blocks.append((glue + e + sep).join([before + e + sep + rows[0], *rows[1:]]))
             before = glue
         return (*blocks, tail)
+
+
+class _Elements(_Block):
+    """The ``elements`` of a gadget listing: the dict ``{str(i): D^(ranks[i])}``
+    over the tori, with one :class:`_Power` per rank that all its tori share.
+    Its keys are written in the order ``sort_keys`` gives them, as strings (10
+    before 2), each in one write with the text before it, and then its rank's
+    blocks, rendered at the first torus of that rank; no dict of the tori is
+    made."""
+
+    __slots__ = ("ranks", "powers")
+
+    def __init__(self, ranks: Sequence[int], elements: tuple):
+        self.ranks = ranks
+        self.powers = {r: _Power(elements, r) for r in set(ranks)}
+
+    def write_json(self, depth: int, render, write) -> None:
+        if not self.ranks:
+            write("{}")
+            return
+        powers = self.powers
+        inner = "\n" + "  " * (depth + 1)
+        before = "{" + inner + '"'
+        for key, rank in sorted(zip(map(str, range(len(self.ranks))), self.ranks)):
+            write(before + key + '": ')
+            for text in powers[rank].blocks(depth + 1, render):
+                write(text)
+            before = "," + inner + '"'
+        write("\n" + "  " * depth + "}")
 
 
 def _warn(msg: str) -> None:
@@ -403,6 +439,13 @@ class Family:
     def mono(self) -> Sequence[int]:
         record = self._record
         return record.mono(self.oracle[1]) if record.mono else to_monomial_basis(self.delta)
+
+    @functools.cached_property
+    def ranks(self) -> Sequence[int]:
+        """The rank of each torus in listing order: from the cells, or the tori if none."""
+        if self._record.ranks:
+            return self._record.ranks(self.oracle[1])
+        return tuple(self.torification.ranks())
 
     @functools.cached_property
     def torification(self) -> Torification:
@@ -561,10 +604,7 @@ def cmd_gadget(args) -> tuple[dict, int]:
         if expected is None:
             check_budget(total, "group elements")
         # each torus of rank r lists D^r: one block per rank, rendered once
-        ranks = tuple(fam.torification.ranks())
-        elements = tuple(group.elements())
-        powers = {r: _Power(elements, r) for r in set(ranks)}
-        payload["elements"] = {str(i): powers[r] for i, r in enumerate(ranks)}
+        payload["elements"] = _Elements(fam.ranks, tuple(group.elements()))
     code = CHECK_FAILED if payload["match"] is False else 0
     return payload, code
 

@@ -11,25 +11,28 @@ kept as its factor list.  The oracles count the same points by classical
 product formulas over F_q, with every division checked to be exact.
 
 ``_FAMILIES`` holds one record per built-in family: check, delta, mono (each
-from cells or binomials, not the formula), formula and listing.  A row given
-as None is one Taylor shift of the other: ``affine``, ``projective``, ``gm``
-(or ``torus``) and ``sl`` give both rows, ``grassmannian`` and ``flag`` their
-cell polynomial as mono, and ``toric`` neither, its delta read from the listing.
+from cells or binomials, not the formula), formula, listing, and the rank of
+each torus of the listing in order, from the cells with no label made.  A row
+given as None is one Taylor shift of the other: ``affine``, ``projective``,
+``gm`` (or ``torus``) and ``sl`` give both rows, ``grassmannian`` and ``flag``
+their cell polynomial as mono, and ``toric`` neither, its delta and its ranks
+read from the listing.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import prod
 
 from .errors import UnknownFamily, Value
 from .lattice import require_valid, standard_fan
-from .torify import Torification, _check_affine, _check_composition, _check_grassmannian
-from .torify import _check_rank, _check_sl, _flag_polynomial, _gaussian_polynomial, _graded_terms
-from .torify import _poly_mul, _taylor_shift, chevalley_data_sl, delta_affine_space
-from .torify import delta_projective, delta_sl, delta_torus, delta_vector, torify_affine_space
+from .torify import Torification, _cell_ranks, _check_affine, _check_composition
+from .torify import _check_grassmannian, _check_rank, _check_sl, _flag_polynomial
+from .torify import _gaussian_polynomial, _graded_terms, _poly_mul, _taylor_shift
+from .torify import chevalley_data_sl, delta_affine_space, delta_projective, delta_sl
+from .torify import delta_torus, delta_vector, schubert_cells_grassmannian, torify_affine_space
 from .torify import torify_chevalley, torify_flag, torify_grassmannian, torify_toric, torify_torus
 
 
@@ -178,30 +181,40 @@ def _signed_row(n: int) -> tuple[int, ...]:
 
 
 #: Each entry looks the library's functions up when called, so tests can patch them.
-_Family = namedtuple("_Family", "check delta mono formula build")
+_Family = namedtuple("_Family", "check delta mono formula build ranks")
 _FAMILIES = {
     "toric": _Family(require_valid, None, None,
                      lambda fan, q: sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones),
-                     lambda fan: torify_toric(fan)),
+                     lambda fan: torify_toric(fan), None),
     "affine": _Family(_check_affine, lambda n: delta_affine_space(n), lambda n: (0,) * n + (1,),
-                      lambda n, q: q**n, lambda n: torify_affine_space(n)),
+                      lambda n, q: q**n, lambda n: torify_affine_space(n),
+                      lambda n: _cell_ranks([(n, 1)])),
+    # the fan's cones by dimension k, C(n+1, k) of them, each a torus of rank n - k
     "projective": _Family(_check_affine, lambda n: delta_projective(n), lambda n: (1,) * (n + 1),
                           lambda n, q: _exact_div(q ** (n + 1) - 1, q - 1),
-                          lambda n: torify_toric(standard_fan("projective_space", n))),
+                          lambda n: torify_toric(standard_fan("projective_space", n)),
+                          lambda n: list(chain.from_iterable(
+                              map(repeat, range(n, -1, -1), delta_affine_space(n + 1))))),
     "gm": _Family(_check_rank, lambda n: delta_torus(n), lambda n: _signed_row(n),
-                  lambda n, q: (q - 1) ** n, lambda n: torify_torus(n)),
+                  lambda n, q: (q - 1) ** n, lambda n: torify_torus(n), lambda n: [n]),
     "grassmannian": _Family(lambda kn: _check_grassmannian(*kn), None,
                             lambda kn: _gaussian_polynomial(kn[1], kn[0]),
                             lambda kn, q: gaussian_binomial(kn[1], kn[0], q),
-                            lambda kn: torify_grassmannian(*kn)),
+                            lambda kn: torify_grassmannian(*kn),
+                            lambda kn: _cell_ranks((d, 1)
+                                                   for _, d in schubert_cells_grassmannian(*kn))),
+    # the cells sorted by dimension, mono_d of dimension d
     "flag": _Family(_check_composition, None, lambda c: _flag_polynomial(c),
-                    lambda c, q: q_multinomial(tuple(c), q), lambda c: torify_flag(c)),
+                    lambda c, q: q_multinomial(tuple(c), q), lambda c: torify_flag(c),
+                    lambda c: _cell_ranks(enumerate(_flag_polynomial(c)))),
     # each Bruhat cell A^(s_w) x T^(n-1) x A^N counts q^(s_w) (q-1)^(n-1) q^N
     "sl": _Family(_check_sl, lambda n: delta_sl(n),
                   lambda n: _poly_mul([0] * (n * (n - 1) // 2) + _flag_polynomial((1,) * n),
                                       _signed_row(n - 1)),
                   lambda n, q: sl_group_order(n, q),
-                  lambda n: torify_chevalley(chevalley_data_sl(n))),
+                  lambda n: torify_chevalley(chevalley_data_sl(n)),
+                  lambda n: _cell_ranks(enumerate(_flag_polynomial((1,) * n)),
+                                        _cell_ranks([(n * (n - 1) // 2, 1)], [n - 1]))),
 }
 _FAMILIES["torus"] = _FAMILIES["gm"]
 

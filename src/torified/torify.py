@@ -262,15 +262,6 @@ def _taylor_shift(coeffs: Sequence[int], step: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of coefficient lists; on delta vectors, the delta of a product."""
     out = [0] * (len(a) + len(b) - 1)
@@ -401,6 +392,28 @@ def _cell_listing(tori: int, cells: Callable[[], Iterable[tuple[str, int]]]) -> 
     return Torification.from_parts((label, shared[s_w]) for label, s_w in cells)
 
 
+def _cell_ranks(cells: Iterable[tuple[int, int]], right: Sequence[int] | None = None) -> list[int]:
+    """The rank of each torus of a cell listing, in order, with no label made:
+    ``count`` cells A^d for each ``(d, count)`` in turn, each cell's tori by
+    ascending rank as :func:`_affine_cells` lists them (C(d, r) of rank r),
+    and each torus times the tori of ranks ``right``, if given, as
+    :func:`product` takes them.  Each dimension's ranks are built once, from
+    its Pascal row."""
+    rows: dict[int, list[int]] = {}
+    out: list[int] = []
+    for d, count in cells:
+        row = rows.get(d)
+        if row is None:
+            row = []
+            for r, c in enumerate(delta_affine_space(d)):
+                row += [r] * c
+            if right is not None:
+                row = [r + s for r in row for s in right]
+            rows[d] = row
+        out += row * count
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Schubert cells
 
@@ -417,10 +430,8 @@ def schubert_cells_grassmannian(k: int, n: int) -> list[tuple[tuple[int, ...], i
     sum_t (i_t - t).
     """
     _check_grassmannian(k, n)
-    return [
-        (idx, sum(i - t for t, i in enumerate(idx, start=1)))
-        for idx in combinations(range(1, n + 1), k)
-    ]
+    base = k * (k + 1) // 2  # sum_t t
+    return [(idx, sum(idx) - base) for idx in combinations(range(1, n + 1), k)]
 
 
 def torify_grassmannian(k: int, n: int) -> Torification:
@@ -444,14 +455,20 @@ def _schubert_tori(composition: Sequence[int]) -> int:
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
-    """Coefficients of the Gaussian binomial [n choose k]_q, by the q-Pascal
-    rule [m choose j]_q = [m-1 choose j-1]_q + q^j [m-1 choose j]_q."""
-    row: list[list[int]] = [[1]] + [[] for _ in range(k)]  # m = 0; [] is zero
-    for m in range(1, n + 1):
-        for j in range(min(m, k), 0, -1):  # downwards, so row[j - 1] is still m - 1
-            shifted = [0] * j + row[j] if row[j] else []
-            row[j] = _poly_add(row[j - 1], shifted)
-    return row[k]
+    """Coefficients of the Gaussian binomial [n choose k]_q, by the product
+    formula [n choose j]_q = [n choose j-1]_q (1 - q^(n-j+1)) / (1 - q^j) for
+    j = 1..min(k, n - k): per j, one multiplication by a binomial and one exact
+    division by another, each O(j(n - j)) additions."""
+    row = [1]
+    for j in range(1, min(k, n - k) + 1):
+        a = n - j + 1
+        row += [0] * a
+        for i in range(len(row) - 1, a - 1, -1):  # times 1 - q^a, downwards
+            row[i] -= row[i - a]
+        for i in range(j, len(row)):  # over 1 - q^j: r_i = p_i + r_(i-j), upwards
+            row[i] += row[i - j]
+        del row[len(row) - j:]  # the quotient's degree is j less; these are 0
+    return row
 
 
 def delta_grassmannian(k: int, n: int) -> tuple[int, ...]:

@@ -488,6 +488,20 @@ def binomial_to_monomial_basis(delta):
     )
 
 
+def q_pascal_gaussian(n, k):
+    """Coefficients of the Gaussian binomial [n choose k]_q by the q-Pascal
+    rule [m choose j]_q = [m-1 choose j-1]_q + q^j [m-1 choose j]_q, one table
+    row per m: the library's rule before the product formula."""
+    row = [[1]] + [[] for _ in range(k)]  # m = 0; [] is zero
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):  # downwards, so row[j - 1] is still m - 1
+            low, high = row[j - 1], [0] * j + row[j] if row[j] else []
+            if len(low) < len(high):
+                low, high = high, low
+            row[j] = [x + (high[i] if i < len(high) else 0) for i, x in enumerate(low)]
+    return row[k]
+
+
 # --- products of torifications, torus by torus -------------------------------------
 
 

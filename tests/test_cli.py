@@ -1046,6 +1046,21 @@ def test_power_blocks_match_stdlib_on_materialized(orders, rank):
         value, points = [value], [points]
 
 
+@given(st.lists(st.integers(0, 3), max_size=150), st.sampled_from([(), (1,), (2,), (3,), (2, 2), (4,)]),
+       st.integers(0, 3))
+# 1, 2 and 3 digits of keys, whose string order leaves the numeric order at 10 and 100
+@example([2, 0, 1, 3, 1, 0, 0, 2, 1, 1, 3], (2,), 2)
+@example([1] * 101 + [0, 3, 2], (3,), 1)
+@example([], (2,), 2)
+def test_elements_block_matches_stdlib_on_the_dict_of_points(ranks, orders, depth):
+    elements = tuple(FiniteAbelianGroup(orders).elements())
+    points = {str(i): [list(p) for p in iproduct(elements, repeat=r)] for i, r in enumerate(ranks)}
+    value, plain = cli._Elements(ranks, elements), points
+    for _ in range(depth):
+        value, plain = [value], [plain]
+    assert dumps(value) == json.dumps(plain, sort_keys=True, indent=2)
+
+
 def _ladder():
     out = [("grassmannian", k, n) for n in range(1, 9) for k in range(n + 1)]
     out += [("flag", *c) for n in range(1, 7) for c in compositions(n)]
@@ -1455,6 +1470,30 @@ def test_listings_checked_against_budget_before_building(capsys, monkeypatch, tm
         code, out, err = run(capsys, *argv)
         assert code == expected
     assert err == "error: 5 group elements exceed the budget of 4\n"
+
+
+def test_gadget_elements_of_a_built_in_family_builds_no_listing(capsys, monkeypatch, tmp_path):
+    # the ranks come from the cells: no torus, label or fan is made
+    path = tmp_path / "sl2.json"
+    path.write_text(run(capsys, "torify", "sl", "2")[1])
+    direct = run_json(capsys, "gadget", "--elements", "--group", "2,2", "--family", "sl", "2")[1]
+
+    def refuse(*args):
+        raise AssertionError("gadget --elements built a listing")
+
+    for name in dir(counting):
+        if name.startswith("torify_") or name in ("standard_fan", "chevalley_data_sl"):
+            monkeypatch.setattr(counting, name, refuse)
+    monkeypatch.setattr(torify, "_affine_cells", refuse)
+    for family in (["affine", "3"], ["projective", "3"], ["torus", "3"], ["grassmannian", "2", "5"],
+                   ["flag", "1", "2", "1"], ["sl", "3"]):
+        assert run(capsys, "gadget", "--elements", "--group", "2", "--family", *family)[0] == 0
+    # a torification file and a fan file are read for their tori
+    via_file = run_json(capsys, "gadget", "--elements", "--group", "2,2", "--torification", str(path))
+    assert via_file[0] == 0
+    assert_file_gadget_matches(direct["result"], via_file[1]["result"])
+    with pytest.raises(AssertionError, match="built a listing"):
+        main(["gadget", "--elements", "--group", "2", "--family", "toric", os.path.join(DATA, "p2_fan.json")])
 
 
 def test_projective_and_sl_counting_build_nothing(capsys, monkeypatch):

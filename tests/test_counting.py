@@ -1,5 +1,6 @@
 """Counting polynomials, basis transforms, zeta factors, and the oracles."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,23 @@ def test_family_records_give_one_polynomial_in_two_bases(family):
         if sum(delta) <= 20160:
             t = record.build(params)
             assert sum(delta) == len(t) and delta == delta_vector(t), params
+
+
+@pytest.mark.parametrize("family", list(RECORD_PARAMS))
+def test_family_records_give_the_ranks_of_their_listing(family):
+    """A record's ranks, read from the cells with no label made, are its
+    listing's in order where that has at most 20,160 tori, and count delta by
+    rank where it has at most 200,000."""
+    record = counting._FAMILIES[family]
+    for params in RECORD_PARAMS[family]:
+        record.check(params)
+        delta = record.delta(params) if record.delta else to_delta_basis(record.mono(params))
+        if sum(delta) <= 200_000:
+            ranks = record.ranks(params)
+            counts = Counter(ranks)
+            assert len(ranks) == sum(delta) and all(counts[r] == d for r, d in enumerate(delta))
+            if sum(delta) <= 20160:
+                assert tuple(ranks) == tuple(record.build(params).ranks()), params
 
 
 # --- verification -----------------------------------------------------------------

@@ -15,6 +15,7 @@ from references import (
     affine_cell_runs,
     disjoint_union,
     flat_product,
+    q_pascal_gaussian,
     scanned_charts,
     scanned_face_relation,
     scanned_maximal_cones,
@@ -308,6 +309,23 @@ def test_torify_grassmannian_deltas():
     assert delta_vector(torify_grassmannian(1, 2)) == (2, 1)
     assert delta_vector(torify_grassmannian(4, 4)) == (1,)
     assert torify_grassmannian(2, 4).charts is None
+
+
+@given(st.integers(0, 45).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((0, 0))
+@example((1, 1))
+@example((60, 30))
+def test_gaussian_polynomial_is_the_q_pascal_row(nk):
+    # the product formula against the q-Pascal table that it replaced
+    n, k = nk
+    assert torify._gaussian_polynomial(n, k) == q_pascal_gaussian(n, k)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_schubert_cell_dimensions_are_sums_over_the_index(n):
+    for k in range(n + 1):
+        cells = schubert_cells_grassmannian(k, n)
+        assert [d for _, d in cells] == [sum(i - t for t, i in enumerate(idx, 1)) for idx, _ in cells]
 
 
 def test_flag_cells_s3_by_brute_inversions():

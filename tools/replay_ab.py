@@ -10,14 +10,20 @@ and seed S, sized by ``run_seconds`` in ``BENCHMARK.json`` as
 replays).  One persistent worker process per tree imports that tree's
 ``torified`` once.  A pass clears every ``lru_cache`` of the package, runs
 ``gc.collect()``, and then replays the whole plan in-process through
-``torified.cli.main``, output discarded, timed by ``time.perf_counter``.
-The workers take turns, one pass each, and the one that goes first
-alternates from pair to pair, so drift in the host's speed falls on both.
+``torified.cli.main``, timed by ``time.perf_counter`` as a whole and op by
+op.  Each op writes into a new ``io.StringIO``, as ``perfbench/child.py``
+captures it, and the text is dropped: a buffer that is emptied and written
+again leaves the fast path of ``StringIO.write``, which made a pass about
+2.7 times as slow as the child's ops on ``listings``.  The workers take
+turns, one pass each, and the one that goes first alternates from pair to
+pair, so drift in the host's speed falls on both.
 
-It prints each tree's median pass time, the median over the pairs of the
-B/A time ratio, the number of pairs in which B was faster, and how many ops
-raised in a pass, if any did.  Nothing in ``perfbench/`` is changed or run
-apart from the plan generator.
+It prints each tree's median pass time and its median per-op p50 and p90
+(each pass's median and 90th percentile op latency, by the inclusive method
+that ``perfbench/run.py`` uses, with the median taken over the passes), the
+median over the pairs of the B/A time ratio, the number of pairs in which B
+was faster, and how many ops raised in a pass, if any did.  Nothing in
+``perfbench/`` is changed or run apart from the plan generator.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ def _clear_caches() -> None:
 
 def worker(tree: str, workload: str, seed: int) -> None:
     """Replay the plan on ``tree`` once per line read from stdin, and write
-    each pass's seconds and the number of ops that raised as one line."""
+    each pass's seconds, the number of ops that raised and the p50 and p90
+    of its op latencies as one line."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     from torified import cli
 
@@ -68,39 +75,42 @@ def worker(tree: str, workload: str, seed: int) -> None:
         report = sys.stdout
         for _ in sys.stdin:
             _clear_caches()
-            sink = io.StringIO()
-            raised = 0
+            raised, latencies = 0, []
             start = time.perf_counter()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                for op in ops:
-                    try:
+            for op in ops:
+                t0 = time.perf_counter()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
                         cli.main(op.argv)
-                    except Exception:  # timed all the same, and counted
-                        raised += 1
-                    sink.seek(0)
-                    sink.truncate()
-            report.write(f"{time.perf_counter() - start} {raised}\n")
+                except Exception:  # timed all the same, and counted
+                    raised += 1
+                latencies.append(time.perf_counter() - t0)
+            seconds = time.perf_counter() - start
+            p90 = statistics.quantiles(latencies, n=10, method="inclusive")[-1]
+            report.write(f"{seconds} {raised} {statistics.median(latencies)} {p90}\n")
             report.flush()
 
 
 class Worker:
     """The worker process of tree ``side`` ("a" or "b"), started with the
-    caller's own arguments; calling it runs one pass."""
+    caller's own arguments; calling it runs one pass and returns its seconds
+    and its op p50 and p90."""
 
     def __init__(self, argv: list[str], side: str):
         argv = [sys.executable, os.path.abspath(__file__), *argv, "--worker", side]
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.raised = 0
 
-    def __call__(self) -> float:
+    def __call__(self) -> tuple[float, float, float]:
         self.proc.stdin.write("\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited with {self.proc.wait()}")
-        seconds, raised = line.split()
+        seconds, raised, p50, p90 = line.split()
         self.raised = int(raised)
-        return float(seconds)
+        return float(seconds), float(p50), float(p90)
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -134,11 +144,13 @@ def main(argv=None) -> int:
     finally:
         a.close()
         b.close()
-    ratio = statistics.median(tb / ta for ta, tb in pairs)
-    wins = sum(tb < ta for ta, tb in pairs)
+    ratio = statistics.median(tb[0] / ta[0] for ta, tb in pairs)
+    wins = sum(tb[0] < ta[0] for ta, tb in pairs)
     print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs")
-    print(f"A median {statistics.median(ta for ta, _ in pairs) * 1e3:.1f} ms  ({args.tree_a})")
-    print(f"B median {statistics.median(tb for _, tb in pairs) * 1e3:.1f} ms  ({args.tree_b})")
+    for side, tree, passes in (("A", args.tree_a, [ta for ta, _ in pairs]),
+                               ("B", args.tree_b, [tb for _, tb in pairs])):
+        seconds, p50, p90 = (statistics.median(x) * 1e3 for x in zip(*passes))
+        print(f"{side} median {seconds:.1f} ms, op p50 {p50:.3f} ms, op p90 {p90:.3f} ms  ({tree})")
     print(f"median B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
     if a.raised or b.raised:
         print(f"ops that raised in a pass: A {a.raised}, B {b.raised}")

@@ -15,8 +15,10 @@ trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
 ``LOWER_DIMENSIONAL``, whose monoids no benchmark op builds alone, are
 replayed and compared the same way, under ``TORIFIED_BUDGET=1000``, and so
 are the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of ``COUNTING``,
-at degrees beyond the benchmark's ladders, and the listings of ``LISTINGS``,
-larger than any benchmark op.  Then each demo of ``demos/`` is run on each
+at degrees beyond the benchmark's ladders, the listings of ``LISTINGS``,
+larger than any benchmark op, and the ``gadget --elements`` argv of
+``GADGETS``, on every built-in family past the ladders and on a fan file and
+a torification file.  Then each demo of ``demos/`` is run on each
 tree, the tree's own script against its own ``src``, and their stdout and
 exit codes are compared.  Every op and demo that differs is printed, and the
 exit code is 1 if any does, 0 otherwise.
@@ -59,9 +61,10 @@ LOWER_DIMENSIONAL = (
 )
 LOWER_DIMENSIONAL_BUDGET = "1000"
 
-# the argv after the first read the torification that the first one writes;
-# ``verify`` takes a family only, so it does not read the file
-TORIFICATION_FILE = "flag_1_2_2_1.json"
+# in COUNTING and GADGETS, the argv after the first read the torification
+# that the first one writes; ``verify`` takes a family only, so it does not
+# read the file
+TORIFICATION_FILE = "torification.json"
 COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
     [*command, *source]
     for source in (
@@ -93,18 +96,34 @@ LISTINGS = [
     ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "1", "1", "1"],
 ]
 
+# `gadget --elements` past the benchmark's ladders, on each built-in family,
+# a fan file (the Hirzebruch surface F_2) and a torification file; the last
+# is refused, N(3) of the flag type being over the default budget
+FAN_FILE, FAN = "f2_fan.json", {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+                                "cones": [[0, 1], [1, 2], [2, 3], [3, 0]], "close_faces": True}
+GADGETS = [["torify", "flag", "1", "2", "1"]] + [
+    ["gadget", "--elements", "--group", *rest]
+    for rest in (
+        ["2", "--family", "sl", "3"],
+        ["2,2", "--family", "projective", "5"],
+        ["3", "--family", "grassmannian", "2", "6"],
+        ["5", "--family", "affine", "6"],
+        ["4", "--family", "torus", "6"],
+        ["3", "--family", "toric", FAN_FILE],
+        ["2,3", "--torification", TORIFICATION_FILE],
+        ["2", "--family", "flag", "1", "1", "2", "2"],
+    )
+]
+FIXED = {"counting": COUNTING, "large-listings": LISTINGS, "gadgets": GADGETS}
+
 
 def fixed_ops(kind: str) -> list:
-    """The argv of ``COUNTING`` or ``LISTINGS``, or ``spec`` and ``soule --m
-    3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
-    if kind == "counting":
-        argvs = COUNTING
-    elif kind == "large-listings":
-        argvs = LISTINGS
-    else:
-        argvs = [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
-                 for command in (["spec"], ["soule", "--m", "3"])]
-    ops = [Op(kind, argv, None, 0.0) for argv in argvs]
+    """The argv of ``COUNTING``, ``LISTINGS`` or ``GADGETS``, or ``spec`` and
+    ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
+    argvs = FIXED.get(kind) or [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
+                                for command in (["spec"], ["soule", "--m", "3"])]
+    ops = [Op(kind, argv, None, 0.0, {FAN_FILE: FAN} if FAN_FILE in argv else None)
+           for argv in argvs]
     for index, op in enumerate(ops):
         op.index = index
     return ops
@@ -119,7 +138,7 @@ def replay(tree: str, workload: str, seed: int) -> None:
         seconds = float(json.load(fh)["run_seconds"])
     if workload == "lower-dimensional":
         os.environ["TORIFIED_BUDGET"] = LOWER_DIMENSIONAL_BUDGET
-    if workload in ("lower-dimensional", "counting", "large-listings"):
+    if workload == "lower-dimensional" or workload in FIXED:
         ops = fixed_ops(workload)
     else:
         ops = make_plan(workload, seed, seconds)
@@ -136,7 +155,7 @@ def replay(tree: str, workload: str, seed: int) -> None:
                     code = cli.main(op.argv)
             except Exception as exc:  # a raising op is compared by its exception
                 code = f"raised {type(exc).__name__}: {exc}"
-            if op.argv == COUNTING[0]:
+            if op.index == 0 and workload in ("counting", "gadgets"):
                 with open(TORIFICATION_FILE, "w") as fh:
                     fh.write(out.getvalue())
             stdout = TIMING_LINE.sub("", out.getvalue())
@@ -197,12 +216,14 @@ def main(argv=None) -> int:
     print(f"{counting} of {argvs} counting argv differ")
     listings, argvs = compare(args.tree, "large-listings", 0)
     print(f"{listings} of {argvs} listing argv differ")
+    gadgets, argvs = compare(args.tree, "gadgets", 0)
+    print(f"{gadgets} of {argvs} gadget argv differ")
     demos = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
     differing_demos = [name for name in demos if demo_output(args.tree, name) != demo_output(ROOT, name)]
     for name in differing_demos:
         print(f"demo {name}: stdout or exit differ", flush=True)
     print(f"{len(differing_demos)} of {len(demos)} demos differ")
-    return 1 if differing or lower or counting or listings or differing_demos else 0
+    return 1 if differing or lower or counting or listings or gadgets or differing_demos else 0
 
 
 if __name__ == "__main__":
