@@ -13,8 +13,8 @@ group orders), and the CLI's ``gadget`` compares |X(D)| = sum_r delta_r |D|^r
 with it at q = |D| + 1.  The toric formula is not independent: it sums
 (q-1)^(n - dim c) over the fan's cones c, and ``torify_toric`` lists one torus
 of rank n - dim c per cone.  ``soule_count_by_faces`` and ``count_monoid_homs`` count maps
-into mu_m with zero by the face formula and by the ranks of the generators
-orthogonal to each face.
+into mu_m with zero by the face formula and by the Hermite bases of the
+generators orthogonal to each face.
 """
 
 __version__ = "0.1.0"

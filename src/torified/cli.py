@@ -615,35 +615,27 @@ def cmd_soule(args) -> tuple[dict, int]:
         raise UsageError("--m must be >= 1")
     monoid = monoid_of_cone(_parse_cone(args.cone))
     face_count = soule_count_by_faces(monoid, m)
+    target = CyclicMonoidWithZero(m)
+    count = count_monoid_homs(monoid, target)
     payload: dict = {
         "m": m,
         "generators": [list(g) for g in monoid.generators],
         "unit_rank": monoid.unit_rank,
         "face_count": face_count,
+        "enumerated_count": count,
+        "match": count == face_count,
     }
-    target = CyclicMonoidWithZero(m)
-    homs = count = None
-    if not args.elements:
-        count = count_monoid_homs(monoid, target)
-    else:
+    if args.elements:
         try:
-            # the maps are built only to be listed, under the (m+1)^g assignment gate
             homs = enumerate_monoid_homs(monoid, target)
-            count = len(homs)
         except BudgetExceeded:
-            pass
-    payload["enumerated_count"] = count
-    payload["match"] = None if count is None else count == face_count
-    if homs is not None:
-        payload["homs"] = [
-            {
-                "values": list(h.values),
-                "support_face": [list(r) for r in h.support_face.rays],
-            }
-            for h in homs
-        ]
-    code = CHECK_FAILED if payload["match"] is False else 0
-    return payload, code
+            pass  # more maps than the budget: the counts only
+        else:
+            payload["homs"] = [
+                {"values": list(h.values), "support_face": [list(r) for r in h.support_face.rays]}
+                for h in homs
+            ]
+    return payload, CHECK_FAILED if payload["match"] is False else 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -845,6 +837,7 @@ def main(argv: list[str] | None = None) -> int:
                 return USAGE_ERROR
     started = time.perf_counter()
     try:
+        check_budget(0, "items")  # a bad budget fails every command, not only those that list
         payload, code = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

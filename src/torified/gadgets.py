@@ -9,22 +9,23 @@ cone's monoid into a cyclic group with an absorbing zero adjoined; the count
 is computed two ways (the face formula vs. the maps face by face, each a
 group hom on the generators orthogonal to its face) and the
 extension/restriction maps between the two pictures are exposed for
-round-trip checks.  :func:`count_monoid_homs` counts the maps that
-:func:`enumerate_monoid_homs` builds, as m^rank of each face's orthogonal
-generators and without building them; both read those generators from one
+round-trip checks.  Per face τ the maps are the homs into Z/m from the
+lattice L_τ that the generators orthogonal to τ span, read from its Hermite
+basis H_τ: :func:`count_monoid_homs` counts m^len(H_τ) of them without
+building any, and :func:`enumerate_monoid_homs` builds one per value vector
+on H_τ, under a budget on that count; both read those generators from one
 table of the generators' values on the source cone's rays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import product as iproduct
 from math import prod
 from operator import mul
 
 from .budget import check_budget
 from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
-from .intlinalg import Vector, dot, kernel_basis, mat_rank
+from .intlinalg import Vector, _hermite_coordinates, dot, hnf_rows
 from .lattice import Cone, Fan, faces, require_valid
 from .monoids import AffineMonoid, _ray_values, monoid_of_cone
 from .torify import Torification, _graded_terms, delta_vector
@@ -257,76 +258,62 @@ class MonoidHom(Value):
         self._set(monoid, target, values, support_face)
 
 
-def _supports(monoid: AffineMonoid) -> list[tuple[list[int], Cone]]:
-    """Per face τ of the source cone, (S_τ, τ): the indices of the generators
-    orthogonal to τ, those whose values on τ's rays are all 0 (the values
-    are taken once, on the source cone's rays)."""
+def _supports(monoid: AffineMonoid) -> list[tuple[list[int], tuple[Vector, ...], Cone]]:
+    """Per face τ of the source cone, (S_τ, H_τ, τ): the indices of the
+    generators orthogonal to τ, those whose values on τ's rays are all 0
+    (the values are taken once, on the source cone's rays), and the Hermite
+    basis of the lattice L_τ that they span."""
     if monoid.source_cone is None:
         raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
     rays = monoid.source_cone.rays
-    values = _ray_values(monoid.all_generators(), rays)
+    gens = monoid.all_generators()
+    values = _ray_values(gens, rays)
     supports = []
     for face in faces(monoid.source_cone):
         on = set(face.rays)
         at = [k for k, ray in enumerate(rays) if ray in on]
-        supports.append(([i for i, v in enumerate(values) if not any([v[k] for k in at])], face))
+        support = [i for i, v in enumerate(values) if not any([v[k] for k in at])]
+        supports.append((support, hnf_rows([gens[i] for i in support], monoid.ambient_rank), face))
     return supports
 
 
-def _unit_characters(
-    monoid: AffineMonoid, target: CyclicMonoidWithZero
-) -> Iterator[tuple[list[int], tuple[int, ...], Cone]]:
-    """The semigroup maps into the target as (S_τ, values on S_τ, τ).
-
-    A map's nonzero generators are those orthogonal to its support face τ
-    (primes of the monoid correspond to faces of the source cone), and on
-    them it is a group hom into mu_m.  So per face τ, with S_τ the generators
-    orthogonal to τ (:func:`_supports`), the maps are the values v in
-    mu_m^S_τ with <rel, v> = 0 mod m for each rel of a lattice basis of the
-    integer relations among S_τ, extended by zero.  The (m+1)^g assignments
-    bound the number of maps from above, and the budget applies to them
-    before any face's maps are listed.
-    """
-    supports = _supports(monoid)
-    gens = monoid.all_generators()
-    check_budget(target.order ** len(gens), "assignments")
-    m, n = target.m, monoid.ambient_rank
-    for support, face in supports:
-        relations = kernel_basis([tuple(gens[i][k] for i in support) for k in range(n)], len(support))
-        for vals in iproduct(range(m), repeat=len(support)):
-            if all(not sum(map(mul, rel, vals)) % m for rel in relations):
-                yield support, vals, face
-
-
-def enumerate_monoid_homs(
-    monoid: AffineMonoid, target: CyclicMonoidWithZero
-) -> tuple[MonoidHom, ...]:
+def enumerate_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> tuple[MonoidHom, ...]:
     """All semigroup maps into the target, sorted by values; maps with one
-    support face share the face object.  ``soule --elements`` lists these."""
-    zeros = [target.ZERO] * len(monoid.all_generators())
+    support face share the face object.  ``soule --elements`` lists these.
+
+    A map's nonzero generators are S_τ, for its support face τ (primes of
+    the monoid correspond to faces of the source cone), and on them it is a
+    hom from L_τ into mu_m.  So face τ has one map per a in (Z/m)^len(H_τ):
+    s in S_τ goes to <c_s, a> mod m, with c_s the coordinates of s in H_τ,
+    and the rest to zero.  The budget applies to the count of all the maps
+    before any is built."""
+    supports = _supports(monoid)
+    m = target.m
+    check_budget(sum(m ** len(basis) for _, basis, _ in supports), "maps")
+    gens = monoid.all_generators()
+    zeros = [target.ZERO] * len(gens)
     homs = []
-    for support, vals, face in _unit_characters(monoid, target):
-        values = zeros.copy()
-        for i, v in zip(support, vals):
-            values[i] = v
-        homs.append(MonoidHom(monoid, target, tuple(values), face))
+    for support, basis, face in supports:
+        coordinates = [_hermite_coordinates(basis, gens[i]) for i in support]
+        for a in iproduct(range(m), repeat=len(basis)):
+            values = zeros.copy()
+            for i, c in zip(support, coordinates):
+                values[i] = sum(map(mul, c, a)) % m
+            homs.append(MonoidHom(monoid, target, tuple(values), face))
     homs.sort(key=lambda h: h.values)
     return tuple(homs)
 
 
 def count_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> int:
     """``len(enumerate_monoid_homs(monoid, target))``, counted without
-    listing a map: the sum over faces τ of m^rank(S_τ).
+    listing a map: the sum over faces τ of m^len(H_τ).
 
-    Per face τ the maps are the v in (Z/m)^S_τ that kill the integer
-    relations among S_τ (:func:`_unit_characters`): the homs into Z/m from
-    Z^S_τ modulo its relations.  The relations are the kernel of
-    Z^S_τ -> Z^n, so that quotient is the subgroup that S_τ spans in Z^n, a
-    free group of rank rank(S_τ), and it has exactly m^rank(S_τ) homs into
-    Z/m.  No kernel is taken and no map is listed, so no budget applies.
+    Per face τ the maps are the homs into Z/m from Z^S_τ modulo the integer
+    relations among S_τ.  The relations are the kernel of Z^S_τ -> Z^n, so
+    that quotient is L_τ, a free group with basis H_τ, and it has exactly
+    m^len(H_τ) homs into Z/m.  No map is listed, so no budget applies.
     """
-    gens = monoid.all_generators()
-    return sum(target.m ** mat_rank([gens[i] for i in support]) for support, _ in _supports(monoid))
+    return sum(target.m ** len(basis) for _, basis, _ in _supports(monoid))
 
 
 def _orthogonal(gens: tuple[Vector, ...], face: Cone) -> list[int]:

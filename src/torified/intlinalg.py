@@ -1,14 +1,15 @@
 """Exact integer linear algebra on small matrices.
 
 Vectors are tuples of ints, matrices are sequences of row tuples.  Every
-routine is exact and works on plain ints (no Fractions, no solves), and two
+routine is exact and works on plain ints (no Fractions), and two
 reductions do all the work.  Rank comes from one fraction-free (Bareiss)
 elimination, which :mod:`torified.lattice` also runs for the determinants
 and scaled inverses of its duals and simplicial cones.  Integer kernel
 bases, Hermite bases and Hermite transforms share one Hermite reduction by
 integer row operations; kernels come back in Hermite form, and a transform
 can carry its inverse through the same row operations, which only a
-lower-dimensional Hilbert basis or lone monoid asks for.  The reduction
+lower-dimensional Hilbert basis or lone monoid asks for.  Coordinates in a
+Hermite basis take one triangular substitution.  The reduction
 runs Euclid on each column until a +-1 pivot appears, which clears the rest
 of its column in one pass (the inputs here, rays and identity blocks, are
 mostly 0 and +-1).  Sizes here are tiny (ambient dimension <= 5 or so), so
@@ -194,6 +195,21 @@ def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]
     """Canonical (row-Hermite) basis of the lattice spanned by the given rows."""
     m = [list(v) for v in vectors]
     return tuple(tuple(row) for row in m[: _hermite(m, ncols)])
+
+
+def _hermite_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The c with c @ basis = v, for a row-Hermite basis (:func:`hnf_rows`):
+    at row j's pivot column no later row is nonzero, so c_j is one division,
+    exact for a v in the lattice; off it, a remainder stays at that column."""
+    rest, coordinates = list(v), []
+    for row in basis:
+        p = next(k for k, x in enumerate(row) if x)
+        c = rest[p] // row[p]
+        rest = [a - c * b for a, b in zip(rest, row)]
+        coordinates.append(c)
+    if any(rest):
+        raise ValueError(f"{tuple(v)} is not in the lattice")
+    return coordinates
 
 
 def row_hermite_transform(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_caches, compositions
 from references import affine_cell_runs, counts_by_index, dumps
-from test_gadgets import pointed_cones
+from test_gadgets import character_assignments, oracle_homs, pointed_cones
 from test_lattice import time_limit
 
 from torified import cli, counting, gadgets, intlinalg, lattice, monoids, torify
@@ -34,6 +34,7 @@ from torified.gadgets import (
     FiniteAbelianGroup,
     MonoidHom,
     cc_points,
+    count_monoid_homs,
     enumerate_monoid_homs,
 )
 from torified.lattice import Cone, faces, maximal_cones
@@ -333,12 +334,14 @@ def _bump_delta_1(monkeypatch):
 
 
 def _drop_one_generator(monkeypatch):
-    """The counted side drops one generator of each face's S_τ; the face
-    formula is untouched."""
+    """The counted side drops one generator of each face's S_τ and rebuilds
+    the Hermite basis H_τ from the rest; the face formula is untouched."""
     supports = gadgets._supports
 
     def dropped(monoid):
-        return [(support[1:], face) for support, face in supports(monoid)]
+        gens, n = monoid.all_generators(), monoid.ambient_rank
+        return [(support[1:], intlinalg.hnf_rows([gens[i] for i in support[1:]], n), face)
+                for support, _, face in supports(monoid)]
 
     monkeypatch.setattr(gadgets, "_supports", dropped)
 
@@ -1324,17 +1327,35 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TORIFIED_BUDGET", "2")
     code, data, _ = run_json(capsys, "soule", "--m", "5", "--cone", "1,0;0,1", "--elements")
     assert code == 0
-    assert data["result"]["enumerated_count"] is None  # over budget: no listing
-    assert data["result"]["face_count"] == 36  # (5+1)^2
+    assert "homs" not in data["result"]  # 36 maps over a budget of 2: the counts only
+    assert data["result"]["enumerated_count"] == data["result"]["face_count"] == 36  # (5+1)^2
     code, data, _ = run_json(capsys, "soule", "--m", "5", "--cone", "1,0;0,1")
     assert code == 0
     assert data["result"]["enumerated_count"] == data["result"]["face_count"] == 36  # lists nothing
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("TORIFIED_BUDGET", bad)
-        clear_caches()  # as in a fresh process, the monoid is built under the budget
         code, out, err = run(capsys, "soule", "--m", "5", "--cone", "1,0;0,1")
         assert code == 2 and out == ""
         assert "TORIFIED_BUDGET must be a positive integer" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["soule", "--m", "2", "--cone", "1,0"],
+        ["count", "--family", "affine", "1"],
+        ["verify", "--q", "2", "--family", "affine", "1"],
+        ["zeta", "--family", "gm", "2"],
+    ],
+    ids=" ".join,
+)
+def test_every_command_refuses_a_bad_budget(capsys, monkeypatch, argv, bad):
+    # none of these lists anything or reads the budget on its way
+    monkeypatch.setenv("TORIFIED_BUDGET", bad)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"TORIFIED_BUDGET must be a positive integer, got {bad!r}" in err
 
 
 def test_only_the_budget_module_reads_the_budget():
@@ -1355,13 +1376,14 @@ def test_soule_enumerates_exactly_when_the_homs_fit_the_budget(cone, m, slack):
     # monoid_of_cone caches the monoid built here under the default budget,
     # so the budget set below gates only the enumeration, at its boundary
     monoid = monoid_of_cone(cone)
-    assignments = (m + 1) ** len(monoid.all_generators())
-    assume(assignments <= 10**5)
     target = CyclicMonoidWithZero(m)
+    count = count_monoid_homs(monoid, target)
+    assume(count <= 10**5)
     rays = ";".join(",".join(map(str, r)) for r in cone.rays)
     out = io.StringIO()
+    budget = max(1, count + slack)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("TORIFIED_BUDGET", str(max(1, assignments + slack)))
+        mp.setenv("TORIFIED_BUDGET", str(budget))
         try:
             enumerate_monoid_homs(monoid, target)
         except BudgetExceeded:
@@ -1371,8 +1393,19 @@ def test_soule_enumerates_exactly_when_the_homs_fit_the_budget(cone, m, slack):
         with contextlib.redirect_stdout(out):
             code = main(["soule", "--elements", "--m", str(m), f"--cone={rays}"])
     result = json.loads(out.getvalue())["result"]
-    assert code == 0
-    assert (result["enumerated_count"] is None) == refused == (result["match"] is None)
+    assert code == 0 and refused == (count > budget)
+    assert ("homs" in result) != refused
+    assert result["enumerated_count"] == count and result["match"] is True
+
+
+def test_soule_lists_the_maps_of_a_cone_past_the_assignments(capsys):
+    # 15 generators: 3^15 assignments, and 9 maps, as the oracle lists them
+    cone = Cone(2, ((0, 1), (14, -1)))
+    monoid, target = monoid_of_cone(cone), CyclicMonoidWithZero(2)
+    code, data, _ = run_json(capsys, "soule", "--elements", "--m", "2", "--cone=0,1;14,-1")
+    assert code == 0 and data["result"]["enumerated_count"] == 9
+    listed = [tuple(h["values"]) for h in data["result"]["homs"]]
+    assert listed == oracle_homs(monoid, target, character_assignments(monoid, target))
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from references import (
 from test_lattice import complete_fans_2d
 from test_monoids import pointed_cones as positive_cones
 
-from torified import gadgets, torify
+from torified import gadgets, intlinalg, lattice, monoids, torify
 from torified.counting import counting_polynomial, eval_counting, oracle_point_count
 from torified.errors import (
     BudgetExceeded,
@@ -43,7 +43,7 @@ from torified.gadgets import (
     soule_count_by_faces,
     toric_fq_points_via_homs,
 )
-from torified.intlinalg import dot, hnf_rows, mat_rank, primitive
+from torified.intlinalg import dot, hnf_rows, kernel_basis, mat_rank, primitive
 from torified.lattice import Cone, standard_fan, validate_fan, zero_cone
 from torified.monoids import AffineMonoid, monoid_of_cone
 from torified.torify import (
@@ -508,15 +508,18 @@ def _relation_satisfied(target, relation, values):
     return side(relation.lhs) == side(relation.rhs)
 
 
-def all_assignment_homs(monoid, target):
+def all_assignment_homs(monoid, target, assignments=None):
     """Every assignment of target elements to the generators that satisfies a
     lattice basis of the relations, zero absorbing.  Once the kernel rank is
     2 or more this over-counts: a lattice basis does not generate the
-    monoid's congruence."""
+    monoid's congruence.  ``assignments`` narrows the loop over all of them,
+    in their order."""
     relations = discover_relations(monoid)
+    if assignments is None:
+        assignments = iproduct(target.elements(), repeat=len(monoid.all_generators()))
     return [
         values
-        for values in iproduct(target.elements(), repeat=len(monoid.all_generators()))
+        for values in assignments
         if all(_relation_satisfied(target, rel, values) for rel in relations)
     ]
 
@@ -545,15 +548,30 @@ def is_character_restriction(monoid, target, values):
     )
 
 
-def oracle_homs(monoid, target):
+def oracle_homs(monoid, target, assignments=None):
     """The all-assignments loop, filtered to face patterns whose values are
     the restriction of a character (reference)."""
     return [
         values
-        for values in all_assignment_homs(monoid, target)
+        for values in all_assignment_homs(monoid, target, assignments)
         if is_face_pattern(monoid, values)
         and is_character_restriction(monoid, target, values)
     ]
+
+
+def character_assignments(monoid, target):
+    """The assignments that :func:`oracle_homs` can keep, sorted as it lists
+    them: zeros in a pattern that is_face_pattern accepts, and elsewhere the
+    values of a character w in (Z/m)^n.  There are 2^g patterns and m^n
+    characters to try, not (m+1)^g assignments."""
+    gens = monoid.all_generators()
+    kept = set()
+    for zero in iproduct((False, True), repeat=len(gens)):
+        if is_face_pattern(monoid, [target.ZERO if z else 0 for z in zero]):
+            for w in iproduct(range(target.m), repeat=monoid.ambient_rank):
+                kept.add(tuple(target.ZERO if z else dot(w, g) % target.m
+                               for z, g in zip(zero, gens)))
+    return sorted(kept)
 
 
 @st.composite
@@ -587,6 +605,9 @@ def test_homs_match_face_formula_and_oracle(cone, m):
     assert [h.values for h in homs] == sorted(h.values for h in homs)
     if assignments <= 3000:
         assert [h.values for h in homs] == oracle_homs(monoid, target)
+        assert oracle_homs(monoid, target, character_assignments(monoid, target)) == [
+            h.values for h in homs
+        ]
 
 
 def test_a_hand_built_monoid_keeps_the_relations_of_its_faces():
@@ -615,15 +636,22 @@ def test_a_hand_built_monoid_of_a_cone_over_the_budget_is_still_counted(monkeypa
     ids=str,
 )
 def test_the_count_takes_no_kernel_and_no_budget(monkeypatch, cone):
-    # each of these cones has faces with and without relations among S_τ
+    # each of these cones has faces with and without relations among S_τ;
+    # the count and the listing read the Hermite basis of each, take no
+    # kernel, and only the listing checks the budget
     monoid = monoid_of_cone(cone)
+    target = CyclicMonoidWithZero(3)
+    expected = soule_count_by_faces(monoid, 3)
 
     def refuse(*args):
-        raise AssertionError("the count called a kernel or the budget")
+        raise AssertionError("called a kernel or the budget")
 
-    monkeypatch.setattr(gadgets, "kernel_basis", refuse)
+    assert not hasattr(gadgets, "kernel_basis")
+    for module in (intlinalg, lattice, monoids):
+        monkeypatch.setattr(module, "kernel_basis", refuse)
+    assert len(enumerate_monoid_homs(monoid, target)) == expected
     monkeypatch.setattr(gadgets, "check_budget", refuse)
-    assert count_monoid_homs(monoid, CyclicMonoidWithZero(3)) == soule_count_by_faces(monoid, 3)
+    assert count_monoid_homs(monoid, target) == expected
 
 
 @settings(max_examples=60)
@@ -635,16 +663,15 @@ def test_the_count_takes_no_kernel_and_no_budget(monkeypatch, cone):
 def test_count_is_the_number_of_enumerated_homs(cone, m):
     monoid = monoid_of_cone(cone)
     target = CyclicMonoidWithZero(m)
-    assignments = target.order ** len(monoid.all_generators())
-    assume(assignments <= 10**4)
     count = count_monoid_homs(monoid, target)
+    assume(count <= 10**4)
     assert count == len(enumerate_monoid_homs(monoid, target))
-    # the listing is refused past the number of assignments; the count lists nothing
+    # the listing is refused past the number of maps; the count lists nothing
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("TORIFIED_BUDGET", str(assignments))
+        mp.setenv("TORIFIED_BUDGET", str(count))
         assert len(enumerate_monoid_homs(monoid, target)) == count
-        mp.setenv("TORIFIED_BUDGET", str(assignments - 1))
-        with pytest.raises(BudgetExceeded, match="assignments exceed the budget"):
+        mp.setenv("TORIFIED_BUDGET", str(count - 1))
+        with pytest.raises(BudgetExceeded, match=f"^{count} maps exceed the budget"):
             enumerate_monoid_homs(monoid, target)
         assert count_monoid_homs(monoid, target) == count
 
@@ -698,6 +725,27 @@ def hand_built_monoids(draw):
     return AffineMonoid(n, tuple(generators), tuple(units), cone)
 
 
+def assert_homs_of_their_faces(monoid, target, homs):
+    """Each face's maps are distinct, zero off the generators orthogonal to
+    it, and on those kill every integer relation among them mod m, so each is
+    a hom from the lattice they span.  A face has no more such homs than its
+    share of the count, so with the count equal to the residue walk's this
+    pins the listing down."""
+    gens = monoid.all_generators()
+    by_face = {}
+    for h in homs:
+        by_face.setdefault(h.support_face, []).append(h.values)
+    for face, listed in by_face.items():
+        support = [i for i, g in enumerate(gens) if all(dot(g, r) == 0 for r in face.rays)]
+        columns = [[gens[i][k] for i in support] for k in range(monoid.ambient_rank)]
+        relations = kernel_basis(columns, len(support))
+        assert len(set(listed)) == len(listed)
+        for values in listed:
+            assert [i for i, v in enumerate(values) if v != target.ZERO] == support
+            assert all(sum(r * values[i] for r, i in zip(rel, support)) % target.m == 0
+                       for rel in relations)
+
+
 @settings(max_examples=150, deadline=None)
 @given(positive_cones().map(monoid_of_cone) | hand_built_monoids(), st.integers(1, 4))
 @example(monoid_of_cone(Cone(3, ((-1, 0, 0), (-1, 1, -1), (3, -2, -2)))), 2)  # kernel rank two
@@ -709,8 +757,14 @@ def test_the_count_is_the_residue_walk_and_the_listing(monoid, m):
     target = CyclicMonoidWithZero(m)
     count = count_monoid_homs(monoid, target)
     assert count == residue_walk_hom_count(monoid, m)
-    if m**g <= 5000 and (m + 1) ** g <= 10**6:  # listable, within the default budget
-        assert count == len(enumerate_monoid_homs(monoid, target))
+    if count <= 5000:
+        homs = enumerate_monoid_homs(monoid, target)
+        assert count == len(homs)
+        assert_homs_of_their_faces(monoid, target, homs)
+        # the oracle reads the faces of a cone's own monoid, which a hand-built
+        # one need not have: the 6-map example lists each map on both faces
+        if target.order**g <= 3000 and monoid == monoid_of_cone(monoid.source_cone):
+            assert [h.values for h in homs] == oracle_homs(monoid, target)
 
 
 def test_hom_properties_reach_kernel_rank_two():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from torified.intlinalg import (
     _hermite,
+    _hermite_coordinates,
     _with_identity,
     dot,
     hnf_rows,
@@ -88,6 +89,30 @@ def test_hnf_rows_canonical():
     assert hnf_rows([(2, 2), (0, 2)], 2) == ((2, 0), (0, 2))
     assert hnf_rows([(1, -1), (-1, 1)], 2) == ((1, -1),)
     assert hnf_rows([], 2) == ()
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5),
+    st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+)))
+@example((2, [[2, 2], [0, 2]], [1, -1, 0, 0, 0]))  # a basis with pivots past 1
+@example((3, [], [0] * 5))  # the zero lattice
+def test_hermite_coordinates_invert_the_combination(case):
+    n, rows, picks = case
+    basis = hnf_rows(rows, n)
+    c = picks[: len(basis)]
+    v = tuple(sum(a * row[k] for a, row in zip(c, basis)) for k in range(n))
+    assert _hermite_coordinates(basis, v) == c
+
+
+def test_hermite_coordinates_refuse_a_vector_off_the_lattice():
+    basis = hnf_rows([(2, 2), (0, 2)], 2)  # 2Z x 2Z
+    with pytest.raises(ValueError, match="not in the lattice"):
+        _hermite_coordinates(basis, (1, 1))
+    with pytest.raises(ValueError, match="not in the lattice"):
+        _hermite_coordinates(hnf_rows([(1, 1)], 2), (1, 0))
 
 
 def test_row_hermite_transform_unimodular():

@@ -116,14 +116,18 @@ GADGETS = [["torify", "flag", "1", "2", "1"]] + [
     )
 ]
 # `soule` past the benchmark's Hilbert bases (3-5 generators) and m (2, 3),
-# at the default budget: counts of 15 and 54 generators, one listing within
-# the budget, and one refused, at 3^15 assignments
+# at the default budget: counts of 15 and 54 generators; listings of 3
+# generators, of 15 (9 maps, past 3^15 assignments) and of a cone whose
+# generators have kernel rank two; and the counts only, 1,002,001 maps being
+# over the budget
 SOULE = [
     ["soule", "--m", "2", "--cone=0,1;14,-1"],
     ["soule", "--m", "1000", "--cone=0,1;14,-1"],
     ["soule", "--m", "1000000", "--cone=1,0,0;0,1,0;1,1,50"],
     ["soule", "--elements", "--m", "2", "--cone=1,0;1,2"],
     ["soule", "--elements", "--m", "2", "--cone=0,1;14,-1"],
+    ["soule", "--elements", "--m", "3", "--cone=-1,0,0;-1,1,-1;3,-2,-2"],
+    ["soule", "--elements", "--m", "1000", "--cone=0,1;14,-1"],
 ]
 FIXED = {"counting": COUNTING, "large-listings": LISTINGS, "gadgets": GADGETS, "soule": SOULE}
 
