@@ -26,16 +26,18 @@ lists them from the cells with no label made, and reads a file's from its
 tori.  A torus listing writes each run of a part as one join (``_ToriList``):
 one scan per run of a distinct cell decides whether any of its labels needs an
 escape, only such a run is escaped label by label, and the part's "/" rides
-in the join's glue.  A D^r is rendered once per rank (``_Power``), as one join
-per group element over the points of D^(r-1), and ``elements`` is one block
-(``_Elements``) that writes each torus's key and then its rank's shared
-blocks; no Torus object is made.  The envelope is streamed to stdout: dicts
-key by key, a torus listing one run at a time, and each torus's D^r as its
-shared blocks, so peak memory is bounded by the largest block and the kept D^r
-texts, not by the output.  ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to
-/dev/null in 0.04-0.07 s and peaks at 20 MB RSS, and ``gadget --elements
---group 6 --family affine 7`` (823,543 elements, 209 MB of JSON) takes
-0.12-0.14 s and peaks at 122-124 MB (Python 3.11, 2 vCPUs).
+in the join's glue, since no part with a prefix holds an empty label.
+``elements`` is one block (``_Elements``) that renders the group's elements
+once, renders each rank's D^r once, at its first torus, as one join per
+group element over the points of D^(r-1) (:func:`_power_blocks`), and writes
+each torus's key and then its rank's shared blocks; no Torus object is made.
+The envelope is streamed to stdout: dicts key by key, a torus listing one run
+at a time, and each torus's D^r as its shared blocks, so peak memory is
+bounded by the largest block and the kept D^r texts, not by the output.
+``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to /dev/null in 0.04-0.07 s
+and peaks at 20 MB RSS, and ``gadget --elements --group 6 --family affine 7``
+(823,543 elements, 209 MB of JSON) takes 0.12-0.14 s and peaks at 122-124 MB
+(Python 3.11, 2 vCPUs).
 
 The grammar of the command line is one table, ``_COMMANDS``.  :func:`_parse`
 reads an argv in its canonical forms (``--opt value``, ``--opt=value``, the
@@ -259,96 +261,81 @@ def _label_texts(labels: tuple[str, ...], slash: str) -> tuple[Sequence[str], st
     """The texts of a run's labels as they follow the escaped prefix of a
     part, and the text that ends the glue before each of them.
 
-    A label follows its part's prefix after ``slash``, if it is not empty.
-    One scan of the joined labels decides whether any character needs an
-    escape: ASCII that is printable and holds no quote or backslash is what
-    ``encode_basestring_ascii`` leaves as it is.  Then the labels are their
-    own texts and ``slash`` rides in the glue, unless an empty label would
-    take it too.  Otherwise each label is escaped, with its slash.
+    A label follows its part's prefix after ``slash``; a part with a prefix
+    holds no empty label (``Torification`` writes such a part out), so every
+    label takes it.  One scan of the joined labels decides whether any
+    character needs an escape: ASCII that is printable and holds no quote or
+    backslash is what ``encode_basestring_ascii`` leaves as it is.  Then the
+    labels are their own texts and ``slash`` rides in the glue.  Otherwise
+    each label is escaped, with its slash.
     """
-    if not (slash and "" in labels):
-        s = "".join(labels)
-        if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-            return labels, slash
-    return [slash + encode_basestring_ascii(x)[1:-1] if x else "" for x in labels], ""
+    s = "".join(labels)
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return labels, slash
+    return [slash + encode_basestring_ascii(x)[1:-1] for x in labels], ""
 
 
-class _Power(_Block):
-    """D^rank as the list of its points, in ``itertools.product`` order over
-    the group's elements, written as one block per element and kept per
-    depth, so the tori of one rank share the blocks.
+def _power_blocks(texts: Sequence[str], rank: int, depth: int) -> tuple[str, ...]:
+    """The text of D^rank at ``depth`` as the list of its points, in
+    ``itertools.product`` order over the group's elements, from ``texts``,
+    the elements' texts at ``depth + 2``: one block per element and the
+    closing text, or one text below rank 2.
 
-    The elements' texts are rendered once.  A point's inner text is its
-    elements' texts joined by ``sep``; ``rows``, the inner texts of the
-    points of D^(rank-1), take rank - 2 rounds of ``e + sep + row``.  The
-    points that start with e are then one join of ``rows`` whose glue ends
-    one point and opens the next up to ``e + sep``, so the work per point of
-    D^rank is inside ``str.join``: no list of its points is made, and no
-    block is copied to put the text that opens it in front."""
-
-    __slots__ = ("elements", "rank", "texts")
-
-    def __init__(self, elements: tuple, rank: int):
-        self.elements = elements
-        self.rank = rank
-        self.texts: dict[int, tuple[str, ...]] = {}
-
-    def write_json(self, depth: int, render, write) -> None:
-        for text in self.blocks(depth, render):
-            write(text)
-
-    def blocks(self, depth: int, render) -> tuple[str, ...]:
-        """The texts of D^rank at ``depth``, rendered on the first call and kept."""
-        texts = self.texts.get(depth)
-        if texts is None:
-            texts = self.texts[depth] = self._blocks(depth, render)
-        return texts
-
-    def _blocks(self, depth: int, render) -> tuple[str, ...]:
-        inner1, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
-        if not self.rank:
-            return ("[" + inner1 + "[]" + close,)
-        inner2 = inner1 + "  "
-        sep, glue = "," + inner2, inner1 + "]," + inner1 + "[" + inner2
-        head, tail = "[" + inner1 + "[" + inner2, inner1 + "]" + close
-        texts = [render(e, depth + 2) for e in self.elements]
-        if self.rank == 1:
-            return (head + glue.join(texts) + tail,)
-        rows = texts
-        for _ in range(self.rank - 2):
-            rows = [e + sep + row for e in texts for row in rows]
-        blocks, before = [], head
-        for e in texts:
-            # the first row takes the text before the block, so the join writes it in place
-            blocks.append((glue + e + sep).join([before + e + sep + rows[0], *rows[1:]]))
-            before = glue
-        return (*blocks, tail)
+    A point's inner text is its elements' texts joined by ``sep``; ``rows``,
+    the inner texts of the points of D^(rank-1), take rank - 2 rounds of
+    ``e + sep + row``.  The points that start with e are then one join of
+    ``rows`` whose glue ends one point and opens the next up to ``e + sep``,
+    so the work per point of D^rank is inside ``str.join``: no list of its
+    points is made, and no block is copied to put the text that opens it in
+    front."""
+    inner1, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
+    if not rank:
+        return ("[" + inner1 + "[]" + close,)
+    inner2 = inner1 + "  "
+    sep, glue = "," + inner2, inner1 + "]," + inner1 + "[" + inner2
+    head, tail = "[" + inner1 + "[" + inner2, inner1 + "]" + close
+    if rank == 1:
+        return (head + glue.join(texts) + tail,)
+    rows = texts
+    for _ in range(rank - 2):
+        rows = [e + sep + row for e in texts for row in rows]
+    blocks, before = [], head
+    for e in texts:
+        # the first row takes the text before the block, so the join writes it in place
+        blocks.append((glue + e + sep).join([before + e + sep + rows[0], *rows[1:]]))
+        before = glue
+    return (*blocks, tail)
 
 
 class _Elements(_Block):
     """The ``elements`` of a gadget listing: the dict ``{str(i): D^(ranks[i])}``
-    over the tori, with one :class:`_Power` per rank that all its tori share.
-    Its keys are written in the order ``sort_keys`` gives them, as strings (10
-    before 2), each in one write with the text before it, and then its rank's
-    blocks, rendered at the first torus of that rank; no dict of the tori is
-    made."""
+    over the tori, whose tori of one rank share its blocks
+    (:func:`_power_blocks`).  Its keys are written in the order ``sort_keys``
+    gives them, as strings (10 before 2), each in one write with the text
+    before it, and then its rank's blocks, rendered at the first torus of
+    that rank from the elements' texts, rendered once per write; no dict of
+    the tori is made."""
 
-    __slots__ = ("ranks", "powers")
+    __slots__ = ("ranks", "elements")
 
     def __init__(self, ranks: Sequence[int], elements: tuple):
         self.ranks = ranks
-        self.powers = {r: _Power(elements, r) for r in set(ranks)}
+        self.elements = elements
 
     def write_json(self, depth: int, render, write) -> None:
         if not self.ranks:
             write("{}")
             return
-        powers = self.powers
+        # a point's items sit three levels below the dict; D^0 needs no element
+        texts = [render(e, depth + 3) for e in self.elements] if any(self.ranks) else []
+        blocks: dict[int, tuple[str, ...]] = {}
         inner = "\n" + "  " * (depth + 1)
         before = "{" + inner + '"'
         for key, rank in sorted(zip(map(str, range(len(self.ranks))), self.ranks)):
             write(before + key + '": ')
-            for text in powers[rank].blocks(depth + 1, render):
+            if rank not in blocks:
+                blocks[rank] = _power_blocks(texts, rank, depth + 1)
+            for text in blocks[rank]:
                 write(text)
             before = "," + inner + '"'
         write("\n" + "  " * depth + "}")
@@ -616,7 +603,14 @@ def cmd_soule(args) -> tuple[dict, int]:
     monoid = monoid_of_cone(_parse_cone(args.cone))
     face_count = soule_count_by_faces(monoid, m)
     target = CyclicMonoidWithZero(m)
-    count = count_monoid_homs(monoid, target)
+    homs = None
+    if args.elements:
+        try:
+            homs = enumerate_monoid_homs(monoid, target)
+        except BudgetExceeded:
+            pass  # more maps than the budget: the counts only
+    # a listing is its own count, so each face's Hermite basis is built once
+    count = count_monoid_homs(monoid, target) if homs is None else len(homs)
     payload: dict = {
         "m": m,
         "generators": [list(g) for g in monoid.generators],
@@ -625,16 +619,11 @@ def cmd_soule(args) -> tuple[dict, int]:
         "enumerated_count": count,
         "match": count == face_count,
     }
-    if args.elements:
-        try:
-            homs = enumerate_monoid_homs(monoid, target)
-        except BudgetExceeded:
-            pass  # more maps than the budget: the counts only
-        else:
-            payload["homs"] = [
-                {"values": list(h.values), "support_face": [list(r) for r in h.support_face.rays]}
-                for h in homs
-            ]
+    if homs is not None:
+        payload["homs"] = [
+            {"values": list(h.values), "support_face": [list(r) for r in h.support_face.rays]}
+            for h in homs
+        ]
     return payload, CHECK_FAILED if payload["match"] is False else 0
 
 

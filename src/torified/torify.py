@@ -66,7 +66,11 @@ class Torification:
     of tori that many parts (and torifications) may share, and ``prefix`` is
     the label written in front of the cell's own labels, or None for none.
     A torus labeled ``l`` in a part with prefix ``p`` is labeled ``p/l``, or
-    ``p`` when ``l`` is empty.  ``Torification(tori, charts)`` is the flat
+    ``p`` when ``l`` is empty.  That rule is applied once, on construction:
+    a part with a prefix whose cell holds an empty label is written out as a
+    part without one, so no part with a prefix holds an empty label, every
+    prefix composes as ``p/l``, and parts over cells without empty labels
+    keep sharing them.  ``Torification(tori, charts)`` is the flat
     form: one part without a prefix.  ``from_parts`` takes each cell as a run
     table or as a sequence of tori.  ``tori`` is the tuple of labeled Torus
     objects, built on its first read and kept, and two torifications are
@@ -92,7 +96,14 @@ class Torification:
 
     def _set(self, parts, charts) -> None:
         cells = ((p, cell if isinstance(cell, _Cell) else _Cell.of(cell)) for p, cell in parts)
-        parts = tuple(part for part in cells if len(part[1]))
+        parts = tuple(
+            # "p/" + "" is not "p": a prefixed cell with an empty label is written out
+            (None, _Cell((r, [_join(p, l) for l in ls]) for r, ls in cell.runs))
+            if p is not None and cell.has_empty
+            else (p, cell)
+            for p, cell in cells
+            if len(cell)
+        )
         size = sum(len(cell) for _, cell in parts)
         if charts is not None:
             for chart in charts:
@@ -140,16 +151,9 @@ class Torification:
 
     def relabeled(self, prefix: str) -> "Torification":
         """Every label l becomes ``prefix/l`` (``prefix`` when l is empty);
-        the parts keep their cells and take the composed prefix."""
-        parts = []
-        for p, cell in self.parts:
-            if p is None:
-                parts.append((prefix, cell))
-            elif p:
-                parts.append((f"{prefix}/{p}", cell))
-            else:  # the empty prefix does not compose: "q/" + "" is not "q"
-                labeled = ((r, [_join(prefix, _join(p, l)) for l in ls]) for r, ls in cell.runs)
-                parts.append((None, _Cell(labeled)))
+        the parts keep their cells and take the composed prefix, and a cell
+        with an empty label is written out under it, as on construction."""
+        parts = [(prefix if p is None else f"{prefix}/{p}", cell) for p, cell in self.parts]
         # as many tori as before, so the charts checked on self stay in range
         return Torification.from_parts(parts, self.charts)
 
@@ -185,11 +189,12 @@ class _Cell:
     Bruhat cell has a few runs per torus of A^(s_w), so the labels are kept as
     strings and a Torus is made only when the cell is iterated."""
 
-    __slots__ = ("runs", "_size")
+    __slots__ = ("runs", "_size", "has_empty")
 
     def __init__(self, pieces: Iterable[tuple[int, Iterable[str]]]):
         """The run table of ``(rank, labels)`` pieces in order; adjacent
-        pieces of one rank join into one run and empty pieces drop out."""
+        pieces of one rank join into one run and empty pieces drop out.
+        ``has_empty`` tells whether some label is the empty string."""
         runs: list[tuple[int, list[str]]] = []
         for rank, labels in pieces:
             if runs and runs[-1][0] == rank:
@@ -198,6 +203,7 @@ class _Cell:
                 runs.append((rank, list(labels)))
         object.__setattr__(self, "runs", tuple((rank, tuple(labels)) for rank, labels in runs))
         object.__setattr__(self, "_size", sum(len(labels) for _, labels in runs))
+        object.__setattr__(self, "has_empty", any("" in labels for _, labels in runs))
 
     @classmethod
     def of(cls, tori: Iterable[Torus]) -> "_Cell":
@@ -356,20 +362,12 @@ def product(a: Torification, b: Torification) -> Torification:
     check_budget(len(a) * len(b), "tori")
     b_runs = _Cell((r, [_join(q, l) for l in ls]) for q, cell in b.parts for r, ls in cell.runs).runs
 
-    def times(runs) -> _Cell:
-        heads = ((r, x + "*") for r, xs in runs for x in xs)  # one "x*" per left label x
+    def times(cell: _Cell) -> _Cell:
+        heads = ((r, x + "*") for r, xs in cell.runs for x in xs)  # one "x*" per left label x
         return _Cell((r + s, [head + y for y in ys]) for r, head in heads for s, ys in b_runs)
 
-    shared: dict[_Cell, _Cell] = {}
-    parts = []
-    for p, cell in a.parts:
-        if p is not None and any("" in labels for _, labels in cell.runs):
-            # "p/" + "*t" is not "p*t": the part's labels are written out, as in relabeled
-            parts.append((None, times((r, [_join(p, l) for l in ls]) for r, ls in cell.runs)))
-        else:
-            if cell not in shared:
-                shared[cell] = times(cell.runs)
-            parts.append((p, shared[cell]))
+    shared = {cell: times(cell) for cell in dict.fromkeys(cell for _, cell in a.parts)}
+    parts = [(p, shared[cell]) for p, cell in a.parts]
     charts: Charts | None = None
     if a.charts is not None and b.charts is not None:
         nb = len(b)

@@ -607,6 +607,23 @@ def test_soule_builds_homs_only_to_list_them(capsys, monkeypatch, elements):
     assert len(made) == (64 if elements else 0)
 
 
+@pytest.mark.parametrize("elements", [False, True])
+def test_soule_builds_each_face_basis_once(capsys, monkeypatch, elements):
+    # 8 faces, one Hermite basis each: a listing is not counted again
+    calls = []
+    hnf_rows = gadgets.hnf_rows
+
+    def counted(*args):
+        calls.append(args)
+        return hnf_rows(*args)
+
+    monkeypatch.setattr(gadgets, "hnf_rows", counted)
+    argv = ["soule", "--m", "3", "--cone=1,0,0;0,1,0;1,1,5"] + ["--elements"] * elements
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0 and data["result"]["enumerated_count"] == 64
+    assert len(calls) == 8
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -977,8 +994,8 @@ def materialize(v):
             for rank, labels in cell.runs
             for label in labels
         ]
-    if isinstance(v, cli._Power):
-        return [list(point) for point in iproduct(v.elements, repeat=v.rank)]
+    if isinstance(v, cli._Elements):
+        return {str(i): [list(p) for p in iproduct(v.elements, repeat=r)] for i, r in enumerate(v.ranks)}
     if isinstance(v, dict):
         return {k: materialize(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -992,13 +1009,13 @@ CELLS = st.lists(st.builds(Torus, st.integers(0, 4), LABELS), max_size=4).map(tu
 
 @st.composite
 def with_blocks(draw):
-    """Torus lists over shared cells with drawn prefixes, and D^r blocks,
-    each at several depths."""
+    """Torus lists over shared cells with drawn prefixes, and D^r blocks of
+    gadget listings, each at several depths."""
     cells = draw(st.lists(CELLS, min_size=1, max_size=3))
     parts = draw(st.lists(st.tuples(st.one_of(st.none(), LABELS), st.sampled_from(cells)), max_size=5))
     tori = cli._ToriList(Torification.from_parts(parts))
     group = FiniteAbelianGroup(draw(st.sampled_from([(), (1,), (2,), (3,), (2, 2), (2, 3)])))
-    power = cli._Power(tuple(group.elements()), draw(st.integers(0, 4)))
+    power = cli._Elements(draw(st.lists(st.integers(0, 4), max_size=3)), tuple(group.elements()))
     rest = draw(JSON_VALUES)
     return {"tori": tori, "power": power, "deeper": [rest, {"p": power, "t": [tori]}], "x": [[power]]}
 
@@ -1038,15 +1055,17 @@ def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
     + [(o, r) for o in [(2, 3), (6,)] for r in range(6)],
 )
 def test_power_blocks_match_stdlib_on_materialized(orders, rank):
-    power = cli._Power(tuple(FiniteAbelianGroup(orders).elements()), rank)
-    value, points = power, [list(point) for point in iproduct(power.elements, repeat=rank)]
+    elements = tuple(FiniteAbelianGroup(orders).elements())
+    points = [list(point) for point in iproduct(elements, repeat=rank)]
+    value, plain = cli._Elements((rank,), elements), {"0": points}
+    texts = ["e"] * len(elements)  # the number of blocks reads only how many there are
     for depth in range(4):
         # compared by lines, which pytest reports by the first index that differs
         got = dumps(value).split("\n")
-        assert got == json.dumps(points, sort_keys=True, indent=2).split("\n")
+        assert got == json.dumps(plain, sort_keys=True, indent=2).split("\n")
         # one text, or one block per element and the closing text
-        assert len(power.texts[depth]) == (1 if rank < 2 else len(power.elements) + 1)
-        value, points = [value], [points]
+        assert len(cli._power_blocks(texts, rank, depth)) == (1 if rank < 2 else len(elements) + 1)
+        value, plain = [value], [plain]
 
 
 @given(st.lists(st.integers(0, 3), max_size=150), st.sampled_from([(), (1,), (2,), (3,), (2, 2), (4,)]),

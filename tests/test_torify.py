@@ -180,6 +180,24 @@ def test_product_matches_the_flat_product(a, b):
 
 
 @given(parted_torifications(), parted_torifications(), PREFIXES.filter(lambda p: p is not None))
+@example(_shared_example(["p", None, ""], None), _shared_example(["q"], None), "")
+def test_no_part_with_a_prefix_holds_an_empty_label(a, b, prefix):
+    prefixed = Torification.from_parts((prefix, cell) for _, cell in a.parts)
+    relabeled, times = a.relabeled(prefix), product(a, b)
+    for t in (a, prefixed, relabeled, times):
+        assert not any("" in labels for p, cell in t.parts if p is not None for _, labels in cell.runs)
+    # parts over a cell without an empty label keep it, and a product
+    # multiplies each distinct cell of a once
+    for t in (prefixed, relabeled):
+        for (_, c), (_, d) in zip(a.parts, t.parts, strict=True):
+            assert d is c or any("" in labels for _, labels in c.runs)
+    if len(b):
+        shared = {}
+        for (_, c), (_, d) in zip(a.parts, times.parts, strict=True):
+            assert shared.setdefault(id(c), d) is d
+
+
+@given(parted_torifications(), parted_torifications(), PREFIXES.filter(lambda p: p is not None))
 def test_delta_vector_counts_the_ranks(a, b, prefix):
     for t in (a, product(a, b), a.relabeled(prefix)):
         counts = Counter(t.ranks())
@@ -744,7 +762,7 @@ VIEW_CASES = {
     "p2": lambda: torify_toric(FAN_CORPUS["P2"]),
     "union": lambda: disjoint_union([torify_grassmannian(1, 3), torify_affine_space(2)]),
     "relabeled": lambda: torify_grassmannian(2, 4).relabeled("x"),
-    # the empty prefix of the affine part does not compose, so "q" relabels its run table
+    # the empty prefix composes as "q/": the cells under it hold no empty label
     "relabeled_empty": lambda: disjoint_union(
         [torify_affine_space(2), torify_chevalley(chevalley_data_sl(2))]
     ).relabeled("").relabeled("q"),

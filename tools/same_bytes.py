@@ -98,8 +98,10 @@ LISTINGS = [
 ]
 
 # `gadget --elements` past the benchmark's ladders, on each built-in family,
-# a fan file (the Hirzebruch surface F_2) and a torification file; the last
-# is refused, N(3) of the flag type being over the default budget
+# a fan file (the Hirzebruch surface F_2) and a torification file; the
+# trivial group, whose one element is `[]`, through ranks 0-5 (the
+# benchmark draws orders 2-6); the last is refused, N(3) of the flag type
+# being over the default budget
 FAN_FILE, FAN = "f2_fan.json", {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
                                 "cones": [[0, 1], [1, 2], [2, 3], [3, 0]], "close_faces": True}
 GADGETS = [["torify", "flag", "1", "2", "1"]] + [
@@ -112,6 +114,7 @@ GADGETS = [["torify", "flag", "1", "2", "1"]] + [
         ["4", "--family", "torus", "6"],
         ["3", "--family", "toric", FAN_FILE],
         ["2,3", "--torification", TORIFICATION_FILE],
+        ["1", "--family", "flag", "1", "2", "1"],
         ["2", "--family", "flag", "1", "1", "2", "2"],
     )
 ]
