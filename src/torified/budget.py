@@ -28,10 +28,11 @@ def enumeration_budget() -> int:
 
 
 def check_budget(size: int, what: str) -> None:
-    """Refuse a listing of ``size`` items before any of them is built."""
+    """Refuse a listing of ``size`` items before any of them is built; the
+    refusal carries ``size``."""
     budget = enumeration_budget()
     if size > budget:
-        raise BudgetExceeded(f"{_size_text(size)} {what} exceed the budget of {budget}")
+        raise BudgetExceeded(f"{_size_text(size)} {what} exceed the budget of {budget}", size)
 
 
 def _size_text(size: int) -> str:

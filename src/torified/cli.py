@@ -24,9 +24,11 @@ vector.  Torifications are built only for ``torify`` listings and for
 --elements`` reads a built-in family's torus ranks from its record, which
 lists them from the cells with no label made, and reads a file's from its
 tori.  A torus listing writes each run of a part as one join (``_ToriList``):
-one scan per run of a distinct cell decides whether any of its labels needs an
-escape, only such a run is escaped label by label, and the part's "/" rides
-in the join's glue, since no part with a prefix holds an empty label.
+one scan per distinct cell, kept on the cell across writes, decides whether
+any of its labels needs an escape, only such a cell is escaped label by label,
+and the part's "/" rides in the join's glue, since no part with a prefix holds
+an empty label.  The cells of the built-in listings are the tables of A^d,
+which the library keeps once built, so a process that lists again scans none.
 ``elements`` is one block (``_Elements``) that renders the group's elements
 once, renders each rank's D^r once, at its first torus, as one join per
 group element over the points of D^(r-1) (:func:`_power_blocks`), and writes
@@ -215,11 +217,13 @@ class _ToriList(_Block):
 
     A run of a part is one join of its label texts whose glue ends one torus
     object and starts the next up to its label, escaped prefix and its "/"
-    included.  Each run of a distinct cell is scanned once (:func:`_label_texts`):
-    its labels are escaped only when the scan finds a character that needs it,
-    and are otherwise joined as they are.  That is exact because the escaper
-    works per character: the escape of ``p + "/" + l`` is the escape of ``p``
-    and then that of ``"/" + l``, without the quotes between them.
+    included.  A cell's labels are joined as they are unless the cell needs
+    an escape (:meth:`_Cell.needs_escape`, decided once per cell and kept
+    across writes); only then is each label escaped, with its slash.  That is
+    exact because the escaper works per character: the escape of ``p + "/" +
+    l`` is the escape of ``p`` and then that of ``"/" + l``, without the
+    quotes between them, and a part with a prefix holds no empty label
+    (``Torification`` writes such a part out), so every label takes the slash.
     """
 
     __slots__ = ("t",)
@@ -239,40 +243,20 @@ class _ToriList(_Block):
         head = "{" + inner2 + '"label": "'
         # after a label: its rank and the end of its object
         ends = ['",%s"rank": %d%s}' % (inner2, r, inner1) for r in range(self.t.dim + 1)]
-        texts_of: dict[tuple[int, bool], list[tuple[int, Sequence[str], str]]] = {}
         before = "[" + inner1
         for prefix, cell in self.t.parts:
-            key = (id(cell), prefix is None)
-            runs = texts_of.get(key)
-            if runs is None:
-                slash = "" if prefix is None else "/"
-                runs = texts_of[key] = [(r, *_label_texts(labels, slash)) for r, labels in cell.runs]
-            p = "" if prefix is None else encode_basestring_ascii(prefix)[1:-1]
-            for rank, texts, glue in runs:
-                start = head + p + glue
+            p, slash = ("", "") if prefix is None else (encode_basestring_ascii(prefix)[1:-1], "/")
+            runs, glue = cell.runs, slash
+            if cell.needs_escape():
+                runs = [(r, [slash + encode_basestring_ascii(x)[1:-1] for x in ls]) for r, ls in runs]
+                glue = ""
+            start = head + p + glue
+            for rank, texts in runs:
                 write(before + start)
                 write((ends[rank] + "," + inner1 + start).join(texts))
                 write(ends[rank])
                 before = "," + inner1
         write("\n" + "  " * depth + "]")
-
-
-def _label_texts(labels: tuple[str, ...], slash: str) -> tuple[Sequence[str], str]:
-    """The texts of a run's labels as they follow the escaped prefix of a
-    part, and the text that ends the glue before each of them.
-
-    A label follows its part's prefix after ``slash``; a part with a prefix
-    holds no empty label (``Torification`` writes such a part out), so every
-    label takes it.  One scan of the joined labels decides whether any
-    character needs an escape: ASCII that is printable and holds no quote or
-    backslash is what ``encode_basestring_ascii`` leaves as it is.  Then the
-    labels are their own texts and ``slash`` rides in the glue.  Otherwise
-    each label is escaped, with its slash.
-    """
-    s = "".join(labels)
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return labels, slash
-    return [slash + encode_basestring_ascii(x)[1:-1] for x in labels], ""
 
 
 def _power_blocks(texts: Sequence[str], rank: int, depth: int) -> tuple[str, ...]:
@@ -603,14 +587,17 @@ def cmd_soule(args) -> tuple[dict, int]:
     monoid = monoid_of_cone(_parse_cone(args.cone))
     face_count = soule_count_by_faces(monoid, m)
     target = CyclicMonoidWithZero(m)
-    homs = None
+    # a listing is its own count, and a refused one carries it, so each
+    # face's Hermite basis is built once
+    homs = count = None
     if args.elements:
         try:
             homs = enumerate_monoid_homs(monoid, target)
-        except BudgetExceeded:
-            pass  # more maps than the budget: the counts only
-    # a listing is its own count, so each face's Hermite basis is built once
-    count = count_monoid_homs(monoid, target) if homs is None else len(homs)
+            count = len(homs)
+        except BudgetExceeded as exc:
+            count = exc.size  # more maps than the budget: the counts only
+    if count is None:
+        count = count_monoid_homs(monoid, target)
     payload: dict = {
         "m": m,
         "generators": [list(g) for g in monoid.generators],

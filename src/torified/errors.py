@@ -64,7 +64,12 @@ class UnknownFamily(TorifiedError):
 
 
 class BudgetExceeded(TorifiedError):
-    """Full enumeration would exceed the configured element budget."""
+    """Full enumeration would exceed the configured element budget.
+    ``size`` is the number of elements refused, when the refusal knows it."""
+
+    def __init__(self, message: str, size: int | None = None):
+        super().__init__(message)
+        self.size = size
 
 
 class ShapeMismatch(TorifiedError):

@@ -286,7 +286,7 @@ def enumerate_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) ->
     hom from L_τ into mu_m.  So face τ has one map per a in (Z/m)^len(H_τ):
     s in S_τ goes to <c_s, a> mod m, with c_s the coordinates of s in H_τ,
     and the rest to zero.  The budget applies to the count of all the maps
-    before any is built."""
+    before any is built, and a refusal carries that count."""
     supports = _supports(monoid)
     m = target.m
     check_budget(sum(m ** len(basis) for _, basis, _ in supports), "maps")

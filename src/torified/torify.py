@@ -22,7 +22,8 @@ vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
 number of tori.  The ``torify_*`` listings share one routine for the cells of
 G/P, which refuses more than the budget's c(2) tori (a closed form) before it
-builds the label tables of A^d; they grow in place, one concatenation per label.
+reads the label tables of A^d.  Each is built once per process, from the one
+below it with one concatenation per label, and kept.
 A group is its G/B listing times T^r x A^N by :func:`product`, gated on its
 size too, which multiplies each distinct cell of its left factor once and
 makes each label as ``x*`` + y, with ``x*`` made once per left label x.
@@ -30,10 +31,11 @@ makes each label as ``x*`` + y, with ``x*`` made once per left label x.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, combinations, groupby, repeat, starmap
+from itertools import accumulate, chain, combinations, groupby, repeat, starmap
 from math import factorial, prod
 
 from .budget import check_budget
@@ -187,9 +189,12 @@ class _Cell:
     """The tori of a cell as a run table: a tuple of maximal runs ``(rank,
     labels)``, each the labels of consecutive tori of one rank.  A Schubert or
     Bruhat cell has a few runs per torus of A^(s_w), so the labels are kept as
-    strings and a Torus is made only when the cell is iterated."""
+    strings and a Torus is made only when the cell is iterated.  Whether a
+    label needs a JSON escape is decided by one scan, on the first
+    :meth:`needs_escape`, and kept, so a cell that many listings share (the
+    tables of A^d) is scanned once."""
 
-    __slots__ = ("runs", "_size", "has_empty")
+    __slots__ = ("runs", "_size", "has_empty", "_escapes")
 
     def __init__(self, pieces: Iterable[tuple[int, Iterable[str]]]):
         """The run table of ``(rank, labels)`` pieces in order; adjacent
@@ -201,14 +206,34 @@ class _Cell:
                 runs[-1][1].extend(labels)
             elif labels:
                 runs.append((rank, list(labels)))
-        object.__setattr__(self, "runs", tuple((rank, tuple(labels)) for rank, labels in runs))
+        self._set(tuple((rank, tuple(labels)) for rank, labels in runs))
+
+    def _set(self, runs: tuple[tuple[int, tuple[str, ...]], ...]) -> None:
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "_size", sum(len(labels) for _, labels in runs))
         object.__setattr__(self, "has_empty", any("" in labels for _, labels in runs))
+        object.__setattr__(self, "_escapes", None)
 
     @classmethod
     def of(cls, tori: Iterable[Torus]) -> "_Cell":
         runs = groupby(tori, operator.attrgetter("rank"))
         return cls((rank, [t.label for t in run]) for rank, run in runs)
+
+    @classmethod
+    def of_runs(cls, runs: tuple[tuple[int, tuple[str, ...]], ...]) -> "_Cell":
+        """The cell of ``runs``, a run table already: maximal runs of tuples
+        of labels, none empty, kept as they are, with no copy."""
+        out = object.__new__(cls)
+        out._set(runs)
+        return out
+
+    def needs_escape(self) -> bool:
+        """Whether some label is not its own JSON string text: one scan of
+        the joined labels (:func:`_json_plain`) on the first call, kept."""
+        if self._escapes is None:
+            text = "".join(chain.from_iterable(labels for _, labels in self.runs))
+            object.__setattr__(self, "_escapes", not _json_plain(text))
+        return self._escapes
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a cell is immutable; cannot set {name!r}")
@@ -218,6 +243,13 @@ class _Cell:
 
     def __len__(self) -> int:
         return self._size
+
+
+def _json_plain(text: str) -> bool:
+    """Whether ``text`` is its own JSON string text: ASCII that is printable
+    and holds no quote or backslash is what ``encode_basestring_ascii``
+    leaves as it is."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def delta_vector(t: Torification) -> tuple[int, ...]:
@@ -302,26 +334,32 @@ def torify_affine_space(n: int) -> Torification:
     """One torus of rank |S| per coordinate subset S, all in a single chart."""
     _check_affine(n)
     check_budget(2**n, "tori")
-    cell = _affine_cells({n})[n]
+    cell = _affine_cell(n)
     return Torification(cell, (tuple(range(len(cell))),))
 
 
-def _affine_cells(dims: set[int]) -> dict[int, _Cell]:
-    """The tori of A^d for each d in ``dims``, sorted by rank and label, as
-    run tables: the cells that the Schubert and Bruhat parts share.  Rank r of
-    A^m is rank r of A^(m-1) extended in place by S + ",m" for S of rank r - 1
-    and sorted in place, so each label is one concatenation, made once for all d."""
-    by_rank: list[list[str]] = []  # the labels of A^m, one list per rank
-    cells = {}
-    for m in range(max(dims) + 1):
-        by_rank.append([] if m else ["axes:"])
-        for r in range(m, 0, -1):  # downwards, so by_rank[r - 1] is still A^(m-1)'s
-            suffix = f",{m}" if r > 1 else str(m)
-            by_rank[r] += [s + suffix for s in by_rank[r - 1]]
-            by_rank[r].sort()  # two sorted runs: one merge
-        if m in dims:
-            cells[m] = _Cell(enumerate(by_rank))  # copies the lists, which keep growing
-    return cells
+@functools.lru_cache(maxsize=None)
+def _affine_cell(d: int) -> _Cell:
+    """The tori of A^d, sorted by rank and label, as a run table: the cell
+    that ``torify_affine_space(d)`` lists and every Schubert and Bruhat part
+    over A^d shares.  It is a function of d alone, so it is built once per
+    process and kept (``cache_clear`` drops the tables).  Rank r of A^d is
+    rank r of A^(d-1) merged with S + ",d" for each S of rank r - 1 (S + "d"
+    at rank 1), so each label is one concatenation, made once, and its string
+    is shared by the table of every larger dimension: the tables kept up to
+    dimension D hold 2^D label strings.  Callers check the budget first."""
+    if not d:
+        return _Cell.of_runs(((0, ("axes:",)),))
+    prev = _affine_cell(d - 1).runs
+    runs = [prev[0]]
+    for r in range(1, d + 1):
+        suffix = f",{d}" if r > 1 else str(d)
+        labels = [s + suffix for s in prev[r - 1][1]]
+        if r < d:
+            labels += prev[r][1]
+            labels.sort()  # two sorted runs, as one suffix keeps the order: one merge
+        runs.append((r, tuple(labels)))
+    return _Cell.of_runs(tuple(runs))
 
 
 def _check_affine(n: int) -> None:
@@ -383,17 +421,16 @@ def _cell_listing(tori: int, cells: Callable[[], Iterable[tuple[str, int]]]) -> 
     """One part per cell ``(label, s_w)`` that ``cells()`` yields, over the
     tori of A^(s_w), without charts.  ``tori``, the number of tori to be built
     (sum_w 2^(s_w), times 2^N for a group), is checked against the budget
-    before ``cells`` is called.  Each cell dimension's run table is built once."""
+    before ``cells`` is called or a table is read; the parts over A^d share
+    its one table (:func:`_affine_cell`)."""
     check_budget(tori, "tori")
-    cells = tuple(cells())
-    shared = _affine_cells({s_w for _, s_w in cells})
-    return Torification.from_parts((label, shared[s_w]) for label, s_w in cells)
+    return Torification.from_parts((label, _affine_cell(s_w)) for label, s_w in cells())
 
 
 def _cell_ranks(cells: Iterable[tuple[int, int]], right: Sequence[int] | None = None) -> list[int]:
     """The rank of each torus of a cell listing, in order, with no label made:
     ``count`` cells A^d for each ``(d, count)`` in turn, each cell's tori by
-    ascending rank as :func:`_affine_cells` lists them (C(d, r) of rank r),
+    ascending rank as :func:`_affine_cell` lists them (C(d, r) of rank r),
     and each torus times the tori of ranks ``right``, if given, as
     :func:`product` takes them.  Each dimension's ranks are built once, from
     its Pascal row."""
@@ -590,8 +627,7 @@ def torify_chevalley(data: ChevalleyData) -> Torification:
         sum(1 << s_w for s_w in data.cell_dims) << data.unipotent_dim,
         lambda: ((f"bruhat:{w},cell_dim={s}", s) for s, w in zip(data.cell_dims, data.cell_labels)),
     )
-    # N is the largest cell dimension, so A^N is the listing's largest cell
-    unipotent = Torification(max((cell for _, cell in cells.parts), key=len))
+    unipotent = Torification(_affine_cell(data.unipotent_dim))  # read after the gate
     t = product(cells, product(torify_torus(data.torus_rank), unipotent))
     return Torification.from_parts(t.parts, (tuple(range(len(t))),))
 

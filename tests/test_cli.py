@@ -14,6 +14,7 @@ from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
 from math import comb
 from types import SimpleNamespace
+from unittest import mock
 from typing import Callable
 
 import pytest
@@ -42,6 +43,7 @@ from torified.monoids import monoid_of_cone
 from torified.torify import (
     Torification,
     Torus,
+    delta_flag,
     delta_sl,
     delta_vector,
     product,
@@ -607,9 +609,12 @@ def test_soule_builds_homs_only_to_list_them(capsys, monkeypatch, elements):
     assert len(made) == (64 if elements else 0)
 
 
-@pytest.mark.parametrize("elements", [False, True])
+@pytest.mark.parametrize("elements", [False, True, "refused"])
 def test_soule_builds_each_face_basis_once(capsys, monkeypatch, elements):
-    # 8 faces, one Hermite basis each: a listing is not counted again
+    # 8 faces, one Hermite basis each: a listing is not counted again, and a
+    # refused listing (64 maps over a budget of 40) carries its count
+    if elements == "refused":
+        monkeypatch.setenv("TORIFIED_BUDGET", "40")
     calls = []
     hnf_rows = gadgets.hnf_rows
 
@@ -618,9 +623,10 @@ def test_soule_builds_each_face_basis_once(capsys, monkeypatch, elements):
         return hnf_rows(*args)
 
     monkeypatch.setattr(gadgets, "hnf_rows", counted)
-    argv = ["soule", "--m", "3", "--cone=1,0,0;0,1,0;1,1,5"] + ["--elements"] * elements
+    argv = ["soule", "--m", "3", "--cone=1,0,0;0,1,0;1,1,5"] + ["--elements"] * bool(elements)
     code, data, _ = run_json(capsys, *argv)
     assert code == 0 and data["result"]["enumerated_count"] == 64
+    assert ("homs" in data["result"]) == (elements is True)
     assert len(calls) == 8
 
 
@@ -1045,6 +1051,37 @@ SAFE = [(1, "axes:1"), (1, "axes:2"), (0, "cone:3"), (2, "axes:*torus*axes:1")]
 @example(tori_block((None, [(1, "a"), (1, "b\\"), (1, "c")]), ("p\\", [(1, "a"), (1, "\\")])))
 def test_dumps_of_blocks_matches_stdlib_on_materialized(value):
     assert dumps(value) == json.dumps(materialize(value), sort_keys=True, indent=2)
+
+
+PLAIN = st.sampled_from(["axes:1,2", "cone:3", "x*torus*y", " ~", ""])
+ESCAPED = st.sampled_from(['"', "\\", "é", "\U0001f600", "\x00", "\n\t", "\x1f", "\x7f", 'a"b\\c'])
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.one_of(PLAIN, PLAIN, ESCAPED)), min_size=1,
+                         max_size=5), min_size=1, max_size=3),
+       st.lists(st.tuples(st.one_of(st.none(), PLAIN, ESCAPED), st.integers(0, 2)), max_size=5))
+@example([[(1, "a"), (1, "b")], [(1, "a"), (2, "\\")]], [(None, 0), ("p", 1), ("p", 0), (None, 1)])
+def test_each_cell_decides_its_escaping_once(cells, parts):
+    # cells that mix plain labels with ones that need an escape, shared by
+    # parts with and without a prefix: each write is the stdlib's text, and
+    # each distinct cell is scanned once, at its first write
+    cells = [torify._Cell((r, [label]) for r, label in cell) for cell in cells]
+    t = Torification.from_parts((prefix, cells[i % len(cells)]) for prefix, i in parts)
+    plain = json.dumps(materialize({"tori": cli._ToriList(t)}), sort_keys=True, indent=2)
+    scans = []
+    json_plain = torify._json_plain
+
+    def spy(text):
+        scans.append(text)
+        return json_plain(text)
+
+    with mock.patch.object(torify, "_json_plain", spy):
+        for _ in range(2):
+            assert dumps({"tori": cli._ToriList(t)}) == plain
+    assert len(scans) == len({id(cell) for _, cell in t.parts})
+    for _, cell in t.parts:
+        labels = [label for _, run in cell.runs for label in run]
+        assert cell.needs_escape() == any(encode_basestring_ascii(x)[1:-1] != x for x in labels)
 
 
 @pytest.mark.parametrize(
@@ -1540,7 +1577,7 @@ def test_gadget_elements_of_a_built_in_family_builds_no_listing(capsys, monkeypa
     for name in dir(counting):
         if name.startswith("torify_") or name in ("standard_fan", "chevalley_data_sl"):
             monkeypatch.setattr(counting, name, refuse)
-    monkeypatch.setattr(torify, "_affine_cells", refuse)
+    monkeypatch.setattr(torify, "_affine_cell", refuse)
     for family in (["affine", "3"], ["projective", "3"], ["torus", "3"], ["grassmannian", "2", "5"],
                    ["flag", "1", "2", "1"], ["sl", "3"]):
         assert run(capsys, "gadget", "--elements", "--group", "2", "--family", *family)[0] == 0
@@ -1550,6 +1587,19 @@ def test_gadget_elements_of_a_built_in_family_builds_no_listing(capsys, monkeypa
     assert_file_gadget_matches(direct["result"], via_file[1]["result"])
     with pytest.raises(AssertionError, match="built a listing"):
         main(["gadget", "--elements", "--group", "2", "--family", "toric", os.path.join(DATA, "p2_fan.json")])
+
+
+def test_each_affine_table_is_built_once_per_process(capsys):
+    # Gr(3,7) reads A^0..A^12, the flag type A^0..A^13 and A^5 one table:
+    # the cache's misses are its builds, one per dimension, and emptying it
+    # starts again
+    for _ in range(2):
+        clear_caches()
+        for argv in (["grassmannian", "3", "7"], ["flag", "1", "2", "2", "1"], ["affine", "5"]):
+            assert run(capsys, "torify", *argv)[0] == 0
+        info = torify._affine_cell.cache_info()
+        assert info.misses == info.currsize == len(delta_flag((1, 2, 2, 1))) == 14
+        assert info.hits > 0
 
 
 def test_projective_and_sl_counting_build_nothing(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FAN_CORPUS, compositions
+from conftest import FAN_CORPUS, clear_caches, compositions
 from test_cli import TRICKY
 from references import (
     affine_cell_runs,
@@ -108,15 +108,18 @@ def test_affine_space_deltas():
 
 
 def test_affine_cell_tables_match_the_coordinate_subsets():
-    # the tables grow in place, so every dimension of one call is checked, and
-    # a few dimensions alone; from A^10 on, string order is not numeric order
-    cells = torify._affine_cells(set(range(15)))
-    assert sorted(cells) == list(range(15))
-    for m, cell in cells.items():
-        assert cell.runs == affine_cell_runs(m)
+    # each table grows from the one below it, so a few dimensions are built
+    # alone from an empty cache, and every smaller one is read from the cache
+    # after A^14; from A^10 on, string order is not numeric order
     for m in (0, 1, 9, 10, 14):
-        alone = torify._affine_cells({m})
-        assert list(alone) == [m] and alone[m].runs == affine_cell_runs(m)
+        clear_caches()
+        assert torify._affine_cell(m).runs == affine_cell_runs(m)
+    for m in range(15):
+        cell = torify._affine_cell(m)
+        assert cell is torify._affine_cell(m) and cell.runs == affine_cell_runs(m)
+    # a label is made once: each string of A^13 is the one in A^14
+    made = {id(label) for _, labels in torify._affine_cell(14).runs for label in labels}
+    assert all(id(label) in made for _, labels in torify._affine_cell(13).runs for label in labels)
 
 
 def test_product_rules():
@@ -447,17 +450,25 @@ def test_listing_constructors_refuse_an_over_budget_listing(monkeypatch):
         raise AssertionError("built before the budget was checked")
 
     sl4 = chevalley_data_sl(4)  # 24 cells, 20,160 tori
-    monkeypatch.setattr(torify, "_affine_cells", refuse)
-    monkeypatch.setattr(torify, "permutation_length", refuse)
-    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
-    for build, delta in (
+    listings = (
         (lambda: torify_affine_space(12), delta_affine_space(12)),
         (lambda: torify_grassmannian(3, 6), delta_grassmannian(3, 6)),
         (lambda: torify_flag((2, 2, 2)), delta_flag((2, 2, 2))),
         (lambda: torify_chevalley(sl4), delta_chevalley(sl4)),
-    ):
-        with pytest.raises(BudgetExceeded, match=f"^{sum(delta)} tori exceed the budget of 1000$"):
-            build()
+    )
+    # the tables they read are kept at the default budget; kept tables, and a
+    # table reader that fails if reached, are refused all the same
+    monkeypatch.delenv("TORIFIED_BUDGET", raising=False)
+    for build, delta in listings:
+        assert delta_vector(build()) == delta
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(torify, "_affine_cell", refuse)
+            monkeypatch.setattr(torify, "permutation_length", refuse)
+        monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+        for build, delta in listings:
+            with pytest.raises(BudgetExceeded, match=f"^{sum(delta)} tori exceed the budget of 1000$"):
+                build()
     assert sum(delta_affine_space(12)) == 4096
     with pytest.raises(BudgetExceeded, match="^5040 permutations exceed the budget of 1000$"):
         chevalley_data_sl(7)

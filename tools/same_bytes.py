@@ -89,11 +89,15 @@ COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
 
 # listings past the benchmark's ladders: the one flag listing it leaves out
 # (615,195 tori), cells up to A^18 (788,035 tori, 78 MB), labels of A^16 past
-# numeric order, and a gadget point listing over Schubert cells
+# numeric order, and a gadget point listing over Schubert cells; A^3 and the
+# cells of Gr(2, 4) come after larger listings in the same process, so they
+# read tables kept from those
 LISTINGS = [
     ["torify", "flag", "1", "1", "1", "1", "1", "1"],
     ["torify", "grassmannian", "3", "9"],
+    ["torify", "grassmannian", "2", "4"],
     ["torify", "affine", "16"],
+    ["torify", "affine", "3"],
     ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "1", "1", "1"],
 ]
 
