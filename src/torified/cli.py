@@ -11,8 +11,8 @@ torification file has no formula, and its ``expected`` and ``match`` are null.
 ``verify`` and ``gadget`` read only the delta vector, by one sum over it.
 
 A built-in family is its record in the library's table, ``counting._FAMILIES``
-(check, rows, formula, listing); ``FAMILIES`` adds the arity and conversion of
-its parameters.  Each row is computed when first read, and kept: ``zeta``
+(arity, check, rows, formula, listing); its parameters are ints, or a fan file
+for ``toric``.  Each row is computed when first read, and kept: ``zeta``
 prints the monomial row and runs no Taylor shift on a built-in family,
 ``count`` prints both rows and runs one on ``grassmannian``, ``flag`` and
 ``sl``, none on the others; both run one on a fan or a torification file,
@@ -423,26 +423,23 @@ class Family:
         return self.build()
 
 
-# name: (number of parameters, 0 for one or more; the conversion of each); the rest is its record
-FAMILIES = {"affine": (1, int), "projective": (1, int), "torus": (1, int), "gm": (1, int),
-            "grassmannian": (2, int), "flag": (0, int), "sl": (1, int), "toric": (1, load_fan)}
-
-
 def build_family(family: str, params: list[str]) -> Family:
-    """A family spec's record at its parameters, which are parsed and checked."""
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    count, convert = FAMILIES[family]
+    """A family spec's record at its parameters, which are parsed (ints, or a
+    fan file for ``toric``) and checked."""
+    record = _FAMILIES.get(family)
+    if record is None:
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}")
+    count = record.arity
     if len(params) != count if count else not params:
         got = f"{count or 'one or more'} parameter(s), got {len(params)}"
         raise UsageError(f"family {family!r} takes {got}")
     try:
-        values = tuple(map(convert, params))
+        values = tuple(map(load_fan if family == "toric" else int, params))
     except ValueError as exc:
         raise UsageError(f"family {family!r} needs integer parameters") from exc
     p = values[0] if count == 1 else values
-    _FAMILIES[family].check(p)
-    return Family((family, p), lambda: _FAMILIES[family].build(p))
+    record.check(p)
+    return Family((family, p), lambda: record.build(p))
 
 
 def torification_to_dict(t: Torification) -> dict:
@@ -681,7 +678,7 @@ def _render_text(sub: str, payload: dict) -> str:
 _FORMATS = ("json", "text")
 _FAMILY = ("--family", "+", False, None)
 _COMMANDS = {
-    "torify": ("build a torification of one of " + ", ".join(FAMILIES),
+    "torify": ("build a torification of one of " + ", ".join(_FAMILIES),
                (("family_spec", "+", True, "FAMILY [PARAMS...]"),)),
     "count": ("counting polynomial of a torification",
               (_FAMILY, ("--torification", "1", False, "torification JSON file (from `torify`)"),

@@ -8,15 +8,18 @@ coefficients ``mono`` are those of D(q - 1) for D(x) = sum_k d_k x^k, one
 Taylor shift by -1 in O(d^2) additions, on the first read; ``to_delta_basis``
 in ``torify`` is the shift by +1.  The zeta function is prod_i (s-i)^(-a_i),
 kept as its factor list.  The oracles count the same points by classical
-product formulas over F_q, with every division checked to be exact.
+product formulas over F_q, with every division checked to be exact.  Their
+products of q^i - 1 are balanced trees (``torify._tree_product``), and the
+flag oracle is ``torify``'s :func:`q_multinomial`, the q-product the Schubert
+listings are gated on at q = 2.
 
-``_FAMILIES`` holds one record per built-in family: check, delta, mono (each
-from cells or binomials, not the formula), formula, listing, and the rank of
-each torus of the listing in order, from the cells with no label made.  A row
-given as None is one Taylor shift of the other: ``affine``, ``projective``,
-``gm`` (or ``torus``) and ``sl`` give both rows, ``grassmannian`` and ``flag``
-their cell polynomial as mono, and ``toric`` neither, its delta and its ranks
-read from the listing.
+``_FAMILIES`` holds one record per built-in family: the arity of its
+parameters, check, delta, mono (each from cells or binomials, not the
+formula), formula, listing, and the rank of each torus of the listing in
+order, from the cells with no label made.  A row given as None is one Taylor
+shift of the other: ``affine``, ``projective``, ``gm`` (or ``torus``) and
+``sl`` give both rows, ``grassmannian`` and ``flag`` their cell polynomial as
+mono, and ``toric`` neither, its delta and its ranks read from the listing.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
-from math import prod
 
 from .errors import UnknownFamily, Value
 from .lattice import require_valid, standard_fan
 from .torify import Torification, _cell_ranks, _check_affine, _check_composition
-from .torify import _check_grassmannian, _check_rank, _check_sl, _flag_polynomial
-from .torify import _gaussian_polynomial, _graded_terms, _poly_mul, _taylor_shift
+from .torify import _check_grassmannian, _check_rank, _check_sl, _exact_div, _flag_polynomial
+from .torify import _gaussian_polynomial, _graded_terms, _poly_mul, _taylor_shift, _tree_product
 from .torify import chevalley_data_sl, delta_affine_space, delta_projective, delta_sl
 from .torify import delta_torus, delta_vector, schubert_cells_grassmannian, torify_affine_space
-from .torify import torify_chevalley, torify_flag, torify_grassmannian, torify_toric, torify_torus
+from .torify import q_multinomial, torify_chevalley, torify_flag, torify_grassmannian
+from .torify import torify_toric, torify_torus
 
 
 def to_monomial_basis(delta: Sequence[int]) -> tuple[int, ...]:
@@ -139,35 +142,11 @@ def _zeta(mono: Sequence[int]) -> ZetaFunction:
 # Independent finite-field oracles
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r != 0:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-subspaces of an n-space over F_q, by exact division."""
     num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
     den = _tree_product([q**i - 1 for i in range(1, k + 1)])
     return _exact_div(num, den)
-
-
-def q_multinomial(composition: Sequence[int], q: int) -> int:
-    """Number of flags of the given type over F_q."""
-    num = _tree_product([q**i - 1 for i in range(1, sum(composition) + 1)])
-    den = _tree_product([q**i - 1 for d in composition for i in range(1, d + 1)])
-    return _exact_div(num, den)
-
-
-def _tree_product(factors: Sequence[int]) -> int:
-    """prod(factors) over a balanced tree: each product is of two ints of
-    about the same size, where multiplication is subquadratic, rather than
-    of one growing int and a small factor at a time."""
-    if len(factors) <= 2:
-        return prod(factors)
-    mid = len(factors) // 2
-    return _tree_product(factors[:mid]) * _tree_product(factors[mid:])
 
 
 def sl_group_order(n: int, q: int) -> int:
@@ -180,43 +159,44 @@ def _signed_row(n: int) -> tuple[int, ...]:
     return tuple(accumulate(range(n), lambda c, l: -c * (n - l) // (l + 1), initial=(-1) ** n))
 
 
-#: Each entry looks the library's functions up when called, so tests can patch them.
-_Family = namedtuple("_Family", "check delta mono formula build ranks")
+#: Each entry looks the library's functions up when called, so tests can patch them.  The arity
+#: is 0 for one or more parameters; the command line lists the entries in this order.
+_Family = namedtuple("_Family", "arity check delta mono formula build ranks")
 _FAMILIES = {
-    "toric": _Family(require_valid, None, None,
-                     lambda fan, q: sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones),
-                     lambda fan: torify_toric(fan), None),
-    "affine": _Family(_check_affine, lambda n: delta_affine_space(n), lambda n: (0,) * n + (1,),
+    "affine": _Family(1, _check_affine, lambda n: delta_affine_space(n), lambda n: (0,) * n + (1,),
                       lambda n, q: q**n, lambda n: torify_affine_space(n),
                       lambda n: _cell_ranks([(n, 1)])),
     # the fan's cones by dimension k, C(n+1, k) of them, each a torus of rank n - k
-    "projective": _Family(_check_affine, lambda n: delta_projective(n), lambda n: (1,) * (n + 1),
+    "projective": _Family(1, _check_affine, lambda n: delta_projective(n), lambda n: (1,) * (n + 1),
                           lambda n, q: _exact_div(q ** (n + 1) - 1, q - 1),
                           lambda n: torify_toric(standard_fan("projective_space", n)),
                           lambda n: list(chain.from_iterable(
                               map(repeat, range(n, -1, -1), delta_affine_space(n + 1))))),
-    "gm": _Family(_check_rank, lambda n: delta_torus(n), lambda n: _signed_row(n),
-                  lambda n, q: (q - 1) ** n, lambda n: torify_torus(n), lambda n: [n]),
-    "grassmannian": _Family(lambda kn: _check_grassmannian(*kn), None,
+    "torus": (_gm := _Family(1, _check_rank, lambda n: delta_torus(n), lambda n: _signed_row(n),
+                             lambda n, q: (q - 1) ** n, lambda n: torify_torus(n), lambda n: [n])),
+    "gm": _gm,
+    "grassmannian": _Family(2, lambda kn: _check_grassmannian(*kn), None,
                             lambda kn: _gaussian_polynomial(kn[1], kn[0]),
                             lambda kn, q: gaussian_binomial(kn[1], kn[0], q),
                             lambda kn: torify_grassmannian(*kn),
                             lambda kn: _cell_ranks((d, 1)
                                                    for _, d in schubert_cells_grassmannian(*kn))),
     # the cells sorted by dimension, mono_d of dimension d
-    "flag": _Family(_check_composition, None, lambda c: _flag_polynomial(c),
+    "flag": _Family(0, _check_composition, None, lambda c: _flag_polynomial(c),
                     lambda c, q: q_multinomial(tuple(c), q), lambda c: torify_flag(c),
                     lambda c: _cell_ranks(enumerate(_flag_polynomial(c)))),
     # each Bruhat cell A^(s_w) x T^(n-1) x A^N counts q^(s_w) (q-1)^(n-1) q^N
-    "sl": _Family(_check_sl, lambda n: delta_sl(n),
+    "sl": _Family(1, _check_sl, lambda n: delta_sl(n),
                   lambda n: _poly_mul([0] * (n * (n - 1) // 2) + _flag_polynomial((1,) * n),
                                       _signed_row(n - 1)),
                   lambda n, q: sl_group_order(n, q),
                   lambda n: torify_chevalley(chevalley_data_sl(n)),
                   lambda n: _cell_ranks(enumerate(_flag_polynomial((1,) * n)),
                                         _cell_ranks([(n * (n - 1) // 2, 1)], [n - 1]))),
+    "toric": _Family(1, require_valid, None, None,
+                     lambda fan, q: sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones),
+                     lambda fan: torify_toric(fan), None),
 }
-_FAMILIES["torus"] = _FAMILIES["gm"]
 
 
 def oracle_point_count(family: str, params, q: int) -> int:

@@ -36,8 +36,9 @@ and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
 It is read from ray bitmasks: the faces in the fan of a simplicial cone are
 the submasks of its ray mask that index a cone, so only non-simplicial cones
-list their faces, and :func:`fan_from_dict` closes a simplicial cone's
-faces by its distinct ray subsets.  Face closure is then a count per cone.
+list their faces, and :func:`fan_from_dict` and :func:`standard_fan` close
+a simplicial cone's faces by the same submasks.  Face closure is then a
+count per cone.
 Cones and fans keep their hashes.  Fan validation settles pairs of maximal
 cones by sign masks over the rays, from one dual
 per maximal cone (the cached :func:`facet_normals`); a double description of
@@ -388,19 +389,18 @@ def _cosets(gens: Sequence[Vector], inverse: list[list[int]], volume: int) -> li
     return [tuple([dot(row, a) % volume for row in inverse]) for a in box]
 
 
-def _parallelepiped_points(gens: tuple[Vector, ...]) -> set[Vector]:
+def _parallelepiped_points(gens: tuple[Vector, ...], s: int, inverse: list[list[int]]) -> set[Vector]:
     """Lattice points of the half-open parallelepiped spanned by independent gens.
 
     There is one per coset of Z^d / L, L being the lattice the gens span: the
     coset of a has its point at G frac(G^-1 a), G having the gens as columns,
     and with D = |det G| and M = D G^-1 that is G f / D, f = (M a) mod D
-    (:func:`_cosets`).
+    (:func:`_cosets`), from (s, s G^-1) = :func:`_simplex` of G.
     """
     assert len(gens) == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
-    simplex = _simplex(rows := tuple(zip(*gens)))
-    assert simplex is not None, "parallelepiped generators must be independent"
-    volume = abs(simplex[0])
-    points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, simplex[1], volume)}
+    rows = tuple(zip(*gens))
+    volume = abs(s)
+    points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, inverse, volume)}
     assert len(points) == volume, "parallelepiped enumeration lost points"
     return points
 
@@ -420,7 +420,7 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     try:
         return _basis(cone)
     except BudgetExceeded as exc:
-        raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}") from None
+        raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}", exc.size) from None
 
 
 def _basis(cone: Cone, simplex: tuple[int, list[list[int]]] | None = None) -> tuple[Vector, ...]:
@@ -530,12 +530,13 @@ def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
     """
     n = cone.ambient_dim
     pieces = _triangulate(cone.rays, n)
+    simplices = [_simplex(tuple(zip(*piece))) for piece in pieces]
     # one candidate per lattice point of each piece's parallelepiped
-    check_budget(sum(abs(_simplex(tuple(zip(*piece)))[0]) for piece in pieces), "parallelepiped points")
+    check_budget(sum(abs(s) for s, _ in simplices), "parallelepiped points")
     normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
-    for piece in pieces:
-        candidates |= _parallelepiped_points(piece)
+    for piece, simplex in zip(pieces, simplices):
+        candidates |= _parallelepiped_points(piece, *simplex)
     candidates.discard((0,) * n)
     graded = []
     for h in candidates:
@@ -622,13 +623,7 @@ class Fan(Value):
         index = {mask: i for i, mask in enumerate(masks)}
         relation = []
         for c, mask in zip(self.cones, masks):
-            if c.is_simplicial:
-                subs, sub = [0], mask
-                while sub:  # the nonzero submasks, from mask down
-                    subs.append(sub)
-                    sub = (sub - 1) & mask
-            else:
-                _, subs = _ray_masks(faces(c), bits)
+            subs = _submasks(mask) if c.is_simplicial else _ray_masks(faces(c), bits)[1]
             relation.append(tuple(sorted(index[m] for m in subs if m in index)))
         object.__setattr__(self, "_face_indices", tuple(relation))
         return self._face_indices
@@ -668,6 +663,15 @@ def _ray_masks(
     if bits is None:
         bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
     return bits, [sum(bits[r] for r in c.rays) for c in cones]
+
+
+def _submasks(mask: int) -> list[int]:
+    """The submasks of ``mask``: 0, then the nonzero ones from ``mask`` down."""
+    subs, sub = [0], mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    return subs
 
 
 def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
@@ -755,28 +759,23 @@ def standard_fan(kind: str, n: int) -> Fan:
     """Built-in fans: ``affine_space``, ``projective_space``, ``torus`` on Z^n.
 
     A^n has 2^n cones and P^n 2^(n+1) - 1; more than the enumeration budget
-    raise :class:`BudgetExceeded` before any is built.
+    raise :class:`BudgetExceeded` before any is built.  The maximal cones are
+    closed by :func:`_closure`, as a fan file's are with ``close_faces``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if kind == "torus":
         return Fan(n, (zero_cone(n),))
+    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if kind == "affine_space":
         check_budget(1 << n, "cones")
-        top = Cone(n, tuple(e))
-        return Fan(n, faces(top))
-    if kind == "projective_space":
+        tops = [rays]
+    elif kind == "projective_space":
         check_budget((1 << (n + 1)) - 1, "cones")
-        if n == 0:
-            return Fan(0, (zero_cone(0),))
-        rays = e + [tuple(-1 for _ in range(n))]
-        cones: set[Cone] = set()
-        for subset in combinations(range(n + 1), n):
-            top = Cone(n, tuple(rays[i] for i in subset))
-            cones.update(faces(top))
-        return Fan(n, tuple(cones))
-    raise ValueError(f"unknown standard fan kind: {kind!r}")
+        tops = combinations(rays + [(-1,) * n], n)
+    else:
+        raise ValueError(f"unknown standard fan kind: {kind!r}")
+    return Fan(n, tuple(_closure(n, [Cone(n, top) for top in tops])))
 
 
 def _int_list(value, what: str) -> list:
@@ -836,18 +835,20 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
 
 
 def _closure(n: int, cones: Sequence[Cone]) -> list[Cone]:
-    """The faces of ``cones`` in Z^n, each once: the cones on the subsets of
-    a simplicial cone's rays, built once per distinct subset, and the
-    :func:`faces` of the other cones."""
-    closed: dict[tuple[Vector, ...], Cone] = {}
+    """The faces of ``cones`` in Z^n, each once, keyed by ray mask as in
+    :attr:`Fan.face_indices`: the cones on the subsets of a simplicial cone's
+    rays, one per submask of its mask, built once per distinct subset, and
+    the :func:`faces` of the other cones."""
+    bits: dict[Vector, int] = {}
+    closed: dict[int, Cone] = {}
     for c in cones:
+        ray_bits = [bits.setdefault(r, 1 << len(bits)) for r in c.rays]
         if c.is_simplicial:
-            for k in range(len(c.rays) + 1):
-                for subset in combinations(c.rays, k):
-                    if subset not in closed:
-                        closed[subset] = _trusted(n, subset, dim=k)
+            for sub in _submasks(sum(ray_bits)):
+                if sub not in closed:
+                    rays = tuple([r for r, b in zip(c.rays, ray_bits) if sub & b])
+                    closed[sub] = _trusted(n, rays, dim=len(rays))
         else:
-            for f in faces(c):
-                closed.setdefault(f.rays, f)
+            face_list = faces(c)
+            closed.update(zip(_ray_masks(face_list, bits)[1], face_list))
     return list(closed.values())
-

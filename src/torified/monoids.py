@@ -103,7 +103,7 @@ def _monoid_basis(pointed: Cone, cone: Cone, simplex=None) -> tuple[Vector, ...]
     try:
         return _basis(pointed, simplex)
     except BudgetExceeded as exc:
-        raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}") from None
+        raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}", exc.size) from None
 
 
 def _ray_values(generators: tuple[Vector, ...], rays: tuple[Vector, ...]) -> list[tuple[int, ...]]:

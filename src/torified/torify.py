@@ -21,9 +21,11 @@ polynomial c(q) = sum_w q^(s_w).  The ``delta_*`` functions give its delta
 vector without building any torus, c(x+1) * x^r * (1+x)^N, because A^d
 contributes (1+x)^d; their cost grows with the dimension, not with the
 number of tori.  The ``torify_*`` listings share one routine for the cells of
-G/P, which refuses more than the budget's c(2) tori (a closed form) before it
-reads the label tables of A^d.  Each is built once per process, from the one
-below it with one concatenation per label, and kept.
+G/P, which refuses more than the budget's N(2) tori before it reads the
+label tables of A^d.  A split torus has one point over F_2, so N(2) counts
+them, by the q-product the flag oracle shares (:func:`q_multinomial`).  Each
+table is built once per process, from the one below it with one
+concatenation per label, and kept.
 A group is its G/B listing times T^r x A^N by :func:`product`, gated on its
 size too, which multiplies each distinct cell of its left factor once and
 makes each label as ``x*`` + y, with ``x*`` made once per left label x.
@@ -473,20 +475,38 @@ def torify_grassmannian(k: int, n: int) -> Torification:
     """Disjoint union of torified affine cells; deliberately chartless."""
     _check_grassmannian(k, n)
     return _cell_listing(
-        _schubert_tori((k, n - k)),
+        q_multinomial((k, n - k), 2),
         lambda: ((f"schubert:{idx}", d) for idx, d in schubert_cells_grassmannian(k, n)),
     )
 
 
-def _schubert_tori(composition: Sequence[int]) -> int:
-    """sum_w 2^(s_w) over the Schubert cells of a flag type: the q-multinomial
-    at q = 2, [n]_2! / prod_i [d_i]_2! with [m]_2! = prod_{i <= m} (2^i - 1),
-    n = sum_i d_i.  A product of n factors, so no cell polynomial is built."""
+def q_multinomial(composition: Sequence[int], q: int) -> int:
+    """Number of flags of the given type over F_q: [n]_q! / prod_i [d_i]_q!,
+    with [m]_q! = prod_{i <= m} (q^i - 1) and n = sum_i d_i.  The largest
+    part's [d]_q! cancels, so the numerator is the factors d < i <= n alone.
+    At q = 2 it is sum_w 2^(s_w), the tori of the type's Schubert listing."""
+    parts = sorted(composition)
+    top = parts.pop() if parts else 0
+    num = _tree_product([q**i - 1 for i in range(top + 1, top + sum(parts) + 1)])
+    den = _tree_product([q**i - 1 for d in parts for i in range(1, d + 1)])
+    return _exact_div(num, den)
 
-    def factorial_2(m: int) -> int:
-        return prod((1 << i) - 1 for i in range(1, m + 1))
 
-    return factorial_2(sum(composition)) // prod(map(factorial_2, composition))
+def _tree_product(factors: Sequence[int]) -> int:
+    """prod(factors) over a balanced tree: each product is of two ints of
+    about the same size, where multiplication is subquadratic, rather than
+    of one growing int and a small factor at a time."""
+    if len(factors) <= 2:
+        return prod(factors)
+    mid = len(factors) // 2
+    return _tree_product(factors[:mid]) * _tree_product(factors[mid:])
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r != 0:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return q
 
 
 def _gaussian_polynomial(n: int, k: int) -> list[int]:
@@ -553,7 +573,7 @@ def torify_flag(composition: tuple[int, ...]) -> Torification:
     """Disjoint union of torified Schubert cells of the flag variety; no charts."""
     composition = _check_composition(composition)
     return _cell_listing(
-        _schubert_tori(composition),
+        q_multinomial(composition, 2),
         lambda: ((f"schubert:w={_perm_label(w)}", d) for w, d in schubert_cells_flag(composition)),
     )
 

@@ -471,6 +471,27 @@ def test_unknown_family_is_usage_error(capsys):
     assert "unknown family" in err
 
 
+def test_build_family_parses_every_record_by_its_arity(capsys):
+    # the command line's families are the library's records, in the order
+    # its help and errors list them; each parses its parameters with its
+    # record's arity: ints, or for toric a fan file
+    code, _, err = run(capsys, "torify", "nosuchfamily", "1")
+    assert code == 2 and err == (
+        "error: unknown family 'nosuchfamily'; choose from "
+        "affine, projective, torus, gm, grassmannian, flag, sl, toric\n"
+    )
+    for family, record in counting._FAMILIES.items():
+        if family == "toric":
+            params, values = [P2_FAN], cli.load_fan(P2_FAN)
+        else:
+            values = {0: (1, 2), 1: 3, 2: (2, 5)}[record.arity]
+            params = [str(v) for v in (values if record.arity != 1 else (values,))]
+        assert cli.build_family(family, params).oracle == (family, values)
+        wrong = [] if record.arity == 0 else params + ["1"]
+        with pytest.raises(cli.UsageError, match=f"^family '{family}' takes "):
+            cli.build_family(family, wrong)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONE_CORPUS
+from conftest import CONE_CORPUS, clear_caches
 from references import (
     all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
@@ -60,6 +60,7 @@ from torified.lattice import (
     _parallelepiped_points,
     _plane_basis,
     _separating_faces,
+    _simplex,
     _triangulate,
     _triangulated_basis,
     dual_cone,
@@ -626,7 +627,7 @@ def parallelepiped_generators(draw):
 @example(((2, 1), (1, -1)))  # det -3
 @example(((1, 0, 0), (0, 1, 0), (1, 1, -7)))  # det -7
 def test_parallelepiped_points_against_bounding_box(gens):
-    points = _parallelepiped_points(gens)
+    points = _parallelepiped_points(gens, *_simplex(tuple(zip(*gens))))
     assert points == bounding_box_points(gens)
     assert len(points) == abs(det(gens))
 
@@ -647,7 +648,7 @@ def all_pairs_hilbert_basis(cone):
     normals = facet_normals(cone)
     candidates = set(cone.rays)
     for piece in _triangulate(cone.rays, n):
-        candidates |= _parallelepiped_points(piece)
+        candidates |= _parallelepiped_points(piece, *_simplex(tuple(zip(*piece))))
     candidates.discard((0,) * n)
 
     def in_cone(x):
@@ -825,6 +826,7 @@ def test_budget_error_names_the_cone_it_was_called_with(monkeypatch):
         "Hilbert basis of Cone(dim 3, rays=[(1, 0, 0), (1, 5001, 0)]): "
         "5002 elements exceed the budget of 1000"
     )
+    assert caught.value.size == 5002  # the refusal keeps the count it refused
 
 
 def test_plane_basis_of_a_huge_volume_is_refused_at_once(monkeypatch):
@@ -837,6 +839,20 @@ def test_plane_basis_of_a_huge_volume_is_refused_at_once(monkeypatch):
     assert str(caught.value) == (
         f"Hilbert basis of {cone}: 1000000001 elements exceed the budget of 1000"
     )
+
+
+def test_each_triangulation_piece_is_eliminated_once():
+    # the cone over a 12-gon at height 1 has 10 pieces, more than the 8 kept
+    # eliminations: the budget's and the parallelepipeds' must be one
+    polygon = ((4, 0), (3, 2), (2, 3), (0, 4), (-2, 3), (-3, 2),
+               (-4, 0), (-3, -2), (-2, -3), (0, -4), (2, -3), (3, -2))
+    clear_caches()
+    cone = Cone(3, tuple(p + (1,) for p in polygon))
+    pieces = _triangulate(cone.rays, 3)
+    assert len(pieces) == 10
+    _simplex.cache_clear()
+    assert len(hilbert_basis(cone)) == 49
+    assert _simplex.cache_info().misses == len(pieces)
 
 
 def test_hilbert_basis_of_a_long_thin_cone():
@@ -867,6 +883,24 @@ def test_standard_fans():
     assert len(standard_fan("affine_space", 0).cones) == 1
 
 
+@pytest.mark.parametrize("kind", ["affine_space", "projective_space"])
+def test_standard_fans_close_like_fan_files(kind):
+    # the maximal cones as a fan file lists them, closed on reading; P^0 has
+    # no ray -(e_1 + ... + e_n) and one maximal cone, the zero cone
+    for n in range(7):
+        rays = [[int(i == j) for j in range(n)] for i in range(n)]
+        if kind == "affine_space":
+            cones = [list(range(n))]
+        else:
+            rays += [[-1] * n] if n else []
+            cones = [list(c) for c in combinations(range(len(rays)), n)]
+        fan_file = {"dim": n, "rays": rays, "cones": cones, "close_faces": True}
+        clear_caches()
+        fan = standard_fan(kind, n)
+        assert faces.cache_info().currsize == 0, n
+        assert fan == fan_from_dict(fan_file), n
+
+
 def test_standard_fan_refuses_more_cones_than_the_budget(monkeypatch):
     # P^3 has 2^4 - 1 = 15 cones and A^4 has 2^4 = 16: each passes at its count
     monkeypatch.setenv("TORIFIED_BUDGET", "15")
@@ -874,10 +908,11 @@ def test_standard_fan_refuses_more_cones_than_the_budget(monkeypatch):
     monkeypatch.setenv("TORIFIED_BUDGET", "16")
     assert len(standard_fan("affine_space", 4).cones) == 16
 
-    def refuse(cone):
+    def refuse(*args):
         raise AssertionError("built faces over the budget")
 
     monkeypatch.setattr(lattice, "faces", refuse)
+    monkeypatch.setattr(lattice, "_closure", refuse)
     for budget, kind, n, count in (
         (14, "projective_space", 3, 15),
         (15, "affine_space", 4, 16),

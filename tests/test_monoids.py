@@ -171,6 +171,7 @@ def test_budget_error_names_the_cone_of_the_monoid(cone, monkeypatch):
         f"Hilbert basis of the monoid of {cone}: "
         "5002 elements exceed the budget of 1000"
     )
+    assert caught.value.size == 5002  # the refusal keeps the count it refused
 
 
 def test_a_lower_dimensional_cone_that_is_not_simplicial_has_the_reference_monoid():

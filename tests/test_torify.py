@@ -491,7 +491,7 @@ def test_schubert_listings_are_refused_before_their_cell_polynomial(monkeypatch)
     for n in range(1, 8):
         for c in compositions(n):
             tori = sum(a << s for s, a in enumerate(torify._flag_polynomial(c)))
-            assert torify._schubert_tori(c) == tori
+            assert torify.q_multinomial(c, 2) == tori
 
     def refuse(*args):
         raise AssertionError("built a cell polynomial before the budget was checked")
@@ -509,6 +509,27 @@ def test_schubert_listings_are_refused_before_their_cell_polynomial(monkeypatch)
         ):
             with pytest.raises(BudgetExceeded, match=" tori exceed the budget of 1000$"):
                 build(*arg)
+
+
+SCHUBERT_GATES = [(torify_flag, (c,), c) for n in range(1, 8) for c in compositions(n)] + [
+    (torify_grassmannian, (k, n), (k, n - k)) for n in range(10) for k in range(n + 1)
+]
+
+
+def test_schubert_listings_are_gated_on_the_flag_oracles_q_product(monkeypatch):
+    """A listing has N(2) tori, the flag oracle's q-multinomial at 2: one
+    torus over the budget is refused with the gate's text, and a listing of
+    at most 2^16 tori is accepted at its count and has that many ([7]_2! is
+    27 million, so the largest are only refused)."""
+    for build, args, composition in SCHUBERT_GATES:
+        tori = torify.q_multinomial(composition, 2)
+        if tori > 1:  # the budget is a positive integer
+            monkeypatch.setenv("TORIFIED_BUDGET", str(tori - 1))
+            with pytest.raises(BudgetExceeded, match=f"^{tori} tori exceed the budget of {tori - 1}$"):
+                build(*args)
+        if tori <= 1 << 16:
+            monkeypatch.setenv("TORIFIED_BUDGET", str(tori))
+            assert len(build(*args)) == tori, args
 
 
 @settings(max_examples=30)
