@@ -143,7 +143,9 @@ def _zeta(mono: Sequence[int]) -> ZetaFunction:
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-subspaces of an n-space over F_q, by exact division."""
+    """Number of k-subspaces of an n-space over F_q, by exact division;
+    ValueError unless 0 <= k <= n."""
+    _check_grassmannian(k, n)
     num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
     den = _tree_product([q**i - 1 for i in range(1, k + 1)])
     return _exact_div(num, den)

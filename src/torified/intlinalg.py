@@ -4,7 +4,7 @@ Vectors are tuples of ints, matrices are sequences of row tuples.  Every
 routine is exact and works on plain ints (no Fractions), and two
 reductions do all the work.  Rank comes from one fraction-free (Bareiss)
 elimination, which :mod:`torified.lattice` also runs for the determinants
-and scaled inverses of its duals and simplicial cones.  Integer kernel
+and adjugates of its duals and simplicial cones above 3 x 3.  Integer kernel
 bases, Hermite bases and Hermite transforms share one Hermite reduction by
 integer row operations; kernels come back in Hermite form, and a transform
 can carry its inverse through the same row operations, which only a

@@ -10,24 +10,28 @@ construction (strict convexity and extremality), duals, faces and
 triangulations; faces are the closure of the cone under intersection with
 its facets, so neither enumerates subsets, and each face carries its
 dimension from the closure.  n independent generators in Z^n skip the
-double description: they cost one elimination, which :func:`_simplex` keeps
-for the dual's parallelepiped (:func:`_dual_simplex`).  A cone on at least
-n rays and without lineality reads its dimension from that cached dual, so
-a maximal cone is eliminated once, for its rank and its facets.  The lattice
-work beneath is the one Bareiss elimination and the one Hermite reduction
-of :mod:`torified.intlinalg`; a dual's lineality is the generators' kernel,
-which that reduction returns in Hermite form.  Coordinates on a sublattice
-come from one Hermite reduction: with U the transform of the spanning
-vectors as columns, U maps span ∩ Z^n onto Z^r x 0, and U^-1, carried
-through the same row operations, lifts back (lower-dimensional Hilbert
-bases here, the quotient by the units in :mod:`torified.monoids`).
-A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
+double description: the dual's rays are the columns of adj G, where
+:func:`_simplex` gives (det G, adj G) by cofactors up to 3 x 3 and by one
+signed Bareiss elimination above, and keeps it for the dual's
+parallelepiped (:func:`_dual_simplex`).  A cone on at least n rays and
+without lineality reads its dimension from that cached dual, so a maximal
+cone takes one simplex, for its rank and its facets.  A fan file's rays are
+checked once, by :func:`fan_from_dict`, so its cones, like those of
+:func:`standard_fan`, are only made canonical (``Cone._canonicalize``).
+The lattice work beneath is the one Bareiss elimination and the one
+Hermite reduction of :mod:`torified.intlinalg`; a dual's lineality is the
+generators' kernel, which that reduction returns in Hermite form.
+Coordinates on a sublattice come from one Hermite reduction: with U the
+transform of the spanning vectors as columns, U maps span ∩ Z^n onto
+Z^r x 0, and U^-1, carried through the same row operations, lifts back
+(lower-dimensional Hilbert bases here, the quotient by the units in
+:mod:`torified.monoids`).  A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
 fraction, at one step per run of elements, and is refused with
 :class:`BudgetExceeded` when it has more elements than the enumeration
 budget.  In dimension 3 and up it comes from the parallelepipeds of a
 triangulation, refused when they hold more lattice points than the budget;
-a full-dimensional simplicial cone is its own triangulation, and one
-elimination of its rays gives its volume (smooth at 1), its facet normals
+a full-dimensional simplicial cone is its own triangulation, and the one
+simplex of its rays gives its volume (smooth at 1), its facet normals
 and each parallelepiped point's values on them, so beyond it only the
 Hermite basis of the rays runs, to index the points.
 
@@ -105,6 +109,10 @@ class Cone(Value):
     generators, which the constructor computes anyway; it is not a field, and
     neither is ``_hash``, the hash of the field tuple, kept from its first use
     because cones key the caches of this module and the sets of fans.
+
+    The constructor checks its input (``__post_init__``), then makes it
+    canonical (``_canonicalize``); :func:`fan_from_dict` and
+    :func:`standard_fan`, which check their rays, run the second step alone.
     """
 
     __slots__ = ("ambient_dim", "rays", "lineality", "_dim", "_hash")
@@ -114,8 +122,9 @@ class Cone(Value):
         self.__post_init__(ambient_dim, rays, lineality)
 
     def __post_init__(self, ambient_dim, rays, lineality):
-        """The constructor's checks and canonical form, under the method name
-        that ``perfbench/tracer.py`` wraps to count cone construction."""
+        """The constructor's input checks, under the method name that
+        ``perfbench/tracer.py`` wraps to count cone construction; the
+        canonical form is :meth:`_canonicalize`'s."""
         if ambient_dim < 0:
             raise InvalidCone("ambient dimension must be nonnegative")
         rays = tuple(tuple(int(x) for x in r) for r in rays)
@@ -133,6 +142,12 @@ class Cone(Value):
                     raise InvalidCone(
                         "rays must be orthogonal to the lineality basis (canonical form)"
                     )
+        self._canonicalize(ambient_dim, rays, lineality)
+
+    def _canonicalize(self, ambient_dim, rays, lineality=()) -> Cone:
+        """Set the slots from generators that passed the input checks (int
+        tuples of length ``ambient_dim``, primitive nonzero rays, a Hermite
+        lineality basis orthogonal to them); returns the cone."""
         rays = tuple(sorted(set(rays)))
         # rays independent of each other and of the lineality are extremal
         # and contain no line; pruning the others keeps their span, so the
@@ -146,6 +161,7 @@ class Cone(Value):
         if rank < len(rays) + len(lineality):
             rays = _extremal_rays(rays, lineality, ambient_dim)
         self._set(ambient_dim, rays, lineality, rank, None)
+        return self
 
     @property
     def dim(self) -> int:
@@ -177,6 +193,10 @@ class Cone(Value):
     def __repr__(self) -> str:
         lin = f", lineality={list(self.lineality)}" if self.lineality else ""
         return f"Cone(dim {self.ambient_dim}, rays={list(self.rays)}{lin})"
+
+
+# the slot setters, in ``__slots__`` order, that :func:`_trusted` calls
+_set_ambient_dim, _set_rays, _set_lineality, _set_dim, _set_hash = Cone._setters
 
 
 def zero_cone(ambient_dim: int) -> Cone:
@@ -222,24 +242,26 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
     as bit masks) have rank n - 1 together with perp.
 
     n independent generators in Z^n are their own basis B, cut nothing and
-    have perp 0, so they are tried first: when the elimination of [B | I]
-    (:func:`_simplex`) finds n pivots, no kernel or pivot search is run.
+    have perp 0, so they are tried first: when :func:`_simplex` of B is not
+    None, the dual's rays are the columns of adj B, and no kernel, pivot
+    search or cut is run.
     """
     gens = [g for g in generators if any(g)]
-    # [M | I] reduces to [s I | s M^-1]; s times column j of s M^-1 pairs to
-    # s^2 with the j-th basis vector and to 0 with the others and with perp
+    # with (s, adj M) = _simplex(M), s = det M, s times column j of adj M is
+    # s^2 M^-1 e_j: it pairs to s^2 with the j-th row of M and to 0 with the
+    # others, and, when perp fills M's last rows, with perp
     simplex = _simplex(tuple(gens)) if len(gens) == n else None
-    pivots, perp = range(n), []
-    if simplex is None:
-        perp = kernel_basis(gens, n)
-        if not gens:
-            return (), tuple(perp)
-        pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
-        simplex = _simplex((*[gens[j] for j in pivots], *perp))
-    s, inverse = simplex
+    if simplex is not None:
+        s, adj = simplex
+        return tuple(sorted(primitive([s * row[j] for row in adj]) for j in range(n))), ()
+    perp = kernel_basis(gens, n)
+    if not gens:
+        return (), tuple(perp)
+    pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
+    s, adj = _simplex((*[gens[j] for j in pivots], *perp))
     processed = [gens[j] for j in pivots]
     d = len(processed)
-    rays = [(primitive([s * row[j] for row in inverse]), (1 << d) - 1 - (1 << j)) for j in range(d)]
+    rays = [(primitive([s * row[j] for row in adj]), (1 << d) - 1 - (1 << j)) for j in range(d)]
     for g in (g for j, g in enumerate(gens) if j not in pivots):  # B cuts nothing
         values = [sum(map(mul, g, r)) for r, _ in rays]  # dot, without its length check
         if all(v >= 0 for v in values):
@@ -292,11 +314,16 @@ def _trusted(
     The faces of a cone, from its extremal rays that lie in them, and the
     output of :func:`_dual_pair` (sorted primitive extremal rays, a Hermite
     lineality basis orthogonal to them) are such fields; the cone is built
-    without running the constructor's checks again.  A known ``dim`` is
-    stored where :attr:`Cone.dim` caches it, so no rank is computed for it.
+    without running the constructor's checks or canonical form again, and
+    its five slots are set by their own setters.  A known ``dim`` is stored
+    where :attr:`Cone.dim` caches it, so no rank is computed for it.
     """
     cone = object.__new__(Cone)
-    cone._set(ambient_dim, rays, lineality, dim, None)
+    _set_ambient_dim(cone, ambient_dim)
+    _set_rays(cone, rays)
+    _set_lineality(cone, lineality)
+    _set_dim(cone, dim)
+    _set_hash(cone, None)
     return cone
 
 
@@ -334,16 +361,18 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     return tuple(_trusted(n, rays, dim=k) for rays, k in order)
 
 
-def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
+def _triangulate(rays: tuple[Vector, ...], n: int, normals=None) -> list[tuple[Vector, ...]]:
     """Split a pointed cone into simplicial subcones on subsets of its rays.
 
     Stellar recursion by canonical ray order: cone off the first ray over the
     triangulated facets not containing it.  The pieces cover the cone and meet
-    in common faces, which is all the Hilbert basis candidates need.
+    in common faces, which is all the Hilbert basis candidates need.  The
+    facet normals are read from the dual unless given.
     """
     if len(rays) == mat_rank(rays):
         return [rays]
-    normals, _ = _dual_pair(rays, n)
+    if normals is None:
+        normals, _ = _dual_pair(rays, n)
     apex = rays[0]
     pieces = []
     for u in normals:
@@ -357,19 +386,39 @@ def _triangulate(rays: tuple[Vector, ...], n: int) -> list[tuple[Vector, ...]]:
 
 @lru_cache(maxsize=8)  # the last few: a cone's dual is soon followed by its monoid
 def _simplex(rows: tuple[Vector, ...]) -> tuple[int, list[list[int]]] | None:
-    """(s, s G^-1) for the d x d matrix G with the given rows, s = +-det G,
-    from one elimination of [G | I], which reduces it to [s I | s G^-1]; None
-    if G is singular."""
+    """(det G, adj G) = (s, s G^-1) for the d x d matrix G with the given
+    rows, s = det G; None if G is singular.
+
+    For d <= 3 both come from the cofactor formulas.  Otherwise one
+    elimination of [G | I] reduces it to [p I | p G^-1] with p = +-det G,
+    and the row-permutation sign it returns fixes the sign of both.
+    """
     d = len(rows)
-    m = _with_identity(rows)
-    pivots, s, _ = _eliminate(m, d)
-    return (s, [row[d:] for row in m]) if len(pivots) == d else None
+    if d == 3:
+        (a, b, c), (e, f, g), (h, i, j) = rows
+        adj = [[f * j - g * i, c * i - b * j, b * g - c * f],
+               [g * h - e * j, a * j - c * h, c * e - a * g],
+               [e * i - f * h, b * h - a * i, a * f - b * e]]
+        s = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    elif d == 2:
+        (a, b), (c, e) = rows
+        s, adj = a * e - b * c, [[e, -b], [-c, a]]
+    elif d < 2:
+        s, adj = (rows[0][0], [[1]]) if d else (1, [])
+    else:
+        m = _with_identity(rows)
+        pivots, p, sign = _eliminate(m, d)
+        if len(pivots) < d:
+            return None
+        s, adj = sign * p, [row[d:] if sign > 0 else [-x for x in row[d:]] for row in m]
+    return (s, adj) if s else None
 
 
 def _dual_simplex(rays: tuple[Vector, ...], dual: tuple[Vector, ...]) -> tuple[int, list[list[int]]]:
-    """:func:`_simplex` of G, the ``dual`` rays of n independent ``rays`` in Z^n as
-    columns, up to sign, from that of the rays: a dual ray g is p > 0 on one ray
-    r and 0 on the others, so r / p is its row of G^-1, and |det G| = prod p / |det R|."""
+    """(|det G|, |det G| G^-1), :func:`_simplex` of G up to sign, for G the
+    ``dual`` rays of n independent ``rays`` in Z^n as columns, from that of the
+    rays: a dual ray g is p > 0 on one ray r and 0 on the others, so r / p is
+    its row of G^-1, and |det G| = prod p / |det R|."""
     pairs = [next((r, p) for r in rays if (p := dot(r, g))) for g in dual]
     volume = reduce(mul, (p for _, p in pairs), 1) // abs(_simplex(rays)[0])
     return volume, [[volume // p * x for x in r] for r, p in pairs]
@@ -423,7 +472,9 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}", exc.size) from None
 
 
-def _basis(cone: Cone, simplex: tuple[int, list[list[int]]] | None = None) -> tuple[Vector, ...]:
+def _basis(cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
+    """:func:`hilbert_basis` of ``cone``, given, when known, its :func:`_simplex`
+    or, for a full-dimensional cone, its sorted facet normals."""
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
@@ -441,9 +492,9 @@ def _basis(cone: Cone, simplex: tuple[int, list[list[int]]] | None = None) -> tu
         # its images of the rays are primitive, distinct and extremal
         _, u, u_inv = row_hermite_transform(list(zip(*cone.rays)))
         coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
-        inner = _basis(_trusted(d, coords))
+        inner = _basis(_trusted(d, coords, dim=d))
         return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
-    return _triangulated_basis(cone)
+    return _triangulated_basis(cone, normals)
 
 
 def _plane_basis(a: Vector, b: Vector) -> tuple[Vector, ...]:
@@ -519,21 +570,22 @@ def _simplicial_basis(
     return tuple(sorted(basis))
 
 
-def _triangulated_basis(cone: Cone) -> tuple[Vector, ...]:
+def _triangulated_basis(cone: Cone, normals: tuple[Vector, ...] | None = None) -> tuple[Vector, ...]:
     """Hilbert basis of a full-dimensional pointed cone from a triangulation.
 
     Candidates are the rays plus the fundamental-parallelepiped points of
     each simplicial piece; the irreducibles always appear among them.  A
     piece's parallelepiped holds |det| points, and BudgetExceeded is raised
     before any is listed when their sum exceeds the enumeration budget.  The
-    candidates are graded by their values on the facet normals.
+    candidates are graded by their values on the facet normals, the given
+    ``normals`` or :func:`facet_normals`.
     """
     n = cone.ambient_dim
-    pieces = _triangulate(cone.rays, n)
+    normals = normals or facet_normals(cone)
+    pieces = _triangulate(cone.rays, n, normals)
     simplices = [_simplex(tuple(zip(*piece))) for piece in pieces]
     # one candidate per lattice point of each piece's parallelepiped
     check_budget(sum(abs(s) for s, _ in simplices), "parallelepiped points")
-    normals = facet_normals(cone)
     candidates: set[Vector] = set(cone.rays)
     for piece, simplex in zip(pieces, simplices):
         candidates |= _parallelepiped_points(piece, *simplex)
@@ -775,7 +827,7 @@ def standard_fan(kind: str, n: int) -> Fan:
         tops = combinations(rays + [(-1,) * n], n)
     else:
         raise ValueError(f"unknown standard fan kind: {kind!r}")
-    return Fan(n, tuple(_closure(n, [Cone(n, top) for top in tops])))
+    return Fan(n, tuple(_closure(n, [object.__new__(Cone)._canonicalize(n, top) for top in tops])))
 
 
 def _int_list(value, what: str) -> list:
@@ -793,8 +845,10 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
     ``on_warning``); with ``close_faces`` every missing face is added.  Any
     other shape, and a ray index outside [0, len(rays)), raise ValueError.
 
-    Each listed cone is built once, and a maximal one of full dimension is
-    eliminated once, for the dual its facets are later read from.  Closing
+    The rays are checked here, once: each listed cone is only made canonical
+    (``Cone._canonicalize``), without the constructor's checks, and a
+    maximal one of full dimension takes one :func:`_simplex`, for the dual
+    its facets are later read from.  Closing
     builds each face once, by its ray set: a simplicial cone's faces are the
     cones on the subsets of its rays, so only a non-simplicial cone lists
     its :func:`faces`.
@@ -828,7 +882,7 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
     for indices in raw_cones:
         if not all(0 <= i < len(rays) for i in _int_list(indices, "a cone")):
             raise ValueError(f"cone {indices} references a missing ray")
-        cones.append(Cone(n, tuple(rays[i] for i in indices)))
+        cones.append(object.__new__(Cone)._canonicalize(n, [rays[i] for i in indices]))
     if close:
         cones = _closure(n, cones)
     return Fan(n, tuple(cones))

@@ -12,8 +12,9 @@ both from one reduction of [B^T | I] (:func:`_unit_transform`).  A lone
 :func:`monoid_of_cone` has one construction: a cone of dimension d < n is
 read in its generators' section coordinates S^T g, where it is
 full-dimensional, and every cone's monoid is the Hilbert basis of its dual
-(for a simplicial cone the one elimination of its rays gives both the dual
-and the dual's parallelepiped), lifted by S.  So no dual is taken in Z^n
+(for a simplicial cone the one simplex of its rays gives both the dual and
+the dual's parallelepiped; a pointed cone's rays are its dual's facet
+normals, so the dual's triangulation takes no second dual), lifted by S.  So no dual is taken in Z^n
 unless t is full-dimensional.  A triangulation's budget counts in these
 coordinates: its count follows them, and those of t's span change it.
 
@@ -91,17 +92,22 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
         generators = tuple(mat_vec(section, g) for g in generators)
     rays, _ = _dual_pair(generators, d)
     simplex = _dual_simplex(generators, rays) if cone.is_simplicial and d != 2 else None
-    basis = _monoid_basis(_trusted(d, rays), cone, simplex)
+    # the generators span Z^d, so the dual is pointed, of dimension d less
+    # that of the cone's lineality; a pointed cone's dual has the cone's rays,
+    # in these coordinates, as its facet normals
+    normals = tuple(sorted(generators)) if cone.is_pointed else None
+    basis = _monoid_basis(_trusted(d, rays, dim=d - len(cone.lineality)), cone, simplex, normals)
     if d < n:
         basis = (mat_vec(lift, z) for z in basis)
     return AffineMonoid(n, tuple(sorted(basis)), units, cone)
 
 
-def _monoid_basis(pointed: Cone, cone: Cone, simplex=None) -> tuple[Vector, ...]:
+def _monoid_basis(pointed: Cone, cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
     """The Hilbert basis of ``pointed``, the dual of ``cone`` (with its known
-    ``simplex``) or its quotient by the units; a budget error names the monoid of ``cone``."""
+    ``simplex`` or facet ``normals``) or its quotient by the units; a budget
+    error names the monoid of ``cone``."""
     try:
-        return _basis(pointed, simplex)
+        return _basis(pointed, simplex, normals)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}", exc.size) from None
 

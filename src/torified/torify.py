@@ -484,8 +484,11 @@ def q_multinomial(composition: Sequence[int], q: int) -> int:
     """Number of flags of the given type over F_q: [n]_q! / prod_i [d_i]_q!,
     with [m]_q! = prod_{i <= m} (q^i - 1) and n = sum_i d_i.  The largest
     part's [d]_q! cancels, so the numerator is the factors d < i <= n alone.
-    At q = 2 it is sum_w 2^(s_w), the tori of the type's Schubert listing."""
+    At q = 2 it is sum_w 2^(s_w), the tori of the type's Schubert listing.
+    Parts may be 0; a negative part raises ValueError."""
     parts = sorted(composition)
+    if parts and parts[0] < 0:
+        raise ValueError(f"composition parts must be nonnegative: {tuple(composition)}")
     top = parts.pop() if parts else 0
     num = _tree_product([q**i - 1 for i in range(top + 1, top + sum(parts) + 1)])
     den = _tree_product([q**i - 1 for d in parts for i in range(1, d + 1)])

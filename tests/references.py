@@ -206,6 +206,32 @@ def invert_unimodular(rows):
     return tuple(tuple(d * x for x in row[n:]) for row in m)
 
 
+def laplace_det(rows):
+    """Determinant of a square integer matrix by Laplace expansion along the
+    first row; 1 for the 0 x 0 matrix."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def det_adjugate(rows):
+    """(det G, adj G) of a square integer matrix G, by Laplace expansion,
+    independent of :mod:`torified.intlinalg`: entry (i, j) of adj G is
+    (-1)^(i+j) times the minor of G without row j and column i."""
+    rows = [tuple(r) for r in rows]
+    d = len(rows)
+
+    def minor(i, j):
+        return [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+
+    adj = [[(-1) ** (i + j) * laplace_det(minor(j, i)) for j in range(d)] for i in range(d)]
+    return laplace_det(rows), adj
+
+
 # --- duals and faces by subset enumeration --------------------------------------
 
 

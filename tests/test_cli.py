@@ -1750,8 +1750,9 @@ def test_validating_a_simplicial_fan_runs_no_kernel_and_lists_no_face(
 def test_validating_projective_space_eliminates_each_maximal_cone_once(
     capsys, monkeypatch, tmp_path, n
 ):
-    # the constructor reads a maximal cone's rank from the dual that its
-    # facets come from, so P^n takes one elimination per maximal cone
+    # reading the file reads a maximal cone's rank from the dual that its
+    # facets come from, so P^n takes one simplex per maximal cone: one
+    # elimination for n >= 4, and cofactors, no elimination, below
     clear_caches()
     eliminations = []
     eliminate = intlinalg._eliminate
@@ -1766,7 +1767,8 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
     path.write_text(json.dumps(projective_fan_file(n)))
     code, payload, _ = run_json(capsys, "validate-fan", str(path))
     assert code == 0 and payload["result"]["valid"]
-    assert len(eliminations) == n + 1
+    assert lattice._simplex.cache_info().misses == n + 1
+    assert len(eliminations) == (n + 1 if n >= 4 else 0)
 
 
 SMALL_LADDER = (

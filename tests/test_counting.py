@@ -228,6 +228,30 @@ def test_q_multinomial_tree_equals_the_running_product(composition, q):
     assert q_multinomial(composition, q) == expected
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gaussian_binomial(2, -1, 2),
+        lambda: gaussian_binomial(2, 3, 2),
+        lambda: gaussian_binomial(-1, 0, 2),
+        lambda: q_multinomial((-2,), 2),
+        lambda: q_multinomial((3, -1), 2),
+    ],
+    ids=["k<0", "k>n", "n<0", "negative part", "a negative part beside a positive one"],
+)
+def test_q_products_refuse_parameters_outside_their_domain(call):
+    # k outside [0, n] and negative parts have no subspaces or flags to count
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_q_products_take_zero_parts():
+    # torify_grassmannian(0, n) gates on the type (0, n)
+    assert gaussian_binomial(0, 0, 2) == q_multinomial((), 2) == 1
+    assert q_multinomial((0, 3), 2) == q_multinomial((3,), 2) == 1
+    assert q_multinomial((0, 2, 1), 3) == gaussian_binomial(3, 1, 3) == 13
+
+
 def test_oracle_unknown_family():
     with pytest.raises(UnknownFamily):
         oracle_point_count("elliptic", 1, 5)

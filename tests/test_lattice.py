@@ -26,6 +26,7 @@ from references import (
     all_maximal_pairs_validate_fan,
     all_subsets_dual_pair,
     det,
+    det_adjugate,
     facet_subsets_faces,
     faces_closure,
     fan_to_dict,
@@ -855,6 +856,25 @@ def test_each_triangulation_piece_is_eliminated_once():
     assert _simplex.cache_info().misses == len(pieces)
 
 
+@settings(max_examples=300)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d)
+    )
+)
+@example([(2, 4), (1, 2)])  # singular
+@example([(0, 1, 0), (1, 0, 0), (0, 0, 1)])  # det -1
+@example([(1, 2, 3), (4, 5, 6), (7, 8, 9)])  # singular
+@example([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (2, -3, 5, 7)])  # a row swap, det -7
+@example([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)])  # singular
+def test_simplex_is_the_determinant_and_adjugate(rows):
+    # cofactors for d <= 3 and one signed elimination for d = 4 agree with
+    # Laplace expansion; a singular matrix has no simplex
+    rows = tuple(rows)
+    s, adj = det_adjugate(rows)
+    assert _simplex.__wrapped__(rows) == ((s, adj) if s else None)
+
+
 def test_hilbert_basis_of_a_long_thin_cone():
     # 5,002 candidates of one degree: none is compared with another
     basis = hilbert_basis(Cone(2, ((1, 0), (1, 5001))))
@@ -1294,3 +1314,48 @@ def test_closing_a_fan_file_gives_the_faces_of_its_cones(data):
     assert [c._dim for c in fan.cones] == [mat_rank(c.rays) for c in fan.cones]
     assert fan.face_indices == oracle.face_indices
     assert hash(fan) == hash(fan) == fan._hash == hash((n, fan.cones)) == hash(oracle)
+
+
+@st.composite
+def raw_fan_files(draw):
+    """Fan files on one to six drawn rays in Z^n (1 <= n <= 4), some of them
+    not primitive, listing up to four cones on drawn indices, repeats
+    allowed, with ``close_faces`` drawn: redundant generators,
+    lower-dimensional cones and cones that contain a line all occur."""
+    n = draw(st.integers(1, 4))
+    ray = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    rays = draw(st.lists(ray, min_size=1, max_size=6))
+    index = st.integers(0, len(rays) - 1)
+    cones = draw(st.lists(st.lists(index, max_size=n + 2), max_size=4))
+    return {"dim": n, "rays": rays, "cones": cones, "close_faces": draw(st.booleans())}
+
+
+@settings(max_examples=300)
+@given(raw_fan_files())
+@example({"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 2], [0, 1, 2]],
+          "close_faces": True})  # a half-plane
+@example({"dim": 2, "rays": [[2, 0], [0, 1], [1, 1]], "cones": [[0, 1, 2, 0, 2]],
+          "close_faces": False})  # a non-primitive ray, a repeat and a redundant generator
+@example({"dim": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 0, 0]],
+          "cones": [[0, 1, 2, 3], [1, 4], [4]], "close_faces": True})  # a square, a plane, a ray
+@example({"dim": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+          "cones": [[0, 1, 2, 3], [0, 1]], "close_faces": False})  # a face left unclosed
+def test_a_fan_file_reads_as_its_cones_built_by_the_constructor(data):
+    # fan_from_dict checks the rays itself and canonicalizes each listed cone
+    # without the constructor's checks: the fan, its cones' dims and the
+    # refusal of a cone that contains a line are those of Cone(...)
+    n = data["dim"]
+    rays = [primitive(r) for r in data["rays"]]
+    warnings = []
+    try:
+        listed = [Cone(n, [rays[i] for i in c]) for c in data["cones"]]
+    except InvalidCone as exc:
+        with pytest.raises(InvalidCone) as caught:
+            fan_from_dict(data, warnings.append)
+        assert str(caught.value) == str(exc)
+        return
+    fan = fan_from_dict(data, warnings.append)
+    oracle = Fan(n, tuple(faces_closure(listed) if data["close_faces"] else listed))
+    assert fan == oracle
+    assert [c._dim for c in fan.cones] == [c.dim for c in oracle.cones]
+    assert len(warnings) == sum(list(p) != r for p, r in zip(rays, data["rays"]))

@@ -288,9 +288,10 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
     ids=str,
 )
 def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays):
-    # _dual_pair's elimination of the rays (or of their section coordinates
-    # in Z^d, for a cone of dimension d < n) gives the dual, and the dual's
-    # parallelepiped is read from it (_dual_simplex): no second elimination
+    # _dual_pair's simplex of the rays (or of their section coordinates in
+    # Z^d, for a cone of dimension d < n) gives the dual, and the dual's
+    # parallelepiped is read from it (_dual_simplex): no second simplex; it
+    # is one elimination for d >= 4 and cofactors, no elimination, below
     cone = Cone(len(rays[0]), rays)
     ref = three_branch_monoid_of_cone(cone)
     clear_caches()
@@ -305,7 +306,31 @@ def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays
     monkeypatch.setattr(lattice, "_eliminate", counted)
     m = monoid_of_cone(cone)
     assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
-    assert len(eliminated) == 1
+    assert lattice._simplex.cache_info().misses == 1
+    assert len(eliminated) == (1 if cone.dim >= 4 else 0)
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)),  # the cone over a square
+        # the cone over a cube, whose dual's facets are simplicial
+        tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)),
+        ((0, 0, 1, 0), (1, 0, 1, 0), (0, 2, 1, 0), (1, 1, 1, 0)),  # read through the unit section
+    ],
+    ids=str,
+)
+def test_the_monoid_of_a_non_simplicial_cone_takes_one_dual(rays):
+    # the dual's facet normals are the cone's rays in the coordinates the
+    # monoid reads it in, so its triangulation and the grading of its
+    # Hilbert basis take no second double description, and its dim no rank
+    cone = Cone(len(rays[0]), rays)
+    assert not cone.is_simplicial
+    ref = three_branch_monoid_of_cone(cone)
+    clear_caches()
+    m = monoid_of_cone(cone)
+    assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
+    assert lattice._dual_pair.cache_info().misses == 1
 
 
 @st.composite

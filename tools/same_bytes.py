@@ -19,8 +19,10 @@ at degrees beyond the benchmark's ladders, the listings of ``LISTINGS``,
 larger than any benchmark op, the ``gadget --elements`` argv of
 ``GADGETS``, on every built-in family past the ladders and on a fan file and
 a torification file, the ``soule`` argv of ``SOULE``, past the
-benchmark's Hilbert bases and ``--m`` values, and the help and usage errors
-of ``USAGE``, which show the family table.  Then each demo of
+benchmark's Hilbert bases and ``--m`` values, the help and usage errors
+of ``USAGE``, which show the family table, and ``validate-fan``, ``dscheme``
+and ``verify`` of the fan files of ``FAN_FILES``, of shapes no benchmark fan
+has.  Then each demo of
 ``demos/`` is run on each tree, the tree's own script against its own
 ``src``, and their stdout and exit codes are compared.  Every op and demo that differs is printed, and the
 exit code is 1 if any does, 0 otherwise.
@@ -146,16 +148,42 @@ USAGE = [
     ["torify", "nosuchfamily", "1"],
     ["torify", "grassmannian", "2"],
 ]
+# fan files of shapes that the benchmark's fans (simplicial, listed by their
+# maximal cones) leave out, each read by `validate-fan`, `dscheme` and
+# `verify --family toric`: the face fan of the cube (six non-simplicial
+# maximal cones); P^2 with its faces listed and a repeated index; a
+# non-primitive ray (a warning on stderr) beside a redundant generator; a
+# ray and a plane listed in Z^3; a face left unclosed (invalid, exit 1);
+# and a half-plane (not strictly convex, exit 2)
+FAN_FILES = {
+    "cube.json": {"dim": 3, "rays": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+                  "cones": [[i for i in range(8) if i >> k & 1 == side] for k in range(3)
+                            for side in (0, 1)], "close_faces": True},
+    "listed.json": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                    "cones": [[0, 1, 0], [1, 2], [2, 0], [0], [1], [2, 2], []], "close_faces": False},
+    "redundant.json": {"dim": 2, "rays": [[2, 0], [0, 1], [-1, -1], [1, 1]],
+                       "cones": [[0, 1, 3], [1, 2], [2, 0]], "close_faces": True},
+    "lower.json": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1], [2]],
+                   "close_faces": True},
+    "unclosed.json": {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1], []],
+                      "close_faces": False},
+    "halfplane.json": {"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1, 2]],
+                       "close_faces": True},
+}
+FANS = [argv for path in FAN_FILES for argv in (
+    ["validate-fan", path], ["dscheme", "--fan", path],
+    ["verify", "--q", "2,3", "--family", "toric", path])]
 FIXED = {"counting": COUNTING, "large-listings": LISTINGS, "gadgets": GADGETS, "soule": SOULE,
-         "usage": USAGE}
+         "usage": USAGE, "fan-files": FANS}
 
 
 def fixed_ops(kind: str) -> list:
-    """The argv of ``COUNTING``, ``LISTINGS``, ``GADGETS``, ``SOULE`` or ``USAGE``, or ``spec`` and
-    ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
+    """The argv of ``COUNTING``, ``LISTINGS``, ``GADGETS``, ``SOULE``, ``USAGE`` or ``FANS``, or
+    ``spec`` and ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
     argvs = FIXED.get(kind) or [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
                                 for command in (["spec"], ["soule", "--m", "3"])]
-    ops = [Op(kind, argv, None, 0.0, {FAN_FILE: FAN} if FAN_FILE in argv else None)
+    files = {FAN_FILE: FAN, **FAN_FILES}
+    ops = [Op(kind, argv, None, 0.0, {argv[-1]: files[argv[-1]]} if argv[-1] in files else None)
            for argv in argvs]
     for index, op in enumerate(ops):
         op.index = index
@@ -246,7 +274,7 @@ def main(argv=None) -> int:
     fixed_differing = 0
     for group, name in (("lower-dimensional", "lower-dimensional"), ("counting", "counting"),
                         ("large-listings", "listing"), ("gadgets", "gadget"), ("soule", "soule"),
-                        ("usage", "usage")):
+                        ("usage", "usage"), ("fan-files", "fan file")):
         d, argvs = compare(args.tree, group, 0)
         fixed_differing += d
         print(f"{d} of {argvs} {name} argv differ")
