@@ -10,8 +10,9 @@ in ``torify`` is the shift by +1.  The zeta function is prod_i (s-i)^(-a_i),
 kept as its factor list.  The oracles count the same points by classical
 product formulas over F_q, with every division checked to be exact.  Their
 products of q^i - 1 are balanced trees (``torify._tree_product``), and the
-flag oracle is ``torify``'s :func:`q_multinomial`, the q-product the Schubert
-listings are gated on at q = 2.
+Grassmannian and flag oracles are ``torify``'s :func:`q_multinomial` (Gr(k, n)
+as the type (k, n - k)), the q-product the Schubert listings are gated on at
+q = 2.
 
 ``_FAMILIES`` holds one record per built-in family: the arity of its
 parameters, check, delta, mono (each from cells or binomials, not the
@@ -143,12 +144,10 @@ def _zeta(mono: Sequence[int]) -> ZetaFunction:
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-subspaces of an n-space over F_q, by exact division;
-    ValueError unless 0 <= k <= n."""
+    """Number of k-subspaces of an n-space over F_q: the flags of type
+    (k, n - k), by :func:`q_multinomial`; ValueError unless 0 <= k <= n."""
     _check_grassmannian(k, n)
-    num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
-    den = _tree_product([q**i - 1 for i in range(1, k + 1)])
-    return _exact_div(num, den)
+    return q_multinomial((k, n - k), q)
 
 
 def sl_group_order(n: int, q: int) -> int:

@@ -6,14 +6,16 @@ reductions do all the work.  Rank comes from one fraction-free (Bareiss)
 elimination, which :mod:`torified.lattice` also runs for the determinants
 and adjugates of its duals and simplicial cones above 3 x 3.  Integer kernel
 bases, Hermite bases and Hermite transforms share one Hermite reduction by
-integer row operations; kernels come back in Hermite form, and a transform
-can carry its inverse through the same row operations, which only a
-lower-dimensional Hilbert basis or lone monoid asks for.  Coordinates in a
-Hermite basis take one triangular substitution.  The reduction
-runs Euclid on each column until a +-1 pivot appears, which clears the rest
-of its column in one pass (the inputs here, rays and identity blocks, are
-mostly 0 and +-1).  Sizes here are tiny (ambient dimension <= 5 or so), so
-clarity wins over asymptotics throughout.
+integer row operations, and kernels come back in Hermite form.  The
+transform U of a saturated basis B (:func:`_unit_transform`) has
+U B^T = (I; 0), so its last rows are a basis of the lattice orthogonal to
+B, and the transform of those rows reads that lattice in them: a
+lower-dimensional Hilbert basis or lone monoid takes both, and no inverse
+is computed.  Coordinates in a Hermite basis take one triangular
+substitution.  The reduction runs Euclid on each column until a +-1 pivot
+appears, which clears the rest of its column in one pass (the inputs here,
+rays and identity blocks, are mostly 0 and +-1).  Sizes here are tiny
+(ambient dimension <= 5 or so), so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def mat_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(_eliminate(m, len(m[0]))[0]) if m else 0
 
 
-def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None) -> int:
+def _hermite(m: list[list[int]], ncols: int) -> int:
     """Row Hermite normal form of the first ``ncols`` columns of ``m``, in
     place, by integer row operations (Euclid on each column).
 
@@ -111,13 +113,8 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
     (by absolute value, then by row) by the smallest; one scan of the rows
     still nonzero there finds both, and a row that a step brings to 0 leaves
     that list.  Once the smallest is +-1 its row clears every other row in
-    one pass: those are the steps the loop would take one at a time, none of
-    them changes the pivot row, and their column operations on ``inv`` all
-    add to the pivot's row of it, so the order does not matter.
-
-    ``inv``, when given, holds the columns of a matrix V as its rows, and
-    each row operation E is matched by the column operation V <- V E^-1, so
-    V = I ends as U^-1.
+    one pass: those are the steps the loop would take one at a time, and none
+    of them changes the pivot row, so the order does not matter.
     """
     nrows = len(m)
     r = 0
@@ -142,26 +139,18 @@ def _hermite(m: list[list[int]], ncols: int, inv: list[list[int]] | None = None)
             for i2 in [i for i in nz if i != i1] if a1 == 1 else [i2]:
                 q = m[i2][c] // p
                 row = m[i2] = [a - q * b for a, b in zip(m[i2], pivot_row)]
-                if inv is not None:
-                    inv[i1] = [a + q * b for a, b in zip(inv[i1], inv[i2])]
                 if not row[c]:
                     nz.remove(i2)
         i = nz[0]
         m[r], m[i] = m[i], m[r]
-        if inv is not None:
-            inv[r], inv[i] = inv[i], inv[r]
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
-            if inv is not None:
-                inv[r] = [-a for a in inv[r]]
         row = m[r]
         piv = row[c]
         for i in range(r):
             q = m[i][c] // piv
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], row)]
-                if inv is not None:
-                    inv[r] = [a + q * b for a, b in zip(inv[r], inv[i])]
         r += 1
     return r
 
@@ -212,13 +201,17 @@ def _hermite_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> li
     return coordinates
 
 
-def row_hermite_transform(
-    rows: Sequence[Sequence[int]],
+def _unit_transform(
+    basis: Sequence[Vector], n: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Row Hermite form with transform: returns (h, u, u_inv) with
-    u @ rows = h, u unimodular and u_inv its inverse, from one reduction."""
-    ncols = len(rows[0]) if rows else 0
-    m = _with_identity(rows)
-    inv = [row[ncols:] for row in m]
-    _hermite(m, ncols, inv)
-    return [row[:ncols] for row in m], [row[ncols:] for row in m], [list(c) for c in zip(*inv)]
+    """(B^T, U[:r], U[r:]) for a saturated basis B = ``basis`` of rank r in
+    Z^n, U being the Hermite transform of B^T, with U B^T = (I_r; 0), from
+    one reduction of [B^T | I].  The rows of U[r:] are a basis of the lattice
+    orthogonal to B; with C = U'[:n-r] for the transform U' of U[r:]^T (a
+    second call), C U[r:]^T = I, so C reads that lattice in those
+    coordinates, and U[r:]^T lifts them back."""
+    r = len(basis)
+    m = _with_identity(columns := [[v[i] for v in basis] for i in range(n)])  # [B^T | I]
+    _hermite(m, r)
+    assert all(m[i][i] == 1 for i in range(r)), "basis must be saturated"
+    return columns, [row[r:] for row in m[:r]], [row[r:] for row in m[r:]]

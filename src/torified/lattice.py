@@ -21,15 +21,16 @@ checked once, by :func:`fan_from_dict`, so its cones, like those of
 The lattice work beneath is the one Bareiss elimination and the one
 Hermite reduction of :mod:`torified.intlinalg`; a dual's lineality is the
 generators' kernel, which that reduction returns in Hermite form.
-Coordinates on a sublattice come from one Hermite reduction: with U the
-transform of the spanning vectors as columns, U maps span ∩ Z^n onto
-Z^r x 0, and U^-1, carried through the same row operations, lifts back
-(lower-dimensional Hilbert bases here, the quotient by the units in
-:mod:`torified.monoids`).  A Hilbert basis of dimension 2 comes from the Hirzebruch-Jung continued
-fraction, at one step per run of elements, and is refused with
-:class:`BudgetExceeded` when it has more elements than the enumeration
-budget.  In dimension 3 and up it comes from the parallelepipeds of a
-triangulation, refused when they hold more lattice points than the budget;
+A lower-dimensional cone is read in the lattice points of its span: with U
+the Hermite transform of the perp's basis B (U B^T = (I; 0)), the rows of
+U[r:] are a basis of that lattice, the transform of their transpose gives
+the chart C with C U[r:]^T = I, and a point h of Z^d lifts to U[r:]^T h;
+:mod:`torified.monoids` reads the quotient by the units through the same
+two transforms.  A Hilbert basis of dimension 2 comes from the
+Hirzebruch-Jung continued fraction, at one step per run of elements, and is
+refused with :class:`BudgetExceeded` when it has more elements than the
+enumeration budget.  In dimension 3 and up it comes from the parallelepipeds
+of a triangulation, refused when they hold more lattice points than the budget;
 a full-dimensional simplicial cone is its own triangulation, and the one
 simplex of its rays gives its volume (smooth at 1), its facet normals
 and each parallelepiped point's values on them, so beyond it only the
@@ -72,6 +73,7 @@ from .intlinalg import (
     Vector,
     _eliminate,
     _identity,
+    _unit_transform,
     _with_identity,
     dot,
     hnf_rows,
@@ -79,7 +81,6 @@ from .intlinalg import (
     mat_rank,
     mat_vec,
     primitive,
-    row_hermite_transform,
     vec_gcd,
     vec_neg,
 )
@@ -106,9 +107,10 @@ class Cone(Value):
     lineality raise InvalidCone.  ``lineality`` is a canonical (Hermite) lattice basis of the
     contained linear subspace, and rays are orthogonal to it; a cone occurring
     in a fan always has ``lineality == ()``.  ``dim`` is the rank of the
-    generators, which the constructor computes anyway; it is not a field, and
-    neither is ``_hash``, the hash of the field tuple, kept from its first use
-    because cones key the caches of this module and the sets of fans.
+    generators, which the constructor computes anyway and :func:`_trusted`
+    is given; it is not a field, and neither is ``_hash``, the hash of the
+    field tuple, kept from its first use because cones key the caches of
+    this module and the sets of fans.
 
     The constructor checks its input (``__post_init__``), then makes it
     canonical (``_canonicalize``); :func:`fan_from_dict` and
@@ -165,10 +167,7 @@ class Cone(Value):
 
     @property
     def dim(self) -> int:
-        """Dimension of the span; computed on first read for a cone made by
-        :func:`_trusted` without it."""
-        if self._dim is None:
-            object.__setattr__(self, "_dim", mat_rank(self.rays + self.lineality))
+        """Dimension of the span."""
         return self._dim
 
     @property
@@ -177,7 +176,7 @@ class Cone(Value):
 
     @property
     def is_simplicial(self) -> bool:
-        return self.is_pointed and len(self.rays) == self.dim
+        return not self.lineality and len(self.rays) == self._dim
 
     def generators(self) -> tuple[Vector, ...]:
         """Rays plus both signs of the lineality basis."""
@@ -202,7 +201,7 @@ _set_ambient_dim, _set_rays, _set_lineality, _set_dim, _set_hash = Cone._setters
 def zero_cone(ambient_dim: int) -> Cone:
     if ambient_dim < 0:
         raise InvalidCone("ambient dimension must be nonnegative")
-    return _trusted(ambient_dim, (), (), 0)
+    return _trusted(ambient_dim, (), dim=0)
 
 
 def _extremal_rays(rays, lineality, n) -> tuple[Vector, ...]:
@@ -292,7 +291,8 @@ def dual_cone(cone: Cone) -> Cone:
     cone's span) and its rays describe the canonical pointed part inside the
     cone's span.
     """
-    return _trusted(cone.ambient_dim, *_dual_pair(cone.generators(), cone.ambient_dim))
+    n = cone.ambient_dim
+    return _trusted(n, *_dual_pair(cone.generators(), n), dim=n - len(cone.lineality))
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +304,7 @@ def facet_normals(cone: Cone) -> tuple[Vector, ...]:
 
 
 def _trusted(
-    ambient_dim: int,
-    rays: tuple[Vector, ...],
-    lineality: tuple[Vector, ...] = (),
-    dim: int | None = None,
+    ambient_dim: int, rays: tuple[Vector, ...], lineality: tuple[Vector, ...] = (), *, dim: int
 ) -> Cone:
     """A cone from fields that are already what ``Cone`` would store.
 
@@ -315,8 +312,8 @@ def _trusted(
     output of :func:`_dual_pair` (sorted primitive extremal rays, a Hermite
     lineality basis orthogonal to them) are such fields; the cone is built
     without running the constructor's checks or canonical form again, and
-    its five slots are set by their own setters.  A known ``dim`` is stored
-    where :attr:`Cone.dim` caches it, so no rank is computed for it.
+    its five slots are set by their own setters.  Every caller knows the
+    cone's ``dim``, so no rank is computed for it.
     """
     cone = object.__new__(Cone)
     _set_ambient_dim(cone, ambient_dim)
@@ -488,12 +485,14 @@ def _basis(cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
             return _simplicial_basis(cone.rays, *simplex)
     d = cone.dim
     if d < n:
-        # the Hermite transform u of the rays maps span ∩ Z^n onto Z^d x 0;
-        # its images of the rays are primitive, distinct and extremal
-        _, u, u_inv = row_hermite_transform(list(zip(*cone.rays)))
-        coords = tuple(sorted(mat_vec(u, r)[:d] for r in cone.rays))
-        inner = _basis(_trusted(d, coords, dim=d))
-        return tuple(sorted(mat_vec(u_inv, h + (0,) * (n - d)) for h in inner))
+        # rest, a basis of span ∩ Z^n, maps Z^d onto it, and chart, with
+        # chart @ rest^T = I, reads it back; the rays' images are primitive,
+        # distinct and extremal
+        rest = _unit_transform(kernel_basis(cone.rays, n), n)[2]
+        chart = _unit_transform(rest, n)[1]
+        inner = _basis(_trusted(d, tuple(sorted(mat_vec(chart, r) for r in cone.rays)), dim=d))
+        lift = tuple(zip(*rest))
+        return tuple(sorted(mat_vec(lift, h) for h in inner))
     return _triangulated_basis(cone, normals)
 
 

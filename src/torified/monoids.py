@@ -6,17 +6,21 @@ of dual vectors vanishing on t (rank r = n - dim t), with a Hermite basis B,
 and the pointed remainder is presented by the Hilbert basis of its image in
 the quotient lattice, lifted back along a fixed lattice section, so that the
 monoid splits as units ⊕ pointed part on the nose.  The Hermite transform U
-of the saturated B^T has U B^T = (I_r; 0), so U^-1 = [B^T | S]: z in the
-quotient lifts to S z, and a dual vector g to S (U[r:] g) = g - B^T (U[:r] g),
-both from one reduction of [B^T | I] (:func:`_unit_transform`).  A lone
-:func:`monoid_of_cone` has one construction: a cone of dimension d < n is
-read in its generators' section coordinates S^T g, where it is
-full-dimensional, and every cone's monoid is the Hilbert basis of its dual
-(for a simplicial cone the one simplex of its rays gives both the dual and
-the dual's parallelepiped; a pointed cone's rays are its dual's facet
-normals, so the dual's triangulation takes no second dual), lifted by S.  So no dual is taken in Z^n
-unless t is full-dimensional.  A triangulation's budget counts in these
-coordinates: its count follows them, and those of t's span change it.
+of the saturated B^T has U B^T = (I_r; 0), so the rows of U[r:] are a basis
+of t's span in Z^n, and the transform of U[r:]^T gives the chart C, with
+C U[r:]^T = I, which reads g in t's span as C g (:func:`_unit_transform`,
+twice).  A dual vector g lifts to g - B^T (U[:r] g), the one vector of
+g + span(B) that U[:r] maps to 0, and z in the quotient to the lift of C^T z:
+these are S (U[r:] g) and S z for U^-1 = [B^T | S], with no inverse
+computed.  A lone :func:`monoid_of_cone` has one construction: a cone of
+dimension d < n is read in these coordinates, where it is full-dimensional,
+and every cone's monoid is the Hilbert basis of its dual (for a simplicial
+cone the one simplex of its rays gives both the dual and the dual's
+parallelepiped; a pointed cone's rays are its dual's facet normals, so the
+dual's triangulation takes no second dual), lifted by S.  So no dual is
+taken in Z^n unless t is full-dimensional.  A triangulation's budget counts
+in these coordinates: its count follows them, and another chart of t's
+span can change it.
 
 A fan's monoid scheme reads each cone's monoid from that of a maximal cone
 s containing it, as a localization (Fulton, *Introduction to Toric
@@ -26,7 +30,7 @@ s that vanish on t (they generate the dual face s^∨ ∩ t^⊥, which spans
 t^⊥), and the images of the others generate the pointed quotient, whose
 Hilbert basis is its irreducible images, graded by their values on t's rays
 (taken once per cone).  An irreducible g lifts to g - B^T (U[:r] g), so a
-proper face takes no dual, Hilbert basis or inverse.  The specialisation
+proper face takes no dual, Hilbert basis or chart.  The specialisation
 order is read from :attr:`torified.lattice.Fan.face_indices`.
 """
 
@@ -36,7 +40,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .errors import BudgetExceeded, MissingSourceCone, Value
-from .intlinalg import Vector, _hermite, _identity, _with_identity, hnf_rows, kernel_basis, mat_vec
+from .intlinalg import Vector, _identity, _unit_transform, hnf_rows, kernel_basis, mat_vec
 from .lattice import (
     Cone,
     Fan,
@@ -84,12 +88,12 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
     """The monoid of dual lattice points nonnegative on the cone."""
     n, d = cone.ambient_dim, cone.dim
     generators, units = cone.generators(), ()
-    if d < n:  # read the cone in Z^d, through the section S of its units
+    if d < n:  # read the cone in Z^d, in the coordinates of its span
         units = tuple(kernel_basis(generators, n))
-        inv = [list(e) for e in _identity(n)]
-        _unit_transform(units, n, inv)  # inv ends as the columns of U^-1 = [B^T | S]
-        section, lift = inv[n - d :], tuple(zip(*inv[n - d :]))  # S^T and S
-        generators = tuple(mat_vec(section, g) for g in generators)
+        columns, left, rest = _unit_transform(units, n)
+        chart = _unit_transform(rest, n)[1]  # chart @ rest^T = I
+        lift = tuple(zip(*(_face_lift(c, columns, left) for c in chart)))  # S: its columns lift C's rows
+        generators = tuple(mat_vec(chart, g) for g in generators)
     rays, _ = _dual_pair(generators, d)
     simplex = _dual_simplex(generators, rays) if cone.is_simplicial and d != 2 else None
     # the generators span Z^d, so the dual is pointed, of dimension d less
@@ -146,21 +150,17 @@ def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Con
     if not candidates:  # the zero face: the generators span Z^n, all units
         return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
-    columns, left = _unit_transform(units, n)
+    columns, left, _ = _unit_transform(units, n)
     graded = [(sum(v), g, v) for v, g in candidates.items()]
-    lifts = (tuple(map(sub, g, mat_vec(columns, mat_vec(left, g)))) for g in _irreducibles(graded))
+    lifts = (_face_lift(g, columns, left) for g in _irreducibles(graded))
     return AffineMonoid(n, tuple(sorted(lifts)), units, face)
 
 
-def _unit_transform(units: tuple[Vector, ...], n: int, inv=None) -> tuple[list, list]:
-    """(B^T, U[:r]) for the saturated Hermite basis B = ``units`` of rank r,
-    U being the Hermite transform of B^T, with U B^T = (I_r; 0).  ``inv``,
-    the rows of I_n when given, ends as the columns of U^-1 = [B^T | S]."""
-    r = len(units)
-    m = _with_identity(columns := [[v[i] for v in units] for i in range(n)])  # [B^T | I]
-    left = [row[r:] for row in m[: _hermite(m, r, inv)]]  # U[:r]
-    assert all(m[i][i] == 1 for i in range(r)), "unit basis must be saturated"
-    return columns, left
+def _face_lift(g: Vector, columns: list, left: list) -> Vector:
+    """g - B^T (U[:r] g), for ``columns`` = B^T and ``left`` = U[:r] from
+    :func:`_unit_transform`: the one vector of g + span(B) that U[:r] maps to
+    0, so it depends on g's class modulo the units alone."""
+    return tuple(map(sub, g, mat_vec(columns, mat_vec(left, g))))
 
 
 def unit_group(monoid: AffineMonoid) -> tuple[int, tuple[Vector, ...]]:

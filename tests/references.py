@@ -23,7 +23,6 @@ from torified.intlinalg import (
     mat_rank,
     mat_vec,
     primitive,
-    row_hermite_transform,
     vec_neg,
 )
 from torified.cli import _write_json
@@ -42,7 +41,7 @@ from torified.lattice import (
     zero_cone,
 )
 from torified.monoids import AffineMonoid, _monoid_basis
-from torified.torify import Torification, Torus
+from torified.torify import Torification, Torus, _exact_div, _tree_product
 from torified.lattice import Fan
 
 
@@ -138,6 +137,18 @@ def euclid_hermite(m, ncols, inv=None):
                     inv[r] = [a + q * b for a, b in zip(inv[r], inv[i])]
         r += 1
     return r
+
+
+def hermite_transform(rows):
+    """(h, u, u_inv) with u @ rows = h in row Hermite form, u unimodular and
+    u_inv its inverse, by one :func:`euclid_hermite` of [rows | I] carrying
+    the inverse: ``intlinalg.row_hermite_transform`` before the library
+    stopped computing inverses."""
+    ncols = len(rows[0]) if rows else 0
+    m = _with_identity(rows)
+    inv = [row[ncols:] for row in m]
+    euclid_hermite(m, ncols, inv)
+    return [row[:ncols] for row in m], [row[ncols:] for row in m], [list(c) for c in zip(*inv)]
 
 
 def unit_pivot_hermite(m, ncols, inv=None):
@@ -448,12 +459,11 @@ def three_branch_monoid_of_cone(cone):
     else:
         r = len(units)
         columns = [[units[j][i] for j in range(r)] for i in range(n)]
-        h, u, _ = row_hermite_transform(columns)
+        h, u, u_inv = hermite_transform(columns)
         piv_prod = 1
         for i in range(r):
             piv_prod *= h[i][i]
         assert abs(piv_prod) == 1, "unit basis must be saturated"
-        u_inv = invert_unimodular(u)
         images = tuple(sorted({primitive(tuple(mat_vec(u, ray)[r:])) for ray in dual.rays}))
         inner = hilbert_basis(Cone(n - r, images))
         gens = tuple(sorted(mat_vec(u_inv, (0,) * r + tuple(z)) for z in inner))
@@ -472,13 +482,23 @@ def monoid_via_dual(cone):
         gens = _monoid_basis(dual, cone)
     else:
         r = len(units)
-        h, u, _ = row_hermite_transform(list(zip(*units)))
+        h, u, u_inv = hermite_transform(list(zip(*units)))
         assert all(h[i][i] == 1 for i in range(r)), "unit basis must be saturated"
         images = tuple(sorted(primitive(mat_vec(u, ray)[r:]) for ray in dual.rays))
-        inner = _monoid_basis(_trusted(n - r, images), cone)
-        u_inv = invert_unimodular(u)
+        inner = _monoid_basis(_trusted(n - r, images, dim=mat_rank(images)), cone)
         gens = tuple(sorted(mat_vec(u_inv, (0,) * r + z) for z in inner))
     return AffineMonoid(n, gens, units, cone)
+
+
+# --- the Gaussian binomial by its own quotient -------------------------------------
+
+
+def quotient_gaussian_binomial(n, k, q):
+    """``counting.gaussian_binomial`` before it became the flag product of type
+    (k, n - k): prod_{n-k < i <= n} (q^i - 1) / prod_{i <= k} (q^i - 1)."""
+    num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
+    den = _tree_product([q**i - 1 for i in range(1, k + 1)])
+    return _exact_div(num, den)
 
 
 # --- the face relation of a fan by scans -----------------------------------------

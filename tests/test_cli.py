@@ -538,6 +538,18 @@ def test_spec_budget_error_names_the_given_cone(capsys, monkeypatch):
     assert "Cone(dim 2" not in err
 
 
+def test_a_lower_dimensional_monoid_is_counted_in_its_section_coordinates(capsys, monkeypatch):
+    # the budget counts the parallelepiped points of a triangulation of the
+    # quotient's dual, and that count follows the chart the cone's span is
+    # read in: in the section's coordinates it is 1,193, while the chart of
+    # the Hermite transform of the rays gives a dual whose basis is accepted
+    clear_caches()
+    monkeypatch.setenv("TORIFIED_BUDGET", "1000")
+    code, out, err = run(capsys, "soule", "--m", "3", "--cone", "1,2,1,-1;1,4,1,-3;-4,-1,-4,-1;-3,0,-3,2")
+    assert code == 2 and out == ""
+    assert "1193 parallelepiped points exceed the budget of 1000" in err
+
+
 @pytest.mark.parametrize("cone", ["1,0;1,5001", "1,0,0;1,5001,0"])
 def test_spec_of_a_thin_cone_with_a_small_basis_fits_a_small_budget(capsys, monkeypatch, cone):
     # the dual has volume 5001 but 3 generators; the 2-D budget counts those

@@ -4,11 +4,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_CORPUS, compositions, singular_fan
-from references import binomial_to_delta_basis, binomial_to_monomial_basis
+from references import (
+    binomial_to_delta_basis,
+    binomial_to_monomial_basis,
+    quotient_gaussian_binomial,
+)
 
 from torified import counting
 from torified.counting import (
@@ -219,6 +223,21 @@ def test_gaussian_binomial_tree_equals_the_running_product(n, data, q):
     k = data.draw(st.integers(0, n))
     expected = running_quotient(range(n - k + 1, n + 1), range(1, k + 1), q)
     assert gaussian_binomial(n, k, q) == expected
+
+
+@given(
+    st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.integers(-9, 9).filter(lambda q: abs(q) != 1),
+)
+@example((0, 0), 2)
+@example((40, 40), 9)
+@example((40, 0), -9)
+@example((7, 3), 0)
+def test_gaussian_binomial_is_the_flag_product_of_its_type(nk, q):
+    # the q-product of type (k, n - k) is the quotient the oracle took before,
+    # at every q where no factor q^i - 1 vanishes
+    n, k = nk
+    assert gaussian_binomial(n, k, q) == quotient_gaussian_binomial(n, k, q)
 
 
 @given(st.lists(st.integers(0, 12), max_size=6), st.integers(2, 9))

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from torified.intlinalg import (
     _hermite,
     _hermite_coordinates,
+    _unit_transform,
     _with_identity,
     dot,
     hnf_rows,
     kernel_basis,
     mat_rank,
     primitive,
-    row_hermite_transform,
 )
 
 from references import (
     det,
     euclid_hermite,
+    hermite_transform,
     invert_unimodular,
     minors_gcd,
     saturation_basis,
@@ -115,16 +116,16 @@ def test_hermite_coordinates_refuse_a_vector_off_the_lattice():
         _hermite_coordinates(hnf_rows([(1, 1)], 2), (1, 0))
 
 
-def test_row_hermite_transform_unimodular():
-    rows = [[2], [3], [5]]
-    h, u, _ = row_hermite_transform(rows)
-    prod = [
-        [sum(u[i][k] * rows[k][j] for k in range(3)) for j in range(1)]
-        for i in range(3)
-    ]
-    assert prod == h
-    assert abs(det(u)) == 1
-    assert h[0] == [1]  # gcd(2,3,5)
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_unit_transform_reduces_a_saturated_row_to_a_unit_vector():
+    # U B^T = (gcd(2, 3, 5); 0; 0), U unimodular
+    columns, left, rest = _unit_transform([(2, 3, 5)], 3)
+    assert columns == [[2], [3], [5]]
+    assert mat_mul(left + rest, columns) == [[1], [0], [0]]
+    assert abs(det(left + rest)) == 1
 
 
 # The four tests below check test-only references (see references.py) that
@@ -346,13 +347,36 @@ def assert_hermite(h, rank, ncols):
 
 
 @given(int_matrices_with_empty())
+@example(([[1, 1, 0], [1, -1, 0]], 3))  # a plane in Z^3
+@example(([[2, 4, 6]], 3))  # units of rank 2
+@example(([], 3))  # no rows: the whole lattice, no units
+@example(([[1, 0], [0, 1]], 2))  # the zero lattice: every vector a unit
+def test_unit_transform_and_its_chart(case):
+    # for a saturated basis B (a kernel basis), U B^T = (I_r; 0) with U
+    # unimodular, so U[r:] is a basis of the lattice orthogonal to B; the
+    # second transform's chart C reads that basis as the identity
+    rows, n = case
+    basis = kernel_basis(rows, n)
+    r = len(basis)
+    columns, left, rest = _unit_transform(basis, n)
+    assert columns == [[v[i] for v in basis] for i in range(n)]  # B^T
+    u = left + rest
+    assert len(left) == r and len(u) == n
+    assert abs(det(u)) == 1
+    assert mat_mul(u, columns) == [[int(i == j) for j in range(r)] for i in range(n)]
+    assert hnf_rows(rest, n) == tuple(kernel_basis(basis, n))
+    chart = _unit_transform(rest, n)[1]
+    assert mat_mul(chart, list(zip(*rest))) == [[int(i == j) for j in range(n - r)] for i in range(n - r)]
+
+
+@given(int_matrices_with_empty())
 @example(([[-2, 1], [0, 3]], 2))  # a negative pivot already in its row, r = 0
 @example(([[1, 0], [0, -1]], 2))  # the same in a later row, r = 1
 @example(([[], [], []], 0))  # zero width: u and u_inv are the identity
 @example(([], 0))
-def test_row_hermite_transform_is_hermite(case):
+def test_the_reference_transform_carries_its_inverse(case):
     rows, ncols = case
-    h, u, u_inv = row_hermite_transform(rows)
+    h, u, u_inv = hermite_transform(rows)
     assert len(h) == len(u) == len(rows)
     k = len(rows)
     assert [[sum(ui[i] * rows[i][j] for i in range(k)) for j in range(ncols)] for ui in u] == h
@@ -387,23 +411,20 @@ def unit_rich_matrices(draw):
     return (_with_identity(rows) if draw(st.booleans()) else rows), ncols
 
 
-@given(unit_rich_matrices(), st.booleans())
-@example(([[1, 0], [-1, 2], [1, 1], [0, 3]], 2), True)  # a unit pivot clears three rows
-@example(([[2], [3], [-1], [1]], 1), True)  # ties at 1: the first row is the pivot
-@example(([[6, 1], [4, 0], [9, 1]], 2), True)  # Euclid reaches a unit pivot
-@example((_with_identity([[2], [3], [5]]), 1), True)  # a pivot of 2 reduces one row only
-@example(([[0, 1], [0, -1]], 2), False)  # a zero column
-def test_unit_pivots_give_the_euclid_steps_result(case, with_inverse):
+@given(unit_rich_matrices())
+@example(([[1, 0], [-1, 2], [1, 1], [0, 3]], 2))  # a unit pivot clears three rows
+@example(([[2], [3], [-1], [1]], 1))  # ties at 1: the first row is the pivot
+@example(([[6, 1], [4, 0], [9, 1]], 2))  # Euclid reaches a unit pivot
+@example((_with_identity([[2], [3], [5]]), 1))  # a pivot of 2 reduces one row only
+@example(([[0, 1], [0, -1]], 2))  # a zero column
+def test_unit_pivots_give_the_euclid_steps_result(case):
     # the one-pass clearing under a +-1 pivot is the sequence of single
-    # Euclid steps: the same Hermite form, transform and inverse
+    # Euclid steps: the same Hermite form and, in an identity block, the
+    # same transform
     rows, ncols = case
-    width = len(rows)
     got, expected = [list(r) for r in rows], [list(r) for r in rows]
-    inv = [[int(i == j) for j in range(width)] for i in range(width)] if with_inverse else None
-    inv_expected = [list(r) for r in inv] if with_inverse else None
-    assert _hermite(got, ncols, inv) == euclid_hermite(expected, ncols, inv_expected)
+    assert _hermite(got, ncols) == euclid_hermite(expected, ncols)
     assert got == expected
-    assert inv == inv_expected
 
 
 @st.composite
@@ -419,18 +440,15 @@ def small_matrices(draw):
 
 
 @settings(max_examples=300)
-@given(small_matrices() | unit_rich_matrices(), st.booleans())
-@example(([[4, 1], [6, 0], [-4, 1], [9, 1]], 2), True)  # a tie at 4 in the first scan
-@example(([[6], [4], [-4], [2]], 1), True)  # a row reaches 0 and leaves the scan
-@example(([[3], [5], [7]], 1), False)
-def test_hermite_takes_the_steps_of_the_min_search(case, with_inverse):
+@given(small_matrices() | unit_rich_matrices())
+@example(([[4, 1], [6, 0], [-4, 1], [9, 1]], 2))  # a tie at 4 in the first scan
+@example(([[6], [4], [-4], [2]], 1))  # a row reaches 0 and leaves the scan
+@example(([[3], [5], [7]], 1))
+@example((_with_identity([[4], [6], [-4], [9]]), 1))  # the transform rides along
+def test_hermite_takes_the_steps_of_the_min_search(case):
     # one scan finds each step's two smallest entries, and rows that reach 0
-    # leave it: the same row operations, so the same form, inverse and rank
+    # leave it: the same row operations, so the same form, transform and rank
     rows, ncols = case
-    width = len(rows)
     got, expected = [list(r) for r in rows], [list(r) for r in rows]
-    inv = [[int(i == j) for j in range(width)] for i in range(width)] if with_inverse else None
-    inv_expected = [list(r) for r in inv] if with_inverse else None
-    assert _hermite(got, ncols, inv) == unit_pivot_hermite(expected, ncols, inv_expected)
+    assert _hermite(got, ncols) == unit_pivot_hermite(expected, ncols)
     assert got == expected
-    assert inv == inv_expected

@@ -30,6 +30,7 @@ from references import (
     facet_subsets_faces,
     faces_closure,
     fan_to_dict,
+    hermite_transform,
     minors_is_smooth,
     rank_first_cone,
     saturation_basis,
@@ -50,7 +51,6 @@ from torified.intlinalg import (
     mat_rank,
     mat_vec,
     primitive,
-    row_hermite_transform,
     vec_neg,
 )
 from torified.lattice import (
@@ -211,14 +211,13 @@ def test_dim_is_rank_of_generators_computed_once(cone, monkeypatch):
     monkeypatch.setattr(lattice, "mat_rank", lambda rows: calls.append(rows) or mat_rank(rows))
     for c in (cone, dual_cone(cone)):  # the duals of lower-dim cones carry lineality
         fresh = Cone(c.ambient_dim, c.rays, c.lineality)
-        trusted = lattice._trusted(c.ambient_dim, c.rays, c.lineality)
+        trusted = lattice._trusted(c.ambient_dim, c.rays, c.lineality, dim=c.dim)
         calls.clear()
-        # the constructor keeps the rank it computed; a cone made without
-        # its dim computes it on the first read, and only then
+        # the constructor keeps the rank it computed, and a cone made without
+        # the constructor is given it: no read computes a rank
         assert fresh.dim == fresh.dim == mat_rank(c.rays + c.lineality)
-        assert calls == []
         assert trusted.dim == trusted.dim == fresh.dim
-        assert len(calls) == 1
+        assert calls == []
         # the dim is not a field: equality and hashing ignore it
         assert fresh == trusted == Cone(c.ambient_dim, c.rays, c.lineality)
         assert hash(fresh) == hash(trusted) == hash(Cone(c.ambient_dim, c.rays, c.lineality))
@@ -273,7 +272,7 @@ def test_the_rank_from_the_dual_is_the_rank_of_the_rays(case):
     made += [*faces(cone), pickle.loads(pickle.dumps(cone))]
     for c in made:
         assert hash(c) == hash(c) == c._hash == hash((c.ambient_dim, c.rays, c.lineality))
-    assert lattice._trusted(n, cone.rays)._hash is None
+    assert lattice._trusted(n, cone.rays, dim=cone.dim)._hash is None
 
 
 @pytest.mark.parametrize("cone", [c for c in CONE_CORPUS if len(c.rays) < c.ambient_dim], ids=str)
@@ -364,6 +363,20 @@ def test_dual_is_what_the_constructor_would_store(cone):
 def test_dual_of_random_cone_is_what_the_constructor_would_store(case):
     n, rays = case
     assert_constructor_agrees(dual_cone(Cone(n, rays)))
+
+
+@settings(max_examples=100)
+@given(rays_with_planted_functional())
+@example((3, ((1, 0, 0),)))  # a ray: its dual is a half-space, with a plane of lineality
+@example((4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0))))
+def test_a_dual_is_built_with_its_dim(case):
+    # a pointed cone's dual is full-dimensional, and the dual of that dual,
+    # whose lineality is the cone's perp, has the cone's dim: each is given
+    # its dim, n less the rank of the lineality it is the dual of
+    cone = Cone(*case)
+    for dual in (dual_cone(cone), dual_cone(dual_cone(cone))):
+        assert dual._dim == mat_rank(dual.rays + dual.lineality)
+    assert dual_cone(dual_cone(cone))._dim == cone.dim
 
 
 @st.composite
@@ -719,7 +732,7 @@ def test_plane_basis_agrees_with_the_triangulation(cone):
 def hermite_bezout(x, y):
     """The Bezout pair the plane basis took before the extended Euclid
     algorithm: the first row of the transform of the column (x, y)."""
-    _, ((p, q), _), _ = row_hermite_transform([[x], [y]])
+    _, ((p, q), _), _ = hermite_transform([[x], [y]])
     return p, q
 
 

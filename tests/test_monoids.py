@@ -185,24 +185,25 @@ def test_a_lower_dimensional_cone_that_is_not_simplicial_has_the_reference_monoi
     assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
 
 
-def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
-    # the units come back from kernel_basis in Hermite form, and the section
-    # from the inverse that one reduction of [B^T | I] carries: one call of
-    # each per face with units, no reduction at all for the full-dimensional
-    # face (no units, no section), and no Bareiss elimination of a transform
-    # or its inverse (unimodular matrices) for any face
+def test_a_face_changes_coordinates_by_two_hermite_reductions(monkeypatch):
+    # the units come back from kernel_basis in Hermite form (one reduction of
+    # its own), the section from two more, of [B^T | I] and of [U[r:]^T | I],
+    # neither carrying an inverse; the full-dimensional face takes no kernel
+    # and no transform, only the Hermite basis that indexes its dual's five
+    # parallelepiped points; no face takes a Bareiss elimination of a
+    # transform (unimodular matrices)
     cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
     calls, transforms, eliminated = [], [], []
-    kernel_basis, hermite = monoids.kernel_basis, monoids._hermite
+    kernel_basis, hermite = monoids.kernel_basis, intlinalg._hermite
 
     def counted_kernel(*args):
         calls.append("kernel_basis")
         return kernel_basis(*args)
 
-    def counted_hermite(m, ncols, inv=None):
+    def counted_hermite(m, ncols):
         calls.append("_hermite")
-        rank = hermite(m, ncols, inv)
-        transforms.extend(([row[ncols:] for row in m], inv))
+        rank = hermite(m, ncols)
+        transforms.append([row[ncols:] for row in m])
         return rank
 
     def recorded(eliminate):
@@ -212,14 +213,14 @@ def test_a_face_changes_coordinates_by_one_hermite_reduction(monkeypatch):
         return recorded_eliminate
 
     monkeypatch.setattr(monoids, "kernel_basis", counted_kernel)
-    monkeypatch.setattr(monoids, "_hermite", counted_hermite)
+    monkeypatch.setattr(intlinalg, "_hermite", counted_hermite)
     monkeypatch.setattr(intlinalg, "_eliminate", recorded(intlinalg._eliminate))
     monkeypatch.setattr(lattice, "_eliminate", recorded(lattice._eliminate))
     for face in faces(cone):
         clear_caches()
         calls.clear(), transforms.clear(), eliminated.clear()
         monoid_of_cone(face)
-        reductions = [] if face.dim == 4 else ["kernel_basis", "_hermite"]
+        reductions = ["_hermite"] if face.dim == 4 else ["kernel_basis"] + ["_hermite"] * 3
         assert calls == reductions, face
         assert not any(m in transforms for m in eliminated), face
 
@@ -246,32 +247,28 @@ def test_the_monoid_of_each_face_is_localized_from_the_cone(cone):
 
 
 def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatch):
-    # a face with units and a pointed part reduces [B^T | I] once, carrying
-    # no inverse (inv=None), and no row_hermite_transform runs; the full
-    # face is the cone's own monoid, and the zero face is all units
+    # a face with units and a pointed part takes the Hermite basis of its
+    # units and reduces [B^T | I] once, with no inverse (a reduction takes
+    # the matrix and its column count, nothing more); the full face is the
+    # cone's own monoid, and the zero face is all units
     cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
     monoid = monoid_of_cone(cone)
     values = monoids._ray_values(monoid.all_generators(), cone.rays)
     expected = {face: monoid_of_cone.__wrapped__(face) for face in faces(cone)}
-    inverses = []
-    hermite = monoids._hermite
+    reductions = []
+    hermite = intlinalg._hermite
 
-    def counted_hermite(m, ncols, inv=None):
-        inverses.append(inv)
-        return hermite(m, ncols, inv)
+    def counted_hermite(m, ncols):
+        reductions.append("[B^T | I]" if len(m[0]) > ncols else "Hermite basis")
+        return hermite(m, ncols)
 
-    def forbidden(*args):
-        raise AssertionError("row_hermite_transform called")
-
-    monkeypatch.setattr(monoids, "_hermite", counted_hermite)
-    monkeypatch.setattr(lattice, "row_hermite_transform", forbidden)
-    monkeypatch.setattr(intlinalg, "row_hermite_transform", forbidden)
+    monkeypatch.setattr(intlinalg, "_hermite", counted_hermite)
     for face in faces(cone):
-        inverses.clear()
+        reductions.clear()
         local = monoids._localization(monoid, values, face)
         assert (local.generators, local.unit_basis) == (
             expected[face].generators, expected[face].unit_basis)
-        assert inverses == ([] if face.dim in (0, 4) else [None]), face
+        assert reductions == ([] if face.dim in (0, 4) else ["Hermite basis", "[B^T | I]"]), face
 
 
 @pytest.mark.parametrize(

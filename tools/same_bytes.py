@@ -59,8 +59,10 @@ LOWER_DIMENSIONAL = (
     "1,1,1,0;1,-1,0,1;1,0,0,0",
     "1,0,1,0;0,1,1,0;-1,0,1,0;0,-1,1,0",  # not simplicial
     # refused: the budget counts the parallelepiped points of a triangulation
-    # of the quotient's dual (1,193), and that count follows the coordinates
-    # the dual is read in, so a change of chart shows here
+    # of the quotient's dual, 1,193 in the coordinates of the unit section,
+    # which the chart of a second Hermite transform reads; the count follows
+    # the chart, so a change of chart shows here (and fails
+    # test_a_lower_dimensional_monoid_is_counted_in_its_section_coordinates)
     "1,2,1,-1;1,4,1,-3;-4,-1,-4,-1;-3,0,-3,2",
 )
 LOWER_DIMENSIONAL_BUDGET = "1000"
