@@ -78,7 +78,7 @@ from .gadgets import (
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
-from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, validate_fan
+from .lattice import Cone, Fan, _int_list, face_fan, fan_from_dict, validate_fan
 from .monoids import _dscheme, dscheme_of_fan, monoid_of_cone
 from .torify import Torification, Torus, _graded_terms, delta_vector, to_delta_basis
 
@@ -99,9 +99,10 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     :class:`_Block` values that stand for a list and write their parts
     themselves.
 
-    The outer dicts are written key by key and blocks part by part; every
-    other value is rendered whole, so the longest text held is one part, one
-    block of a D^r or one plain value, never the envelope.  A plain dict, list or tuple
+    The outer dicts are written key by key and blocks part by part (a
+    D-scheme's points, ``_Points``, one text per point); every other value
+    is rendered whole, so the longest text held is one part, one block of a
+    D^r, one point or one plain value, never the envelope.  A plain dict, list or tuple
     is rendered in one join of its items' texts; a list of ints, of strs or
     of lists is told by the set of its items' exact types, each int list in
     a list of lists (generators, specialization pairs) is one join of its
@@ -325,6 +326,32 @@ class _Elements(_Block):
         write("\n" + "  " * depth + "}")
 
 
+class _Points(_Block):
+    """The ``{"cone", "generators", "rank"}`` objects of a D-scheme's points,
+    kept as triples, not local monoids, and written one text per point, with
+    the texts before the values made once per write; iterated, it gives dicts."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: Sequence):
+        self.points = [(p.index, p.local_monoid.generators, p.rank) for p in points]
+
+    def __iter__(self):
+        for index, generators, rank in self.points:
+            yield {"cone": index, "rank": rank, "generators": [list(g) for g in generators]}
+
+    def write_json(self, depth: int, render, write) -> None:
+        inner1, inner2 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        to_cone, to_gens = "{" + inner2 + '"cone": ', "," + inner2 + '"generators": '
+        to_rank = "," + inner2 + '"rank": '
+        before = "[" + inner1
+        for index, generators, rank in self.points:
+            gens = render(generators, depth + 2)
+            write(f"{before}{to_cone}{index}{to_gens}{gens}{to_rank}{rank}{inner1}}}")
+            before = "," + inner1
+        write("\n" + "  " * depth + "]" if self.points else "[]")
+
+
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
@@ -493,17 +520,7 @@ def _resolve_family(args) -> Family:
 
 
 def _dscheme_payload(ds) -> dict:
-    return {
-        "points": [
-            {
-                "cone": p.index,
-                "rank": p.rank,
-                "generators": [list(g) for g in p.local_monoid.generators],
-            }
-            for p in ds.points
-        ],
-        "specialization": [list(pair) for pair in ds.specialization],
-    }
+    return {"points": _Points(ds.points), "specialization": list(map(list, ds.specialization))}
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +557,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
 
 def cmd_spec(args) -> tuple[dict, int]:
     cone = _parse_cone(args.cone)
-    return _dscheme_payload(_dscheme(Fan(cone.ambient_dim, faces(cone)))), 0
+    return _dscheme_payload(_dscheme(face_fan(cone))), 0
 
 
 def cmd_dscheme(args) -> tuple[dict, int]:

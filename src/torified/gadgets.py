@@ -13,8 +13,8 @@ round-trip checks.  Per face τ the maps are the homs into Z/m from the
 lattice L_τ that the generators orthogonal to τ span, read from its Hermite
 basis H_τ: :func:`count_monoid_homs` counts m^len(H_τ) of them without
 building any, and :func:`enumerate_monoid_homs` builds one per value vector
-on H_τ, under a budget on that count; both read those generators from one
-table of the generators' values on the source cone's rays.
+on H_τ, under a budget on that count; both read those generators from the
+zero masks of the monoid's value table (the one a D-scheme localizes from).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from math import prod
 from operator import mul
 
 from .budget import check_budget
-from .errors import BudgetExceeded, MissingSourceCone, ShapeMismatch, Value
-from .intlinalg import Vector, _hermite_coordinates, dot, hnf_rows
+from .errors import BudgetExceeded, InvalidCone, MissingSourceCone, ShapeMismatch, Value
+from .intlinalg import Vector, _hermite_coordinates, hnf_rows
 from .lattice import Cone, Fan, faces, require_valid
-from .monoids import AffineMonoid, _ray_values, monoid_of_cone
+from .monoids import AffineMonoid, _value_table, monoid_of_cone
 from .torify import Torification, _graded_terms, delta_vector
 
 
@@ -260,21 +260,11 @@ class MonoidHom(Value):
 
 def _supports(monoid: AffineMonoid) -> list[tuple[list[int], tuple[Vector, ...], Cone]]:
     """Per face τ of the source cone, (S_τ, H_τ, τ): the indices of the
-    generators orthogonal to τ, those whose values on τ's rays are all 0
-    (the values are taken once, on the source cone's rays), and the Hermite
-    basis of the lattice L_τ that they span."""
-    if monoid.source_cone is None:
-        raise MissingSourceCone("hom enumeration tracks support faces of a source cone")
-    rays = monoid.source_cone.rays
-    gens = monoid.all_generators()
-    values = _ray_values(gens, rays)
-    supports = []
-    for face in faces(monoid.source_cone):
-        on = set(face.rays)
-        at = [k for k, ray in enumerate(rays) if ray in on]
-        support = [i for i, v in enumerate(values) if not any([v[k] for k in at])]
-        supports.append((support, hnf_rows([gens[i] for i in support], monoid.ambient_rank), face))
-    return supports
+    generators orthogonal to τ (:func:`_orthogonal`, from one value table)
+    and the Hermite basis of the lattice L_τ that they span."""
+    gens, table = monoid.all_generators(), _value_table(monoid)
+    supports = [(_orthogonal(table, face), face) for face in faces(monoid.source_cone)]
+    return [(s, hnf_rows([gens[i] for i in s], monoid.ambient_rank), face) for s, face in supports]
 
 
 def enumerate_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> tuple[MonoidHom, ...]:
@@ -316,18 +306,21 @@ def count_monoid_homs(monoid: AffineMonoid, target: CyclicMonoidWithZero) -> int
     return sum(target.m ** len(basis) for _, basis, _ in _supports(monoid))
 
 
-def _orthogonal(gens: tuple[Vector, ...], face: Cone) -> list[int]:
-    """Indices of the generators orthogonal to the face: those that stay
-    invertible on its monoid."""
-    return [i for i, g in enumerate(gens) if all(dot(g, r) == 0 for r in face.rays)]
+def _orthogonal(table, face: Cone) -> list[int]:
+    """Indices of the generators orthogonal to a face of the source cone (they
+    stay invertible on its monoid): those whose zero mask holds the face's."""
+    positions, rows = table
+    if not all([ray in positions for ray in face.rays]):
+        raise InvalidCone(f"{face} has a ray that is not a ray of the monoid's source cone")
+    mask = sum([1 << positions[ray] for ray in face.rays])
+    return [i for i, (_, _, zeros) in enumerate(rows) if zeros & mask == mask]
 
 
 def hom_restrict(hom: MonoidHom) -> tuple[Cone, dict[int, int]]:
     """Restriction to the support face: the face plus the values of the
     generators that stay invertible there (the unit character)."""
     face = hom.support_face
-    gens = hom.monoid.all_generators()
-    return face, {i: hom.values[i] for i in _orthogonal(gens, face)}
+    return face, {i: hom.values[i] for i in _orthogonal(_value_table(hom.monoid), face)}
 
 
 def hom_extend(
@@ -336,11 +329,10 @@ def hom_extend(
     face: Cone,
     unit_values: dict[int, int],
 ) -> MonoidHom:
-    """Extension by zero: generators orthogonal to the face keep their unit
-    value, everything else is sent to zero."""
-    gens = monoid.all_generators()
-    values = [CyclicMonoidWithZero.ZERO] * len(gens)
-    for i in _orthogonal(gens, face):
+    """Extension by zero from a face of the source cone: generators orthogonal
+    to the face keep their unit value, everything else is sent to zero."""
+    values = [CyclicMonoidWithZero.ZERO] * len(monoid.all_generators())
+    for i in _orthogonal(_value_table(monoid), face):
         values[i] = unit_values[i]
     return MonoidHom(monoid, target, tuple(values), face)
 

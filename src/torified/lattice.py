@@ -41,9 +41,10 @@ and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
 It is read from ray bitmasks: the faces in the fan of a simplicial cone are
 the submasks of its ray mask that index a cone, so only non-simplicial cones
-list their faces, and :func:`fan_from_dict` and :func:`standard_fan` close
-a simplicial cone's faces by the same submasks.  Face closure is then a
-count per cone.
+list their faces (in :func:`face_fan`, the faces of one cone, none does:
+their faces' masks lie in their own), :func:`fan_from_dict` and
+:func:`standard_fan` close a simplicial cone's faces by the same submasks,
+and face closure is a count per cone.
 Cones and fans keep their hashes.  Fan validation settles pairs of maximal
 cones by sign masks over the rays, from one dual
 per maximal cone (the cached :func:`facet_normals`); a double description of
@@ -723,6 +724,23 @@ def _submasks(mask: int) -> list[int]:
         subs.append(sub)
         sub = (sub - 1) & mask
     return subs
+
+
+def face_fan(cone: Cone) -> Fan:
+    """``Fan(cone.ambient_dim, faces(cone))`` with its relation set from the
+    faces' ray masks: a simplicial face's faces are its submasks, any other's
+    the earlier faces whose masks lie in its own, so no proper face runs
+    :func:`faces` or a dual."""
+    fan = Fan(cone.ambient_dim, faces(cone))
+    _, masks = _ray_masks(fan.cones, {r: 1 << k for k, r in enumerate(cone.rays)})
+    index = {mask: i for i, mask in enumerate(masks)}
+    relation = tuple(
+        tuple(sorted([index[m] for m in _submasks(mask)])) if f.is_simplicial
+        else tuple([i for i, m in enumerate(masks[: j + 1]) if m & mask == m])
+        for j, (f, mask) in enumerate(zip(fan.cones, masks))
+    )
+    object.__setattr__(fan, "_face_indices", relation)
+    return fan
 
 
 def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:

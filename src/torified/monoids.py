@@ -28,16 +28,19 @@ Varieties*, ch. 1): for a face t = s ∩ u^⊥ with u in s^∨ ∩ M, t^∨ ∩ 
 s^∨ ∩ M + Z≥0 (-u).  So the units of t are generated by the generators of
 s that vanish on t (they generate the dual face s^∨ ∩ t^⊥, which spans
 t^⊥), and the images of the others generate the pointed quotient, whose
-Hilbert basis is its irreducible images, graded by their values on t's rays
-(taken once per cone).  An irreducible g lifts to g - B^T (U[:r] g), so a
-proper face takes no dual, Hilbert basis or chart.  The specialisation
-order is read from :attr:`torified.lattice.Fan.face_indices`.
+Hilbert basis is its irreducible images, graded by their values on t's rays:
+one table per maximal cone (:func:`_value_table`, kept by its monoid) holds
+each generator's values on s's rays and the mask of the rays it vanishes on,
+and t reads its units by mask and its values by one ``itemgetter``.  An irreducible g lifts
+to g - B^T (U[:r] g), so a proper face takes no dual, Hilbert basis or
+chart.  The specialisation order is :attr:`torified.lattice.Fan.face_indices`
+(for ``spec``, set from ray masks by :func:`torified.lattice.face_fan`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import BudgetExceeded, MissingSourceCone, Value
 from .intlinalg import Vector, _identity, _unit_transform, hnf_rows, kernel_basis, mat_vec
@@ -60,12 +63,13 @@ class AffineMonoid(Value):
     ``generators`` is the Hilbert basis of the pointed part, ``unit_basis`` a
     lattice basis of the unit group; together they generate the monoid as a
     direct sum.  ``source_cone`` records the cone it came from, when any.
+    The monoid keeps its :func:`_value_table`, in ``_table``, from its first use.
     """
 
-    __slots__ = ("ambient_rank", "generators", "unit_basis", "source_cone")
+    __slots__ = ("ambient_rank", "generators", "unit_basis", "source_cone", "_table")
 
     def __init__(self, ambient_rank: int, generators, unit_basis, source_cone: Cone | None = None):
-        self._set(ambient_rank, generators, unit_basis, source_cone)
+        self._set(ambient_rank, generators, unit_basis, source_cone, None)
 
     @property
     def unit_rank(self) -> int:
@@ -116,16 +120,25 @@ def _monoid_basis(pointed: Cone, cone: Cone, simplex=None, normals=None) -> tupl
         raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}", exc.size) from None
 
 
-def _ray_values(generators: tuple[Vector, ...], rays: tuple[Vector, ...]) -> list[tuple[int, ...]]:
-    """Per generator, its values on the rays, in their order."""
-    return [tuple([sum(map(mul, g, ray)) for ray in rays]) for g in generators]
+def _value_table(monoid: AffineMonoid) -> tuple[dict[Vector, int], list[tuple[Vector, Vector, int]]]:
+    """The position k of each ray of the source cone, and per generator g of
+    :meth:`AffineMonoid.all_generators` (g, its values on the rays, the mask
+    of the rays where it is 0, bit k for ray k), taken on first use."""
+    if monoid._table is not None:
+        return monoid._table
+    if monoid.source_cone is None:
+        raise MissingSourceCone("face operations read the generators' values on a source cone's rays")
+    rays = monoid.source_cone.rays
+    values = [(g, tuple([sum(map(mul, g, ray)) for ray in rays])) for g in monoid.all_generators()]
+    rows = [(g, v, sum([1 << k for k, x in enumerate(v) if not x])) for g, v in values]
+    object.__setattr__(monoid, "_table", ({ray: k for k, ray in enumerate(rays)}, rows))
+    return monoid._table
 
 
-def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Cone) -> AffineMonoid:
+def _localization(monoid: AffineMonoid, table, face: Cone) -> AffineMonoid:
     """The monoid of a face of the monoid's source cone, read from the
-    monoid's generators (:meth:`AffineMonoid.all_generators`) and their
-    ``values`` on the source cone's rays (:func:`_ray_values`); the result is
-    :func:`monoid_of_cone` of the face.
+    monoid's :func:`_value_table`; the result is :func:`monoid_of_cone` of
+    the face.
 
     The generators zero on the face's rays generate its units, and a Hermite
     basis B of them is the unit basis.  Another generator's values on the
@@ -134,19 +147,19 @@ def _localization(monoid: AffineMonoid, values: list[tuple[int, ...]], face: Con
     values (one generator per value vector).  An irreducible g lifts to
     g - B^T (U[:r] g) (the module docstring): only U[:r] of U is kept.
     """
-    cone = monoid.source_cone
     n = monoid.ambient_rank
-    if face == cone:
+    if face == monoid.source_cone:
         return monoid
-    on = set(face.rays)
-    at = [k for k, ray in enumerate(cone.rays) if ray in on]
+    positions, rows = table
+    at = [positions[ray] for ray in face.rays]
+    mask = sum([1 << k for k in at])
+    pick = itemgetter(*at) if len(at) > 1 else lambda values: (values[at[0]],)
     units, candidates = [], {}
-    for g, vals in zip(monoid.all_generators(), values):
-        v = tuple([vals[k] for k in at])
-        if any(v):
-            candidates.setdefault(v, g)
-        else:
+    for g, values, zeros in rows:
+        if zeros & mask == mask:
             units.append(g)
+        else:
+            candidates.setdefault(pick(values), g)
     if not candidates:  # the zero face: the generators span Z^n, all units
         return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
@@ -234,15 +247,15 @@ def _dscheme(fan: Fan) -> DScheme:
     n = fan.ambient_dim
     # each cone is read from the last cone listing it as a face, a maximal
     # one (a cone containing it would come later and list the face too),
-    # whose monoid and ray values are taken once
+    # whose monoid and value table are taken once
     owner = {i: j for j, face_ids in enumerate(fan.face_indices) for i in face_ids}
-    tables: dict[int, tuple[AffineMonoid, list[tuple[int, ...]]]] = {}
+    tables: dict[int, tuple[AffineMonoid, tuple]] = {}
     points = []
     for i, c in enumerate(fan.cones):
         j = owner[i]
         if j not in tables:
             monoid = monoid_of_cone(fan.cones[j])
-            tables[j] = monoid, _ray_values(monoid.all_generators(), fan.cones[j].rays)
+            tables[j] = monoid, _value_table(monoid)
         points.append(DSchemePoint(i, c, n - c.dim, _localization(*tables[j], c)))
     pairs = sorted(
         (i, j) for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j

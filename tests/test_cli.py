@@ -1035,6 +1035,8 @@ def materialize(v):
         ]
     if isinstance(v, cli._Elements):
         return {str(i): [list(p) for p in iproduct(v.elements, repeat=r)] for i, r in enumerate(v.ranks)}
+    if isinstance(v, cli._Points):
+        return list(v)
     if isinstance(v, dict):
         return {k: materialize(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -1046,17 +1048,25 @@ LABELS = st.one_of(st.text(max_size=6), TRICKY)
 CELLS = st.lists(st.builds(Torus, st.integers(0, 4), LABELS), max_size=4).map(tuple)
 
 
+GENERATORS = st.lists(st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(tuple), max_size=3)
+# a D-scheme point as _Points reads it: its cone index, rank and local generators
+POINTS = st.lists(st.builds(lambda i, r, g: SimpleNamespace(index=i, rank=r, local_monoid=SimpleNamespace(
+    generators=tuple(g))), st.integers(0, 20), st.integers(0, 4), GENERATORS), max_size=4)
+
+
 @st.composite
 def with_blocks(draw):
-    """Torus lists over shared cells with drawn prefixes, and D^r blocks of
-    gadget listings, each at several depths."""
+    """Torus lists over shared cells with drawn prefixes, D^r blocks of
+    gadget listings and the points of D-schemes, each at several depths."""
     cells = draw(st.lists(CELLS, min_size=1, max_size=3))
     parts = draw(st.lists(st.tuples(st.one_of(st.none(), LABELS), st.sampled_from(cells)), max_size=5))
     tori = cli._ToriList(Torification.from_parts(parts))
     group = FiniteAbelianGroup(draw(st.sampled_from([(), (1,), (2,), (3,), (2, 2), (2, 3)])))
     power = cli._Elements(draw(st.lists(st.integers(0, 4), max_size=3)), tuple(group.elements()))
+    points = cli._Points(draw(POINTS))
     rest = draw(JSON_VALUES)
-    return {"tori": tori, "power": power, "deeper": [rest, {"p": power, "t": [tori]}], "x": [[power]]}
+    return {"tori": tori, "power": power, "deeper": [rest, {"p": power, "t": [tori], "s": points}],
+            "x": [[power]], "points": points}
 
 
 def tori_block(*parts) -> dict:
@@ -1389,6 +1399,48 @@ def test_torify_text_format(capsys):
     code, out, _ = run(capsys, "torify", "grassmannian", "2", "4", "--format", "text")
     assert code == 0
     assert out == "dim 4, 35 tori, delta [6, 12, 11, 5, 1]\ncharts: none\n"
+
+
+SPEC_TEXT = """\
+point 0: rank 3, generators []
+point 1: rank 2, generators [[1, 0, 0]]
+point 2: rank 2, generators [[0, 1, 0]]
+point 3: rank 2, generators [[1, 0, 0]]
+point 4: rank 1, generators [[0, 1, 0], [1, -1, 0]]
+point 5: rank 1, generators [[0, 1, 0], [1, 0, 0], [2, -1, 0]]
+point 6: rank 1, generators [[-1, 1, 0], [2, -1, 0]]
+point 7: rank 0, generators [[0, 0, 1], [0, 1, 0], [0, 5, -1], [1, 0, 0], [1, 4, -1], \
+[2, -1, 0], [2, 3, -1], [3, 2, -1], [4, 1, -1], [5, 0, -1], [6, -1, -1], [7, -2, -1], \
+[8, -3, -1], [9, -4, -1], [10, -5, -1]]
+specialization [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [1, 4], [1, 5], \
+[1, 7], [2, 4], [2, 6], [2, 7], [3, 5], [3, 6], [3, 7], [4, 7], [5, 7], [6, 7]]
+"""
+
+DSCHEME_TEXT = """\
+point 0: rank 2, generators []
+point 1: rank 1, generators [[0, -1]]
+point 2: rank 1, generators [[0, 1]]
+point 3: rank 1, generators [[1, 0]]
+point 4: rank 0, generators [[-1, 0], [-1, 1]]
+point 5: rank 0, generators [[0, -1], [1, -1]]
+point 6: rank 0, generators [[0, 1], [1, 0]]
+specialization [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 4], [1, 5], [2, 4], \
+[2, 6], [3, 5], [3, 6]]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["spec", "--cone", "1,0,0;1,2,0;1,1,5"], SPEC_TEXT),
+        (["dscheme", "--fan", os.path.join(DATA, "p2_fan.json")], DSCHEME_TEXT),
+    ],
+    ids=["spec", "dscheme"],
+)
+def test_the_text_of_a_dscheme_is_pinned(capsys, argv, text):
+    # the text format reads the points of a spec or dscheme payload as dicts
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert (code, out) == (0, text)
 
 
 def test_torification_file_round_trips_the_parts_form(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Point-set functors: group-side evaluation, induced maps, and monoid homs."""
 
 import math
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -32,6 +33,7 @@ from torified.gadgets import (
     ABELIAN_TYPES_UP_TO_12,
     CyclicMonoidWithZero,
     FiniteAbelianGroup,
+    MonoidHom,
     TorifiedMap,
     abelian_group_types,
     cc_points,
@@ -293,6 +295,25 @@ def test_soule_count_examples():
 def test_soule_count_requires_source():
     with pytest.raises(MissingSourceCone):
         soule_count_by_faces(AffineMonoid(2, ((1, 0),), ()), 2)
+
+
+def test_hom_enumeration_and_extension_require_source():
+    # each reads the value table of the monoid's source cone
+    free, target = AffineMonoid(2, ((1, 0), (0, 1)), ()), CyclicMonoidWithZero(2)
+    for call in (lambda: enumerate_monoid_homs(free, target), lambda: count_monoid_homs(free, target),
+                 lambda: hom_extend(free, target, zero_cone(2), {})):
+        with pytest.raises(MissingSourceCone):
+            call()
+
+
+def test_hom_restriction_and_extension_name_a_cone_off_the_source():
+    # the zero masks index the source cone's rays: another ray is refused by name
+    monoid, target = monoid_of_cone(Cone(2, ((1, 0), (0, 1)))), CyclicMonoidWithZero(2)
+    off = Cone(2, ((1, 1),))
+    for call in (lambda: hom_extend(monoid, target, off, {}),
+                 lambda: hom_restrict(MonoidHom(monoid, target, (0, 0), off))):
+        with pytest.raises(InvalidCone, match=re.escape(f"{off} has a ray that is not a ray of")):
+            call()
 
 
 def test_discover_relations():

@@ -1,6 +1,7 @@
 """Monoids of cones, spectra, and fan monoid schemes."""
 
 import os
+import pickle
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE, clear_caches
-from references import monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
+from references import dumps, monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
 from test_lattice import assert_constructor_agrees
 
 from torified import cli, intlinalg, lattice, monoids
@@ -253,7 +254,7 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
     # cone's own monoid, and the zero face is all units
     cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
     monoid = monoid_of_cone(cone)
-    values = monoids._ray_values(monoid.all_generators(), cone.rays)
+    table = monoids._value_table(monoid)
     expected = {face: monoid_of_cone.__wrapped__(face) for face in faces(cone)}
     reductions = []
     hermite = intlinalg._hermite
@@ -265,10 +266,26 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
     monkeypatch.setattr(intlinalg, "_hermite", counted_hermite)
     for face in faces(cone):
         reductions.clear()
-        local = monoids._localization(monoid, values, face)
+        local = monoids._localization(monoid, table, face)
         assert (local.generators, local.unit_basis) == (
             expected[face].generators, expected[face].unit_basis)
         assert reductions == ([] if face.dim in (0, 4) else ["Hermite basis", "[B^T | I]"]), face
+
+
+def test_a_monoid_keeps_its_value_table_outside_its_fields():
+    # the table is taken on first use and kept; equality, hashing and
+    # pickling read the fields alone
+    cone = Cone(3, ((1, 0, 0), (1, 2, 0), (1, 1, 5)))
+    monoid, fresh = monoid_of_cone(cone), monoid_of_cone.__wrapped__(cone)
+    table = monoids._value_table(monoid)
+    assert monoids._value_table(monoid) is table and fresh._table is None
+    assert monoid == fresh and hash(monoid) == hash(fresh)
+    assert pickle.loads(pickle.dumps(monoid))._table is None
+    positions, rows = table
+    assert positions == {ray: k for k, ray in enumerate(cone.rays)}
+    for (g, values, zeros), h in zip(rows, monoid.all_generators()):
+        assert g == h and values == tuple(dot(g, ray) for ray in cone.rays)
+        assert zeros == sum(1 << k for k, x in enumerate(values) if x == 0)
 
 
 @pytest.mark.parametrize(
@@ -364,7 +381,40 @@ def test_spec_reads_the_valid_face_fan_of_its_cone_as_dscheme_does(cone):
     arg = ";".join(",".join(map(str, r)) for r in cone.rays)
     payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
     assert code == 0
-    assert payload == cli._dscheme_payload(dscheme_of_fan(fan))
+    assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(fan)))
+
+
+# a 4-D cone on five rays, not simplicial, whose proper faces all are
+NON_SIMPLICIAL = Cone(4, ((1, 0, 1, 0), (1, 1, 1, 1), (1, 0, 0, -1), (0, 1, 0, 0), (0, 0, -1, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+@example(NON_SIMPLICIAL)
+@example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
+def test_the_face_fan_is_the_fan_of_the_faces(cone):
+    # face_fan sets the face relation from ray masks, with no sort or dual;
+    # the fan and its relation are those Fan builds from the faces
+    fan, oracle = lattice.face_fan(cone), Fan(cone.ambient_dim, faces(cone))
+    assert fan.cones == oracle.cones
+    assert fan.face_indices == oracle.face_indices
+
+
+CUBE = Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)))
+
+
+@pytest.mark.parametrize("cone", [NON_SIMPLICIAL, CUBE], ids=["bipyramid", "cube"])
+def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
+    # the faces of the proper faces are read from ray masks, so faces() runs
+    # for the top cone only, also where the facets (the cube's squares) are
+    # not simplicial
+    clear_caches()
+    arg = ";".join(",".join(map(str, r)) for r in cone.rays)
+    with mock.patch.object(lattice, "faces", wraps=lattice.faces) as spy:
+        payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
+    assert code == 0
+    assert [call.args for call in spy.call_args_list] == [(cone,)]
+    assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(Fan(4, faces(cone)))))
 
 
 def test_a_fan_reads_each_cone_from_one_maximal_cone(corpus_fan):

@@ -22,8 +22,17 @@ It prints each tree's median pass time and its median per-op p50 and p90
 (each pass's median and 90th percentile op latency, by the inclusive method
 that ``perfbench/run.py`` uses, with the median taken over the passes), the
 median over the pairs of the B/A time ratio, the number of pairs in which B
-was faster, and how many ops raised in a pass, if any did.  Nothing in
-``perfbench/`` is changed or run apart from the plan generator.
+was faster, and how many ops raised in a pass, if any did.  After that
+summary it prints, per subcommand (an op's ``argv[0]``), each tree's median
+over the passes of the time that pass spent in that subcommand's ops, and
+the B/A ratio of the two medians, so the share of a change that falls on
+``spec`` and on ``soule`` in ``cones`` is visible, one line per subcommand
+in the order of first appearance in the plan::
+
+    soule  A 13.0 ms  B 13.1 ms  B/A 1.008 (+0.8 %)
+    spec   A 58.0 ms  B 51.7 ms  B/A 0.892 (-10.8 %)
+
+Nothing in ``perfbench/`` is changed or run apart from the plan generator.
 """
 
 from __future__ import annotations
@@ -58,8 +67,8 @@ def _clear_caches() -> None:
 
 def worker(tree: str, workload: str, seed: int) -> None:
     """Replay the plan on ``tree`` once per line read from stdin, and write
-    each pass's seconds, the number of ops that raised and the p50 and p90
-    of its op latencies as one line."""
+    each pass's seconds, the number of ops that raised, the p50 and p90 of
+    its op latencies and its seconds per subcommand as one JSON line."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     from torified import cli
 
@@ -75,7 +84,7 @@ def worker(tree: str, workload: str, seed: int) -> None:
         report = sys.stdout
         for _ in sys.stdin:
             _clear_caches()
-            raised, latencies = 0, []
+            raised, latencies, kinds = 0, [], dict.fromkeys((op.argv[0] for op in ops), 0.0)
             start = time.perf_counter()
             for op in ops:
                 t0 = time.perf_counter()
@@ -87,30 +96,32 @@ def worker(tree: str, workload: str, seed: int) -> None:
                     raised += 1
                 latencies.append(time.perf_counter() - t0)
             seconds = time.perf_counter() - start
+            for op, latency in zip(ops, latencies):
+                kinds[op.argv[0]] += latency
             p90 = statistics.quantiles(latencies, n=10, method="inclusive")[-1]
-            report.write(f"{seconds} {raised} {statistics.median(latencies)} {p90}\n")
+            line = [seconds, raised, statistics.median(latencies), p90, kinds]
+            report.write(json.dumps(line) + "\n")
             report.flush()
 
 
 class Worker:
     """The worker process of tree ``side`` ("a" or "b"), started with the
-    caller's own arguments; calling it runs one pass and returns its seconds
-    and its op p50 and p90."""
+    caller's own arguments; calling it runs one pass and returns its seconds,
+    its op p50 and p90, and its seconds per subcommand."""
 
     def __init__(self, argv: list[str], side: str):
         argv = [sys.executable, os.path.abspath(__file__), *argv, "--worker", side]
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.raised = 0
 
-    def __call__(self) -> tuple[float, float, float]:
+    def __call__(self) -> tuple[float, float, float, dict[str, float]]:
         self.proc.stdin.write("\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited with {self.proc.wait()}")
-        seconds, raised, p50, p90 = line.split()
-        self.raised = int(raised)
-        return float(seconds), float(p50), float(p90)
+        seconds, self.raised, p50, p90, kinds = json.loads(line)
+        return seconds, p50, p90, kinds
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -149,9 +160,12 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs")
     for side, tree, passes in (("A", args.tree_a, [ta for ta, _ in pairs]),
                                ("B", args.tree_b, [tb for _, tb in pairs])):
-        seconds, p50, p90 = (statistics.median(x) * 1e3 for x in zip(*passes))
+        seconds, p50, p90 = (statistics.median(x) * 1e3 for x in zip(*(t[:3] for t in passes)))
         print(f"{side} median {seconds:.1f} ms, op p50 {p50:.3f} ms, op p90 {p90:.3f} ms  ({tree})")
     print(f"median B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
+    for kind in pairs[0][0][3]:
+        ka, kb = (statistics.median(t[3][kind] for t in side) * 1e3 for side in zip(*pairs))
+        print(f"{kind:<6} A {ka:.1f} ms  B {kb:.1f} ms  B/A {kb / ka:.3f} ({(kb / ka - 1) * 100:+.1f} %)")
     if a.raised or b.raised:
         print(f"ops that raised in a pass: A {a.raised}, B {b.raised}")
     return 0
