@@ -7,17 +7,18 @@ canonical).  Operations that need pointedness refuse lineality.
 
 One dual routine, :func:`_dual_pair`, a double description, serves
 construction (strict convexity and extremality), duals, faces and
-triangulations; faces are the closure of the cone under intersection with
-its facets, so neither enumerates subsets, and each face carries its
-dimension from the closure.  n independent generators in Z^n skip the
-double description: the dual's rays are the columns of adj G, where
-:func:`_simplex` gives (det G, adj G) by cofactors up to 3 x 3 and by one
-signed Bareiss elimination above, and keeps it for the dual's
-parallelepiped (:func:`_dual_simplex`).  A cone on at least n rays and
-without lineality reads its dimension from that cached dual, so a maximal
-cone takes one simplex, for its rank and its facets.  A fan file's rays are
-checked once, by :func:`fan_from_dict`, so its cones, like those of
-:func:`standard_fan`, are only made canonical (``Cone._canonicalize``).
+triangulations.  Which rays lie on which faces is decided by bit masks, in
+:func:`_face_masks` (each face with its dimension), the dual's adjacency
+test and the extremal rays' test, so no rank is taken of a tight set.
+n independent generators in Z^n skip the double description: the dual's
+rays are the columns of adj G, where :func:`_simplex` gives (det G, adj G)
+by cofactors up to 3 x 3 and by one signed Bareiss elimination above, and
+keeps it for the dual's parallelepiped (:func:`_dual_simplex`).  A cone on
+at least n rays and without lineality reads its dimension from that cached
+dual, so a maximal cone takes one simplex, for its rank and its facets.
+A fan file's rays are checked once, by :func:`fan_from_dict`, so its cones,
+like those of :func:`standard_fan`, are only made canonical
+(``Cone._canonicalize``).
 The lattice work beneath is the one Bareiss elimination and the one
 Hermite reduction of :mod:`torified.intlinalg`; a dual's lineality is the
 generators' kernel, which that reduction returns in Hermite form.
@@ -39,12 +40,11 @@ Hermite basis of the rays runs, to index the points.
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
-It is read from ray bitmasks: the faces in the fan of a simplicial cone are
-the submasks of its ray mask that index a cone, so only non-simplicial cones
-list their faces (in :func:`face_fan`, the faces of one cone, none does:
-their faces' masks lie in their own), :func:`fan_from_dict` and
-:func:`standard_fan` close a simplicial cone's faces by the same submasks,
-and face closure is a count per cone.
+It is read from ray bitmasks: the faces in the fan of a cone are its
+:func:`_face_masks` that index a cone (in :func:`face_fan`, the submasks of
+a simplicial face's mask, or the earlier faces' masks);
+:func:`fan_from_dict` and :func:`standard_fan` close each cone by its
+:func:`_face_masks`, and face closure is a count per cone.
 Cones and fans keep their hashes.  Fan validation settles pairs of maximal
 cones by sign masks over the rays, from one dual
 per maximal cone (the cached :func:`facet_normals`); a double description of
@@ -211,19 +211,17 @@ def _extremal_rays(rays, lineality, n) -> tuple[Vector, ...]:
 
     With (normals, perp) the dual of the generators, the cone contains no
     other line iff its dual has full dimension n - len(lineality), that is
-    iff normals and perp have that rank.  A ray is then extremal iff the
-    normals tight on it, together with perp, have rank one less: they span
-    the dual face of the smallest face containing the ray.
+    iff normals and perp have that rank.  The mask of the normals tight on a
+    ray names the smallest face that contains it, and the rays in that face
+    are those whose masks hold it.  A face larger than a ray (modulo the
+    lineality) has two extremal rays among the rays, so a ray is extremal
+    iff no other ray's mask holds its own.
     """
     normals, perp = _dual_pair(rays + lineality + tuple(vec_neg(l) for l in lineality), n)
-    rank = n - len(lineality)
-    if mat_rank(normals + perp) < rank:
+    if mat_rank(normals + perp) < n - len(lineality):
         raise InvalidCone(f"cone on {rays} is not strictly convex")
-    return tuple(
-        r
-        for r in rays
-        if mat_rank(tuple(u for u in normals if dot(u, r) == 0) + perp) == rank - 1
-    )
+    masks = [sum(1 << i for i, u in enumerate(normals) if dot(u, r) == 0) for r in rays]
+    return tuple(r for r, m in zip(rays, masks) if sum(m & t == m for t in masks) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -237,9 +235,11 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
 
     Double description (Fukuda-Prodon): the dual of a basis B among the
     generators is cut by each other generator g in turn.  Rays nonnegative
-    on g stay; a pair with <g,p> > 0 > <g,q> gives a new ray iff the
-    processed generators vanishing on it (g and those of both p and q, kept
-    as bit masks) have rank n - 1 together with perp.
+    on g stay; a pair with <g,p> > 0 > <g,q> gives a new ray iff p and q are
+    adjacent.  Each ray keeps the bit mask of the processed generators
+    vanishing on it, and the cone cut so far is pointed within
+    span(generators), so its rays are extremal and p, q are adjacent iff no
+    third ray's mask holds the AND of theirs: no rank is taken.
 
     n independent generators in Z^n are their own basis B, cut nothing and
     have perp 0, so they are tried first: when :func:`_simplex` of B is not
@@ -259,27 +259,27 @@ def _dual_pair(generators: tuple[Vector, ...], n: int) -> tuple[tuple[Vector, ..
         return (), tuple(perp)
     pivots, _, _ = _eliminate([list(col) for col in zip(*gens)], len(gens))
     s, adj = _simplex((*[gens[j] for j in pivots], *perp))
-    processed = [gens[j] for j in pivots]
-    d = len(processed)
+    d = len(pivots)
     rays = [(primitive([s * row[j] for row in adj]), (1 << d) - 1 - (1 << j)) for j in range(d)]
+    bit = 1 << d  # the next processed generator's
     for g in (g for j, g in enumerate(gens) if j not in pivots):  # B cuts nothing
         values = [sum(map(mul, g, r)) for r, _ in rays]  # dot, without its length check
         if all(v >= 0 for v in values):
             continue
-        bit = 1 << len(processed)
-        processed.append(g)
         kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, values) if v >= 0]
+        masks = [z for _, z in rays]
         for (p, zp), vp in zip(rays, values):
             if vp <= 0:
                 continue
             for (q, zq), vq in zip(rays, values):
                 z = zp & zq
+                # an edge lies on d - 2 independent processed generators
                 if vq >= 0 or z.bit_count() < d - 2:
                     continue
-                # perp, orthogonal to the generators, adds n - d to their rank
-                if mat_rank([h for i, h in enumerate(processed) if z >> i & 1] + [g]) == d - 1:
+                # distinct extremal rays have distinct masks
+                if not any(z & t == z for t in masks if t != zp and t != zq):
                     kept.append((primitive([vp * y - vq * x for x, y in zip(p, q)]), z | bit))
-        rays = kept
+        rays, bit = kept, bit << 1
     return tuple(sorted(r for r, _ in rays)), tuple(perp)
 
 
@@ -327,36 +327,43 @@ def _trusted(
 
 @lru_cache(maxsize=None)
 def faces(cone: Cone) -> tuple[Cone, ...]:
-    """All faces of a pointed cone, from the zero cone up to the cone itself.
-
-    The faces of a simplicial cone are the cones on the subsets of its rays.
-    Otherwise every face is an intersection of facets, and the ray sets of
-    the faces are the closure of the cone's own under intersection with the
-    facets' (Kaibel-Pfetsch); the work follows the number of faces.
-    """
+    """All faces of a pointed cone, from the zero cone up to the cone itself,
+    in (dim, rays) order, each built with its dim: a simplicial cone's are
+    the cones on its ray subsets, any other's its :func:`_closure`."""
     if not cone.is_pointed:
         raise NotPointed("face enumeration requires a pointed cone")
-    n = cone.ambient_dim
+    n, rays = cone.ambient_dim, cone.rays
+    if cone.is_simplicial:  # combinations come in (dim, rays) order
+        subsets = (sub for k in range(len(rays) + 1) for sub in combinations(rays, k))
+        return tuple(_trusted(n, sub, dim=len(sub)) for sub in subsets)
+    return tuple(sorted(_closure(n, [cone]), key=lambda f: (f._dim, f.rays)))
+
+
+def _face_masks(cone: Cone, bits: dict[Vector, int]) -> dict[int, int]:
+    """Each face of a pointed cone, as the mask of its rays under ``bits``,
+    mapped to its dim.  A simplicial cone's faces are its ray subsets, of
+    dim their size: the submasks of its mask.  Otherwise the walk goes down
+    from the cone one dim at a time: a face's facets are its maximal proper
+    intersections with the cone's facets."""
+    top = sum(map(bits.__getitem__, cone.rays))
     if cone.is_simplicial:
-        # rays are sorted, so this is already the (dim, rays) order; the rays
-        # of a simplicial cone are independent, so a face's dim is its size
-        return tuple(
-            _trusted(n, subset, dim=k)
-            for k in range(len(cone.rays) + 1)
-            for subset in combinations(cone.rays, k)
-        )
-    facets = [{r for r in cone.rays if dot(u, r) == 0} for u in facet_normals(cone)]
-    # each face is built with its dim: the facets, the first intersections,
-    # have dim(cone) - 1, and a face on k <= 3 rays has dim k, as a pointed
-    # cone of dim 1 or 2 has that many rays; only larger faces take a rank
-    frontier = {tuple(r for r in cone.rays if r in facet) for facet in facets}
-    dims = {cone.rays: cone.dim} | dict.fromkeys(frontier, cone.dim - 1)
-    while frontier:
-        frontier = {tuple(r for r in f if r in facet) for f in frontier for facet in facets}
-        frontier.difference_update(dims)
-        dims.update((rays, len(rays) if len(rays) <= 3 else mat_rank(rays)) for rays in frontier)
-    order = sorted(dims.items(), key=lambda item: (item[1], item[0]))
-    return tuple(_trusted(n, rays, dim=k) for rays, k in order)
+        return _submasks(top)
+    facets = [sum(bits[r] for r in cone.rays if dot(u, r) == 0) for u in facet_normals(cone)]
+    dims, level, k = {}, {top}, cone.dim
+    while level:
+        dims.update(dict.fromkeys(level, k))
+        level, k = {cut for face in level for cut in _maximal_cuts(face, facets)}, k - 1
+    return dims
+
+
+def _maximal_cuts(face: int, facets: list[int]) -> list[int]:
+    """The maximal proper intersections of a face's mask with the facets'
+    masks: the masks of the face's facets."""
+    maximal = []  # larger cuts first: a cut held by none of these is maximal
+    for cut in sorted({face & g for g in facets} - {face}, key=int.bit_count, reverse=True):
+        if all(cut & m != cut for m in maximal):
+            maximal.append(cut)
+    return maximal
 
 
 def _triangulate(rays: tuple[Vector, ...], n: int, normals=None) -> list[tuple[Vector, ...]]:
@@ -664,19 +671,16 @@ class Fan(Value):
         fan (the cone's own index included): the fan's face relation,
         computed on first read.
 
-        Each ray gets a bit and each cone is indexed by its ray mask.  The
-        faces of a simplicial cone are the cones on the subsets of its rays,
-        so those in the fan are the submasks of its mask in the index; only
-        other cones list their faces.
+        Each ray gets a bit and each cone is indexed by its ray mask; a
+        cone's faces in the fan are its :func:`_face_masks` in the index.
         """
         if self._face_indices is not None:
             return self._face_indices
         bits, masks = _ray_masks(self.cones)
         index = {mask: i for i, mask in enumerate(masks)}
         relation = []
-        for c, mask in zip(self.cones, masks):
-            subs = _submasks(mask) if c.is_simplicial else _ray_masks(faces(c), bits)[1]
-            relation.append(tuple(sorted(index[m] for m in subs if m in index)))
+        for c in self.cones:
+            relation.append(tuple(sorted(index[m] for m in _face_masks(c, bits) if m in index)))
         object.__setattr__(self, "_face_indices", tuple(relation))
         return self._face_indices
 
@@ -714,14 +718,15 @@ def _ray_masks(
     cone the mask of its rays."""
     if bits is None:
         bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
-    return bits, [sum(bits[r] for r in c.rays) for c in cones]
+    return bits, [sum(map(bits.__getitem__, c.rays)) for c in cones]
 
 
-def _submasks(mask: int) -> list[int]:
-    """The submasks of ``mask``: 0, then the nonzero ones from ``mask`` down."""
-    subs, sub = [0], mask
+def _submasks(mask: int) -> dict[int, int]:
+    """The submasks of ``mask``, 0 then the nonzero ones from ``mask`` down,
+    each mapped to its number of bits."""
+    subs, sub = {0: 0}, mask
     while sub:
-        subs.append(sub)
+        subs[sub] = sub.bit_count()
         sub = (sub - 1) & mask
     return subs
 
@@ -865,10 +870,8 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
     The rays are checked here, once: each listed cone is only made canonical
     (``Cone._canonicalize``), without the constructor's checks, and a
     maximal one of full dimension takes one :func:`_simplex`, for the dual
-    its facets are later read from.  Closing
-    builds each face once, by its ray set: a simplicial cone's faces are the
-    cones on the subsets of its rays, so only a non-simplicial cone lists
-    its :func:`faces`.
+    its facets are later read from.  Closing builds each face once, from its
+    ray mask (:func:`_closure`).
     """
     try:
         n, raw_rays, raw_cones = data["dim"], data["rays"], data["cones"]
@@ -906,20 +909,13 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
 
 
 def _closure(n: int, cones: Sequence[Cone]) -> list[Cone]:
-    """The faces of ``cones`` in Z^n, each once, keyed by ray mask as in
-    :attr:`Fan.face_indices`: the cones on the subsets of a simplicial cone's
-    rays, one per submask of its mask, built once per distinct subset, and
-    the :func:`faces` of the other cones."""
+    """The faces of ``cones`` in Z^n, each built once, from its mask and dim
+    in :func:`_face_masks`, under one bit per ray given as the rays are met."""
     bits: dict[Vector, int] = {}
     closed: dict[int, Cone] = {}
     for c in cones:
-        ray_bits = [bits.setdefault(r, 1 << len(bits)) for r in c.rays]
-        if c.is_simplicial:
-            for sub in _submasks(sum(ray_bits)):
-                if sub not in closed:
-                    rays = tuple([r for r, b in zip(c.rays, ray_bits) if sub & b])
-                    closed[sub] = _trusted(n, rays, dim=len(rays))
-        else:
-            face_list = faces(c)
-            closed.update(zip(_ray_masks(face_list, bits)[1], face_list))
+        ray_bits = [(r, bits.setdefault(r, 1 << len(bits))) for r in c.rays]
+        for mask, k in _face_masks(c, bits).items():
+            if mask not in closed:
+                closed[mask] = _trusted(n, tuple([r for r, b in ray_bits if b & mask]), dim=k)
     return list(closed.values())

@@ -280,10 +280,9 @@ def facet_subsets_faces(cone):
 
 
 def faces_closure(cones):
-    """The faces of ``cones``, each once: the union of their :func:`faces`,
-    which is how ``fan_from_dict`` closed a fan before it built the faces of
-    simplicial cones by ray subsets."""
-    return {f for c in cones for f in faces(c)}
+    """The faces of ``cones``, each once: the union of their
+    :func:`facet_subsets_faces`."""
+    return {f for c in cones for f in facet_subsets_faces(c)}
 
 
 def rank_first_cone(n, rays):
@@ -506,8 +505,9 @@ def quotient_gaussian_binomial(n, k, q):
 
 def scanned_face_relation(fan):
     """(i, j) for every pair of cones with cone i a face of cone j, i != j,
-    by testing each cone against the face set of every other."""
-    face_sets = [set(faces(c)) for c in fan.cones]
+    by testing each cone against the face set of every other, from
+    :func:`facet_subsets_faces`."""
+    face_sets = [set(facet_subsets_faces(c)) for c in fan.cones]
     return sorted(
         (i, j)
         for j in range(len(fan.cones))
@@ -517,7 +517,7 @@ def scanned_face_relation(fan):
 
 
 def scanned_maximal_cones(fan):
-    face_sets = [set(faces(c)) for c in fan.cones]
+    face_sets = [set(facet_subsets_faces(c)) for c in fan.cones]
     return tuple(
         i
         for i, c in enumerate(fan.cones)
@@ -528,14 +528,14 @@ def scanned_maximal_cones(fan):
 def scanned_charts(fan):
     index = {c: i for i, c in enumerate(fan.cones)}
     return tuple(
-        tuple(sorted(index[f] for f in faces(fan.cones[m])))
+        tuple(sorted(index[f] for f in facet_subsets_faces(fan.cones[m])))
         for m in scanned_maximal_cones(fan)
     )
 
 
 def scanned_regularity(fan):
     """(regular, stars) of the toric torification by the scans."""
-    face_sets = [set(faces(c)) for c in fan.cones]
+    face_sets = [set(facet_subsets_faces(c)) for c in fan.cones]
     stars = []
     regular = True
     for c in fan.cones:

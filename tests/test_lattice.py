@@ -34,6 +34,7 @@ from references import (
     minors_is_smooth,
     rank_first_cone,
     saturation_basis,
+    scanned_face_relation,
     solve_columns,
     solve_columns_int,
     vec_sub,
@@ -133,6 +134,13 @@ def test_drops_redundant_generators():
     c = Cone(2, ((1, 0), (1, 1), (0, 1)))
     assert c.rays == ((0, 1), (1, 0))
     assert c == Cone(2, ((0, 1), (1, 0)))
+    # the same modulo a line: (1,1,0) lies in the quadrant plus the z-axis
+    c = Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((0, 0, 1),))
+    assert c.rays == ((0, 1, 0), (1, 0, 0))
+    # the cone over a square plus a line, given its centre and an edge's midpoint
+    square = ((1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0))
+    c = Cone(4, square + ((2, 1, 1, 0), (2, 1, 0, 0)), ((0, 0, 0, 1),))
+    assert c.rays == square
 
 
 def test_line_is_found_before_redundant_rays_are_dropped():
@@ -404,6 +412,9 @@ def generators_with_pairs(draw):
 @example(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, -3, 5, 7)))  # a basis of determinant 7
 @example(((1, 2, 0, -1), (0, 3, 1, 1)))  # two independent vectors in Z^4
 @example(((1, 0, 1), (0, 1, 1), (1, -1, 0)))  # n vectors of rank n - 1
+# moment curves, where many cuts test many pairs for adjacency
+@example(tuple((1, t, t * t, t**3, t**4) for t in range(-6, 6)))  # 12 points in Z^5
+@example(tuple((1, t, t * t, t**3) for t in range(-10, 10)))  # 20 points in Z^4
 def test_dual_pair_agrees_with_all_subsets(gens):
     n = len(gens[0]) if gens else 3
     assert _dual_pair(gens, n) == all_subsets_dual_pair(gens, n)
@@ -510,8 +521,9 @@ def test_faces_store_what_the_constructor_would(cone):
 @example((5, tuple((1, *v) for v in iproduct((0, 1), repeat=4))))  # squares: 4 rays, dim 3
 @example((6, tuple((1, i, i * i, i**3, i**4, 0) for i in range(7))))  # lower-dimensional
 def test_faces_are_built_with_their_dim(case):
-    # the facets take the cone's dim less one, faces on up to 3 rays their
-    # number of rays, and only the others a rank
+    # a simplicial cone's faces take their size as their dim, any other's
+    # the level of the face walk that finds them, with no rank
+    # (test_tight_sets_take_no_rank)
     for f in faces(Cone(*case)):
         assert f._dim == mat_rank(f.rays)
 
@@ -970,6 +982,108 @@ def test_simplicial_faces_carry_their_dimension(monkeypatch):
     fan = Fan(5, faces(top))  # ordering the fan reads every face's dim
     assert len(fan.cones) == 32
     assert [c.dim for c in fan.cones] == sorted(len(c.rays) for c in fan.cones)
+
+
+SQUARES = tuple((1, *v) for v in iproduct((0, 1), repeat=4))  # over the 4-cube: square faces
+CYCLIC = tuple((1, t, t * t, t**3, t**4) for t in range(7))  # over a cyclic 4-polytope
+
+
+# the readers of a cone's ray-facet incidence, each run with the dual cached
+# but for the dual's own double description
+TIGHT_SET_READERS = {
+    "dual_pair": lambda top: _dual_pair(top.rays, 5),
+    "faces": faces,
+    "face_indices": lambda top: Fan(5, (top,)).face_indices,
+    "closure": lambda top: lattice._closure(5, [top]),
+}
+
+
+def rank_spy(monkeypatch) -> list:
+    """The rows of every ``mat_rank`` that ``lattice`` takes from now on."""
+    ranks = []
+    monkeypatch.setattr(lattice, "mat_rank", lambda rows: ranks.append(rows) or mat_rank(rows))
+    return ranks
+
+
+@pytest.mark.parametrize("reader", TIGHT_SET_READERS)
+@pytest.mark.parametrize("rays", [SQUARES, CYCLIC], ids=["squares", "cyclic"])
+def test_tight_sets_take_no_rank(monkeypatch, rays, reader):
+    # which rays lie on which faces is read from bit masks: the dual's
+    # adjacent pairs, the faces, the fan relation and the closure of a cone
+    # that is not simplicial take no rank
+    top = Cone(5, rays)
+    assert not top.is_simplicial
+    clear_caches()
+    if reader != "dual_pair":
+        facet_normals(top)
+    ranks = rank_spy(monkeypatch)
+    TIGHT_SET_READERS[reader](top)
+    assert ranks == []
+
+
+@pytest.mark.parametrize("rays", [SQUARES, CYCLIC], ids=["squares", "cyclic"])
+def test_extremal_rays_take_one_rank(monkeypatch, rays):
+    # the strict convexity check; extremality is read from masks
+    clear_caches()
+    ranks = rank_spy(monkeypatch)
+    assert lattice._extremal_rays(tuple(sorted(rays)), (), 5) == tuple(sorted(rays))
+    assert len(ranks) == 1
+
+
+@pytest.mark.parametrize("rays", [SQUARES, CYCLIC], ids=["squares", "cyclic"])
+def test_the_face_walk_cuts_each_face_once(monkeypatch, rays):
+    # a face's facets are its maximal proper cuts, one dim lower, so each
+    # face is reached at one level of the walk and cut once: the work
+    # follows the number of faces
+    top = Cone(5, rays)
+    count = len(faces(top))
+    cut = lattice._maximal_cuts
+    calls = []
+    monkeypatch.setattr(
+        lattice, "_maximal_cuts", lambda face, facets: calls.append(face) or cut(face, facets)
+    )
+    masks = lattice._face_masks(top, {r: 1 << k for k, r in enumerate(top.rays)})
+    assert len(masks) == len(calls) == len(set(calls)) == count
+
+
+@st.composite
+def non_simplicial_fan_files(draw):
+    """Fan files in Z^n (3 <= n <= 5) on n + 1 to n + 3 primitive rays (n + 1
+    in Z^5, where more give most cones over 10 facets), all positive on a
+    drawn functional, listing the cone on all of them, which is drawn not
+    simplicial and with at most 10 facets, and up to two cones on drawn
+    subsets, with ``close_faces``."""
+    n = draw(st.integers(3, 5))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+
+    def positive(v):  # v or -v, or w - v where both are orthogonal to w
+        s = dot(w, v)
+        return primitive(v if s > 0 else vec_neg(v) if s < 0 else vec_sub(w, v))
+
+    ray = st.tuples(*[st.integers(-3, 3)] * n).map(positive)
+    rays = draw(st.lists(ray, min_size=n + 1, max_size=n + 1 if n == 5 else n + 3, unique=True))
+    top = Cone(n, rays)
+    assume(not top.is_simplicial and len(facet_normals(top)) <= 10)
+    subset = st.lists(st.integers(0, len(rays) - 1), min_size=1, unique=True)
+    cones = [list(range(len(rays))), *draw(st.lists(subset, max_size=2))]
+    return {"dim": n, "rays": [list(r) for r in rays], "cones": cones, "close_faces": True}
+
+
+@settings(max_examples=60)
+@given(non_simplicial_fan_files())
+def test_the_face_walk_agrees_with_the_facet_subsets_on_fans(data):
+    # the closure and the face relation of a fan with cones that are not
+    # simplicial, against the faces of subsets of the facet normals, each
+    # built by the constructor
+    fan = fan_from_dict(data)
+    n, rays = data["dim"], [tuple(r) for r in data["rays"]]
+    oracle = Fan(n, tuple(faces_closure([Cone(n, [rays[i] for i in c]) for c in data["cones"]])))
+    assert fan == oracle
+    assert [c._dim for c in fan.cones] == [c.dim for c in oracle.cones]
+    assert all(j in ids for j, ids in enumerate(fan.face_indices))
+    pairs = sorted((i, j) for j, ids in enumerate(fan.face_indices) for i in ids if i != j)
+    assert pairs == scanned_face_relation(fan)
+
 
 def test_validate_fan_missing_faces():
     fan = Fan(2, (Cone(2, ((1, 0), (0, 1))), zero_cone(2)))

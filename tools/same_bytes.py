@@ -35,6 +35,7 @@ import contextlib
 import glob
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -152,15 +153,20 @@ USAGE = [
 ]
 # fan files of shapes that the benchmark's fans (simplicial, listed by their
 # maximal cones) leave out, each read by `validate-fan`, `dscheme` and
-# `verify --family toric`: the face fan of the cube (six non-simplicial
-# maximal cones); P^2 with its faces listed and a repeated index; a
-# non-primitive ray (a warning on stderr) beside a redundant generator; a
-# ray and a plane listed in Z^3; a face left unclosed (invalid, exit 1);
-# and a half-plane (not strictly convex, exit 2)
+# `verify --family toric`: the face fans of the cube (six non-simplicial
+# maximal cones) and of the 4-cube (eight maximal cones over 3-cubes, 81
+# cones closed, whose 3-dim faces are not simplicial either); P^2 with its
+# faces listed and a repeated index; a non-primitive ray (a warning on
+# stderr) beside a redundant generator; a ray and a plane listed in Z^3; a
+# face left unclosed (invalid, exit 1); and a half-plane (not strictly
+# convex, exit 2)
 FAN_FILES = {
     "cube.json": {"dim": 3, "rays": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
                   "cones": [[i for i in range(8) if i >> k & 1 == side] for k in range(3)
                             for side in (0, 1)], "close_faces": True},
+    "cube4.json": {"dim": 4, "rays": [list(v) for v in itertools.product((-1, 1), repeat=4)],
+                   "cones": [[i for i in range(16) if i >> k & 1 == side] for k in range(4)
+                             for side in (0, 1)], "close_faces": True},
     "listed.json": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
                     "cones": [[0, 1, 0], [1, 2], [2, 0], [0], [1], [2, 2], []], "close_faces": False},
     "redundant.json": {"dim": 2, "rays": [[2, 0], [0, 1], [-1, -1], [1, 1]],
