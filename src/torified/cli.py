@@ -78,7 +78,7 @@ from .gadgets import (
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
-from .lattice import Cone, Fan, _int_list, face_fan, fan_from_dict, validate_fan
+from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, validate_fan
 from .monoids import _dscheme, dscheme_of_fan, monoid_of_cone
 from .torify import Torification, Torus, _graded_terms, delta_vector, to_delta_basis
 
@@ -557,7 +557,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
 
 def cmd_spec(args) -> tuple[dict, int]:
     cone = _parse_cone(args.cone)
-    return _dscheme_payload(_dscheme(face_fan(cone))), 0
+    return _dscheme_payload(_dscheme(Fan(cone.ambient_dim, faces(cone)))), 0
 
 
 def cmd_dscheme(args) -> tuple[dict, int]:

@@ -40,9 +40,9 @@ Hermite basis of the rays runs, to index the points.
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts.
-It is read from ray bitmasks: the faces in the fan of a cone are its
-:func:`_face_masks` that index a cone (in :func:`face_fan`, the submasks of
-a simplicial face's mask, or the earlier faces' masks);
+It is read from ray bitmasks: a simplicial cone's faces are its submasks,
+and any other cone's are the :func:`_face_masks` of a maximal cone that
+holds it, within its own mask, so no proper face takes a walk or a dual;
 :func:`fan_from_dict` and :func:`standard_fan` close each cone by its
 :func:`_face_masks`, and face closure is a count per cone.
 Cones and fans keep their hashes.  Fan validation settles pairs of maximal
@@ -672,16 +672,31 @@ class Fan(Value):
         computed on first read.
 
         Each ray gets a bit and each cone is indexed by its ray mask; a
-        cone's faces in the fan are its :func:`_face_masks` in the index.
+        cone's faces in the fan are its face masks in the index.  A
+        simplicial cone's are its submasks.  The others are read by
+        descending dim, each after the cones it is a face of.  One that
+        ``held`` does not map is maximal (a simplicial cone's faces are
+        simplicial) and takes its :func:`_face_masks`, and ``held`` maps each
+        of these masks to them; a held one takes the held masks within its
+        own, since a face of a face is a face.  So only a maximal cone takes
+        a walk or a dual, whether or not the fan is valid.
         """
         if self._face_indices is not None:
             return self._face_indices
         bits, masks = _ray_masks(self.cones)
         index = {mask: i for i, mask in enumerate(masks)}
+        held: dict[int, dict[int, int]] = {}
         relation = []
-        for c in self.cones:
-            relation.append(tuple(sorted(index[m] for m in _face_masks(c, bits) if m in index)))
-        object.__setattr__(self, "_face_indices", tuple(relation))
+        for c, mask in zip(reversed(self.cones), reversed(masks)):
+            if c.is_simplicial:
+                own = _submasks(mask)
+            elif mask in held:
+                own = [m for m in held[mask] if m & mask == m]
+            else:
+                own = _face_masks(c, bits)
+                held.update(dict.fromkeys(own, own))
+            relation.append(tuple(sorted(index[m] for m in own if m in index)))
+        object.__setattr__(self, "_face_indices", tuple(reversed(relation)))
         return self._face_indices
 
     def __repr__(self) -> str:
@@ -711,13 +726,9 @@ def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vecto
     return tight_a, tight_b
 
 
-def _ray_masks(
-    cones: Sequence[Cone], bits: dict[Vector, int] | None = None
-) -> tuple[dict[Vector, int], list[int]]:
-    """The bits, one per ray of ``cones`` unless ``bits`` is given, and per
-    cone the mask of its rays."""
-    if bits is None:
-        bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
+def _ray_masks(cones: Sequence[Cone]) -> tuple[dict[Vector, int], list[int]]:
+    """The bits, one per ray of ``cones``, and per cone the mask of its rays."""
+    bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
     return bits, [sum(map(bits.__getitem__, c.rays)) for c in cones]
 
 
@@ -729,23 +740,6 @@ def _submasks(mask: int) -> dict[int, int]:
         subs[sub] = sub.bit_count()
         sub = (sub - 1) & mask
     return subs
-
-
-def face_fan(cone: Cone) -> Fan:
-    """``Fan(cone.ambient_dim, faces(cone))`` with its relation set from the
-    faces' ray masks: a simplicial face's faces are its submasks, any other's
-    the earlier faces whose masks lie in its own, so no proper face runs
-    :func:`faces` or a dual."""
-    fan = Fan(cone.ambient_dim, faces(cone))
-    _, masks = _ray_masks(fan.cones, {r: 1 << k for k, r in enumerate(cone.rays)})
-    index = {mask: i for i, mask in enumerate(masks)}
-    relation = tuple(
-        tuple(sorted([index[m] for m in _submasks(mask)])) if f.is_simplicial
-        else tuple([i for i, m in enumerate(masks[: j + 1]) if m & mask == m])
-        for j, (f, mask) in enumerate(zip(fan.cones, masks))
-    )
-    object.__setattr__(fan, "_face_indices", relation)
-    return fan
 
 
 def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:

@@ -33,8 +33,8 @@ one table per maximal cone (:func:`_value_table`, kept by its monoid) holds
 each generator's values on s's rays and the mask of the rays it vanishes on,
 and t reads its units by mask and its values by one ``itemgetter``.  An irreducible g lifts
 to g - B^T (U[:r] g), so a proper face takes no dual, Hilbert basis or
-chart.  The specialisation order is :attr:`torified.lattice.Fan.face_indices`
-(for ``spec``, set from ray masks by :func:`torified.lattice.face_fan`).
+chart.  The specialisation order is :attr:`torified.lattice.Fan.face_indices`,
+for ``spec`` that of the fan of its cone's faces.
 """
 
 from __future__ import annotations

@@ -516,6 +516,31 @@ def scanned_face_relation(fan):
     )
 
 
+def gale_faces(n, k):
+    """The faces of the cone over the cyclic (n - 1)-polytope on the k points
+    (1, t, ..., t^(n-1)) of the moment curve, t = 0, ..., k - 1, as sorted
+    (dim, indices of the points) pairs, with no linear algebra.
+
+    A set S of n - 1 points spans a facet iff any two points outside S are
+    separated by an even number of points of S (Gale's evenness condition;
+    Ziegler, *Lectures on Polytopes*, Thm 0.7): every run of consecutive
+    points of S with a point outside on both sides is even.  The polytope is
+    simplicial, so its proper faces are the subsets of its facets, the cone
+    over j points having dim j, and the cone itself comes last.
+    """
+    facets = []
+    for subset in combinations(range(k), n - 1):
+        runs, start = [], subset[0]
+        for a, b in zip(subset, subset[1:] + (k + 1,)):
+            if b != a + 1:
+                runs.append((start, a))
+                start = b
+        if all((b - a) % 2 or a == 0 or b == k - 1 for a, b in runs):
+            facets.append(subset)
+    proper = {sub for f in facets for j in range(n) for sub in combinations(f, j)}
+    return sorted((len(sub), sub) for sub in proper) + [(n, tuple(range(k)))]
+
+
 def scanned_maximal_cones(fan):
     face_sets = [set(facet_subsets_faces(c)) for c in fan.cones]
     return tuple(

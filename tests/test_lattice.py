@@ -30,11 +30,13 @@ from references import (
     facet_subsets_faces,
     faces_closure,
     fan_to_dict,
+    gale_faces,
     hermite_transform,
     minors_is_smooth,
     rank_first_cone,
     saturation_basis,
     scanned_face_relation,
+    scanned_maximal_cones,
     solve_columns,
     solve_columns_int,
     vec_sub,
@@ -471,16 +473,25 @@ def time_limit(seconds):
     [
         (3, 18, 2 * 18 + 2),  # the cone over an 18-gon: k rays, k 2-faces
         (4, 12, 6 * 12 - 8),  # the cone over a cyclic 3-polytope: k, 3k-6, 2k-4
+        # over cyclic 4- and 5-polytopes: f = (k, C(k, 2), k(k-3), k(k-3)/2)
+        # and (k, C(k, 2), 1252, 1500, 600) at k = 28
+        (5, 24, 2 + 24 + math.comb(24, 2) + 3 * 24 * 21 // 2),
+        (6, 28, 2 + 28 + math.comb(28, 2) + 1252 + 1500 + 600),
     ],
 )
 def test_faces_of_cones_with_many_rays(n, k, expected):
     # rays (1, i, ..., i^(n-1)) on the moment curve: every one is extremal.
     # Each took seconds to a minute when faces and duals enumerated subsets.
+    # Face by face, the rays and dim of each are those of Gale's evenness
+    # condition
+    rays = [tuple(i**e for e in range(n)) for i in range(k)]
     with time_limit(5):
-        cone = Cone(n, tuple(tuple(i**e for e in range(n)) for i in range(k)))
+        cone = Cone(n, rays)
         fs = faces(cone)
-    assert len(cone.rays) == k
-    assert len(fs) == expected
+    assert cone.rays == tuple(rays)
+    oracle = gale_faces(n, k)
+    assert len(fs) == len(oracle) == expected
+    assert [(f.dim, f.rays) for f in fs] == [(d, tuple(rays[i] for i in s)) for d, s in oracle]
     assert sum((-1) ** f.dim for f in fs) == 0
 
 
@@ -1083,6 +1094,80 @@ def test_the_face_walk_agrees_with_the_facet_subsets_on_fans(data):
     assert all(j in ids for j, ids in enumerate(fan.face_indices))
     pairs = sorted((i, j) for j, ids in enumerate(fan.face_indices) for i in ids if i != j)
     assert pairs == scanned_face_relation(fan)
+
+
+def test_a_fan_walks_and_dualizes_its_maximal_cones_alone(monkeypatch):
+    # the closed fan over the 4-cube's facets: 81 cones, 8 maximal 3-cubes,
+    # 24 squares.  Each cone reads its faces from a maximal cone that holds
+    # it, so the relation walks and dualizes the 3-cubes alone
+    cubes = [[i for i in range(16) if i >> k & 1 == side] for k in range(4) for side in (0, 1)]
+    rays = [list(v) for v in iproduct((-1, 1), repeat=4)]
+    fan = fan_from_dict({"dim": 4, "rays": rays, "cones": cubes, "close_faces": True})
+    tops = [c for c in fan.cones if c.dim == 4]
+    assert (len(fan.cones), len(tops)) == (81, 8)
+    clear_caches()
+    walked = []
+    walk = lattice._face_masks
+    monkeypatch.setattr(lattice, "_face_masks", lambda c, bits: walked.append(c) or walk(c, bits))
+    relation = fan.face_indices
+    assert sorted(walked, key=lambda c: c.rays) == sorted(tops, key=lambda c: c.rays)
+    assert _dual_pair.cache_info().misses == len(tops)
+    for top in tops:  # the misses were the 3-cubes' duals
+        _dual_pair(top.rays, 4)
+    assert _dual_pair.cache_info().misses == len(tops)
+    pairs = sorted((i, j) for j, ids in enumerate(relation) for i in ids if i != j)
+    assert pairs == scanned_face_relation(fan)
+    assert maximal_cones(fan) == tuple(fan.cones.index(c) for c in tops)
+
+
+SQUARE = Cone(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+CUBE_CONE = Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)))
+CUBE_SQUARE = Cone(4, ((1, -1, -1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, 1)))
+
+
+@st.composite
+def fans_with_ray_subsets(draw):
+    """Fans in Z^n (n = 3 or 4) of a pointed cone that is not simplicial, on
+    n + 1 to n + 3 rays all positive on a drawn functional, with up to three
+    cones on subsets of its rays, which need not be faces (two opposite rays
+    of a square are not), and up to three of its faces: invalid fans, most
+    of them, and not closed."""
+    n = draw(st.integers(3, 4))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+
+    def positive(v):  # v or -v, or w - v where both are orthogonal to w
+        s = dot(w, v)
+        return primitive(v if s > 0 else vec_neg(v) if s < 0 else vec_sub(w, v))
+
+    ray = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(positive)
+    top = Cone(n, draw(st.lists(ray, min_size=n + 1, max_size=n + 3, unique=True)))
+    assume(not top.is_simplicial)
+    subset = st.lists(st.sampled_from(top.rays), min_size=1, unique=True)
+    subsets = [Cone(n, rays) for rays in draw(st.lists(subset, max_size=3))]
+    true_faces = draw(st.lists(st.sampled_from(faces(top)), max_size=3))
+    return Fan(n, (top, *subsets, *true_faces))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fans_with_ray_subsets())
+# the diagonal of a square: a cone on its rays, not a face, so maximal
+@example(Fan(3, (SQUARE, Cone(3, ((1, 0, 1), (-1, 0, 1))), zero_cone(3))))
+# a square of a 3-cube, listed, held by the cube, with its diagonal: no face
+# of the square, though its rays are the square's
+@example(Fan(4, (CUBE_CONE, CUBE_SQUARE, Cone(4, ((1, -1, -1, 1), (1, 1, 1, 1))), zero_cone(4))))
+# the same diagonal in the cube, and a plane through two opposite edges of
+# it, a rectangle that is not a face either
+@example(Fan(4, (CUBE_CONE, Cone(4, ((1, -1, -1, 1), (1, 1, 1, 1))),
+                 Cone(4, ((-1, -1, -1, 1), (-1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, 1))))))
+def test_cones_on_ray_subsets_that_are_not_faces(fan):
+    # the relation, the maximal cones and the validation of fans whose cones
+    # share rays without being faces of one another, against the scans
+    relation = fan.face_indices
+    assert all(list(ids) == sorted(ids) and j in ids for j, ids in enumerate(relation))
+    pairs = sorted((i, j) for j, ids in enumerate(relation) for i in ids if i != j)
+    assert pairs == scanned_face_relation(fan)
+    assert maximal_cones(fan) == scanned_maximal_cones(fan)
+    assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
 
 
 def test_validate_fan_missing_faces():

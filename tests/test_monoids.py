@@ -10,8 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE, clear_caches
-from references import dumps, monoid_via_dual, solve_columns_int, three_branch_monoid_of_cone
-from test_lattice import assert_constructor_agrees
+from references import (
+    dumps,
+    monoid_via_dual,
+    scanned_face_relation,
+    solve_columns_int,
+    three_branch_monoid_of_cone,
+)
+from test_lattice import CUBE_CONE as CUBE, assert_constructor_agrees
 
 from torified import cli, intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
@@ -393,27 +399,33 @@ NON_SIMPLICIAL = Cone(4, ((1, 0, 1, 0), (1, 1, 1, 1), (1, 0, 0, -1), (0, 1, 0, 0
 @example(NON_SIMPLICIAL)
 @example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
 def test_the_face_fan_is_the_fan_of_the_faces(cone):
-    # face_fan sets the face relation from ray masks, with no sort or dual;
-    # the fan and its relation are those Fan builds from the faces
-    fan, oracle = lattice.face_fan(cone), Fan(cone.ambient_dim, faces(cone))
-    assert fan.cones == oracle.cones
-    assert fan.face_indices == oracle.face_indices
-
-
-CUBE = Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)))
+    # the relation of the fan of a cone's faces, read from the top cone's
+    # face masks, against scans of the faces of every cone
+    fan = Fan(cone.ambient_dim, faces(cone))
+    relation = fan.face_indices
+    assert all(list(ids) == sorted(ids) and j in ids for j, ids in enumerate(relation))
+    pairs = sorted((i, j) for j, ids in enumerate(relation) for i in ids if i != j)
+    assert pairs == scanned_face_relation(fan)
 
 
 @pytest.mark.parametrize("cone", [NON_SIMPLICIAL, CUBE], ids=["bipyramid", "cube"])
 def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
-    # the faces of the proper faces are read from ray masks, so faces() runs
-    # for the top cone only, also where the facets (the cube's squares) are
-    # not simplicial
+    # the faces of the proper faces are read from the top cone's face masks,
+    # so only the top cone is walked, also where the facets (the cube's
+    # squares) are not simplicial, and the duals spec takes are those of
+    # the top cone's construction, faces and monoid
+    clear_caches()
+    top = Cone(4, cone.rays)
+    faces(top)
+    monoid_of_cone(top)
+    alone = lattice._dual_pair.cache_info().misses
     clear_caches()
     arg = ";".join(",".join(map(str, r)) for r in cone.rays)
-    with mock.patch.object(lattice, "faces", wraps=lattice.faces) as spy:
+    with mock.patch.object(lattice, "_face_masks", wraps=lattice._face_masks) as spy:
         payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
     assert code == 0
-    assert [call.args for call in spy.call_args_list] == [(cone,)]
+    assert {call.args[0] for call in spy.call_args_list} == {cone}
+    assert lattice._dual_pair.cache_info().misses == alone
     assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(Fan(4, faces(cone)))))
 
 

@@ -158,8 +158,11 @@ USAGE = [
 # cones closed, whose 3-dim faces are not simplicial either); P^2 with its
 # faces listed and a repeated index; a non-primitive ray (a warning on
 # stderr) beside a redundant generator; a ray and a plane listed in Z^3; a
-# face left unclosed (invalid, exit 1); and a half-plane (not strictly
-# convex, exit 2)
+# face left unclosed (invalid, exit 1); a half-plane (not strictly convex,
+# exit 2); a square cone and the cone on two opposite rays of it, closed,
+# which cross (invalid, exit 1); and the cone over the cube in Z^4 with its
+# six squares and some edges listed, not closed (invalid, exit 1): squares
+# that are not simplicial and not maximal
 FAN_FILES = {
     "cube.json": {"dim": 3, "rays": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
                   "cones": [[i for i in range(8) if i >> k & 1 == side] for k in range(3)
@@ -177,6 +180,12 @@ FAN_FILES = {
                       "close_faces": False},
     "halfplane.json": {"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1, 2]],
                        "close_faces": True},
+    "diagonal.json": {"dim": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+                      "cones": [[0, 1, 2, 3], [0, 2]], "close_faces": True},
+    "squares.json": {"dim": 4, "rays": [[a, b, c, 1] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+                     "cones": [list(range(8)), *([i for i in range(8) if i >> k & 1 == side]
+                                                 for k in range(3) for side in (0, 1)),
+                               [0, 1], [0, 2], [6, 7], [5, 7]], "close_faces": False},
 }
 FANS = [argv for path in FAN_FILES for argv in (
     ["validate-fan", path], ["dscheme", "--fan", path],
