@@ -34,8 +34,13 @@ once, renders each rank's D^r once, at its first torus, as one join per
 group element over the points of D^(r-1) (:func:`_power_blocks`), and writes
 each torus's key and then its rank's shared blocks; no Torus object is made.
 The envelope is streamed to stdout: dicts key by key, a torus listing one run
-at a time, and each torus's D^r as its shared blocks, so peak memory is
-bounded by the largest block and the kept D^r texts, not by the output.
+at a time, each torus's D^r as its shared blocks, and a D-scheme one point at
+a time, so peak memory is bounded by the largest block and the kept D^r
+texts, not by the output.  Every other value is rendered whole, by a handler
+looked up by its exact type, and a list of rows of exact ints (a point's
+generators, the specialization pairs) is one ``%`` format over its
+flattened ints; the glue texts of each depth and the format of each row
+length are kept in module tables.
 ``torify flag 1 1 1 1 1 1`` writes 56 MB of JSON to /dev/null in 0.04-0.07 s
 and peaks at 20 MB RSS, and ``gadget --elements --group 6 --family affine 7``
 (823,543 elements, 209 MB of JSON) takes 0.12-0.14 s and peaks at 122-124 MB
@@ -102,102 +107,131 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     The outer dicts are written key by key and blocks part by part (a
     D-scheme's points, ``_Points``, one text per point); every other value
     is rendered whole, so the longest text held is one part, one block of a
-    D^r, one point or one plain value, never the envelope.  A plain dict, list or tuple
-    is rendered in one join of its items' texts; a list of ints, of strs or
-    of lists is told by the set of its items' exact types, each int list in
-    a list of lists (generators, specialization pairs) is one join of its
-    ints' texts, and the texts that open, separate and close a container are
-    made once per depth that the value reaches.  The stdlib encoder leaves
-    its C implementation when an indent is set; here strings go through the
-    C escaper.
+    D^r, one point or one plain value, never the envelope.  A value is
+    rendered by the handler of its exact type (:data:`_RENDERERS`); a
+    subclass or a block takes the ``isinstance`` tests after it.  A plain
+    dict, list or tuple is rendered in one join of its items' texts; a list
+    of ints or of strs is told by the set of its items' exact types, and a
+    list of rows of exact ints (generators, specialization pairs; empty or
+    ragged rows too) is one ``%`` format over its flattened ints, the format
+    of each row being kept by depth and length (:func:`_row_format`).  The
+    texts that open, separate and close a container are kept by depth, in
+    module tables (:func:`_glue`).  The stdlib encoder leaves its C
+    implementation when an indent is set; here strings go through the C
+    escaper.
     """
-    # by depth: the texts that open a list, separate its items and close it,
-    # and the same for a dict
-    lists: list[tuple[str, str, str]] = []
-    dicts: list[tuple[str, str, str]] = []
-
-    def reach(depth: int) -> None:
-        while len(lists) <= depth:
-            inner, outer = "\n" + "  " * (len(lists) + 1), "\n" + "  " * len(lists)
-            lists.append(("[" + inner, "," + inner, outer + "]"))
-            dicts.append(("{" + inner, "," + inner, outer + "}"))
-
-    def render(v, depth: int) -> str:
-        if type(v) is int:  # not a bool, which renders as true/false
-            return int.__repr__(v)
-        if isinstance(v, str):
-            return encode_basestring_ascii(v)
-        if isinstance(v, (list, tuple)):
-            return render_items(v, depth)
-        if isinstance(v, dict):
-            return render_dict(v, depth)
-        if isinstance(v, _Block):
-            pieces: list[str] = []
-            v.write_json(depth, render, pieces.append)
-            return "".join(pieces)
-        if v is None:
-            return "null"
-        if v is True or v is False:
-            return "true" if v else "false"
-        if type(v) is float and isfinite(v):
-            return float.__repr__(v)
-        return json.dumps(v)  # int and float subclasses, NaN and the infinities
-
-    def render_items(v, depth: int) -> str:
-        if not v:
-            return "[]"
-        if depth >= len(lists):
-            reach(depth)
-        start, sep, end = lists[depth]
-        kinds = set(map(type, v))  # exact types: a bool renders as true/false
-        if kinds == _INT:
-            texts = map(int.__repr__, v)
-        elif kinds == _STR:
-            texts = map(encode_basestring_ascii, v)
-        elif kinds <= _SEQUENCES:
-            if depth + 1 >= len(lists):
-                reach(depth + 1)
-            row_start, row_sep, row_end = lists[depth + 1]
-            texts = [
-                row_start + row_sep.join(map(int.__repr__, x)) + row_end
-                if x and set(map(type, x)) == _INT
-                else render_items(x, depth + 1)
-                for x in v
-            ]
-        else:
-            texts = [render(x, depth + 1) for x in v]
-        return "".join((start, sep.join(texts), end))
-
-    def render_dict(v, depth: int) -> str:
-        if not v:
-            return "{}"
-        if depth >= len(dicts):
-            reach(depth)
-        start, sep, end = dicts[depth]
-        texts = [
-            encode_basestring_ascii(k) + ": " + render(x, depth + 1) for k, x in sorted(v.items())
-        ]
-        return "".join((start, sep.join(texts), end))
-
-    def put(v, depth: int, write) -> None:
-        if isinstance(v, _Block):
-            v.write_json(depth, render, write)
-        elif not isinstance(v, dict):
-            write(render(v, depth))
-        elif not v:
-            write("{}")
-        else:
-            inner = "\n" + "  " * (depth + 1)
-            before = "{" + inner
-            for k, x in sorted(v.items()):
-                write(before + encode_basestring_ascii(k) + ": ")
-                put(x, depth + 1, write)
-                before = "," + inner
-            write("\n" + "  " * depth + "}")
-
-    put(obj, 0, write)
+    _put(obj, 0, write)
 
 
+# by depth: the texts that open a list, separate its items and close it, and
+# the same for a dict, made once per process for each depth that a value reaches
+_LISTS: list[tuple[str, str, str]] = []
+_DICTS: list[tuple[str, str, str]] = []
+# by (depth, length): the % format of a row of that many ints
+_ROWS: dict[tuple[int, int], str] = {}
+
+
+def _glue(depth: int) -> None:
+    """Extend :data:`_LISTS` and :data:`_DICTS` to ``depth``."""
+    while len(_LISTS) <= depth:
+        inner, outer = "\n" + "  " * (len(_LISTS) + 1), "\n" + "  " * len(_LISTS)
+        _LISTS.append(("[" + inner, "," + inner, outer + "]"))
+        _DICTS.append(("{" + inner, "," + inner, outer + "}"))
+
+
+def _row_format(depth: int, length: int) -> str:
+    """The % format of a list of ``length`` ints at ``depth``, kept in :data:`_ROWS`."""
+    if length == 0:
+        return "[]"
+    if depth >= len(_LISTS):
+        _glue(depth)
+    start, sep, end = _LISTS[depth]
+    _ROWS[depth, length] = text = start + sep.join(["%d"] * length) + end
+    return text
+
+
+def _render(v, depth: int) -> str:
+    renderer = _RENDERERS.get(type(v))
+    if renderer is not None:
+        return renderer(v, depth)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)):
+        return _render_items(v, depth)
+    if isinstance(v, dict):
+        return _render_dict(v, depth)
+    if isinstance(v, _Block):
+        pieces: list[str] = []
+        v.write_json(depth, _render, pieces.append)
+        return "".join(pieces)
+    return json.dumps(v)  # int and float subclasses
+
+
+def _render_items(v, depth: int) -> str:
+    if not v:
+        return "[]"
+    if depth >= len(_LISTS):
+        _glue(depth)
+    start, sep, end = _LISTS[depth]
+    kinds = set(map(type, v))  # exact types: a bool renders as true/false
+    if kinds == _INT:
+        texts = map(int.__repr__, v)
+    elif kinds == _STR:
+        texts = map(encode_basestring_ascii, v)
+    elif kinds <= _SEQUENCES:
+        flat = [x for row in v for x in row]
+        if set(map(type, flat)) == _INT:  # rows of exact ints: one % format
+            inner = depth + 1
+            formats = [_ROWS.get((inner, len(x))) or _row_format(inner, len(x)) for x in v]
+            return (start + sep.join(formats) + end) % tuple(flat)
+        texts = [_render_items(x, depth + 1) for x in v]
+    else:
+        texts = [_render(x, depth + 1) for x in v]
+    return "".join((start, sep.join(texts), end))
+
+
+def _render_dict(v, depth: int) -> str:
+    if not v:
+        return "{}"
+    if depth >= len(_DICTS):
+        _glue(depth)
+    start, sep, end = _DICTS[depth]
+    texts = [
+        encode_basestring_ascii(k) + ": " + _render(x, depth + 1) for k, x in sorted(v.items())
+    ]
+    return "".join((start, sep.join(texts), end))
+
+
+def _put(v, depth: int, write) -> None:
+    """Write ``v`` at ``depth``: a dict key by key, a block part by part."""
+    if isinstance(v, _Block):
+        v.write_json(depth, _render, write)
+    elif not isinstance(v, dict):
+        write(_render(v, depth))
+    elif not v:
+        write("{}")
+    else:
+        if depth >= len(_DICTS):
+            _glue(depth)
+        before, sep, end = _DICTS[depth]
+        for k, x in sorted(v.items()):
+            write(before + encode_basestring_ascii(k) + ": ")
+            _put(x, depth + 1, write)
+            before = sep
+        write(end)
+
+
+# the renderer of each exact type; a bool is not an int here, and renders as true/false
+_RENDERERS: dict[type, Callable[[object, int], str]] = {
+    int: lambda v, depth: int.__repr__(v),
+    str: lambda v, depth: encode_basestring_ascii(v),
+    list: _render_items,
+    tuple: _render_items,
+    dict: _render_dict,
+    bool: lambda v, depth: "true" if v else "false",
+    type(None): lambda v, depth: "null",
+    float: lambda v, depth: float.__repr__(v) if isfinite(v) else json.dumps(v),  # NaN, Infinity
+}
 _INT, _STR, _SEQUENCES = {int}, {str}, {list, tuple}
 
 

@@ -186,16 +186,26 @@ def hnf_rows(vectors: Iterable[Sequence[int]], ncols: int) -> tuple[Vector, ...]
     return tuple(tuple(row) for row in m[: _hermite(m, ncols)])
 
 
-def _hermite_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    """The c with c @ basis = v, for a row-Hermite basis (:func:`hnf_rows`):
-    at row j's pivot column no later row is nonzero, so c_j is one division,
-    exact for a v in the lattice; off it, a remainder stays at that column."""
+def _hermite_reduce(
+    basis: Sequence[Sequence[int]], v: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(c, rest) with v = c @ basis + rest, for a row-Hermite basis
+    (:func:`hnf_rows`): at row j's pivot column no later row is nonzero, so
+    c_j is one division, and rest is 0 exactly when v is in the lattice.
+    With every pivot 1, rest is v - sum_j v[p_j] B_j (an entry above a pivot
+    of 1 is reduced to 0, so no row changes another's pivot coordinate)."""
     rest, coordinates = list(v), []
     for row in basis:
         p = next(k for k, x in enumerate(row) if x)
         c = rest[p] // row[p]
         rest = [a - c * b for a, b in zip(rest, row)]
         coordinates.append(c)
+    return coordinates, rest
+
+
+def _hermite_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The c with c @ basis = v, for a row-Hermite basis (:func:`hnf_rows`)."""
+    coordinates, rest = _hermite_reduce(basis, v)
     if any(rest):
         raise ValueError(f"{tuple(v)} is not in the lattice")
     return coordinates

@@ -33,8 +33,16 @@ one table per maximal cone (:func:`_value_table`, kept by its monoid) holds
 each generator's values on s's rays and the mask of the rays it vanishes on,
 and t reads its units by mask and its values by one ``itemgetter``.  An irreducible g lifts
 to g - B^T (U[:r] g), so a proper face takes no dual, Hilbert basis or
-chart.  The specialisation order is :attr:`torified.lattice.Fan.face_indices`,
-for ``spec`` that of the fan of its cone's faces.
+chart.  Two exact shortcuts are read off the face itself.  If every unit
+vector e_i of Z^k, for t's k rays, is a value vector, the values reach all
+of Z^k, so t is unimodular, its pointed quotient is N^k, and the Hilbert
+basis is the generators with those values, with no irreducible reduction.
+If every pivot of B is 1, U[:r] is the selection of the pivot coordinates
+p_j (each is the first nonzero of its column, an entry 1 that no earlier
+step touched), so the lift is g - sum_j g[p_j] B_j, the remainder of g's
+Hermite reduction by B, with no transform of B.  The specialisation order
+is :attr:`torified.lattice.Fan.face_indices`, for ``spec`` that of the fan
+of its cone's faces.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ from functools import lru_cache
 from operator import itemgetter, mul, sub
 
 from .errors import BudgetExceeded, MissingSourceCone, Value
-from .intlinalg import Vector, _identity, _unit_transform, hnf_rows, kernel_basis, mat_vec
+from .intlinalg import Vector, _hermite_reduce, _identity, _unit_transform, hnf_rows, kernel_basis
+from .intlinalg import mat_vec
 from .lattice import (
     Cone,
     Fan,
@@ -146,6 +155,12 @@ def _localization(monoid: AffineMonoid, table, face: Cone) -> AffineMonoid:
     quotient's Hilbert basis is the irreducible images, graded by those
     values (one generator per value vector).  An irreducible g lifts to
     g - B^T (U[:r] g) (the module docstring): only U[:r] of U is kept.
+
+    Two shortcuts skip a step exactly when the face decides it.  When the
+    unit vectors of Z^k are all value vectors, the face is unimodular and
+    the quotient is N^k, whose Hilbert basis is those k generators.  When
+    every pivot of B is 1, U[:r] picks the pivot coordinates, and the lift
+    is the remainder of the reduction by B (:func:`_hermite_reduce`).
     """
     n = monoid.ambient_rank
     if face == monoid.source_cone:
@@ -163,9 +178,16 @@ def _localization(monoid: AffineMonoid, table, face: Cone) -> AffineMonoid:
     if not candidates:  # the zero face: the generators span Z^n, all units
         return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
-    columns, left, _ = _unit_transform(units, n)
-    graded = [(sum(v), g, v) for v, g in candidates.items()]
-    lifts = (_face_lift(g, columns, left) for g in _irreducibles(graded))
+    unit_vectors = _identity(len(at))
+    if all(e in candidates for e in unit_vectors):  # the values reach Z^k: the pointed part is N^k
+        irreducibles = [candidates[e] for e in unit_vectors]
+    else:
+        irreducibles = _irreducibles([(sum(v), g, v) for v, g in candidates.items()])
+    if all(next(filter(None, b)) == 1 for b in units):  # U[:r] picks the pivot coordinates
+        lifts = (tuple(_hermite_reduce(units, g)[1]) for g in irreducibles)
+    else:
+        columns, left, _ = _unit_transform(units, n)
+        lifts = (_face_lift(g, columns, left) for g in irreducibles)
     return AffineMonoid(n, tuple(sorted(lifts)), units, face)
 
 

@@ -206,6 +206,23 @@ def _unlimited_int_text():
             sys.set_int_max_str_digits(limit)
 
 
+def test_int_rows_past_the_digit_limit_are_written_in_full(capsys):
+    """A unimodular cone whose rays have entries of 2,201 digits: its dual
+    basis, and so the generators of its points, hold a*a - 7 of 4,401 digits,
+    in rows of ints that the writer renders with one % format each list."""
+    a = 10**2200 + 3
+    rays = ((1, a, 7), (0, 1, a), (0, 0, 1))
+    code, out, err = run(capsys, "spec", "--cone", ";".join(",".join(map(str, r)) for r in rays))
+    assert code == 0 and not err
+    with _unlimited_int_text():
+        envelope = json.loads(out)
+        assert out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    points = envelope["result"]["points"]
+    top = monoid_of_cone(Cone(3, rays))
+    assert points[-1]["generators"] == [list(g) for g in top.generators]
+    assert a * a - 7 in {abs(x) for p in points for g in p["generators"] for x in g}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1014,8 +1031,16 @@ def _nested(depth):
         {"point": _Point(1, [2, "q"])},
         [[1, 2], ("a", "b"), [[3]], [], [[]], [1.5, None, False]],
         _nested(12),  # deeper than any envelope
+        # lists of rows: the one-format path takes rows of exact ints alone
+        [[1, True], [0, False], [False, True]],  # bools stay true/false
+        [[_Int(3), 1], [2, _Int(-4)], [_Int(0)]],  # int subclasses
+        [[], [1, 2], [], [3], [4, 5, 6, 7]],  # empty and ragged rows
+        [[], []],
+        ((1, -2), (3, 4), ()),  # tuples of tuples
+        {"a": [[[[[1, 2], [3]], [[4, -5, 6]]]]], "b": [[1, [2]], [3]]},  # int rows at depth >= 4
     ],
-    ids=["str", "int", "list", "dict", "namedtuple", "lists", "nested"],
+    ids=["str", "int", "list", "dict", "namedtuple", "lists", "nested", "bool-rows",
+         "int-subclass-rows", "ragged-rows", "empty-rows", "tuple-rows", "deep-rows"],
 )
 def test_dumps_renders_every_container_as_the_stdlib(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)

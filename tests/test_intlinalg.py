@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from torified.intlinalg import (
     _hermite,
     _hermite_coordinates,
+    _hermite_reduce,
     _unit_transform,
     _with_identity,
     dot,
@@ -367,6 +368,36 @@ def test_unit_transform_and_its_chart(case):
     assert hnf_rows(rest, n) == tuple(kernel_basis(basis, n))
     chart = _unit_transform(rest, n)[1]
     assert mat_mul(chart, list(zip(*rest))) == [[int(i == j) for j in range(n - r)] for i in range(n - r)]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-3, 3) | st.sampled_from((0, 1)), min_size=n, max_size=n),
+             max_size=n),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+)))
+@example((3, [[1, 0, 0], [0, 1, 5]], [2, -1, 4]))  # unit pivots, an entry of 5 past them
+@example((2, [[2, 2], [0, 2]], [3, -7]))  # saturated to all of Z^2
+@example((4, [[0, 1, 3, 0], [2, 0, 1, 1]], [1, 2, 3, 4]))  # a pivot of 2: no claim
+@example((3, [], [5, 0, -1]))  # the zero lattice: nothing to eliminate
+def test_a_unit_pivot_basis_is_lifted_by_pivot_elimination(case):
+    # for a saturated Hermite basis B whose pivots p_j are all 1, U[:r] of
+    # its transform is the pivot selection, the rows e_{p_j}: so the lift
+    # g - B^T (U[:r] g) is g - sum_j g[p_j] B_j, the remainder that the
+    # Hermite reduction of g by B leaves
+    n, rows, g = case
+    basis = hnf_rows(saturation_basis(rows, n), n)
+    pivots = [next(k for k, x in enumerate(row) if x) for row in basis]
+    if not all(row[p] == 1 for row, p in zip(basis, pivots)):
+        return
+    columns, left, _ = _unit_transform(basis, n)
+    assert left == [[int(k == p) for k in range(n)] for p in pivots]
+    ug = [dot(u, g) for u in left]  # U[:r] g
+    lift = [a - dot(row, ug) for a, row in zip(g, columns)]  # g - B^T (U[:r] g)
+    coordinates, rest = _hermite_reduce(basis, g)
+    assert rest == lift
+    assert coordinates == [g[p] for p in pivots]
 
 
 @given(int_matrices_with_empty())

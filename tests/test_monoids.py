@@ -253,15 +253,26 @@ def test_the_monoid_of_each_face_is_localized_from_the_cone(cone):
             expected.generators, expected.unit_basis)
 
 
+def unit_pivots(basis) -> bool:
+    """Whether the first nonzero entry of each row is 1."""
+    return all(next(x for x in row if x) == 1 for row in basis)
+
+
+# a 4-D cone and a 3-D cone whose faces take both lifts: unit bases with pivots
+# 1 and with a pivot of 5, 2 or 10; and faces whose pointed parts are N^k and not
+LOCALIZED = [
+    Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))),
+    Cone(3, ((1, 0, 0), (1, 2, 0), (1, 1, 5))),
+]
+
+
 def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatch):
-    # a face with units and a pointed part takes the Hermite basis of its
-    # units and reduces [B^T | I] once, with no inverse (a reduction takes
-    # the matrix and its column count, nothing more); the full face is the
-    # cone's own monoid, and the zero face is all units
-    cone = Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)))
-    monoid = monoid_of_cone(cone)
-    table = monoids._value_table(monoid)
-    expected = {face: monoid_of_cone.__wrapped__(face) for face in faces(cone)}
+    # a face with units and a pointed part takes the Hermite basis B of its
+    # units; when every pivot of B is 1 its lifts are the remainders of the
+    # reduction by B, with no second reduction, and otherwise it reduces
+    # [B^T | I] once, with no inverse (a reduction takes the matrix and its
+    # column count, nothing more); the full face is the cone's own monoid,
+    # and the zero face is all units
     reductions = []
     hermite = intlinalg._hermite
 
@@ -269,13 +280,80 @@ def test_a_face_is_localized_by_one_hermite_reduction_with_no_inverse(monkeypatc
         reductions.append("[B^T | I]" if len(m[0]) > ncols else "Hermite basis")
         return hermite(m, ncols)
 
-    monkeypatch.setattr(intlinalg, "_hermite", counted_hermite)
-    for face in faces(cone):
-        reductions.clear()
-        local = monoids._localization(monoid, table, face)
-        assert (local.generators, local.unit_basis) == (
-            expected[face].generators, expected[face].unit_basis)
-        assert reductions == ([] if face.dim in (0, 4) else ["Hermite basis", "[B^T | I]"]), face
+    for cone in LOCALIZED:
+        monoid = monoid_of_cone(cone)
+        table = monoids._value_table(monoid)
+        expected = {face: monoid_of_cone.__wrapped__(face) for face in faces(cone)}
+        pivots = set()
+        monkeypatch.setattr(intlinalg, "_hermite", counted_hermite)
+        for face in faces(cone):
+            reductions.clear()
+            local = monoids._localization(monoid, table, face)
+            assert (local.generators, local.unit_basis) == (
+                expected[face].generators, expected[face].unit_basis)
+            if face.dim in (0, cone.ambient_dim):
+                assert reductions == [], face
+                continue
+            one = unit_pivots(local.unit_basis)
+            pivots.add(one)
+            assert reductions == (["Hermite basis"] if one else ["Hermite basis", "[B^T | I]"]), face
+        monkeypatch.undo()
+        assert pivots == {True, False}, cone
+
+
+def localized_sides(cone: Cone) -> set[tuple[str, bool]]:
+    """Check :func:`monoids._localization` of each face of ``cone`` against
+    ``monoid_of_cone`` of the face alone, and return the sides of the two
+    shortcuts that the faces took: ("free", True) for a pointed part read as
+    N^k with no irreducible reduction, ("unit pivots", True) for lifts read
+    from the Hermite reduction by the unit basis with no transform of it."""
+    monoid = monoid_of_cone(cone)
+    table = monoids._value_table(monoid)
+    expected = [(face, monoid_of_cone.__wrapped__(face)) for face in faces(cone)]
+    sides = set()
+    with mock.patch.object(monoids, "_irreducibles", wraps=monoids._irreducibles) as irreducibles, \
+            mock.patch.object(monoids, "_unit_transform", wraps=monoids._unit_transform) as transform:
+        for face, ref in expected:
+            irreducibles.reset_mock(), transform.reset_mock()
+            local = monoids._localization(monoid, table, face)
+            assert (local.generators, local.unit_basis) == (ref.generators, ref.unit_basis), face
+            if face == cone or not ref.generators:
+                continue
+            # the pointed part is free, N^k, exactly when its Hilbert basis
+            # has one element per dimension (a face over a quadrilateral may
+            # have one per ray and still not be free)
+            free = len(ref.generators) == face.dim
+            one = unit_pivots(ref.unit_basis)
+            assert irreducibles.called != free and transform.called != one, face
+            sides |= {("free", free), ("unit pivots", one)}
+    return sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+@example(LOCALIZED[0])
+@example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
+@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0))))  # units in every face
+@example(Cone(2, ((0, 1), (5, -1))))
+# a facet on four rays whose pointed part has four generators, and is not free
+@example(Cone(4, ((-1, 0, 1, -1), (-1, -1, 0, 1), (-1, -1, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, -1))))
+# a simplicial facet of multiplicity 10 on three rays whose value vectors hold
+# one of the three unit vectors (k - 1 of k would bring the last: each ray is
+# primitive, so some value on it is 1)
+@example(Cone(4, ((1, 0, 0, 0), (1, 2, 0, 0), (1, 1, 5, 0), (0, 0, 0, 1))))
+def test_each_face_takes_the_shortcuts_that_it_decides(cone):
+    localized_sides(cone)
+
+
+def test_each_side_of_both_shortcuts_is_taken():
+    # every cone here has faces whose unit bases have pivots of 1 and faces
+    # with a pivot past 1; the 3-D cone of LOCALIZED and the cone over five
+    # points of the moment curve have faces that are not unimodular
+    sides = set().union(*map(localized_sides, [
+        *LOCALIZED, Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 300))),
+        Cone(3, tuple((1, t, t * t) for t in range(5))),
+    ]))
+    assert sides == {(side, taken) for side in ("free", "unit pivots") for taken in (True, False)}
 
 
 def test_a_monoid_keeps_its_value_table_outside_its_fields():

@@ -21,8 +21,11 @@ pair, so drift in the host's speed falls on both.
 It prints each tree's median pass time and its median per-op p50 and p90
 (each pass's median and 90th percentile op latency, by the inclusive method
 that ``perfbench/run.py`` uses, with the median taken over the passes), the
-median over the pairs of the B/A time ratio, the number of pairs in which B
-was faster, and how many ops raised in a pass, if any did.  After that
+median over the pairs of the B/A ratio of the pass times, of the passes' op
+p50 and of their op p90, each with the number of pairs in which B was faster,
+and how many ops raised in a pass, if any did.  The paired ratios are the
+ones to read: drift in the host's speed between pairs moves each side's
+median, but it falls on both passes of a pair.  After that
 summary it prints, per subcommand (an op's ``argv[0]``), each tree's median
 over the passes of the time that pass spent in that subcommand's ops, and
 the B/A ratio of the two medians, so the share of a change that falls on
@@ -155,14 +158,16 @@ def main(argv=None) -> int:
     finally:
         a.close()
         b.close()
-    ratio = statistics.median(tb[0] / ta[0] for ta, tb in pairs)
-    wins = sum(tb[0] < ta[0] for ta, tb in pairs)
     print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs")
     for side, tree, passes in (("A", args.tree_a, [ta for ta, _ in pairs]),
                                ("B", args.tree_b, [tb for _, tb in pairs])):
         seconds, p50, p90 = (statistics.median(x) * 1e3 for x in zip(*(t[:3] for t in passes)))
         print(f"{side} median {seconds:.1f} ms, op p50 {p50:.3f} ms, op p90 {p90:.3f} ms  ({tree})")
-    print(f"median B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
+    # the pass time, then the pass's op p50 and p90, each as B/A within a pair
+    for i, name in enumerate(("", "op p50 ", "op p90 ")):
+        ratios = [tb[i] / ta[i] for ta, tb in pairs]
+        ratio, wins = statistics.median(ratios), sum(r < 1 for r in ratios)
+        print(f"median {name}B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
     for kind in pairs[0][0][3]:
         ka, kb = (statistics.median(t[3][kind] for t in side) * 1e3 for side in zip(*pairs))
         print(f"{kind:<6} A {ka:.1f} ms  B {kb:.1f} ms  B/A {kb / ka:.3f} ({(kb / ka - 1) * 100:+.1f} %)")

@@ -14,8 +14,10 @@ runs it, so that caches carry from op to op.  Each op's stdout without its
 trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
 ``LOWER_DIMENSIONAL``, whose monoids no benchmark op builds alone, are
 replayed and compared the same way, under ``TORIFIED_BUDGET=1000``, and so
-are the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of ``COUNTING``,
-at degrees beyond the benchmark's ladders, the listings of ``LISTINGS``,
+are ``spec`` and ``soule --m 3`` of the full-dimensional cones of
+``SPEC_CONES``, whose faces take each side of each shortcut of the local
+monoids, the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of
+``COUNTING``, at degrees beyond the benchmark's ladders, the listings of ``LISTINGS``,
 larger than any benchmark op, the ``gadget --elements`` argv of
 ``GADGETS``, on every built-in family past the ladders and on a fan file and
 a torification file, the ``soule`` argv of ``SOULE``, past the
@@ -67,6 +69,23 @@ LOWER_DIMENSIONAL = (
     "1,2,1,-1;1,4,1,-3;-4,-1,-4,-1;-3,0,-3,2",
 )
 LOWER_DIMENSIONAL_BUDGET = "1000"
+
+# full-dimensional cones outside the catalogue, each read by ``spec`` and
+# ``soule --m 3``: between them their faces take both sides of both
+# shortcuts of ``monoids._localization`` (pointed parts that are N^k and
+# that are not; unit bases whose pivots are all 1 and bases with pivots
+# from 2 to 300), and the last is unimodular with entries of 2,201 digits, whose
+# generators hold ints of 4,401 digits, past Python's default limit
+SPEC_CONES = (
+    "1,0,0;1,2,0;1,1,5",
+    "1,0,0;0,1,0;1,1,300",
+    "1,0,0,0;0,1,0,0;0,0,1,0;1,1,1,5",
+    "1,0,1;0,1,1;-1,0,1;0,-1,1",  # the cone over a square
+    ";".join(f"1,{t},{t * t}" for t in range(5)),  # over five points of the moment curve
+    f"1,{10**2200 + 3},7;0,1,{10**2200 + 3};0,0,1",
+)
+SPEC = [[*command, "--cone", cone] for cone in SPEC_CONES
+        for command in (["spec"], ["soule", "--m", "3"])]
 
 # in COUNTING and GADGETS, the argv after the first read the torification
 # that the first one writes; ``verify`` takes a family only, so it does not
@@ -190,12 +209,12 @@ FAN_FILES = {
 FANS = [argv for path in FAN_FILES for argv in (
     ["validate-fan", path], ["dscheme", "--fan", path],
     ["verify", "--q", "2,3", "--family", "toric", path])]
-FIXED = {"counting": COUNTING, "large-listings": LISTINGS, "gadgets": GADGETS, "soule": SOULE,
-         "usage": USAGE, "fan-files": FANS}
+FIXED = {"spec": SPEC, "counting": COUNTING, "large-listings": LISTINGS, "gadgets": GADGETS,
+         "soule": SOULE, "usage": USAGE, "fan-files": FANS}
 
 
 def fixed_ops(kind: str) -> list:
-    """The argv of ``COUNTING``, ``LISTINGS``, ``GADGETS``, ``SOULE``, ``USAGE`` or ``FANS``, or
+    """The argv of ``SPEC``, ``COUNTING``, ``LISTINGS``, ``GADGETS``, ``SOULE``, ``USAGE`` or ``FANS``, or
     ``spec`` and ``soule --m 3`` of each cone of ``LOWER_DIMENSIONAL``, as plan ops."""
     argvs = FIXED.get(kind) or [[*command, "--cone", cone] for cone in LOWER_DIMENSIONAL
                                 for command in (["spec"], ["soule", "--m", "3"])]
@@ -289,9 +308,10 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: {t} ops compared", flush=True)
     print(f"{differing} of {total} ops differ")
     fixed_differing = 0
-    for group, name in (("lower-dimensional", "lower-dimensional"), ("counting", "counting"),
-                        ("large-listings", "listing"), ("gadgets", "gadget"), ("soule", "soule"),
-                        ("usage", "usage"), ("fan-files", "fan file")):
+    for group, name in (("lower-dimensional", "lower-dimensional"), ("spec", "spec"),
+                        ("counting", "counting"), ("large-listings", "listing"),
+                        ("gadgets", "gadget"), ("soule", "soule"), ("usage", "usage"),
+                        ("fan-files", "fan file")):
         d, argvs = compare(args.tree, group, 0)
         fixed_differing += d
         print(f"{d} of {argvs} {name} argv differ")
