@@ -83,8 +83,8 @@ from .gadgets import (
     enumerate_monoid_homs,
     soule_count_by_faces,
 )
-from .lattice import Cone, Fan, _int_list, faces, fan_from_dict, validate_fan
-from .monoids import _dscheme, dscheme_of_fan, monoid_of_cone
+from .lattice import Cone, Fan, _int_list, fan_from_dict, validate_fan
+from .monoids import _cone_dscheme, dscheme_of_fan, monoid_of_cone
 from .torify import Torification, Torus, _graded_terms, delta_vector, to_delta_basis
 
 USAGE_ERROR = 2
@@ -590,8 +590,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
 
 
 def cmd_spec(args) -> tuple[dict, int]:
-    cone = _parse_cone(args.cone)
-    return _dscheme_payload(_dscheme(Fan(cone.ambient_dim, faces(cone)))), 0
+    return _dscheme_payload(_cone_dscheme(_parse_cone(args.cone))), 0
 
 
 def cmd_dscheme(args) -> tuple[dict, int]:

@@ -35,11 +35,16 @@ of a triangulation, refused when they hold more lattice points than the budget;
 a full-dimensional simplicial cone is its own triangulation, and the one
 simplex of its rays gives its volume (smooth at 1), its facet normals
 and each parallelepiped point's values on them, so beyond it only the
-Hermite basis of the rays runs, to index the points.
+Hermite basis of the rays runs, to index the points.  Any other cone keeps
+each candidate as its values on the facet normals, read from its piece's
+rays' values and its coset vector, and only the irreducibles are read back
+to Z^n, by one elimination of the normals.
 
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
-charts and stars of its torification and the orbit sums of its point counts.
+charts and stars of its torification and the orbit sums of its point counts
+(one cone's monoid scheme, ``spec``'s, reads the same rule off the masks
+of its :func:`faces`, with no fan).
 It is read from ray bitmasks: a simplicial cone's faces are its submasks,
 and any other cone's are the :func:`_face_masks` of a maximal cone that
 holds it, within its own mask, so no proper face takes a walk or a dual;
@@ -443,22 +448,6 @@ def _cosets(gens: Sequence[Vector], inverse: list[list[int]], volume: int) -> li
     return [tuple([dot(row, a) % volume for row in inverse]) for a in box]
 
 
-def _parallelepiped_points(gens: tuple[Vector, ...], s: int, inverse: list[list[int]]) -> set[Vector]:
-    """Lattice points of the half-open parallelepiped spanned by independent gens.
-
-    There is one per coset of Z^d / L, L being the lattice the gens span: the
-    coset of a has its point at G frac(G^-1 a), G having the gens as columns,
-    and with D = |det G| and M = D G^-1 that is G f / D, f = (M a) mod D
-    (:func:`_cosets`), from (s, s G^-1) = :func:`_simplex` of G.
-    """
-    assert len(gens) == len(gens[0]), "parallelepiped enumeration expects full-dimensional pieces"
-    rows = tuple(zip(*gens))
-    volume = abs(s)
-    points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, inverse, volume)}
-    assert len(points) == volume, "parallelepiped enumeration lost points"
-    return points
-
-
 @lru_cache(maxsize=None)
 def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     """The unique minimal generating set of cone ∩ Z^n, for a pointed cone.
@@ -583,9 +572,16 @@ def _triangulated_basis(cone: Cone, normals: tuple[Vector, ...] | None = None) -
     Candidates are the rays plus the fundamental-parallelepiped points of
     each simplicial piece; the irreducibles always appear among them.  A
     piece's parallelepiped holds |det| points, and BudgetExceeded is raised
-    before any is listed when their sum exceeds the enumeration budget.  The
-    candidates are graded by their values on the facet normals, the given
-    ``normals`` or :func:`facet_normals`.
+    before any is listed when their sum exceeds the enumeration budget.
+
+    Each candidate h is kept as its values N h on the facet normals, the
+    given ``normals`` or :func:`facet_normals`, which grade it: they span,
+    so h -> N h is injective.  A point G f / D of a piece G (f from
+    :func:`_cosets`) has the values W f / D, where the columns of W = N G
+    are the values of the piece's rays, and the division is exact.  Only
+    the irreducibles are read back to Z^n, by one elimination of [N | I]:
+    it leaves n pivot rows [d e_k | T_k], so T_k N = d e_k and h_k is
+    T_k (N h) / d.
     """
     n = cone.ambient_dim
     normals = normals or facet_normals(cone)
@@ -593,15 +589,20 @@ def _triangulated_basis(cone: Cone, normals: tuple[Vector, ...] | None = None) -
     simplices = [_simplex(tuple(zip(*piece))) for piece in pieces]
     # one candidate per lattice point of each piece's parallelepiped
     check_budget(sum(abs(s) for s, _ in simplices), "parallelepiped points")
-    candidates: set[Vector] = set(cone.rays)
-    for piece, simplex in zip(pieces, simplices):
-        candidates |= _parallelepiped_points(piece, *simplex)
-    candidates.discard((0,) * n)
-    graded = []
-    for h in candidates:
-        values = tuple(dot(u, h) for u in normals)
-        graded.append((sum(values), h, values))
-    return tuple(sorted(_irreducibles(graded)))
+    values = {r: tuple([sum(map(mul, u, r)) for u in normals]) for r in cone.rays}
+    candidates = set(values.values())
+    for piece, (s, inverse) in zip(pieces, simplices):
+        volume = abs(s)
+        weights = list(zip(*map(values.__getitem__, piece)))
+        candidates.update(
+            tuple([sum(map(mul, w, f)) // volume for w in weights])
+            for f in _cosets(piece, inverse, volume)[1:]  # the first is 0
+        )
+    irreducibles = _irreducibles([(sum(v), v, v) for v in candidates])
+    m = _with_identity(normals)
+    d = _eliminate(m, n)[1]
+    back = [row[n:] for row in m[:n]]
+    return tuple(sorted(tuple([sum(map(mul, t, v)) // d for t in back]) for v in irreducibles))
 
 
 def _irreducibles(graded: list[tuple[int, Vector, tuple[int, ...]]]) -> list[Vector]:

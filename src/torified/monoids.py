@@ -40,9 +40,13 @@ basis is the generators with those values, with no irreducible reduction.
 If every pivot of B is 1, U[:r] is the selection of the pivot coordinates
 p_j (each is the first nonzero of its column, an entry 1 that no earlier
 step touched), so the lift is g - sum_j g[p_j] B_j, the remainder of g's
-Hermite reduction by B, with no transform of B.  The specialisation order
-is :attr:`torified.lattice.Fan.face_indices`, for ``spec`` that of the fan
-of its cone's faces.
+Hermite reduction by B, with no transform of B.  The zero face is all
+units and reads no table.  A fan's specialisation order is
+:attr:`torified.lattice.Fan.face_indices`.  ``spec`` builds no fan
+(:func:`_cone_dscheme`): its cone's faces, listed once by
+:func:`torified.lattice.faces` in the order a fan keeps them, are masks
+over the positions of the cone's value table, and a face's faces are its
+submasks if it is simplicial and the face masks within its own otherwise.
 """
 
 from __future__ import annotations
@@ -165,6 +169,8 @@ def _localization(monoid: AffineMonoid, table, face: Cone) -> AffineMonoid:
     n = monoid.ambient_rank
     if face == monoid.source_cone:
         return monoid
+    if not face.rays:  # the zero face: every generator is a unit
+        return AffineMonoid(n, (), _identity(n), face)
     positions, rows = table
     at = [positions[ray] for ray in face.rays]
     mask = sum([1 << k for k in at])
@@ -175,8 +181,6 @@ def _localization(monoid: AffineMonoid, table, face: Cone) -> AffineMonoid:
             units.append(g)
         else:
             candidates.setdefault(pick(values), g)
-    if not candidates:  # the zero face: the generators span Z^n, all units
-        return AffineMonoid(n, (), _identity(n), face)
     units = hnf_rows(units, n)
     unit_vectors = _identity(len(at))
     if all(e in candidates for e in unit_vectors):  # the values reach Z^k: the pointed part is N^k
@@ -282,4 +286,36 @@ def _dscheme(fan: Fan) -> DScheme:
     pairs = sorted(
         (i, j) for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j
     )
+    return DScheme(n, tuple(points), tuple(pairs))
+
+
+def _cone_dscheme(cone: Cone) -> DScheme:
+    """:func:`_dscheme` of the fan of a pointed cone's faces, ``spec``'s,
+    with no fan built: every point is read from the cone's monoid and
+    :func:`_value_table`, and each face is a mask over the table's ray
+    positions.  :func:`torified.lattice.faces` lists the faces in the
+    order a fan keeps, so the indices are the fan's.  The specialisations
+    follow :attr:`torified.lattice.Fan.face_indices` for a held cone: a
+    simplicial face's faces are its submasks, and any other face's are the
+    face masks within its own (a face of a face is a face), all of lower
+    dim and so listed before it.  The cone is walked once, by ``faces``.
+    """
+    n = cone.ambient_dim
+    monoid = monoid_of_cone(cone)
+    table = _value_table(monoid)
+    positions = table[0]
+    cone_faces = faces(cone)
+    masks = [sum([1 << positions[r] for r in f.rays]) for f in cone_faces]
+    index = {mask: i for i, mask in enumerate(masks)}
+    points, pairs = [], []
+    for j, (f, mask) in enumerate(zip(cone_faces, masks)):
+        points.append(DSchemePoint(j, f, n - f.dim, _localization(monoid, table, f)))
+        if f.is_simplicial:  # its proper submasks, from mask - 1 down to 0
+            part = mask
+            while part:
+                part = (part - 1) & mask
+                pairs.append((index[part], j))
+        else:
+            pairs.extend([(i, j) for i, m in enumerate(masks[:j]) if m & mask == m])
+    pairs.sort()
     return DScheme(n, tuple(points), tuple(pairs))

@@ -30,6 +30,7 @@ from torified.errors import ShapeMismatch, ValidationReport
 from torified.gadgets import TorifiedMap
 from torified.lattice import (
     Cone,
+    _cosets,
     _extremal_rays,
     _separating_faces,
     _trusted,
@@ -498,6 +499,22 @@ def quotient_gaussian_binomial(n, k, q):
     num = _tree_product([q**i - 1 for i in range(n - k + 1, n + 1)])
     den = _tree_product([q**i - 1 for i in range(1, k + 1)])
     return _exact_div(num, den)
+
+
+# --- the parallelepiped points of a simplicial piece, in Z^n -------------------
+
+
+def parallelepiped_points(gens, s, inverse):
+    """Lattice points of the half-open parallelepiped spanned by independent
+    gens, from (s, s G^-1) = ``lattice._simplex`` of G, G having the gens
+    as columns: the point of the coset of a is G f / D, f = (M a) mod D
+    (``lattice._cosets``), D = |s|.  The library keeps the triangulation's
+    candidates as their values on the facet normals instead."""
+    rows = tuple(zip(*gens))
+    volume = abs(s)
+    points = {tuple(dot(row, f) // volume for row in rows) for f in _cosets(gens, inverse, volume)}
+    assert len(points) == volume, "parallelepiped enumeration lost points"
+    return points
 
 
 # --- the face relation of a fan by scans -----------------------------------------

@@ -33,6 +33,7 @@ from references import (
     gale_faces,
     hermite_transform,
     minors_is_smooth,
+    parallelepiped_points,
     rank_first_cone,
     saturation_basis,
     scanned_face_relation,
@@ -61,7 +62,6 @@ from torified.lattice import (
     Fan,
     _dual_pair,
     _open_pairs,
-    _parallelepiped_points,
     _plane_basis,
     _separating_faces,
     _simplex,
@@ -664,7 +664,7 @@ def parallelepiped_generators(draw):
 @example(((2, 1), (1, -1)))  # det -3
 @example(((1, 0, 0), (0, 1, 0), (1, 1, -7)))  # det -7
 def test_parallelepiped_points_against_bounding_box(gens):
-    points = _parallelepiped_points(gens, *_simplex(tuple(zip(*gens))))
+    points = parallelepiped_points(gens, *_simplex(tuple(zip(*gens))))
     assert points == bounding_box_points(gens)
     assert len(points) == abs(det(gens))
 
@@ -685,7 +685,7 @@ def all_pairs_hilbert_basis(cone):
     normals = facet_normals(cone)
     candidates = set(cone.rays)
     for piece in _triangulate(cone.rays, n):
-        candidates |= _parallelepiped_points(piece, *_simplex(tuple(zip(*piece))))
+        candidates |= parallelepiped_points(piece, *_simplex(tuple(zip(*piece))))
     candidates.discard((0,) * n)
 
     def in_cone(x):
@@ -721,6 +721,37 @@ def pointed_cones_of_bounded_volume(draw):
 @example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
 def test_hilbert_basis_agrees_with_all_pairs_filter(cone):
     assert hilbert_basis(cone) == all_pairs_hilbert_basis(cone)
+
+
+@st.composite
+def non_simplicial_full_cones(draw):
+    """Full-dimensional cones in Z^3 and Z^4 on more than n extremal rays,
+    each ray over a point of [-2, 2]^(n-1) at height 1 or 2, whose
+    triangulation has total volume <= 200."""
+    n = draw(st.integers(3, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * (n - 1), st.integers(1, 2))
+    cone = Cone(n, tuple(map(primitive, draw(st.lists(point, min_size=n + 1, max_size=n + 3)))))
+    assume(cone.dim == n and not cone.is_simplicial)
+    assume(sum(abs(det(p)) for p in _triangulate(cone.rays, n)) <= 200)
+    return cone
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_simplicial_full_cones())
+@example(Cone(3, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
+@example(Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1))))
+def test_a_triangulated_basis_read_back_from_its_values_agrees_with_all_pairs(cone):
+    # the candidates are kept as their values on the facet normals, and the
+    # irreducibles read back to Z^n; the budget still counts the pieces'
+    # parallelepiped points
+    assert hilbert_basis.__wrapped__(cone) == all_pairs_hilbert_basis(cone)
+    volume = sum(abs(det(p)) for p in _triangulate(cone.rays, cone.ambient_dim))
+    with mock.patch.dict(os.environ, {"TORIFIED_BUDGET": str(volume - 1)}):
+        with pytest.raises(BudgetExceeded) as caught:
+            hilbert_basis.__wrapped__(cone)
+    assert caught.value.size == volume
+    with mock.patch.dict(os.environ, {"TORIFIED_BUDGET": str(volume)}):
+        assert hilbert_basis.__wrapped__(cone) == all_pairs_hilbert_basis(cone)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONE_CORPUS, FAN_CORPUS, SINGULAR_CONE, clear_caches
@@ -84,10 +84,10 @@ def test_monoid_splits_as_direct_sum():
 
 
 @st.composite
-def pointed_cones(draw, min_dim=1):
-    """Pointed cones on 1 to n+2 rays in Z^n (min_dim <= n <= 4), all
+def pointed_cones(draw, min_dim=1, max_dim=4):
+    """Pointed cones on 1 to n+2 rays in Z^n (min_dim <= n <= max_dim), all
     positive on a drawn functional; many of them lower-dimensional."""
-    n = draw(st.integers(min_dim, 4))
+    n = draw(st.integers(min_dim, max_dim))
     w = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
     ray = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: dot(w, v) > 0).map(primitive)
     return Cone(n, tuple(draw(st.lists(ray, min_size=1, max_size=n + 2))))
@@ -453,19 +453,46 @@ def test_the_dual_simplex_is_the_simplex_of_the_dual_up_to_sign(cone):
     assert (volume, inverse) == (abs(s), [[sign * x for x in row] for row in scaled])
 
 
+@st.composite
+def spec_cones(draw):
+    """:func:`pointed_cones` in Z^2 to Z^5 whose monoid lists at most 3,000
+    parallelepiped points: some drawn in Z^5 would list millions."""
+    cone = draw(pointed_cones(min_dim=2, max_dim=5))
+    with mock.patch.dict(os.environ, {"TORIFIED_BUDGET": "3000"}):
+        try:
+            monoid_of_cone(cone)
+        except BudgetExceeded:
+            assume(False)
+    return cone
+
+
 @settings(max_examples=150, deadline=None)
-@given(pointed_cones())
+@given(spec_cones())
 @example(Cone(4, ((1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 3, 1))))
 @example(Cone(3, ((1, 0, 0),)))
+@example(Cone(4, ((1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0))))  # a square, not full
+@example(Cone(4, tuple((a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1))))
+# the square pyramid times a 2-D orthant
+@example(Cone(5, ((0, 0, 1, 0, 0), (1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (1, 1, 1, 0, 0),
+                  (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))))
 def test_spec_reads_the_valid_face_fan_of_its_cone_as_dscheme_does(cone):
-    # spec does not validate the faces of its cone: they are a valid fan, and
-    # the payload is that of dscheme_of_fan, which validates
+    # spec builds no fan and does not validate the faces of its cone: they
+    # are a valid fan, and the payload is that of dscheme_of_fan, which
+    # validates; each point's monoid is that of its face alone, and the
+    # specialisations are the face relation that scans find
     fan = Fan(cone.ambient_dim, faces(cone))
     assert lattice.validate_fan(fan).ok
     arg = ";".join(",".join(map(str, r)) for r in cone.rays)
     payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
     assert code == 0
     assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(fan)))
+    ds = monoids._cone_dscheme(cone)
+    for point, face in zip(ds.points, faces(cone)):
+        expected = monoid_of_cone.__wrapped__(face)
+        assert (point.cone, point.local_monoid) == (face, expected)
+        assert (point.local_monoid.generators, point.local_monoid.unit_basis) == (
+            expected.generators, expected.unit_basis)
+    assert list(ds.specialization) == scanned_face_relation(fan)
 
 
 # a 4-D cone on five rays, not simplicial, whose proper faces all are
@@ -489,9 +516,9 @@ def test_the_face_fan_is_the_fan_of_the_faces(cone):
 @pytest.mark.parametrize("cone", [NON_SIMPLICIAL, CUBE], ids=["bipyramid", "cube"])
 def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
     # the faces of the proper faces are read from the top cone's face masks,
-    # so only the top cone is walked, also where the facets (the cube's
-    # squares) are not simplicial, and the duals spec takes are those of
-    # the top cone's construction, faces and monoid
+    # so the top cone is walked once, by faces, and no fan is built, also
+    # where the facets (the cube's squares) are not simplicial; the duals
+    # spec takes are those of the top cone's construction, faces and monoid
     clear_caches()
     top = Cone(4, cone.rays)
     faces(top)
@@ -499,10 +526,12 @@ def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
     alone = lattice._dual_pair.cache_info().misses
     clear_caches()
     arg = ";".join(",".join(map(str, r)) for r in cone.rays)
-    with mock.patch.object(lattice, "_face_masks", wraps=lattice._face_masks) as spy:
+    with mock.patch.object(lattice, "_face_masks", wraps=lattice._face_masks) as spy, \
+            mock.patch.object(Fan, "__post_init__", autospec=True, side_effect=Fan.__post_init__) as built:
         payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
     assert code == 0
-    assert {call.args[0] for call in spy.call_args_list} == {cone}
+    assert [call.args[0] for call in spy.call_args_list] == [cone]
+    assert not built.called
     assert lattice._dual_pair.cache_info().misses == alone
     assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(Fan(4, faces(cone)))))
 

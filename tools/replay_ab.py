@@ -35,7 +35,13 @@ in the order of first appearance in the plan::
     soule  A 13.0 ms  B 13.1 ms  B/A 1.008 (+0.8 %)
     spec   A 58.0 ms  B 51.7 ms  B/A 0.892 (-10.8 %)
 
-Nothing in ``perfbench/`` is changed or run apart from the plan generator.
+On ``cones`` and ``fans`` it then prints the same per catalogue class of
+the ops' base entries, in name order (``c2`` ... ``c4n`` and ``g3`` ...
+``g5``; ``proj``, ``prod``, ...), as ``perfbench/catalog.json`` names them,
+so that the share of a change that falls on each class is visible too.
+
+Nothing in ``perfbench/`` is changed or run apart from the plan generator,
+and its catalogue is only read.
 """
 
 from __future__ import annotations
@@ -68,16 +74,27 @@ def _clear_caches() -> None:
     gc.collect()
 
 
+def _op_classes(ops) -> list:
+    """The catalogue class of each op's base entry, or None for an op that
+    has none (every op of ``counts`` and ``listings``)."""
+    with open(os.path.join(ROOT, "perfbench", "catalog.json")) as fh:
+        catalog = json.load(fh)
+    classes = {entry["id"]: entry["class"] for entries in catalog.values() for entry in entries}
+    return [classes.get(op.ref.get("base")) for op in ops]
+
+
 def worker(tree: str, workload: str, seed: int) -> None:
     """Replay the plan on ``tree`` once per line read from stdin, and write
     each pass's seconds, the number of ops that raised, the p50 and p90 of
-    its op latencies and its seconds per subcommand as one JSON line."""
+    its op latencies, its seconds per subcommand and its seconds per
+    catalogue class as one JSON line."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     from torified import cli
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         seconds = float(json.load(fh)["run_seconds"])
     ops = make_plan(workload, seed, seconds)
+    op_classes = _op_classes(ops)
     with tempfile.TemporaryDirectory() as workdir:
         for op in ops:
             for rel, data in op.files.items():
@@ -88,6 +105,7 @@ def worker(tree: str, workload: str, seed: int) -> None:
         for _ in sys.stdin:
             _clear_caches()
             raised, latencies, kinds = 0, [], dict.fromkeys((op.argv[0] for op in ops), 0.0)
+            classes = dict.fromkeys(sorted(set(filter(None, op_classes))), 0.0)
             start = time.perf_counter()
             for op in ops:
                 t0 = time.perf_counter()
@@ -99,10 +117,12 @@ def worker(tree: str, workload: str, seed: int) -> None:
                     raised += 1
                 latencies.append(time.perf_counter() - t0)
             seconds = time.perf_counter() - start
-            for op, latency in zip(ops, latencies):
+            for op, cls, latency in zip(ops, op_classes, latencies):
                 kinds[op.argv[0]] += latency
+                if cls:
+                    classes[cls] += latency
             p90 = statistics.quantiles(latencies, n=10, method="inclusive")[-1]
-            line = [seconds, raised, statistics.median(latencies), p90, kinds]
+            line = [seconds, raised, statistics.median(latencies), p90, kinds, classes]
             report.write(json.dumps(line) + "\n")
             report.flush()
 
@@ -110,21 +130,21 @@ def worker(tree: str, workload: str, seed: int) -> None:
 class Worker:
     """The worker process of tree ``side`` ("a" or "b"), started with the
     caller's own arguments; calling it runs one pass and returns its seconds,
-    its op p50 and p90, and its seconds per subcommand."""
+    its op p50 and p90, its seconds per subcommand and per catalogue class."""
 
     def __init__(self, argv: list[str], side: str):
         argv = [sys.executable, os.path.abspath(__file__), *argv, "--worker", side]
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.raised = 0
 
-    def __call__(self) -> tuple[float, float, float, dict[str, float]]:
+    def __call__(self) -> tuple[float, float, float, dict[str, float], dict[str, float]]:
         self.proc.stdin.write("\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited with {self.proc.wait()}")
-        seconds, self.raised, p50, p90, kinds = json.loads(line)
-        return seconds, p50, p90, kinds
+        seconds, self.raised, p50, p90, kinds, classes = json.loads(line)
+        return seconds, p50, p90, kinds, classes
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -168,9 +188,10 @@ def main(argv=None) -> int:
         ratios = [tb[i] / ta[i] for ta, tb in pairs]
         ratio, wins = statistics.median(ratios), sum(r < 1 for r in ratios)
         print(f"median {name}B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
-    for kind in pairs[0][0][3]:
-        ka, kb = (statistics.median(t[3][kind] for t in side) * 1e3 for side in zip(*pairs))
-        print(f"{kind:<6} A {ka:.1f} ms  B {kb:.1f} ms  B/A {kb / ka:.3f} ({(kb / ka - 1) * 100:+.1f} %)")
+    for part in (3, 4):  # per subcommand, then per catalogue class
+        for key in pairs[0][0][part]:
+            ka, kb = (statistics.median(t[part][key] for t in side) * 1e3 for side in zip(*pairs))
+            print(f"{key:<6} A {ka:.1f} ms  B {kb:.1f} ms  B/A {kb / ka:.3f} ({(kb / ka - 1) * 100:+.1f} %)")
     if a.raised or b.raised:
         print(f"ops that raised in a pass: A {a.raised}, B {b.raised}")
     return 0

@@ -16,7 +16,8 @@ trees.  After the plans, ``spec`` and ``soule --m 3`` of the cones in
 replayed and compared the same way, under ``TORIFIED_BUDGET=1000``, and so
 are ``spec`` and ``soule --m 3`` of the full-dimensional cones of
 ``SPEC_CONES``, whose faces take each side of each shortcut of the local
-monoids, the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of
+monoids and, on the cones that are not simplicial, the containment rule of
+``spec``'s specialisations, the ``count``, ``zeta``, ``verify`` and ``gadget`` argv of
 ``COUNTING``, at degrees beyond the benchmark's ladders, the listings of ``LISTINGS``,
 larger than any benchmark op, the ``gadget --elements`` argv of
 ``GADGETS``, on every built-in family past the ladders and on a fan file and
@@ -75,7 +76,10 @@ LOWER_DIMENSIONAL_BUDGET = "1000"
 # shortcuts of ``monoids._localization`` (pointed parts that are N^k and
 # that are not; unit bases whose pivots are all 1 and bases with pivots
 # from 2 to 300), and the last is unimodular with entries of 2,201 digits, whose
-# generators hold ints of 4,401 digits, past Python's default limit
+# generators hold ints of 4,401 digits, past Python's default limit.  The
+# cones that are not simplicial take the containment rule of ``spec``'s
+# specialisations and the read-back of a triangulated Hilbert basis from
+# its values on the facet normals; the cube's facets are not simplicial
 SPEC_CONES = (
     "1,0,0;1,2,0;1,1,5",
     "1,0,0;0,1,0;1,1,300",
@@ -83,6 +87,10 @@ SPEC_CONES = (
     "1,0,1;0,1,1;-1,0,1;0,-1,1",  # the cone over a square
     ";".join(f"1,{t},{t * t}" for t in range(5)),  # over five points of the moment curve
     f"1,{10**2200 + 3},7;0,1,{10**2200 + 3};0,0,1",
+    # the cone over the 3-cube, in Z^4
+    ";".join(f"{a},{b},{c},1" for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)),
+    # over seven points of the moment curve in Z^5
+    ";".join(",".join(str(t**k) for k in range(5)) for t in range(-3, 4)),
 )
 SPEC = [[*command, "--cone", cone] for cone in SPEC_CONES
         for command in (["spec"], ["soule", "--m", "3"])]
