@@ -513,11 +513,14 @@ def torification_to_dict(t: Torification) -> dict:
 
 
 def torification_from_dict(data: dict) -> Torification:
-    """The torification of a ``torify`` payload: int ranks and chart indices
-    and str labels, as written; any other value is a usage error."""
+    """The torification of a ``torify`` payload: lists of tori (int ranks, str
+    labels) and of int charts or null, as written; else a usage error."""
     try:
-        tori = tuple(map(_torus_from_dict, data["tori"]))
-        charts = data.get("charts")
+        tori, charts = data["tori"], data.get("charts")
+        for name, value in (("tori", tori), ("charts", [] if charts is None else charts)):
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        tori = tuple(map(_torus_from_dict, tori))
         if charts is not None:
             charts = tuple(tuple(_int_list(c, "a chart")) for c in charts)
         return Torification(tori, charts)

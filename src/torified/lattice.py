@@ -8,8 +8,8 @@ canonical).  Operations that need pointedness refuse lineality.
 One dual routine, :func:`_dual_pair`, a double description, serves
 construction (strict convexity and extremality), duals, faces and
 triangulations.  Which rays lie on which faces is decided by bit masks, in
-:func:`_face_masks` (each face with its dimension), the dual's adjacency
-test and the extremal rays' test, so no rank is taken of a tight set.
+the one face walk, :func:`faces`'s (each face with its dimension), the
+dual's adjacency test and the extremal rays' test: no rank of a tight set.
 n independent generators in Z^n skip the double description: the dual's
 rays are the columns of adj G, where :func:`_simplex` gives (det G, adj G)
 by cofactors up to 3 x 3 and by one signed Bareiss elimination above, and
@@ -43,13 +43,12 @@ to Z^n, by one elimination of the normals.
 A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
 and read by its maximal cones, its monoid scheme's specialisations, the
 charts and stars of its torification and the orbit sums of its point counts
-(one cone's monoid scheme, ``spec``'s, reads the same rule off the masks
-of its :func:`faces`, with no fan).
+(``spec`` reads the same rule off the masks of its cone's :func:`faces`).
 It is read from ray bitmasks: a simplicial cone's faces are its submasks,
-and any other cone's are the :func:`_face_masks` of a maximal cone that
-holds it, within its own mask, so no proper face takes a walk or a dual;
-:func:`fan_from_dict` and :func:`standard_fan` close each cone by its
-:func:`_face_masks`, and face closure is a count per cone.
+and any other cone's are those of the :func:`faces` of a maximal cone that
+holds it, within its own mask.  ``faces`` caches its walk, so a cone is
+walked once per process, for closure and relation alike; the relation's
+build records the cones that miss a face, which validation alone scans.
 Cones and fans keep their hashes.  Fan validation settles pairs of maximal
 cones by sign masks over the rays, from one dual
 per maximal cone (the cached :func:`facet_normals`); a double description of
@@ -334,31 +333,21 @@ def _trusted(
 def faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces of a pointed cone, from the zero cone up to the cone itself,
     in (dim, rays) order, each built with its dim: a simplicial cone's are
-    the cones on its ray subsets, any other's its :func:`_closure`."""
+    the cones on its ray subsets.  Any other cone is walked down one dim at
+    a time, bit i standing for ray i: a face's facets are its maximal proper
+    intersections with the cone's facets."""
     if not cone.is_pointed:
         raise NotPointed("face enumeration requires a pointed cone")
     n, rays = cone.ambient_dim, cone.rays
     if cone.is_simplicial:  # combinations come in (dim, rays) order
         subsets = (sub for k in range(len(rays) + 1) for sub in combinations(rays, k))
         return tuple(_trusted(n, sub, dim=len(sub)) for sub in subsets)
-    return tuple(sorted(_closure(n, [cone]), key=lambda f: (f._dim, f.rays)))
-
-
-def _face_masks(cone: Cone, bits: dict[Vector, int]) -> dict[int, int]:
-    """Each face of a pointed cone, as the mask of its rays under ``bits``,
-    mapped to its dim.  A simplicial cone's faces are its ray subsets, of
-    dim their size: the submasks of its mask.  Otherwise the walk goes down
-    from the cone one dim at a time: a face's facets are its maximal proper
-    intersections with the cone's facets."""
-    top = sum(map(bits.__getitem__, cone.rays))
-    if cone.is_simplicial:
-        return _submasks(top)
-    facets = [sum(bits[r] for r in cone.rays if dot(u, r) == 0) for u in facet_normals(cone)]
-    dims, level, k = {}, {top}, cone.dim
-    while level:
-        dims.update(dict.fromkeys(level, k))
+    facets = [sum(1 << i for i, r in enumerate(rays) if dot(u, r) == 0) for u in facet_normals(cone)]
+    found, level, k = [], {(1 << len(rays)) - 1}, cone.dim
+    while level:  # the faces of dim k
+        found += [_trusted(n, tuple([r for i, r in enumerate(rays) if m >> i & 1]), dim=k) for m in level]
         level, k = {cut for face in level for cut in _maximal_cuts(face, facets)}, k - 1
-    return dims
+    return tuple(sorted(found, key=lambda f: (f._dim, f.rays)))
 
 
 def _maximal_cuts(face: int, facets: list[int]) -> list[int]:
@@ -645,7 +634,7 @@ class Fan(Value):
     Like a cone, a fan keeps its hash, in ``_hash``, from its first use.
     """
 
-    __slots__ = ("ambient_dim", "cones", "_face_indices", "_hash")
+    __slots__ = ("ambient_dim", "cones", "_relation", "_hash")
     __hash__ = Value._kept_hash
 
     def __init__(self, ambient_dim: int, cones: tuple[Cone, ...] = ()):
@@ -670,35 +659,40 @@ class Fan(Value):
     def face_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per cone, the ascending indices of its faces that are cones of the
         fan (the cone's own index included): the fan's face relation,
-        computed on first read.
+        computed on first read (:meth:`_face_relation`)."""
+        return self._face_relation()[0]
 
-        Each ray gets a bit and each cone is indexed by its ray mask; a
+    def _face_relation(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Cone, ...]]:
+        """(:attr:`face_indices`, the cones that miss a face), computed once.
+
+        Each ray gets a bit, each cone is indexed by its ray mask, and a
         cone's faces in the fan are its face masks in the index.  A
         simplicial cone's are its submasks.  The others are read by
-        descending dim, each after the cones it is a face of.  One that
-        ``held`` does not map is maximal (a simplicial cone's faces are
-        simplicial) and takes its :func:`_face_masks`, and ``held`` maps each
-        of these masks to them; a held one takes the held masks within its
-        own, since a face of a face is a face.  So only a maximal cone takes
-        a walk or a dual, whether or not the fan is valid.
+        descending dim: one that ``held`` does not map is maximal and takes
+        the masks of its :func:`faces`, which ``held`` maps to them; a held
+        one takes those within its own mask, a face of a face being a face.
+        So only a maximal cone is walked or dualized.
         """
-        if self._face_indices is not None:
-            return self._face_indices
+        if self._relation is not None:
+            return self._relation
         bits, masks = _ray_masks(self.cones)
         index = {mask: i for i, mask in enumerate(masks)}
-        held: dict[int, dict[int, int]] = {}
-        relation = []
+        held: dict[int, list[int]] = {}
+        relation, unclosed = [], []
         for c, mask in zip(reversed(self.cones), reversed(masks)):
             if c.is_simplicial:
                 own = _submasks(mask)
             elif mask in held:
                 own = [m for m in held[mask] if m & mask == m]
             else:
-                own = _face_masks(c, bits)
+                own = [sum(map(bits.__getitem__, f.rays)) for f in faces(c)]
                 held.update(dict.fromkeys(own, own))
-            relation.append(tuple(sorted(index[m] for m in own if m in index)))
-        object.__setattr__(self, "_face_indices", tuple(reversed(relation)))
-        return self._face_indices
+            ids = [index[m] for m in own if m in index]
+            relation.append(tuple(sorted(ids)))
+            if len(ids) < len(own):
+                unclosed.append(c)
+        object.__setattr__(self, "_relation", (tuple(reversed(relation)), tuple(unclosed)))
+        return self._relation
 
     def __repr__(self) -> str:
         return f"Fan(dim {self.ambient_dim}, {len(self.cones)} cones)"
@@ -788,9 +782,8 @@ def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check face closure, and that any two maximal cones meet in a common face.
 
-    A cone's faces are closed iff its face relation holds all of them: 2^k
-    for a simplicial cone on k rays.  Only a cone short of that count has
-    its faces scanned, to name the missing ones.
+    Only the cones that the face relation's build finds missing a face
+    (:meth:`Fan._face_relation`) have their :func:`faces` scanned.
 
     Pairs of maximal cones suffice once faces are closed: if A and B meet in
     a common face F, then for faces a of A and b of B, a ∩ F and b ∩ F are
@@ -802,9 +795,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     cone_set = set(fan.cones)
     if zero_cone(fan.ambient_dim) not in cone_set:
         violations.append("fan does not contain the zero cone")
-    for c, face_ids in zip(fan.cones, fan.face_indices):
-        if len(face_ids) == (1 << len(c.rays) if c.is_simplicial else len(faces(c))):
-            continue
+    for c in fan._face_relation()[1]:
         for f in faces(c):
             if f not in cone_set:
                 violations.append(f"face {list(f.rays)} of cone {list(c.rays)} is missing")
@@ -904,13 +895,16 @@ def fan_from_dict(data: dict, on_warning=None) -> Fan:
 
 
 def _closure(n: int, cones: Sequence[Cone]) -> list[Cone]:
-    """The faces of ``cones`` in Z^n, each built once, from its mask and dim
-    in :func:`_face_masks`, under one bit per ray given as the rays are met."""
+    """The faces of ``cones`` in Z^n, each kept once by its ray mask (a bit per
+    ray, as met): a simplicial cone's from its submasks, others' :func:`faces`."""
     bits: dict[Vector, int] = {}
     closed: dict[int, Cone] = {}
     for c in cones:
         ray_bits = [(r, bits.setdefault(r, 1 << len(bits))) for r in c.rays]
-        for mask, k in _face_masks(c, bits).items():
+        if not c.is_simplicial:
+            closed.update((sum(map(bits.__getitem__, f.rays)), f) for f in faces(c))
+            continue
+        for mask, k in _submasks(sum(b for _, b in ray_bits)).items():
             if mask not in closed:
                 closed[mask] = _trusted(n, tuple([r for r, b in ray_bits if b & mask]), dim=k)
     return list(closed.values())

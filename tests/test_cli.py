@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import clear_caches, compositions
 from references import affine_cell_runs, counts_by_index, dumps
 from test_gadgets import character_assignments, oracle_homs, pointed_cones
-from test_lattice import time_limit
+from test_lattice import cut_spy, time_limit, walks
 
 from torified import cli, counting, gadgets, intlinalg, lattice, monoids, torify
 from torified.cli import main, torification_from_dict
@@ -951,6 +951,26 @@ def test_torification_file_is_read_strictly(payload, tmp_path, capsys):
     assert run(capsys, "count", "--torification", str(path))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"tori": {}}, "tori"),
+        ({"tori": ""}, "tori"),
+        ({"tori": [], "charts": {}}, "charts"),
+        ({"tori": [{"rank": 0}], "charts": ""}, "charts"),
+    ],
+)
+@pytest.mark.parametrize("command", [["count"], ["gadget", "--group", "2"]])
+def test_torification_fields_must_be_lists(payload, field, command, tmp_path, capsys):
+    # an object or a string where a list belongs is refused, not read as an
+    # empty torification or an empty atlas
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *command, "--torification", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad torification data: {field} must be a list, got ")
+
+
 # keys and strings that need escaping: quote, backslash, control, DEL,
 # non-ASCII (BMP, astral, lone surrogate) and the JS line separators; and the
 # ends of the printable ASCII that needs none
@@ -1858,6 +1878,28 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
     assert code == 0 and payload["result"]["valid"]
     assert lattice._simplex.cache_info().misses == n + 1
     assert len(eliminations) == (n + 1 if n >= 4 else 0)
+
+
+def test_a_process_walks_and_dualizes_each_maximal_cone_once(capsys, monkeypatch, tmp_path):
+    # the closed face fan of the 4-cube: 81 cones, 8 maximal 3-cubes and 24
+    # squares, none of them simplicial.  faces keeps its walk of each 3-cube,
+    # and closure is read off the face relation, so reading and closing the
+    # file, its relation, its validation, its D-scheme and its point counts
+    # walk and dualize each 3-cube once in the process, cutting its 28 faces
+    # once, and no square is walked
+    clear_caches()
+    cuts = cut_spy(monkeypatch)
+    data = {"dim": 4, "rays": [list(v) for v in iproduct((-1, 1), repeat=4)],
+            "cones": [[i for i in range(16) if i >> k & 1 == side] for k in range(4)
+                      for side in (0, 1)], "close_faces": True}
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate-fan", str(path)], ["dscheme", "--fan", str(path)],
+                 ["verify", "--family", "toric", str(path), "--q", "2,3"]):
+        assert run(capsys, *argv)[0] == 0
+    assert walks(cuts) == 8
+    assert lattice._dual_pair.cache_info().misses == 8
+    assert len(cuts) == 8 * 28
 
 
 SMALL_LADDER = (

@@ -1072,20 +1072,37 @@ def test_extremal_rays_take_one_rank(monkeypatch, rays):
     assert len(ranks) == 1
 
 
+def cut_spy(monkeypatch) -> list:
+    """(face, facets) of every ``_maximal_cuts`` that ``lattice`` makes from
+    now on.  A walk of :func:`faces` cuts against its own list of facet
+    masks, which the record keeps alive, so :func:`walks` counts them."""
+    cuts = []
+    cut = lattice._maximal_cuts
+    monkeypatch.setattr(
+        lattice, "_maximal_cuts", lambda face, facets: cuts.append((face, facets)) or cut(face, facets)
+    )
+    return cuts
+
+
+def walks(cuts: list) -> int:
+    """The face walks among :func:`cut_spy`'s records: the misses of
+    ``faces`` on cones that are not simplicial."""
+    return len({id(facets) for _, facets in cuts})
+
+
 @pytest.mark.parametrize("rays", [SQUARES, CYCLIC], ids=["squares", "cyclic"])
 def test_the_face_walk_cuts_each_face_once(monkeypatch, rays):
     # a face's facets are its maximal proper cuts, one dim lower, so each
     # face is reached at one level of the walk and cut once: the work
-    # follows the number of faces
+    # follows the number of faces.  The walk's bits are the cone's ray order
     top = Cone(5, rays)
-    count = len(faces(top))
-    cut = lattice._maximal_cuts
-    calls = []
-    monkeypatch.setattr(
-        lattice, "_maximal_cuts", lambda face, facets: calls.append(face) or cut(face, facets)
-    )
-    masks = lattice._face_masks(top, {r: 1 << k for k, r in enumerate(top.rays)})
-    assert len(masks) == len(calls) == len(set(calls)) == count
+    clear_caches()
+    cuts = cut_spy(monkeypatch)
+    found = faces(top)
+    masks = {sum(1 << top.rays.index(r) for r in f.rays) for f in found}
+    assert walks(cuts) == 1
+    assert len(cuts) == len({face for face, _ in cuts}) == len(found) == len(masks)
+    assert {face for face, _ in cuts} == masks
 
 
 @st.composite
@@ -1137,15 +1154,15 @@ def test_a_fan_walks_and_dualizes_its_maximal_cones_alone(monkeypatch):
     tops = [c for c in fan.cones if c.dim == 4]
     assert (len(fan.cones), len(tops)) == (81, 8)
     clear_caches()
-    walked = []
-    walk = lattice._face_masks
-    monkeypatch.setattr(lattice, "_face_masks", lambda c, bits: walked.append(c) or walk(c, bits))
+    cuts = cut_spy(monkeypatch)
     relation = fan.face_indices
-    assert sorted(walked, key=lambda c: c.rays) == sorted(tops, key=lambda c: c.rays)
+    assert walks(cuts) == faces.cache_info().misses == len(tops)
+    assert len(cuts) == 28 * len(tops)  # a 3-cube has 28 faces, the zero cone's among them
     assert _dual_pair.cache_info().misses == len(tops)
-    for top in tops:  # the misses were the 3-cubes' duals
+    for top in tops:  # the misses were the 3-cubes' walks and duals
+        faces(top)
         _dual_pair(top.rays, 4)
-    assert _dual_pair.cache_info().misses == len(tops)
+    assert faces.cache_info().misses == _dual_pair.cache_info().misses == len(tops)
     pairs = sorted((i, j) for j, ids in enumerate(relation) for i in ids if i != j)
     assert pairs == scanned_face_relation(fan)
     assert maximal_cones(fan) == tuple(fan.cones.index(c) for c in tops)

@@ -17,7 +17,7 @@ from references import (
     solve_columns_int,
     three_branch_monoid_of_cone,
 )
-from test_lattice import CUBE_CONE as CUBE, assert_constructor_agrees
+from test_lattice import CUBE_CONE as CUBE, assert_constructor_agrees, cut_spy, walks
 
 from torified import cli, intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
@@ -514,7 +514,7 @@ def test_the_face_fan_is_the_fan_of_the_faces(cone):
 
 
 @pytest.mark.parametrize("cone", [NON_SIMPLICIAL, CUBE], ids=["bipyramid", "cube"])
-def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
+def test_spec_enumerates_the_faces_of_its_cone_alone(monkeypatch, cone):
     # the faces of the proper faces are read from the top cone's face masks,
     # so the top cone is walked once, by faces, and no fan is built, also
     # where the facets (the cube's squares) are not simplicial; the duals
@@ -526,11 +526,13 @@ def test_spec_enumerates_the_faces_of_its_cone_alone(cone):
     alone = lattice._dual_pair.cache_info().misses
     clear_caches()
     arg = ";".join(",".join(map(str, r)) for r in cone.rays)
-    with mock.patch.object(lattice, "_face_masks", wraps=lattice._face_masks) as spy, \
-            mock.patch.object(Fan, "__post_init__", autospec=True, side_effect=Fan.__post_init__) as built:
+    cuts = cut_spy(monkeypatch)
+    with mock.patch.object(Fan, "__post_init__", autospec=True, side_effect=Fan.__post_init__) as built:
         payload, code = cli.cmd_spec(SimpleNamespace(cone=arg))
     assert code == 0
-    assert [call.args[0] for call in spy.call_args_list] == [cone]
+    assert walks(cuts) == faces.cache_info().misses == 1
+    faces(cone)  # the one walk was the cone's
+    assert faces.cache_info().misses == 1
     assert not built.called
     assert lattice._dual_pair.cache_info().misses == alone
     assert dumps(payload) == dumps(cli._dscheme_payload(dscheme_of_fan(Fan(4, faces(cone)))))

@@ -189,7 +189,9 @@ USAGE = [
 # exit 2); a square cone and the cone on two opposite rays of it, closed,
 # which cross (invalid, exit 1); and the cone over the cube in Z^4 with its
 # six squares and some edges listed, not closed (invalid, exit 1): squares
-# that are not simplicial and not maximal
+# that are not simplicial and not maximal; and the same cone with one square
+# and all of that square's faces listed, not closed (invalid, exit 1): a
+# closed cone that is not simplicial, held by a maximal cone that misses faces
 FAN_FILES = {
     "cube.json": {"dim": 3, "rays": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
                   "cones": [[i for i in range(8) if i >> k & 1 == side] for k in range(3)
@@ -213,6 +215,9 @@ FAN_FILES = {
                      "cones": [list(range(8)), *([i for i in range(8) if i >> k & 1 == side]
                                                  for k in range(3) for side in (0, 1)),
                                [0, 1], [0, 2], [6, 7], [5, 7]], "close_faces": False},
+    "held.json": {"dim": 4, "rays": [[a, b, c, 1] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+                  "cones": [list(range(8)), [0, 1, 2, 3], [0, 1], [2, 3], [0, 2], [1, 3],
+                            [0], [1], [2], [3], []], "close_faces": False},
 }
 FANS = [argv for path in FAN_FILES for argv in (
     ["validate-fan", path], ["dscheme", "--fan", path],
