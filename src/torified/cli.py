@@ -567,6 +567,8 @@ def _dscheme_payload(ds) -> dict:
 def cmd_torify(args) -> tuple[dict, int]:
     fam = build_family(args.family_spec[0], args.family_spec[1:])
     check_budget(oracle_point_count(*fam.oracle, 2), "tori")
+    if fam._record.listed:  # a listing from a fan: its charts too, counted before it is built
+        check_budget(fam._record.listed(fam.oracle[1]), "tori and chart indices")
     return torification_to_dict(fam.torification), 0
 
 

@@ -16,9 +16,10 @@ q = 2.
 
 ``_FAMILIES`` holds one record per built-in family: the arity of its
 parameters, check, delta, mono (each from cells or binomials, not the
-formula), formula, listing, and the rank of each torus of the listing in
-order, from the cells with no label made.  A row given as None is one Taylor
-shift of the other: ``affine``, ``projective``, ``gm`` (or ``torus``) and
+formula), formula, listing, the rank of each torus of the listing in
+order, from the cells with no label made, and, for the listings from a fan,
+their tori plus chart indices.  A row given as None is one Taylor shift of
+the other: ``affine``, ``projective``, ``gm`` (or ``torus``) and
 ``sl`` give both rows, ``grassmannian`` and ``flag`` their cell polynomial as
 mono, and ``toric`` neither, its delta and its ranks read from the listing.
 """
@@ -162,17 +163,18 @@ def _signed_row(n: int) -> tuple[int, ...]:
 
 #: Each entry looks the library's functions up when called, so tests can patch them.  The arity
 #: is 0 for one or more parameters; the command line lists the entries in this order.
-_Family = namedtuple("_Family", "arity check delta mono formula build ranks")
+_Family = namedtuple("_Family", "arity check delta mono formula build ranks listed", defaults=(None,))
 _FAMILIES = {
     "affine": _Family(1, _check_affine, lambda n: delta_affine_space(n), lambda n: (0,) * n + (1,),
                       lambda n, q: q**n, lambda n: torify_affine_space(n),
                       lambda n: _cell_ranks([(n, 1)])),
-    # the fan's cones by dimension k, C(n+1, k) of them, each a torus of rank n - k
+    # the fan's cones by dimension k, C(n+1, k) of them, each a torus of rank n - k, and n + 1 charts of 2^n
     "projective": _Family(1, _check_affine, lambda n: delta_projective(n), lambda n: (1,) * (n + 1),
                           lambda n, q: _exact_div(q ** (n + 1) - 1, q - 1),
                           lambda n: torify_toric(standard_fan("projective_space", n)),
                           lambda n: list(chain.from_iterable(
-                              map(repeat, range(n, -1, -1), delta_affine_space(n + 1))))),
+                              map(repeat, range(n, -1, -1), delta_affine_space(n + 1)))),
+                          lambda n: (1 << n + 1) - 1 + (n + 1 << n)),
     "torus": (_gm := _Family(1, _check_rank, lambda n: delta_torus(n), lambda n: _signed_row(n),
                              lambda n, q: (q - 1) ** n, lambda n: torify_torus(n), lambda n: [n])),
     "gm": _gm,
@@ -196,7 +198,8 @@ _FAMILIES = {
                                         _cell_ranks([(n * (n - 1) // 2, 1)], [n - 1]))),
     "toric": _Family(1, require_valid, None, None,
                      lambda fan, q: sum((q - 1) ** (fan.ambient_dim - c.dim) for c in fan.cones),
-                     lambda fan: torify_toric(fan), None),
+                     lambda fan: torify_toric(fan), None,
+                     lambda fan: len(fan.cones) + sum(map(len, fan._maximal().rows.values()))),
 }
 
 

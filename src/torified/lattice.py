@@ -40,24 +40,26 @@ each candidate as its values on the facet normals, read from its piece's
 rays' values and its coset vector, and only the irreducibles are read back
 to Z^n, by one elimination of the normals.
 
-A fan's face relation, :attr:`Fan.face_indices`, is computed once per fan
-and read by its maximal cones, its monoid scheme's specialisations, the
-charts and stars of its torification and the orbit sums of its point counts
-(``spec`` reads the same rule off the masks of its cone's :func:`faces`).
-It is read from ray bitmasks: a simplicial cone's faces are its submasks,
-and any other cone's are those of the :func:`faces` of a maximal cone that
-holds it, within its own mask.  ``faces`` caches its walk, so a cone is
-walked once per process, for closure and relation alike; the relation's
-build records the cones that miss a face, which validation alone scans.
-Cones and fans keep their hashes.  Fan validation settles pairs of maximal
-cones by sign masks over the rays, from one dual
-per maximal cone (the cached :func:`facet_normals`); a double description of
-the pair decides only the pairs the masks leave open, and every violating
-pair is among those.
+A fan reads its maximal cones first, in one pass over its ray bitmasks
+(``Fan._maximal``): by descending dim, a cone that no maximal cone found so
+far holds is maximal, and takes its submasks as face masks if simplicial and
+those of its :func:`faces` otherwise.  The pass gives the maximal cones, a
+torification's charts, the cone each local monoid of a D-scheme is read
+from and, by mask, the faces each cone misses.  The full relation,
+:attr:`Fan.face_indices`, is built from its rows only for the readers of
+every pair: the D-scheme's specialisations, the stars of a regular
+torification and the orbit sums of point counts (``spec`` reads the same
+rule off the masks of its cone's :func:`faces`).  ``faces`` caches its
+walk, so a cone is walked once per process.  Cones and fans keep their
+hashes.  Fan validation settles pairs of maximal cones by sign masks over
+the pass's ray bits, from the dual each cone cached on construction; a
+double description of the pair decides only the pairs the masks leave
+open, and every violating pair is among those.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -631,10 +633,12 @@ class Fan(Value):
 
     Construction does not validate the fan axioms; run :func:`validate_fan`
     (operations that need a valid fan do so and raise :class:`InvalidFan`).
-    Like a cone, a fan keeps its hash, in ``_hash``, from its first use.
+    Like a cone, a fan keeps its hash, in ``_hash``, from its first use, and
+    its face records, each built on first read: :meth:`_maximal`'s pass, and
+    the full relation, :attr:`face_indices`, which only pair readers build.
     """
 
-    __slots__ = ("ambient_dim", "cones", "_relation", "_hash")
+    __slots__ = ("ambient_dim", "cones", "_tops", "_relation", "_hash")
     __hash__ = Value._kept_hash
 
     def __init__(self, ambient_dim: int, cones: tuple[Cone, ...] = ()):
@@ -650,7 +654,7 @@ class Fan(Value):
                 )
             if not c.is_pointed:
                 raise InvalidCone("fans contain only strictly convex cones")
-        self._set(ambient_dim, tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays))), None, None)
+        self._set(ambient_dim, tuple(sorted(set(cones), key=lambda c: (c.dim, c.rays))), None, None, None)
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -658,51 +662,66 @@ class Fan(Value):
     @property
     def face_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per cone, the ascending indices of its faces that are cones of the
-        fan (the cone's own index included): the fan's face relation,
-        computed on first read (:meth:`_face_relation`)."""
-        return self._face_relation()[0]
-
-    def _face_relation(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Cone, ...]]:
-        """(:attr:`face_indices`, the cones that miss a face), computed once.
-
-        Each ray gets a bit, each cone is indexed by its ray mask, and a
-        cone's faces in the fan are its face masks in the index.  A
-        simplicial cone's are its submasks.  The others are read by
-        descending dim: one that ``held`` does not map is maximal and takes
-        the masks of its :func:`faces`, which ``held`` maps to them; a held
-        one takes those within its own mask, a face of a face being a face.
-        So only a maximal cone is walked or dualized.
-        """
-        if self._relation is not None:
-            return self._relation
-        bits, masks = _ray_masks(self.cones)
-        index = {mask: i for i, mask in enumerate(masks)}
-        held: dict[int, list[int]] = {}
-        relation, unclosed = [], []
-        for c, mask in zip(reversed(self.cones), reversed(masks)):
-            if c.is_simplicial:
-                own = _submasks(mask)
-            elif mask in held:
-                own = [m for m in held[mask] if m & mask == m]
-            else:
-                own = [sum(map(bits.__getitem__, f.rays)) for f in faces(c)]
-                held.update(dict.fromkeys(own, own))
-            ids = [index[m] for m in own if m in index]
-            relation.append(tuple(sorted(ids)))
-            if len(ids) < len(own):
-                unclosed.append(c)
-        object.__setattr__(self, "_relation", (tuple(reversed(relation)), tuple(unclosed)))
+        fan (the cone's own index included), built on first read from
+        :meth:`_maximal` and kept: a maximal cone's row, a held simplicial
+        cone's submasks, and else its owner's row within its own mask."""
+        if self._relation is None:
+            _, masks, index, owner, rows, _ = self._maximal()
+            object.__setattr__(self, "_relation", tuple(
+                rows[i] if i in rows
+                else tuple(sorted(index[m] for m in _submasks(mask) if m in index)) if c.is_simplicial
+                else tuple(j for j in rows[owner[i]] if masks[j] & mask == masks[j])
+                for i, (c, mask) in enumerate(zip(self.cones, masks))))
         return self._relation
+
+    def _maximal(self) -> _Tops:
+        """The fan's one pass over its ray masks, kept: a bit per ray
+        (``bits``), a mask per cone (``masks``, and ``index`` back).  Read by
+        descending dim, a cone is maximal when no maximal cone found so far
+        holds its mask, and its face masks are its submasks if it is
+        simplicial and its :func:`faces`' otherwise: only a maximal cone is
+        walked or dualized.  ``rows`` maps the maximal cones, ascending, to
+        their faces' ascending indices, ``owner`` each cone to the last
+        maximal cone that holds it (itself if maximal), and ``missing`` a
+        cone that misses faces to their masks, a held cone's being its
+        owner's within its own mask."""
+        if self._tops is not None:
+            return self._tops
+        cones = self.cones
+        bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
+        masks = [sum(map(bits.__getitem__, c.rays)) for c in cones]
+        index = {mask: i for i, mask in enumerate(masks)}
+        held: dict[int, int] = {}  # each face mask of a maximal cone: the last such cone
+        owner, rows, missing = [0] * len(cones), {}, {}
+        for i in reversed(range(len(cones))):
+            mask = masks[i]
+            j = owner[i] = held.get(mask, i)
+            if j != i:  # held: its missing faces are its owner's within its mask
+                if j in missing and (lost := [m for m in missing[j] if m & mask == m]):
+                    missing[i] = lost
+                continue
+            c = cones[i]
+            own = _submasks(mask) if c.is_simplicial else [sum(map(bits.__getitem__, f.rays)) for f in faces(c)]
+            for m in own:
+                held.setdefault(m, i)
+            ids = [index[m] for m in own if m in index]
+            rows[i] = tuple(sorted(ids))
+            if len(ids) < len(own):
+                missing[i] = [m for m in own if m not in index]
+        object.__setattr__(self, "_tops", _Tops(bits, masks, index, owner, dict(reversed(rows.items())), missing))
+        return self._tops
 
     def __repr__(self) -> str:
         return f"Fan(dim {self.ambient_dim}, {len(self.cones)} cones)"
 
 
+_Tops = namedtuple("_Tops", "bits masks index owner rows missing")
+
+
 @lru_cache(maxsize=None)
 def maximal_cones(fan: Fan) -> tuple[int, ...]:
     """Indices of cones that are not a proper face of another cone of the fan."""
-    proper = {i for j, face_ids in enumerate(fan.face_indices) for i in face_ids if i != j}
-    return tuple(i for i in range(len(fan.cones)) if i not in proper)
+    return tuple(fan._maximal().rows)
 
 
 def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -721,12 +740,6 @@ def _separating_faces(a: Cone, b: Cone) -> tuple[tuple[Vector, ...], tuple[Vecto
     return tight_a, tight_b
 
 
-def _ray_masks(cones: Sequence[Cone]) -> tuple[dict[Vector, int], list[int]]:
-    """The bits, one per ray of ``cones``, and per cone the mask of its rays."""
-    bits = {r: 1 << i for i, r in enumerate({r for c in cones for r in c.rays})}
-    return bits, [sum(map(bits.__getitem__, c.rays)) for c in cones]
-
-
 def _submasks(mask: int) -> dict[int, int]:
     """The submasks of ``mask``, 0 then the nonzero ones from ``mask`` down,
     each mapped to its number of bits."""
@@ -737,36 +750,40 @@ def _submasks(mask: int) -> dict[int, int]:
     return subs
 
 
-def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
-    """The pairs of ``tops`` that sign masks do not show to meet in a common face.
+def _open_pairs(fan: Fan) -> Iterator[tuple[Cone, Cone]]:
+    """The pairs of the fan's maximal cones that sign masks do not show to
+    meet in a common face.
 
-    Each ray gets a bit.  Per cone, its ray mask, and per facet normal u the
-    masks of the rays where u > 0 and where u = 0: one dual per cone.  For
-    a pair (a, b), the normals of a positive on no ray of b and the negated
-    normals of b positive on no ray of a are >= 0 on a and <= 0 on b; their
-    sum u* vanishes on a ray of either cone iff each of them does, that is
-    on the rays in Z, the AND of their zero masks.  a ∩ b lies in u*^⊥, so
-    when Z holds the same rays of a as of b, a ∩ b is the face they span.
-    The test is sound, not complete: some valid pairs stay open, and every
-    violating pair does.
+    The bits and masks are the fan's pass's (:meth:`Fan._maximal`); per
+    facet normal u of a maximal cone, from the dual its construction cached
+    (:func:`_dual_pair`), the masks of the rays where u > 0 and u = 0, which
+    give those of -u, a neighbour's normal.  For a pair (a, b), the normals
+    of a positive on no ray of b and the negated normals of b positive on no
+    ray of a are >= 0 on a and <= 0 on b; their sum u* vanishes on a ray of
+    either cone iff each of them does, that is on the rays in Z, the AND of
+    their zero masks.  a ∩ b lies in u*^⊥, so when Z holds the same rays of
+    a as of b, a ∩ b is the face they span.  The test is sound, not
+    complete: some valid pairs stay open, and every violating pair does.
     """
-    if len(tops) < 2:  # no pair, so no dual: a cone's face fan pays nothing
+    tops = fan._maximal()
+    if len(tops.rows) < 2:  # no pair, so no dual: a cone's face fan pays nothing
         return
-    bits, masks = _ray_masks(tops)
-    signs = []
-    for c, mask in zip(tops, masks):
-        normals = []
-        for u in facet_normals(c):
-            positive = zero = 0
-            for r, bit in bits.items():
-                value = sum(map(mul, u, r))  # dot, without its length check
-                if value > 0:
-                    positive |= bit
-                elif value == 0:
-                    zero |= bit
-            normals.append((positive, zero))
-        signs.append((mask, normals))
-    for (a, (mask_a, normals_a)), (b, (mask_b, normals_b)) in combinations(zip(tops, signs), 2):
+    signs, known, every = [], {}, (1 << len(tops.bits)) - 1
+    for i in tops.rows:
+        c, normals = fan.cones[i], []
+        for u in _dual_pair(c.rays, fan.ambient_dim)[0]:
+            if u not in known:
+                positive = zero = 0
+                for r, bit in tops.bits.items():
+                    value = sum(map(mul, u, r))  # dot, without its length check
+                    if value > 0:
+                        positive |= bit
+                    elif value == 0:
+                        zero |= bit
+                known[u], known[tuple([-x for x in u])] = (positive, zero), (every ^ positive ^ zero, zero)
+            normals.append(known[u])
+        signs.append((c, tops.masks[i], normals))
+    for (a, mask_a, normals_a), (b, mask_b, normals_b) in combinations(signs, 2):
         z = -1  # all bits
         for positive, zero in normals_a:
             if not positive & mask_b:
@@ -782,8 +799,8 @@ def _open_pairs(tops: list[Cone]) -> Iterator[tuple[Cone, Cone]]:
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check face closure, and that any two maximal cones meet in a common face.
 
-    Only the cones that the face relation's build finds missing a face
-    (:meth:`Fan._face_relation`) have their :func:`faces` scanned.
+    The missing faces are named from their masks in the fan's maximal pass
+    (:meth:`Fan._maximal`): no cone is walked again, no full relation built.
 
     Pairs of maximal cones suffice once faces are closed: if A and B meet in
     a common face F, then for faces a of A and b of B, a ∩ F and b ∩ F are
@@ -791,16 +808,13 @@ def validate_fan(fan: Fan) -> ValidationReport:
     dual per maximal cone settle most pairs (:func:`_open_pairs`); a double
     description of the pair (:func:`_separating_faces`) decides the rest.
     """
-    violations: list[str] = []
-    cone_set = set(fan.cones)
-    if zero_cone(fan.ambient_dim) not in cone_set:
-        violations.append("fan does not contain the zero cone")
-    for c in fan._face_relation()[1]:
-        for f in faces(c):
-            if f not in cone_set:
-                violations.append(f"face {list(f.rays)} of cone {list(c.rays)} is missing")
-    tops = [fan.cones[i] for i in maximal_cones(fan)]
-    for a, b in _open_pairs(tops):
+    tops = fan._maximal()
+    violations = [] if 0 in tops.index else ["fan does not contain the zero cone"]
+    for i, lost in tops.missing.items():
+        rays = fan.cones[i].rays
+        violations += (f"face {[r for r in rays if tops.bits[r] & m]} of cone {list(rays)} is missing"
+                       for m in lost)
+    for a, b in _open_pairs(fan):
         tight_a, tight_b = _separating_faces(a, b)
         if tight_a != tight_b:
             violations.append(

@@ -271,10 +271,9 @@ def dscheme_of_fan(fan: Fan) -> DScheme:
 def _dscheme(fan: Fan) -> DScheme:
     """:func:`dscheme_of_fan` of a valid fan, such as the faces of one cone."""
     n = fan.ambient_dim
-    # each cone is read from the last cone listing it as a face, a maximal
-    # one (a cone containing it would come later and list the face too),
-    # whose monoid and value table are taken once
-    owner = {i: j for j, face_ids in enumerate(fan.face_indices) for i in face_ids}
+    # each cone is read from the last maximal cone holding it as a face
+    # (the fan's maximal pass), whose monoid and value table are taken once
+    owner = fan._maximal().owner
     tables: dict[int, tuple[AffineMonoid, tuple]] = {}
     points = []
     for i, c in enumerate(fan.cones):

@@ -48,7 +48,7 @@ from .errors import (
     ValidationReport,
     Value,
 )
-from .lattice import Fan, maximal_cones, require_valid
+from .lattice import Fan, require_valid
 
 Charts = tuple[tuple[int, ...], ...]
 
@@ -377,12 +377,12 @@ def delta_affine_space(n: int) -> tuple[int, ...]:
 
 
 def torify_toric(fan: Fan) -> Torification:
-    """One torus of rank n - dim(cone) per cone; charts are the stars of the
-    maximal cones (each affine piece collects the faces of one maximal cone)."""
+    """One torus of rank n - dim(cone) per cone; one chart per maximal cone, its
+    faces (its affine piece), read off the fan's maximal pass."""
     require_valid(fan)
     n = fan.ambient_dim
     tori = _Cell((n - c.dim, (f"cone:{i}",)) for i, c in enumerate(fan.cones))
-    charts = tuple(fan.face_indices[m] for m in maximal_cones(fan))
+    charts = tuple(fan._maximal().rows.values())
     return Torification(tori, charts)
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii
@@ -1676,6 +1677,9 @@ def test_listings_checked_against_budget_before_building(capsys, monkeypatch, tm
         assert code == 2 and out == ""
         assert err == f"error: {size} group elements exceed the budget of 1000000\n"
     monkeypatch.undo()
+    # P^1's listing, 3 tori and two charts of 2 indices, read back below
+    path = tmp_path / "p1.json"
+    path.write_text(run(capsys, "torify", "projective", "1")[1])
     monkeypatch.setenv("TORIFIED_BUDGET", "35")  # Gr(2,4) has N(2) = 35 tori
     assert run(capsys, "torify", "grassmannian", "2", "4")[0] == 0
     monkeypatch.setenv("TORIFIED_BUDGET", "34")
@@ -1685,8 +1689,6 @@ def test_listings_checked_against_budget_before_building(capsys, monkeypatch, tm
     monkeypatch.setenv("TORIFIED_BUDGET", "4")
     assert run(capsys, "gadget", "--elements", "--group", "3", "--family", "projective", "1")[0] == 2
     # a torification file has no oracle: its elements are counted from its tori
-    path = tmp_path / "p1.json"
-    path.write_text(run(capsys, "torify", "projective", "1")[1])
     for budget, expected in (("5", 0), ("4", 2)):
         monkeypatch.setenv("TORIFIED_BUDGET", budget)
         argv = ["gadget", "--elements", "--group", "3", "--torification", str(path)]
@@ -1900,6 +1902,65 @@ def test_a_process_walks_and_dualizes_each_maximal_cone_once(capsys, monkeypatch
     assert walks(cuts) == 8
     assert lattice._dual_pair.cache_info().misses == 8
     assert len(cuts) == 8 * 28
+
+
+def relation_spy(monkeypatch) -> tuple[list, list]:
+    """(fans, builds): every Fan constructed from now on, and per read of
+    ``Fan.face_indices`` whether that read built the full relation."""
+    fans, builds = [], []
+    init, face_indices = lattice.Fan.__post_init__, lattice.Fan.face_indices.fget
+    monkeypatch.setattr(lattice.Fan, "__post_init__", lambda fan, *args: fans.append(fan) or init(fan, *args))
+    monkeypatch.setattr(lattice.Fan, "face_indices",
+                        property(lambda fan: builds.append(fan._relation is None) or face_indices(fan)))
+    return fans, builds
+
+
+@pytest.mark.parametrize("data", [projective_fan_file(8), p1_power_fan_file(8)], ids=["P8", "P1^8"])
+def test_only_the_pair_readers_build_the_full_face_relation(capsys, monkeypatch, tmp_path, data):
+    # validation, the charts and the local monoids read the fan's maximal
+    # pass; only dscheme, which prints every specialization pair, builds the
+    # full relation, and once
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    fans, builds = relation_spy(monkeypatch)
+    for argv in (["validate-fan", str(path)], ["verify", "--q", "2,3", "--family", "toric", str(path)]):
+        clear_caches()
+        assert run(capsys, *argv)[0] == 0
+    assert len(fans) == 2 and builds == []
+    assert all(fan._relation is None and fan._tops is not None for fan in fans)
+    clear_caches()
+    assert run(capsys, "dscheme", "--fan", str(path))[0] == 0
+    assert len(fans) == 3 and builds.count(True) == 1 and fans[-1]._relation is not None
+
+
+def test_a_projective_listing_builds_its_charts_alone(capsys, monkeypatch):
+    fans, builds = relation_spy(monkeypatch)
+    code, payload, _ = run_json(capsys, "torify", "projective", "12")
+    assert code == 0 and len(payload["result"]["charts"]) == 13
+    assert len(fans) == 1 and builds == []
+    assert fans[0]._relation is None and fans[0]._tops is not None
+
+
+def test_toric_listings_are_gated_on_their_tori_and_chart_indices(capsys, monkeypatch):
+    # P^n lists 2^(n+1) - 1 tori and n + 1 charts of 2^n indices, counted from
+    # the family record: past n = 15 (589,823) they exceed the default budget
+    # though the tori do not, and are refused before the fan is built
+    fans, _ = relation_spy(monkeypatch)
+    for n, size in ((16, 1245183), (17, 2621439), (18, 5505023)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "torify", "projective", str(n))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err == f"error: {size} tori and chart indices exceed the budget of 1000000\n"
+    assert fans == []
+    # at the boundary: P^2 lists 7 tori and 3 charts of 4 indices, and a fan
+    # file of P^2 is counted from its maximal cones' faces
+    for family in (["projective", "2"], ["toric", os.path.join(DATA, "p2_fan.json")]):
+        monkeypatch.setenv("TORIFIED_BUDGET", "19")
+        assert run(capsys, "torify", *family)[0] == 0
+        monkeypatch.setenv("TORIFIED_BUDGET", "18")
+        code, out, err = run(capsys, "torify", *family)
+        assert (code, out, err) == (2, "", "error: 19 tori and chart indices exceed the budget of 18\n")
 
 
 SMALL_LADDER = (

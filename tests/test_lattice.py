@@ -1218,6 +1218,25 @@ def test_cones_on_ray_subsets_that_are_not_faces(fan):
     assert validate_fan(fan) == all_maximal_pairs_validate_fan(fan)
 
 
+def test_validation_names_the_missing_faces_of_held_cones_from_one_walk(monkeypatch):
+    # the cone over the cube in Z^4 with its six squares and four edges
+    # listed, not closed: each square is held by the cube, is not
+    # simplicial and misses faces, which are named from the masks of the
+    # cube's walk, so validation walks the cube alone
+    rays = [[a, b, c, 1] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    squares = [[i for i in range(8) if i >> k & 1 == side] for k in range(3) for side in (0, 1)]
+    cones = [list(range(8)), *squares, [0, 1], [0, 2], [6, 7], [5, 7]]
+    fan = fan_from_dict({"dim": 4, "rays": rays, "cones": cones, "close_faces": False})
+    clear_caches()
+    cuts = cut_spy(monkeypatch)
+    report = validate_fan(fan)
+    assert walks(cuts) == 1
+    monkeypatch.undo()
+    assert report == all_maximal_pairs_validate_fan(fan)
+    held = [c for c in fan.cones if c.dim == 3]
+    assert len(held) == 6 and all(any(str(list(c.rays)) in v for v in report.violations) for c in held)
+
+
 def test_validate_fan_missing_faces():
     fan = Fan(2, (Cone(2, ((1, 0), (0, 1))), zero_cone(2)))
     report = validate_fan(fan)
@@ -1436,7 +1455,7 @@ def full_dimensional_cone_pairs(draw):
 @given(full_dimensional_cone_pairs())
 def test_sign_masks_accept_only_pairs_that_meet_in_a_common_face(pair):
     a, b = pair
-    if not list(_open_pairs([a, b])):
+    if not list(_open_pairs(Fan(a.ambient_dim, (a, b)))):  # both maximal, having dim n
         tight_a, tight_b = _separating_faces(a, b)
         assert tight_a == tight_b
 

@@ -28,12 +28,13 @@ ones to read: drift in the host's speed between pairs moves each side's
 median, but it falls on both passes of a pair.  After that
 summary it prints, per subcommand (an op's ``argv[0]``), each tree's median
 over the passes of the time that pass spent in that subcommand's ops, and
-the B/A ratio of the two medians, so the share of a change that falls on
+the median over the pairs of the B/A ratio of those times, with the number
+of pairs in which B was faster, so the share of a change that falls on
 ``spec`` and on ``soule`` in ``cones`` is visible, one line per subcommand
 in the order of first appearance in the plan::
 
-    soule  A 13.0 ms  B 13.1 ms  B/A 1.008 (+0.8 %)
-    spec   A 58.0 ms  B 51.7 ms  B/A 0.892 (-10.8 %)
+    soule  A 13.0 ms  B 13.1 ms  B/A 1.008 (+0.8 %), B faster in 9/20
+    spec   A 58.0 ms  B 51.7 ms  B/A 0.892 (-10.8 %), B faster in 20/20
 
 On ``cones`` and ``fans`` it then prints the same per catalogue class of
 the ops' base entries, in name order (``c2`` ... ``c4n`` and ``g3`` ...
@@ -151,6 +152,12 @@ class Worker:
         self.proc.wait()
 
 
+def _paired(ratios: list[float]) -> str:
+    """The median of paired B/A ratios, and in how many pairs B was faster."""
+    ratio, wins = statistics.median(ratios), sum(r < 1 for r in ratios)
+    return f"B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(ratios)}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tree_a")
@@ -185,13 +192,12 @@ def main(argv=None) -> int:
         print(f"{side} median {seconds:.1f} ms, op p50 {p50:.3f} ms, op p90 {p90:.3f} ms  ({tree})")
     # the pass time, then the pass's op p50 and p90, each as B/A within a pair
     for i, name in enumerate(("", "op p50 ", "op p90 ")):
-        ratios = [tb[i] / ta[i] for ta, tb in pairs]
-        ratio, wins = statistics.median(ratios), sum(r < 1 for r in ratios)
-        print(f"median {name}B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), B faster in {wins}/{len(pairs)}")
-    for part in (3, 4):  # per subcommand, then per catalogue class
+        print(f"median {name}{_paired([tb[i] / ta[i] for ta, tb in pairs])}")
+    for part in (3, 4):  # per subcommand, then per catalogue class, also B/A within a pair
         for key in pairs[0][0][part]:
             ka, kb = (statistics.median(t[part][key] for t in side) * 1e3 for side in zip(*pairs))
-            print(f"{key:<6} A {ka:.1f} ms  B {kb:.1f} ms  B/A {kb / ka:.3f} ({(kb / ka - 1) * 100:+.1f} %)")
+            ratios = [tb[part][key] / ta[part][key] for ta, tb in pairs]
+            print(f"{key:<6} A {ka:.1f} ms  B {kb:.1f} ms  {_paired(ratios)}")
     if a.raised or b.raised:
         print(f"ops that raised in a pass: A {a.raised}, B {b.raised}")
     return 0

@@ -122,10 +122,12 @@ COUNTING = [["torify", "flag", "1", "2", "2", "1"]] + [
 
 # listings past the benchmark's ladders: the one flag listing it leaves out
 # (615,195 tori), cells up to A^18 (788,035 tori, 78 MB), labels of A^16 past
-# numeric order, the fan of P^10 (2,047 cones, built by ``standard_fan``, which
-# no benchmark op reaches), and a gadget point listing over Schubert cells; A^3
-# and the cells of Gr(2, 4) come after larger listings in the same process, so
-# they read tables kept from those
+# numeric order, the fans of P^10 and P^14 (2,047 and 32,767 cones, built by
+# ``standard_fan``, which no benchmark op reaches), P^16, refused on its
+# 1,245,183 tori and chart indices (a tree without that gate builds its 3^17
+# face pairs), and a gadget point listing over Schubert cells; A^3 and the
+# cells of Gr(2, 4) come after larger listings in the same process, so they
+# read tables kept from those
 LISTINGS = [
     ["torify", "flag", "1", "1", "1", "1", "1", "1"],
     ["torify", "grassmannian", "3", "9"],
@@ -133,6 +135,8 @@ LISTINGS = [
     ["torify", "affine", "16"],
     ["torify", "affine", "3"],
     ["torify", "projective", "10"],
+    ["torify", "projective", "14"],
+    ["torify", "projective", "16"],
     ["gadget", "--elements", "--group", "2", "--family", "flag", "1", "1", "1", "1", "1"],
 ]
 
