@@ -12,10 +12,9 @@ the one face walk, :func:`faces`'s (each face with its dimension), the
 dual's adjacency test and the extremal rays' test: no rank of a tight set.
 n independent generators in Z^n skip the double description: the dual's
 rays are the columns of adj G, where :func:`_simplex` gives (det G, adj G)
-by cofactors up to 3 x 3 and by one signed Bareiss elimination above, and
-keeps it for the dual's parallelepiped (:func:`_dual_simplex`).  A cone on
-at least n rays and without lineality reads its dimension from that cached
-dual, so a maximal cone takes one simplex, for its rank and its facets.
+by cofactors up to 3 x 3 and by one signed Bareiss elimination above.  A
+cone on at least n rays and without lineality reads its dimension from that
+cached dual, so a maximal cone takes one simplex, for its rank and its facets.
 A fan file's rays are checked once, by :func:`fan_from_dict`, so its cones,
 like those of :func:`standard_fan`, are only made canonical
 (``Cone._canonicalize``).
@@ -47,21 +46,21 @@ those of its :func:`faces` otherwise.  The pass gives the maximal cones, a
 torification's charts, the cone each local monoid of a D-scheme is read
 from and, by mask, the faces each cone misses.  The full relation,
 :attr:`Fan.face_indices`, is built from its rows only for the readers of
-every pair: the D-scheme's specialisations, the stars of a regular
-torification and the orbit sums of point counts (``spec`` reads the same
-rule off the masks of its cone's :func:`faces`).  ``faces`` caches its
-walk, so a cone is walked once per process.  Cones and fans keep their
-hashes.  Fan validation settles pairs of maximal cones by sign masks over
-the pass's ray bits, from the dual each cone cached on construction; a
-double description of the pair decides only the pairs the masks leave
-open, and every violating pair is among those.
+every pair: the D-scheme's specialisations, counted from the pass against
+the budget first, the stars of a regular torification and the orbit sums of
+point counts (``spec`` reads the same rule off the masks of its cone's
+:func:`faces`).  ``faces`` caches its walk, so a cone is walked once per
+process.  Cones and fans keep their hashes.  Fan validation settles pairs
+of maximal cones by sign masks over the pass's ray bits, from the dual each
+cone cached on construction; a double description of the pair decides only
+the pairs the masks leave open, and every violating pair is among those.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from operator import mul
@@ -385,14 +384,15 @@ def _triangulate(rays: tuple[Vector, ...], n: int, normals=None) -> list[tuple[V
     return pieces
 
 
-@lru_cache(maxsize=8)  # the last few: a cone's dual is soon followed by its monoid
 def _simplex(rows: tuple[Vector, ...]) -> tuple[int, list[list[int]]] | None:
     """(det G, adj G) = (s, s G^-1) for the d x d matrix G with the given
     rows, s = det G; None if G is singular.
 
     For d <= 3 both come from the cofactor formulas.  Otherwise one
     elimination of [G | I] reduces it to [p I | p G^-1] with p = +-det G,
-    and the row-permutation sign it returns fixes the sign of both.
+    and the row-permutation sign it returns fixes the sign of both.  It is
+    not cached: a cone's dual is kept by :func:`_dual_pair` and its Hilbert
+    basis by :func:`hilbert_basis` or its monoid, so each takes it once.
     """
     d = len(rows)
     if d == 3:
@@ -413,16 +413,6 @@ def _simplex(rows: tuple[Vector, ...]) -> tuple[int, list[list[int]]] | None:
             return None
         s, adj = sign * p, [row[d:] if sign > 0 else [-x for x in row[d:]] for row in m]
     return (s, adj) if s else None
-
-
-def _dual_simplex(rays: tuple[Vector, ...], dual: tuple[Vector, ...]) -> tuple[int, list[list[int]]]:
-    """(|det G|, |det G| G^-1), :func:`_simplex` of G up to sign, for G the
-    ``dual`` rays of n independent ``rays`` in Z^n as columns, from that of the
-    rays: a dual ray g is p > 0 on one ray r and 0 on the others, so r / p is
-    its row of G^-1, and |det G| = prod p / |det R|."""
-    pairs = [next((r, p) for r in rays if (p := dot(r, g))) for g in dual]
-    volume = reduce(mul, (p for _, p in pairs), 1) // abs(_simplex(rays)[0])
-    return volume, [[volume // p * x for x in r] for r, p in pairs]
 
 
 def _cosets(gens: Sequence[Vector], inverse: list[list[int]], volume: int) -> list[Vector]:
@@ -457,9 +447,10 @@ def hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         raise BudgetExceeded(f"Hilbert basis of {cone}: {exc}", exc.size) from None
 
 
-def _basis(cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
-    """:func:`hilbert_basis` of ``cone``, given, when known, its :func:`_simplex`
-    or, for a full-dimensional cone, its sorted facet normals."""
+def _basis(cone: Cone, normals=None) -> tuple[Vector, ...]:
+    """:func:`hilbert_basis` of ``cone``, given, when known, its sorted facet
+    normals; a cone on n independent rays in Z^n takes the :func:`_simplex`
+    of the matrix with its rays as columns."""
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require lineality to be split off first")
     if not cone.rays:
@@ -467,10 +458,8 @@ def _basis(cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
     n = cone.ambient_dim
     if n == 2 == len(cone.rays):  # two rays of a pointed cone in Z^2 span it
         return _plane_basis(*cone.rays)
-    if len(cone.rays) == n:
-        simplex = simplex or _simplex(tuple(zip(*cone.rays)))
-        if simplex is not None:
-            return _simplicial_basis(cone.rays, *simplex)
+    if len(cone.rays) == n and (simplex := _simplex(tuple(zip(*cone.rays)))) is not None:
+        return _simplicial_basis(cone.rays, *simplex)
     d = cone.dim
     if d < n:
         # rest, a basis of span ∩ Z^n, maps Z^d onto it, and chart, with
@@ -766,7 +755,7 @@ def _open_pairs(fan: Fan) -> Iterator[tuple[Cone, Cone]]:
     complete: some valid pairs stay open, and every violating pair does.
     """
     tops = fan._maximal()
-    if len(tops.rows) < 2:  # no pair, so no dual: a cone's face fan pays nothing
+    if len(tops.rows) < 2:  # no pair, so no dual is taken
         return
     signs, known, every = [], {}, (1 << len(tops.bits)) - 1
     for i in tops.rows:

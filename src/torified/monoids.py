@@ -15,7 +15,7 @@ these are S (U[r:] g) and S z for U^-1 = [B^T | S], with no inverse
 computed.  A lone :func:`monoid_of_cone` has one construction: a cone of
 dimension d < n is read in these coordinates, where it is full-dimensional,
 and every cone's monoid is the Hilbert basis of its dual (for a simplicial
-cone the one simplex of its rays gives both the dual and the dual's
+cone the simplex of its rays gives the dual, and the dual's own simplex its
 parallelepiped; a pointed cone's rays are its dual's facet normals, so the
 dual's triangulation takes no second dual), lifted by S.  So no dual is
 taken in Z^n unless t is full-dimensional.  A triangulation's budget counts
@@ -54,6 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter, mul, sub
 
+from .budget import check_budget
 from .errors import BudgetExceeded, MissingSourceCone, Value
 from .intlinalg import Vector, _hermite_reduce, _identity, _unit_transform, hnf_rows, kernel_basis
 from .intlinalg import mat_vec
@@ -61,7 +62,6 @@ from .lattice import (
     Cone,
     Fan,
     _dual_pair,
-    _dual_simplex,
     _basis,
     _irreducibles,
     _trusted,
@@ -112,23 +112,22 @@ def monoid_of_cone(cone: Cone) -> AffineMonoid:
         lift = tuple(zip(*(_face_lift(c, columns, left) for c in chart)))  # S: its columns lift C's rows
         generators = tuple(mat_vec(chart, g) for g in generators)
     rays, _ = _dual_pair(generators, d)
-    simplex = _dual_simplex(generators, rays) if cone.is_simplicial and d != 2 else None
     # the generators span Z^d, so the dual is pointed, of dimension d less
     # that of the cone's lineality; a pointed cone's dual has the cone's rays,
     # in these coordinates, as its facet normals
     normals = tuple(sorted(generators)) if cone.is_pointed else None
-    basis = _monoid_basis(_trusted(d, rays, dim=d - len(cone.lineality)), cone, simplex, normals)
+    basis = _monoid_basis(_trusted(d, rays, dim=d - len(cone.lineality)), cone, normals)
     if d < n:
         basis = (mat_vec(lift, z) for z in basis)
     return AffineMonoid(n, tuple(sorted(basis)), units, cone)
 
 
-def _monoid_basis(pointed: Cone, cone: Cone, simplex=None, normals=None) -> tuple[Vector, ...]:
+def _monoid_basis(pointed: Cone, cone: Cone, normals=None) -> tuple[Vector, ...]:
     """The Hilbert basis of ``pointed``, the dual of ``cone`` (with its known
-    ``simplex`` or facet ``normals``) or its quotient by the units; a budget
-    error names the monoid of ``cone``."""
+    facet ``normals``) or its quotient by the units; a budget error names the
+    monoid of ``cone``."""
     try:
-        return _basis(pointed, simplex, normals)
+        return _basis(pointed, normals)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"Hilbert basis of the monoid of {cone}: {exc}", exc.size) from None
 
@@ -263,21 +262,23 @@ class DScheme(Value):
 
 
 def dscheme_of_fan(fan: Fan) -> DScheme:
-    """Points in bijection with the fan's cones, ordered by cone inclusion."""
+    """Points in bijection with the fan's cones, ordered by cone inclusion.
+
+    Each cone is read from the last maximal cone holding it as a face (the
+    fan's maximal pass), whose monoid and value table are taken once.  The
+    specialization pairs are counted from that pass, and refused past the
+    budget, before the full relation is built: a simplicial cone of the
+    valid fan has 2^rays - 1 proper faces, and any other cone at most the
+    row of its maximal cone less one, exactly that if it is maximal.
+    """
     require_valid(fan)
-    return _dscheme(fan)
-
-
-def _dscheme(fan: Fan) -> DScheme:
-    """:func:`dscheme_of_fan` of a valid fan, such as the faces of one cone."""
-    n = fan.ambient_dim
-    # each cone is read from the last maximal cone holding it as a face
-    # (the fan's maximal pass), whose monoid and value table are taken once
-    owner = fan._maximal().owner
+    n, tops = fan.ambient_dim, fan._maximal()
+    check_budget(sum((1 << len(c.rays)) - 1 if c.is_simplicial else len(tops.rows[tops.owner[i]]) - 1
+                     for i, c in enumerate(fan.cones)), "specialization pairs")
     tables: dict[int, tuple[AffineMonoid, tuple]] = {}
     points = []
     for i, c in enumerate(fan.cones):
-        j = owner[i]
+        j = tops.owner[i]
         if j not in tables:
             monoid = monoid_of_cone(fan.cones[j])
             tables[j] = monoid, _value_table(monoid)
@@ -289,7 +290,7 @@ def _dscheme(fan: Fan) -> DScheme:
 
 
 def _cone_dscheme(cone: Cone) -> DScheme:
-    """:func:`_dscheme` of the fan of a pointed cone's faces, ``spec``'s,
+    """:func:`dscheme_of_fan` of the fan of a pointed cone's faces, ``spec``'s,
     with no fan built: every point is read from the cone's monoid and
     :func:`_value_table`, and each face is a mask over the table's ray
     positions.  :func:`torified.lattice.faces` lists the faces in the

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import clear_caches, compositions
 from references import affine_cell_runs, counts_by_index, dumps
 from test_gadgets import character_assignments, oracle_homs, pointed_cones
-from test_lattice import cut_spy, time_limit, walks
+from test_lattice import cut_spy, simplex_spy, time_limit, walks
 
 from torified import cli, counting, gadgets, intlinalg, lattice, monoids, torify
 from torified.cli import main, torification_from_dict
@@ -1865,6 +1865,7 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
     # facets come from, so P^n takes one simplex per maximal cone: one
     # elimination for n >= 4, and cofactors, no elimination, below
     clear_caches()
+    simplices = simplex_spy(monkeypatch)
     eliminations = []
     eliminate = intlinalg._eliminate
 
@@ -1878,7 +1879,7 @@ def test_validating_projective_space_eliminates_each_maximal_cone_once(
     path.write_text(json.dumps(projective_fan_file(n)))
     code, payload, _ = run_json(capsys, "validate-fan", str(path))
     assert code == 0 and payload["result"]["valid"]
-    assert lattice._simplex.cache_info().misses == n + 1
+    assert len(simplices) == n + 1
     assert len(eliminations) == (n + 1 if n >= 4 else 0)
 
 
@@ -1931,6 +1932,31 @@ def test_only_the_pair_readers_build_the_full_face_relation(capsys, monkeypatch,
     clear_caches()
     assert run(capsys, "dscheme", "--fan", str(path))[0] == 0
     assert len(fans) == 3 and builds.count(True) == 1 and fans[-1]._relation is not None
+
+
+def test_dscheme_is_refused_past_its_pairs_before_the_relation_is_built(capsys, monkeypatch, tmp_path):
+    # P^n lists 3^(n+1) - 2^(n+2) + 1 specialization pairs, counted from the
+    # fan's maximal pass: P^3's 50 are listed at a budget of 50 and refused
+    # at 49, and P^12's 1,577,940 at the default budget, with no relation built
+    paths = []
+    for n in (3, 12):
+        paths.append(tmp_path / f"p{n}.json")
+        paths[-1].write_text(json.dumps(projective_fan_file(n)))
+    fans, builds = relation_spy(monkeypatch)
+    clear_caches()
+    monkeypatch.setenv("TORIFIED_BUDGET", "50")
+    code, payload, _ = run_json(capsys, "dscheme", "--fan", str(paths[0]))
+    assert code == 0 and len(payload["result"]["specialization"]) == 50 and builds == [True]
+    clear_caches()
+    monkeypatch.setenv("TORIFIED_BUDGET", "49")
+    assert run(capsys, "dscheme", "--fan", str(paths[0])) == (
+        2, "", "error: 50 specialization pairs exceed the budget of 49\n")
+    monkeypatch.delenv("TORIFIED_BUDGET")
+    start = time.perf_counter()
+    assert run(capsys, "dscheme", "--fan", str(paths[1])) == (
+        2, "", "error: 1577940 specialization pairs exceed the budget of 1000000\n")
+    assert time.perf_counter() - start < 1
+    assert len(fans) == 3 and builds == [True] and fans[-1]._relation is None
 
 
 def test_a_projective_listing_builds_its_charts_alone(capsys, monkeypatch):

@@ -909,18 +909,19 @@ def test_plane_basis_of_a_huge_volume_is_refused_at_once(monkeypatch):
     )
 
 
-def test_each_triangulation_piece_is_eliminated_once():
-    # the cone over a 12-gon at height 1 has 10 pieces, more than the 8 kept
-    # eliminations: the budget's and the parallelepipeds' must be one
+def test_each_triangulation_piece_is_eliminated_once(monkeypatch):
+    # the cone over a 12-gon at height 1 has 10 pieces: the budget's count
+    # and the parallelepipeds read one simplex per piece, and the facets
+    # come from the dual its construction kept
     polygon = ((4, 0), (3, 2), (2, 3), (0, 4), (-2, 3), (-3, 2),
                (-4, 0), (-3, -2), (-2, -3), (0, -4), (2, -3), (3, -2))
     clear_caches()
     cone = Cone(3, tuple(p + (1,) for p in polygon))
     pieces = _triangulate(cone.rays, 3)
     assert len(pieces) == 10
-    _simplex.cache_clear()
+    simplices = simplex_spy(monkeypatch)
     assert len(hilbert_basis(cone)) == 49
-    assert _simplex.cache_info().misses == len(pieces)
+    assert simplices == [tuple(zip(*piece)) for piece in pieces]
 
 
 @settings(max_examples=300)
@@ -939,7 +940,7 @@ def test_simplex_is_the_determinant_and_adjugate(rows):
     # Laplace expansion; a singular matrix has no simplex
     rows = tuple(rows)
     s, adj = det_adjugate(rows)
-    assert _simplex.__wrapped__(rows) == ((s, adj) if s else None)
+    assert _simplex(rows) == ((s, adj) if s else None)
 
 
 def test_hilbert_basis_of_a_long_thin_cone():
@@ -1082,6 +1083,15 @@ def cut_spy(monkeypatch) -> list:
         lattice, "_maximal_cuts", lambda face, facets: cuts.append((face, facets)) or cut(face, facets)
     )
     return cuts
+
+
+def simplex_spy(monkeypatch) -> list:
+    """The rows of every ``_simplex`` that ``lattice`` takes from now on: it
+    keeps no cache, so each record is one cofactor formula or elimination."""
+    simplices = []
+    simplex = lattice._simplex
+    monkeypatch.setattr(lattice, "_simplex", lambda rows: simplices.append(rows) or simplex(rows))
+    return simplices
 
 
 def walks(cuts: list) -> int:

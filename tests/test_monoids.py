@@ -17,7 +17,7 @@ from references import (
     solve_columns_int,
     three_branch_monoid_of_cone,
 )
-from test_lattice import CUBE_CONE as CUBE, assert_constructor_agrees, cut_spy, walks
+from test_lattice import CUBE_CONE as CUBE, assert_constructor_agrees, cut_spy, simplex_spy, walks
 
 from torified import cli, intlinalg, lattice, monoids
 from torified.errors import BudgetExceeded, MissingSourceCone, TorifiedError
@@ -387,12 +387,14 @@ def test_a_monoid_keeps_its_value_table_outside_its_fields():
 )
 def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays):
     # _dual_pair's simplex of the rays (or of their section coordinates in
-    # Z^d, for a cone of dimension d < n) gives the dual, and the dual's
-    # parallelepiped is read from it (_dual_simplex): no second simplex; it
-    # is one elimination for d >= 4 and cofactors, no elimination, below
+    # Z^d, for a cone of dimension d < n) gives the dual, and the dual's own
+    # simplex its parallelepiped, but for a plane's dual, whose basis is a
+    # continued fraction: one elimination per simplex for d >= 4, and
+    # cofactors, no elimination, below
     cone = Cone(len(rays[0]), rays)
     ref = three_branch_monoid_of_cone(cone)
     clear_caches()
+    simplices = simplex_spy(monkeypatch)
     eliminated = []
     eliminate = intlinalg._eliminate
 
@@ -404,8 +406,8 @@ def test_the_monoid_of_a_simplicial_cone_takes_one_elimination(monkeypatch, rays
     monkeypatch.setattr(lattice, "_eliminate", counted)
     m = monoid_of_cone(cone)
     assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
-    assert lattice._simplex.cache_info().misses == 1
-    assert len(eliminated) == (1 if cone.dim >= 4 else 0)
+    assert len(simplices) == (1 if cone.dim == 2 else 2)
+    assert len(eliminated) == (2 if cone.dim >= 4 else 0)
 
 
 @pytest.mark.parametrize(
@@ -429,28 +431,6 @@ def test_the_monoid_of_a_non_simplicial_cone_takes_one_dual(rays):
     m = monoid_of_cone(cone)
     assert (m.generators, m.unit_basis) == (ref.generators, ref.unit_basis)
     assert lattice._dual_pair.cache_info().misses == 1
-
-
-@st.composite
-def full_simplicial_cones(draw):
-    """Cones on n independent rays in Z^n, 1 <= n <= 4."""
-    n = draw(st.integers(1, 4))
-    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(primitive)
-    rays = draw(st.lists(ray, min_size=n, max_size=n).filter(lambda rs: mat_rank(rs) == n))
-    return Cone(n, tuple(rays))
-
-
-@settings(max_examples=150, deadline=None)
-@given(full_simplicial_cones())
-@example(Cone(3, ((1, 0, 0), (1, 2, 0), (1, 1, 5))))
-@example(Cone(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))))
-def test_the_dual_simplex_is_the_simplex_of_the_dual_up_to_sign(cone):
-    n = cone.ambient_dim
-    dual, _ = lattice._dual_pair(cone.rays, n)
-    volume, inverse = lattice._dual_simplex(cone.rays, dual)
-    s, scaled = lattice._simplex.__wrapped__(tuple(zip(*dual)))
-    sign = 1 if s > 0 else -1
-    assert (volume, inverse) == (abs(s), [[sign * x for x in row] for row in scaled])
 
 
 @st.composite
@@ -546,6 +526,26 @@ def test_a_fan_reads_each_cone_from_one_maximal_cone(corpus_fan):
     assert len(read) == len(tops) and set(read) == set(tops)
     for point, cone in zip(ds.points, corpus_fan.cones):
         assert point.local_monoid == monoid_of_cone.__wrapped__(cone)
+
+
+GATED_FANS = {**FAN_CORPUS, **{f"P{n}": standard_fan("projective_space", n) for n in range(3, 7)}}
+
+
+@pytest.mark.parametrize("name", GATED_FANS)
+def test_dscheme_counts_its_specialization_pairs_before_listing_them(monkeypatch, name):
+    # on a simplicial fan the gate's count from the maximal pass is exact:
+    # the D-scheme is listed at that budget and refused, naming it, below
+    fan = GATED_FANS[name]
+    pairs = len(dscheme_of_fan(fan).specialization)
+    if name.startswith("P"):  # the proper ray subsets of P^n, each over its own subsets
+        assert pairs == 3 ** (fan.ambient_dim + 1) - 2 ** (fan.ambient_dim + 2) + 1
+    monkeypatch.setenv("TORIFIED_BUDGET", str(max(pairs, 1)))
+    assert len(dscheme_of_fan(fan).specialization) == pairs
+    if pairs > 1:
+        monkeypatch.setenv("TORIFIED_BUDGET", str(pairs - 1))
+        with pytest.raises(BudgetExceeded) as caught:
+            dscheme_of_fan(fan)
+        assert caught.value.size == pairs
 
 
 def test_spec_counts():

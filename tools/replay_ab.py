@@ -2,12 +2,16 @@
 
 Usage, from the root of a checkout (stdlib only)::
 
-    python3 tools/replay_ab.py TREE_A TREE_B --workload W --seed S [--passes N]
+    python3 tools/replay_ab.py TREE_A TREE_B --workload W [--seed S] [--passes N]
 
 The plan is this checkout's ``perfbench/workloads.py`` plan for workload W
-and seed S, sized by ``run_seconds`` in ``BENCHMARK.json`` as
+and seed S (default 1), sized by ``run_seconds`` in ``BENCHMARK.json`` as
 ``perfbench/run.py`` sizes it (the same plan that ``tools/same_bytes.py``
-replays).  One persistent worker process per tree imports that tree's
+replays).  W may also be one of the fixed groups of ``tools/same_bytes.py``
+whose ops read no file that an earlier op writes: ``lower-dimensional`` (at
+its budget), ``spec``, ``soule``, ``fan-files`` and ``large-listings``, whose
+ops, from ``same_bytes.fixed_ops``, take no seed and reach inputs past the
+benchmark's ladders.  One persistent worker process per tree imports that tree's
 ``torified`` once.  A pass clears every ``lru_cache`` of the package, runs
 ``gc.collect()``, and then replays the whole plan in-process through
 ``torified.cli.main``, timed by ``time.perf_counter`` as a whole and op by
@@ -39,7 +43,8 @@ in the order of first appearance in the plan::
 On ``cones`` and ``fans`` it then prints the same per catalogue class of
 the ops' base entries, in name order (``c2`` ... ``c4n`` and ``g3`` ...
 ``g5``; ``proj``, ``prod``, ...), as ``perfbench/catalog.json`` names them,
-so that the share of a change that falls on each class is visible too.
+so that the share of a change that falls on each class is visible too; ops
+with no catalogue entry, those of the fixed groups among them, have none.
 
 Nothing in ``perfbench/`` is changed or run apart from the plan generator,
 and its catalogue is only read.
@@ -62,7 +67,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+from same_bytes import LOWER_DIMENSIONAL_BUDGET, fixed_ops  # noqa: E402
 from workloads import WORKLOADS, make_plan  # noqa: E402
+
+# the fixed groups of tools/same_bytes.py whose ops read no file an earlier op writes
+FIXED_GROUPS = ("lower-dimensional", "spec", "soule", "fan-files", "large-listings")
 
 
 def _clear_caches() -> None:
@@ -77,11 +86,11 @@ def _clear_caches() -> None:
 
 def _op_classes(ops) -> list:
     """The catalogue class of each op's base entry, or None for an op that
-    has none (every op of ``counts`` and ``listings``)."""
+    has none (every op of ``counts``, ``listings`` and the fixed groups)."""
     with open(os.path.join(ROOT, "perfbench", "catalog.json")) as fh:
         catalog = json.load(fh)
     classes = {entry["id"]: entry["class"] for entries in catalog.values() for entry in entries}
-    return [classes.get(op.ref.get("base")) for op in ops]
+    return [classes.get((op.ref or {}).get("base")) for op in ops]
 
 
 def worker(tree: str, workload: str, seed: int) -> None:
@@ -94,7 +103,9 @@ def worker(tree: str, workload: str, seed: int) -> None:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         seconds = float(json.load(fh)["run_seconds"])
-    ops = make_plan(workload, seed, seconds)
+    if workload == "lower-dimensional":
+        os.environ["TORIFIED_BUDGET"] = LOWER_DIMENSIONAL_BUDGET
+    ops = make_plan(workload, seed, seconds) if workload in WORKLOADS else fixed_ops(workload)
     op_classes = _op_classes(ops)
     with tempfile.TemporaryDirectory() as workdir:
         for op in ops:
@@ -162,8 +173,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tree_a")
     p.add_argument("tree_b")
-    p.add_argument("--workload", choices=WORKLOADS, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload", choices=WORKLOADS + FIXED_GROUPS, required=True)
+    p.add_argument("--seed", type=int, default=1, help="a workload's plan seed (default 1)")
     p.add_argument("--passes", type=int, default=20, help="pairs of passes (default 20)")
     # the worker process of one tree
     p.add_argument("--worker", choices=("a", "b"), help=argparse.SUPPRESS)
@@ -185,7 +196,8 @@ def main(argv=None) -> int:
     finally:
         a.close()
         b.close()
-    print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs")
+    seed = f" seed {args.seed}" if args.workload in WORKLOADS else ""
+    print(f"{args.workload}{seed}, {len(pairs)} pairs")
     for side, tree, passes in (("A", args.tree_a, [ta for ta, _ in pairs]),
                                ("B", args.tree_b, [tb for _, tb in pairs])):
         seconds, p50, p90 = (statistics.median(x) * 1e3 for x in zip(*(t[:3] for t in passes)))

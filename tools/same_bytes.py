@@ -164,8 +164,9 @@ GADGETS = [["torify", "flag", "1", "2", "1"]] + [
 # `soule` past the benchmark's Hilbert bases (3-5 generators) and m (2, 3),
 # at the default budget: counts of 15 and 54 generators; listings of 3
 # generators, of 15 (9 maps, past 3^15 assignments) and of a cone whose
-# generators have kernel rank two; and the counts only, 1,002,001 maps being
-# over the budget
+# generators have kernel rank two; the counts only, 1,002,001 maps being
+# over the budget; and the count of a 6-D simplicial cone of volume 7, whose
+# Hermite reductions clear with +-1 pivots
 SOULE = [
     ["soule", "--m", "2", "--cone=0,1;14,-1"],
     ["soule", "--m", "1000", "--cone=0,1;14,-1"],
@@ -174,6 +175,7 @@ SOULE = [
     ["soule", "--elements", "--m", "2", "--cone=0,1;14,-1"],
     ["soule", "--elements", "--m", "3", "--cone=-1,0,0;-1,1,-1;3,-2,-2"],
     ["soule", "--elements", "--m", "1000", "--cone=0,1;14,-1"],
+    ["soule", "--m", "3", "--cone=1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0;1,1,1,1,1,7"],
 ]
 # the family table as the command line shows it: the help that lists the
 # families, and the unknown-family and wrong-arity errors
@@ -195,7 +197,9 @@ USAGE = [
 # six squares and some edges listed, not closed (invalid, exit 1): squares
 # that are not simplicial and not maximal; and the same cone with one square
 # and all of that square's faces listed, not closed (invalid, exit 1): a
-# closed cone that is not simplicial, held by a maximal cone that misses faces
+# closed cone that is not simplicial, held by a maximal cone that misses
+# faces; and P^9 by its maximal cones, closed, each taking one elimination
+# of 9 x 9 (57,002 specialization pairs)
 FAN_FILES = {
     "cube.json": {"dim": 3, "rays": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
                   "cones": [[i for i in range(8) if i >> k & 1 == side] for k in range(3)
@@ -222,6 +226,8 @@ FAN_FILES = {
     "held.json": {"dim": 4, "rays": [[a, b, c, 1] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
                   "cones": [list(range(8)), [0, 1, 2, 3], [0, 1], [2, 3], [0, 2], [1, 3],
                             [0], [1], [2], [3], []], "close_faces": False},
+    "p9.json": {"dim": 9, "rays": [[int(i == j) for j in range(9)] for i in range(9)] + [[-1] * 9],
+                "cones": [[i for i in range(10) if i != k] for k in range(10)], "close_faces": True},
 }
 FANS = [argv for path in FAN_FILES for argv in (
     ["validate-fan", path], ["dscheme", "--fan", path],
